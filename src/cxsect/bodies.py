@@ -63,15 +63,10 @@ def rotate_pairs(x, theta):
     return out
 
 
-def torus_rotate(x, phases):
-    """Rotate coordinate pair k by phases[k] (independent angles)."""
-    x = np.asarray(x, dtype=float)
-    phases = np.asarray(phases, dtype=float)
-    out = np.empty_like(x)
-    c, s = np.cos(phases), np.sin(phases)
-    out[..., 0::2] = c * x[..., 0::2] - s * x[..., 1::2]
-    out[..., 1::2] = s * x[..., 0::2] + c * x[..., 1::2]
-    return out
+def _positive(value, name):
+    """Reject parameters that are not finite and positive (inf, nan, <= 0)."""
+    if not (math.isfinite(value) and value > 0):
+        raise InvalidInputError(f"{name} must be finite and positive, got {value!r}")
 
 
 def moduli(x, n):
@@ -141,8 +136,7 @@ class EuclideanBall(ConvexBody):
     radius: float = 1.0
 
     def __post_init__(self):
-        if not self.radius > 0:
-            raise InvalidInputError("radius must be positive")
+        _positive(self.radius, "radius")
 
     def _norm_impl(self, x):
         return np.linalg.norm(x, axis=-1) / self.radius
@@ -169,8 +163,7 @@ class ComplexLqBall(ConvexBody):
     def __post_init__(self):
         if not (self.q >= 1.0):
             raise InvalidInputError("exponent q must satisfy q >= 1")
-        if not self.scale > 0:
-            raise InvalidInputError("scale must be positive")
+        _positive(self.scale, "scale")
 
     def _norm_impl(self, x):
         mods = moduli(x, self.dim.n)
@@ -203,8 +196,10 @@ class ComplexEllipsoid(ConvexBody):
 
     def __post_init__(self):
         axes = tuple(float(a) for a in self.semiaxes)
-        if len(axes) < 2 or any(a <= 0 for a in axes):
-            raise InvalidInputError("need at least two positive semiaxes")
+        if len(axes) < 2:
+            raise InvalidInputError("need at least two semiaxes")
+        for a in axes:
+            _positive(a, "semiaxis")
         object.__setattr__(self, "semiaxes", axes)
         object.__setattr__(self, "dim", ComplexDim(len(axes)))
 
@@ -246,11 +241,12 @@ class PerturbedBall(ConvexBody):
     certify: bool = field(default=True, compare=False)
 
     def __post_init__(self):
-        if not self.radius > 0:
-            raise InvalidInputError("radius must be positive")
+        _positive(self.radius, "radius")
         cleaned = []
         for j, ell, c in self.terms:
             j, ell, c = int(j), int(ell), float(c)
+            if not math.isfinite(c):
+                raise InvalidInputError(f"perturbation coefficient must be finite, got {c!r}")
             if j < 2 or j % 2:
                 raise InvalidInputError("perturbation degrees must be even and >= 2")
             size = len(harmonics.invariant_harmonic_basis(self.dim.N, j))

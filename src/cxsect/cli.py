@@ -23,7 +23,15 @@ import numpy as np
 from . import sections as sect
 from .bodies import body_from_dict, validate
 from .config import RunConfig, default_config
-from .errors import InvalidInputError
+from .errors import (
+    EXIT_INVALID,
+    EXIT_PASS,
+    EXIT_PRECISION,
+    EXIT_VIOLATION,
+    InvalidInputError,
+    NumericalEvaluationError,
+    exit_code,
+)
 from .harmonics import ft_norm_power
 from .reporting import build_report, write_report
 from .spherequad import mc_volume
@@ -37,12 +45,6 @@ from .theorems import (
     separation_verify,
     stability_verify,
 )
-
-EXIT_PASS = 0
-EXIT_VIOLATION = 1
-EXIT_PRECISION = 2
-EXIT_INVALID = 3
-
 
 def _slug(text):
     return re.sub(r"[^A-Za-z0-9._-]+", "-", text).strip("-")[:80]
@@ -80,14 +82,6 @@ def _parse_xi(text, n):
     if vec.size != 2 * n:
         raise InvalidInputError(f"direction needs {2 * n} components, got {vec.size}")
     return sect.direction(vec)
-
-
-def _exit_for(passed, warnings):
-    if not passed and not warnings:
-        return EXIT_VIOLATION
-    if warnings or not passed:
-        return EXIT_PRECISION
-    return EXIT_PASS
 
 
 # --- subcommands -------------------------------------------------------------
@@ -138,7 +132,7 @@ def cmd_section(args):
             entry["direct"] = rep.value
             entry["direct_error"] = rep.error
         if need_ft:
-            rep = sect.section_volume_fourier(body, d, ft, config=cfg)
+            rep = sect.section_volume_fourier(body, d, ft)
             entry["fourier"] = rep.value
             entry["fourier_error"] = rep.error
             warnings.extend(w for w in rep.warnings if w not in warnings)
@@ -252,7 +246,7 @@ def cmd_theorem(args):
               f"{'pass' if passed else 'FAIL'}")
     stem = os.path.join(cfg.output_dir, f"theorem_{which}")
     write_report(stem, build_report(f"theorem:{which}", cfg, payload), csv_rows, header)
-    return _exit_for(passed, warnings)
+    return exit_code([(passed, warnings)])
 
 
 def cmd_suite(args):
@@ -331,6 +325,9 @@ def main(argv=None):
     except InvalidInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
+    except NumericalEvaluationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PRECISION
 
 
 if __name__ == "__main__":

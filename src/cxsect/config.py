@@ -11,8 +11,8 @@ from dataclasses import dataclass, field, asdict
 
 from .errors import InvalidInputError
 
-# product-rule levels per ambient dimension m (sections, reference integrals)
-_PRODUCT_LEVELS = {2: 24, 3: 24, 4: 24, 5: 16, 6: 16, 7: 6, 8: 6}
+# direct-section rule levels per subspace dimension m = 2n-2 (exactness 2L-1)
+_PRODUCT_LEVELS = {2: 24, 4: 32, 6: 16, 8: 6}
 # torus-reduced levels per complex dimension n (polar volumes, radial scans)
 _REDUCED_LEVELS = {2: 320, 3: 160, 4: 48}
 # expansion truncation per real dimension N
@@ -38,8 +38,6 @@ class RunConfig:
     mc_samples: int = 10_000_000
     tol_multiplier: float = 3.0
     tail_warn: float = 1e-3
-    noise_floor: float = 1e-12
-    threads: int | None = None
     output_dir: str = "reports"
 
     def __post_init__(self):

@@ -34,7 +34,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, NumericalEvaluationError
 from .spherequad import QuadratureRule, sphere_rule
 from .specfun import log_gamma
 
@@ -101,7 +101,7 @@ class _Block:
         V = self._nullspace()
         self.dim = V.shape[1]
         if self.dim != self._dim_formula():
-            raise RuntimeError(
+            raise NumericalEvaluationError(
                 f"harmonic block ({p},{q}) of C^{n}: null space dimension "
                 f"{self.dim} != {self._dim_formula()}"
             )
@@ -206,7 +206,7 @@ class _Block:
             if len(basis) == self.dim:
                 break
         if len(basis) != self.dim:
-            raise RuntimeError(
+            raise NumericalEvaluationError(
                 f"harmonic block ({self.p},{self.q}) of C^{self.n}: "
                 f"orthonormalization found {len(basis)} of {self.dim} functions"
             )

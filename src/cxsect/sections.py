@@ -3,11 +3,12 @@ independent routes, total volume by the polar formula, and the normalized
 inradius.
 
 The section (2n-2)-volume at a unit direction xi is computed either directly
-(polar formula on the subspace sphere, radial function evaluated through an
-isometric embedding of S^{2n-3} into the hyperplane) or through the Fourier
-route: the transformed norm power at exponent 2n-2, evaluated at xi and
-divided by 4 pi (n-1).  Agreement of the two routes is the central
-cross-check of the verification suite.
+(polar formula on the subspace sphere, radial function evaluated through a
+J-paired isometric embedding of S^{2n-3} into the hyperplane, integrated by
+the torus-reduced rule) or through the Fourier route: the transformed norm
+power at exponent 2n-2, evaluated at xi and divided by 4 pi (n-1).
+Agreement of the two routes is the central cross-check of the verification
+suite.
 """
 from __future__ import annotations
 
@@ -19,14 +20,9 @@ import numpy as np
 from . import grids
 from .bodies import complex_structure
 from .config import RunConfig, default_config
-from .errors import InvalidInputError
-from .harmonics import HarmonicExpansion, ft_norm_power
-from .spherequad import (
-    QuadratureRule,
-    integrate_sphere,
-    invariant_sphere_rule,
-    sphere_rule,
-)
+from .errors import InvalidInputError, NumericalEvaluationError
+from .harmonics import HarmonicExpansion
+from .spherequad import QuadratureRule, integrate_sphere, invariant_sphere_rule
 
 
 @dataclass(frozen=True)
@@ -69,8 +65,9 @@ def direction(vec) -> Direction:
 @dataclass(frozen=True)
 class SubspaceBasis:
     """Orthonormal basis of the (2n-2)-dimensional hyperplane orthogonal to
-    both xi and J xi.  The span is closed under J (the hyperplane is a
-    complex subspace); rows are the basis vectors."""
+    both xi and J xi.  Rows are the basis vectors, J-paired as
+    (v_1, J v_1, v_2, J v_2, ...): in these coordinates J acts as the complex
+    structure of C^{n-1}."""
 
     direction: Direction
     basis: np.ndarray
@@ -78,34 +75,30 @@ class SubspaceBasis:
     def __post_init__(self):
         self.basis.setflags(write=False)
 
-    def embed(self, points):
-        """Map vectors from subspace coordinates R^{2n-2} into R^{2n}."""
-        return np.asarray(points, dtype=float) @ self.basis
-
 
 def hyperplane_basis(xi) -> SubspaceBasis:
-    """Deterministic orthonormal basis of the hyperplane at xi.
+    """Deterministic J-paired orthonormal basis of the hyperplane at xi.
 
-    Gram-Schmidt of the standard basis vectors against {xi, J xi} in fixed
-    order, dropping the two that become dependent.  The projection depends on
-    xi only through its complex line, so any phase rotation of xi yields the
-    same basis.
+    Gram-Schmidt of the even standard basis vectors e_0, e_2, ... against
+    {xi, J xi} and the rows so far, in fixed order; each kept v brings J v
+    along (the span is closed under J, so J v is already orthogonal to it),
+    and a vector that becomes dependent is dropped.  The projection depends
+    on xi only through its complex line, so any phase rotation of xi yields
+    the same basis.
     """
     d = xi if isinstance(xi, Direction) else direction(xi)
     N = d.xi.size
-    anchors = [d.xi, d.jxi]
     rows = []
-    for i in range(N):
+    for i in range(0, N, 2):
         v = np.zeros(N)
         v[i] = 1.0
         for _ in range(2):  # two passes for orthogonality to ~1e-15
-            for b in anchors:
-                v = v - (v @ b) * b
-            for b in rows:
+            for b in [d.xi, d.jxi] + rows:
                 v = v - (v @ b) * b
         length = float(np.linalg.norm(v))
         if length > 1e-7:
-            rows.append(v / length)
+            v = v / length
+            rows.extend((v, complex_structure(v)))
         if len(rows) == N - 2:
             break
     if len(rows) != N - 2:
@@ -137,43 +130,28 @@ def _section_rule(n, config, bump=0, scan=False):
     level = config.product_level(2 * n - 2)
     if scan:
         level = max(8, level // 2)
-    return sphere_rule(2 * n - 2, level + bump)
+    return invariant_sphere_rule(n - 1, level + bump, nphase=level + bump)
 
 
-def section_volume_direct(body, xi, rule: QuadratureRule | None = None,
-                          config: RunConfig | None = None,
+def section_volume_direct(body, xi, config: RunConfig | None = None,
                           with_error=True) -> SectionReport:
-    """Section volume by the polar formula on the subspace sphere.
+    """Section volume at one direction by the kernel ``section_values``.
 
-    Vol_{2n-2} = (1/(2n-2)) * int_{S^{2n-3}} rho(embed(theta))^{2n-2}.
-    The error estimate is the difference against a level+2 rule.
+    The error estimate is the difference against the rule two levels up,
+    whose value is the one reported.
     """
     cfg = config or default_config()
-    n = body.dim.n
     d = xi if isinstance(xi, Direction) else direction(xi)
-    if d.n != n:
-        raise InvalidInputError("direction dimension does not match the body")
-    sub = hyperplane_basis(d)
-    if rule is None:
-        rule = _section_rule(n, cfg)
-    if rule.m != 2 * n - 2:
-        raise InvalidInputError(f"section rule must live on S^{2 * n - 3}")
-
-    def integrand(r):
-        return body.radial(r.nodes @ sub.basis) ** (2 * n - 2)
-
-    value = integrate_sphere(integrand(rule), rule) / (2 * n - 2)
+    value = section_values(body, d.xi, config=cfg)[0]
     err = 0.0
     if with_error:
-        finer = sphere_rule(rule.m, rule.level + 2)
-        v2 = integrate_sphere(integrand(finer), finer) / (2 * n - 2)
-        err = abs(v2 - value)
-        value = v2
+        finer = section_values(body, d.xi, rule=_section_rule(body.dim.n, cfg, bump=2))[0]
+        err = abs(finer - value)
+        value = finer
     return SectionReport(body.label, tuple(d.xi), float(value), "direct", float(err))
 
 
-def section_volume_fourier(body, xi, ft: HarmonicExpansion,
-                           config: RunConfig | None = None) -> SectionReport:
+def section_volume_fourier(body, xi, ft: HarmonicExpansion) -> SectionReport:
     """Section volume from the transformed norm power at exponent 2n-2.
 
     value = ft(xi) / (4 pi (n-1)); the error estimate is the magnitude of the
@@ -202,16 +180,28 @@ def section_values(body, dirs, rule: QuadratureRule | None = None,
                    config: RunConfig | None = None, scan=False):
     """Direct section volumes for a batch of unit directions, shape (P,).
 
-    Bases are built per direction; radial evaluations are chunked so large
-    direction grids stay within memory.  ``scan=True`` uses a half-level rule,
-    cheap enough for extremum scans over large grids (final values at the
-    extremizer should be re-evaluated at the full level).
+    Vol_{2n-2} = (1/(2n-2)) * int_{S^{2n-3}} rho(theta B)^{2n-2}, B the
+    J-paired hyperplane basis.  In its coordinates J is the complex structure
+    of C^{n-1}, so the integrand keeps the body's invariance under
+    simultaneous pair rotation, and the default rule is the torus-reduced
+    ``invariant_sphere_rule(n-1, L, nphase=L)`` with L = product_levels[2n-2]
+    (exact to degree 2L-1).  At n = 2 that rule is one node of weight 2 pi:
+    the section is the disc pi rho(w)^2.  ``scan=True`` uses L/2 (at least
+    8), cheap enough for extremum scans over large grids (final values at the
+    extremizer should be re-evaluated at the full level).  Any rule on
+    S^{2n-3} may be passed instead, e.g. the generic product rule as a
+    reference.  Radial evaluations are chunked so large direction grids stay
+    within memory.
     """
     cfg = config or default_config()
     n = body.dim.n
     if rule is None:
         rule = _section_rule(n, cfg, scan=scan)
+    if rule.m != 2 * n - 2:
+        raise InvalidInputError(f"section rule must live on S^{2 * n - 3}")
     dirs = np.atleast_2d(np.asarray(dirs, dtype=float))
+    if dirs.shape[-1] != 2 * n:
+        raise InvalidInputError("direction dimension does not match the body")
     P = dirs.shape[0]
     out = np.empty(P)
     nodes = rule.nodes
@@ -225,6 +215,8 @@ def section_values(body, dirs, rule: QuadratureRule | None = None,
         hi = min(lo + chunk, P)
         pts = np.einsum("mj,pjk->pmk", nodes, bases[lo:hi])
         vals = body.radial(pts.reshape(-1, 2 * n)).reshape(hi - lo, M) ** power
+        if not np.all(np.isfinite(vals)):
+            raise NumericalEvaluationError(f"non-finite section integrand for {body.label}")
         out[lo:hi] = (vals @ rule.weights) / power
     return out
 
@@ -241,8 +233,8 @@ def volume(body, rule: QuadratureRule | None = None,
     """Total volume by the polar formula Vol = (1/2n) int rho^{2n}.
 
     With no explicit rule the torus-reduced rule is used (the integrand is
-    rotation-invariant for every admitted body); pass a product-rule
-    ``sphere_rule(2n, level)`` for the generic reference path.
+    rotation-invariant for every admitted body); pass the generic product
+    rule on S^{2n-1} for the reference path.
     """
     cfg = config or default_config()
     n = body.dim.n
@@ -288,16 +280,3 @@ def inradius_normalized(body, rule: QuadratureRule | None = None, grid=None,
     rmin, _ = min_radial(body, cfg, grid=grid)
     vol = volume(body, rule=rule, config=cfg)
     return rmin / vol ** (1.0 / (2 * body.dim.n))
-
-
-def fourier_transform_of_body(body, p, config: RunConfig | None = None,
-                              jmax=None, invariant_only=None) -> HarmonicExpansion:
-    """Convenience wrapper building ft_norm_power with configured defaults."""
-    cfg = config or default_config()
-    N = body.dim.N
-    return ft_norm_power(
-        body, p,
-        jmax=cfg.jmax_for(N) if jmax is None else jmax,
-        invariant_only=invariant_only,
-        tail_warn=cfg.tail_warn,
-    )

@@ -44,18 +44,6 @@ def log_gamma(x):
     return float(out) if out.ndim == 0 else out
 
 
-def gammaln_ratio(a, b):
-    """Gamma(a)/Gamma(b) evaluated safely through logs."""
-    return math.exp(log_gamma(a) - log_gamma(b))
-
-
-def gauss_legendre(npts):
-    """Gauss-Legendre nodes/weights on (-1, 1)."""
-    if npts < 1:
-        raise InvalidInputError("need at least one quadrature point")
-    return np.polynomial.legendre.leggauss(npts)
-
-
 def gauss_jacobi(npts, alpha, beta):
     """Gauss nodes/weights for weight (1-x)^alpha (1+x)^beta on (-1, 1).
 

@@ -25,7 +25,7 @@ from .bodies import (
     rotate_pairs,
 )
 from .config import RunConfig, default_config
-from .errors import InvalidInputError
+from .errors import InvalidInputError, exit_code
 from .harmonics import euclidean_ft_constant, ft_norm_power
 from .spherequad import invariant_sphere_rule, mc_volume
 from .theorems import (
@@ -534,16 +534,6 @@ class SuiteResult:
         }
 
 
-def _exit_code(results):
-    hard = [r for r in results if not r.soft]
-    clean_failures = [r for r in hard if not r.passed and not r.warnings]
-    if clean_failures:
-        return 1
-    if any((not r.passed) or r.warnings for r in hard):
-        return 2
-    return 0
-
-
 def run_suite(config: RunConfig | None = None, names=None, echo=print) -> SuiteResult:
     """Run the acceptance criteria (all, or a subset by name)."""
     cfg = config or default_config()
@@ -575,4 +565,5 @@ def run_suite(config: RunConfig | None = None, names=None, echo=print) -> SuiteR
         results.append(budget)
         if echo:
             echo(f"[info] runtime_budget_soft: {wall:.1f}s of {BUDGET_SECONDS}s")
-    return SuiteResult(results, wall, _exit_code(results))
+    return SuiteResult(results, wall,
+                       exit_code((r.passed, r.warnings) for r in results if not r.soft))

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -201,6 +202,20 @@ class TestJsonSchema:
     def test_n_below_two_rejected(self):
         with pytest.raises(InvalidInputError):
             body_from_dict({"n": 1, "kind": "euclidean", "params": {}})
+
+    @pytest.mark.parametrize("bad", ["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("spec", [
+        {"n": 2, "kind": "euclidean", "params": {"radius": None}},
+        {"n": 2, "kind": "lq", "params": {"q": 3, "scale": None}},
+        {"n": 2, "kind": "lq", "params": {"q": "inf", "scale": None}},
+        {"n": 2, "kind": "ellipsoid", "params": {"semiaxes": [1.0, None]}},
+        {"n": 2, "kind": "perturbed", "params": {"radius": None}},
+        {"n": 2, "kind": "perturbed", "params": {"radius": 1.0, "terms": [[2, 0, None]]}},
+    ])
+    def test_nonfinite_parameters_rejected(self, spec, bad):
+        text = json.dumps(spec).replace("null", f'"{bad}"')
+        with pytest.raises(InvalidInputError):
+            body_from_dict(json.loads(text))
 
 
 class TestScaling:

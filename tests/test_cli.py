@@ -5,6 +5,7 @@ import os
 import pytest
 
 from cxsect.cli import main
+from cxsect.errors import exit_code
 
 
 def write_spec(tmp_path, name, spec):
@@ -92,6 +93,22 @@ class TestSectionCommand:
         rows = report["results"]["directions"]
         assert len(rows) == 16
         assert max(r["relative_discrepancy"] for r in rows) <= 5e-3
+
+
+class TestVolumeCommand:
+    def test_infinite_radius_exit3(self, tmp_path, capsys):
+        spec = write_spec(tmp_path, "inf.json",
+                          {"n": 2, "kind": "euclidean", "params": {"radius": "inf"}})
+        assert run(["volume", spec], tmp_path) == 3
+        assert capsys.readouterr().err.startswith("error: radius must be finite")
+
+    def test_overflowing_volume_exit2(self, tmp_path, capsys):
+        spec = write_spec(tmp_path, "huge.json",
+                          {"n": 2, "kind": "euclidean", "params": {"radius": 1e100}})
+        assert run(["volume", spec], tmp_path) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: non-finite integrand")
+        assert "Traceback" not in err
 
 
 class TestTheoremCommand:
@@ -189,3 +206,15 @@ class TestSuiteCommand:
 
     def test_single_fast_criterion_exit0(self, tmp_path):
         assert run(["suite", "--criteria", "gamma_inequality"], tmp_path) == 0
+
+
+@pytest.mark.parametrize("outcomes, code", [
+    ([], 0),
+    ([(True, ())], 0),
+    ([(True, ("tail",))], 2),
+    ([(False, ("tail",))], 2),
+    ([(False, ())], 1),
+    ([(True, ()), (False, ("tail",)), (False, ())], 1),
+])
+def test_exit_code_rule(outcomes, code):
+    assert exit_code(outcomes) == code

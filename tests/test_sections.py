@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cxsect import (
     ComplexDim,
@@ -22,6 +24,7 @@ from cxsect import (
     volume,
 )
 from cxsect.sections import Direction, section_values, volume_with_error
+from cxsect.suite import bodies_n3
 
 from conftest import unit_vectors
 
@@ -69,6 +72,21 @@ class TestHyperplaneBasis:
         residual = JB - (JB @ B.T) @ B
         assert np.abs(residual).max() < 1e-12
 
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_rows_are_j_paired(self, n):
+        # random directions, exact axes, and directions within 1e-12..1e-3 of an axis
+        rng = np.random.default_rng(n)
+        dirs = list(unit_vectors(rng, 200, 2 * n))
+        for k in range(2 * n):
+            for eps in (0.0, 1e-12, 1e-9, 1e-6, 1e-3):
+                v = eps * rng.normal(size=2 * n)
+                v[k] += 1.0
+                dirs.append(v)
+        for v in dirs:
+            B = hyperplane_basis(v).basis
+            assert np.abs(B[1::2] - complex_structure(B[0::2])).max() <= 1e-13
+            assert np.abs(B @ B.T - np.eye(2 * n - 2)).max() < 1e-13
+
     def test_same_complex_line_same_basis(self):
         rng = np.random.default_rng(3)
         d = direction(rng.normal(size=4))
@@ -106,6 +124,17 @@ class TestSectionDirect:
             expect = math.pi * 4.0 / (u @ np.array([1.0, 4.0]))
             assert section_volume_direct(ell, d).value == pytest.approx(expect, rel=1e-10)
 
+    def test_ellipsoid_closed_form_general_direction_n3(self):
+        # pi^2/2 * (prod a_k^2) / sum a_k^2 |xi_k|^2
+        a = np.array([1.0, 1.5, 2.0])
+        ell = ComplexEllipsoid(tuple(a))
+        rng = np.random.default_rng(5)
+        for _ in range(5):
+            d = direction(rng.normal(size=6))
+            u = d.xi[0::2] ** 2 + d.xi[1::2] ** 2
+            expect = math.pi ** 2 / 2 * np.prod(a ** 2) / (u @ a ** 2)
+            assert section_volume_direct(ell, d).value == pytest.approx(expect, rel=1e-10)
+
     def test_complex_line_invariance(self, pert2):
         rng = np.random.default_rng(2)
         d = direction(rng.normal(size=4))
@@ -128,6 +157,84 @@ class TestSectionDirect:
         singles = [section_volume_direct(ell12, direction(v), with_error=False).value
                    for v in dirs]
         assert np.allclose(batch, singles, rtol=1e-13)
+
+
+class _CountingBody:
+    """Delegates to a body and records how many points radial() sees."""
+
+    def __init__(self, body):
+        self.body, self.dim, self.label, self.points = body, body.dim, body.label, 0
+
+    def radial(self, theta):
+        self.points += theta.shape[0]
+        return self.body.radial(theta)
+
+
+class TestSectionKernel:
+    @pytest.mark.parametrize("scan", [False, True])
+    def test_one_point_per_direction_at_n2(self, ell12, scan):
+        body = _CountingBody(ell12)
+        section_values(body, unit_vectors(np.random.default_rng(6), 7, 4), scan=scan)
+        assert body.points == 7
+
+    @pytest.mark.parametrize("scan, nodes", [(False, 1024), (True, 256)])
+    def test_default_rule_sizes_at_n3(self, ball3, scan, nodes):
+        body = _CountingBody(ball3)
+        section_values(body, unit_vectors(np.random.default_rng(7), 3, 6), scan=scan)
+        assert body.points == 3 * nodes
+
+    def test_direction_dimension_mismatch(self, ball3):
+        with pytest.raises(InvalidInputError):
+            section_values(ball3, np.array([1.0, 0, 0, 0]))
+
+    def test_rule_dimension_mismatch(self, ball3):
+        with pytest.raises(InvalidInputError):
+            section_values(ball3, np.array([1.0, 0, 0, 0, 0, 0]), rule=sphere_rule(2, 8))
+
+    @given(st.sampled_from(["ball", "lq", "polydisc", "ellipsoid", "perturbed"]),
+           st.floats(0.5, 2.0), st.floats(1.0, 8.0),
+           st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4)
+           .filter(lambda v: np.linalg.norm(v) > 1e-3))
+    @settings(max_examples=60, deadline=None)
+    def test_n2_section_is_disc(self, pert2, kind, r, q, vec):
+        # a complex line meets a rotation-invariant body in a disc of radius
+        # rho(w), w the real form of (-conj(xi_2), conj(xi_1))
+        d = ComplexDim(2)
+        body = {
+            "ball": EuclideanBall(d, r),
+            "lq": ComplexLqBall(d, q, r),
+            "polydisc": ComplexLqBall(d, math.inf, r),
+            "ellipsoid": ComplexEllipsoid((r, q)),
+            "perturbed": pert2.scaled(r),
+        }[kind]
+        xi = direction(vec).xi
+        w = np.array([-xi[2], xi[3], xi[0], -xi[1]])
+        expect = math.pi * float(body.radial(w)) ** 2
+        assert section_values(body, xi)[0] == pytest.approx(expect, rel=1e-13)
+
+    def test_n3_rules_beat_product_rules(self):
+        # against a level-200 torus reference, over the moduli lattice
+        # {sqrt(k/4)} (axes and edges included) with random phases plus random
+        # directions: full level (torus 32) vs product level 24, scan level
+        # (torus 16) vs product level 12
+        rng = np.random.default_rng(8)
+        comps = [(a, b, 4 - a - b) for a in range(5) for b in range(5 - a)]
+        mods = np.sqrt(np.array(comps, dtype=float) / 4.0)
+        phases = rng.uniform(0.0, 2.0 * math.pi, size=mods.shape)
+        lattice = np.empty((len(comps), 6))
+        lattice[:, 0::2] = mods * np.cos(phases)
+        lattice[:, 1::2] = mods * np.sin(phases)
+        dirs = np.vstack([lattice, unit_vectors(rng, 16, 6)])
+        reference = invariant_sphere_rule(2, 200, nphase=200)
+        for body in bodies_n3().values():
+            ref = section_values(body, dirs, rule=reference)
+
+            def err(**kw):
+                return float(np.max(np.abs(section_values(body, dirs, **kw) / ref - 1.0)))
+
+            floor = 1e-13
+            assert err() <= max(err(rule=sphere_rule(4, 24)), floor), body.label
+            assert err(scan=True) <= max(err(rule=sphere_rule(4, 12)), floor), body.label
 
 
 class TestSectionFourier:
