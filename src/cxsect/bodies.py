@@ -229,20 +229,23 @@ class PerturbedBall(ConvexBody):
     """Radial function r * (1 + sum_t c_t Y_{j_t, l_t}) with even rotation-invariant
     harmonics; the norm inverts the radial function.
 
-    Terms are (even degree j >= 2, invariant-basis index l, coefficient c).
-    Construction certifies positivity of the radial function and midpoint
-    convexity on 1e5 sampled pairs unless ``certify=False`` (used to build
-    deliberately broken bodies for the validator).
+    Terms are (even degree j >= 2, invariant-basis index l, coefficient c),
+    summed into one invariant expansion ``perturbation``.  Construction
+    certifies positivity of the radial function and midpoint convexity on
+    1e5 sampled pairs unless ``certify=False`` (used to build deliberately
+    broken bodies for the validator).
     """
 
     dim: ComplexDim
     radius: float = 1.0
     terms: tuple = ()
     certify: bool = field(default=True, compare=False)
+    perturbation: harmonics.HarmonicExpansion = field(init=False, compare=False)
 
     def __post_init__(self):
         _positive(self.radius, "radius")
         cleaned = []
+        coeffs = {}
         for j, ell, c in self.terms:
             j, ell, c = int(j), int(ell), float(c)
             if not math.isfinite(c):
@@ -255,7 +258,10 @@ class PerturbedBall(ConvexBody):
                     f"invariant harmonic index {ell} out of range for degree {j} (size {size})"
                 )
             cleaned.append((j, ell, c))
+            coeffs.setdefault(j, np.zeros(size))[ell] += c
         object.__setattr__(self, "terms", tuple(cleaned))
+        object.__setattr__(self, "perturbation", harmonics.HarmonicExpansion(
+            self.dim.N, max(coeffs, default=0), True, coeffs, tail_ratio=0.0, l2_norm=0.0))
         if self.certify:
             self._certify()
 
@@ -270,11 +276,7 @@ class PerturbedBall(ConvexBody):
     def radial_profile(self, theta):
         """The defining radial function on unit vectors (no norm inversion)."""
         theta = np.atleast_2d(np.asarray(theta, dtype=float))
-        vals = np.ones(theta.shape[0])
-        for j, ell, c in self.terms:
-            basis = harmonics.invariant_harmonic_basis(self.dim.N, j)
-            vals = vals + c * basis.evaluate(theta)[:, ell]
-        return self.radius * vals
+        return self.radius * (1.0 + self.perturbation.evaluate(theta))
 
     def _norm_impl(self, x):
         flat = x.reshape(-1, self.dim.N)

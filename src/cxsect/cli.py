@@ -16,7 +16,6 @@ import json
 import os
 import re
 import sys
-import time
 
 import numpy as np
 
@@ -251,12 +250,11 @@ def cmd_theorem(args):
 
 def cmd_suite(args):
     cfg = _load_config(args)
-    t0 = time.perf_counter()
     result = run_suite(cfg, names=args.criteria or None)
     stem = os.path.join(cfg.output_dir, "suite_summary")
     write_report(stem, build_report("suite", cfg, result.to_dict()),
                  result.summary_rows(), ["criterion", "measured", "bound", "status"],
-                 wall_seconds=time.perf_counter() - t0)
+                 timings=result.timings())
     print(f"suite finished in {result.wall_seconds:.1f}s, exit code {result.exit_code}")
     return result.exit_code
 

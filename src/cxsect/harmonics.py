@@ -34,12 +34,13 @@ from functools import lru_cache
 
 import numpy as np
 
+from .config import default_config
 from .errors import InvalidInputError, NumericalEvaluationError
 from .spherequad import QuadratureRule, sphere_rule
 from .specfun import log_gamma
 
-_SUPPORTED_N = (4, 6, 8)
-_MAX_DEGREE = 32
+_MAX_DEGREE = {4: 24, 6: 32, 8: 32}  # per N; see harmonic_basis
+_NOISE_FLOOR = 1e-12
 
 
 @lru_cache(maxsize=None)
@@ -238,13 +239,10 @@ class _Block:
 
         return build(self.A), build(self.B)
 
-    def _chunk(self, budget=12_000_000):
-        return max(2048, budget // max(self.P * self.Q, 1))
-
     def eval_basis(self, X):
         """Values of the block's own basis functions at X, shape (M, dim), complex."""
         out = np.empty((X.shape[0], self.dim), dtype=complex)
-        step = self._chunk()
+        step = max(2048, 12_000_000 // max(self.P * self.Q, 1))
         CT = self.C.T
         for lo in range(0, X.shape[0], step):
             hi = min(lo + step, X.shape[0])
@@ -296,13 +294,8 @@ class HarmonicBasis:
     """
 
     def __init__(self, N, j, invariant_only=False):
-        if N % 2:
-            raise InvalidInputError("ambient dimension must be even")
-        if j % 2 or j < 0:
-            raise InvalidInputError("only even nonnegative degrees are supported")
         self.N, self.j = N, j
         self.n = N // 2
-        self.invariant_only = bool(invariant_only)
         self.blocks = [_block(self.n, p, q) for p, q in _degree_blocks(self.n, j, invariant_only)]
         self._offsets = []
         pos = 0
@@ -339,9 +332,6 @@ class HarmonicBasis:
 
         return fn
 
-    def __getitem__(self, ell):
-        return self.function(ell)
-
     def real_coefficients(self, t_by_block):
         """Map per-block complex integrals t_i = int f * Y_i to real coefficients."""
         out = np.empty(self.size)
@@ -371,17 +361,21 @@ def _basis(N, j, invariant_only):
     return HarmonicBasis(N, j, invariant_only)
 
 
+def _check_degree(N, j):
+    if N not in _MAX_DEGREE or j % 2 or not 0 <= j <= _MAX_DEGREE[N]:
+        raise InvalidInputError(f"no harmonic basis for N={N}, j={j}: supported are N in "
+                                f"{tuple(_MAX_DEGREE)} and even j <= {_MAX_DEGREE.get(N, 32)}")
+
+
 def harmonic_basis(N, j, invariant_only=False):
     """Orthonormal real basis of degree-j spherical harmonics on S^{N-1}.
 
-    N in {4, 6, 8}, j even, 0 <= j <= 32.  With ``invariant_only`` the basis
-    spans only the harmonics invariant under the simultaneous rotation of all
+    N in {4, 6, 8}, j even, j <= 32 (24 at N = 4, where the Gram identity
+    misses 1e-10 from degree 26).  With ``invariant_only`` the basis spans
+    only the harmonics invariant under the simultaneous rotation of all
     coordinate pairs.
     """
-    if N not in _SUPPORTED_N:
-        raise InvalidInputError(f"supported ambient dimensions are {_SUPPORTED_N}")
-    if j % 2 or not 0 <= j <= _MAX_DEGREE:
-        raise InvalidInputError("degree must be even and between 0 and 32")
+    _check_degree(N, j)
     return _basis(N, j, bool(invariant_only))
 
 
@@ -490,28 +484,29 @@ class HarmonicExpansion:
 
 
 def harmonic_expand(f, jmax, rule: QuadratureRule, invariant_only=False,
-                    noise_floor=1e-12, tail_warn=1e-3, label="") -> HarmonicExpansion:
+                    tail_warn=1e-3, label="") -> HarmonicExpansion:
     """Expand an even function on S^{N-1} through degree ``jmax``.
 
     Coefficients are c_{j,l} = int f Y_{j,l}, computed from monomial moments
     of f under ``rule`` (algebraically identical to the direct inner product,
-    factored for speed).  Coefficients below ``noise_floor`` times the L2 norm
-    of f are dropped as quadrature noise.  A warning is recorded when the top
-    two degrees hold more than ``tail_warn`` of the expansion energy.
+    factored for speed).  Coefficients below 1e-12 times the L2 norm of f are
+    dropped as quadrature noise.  A warning is recorded when the top two
+    degrees hold more than ``tail_warn`` of the expansion energy.  Raises
+    ``NumericalEvaluationError`` when f or its L2 norm is not finite.
     """
-    if jmax % 2 or jmax < 0:
-        raise InvalidInputError("jmax must be even and nonnegative")
     N = rule.m
-    if N % 2:
-        raise InvalidInputError("expansion requires even ambient dimension")
+    _check_degree(N, jmax)
     warnings = []
     if rule.exactness_degree < 2 * jmax:
         warnings.append(
             f"rule exactness {rule.exactness_degree} below 2*jmax={2 * jmax}; aliasing possible"
         )
-    fvals = f(rule.nodes) if callable(f) else np.asarray(f, dtype=float)
-    wf = rule.weights * fvals
-    l2 = math.sqrt(max(float(np.sum(wf * fvals)), 0.0))
+    with np.errstate(over="ignore"):  # overflow is caught by the checks below
+        fvals = f(rule.nodes) if callable(f) else np.asarray(f, dtype=float)
+        wf = rule.weights * fvals
+        l2 = math.sqrt(max(float(np.sum(wf * fvals)), 0.0))
+    if not (np.all(np.isfinite(fvals)) and math.isfinite(l2)):
+        raise NumericalEvaluationError(f"non-finite expansion integrand or L2 norm {label}".rstrip())
     coeffs = {}
     for j in range(0, jmax + 1, 2):
         basis = _basis(N, j, bool(invariant_only))
@@ -519,7 +514,7 @@ def harmonic_expand(f, jmax, rule: QuadratureRule, invariant_only=False,
             blk.C @ blk.moments(rule.nodes, wf).ravel() for blk in basis.blocks
         ]
         cvec = basis.real_coefficients(t_by_block)
-        cvec[np.abs(cvec) < noise_floor * l2] = 0.0
+        cvec[np.abs(cvec) < _NOISE_FLOOR * l2] = 0.0
         coeffs[j] = cvec
     energies = {j: float(np.sum(c * c)) for j, c in coeffs.items()}
     total = sum(energies.values())
@@ -534,39 +529,31 @@ def harmonic_expand(f, jmax, rule: QuadratureRule, invariant_only=False,
     )
 
 
-def expansion_rule(N, jmax, min_level=8):
-    """Quadrature rule sized for expansions: exactness 2*jmax + 3."""
-    return sphere_rule(N, max(jmax + 2, min_level))
+def expansion_rule(N, jmax):
+    """Quadrature rule sized for expansions: exactness 2*jmax + 3 (level >= 8)."""
+    return sphere_rule(N, max(jmax + 2, 8))
 
 
-def ft_norm_power(body, p, jmax=None, rule=None, invariant_only=None,
-                  tail_warn=1e-3) -> HarmonicExpansion:
+def ft_norm_power(body, p, jmax=None, tail_warn=1e-3) -> HarmonicExpansion:
     """Sphere restriction of the Fourier transform of ||.||_body^{-p}.
 
     Expands the radial power rho^p (the sphere restriction of the norm power)
-    and rescales degree j by lambda_j(N, p).  For the admitted body kinds the
-    integrand is rotation-invariant, so the invariant fast path is the
-    default; pass ``invariant_only=False`` for the full reference expansion.
+    on the rotation-invariant harmonics through degree ``jmax`` (default
+    ``default_config().jmax_for(N)``) and rescales degree j by
+    lambda_j(N, p).  ``harmonic_expand(..., invariant_only=False)`` followed
+    by ``multiplied(p)`` is the full reference expansion.
     """
     N = body.dim.N
     if not 0 < p < N:
         raise InvalidInputError(f"ft_norm_power requires 0 < p < {N}, got {p}")
     if jmax is None:
-        jmax = default_jmax(N)
-    if rule is None:
-        rule = expansion_rule(N, jmax)
-    if invariant_only is None:
-        invariant_only = True
+        jmax = default_config().jmax_for(N)
     expansion = harmonic_expand(
-        lambda X: body.radial(X) ** p, jmax, rule,
-        invariant_only=invariant_only, tail_warn=tail_warn,
+        lambda X: body.radial(X) ** p, jmax, expansion_rule(N, jmax),
+        invariant_only=True, tail_warn=tail_warn,
         label=f"ft[{body.label}]^(-{p})",
     )
     return expansion.multiplied(p)
-
-
-def default_jmax(N):
-    return {4: 16, 6: 12, 8: 6}.get(N, 8)
 
 
 def euclidean_ft_constant(N, p):

@@ -33,10 +33,10 @@ def build_report(kind, config, payload):
     }
 
 
-def write_report(stem, report, rows=None, header=None, wall_seconds=None):
+def write_report(stem, report, rows=None, header=None, timings=None):
     """Write <stem>.json, <stem>.csv (when rows given) and <stem>.meta.json.
 
-    Returns the list of paths written.
+    ``timings`` (a dict) goes into the sidecar only.  Returns the paths written.
     """
     os.makedirs(os.path.dirname(stem) or ".", exist_ok=True)
     paths = []
@@ -60,8 +60,8 @@ def write_report(stem, report, rows=None, header=None, wall_seconds=None):
         "platform": platform.platform(),
         "python": platform.python_version(),
     }
-    if wall_seconds is not None:
-        meta["wall_seconds"] = wall_seconds
+    if timings:
+        meta.update(timings)
     with open(mpath, "w") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -214,7 +214,8 @@ def section_values(body, dirs, rule: QuadratureRule | None = None,
     for lo in range(0, P, chunk):
         hi = min(lo + chunk, P)
         pts = np.einsum("mj,pjk->pmk", nodes, bases[lo:hi])
-        vals = body.radial(pts.reshape(-1, 2 * n)).reshape(hi - lo, M) ** power
+        with np.errstate(over="ignore"):  # overflow is caught by the check below
+            vals = body.radial(pts.reshape(-1, 2 * n)).reshape(hi - lo, M) ** power
         if not np.all(np.isfinite(vals)):
             raise NumericalEvaluationError(f"non-finite section integrand for {body.label}")
         out[lo:hi] = (vals @ rule.weights) / power
@@ -242,7 +243,9 @@ def volume(body, rule: QuadratureRule | None = None,
         rule = _volume_rule(body, cfg)
     if rule.m != 2 * n:
         raise InvalidInputError(f"volume rule must live on S^{2 * n - 1}")
-    return integrate_sphere(body.radial(rule.nodes) ** (2 * n), rule) / (2 * n)
+    with np.errstate(over="ignore"):  # integrate_sphere rejects the overflow
+        vals = body.radial(rule.nodes) ** (2 * n)
+    return integrate_sphere(vals, rule) / (2 * n)
 
 
 def volume_with_error(body, config: RunConfig | None = None):

@@ -196,7 +196,6 @@ class CriterionResult:
             "bound": self.bound,
             "comparison": self.comparison,
             "soft": self.soft,
-            "seconds": round(self.seconds, 3),
             "warnings": list(self.warnings),
             "details": self.details,
         }
@@ -519,18 +518,26 @@ CRITERIA = {
 
 @dataclass
 class SuiteResult:
+    """Criterion results; ``timings`` holds every timing, ``to_dict`` and the rows none."""
+
     results: list
     wall_seconds: float
     exit_code: int
 
     def summary_rows(self):
-        return [r.row() for r in self.results]
+        return [r.row() for r in self.results if not r.soft]
 
     def to_dict(self):
         return {
-            "wall_seconds": round(self.wall_seconds, 3),
             "exit_code": self.exit_code,
-            "criteria": [r.to_dict() for r in self.results],
+            "criteria": [r.to_dict() for r in self.results if not r.soft],
+        }
+
+    def timings(self):
+        return {
+            "wall_seconds": round(self.wall_seconds, 3),
+            "criterion_seconds": {r.name: round(r.seconds, 3) for r in self.results if not r.soft},
+            "soft_criteria": [r.to_dict() for r in self.results if r.soft],
         }
 
 

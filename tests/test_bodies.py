@@ -173,6 +173,34 @@ class TestPerturbedBall:
         scaled = 0.5 * rho[:, None] * theta
         assert np.allclose(pert2.norm(scaled), 0.5, rtol=1e-12)
 
+    @pytest.mark.parametrize("n,terms", [
+        (2, ((2, 0, 0.06), (4, 1, 0.02))),  # suite pert_a
+        (2, ((2, 2, 0.05),)),  # suite pert_b
+        (3, ((2, 0, 0.05),)),  # suite pert
+        (2, ((2, 1, 0.02), (4, 3, 0.01), (2, 1, 0.015), (6, 0, 0.005))),
+        (3, ((4, 2, 0.01), (2, 0, 0.02), (4, 2, 0.005), (2, 5, 0.01))),
+    ])
+    def test_radial_profile_matches_per_term_reference(self, n, terms):
+        # reference: each term's basis function on its own, summed term by term
+        from cxsect.harmonics import invariant_harmonic_basis
+
+        body = PerturbedBall(ComplexDim(n), 1.3, terms)
+        theta = unit_vectors(np.random.default_rng(11), 1000, 2 * n)
+        ref = 1.0 + sum(c * invariant_harmonic_basis(2 * n, j).function(ell)(theta)
+                        for j, ell, c in terms)
+        got = body.radial_profile(theta)
+        assert np.max(np.abs(got / (1.3 * ref) - 1.0)) <= 1e-14
+
+    def test_repeated_terms_add_up(self):
+        d = ComplexDim(2)
+        split = PerturbedBall(d, 1.0, ((2, 1, 0.02), (2, 1, 0.03)))
+        merged = PerturbedBall(d, 1.0, ((2, 1, 0.05),))
+        assert split.perturbation.coefficient(2, 1) == pytest.approx(0.05, abs=1e-17)
+        assert split.terms == ((2, 1, 0.02), (2, 1, 0.03))
+        assert split != merged
+        theta = unit_vectors(np.random.default_rng(12), 200, 4)
+        assert np.allclose(split.radial(theta), merged.radial(theta), rtol=1e-15, atol=0)
+
 
 class TestJsonSchema:
     @pytest.mark.parametrize("spec", [

@@ -1,9 +1,12 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 
+import cxsect
 from cxsect.cli import main
 from cxsect.errors import exit_code
 
@@ -111,6 +114,48 @@ class TestVolumeCommand:
         assert "Traceback" not in err
 
 
+def huge_ball(tmp_path, n):
+    return write_spec(tmp_path, f"huge{n}.json",
+                      {"n": n, "kind": "euclidean", "params": {"radius": 1e100}})
+
+
+class TestOverflow:
+    """A radius-1e100 ball overflows every power of the radial function."""
+
+    def test_section_fourier_route_exit2(self, tmp_path, capsys):
+        # rho^2 = 1e200 is finite at n=2, but the expansion's L2 norm is not
+        assert run(["section", huge_ball(tmp_path, 2), "--grid", "2"], tmp_path) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: non-finite expansion integrand or L2 norm") and err.count("\n") == 1
+
+    def test_ft_exit2(self, tmp_path, capsys):
+        assert run(["ft", huge_ball(tmp_path, 3)], tmp_path) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: non-finite expansion integrand or L2 norm") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command, n", [
+        (["volume"], 2),
+        (["section", "--grid", "2"], 2),
+        (["section", "--grid", "2"], 3),
+        (["section", "--grid", "2", "--method", "direct"], 3),
+        (["ft"], 3),
+    ])
+    def test_one_stderr_line_in_subprocess(self, tmp_path, command, n):
+        # a subprocess sees numpy's RuntimeWarnings, which pytest's capture hides
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"output_dir": str(tmp_path / "reports")}))
+        src = os.path.dirname(os.path.dirname(cxsect.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        args = [command[0], huge_ball(tmp_path, n)] + command[1:]
+        proc = subprocess.run(
+            [sys.executable, "-m", "cxsect.cli", "--config", str(cfg)] + args,
+            capture_output=True, text=True, env=env, timeout=600,
+        )
+        assert proc.returncode == 2
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+
+
 class TestTheoremCommand:
     def test_gamma_exit0(self, tmp_path):
         assert run(["theorem", "--which", "gamma", "--nmax", "170"], tmp_path) == 0
@@ -159,6 +204,40 @@ class TestDeterminism:
         run(["validate", ball_spec], tmp_path)
         second = (tmp_path / "reports" / "validate_ball-n-2-r-1.json").read_bytes()
         assert first == second
+
+    @pytest.mark.parametrize("args, stem", [
+        (["volume", "BALL"], "volume_ball-n-2-r-1"),
+        (["theorem", "--which", "gamma"], "theorem_gamma"),
+        (["suite", "--criteria", "gamma_inequality", "separation"], "suite_summary"),
+    ])
+    def test_command_reports_byte_identical(self, tmp_path, ball_spec, args, stem):
+        args = [ball_spec if a == "BALL" else a for a in args]
+        reports = tmp_path / "reports"
+        runs = []
+        for _ in range(2):
+            run(args, tmp_path)
+            runs.append([(reports / (stem + ext)).read_bytes() for ext in (".json", ".csv")])
+        assert runs[0] == runs[1]
+
+    def test_suite_timings_only_in_meta(self, tmp_path):
+        run(["suite", "--criteria", "gamma_inequality"], tmp_path)
+        meta = json.loads((tmp_path / "reports" / "suite_summary.meta.json").read_text())
+        assert "wall_seconds" in meta
+        assert set(meta["criterion_seconds"]) == {"gamma_inequality"}
+
+    def test_suite_result_serialises_no_timing(self):
+        from cxsect.suite import CriterionResult, SuiteResult
+
+        hard = CriterionResult("gamma_inequality", True, 0.69, 0.0, ">=", seconds=1.25)
+        soft = CriterionResult("runtime_budget_soft", True, 12.5, 900.0, "<=", soft=True)
+        result = SuiteResult([hard, soft], 12.5, 0)
+        blob = json.dumps(result.to_dict())
+        assert "seconds" not in blob and "runtime_budget_soft" not in blob
+        assert result.summary_rows() == [hard.row()]
+        timings = result.timings()
+        assert timings["wall_seconds"] == 12.5
+        assert timings["criterion_seconds"] == {"gamma_inequality": 1.25}
+        assert [c["name"] for c in timings["soft_criteria"]] == ["runtime_budget_soft"]
 
     def test_config_echoed_in_report(self, tmp_path, ball_spec):
         run(["validate", ball_spec], tmp_path, config_extra={"seed": 777})

@@ -9,6 +9,7 @@ from cxsect import (
     ComplexLqBall,
     EuclideanBall,
     InvalidInputError,
+    NumericalEvaluationError,
     bochner_multiplier,
     ft_norm_power,
     harmonic_basis,
@@ -18,6 +19,7 @@ from cxsect import (
     sphere_area,
     sphere_rule,
 )
+from cxsect.config import default_config
 from cxsect.spherequad import torus_sphere_rule
 from cxsect.harmonics import (
     complex_sphere_moment,
@@ -43,7 +45,7 @@ class TestBasisStructure:
     def test_degree2_dimension_n6(self):
         assert len(harmonic_basis(6, 2)) == 20 == harmonic_dim(6, 2)
 
-    @pytest.mark.parametrize("N,j", [(4, 4), (4, 10), (6, 4), (8, 2)])
+    @pytest.mark.parametrize("N,j", [(4, 4), (4, 10), (4, 24), (6, 4), (8, 2)])
     def test_dimension_formula(self, N, j):
         assert len(harmonic_basis(N, j)) == harmonic_dim(N, j)
 
@@ -58,6 +60,10 @@ class TestBasisStructure:
             harmonic_basis(4, 3)
         with pytest.raises(InvalidInputError):
             harmonic_basis(4, 34)
+        with pytest.raises(InvalidInputError):
+            harmonic_basis(4, 26)
+        with pytest.raises(InvalidInputError):
+            harmonic_basis(4, 30)
 
 
 class TestOrthonormality:
@@ -68,6 +74,13 @@ class TestOrthonormality:
         vals = basis.evaluate(rule.nodes)
         gram = vals.T @ (rule.weights[:, None] * vals)
         assert np.abs(gram - np.eye(len(basis))).max() < 1e-10
+
+    def test_exact_gram_identity_at_n4_degree_limit(self):
+        # the N=4 limit is the highest degree whose blocks satisfy C S C^H = I
+        # to 1e-10 under the exact monomial Gram S
+        for blk in harmonic_basis(4, 24).blocks:
+            gram = blk.C.conj() @ blk._gram @ blk.C.T
+            assert np.abs(gram - np.eye(blk.dim)).max() < 1e-10
 
     def test_gram_identity_invariant_n6_high_degree(self):
         basis = invariant_harmonic_basis(6, 10)
@@ -178,6 +191,20 @@ class TestExpansion:
             exp = harmonic_expand(lambda p: ell12.radial(p) ** 2, jm, expansion_rule(4, jm))
             errs.append(np.abs(exp.evaluate(x) - truth).max())
         assert all(errs[i] > errs[i + 1] for i in range(len(errs) - 1))
+
+    @pytest.mark.parametrize("value", [np.inf, np.nan, 1e200])
+    def test_nonfinite_integrand_or_norm_rejected(self, value):
+        # 1e200 is finite, but its square overflows the L2 norm
+        rule = sphere_rule(4, 8)
+        with pytest.raises(NumericalEvaluationError):
+            harmonic_expand(lambda x: np.full(len(x), value), 4, rule)
+
+    def test_degree_above_limit_rejected_before_evaluation(self):
+        def never(x):
+            raise AssertionError("integrand evaluated")
+
+        with pytest.raises(InvalidInputError):
+            harmonic_expand(never, 26, sphere_rule(4, 8))
 
     def test_tail_warning_triggers_on_low_jmax(self, ell12):
         exp = harmonic_expand(lambda x: ell12.radial(x) ** 2, 4, expansion_rule(4, 4))
@@ -293,7 +320,8 @@ class TestFtNormPower:
     def test_rotation_equivariance_coefficients(self, ell12):
         # an invariant body's transform lives on the invariant harmonics only
         rule = torus_sphere_rule(2, 48, nphase=24)
-        ft = ft_norm_power(ell12, 2.0, jmax=8, rule=rule, invariant_only=False)
+        ft = harmonic_expand(lambda x: ell12.radial(x) ** 2, 8, rule,
+                             invariant_only=False).multiplied(2.0)
         lead = abs(ft.coefficient(0, 0))
         for j in ft.degrees():
             basis = harmonic_basis(4, j)
@@ -301,6 +329,11 @@ class TestFtNormPower:
             off = ft.coeffs[j][: len(basis) - inv_dim]
             if off.size:
                 assert np.abs(off).max() <= 1e-8 * lead
+
+    def test_default_jmax_from_config(self, ball2):
+        ft = ft_norm_power(ball2, 2.0)
+        assert ft.jmax == default_config().jmax_for(4)
+        assert ft.degrees() == list(range(0, ft.jmax + 1, 2))
 
     def test_p_out_of_range(self, ball2):
         with pytest.raises(InvalidInputError):
