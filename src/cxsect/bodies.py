@@ -106,13 +106,9 @@ class ConvexBody:
     # --- structure ------------------------------------------------------
 
     @property
-    def is_full_torus_invariant(self):
-        """True when the norm depends on the moduli |z_k| only."""
-        return True
-
-    @property
     def phase_bandwidth(self):
-        """Highest relative-phase frequency in the norm (0 for moduli-only bodies)."""
+        """Highest frequency of the radial function in any relative phase;
+        0 when the norm depends on the moduli |z_k| only."""
         return 0
 
     def scaled(self, factor):
@@ -266,12 +262,10 @@ class PerturbedBall(ConvexBody):
             self._certify()
 
     @property
-    def is_full_torus_invariant(self):
-        return not self.terms
-
-    @property
     def phase_bandwidth(self):
-        return max((j for j, _, _ in self.terms), default=0)
+        # an invariant degree-j harmonic has bidegree (j/2, j/2): each of its
+        # monomials z^a conj(z)^b has frequency a_k - b_k, |a_k - b_k| <= j/2
+        return max((j // 2 for j, _, _ in self.terms), default=0)
 
     def radial_profile(self, theta):
         """The defining radial function on unit vectors (no norm inversion)."""

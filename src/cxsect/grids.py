@@ -56,14 +56,6 @@ class DirectionGrid:
     def size(self):
         return self.params.shape[0]
 
-    def describe(self):
-        return {
-            "n": self.n,
-            "points": int(self.size),
-            "with_phases": self.with_phases,
-            "steps": [float(s) for s in self.steps],
-        }
-
 
 def direction_grid(n, moduli_res, phase_res=0, with_phases=False) -> DirectionGrid:
     """Product grid over moduli angles (and relative phases when requested)."""
@@ -98,13 +90,13 @@ def _clip_params(params, n, with_phases):
     return out
 
 
-def refine_extremum(fn, grid: DirectionGrid, mode="max", halvings=3, sweeps=2):
+def refine_extremum(fn, grid: DirectionGrid, mode="max", halvings=3):
     """Locate an extremum of ``fn`` over directions: coarse grid + pattern search.
 
     ``fn`` maps an (M, 2n) array of unit directions to values.  Starting from
-    the best grid point, coordinate steps are tried in both senses; the step
-    vector is halved ``halvings`` times.  Returns (params, direction, value,
-    evaluations).
+    the best grid point, coordinate steps are tried in both senses, in up to
+    two sweeps per step size; the step vector is halved ``halvings`` times.
+    Returns (params, direction, value, evaluations).
     """
     sign = 1.0 if mode == "max" else -1.0
     vals = sign * np.asarray(fn(grid.directions), dtype=float)
@@ -115,7 +107,7 @@ def refine_extremum(fn, grid: DirectionGrid, mode="max", halvings=3, sweeps=2):
     steps = grid.steps.copy()
     d = best_p.size
     for _ in range(halvings + 1):
-        for _ in range(sweeps):
+        for _ in range(2):
             improved = False
             cands = []
             for i in range(d):

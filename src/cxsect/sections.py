@@ -115,16 +115,6 @@ class SectionReport:
     error: float
     warnings: tuple = ()
 
-    def to_row(self):
-        return {
-            "body": self.body,
-            "xi": list(self.xi),
-            "method": self.method,
-            "value": self.value,
-            "error": self.error,
-            "warnings": list(self.warnings),
-        }
-
 
 def _section_rule(n, config, bump=0, scan=False):
     level = config.product_level(2 * n - 2)
@@ -133,8 +123,7 @@ def _section_rule(n, config, bump=0, scan=False):
     return invariant_sphere_rule(n - 1, level + bump, nphase=level + bump)
 
 
-def section_volume_direct(body, xi, config: RunConfig | None = None,
-                          with_error=True) -> SectionReport:
+def section_volume_direct(body, xi, config: RunConfig | None = None) -> SectionReport:
     """Section volume at one direction by the kernel ``section_values``.
 
     The error estimate is the difference against the rule two levels up,
@@ -142,13 +131,9 @@ def section_volume_direct(body, xi, config: RunConfig | None = None,
     """
     cfg = config or default_config()
     d = xi if isinstance(xi, Direction) else direction(xi)
-    value = section_values(body, d.xi, config=cfg)[0]
-    err = 0.0
-    if with_error:
-        finer = section_values(body, d.xi, rule=_section_rule(body.dim.n, cfg, bump=2))[0]
-        err = abs(finer - value)
-        value = finer
-    return SectionReport(body.label, tuple(d.xi), float(value), "direct", float(err))
+    coarse = section_values(body, d.xi, config=cfg)[0]
+    value = section_values(body, d.xi, rule=_section_rule(body.dim.n, cfg, bump=2))[0]
+    return SectionReport(body.label, tuple(d.xi), float(value), "direct", float(abs(value - coarse)))
 
 
 def section_volume_fourier(body, xi, ft: HarmonicExpansion) -> SectionReport:
@@ -214,19 +199,29 @@ def section_values(body, dirs, rule: QuadratureRule | None = None,
     for lo in range(0, P, chunk):
         hi = min(lo + chunk, P)
         pts = np.einsum("mj,pjk->pmk", nodes, bases[lo:hi])
-        with np.errstate(over="ignore"):  # overflow is caught by the check below
+        with np.errstate(over="ignore"):  # overflow is caught by the checks below
             vals = body.radial(pts.reshape(-1, 2 * n)).reshape(hi - lo, M) ** power
-        if not np.all(np.isfinite(vals)):
-            raise NumericalEvaluationError(f"non-finite section integrand for {body.label}")
-        out[lo:hi] = (vals @ rule.weights) / power
+            sums = vals @ rule.weights  # positive weights: a non-finite value stays
+        if not np.all(np.isfinite(sums)):
+            raise NumericalEvaluationError(
+                f"non-finite section integrand or integral for {body.label}")
+        out[lo:hi] = sums / power
     return out
 
 
-def _volume_rule(body, config, bump=0):
-    n = body.dim.n
-    bw = body.phase_bandwidth
-    nphase = 2 * n * bw + 1 if bw else 1
-    return invariant_sphere_rule(n, config.reduced_level(n) + bump, nphase=nphase)
+def radial_power_rule(level, *bodies) -> QuadratureRule:
+    """Torus-reduced rule on S^{2n-1} for a product of integer powers of the
+    bodies' radial functions with total degree 2n (the polar volume, the
+    Parseval pairing).
+
+    Each radial function has frequency at most bw = max phase_bandwidth in
+    every relative phase, so the product has frequency at most 2n*bw there,
+    and 2n*bw + 1 uniform phases integrate it exactly in the phases: one
+    phase when every body depends on the moduli only.
+    """
+    n = bodies[0].dim.n
+    bw = max(b.phase_bandwidth for b in bodies)
+    return invariant_sphere_rule(n, level, nphase=2 * n * bw + 1)
 
 
 def volume(body, rule: QuadratureRule | None = None,
@@ -240,7 +235,7 @@ def volume(body, rule: QuadratureRule | None = None,
     cfg = config or default_config()
     n = body.dim.n
     if rule is None:
-        rule = _volume_rule(body, cfg)
+        rule = radial_power_rule(cfg.reduced_level(n), body)
     if rule.m != 2 * n:
         raise InvalidInputError(f"volume rule must live on S^{2 * n - 1}")
     with np.errstate(over="ignore"):  # integrate_sphere rejects the overflow
@@ -251,35 +246,26 @@ def volume(body, rule: QuadratureRule | None = None,
 def volume_with_error(body, config: RunConfig | None = None):
     """Volume plus a refinement-difference error estimate (reduced rule)."""
     cfg = config or default_config()
-    coarse = volume(body, rule=_volume_rule(body, cfg), config=cfg)
-    bump = max(8, cfg.reduced_level(body.dim.n) // 8)
-    fine = volume(body, rule=_volume_rule(body, cfg, bump=bump), config=cfg)
+    level = cfg.reduced_level(body.dim.n)
+    coarse = volume(body, rule=radial_power_rule(level, body))
+    fine = volume(body, rule=radial_power_rule(level + max(8, level // 8), body))
     return fine, abs(fine - coarse)
 
 
-def min_radial(body, config: RunConfig | None = None, grid=None):
+def min_radial(body, config: RunConfig | None = None):
     """Minimum of the radial function over directions (grid + refinement)."""
     cfg = config or default_config()
     n = body.dim.n
-    if grid is None:
-        grid = grids.direction_grid(
-            n, cfg.moduli_res[n], cfg.phase_res[n],
-            with_phases=not body.is_full_torus_invariant,
-        )
+    grid = grids.direction_grid(n, cfg.moduli_res[n], cfg.phase_res[n],
+                                with_phases=body.phase_bandwidth != 0)
     _, dir_min, value, _ = grids.refine_extremum(
         lambda X: body.radial(X), grid, mode="min", halvings=cfg.refine_halvings,
     )
     return float(value), dir_min
 
 
-def inradius_normalized(body, rule: QuadratureRule | None = None, grid=None,
-                        config: RunConfig | None = None) -> float:
-    """min rho / Vol^{1/2n}; scale-invariant by construction.
-
-    ``rule`` feeds the polar volume, ``grid`` the radial minimum scan; both
-    default to the configured choices.
-    """
+def inradius_normalized(body, config: RunConfig | None = None) -> float:
+    """min rho / Vol^{1/2n}; scale-invariant by construction."""
     cfg = config or default_config()
-    rmin, _ = min_radial(body, cfg, grid=grid)
-    vol = volume(body, rule=rule, config=cfg)
-    return rmin / vol ** (1.0 / (2 * body.dim.n))
+    rmin, _ = min_radial(body, cfg)
+    return rmin / volume(body, config=cfg) ** (1.0 / (2 * body.dim.n))

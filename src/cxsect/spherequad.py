@@ -56,15 +56,6 @@ class QuadratureRule:
     def node_count(self):
         return self.nodes.shape[0]
 
-    def describe(self):
-        return {
-            "m": self.m,
-            "kind": self.kind,
-            "level": self.level,
-            "nodes": int(self.node_count),
-            "exactness_degree": self.exactness_degree,
-        }
-
 
 @lru_cache(maxsize=32)
 def sphere_rule(m: int, level: int) -> QuadratureRule:
@@ -203,7 +194,8 @@ def integrate_sphere(f, rule: QuadratureRule) -> float:
     """Sum of weights * f(nodes), fixed node order, pairwise summation.
 
     ``f`` is either a callable on an (M, m) array of unit vectors or a
-    precomputed value array of length M.
+    precomputed value array of length M.  Non-finite values, and finite
+    values whose weighted sum overflows, raise ``NumericalEvaluationError``.
     """
     vals = f(rule.nodes) if callable(f) else np.asarray(f, dtype=float)
     if vals.shape != (rule.node_count,):
@@ -213,17 +205,11 @@ def integrate_sphere(f, rule: QuadratureRule) -> float:
         raise NumericalEvaluationError(
             f"non-finite integrand value at node {bad}: {rule.nodes[bad]}"
         )
-    return float(np.sum(rule.weights * vals))
-
-
-def integrate_with_error(f, m, level, rule_factory=sphere_rule):
-    """Integrate at ``level`` and ``level + 2``; the difference is the error estimate.
-
-    Returns (value, error_estimate) where value is the finer-level result.
-    """
-    coarse = integrate_sphere(f, rule_factory(m, level))
-    fine = integrate_sphere(f, rule_factory(m, level + 2))
-    return fine, abs(fine - coarse)
+    with np.errstate(over="ignore"):  # an overflowing sum is rejected below
+        total = float(np.sum(rule.weights * vals))
+    if not math.isfinite(total):
+        raise NumericalEvaluationError("non-finite weighted sum of finite integrand values")
+    return total
 
 
 @dataclass(frozen=True)
@@ -251,7 +237,7 @@ def mc_volume(body, samples: int, seed: int, chunk: int = 1_000_000) -> MCVolume
         raise InvalidInputError("mc_volume requires at least 1e4 samples")
     n = body.dim.n
     N = 2 * n
-    scan = invariant_sphere_rule(n, 48, nphase=8 if not body.is_full_torus_invariant else 1)
+    scan = invariant_sphere_rule(n, 48, nphase=1 if body.phase_bandwidth == 0 else 8)
     rmax = float(np.max(body.radial(scan.nodes)))
     if not (rmax > 0 and math.isfinite(rmax)):
         raise InvalidInputError("degenerate body: nonpositive bounding radius")

@@ -27,7 +27,7 @@ from .bodies import (
 from .config import RunConfig, default_config
 from .errors import InvalidInputError, exit_code
 from .harmonics import euclidean_ft_constant, ft_norm_power
-from .spherequad import invariant_sphere_rule, mc_volume
+from .spherequad import mc_volume
 from .theorems import (
     VerificationContext,
     corollary1_verify,
@@ -467,15 +467,14 @@ def criterion_structural(ctx):
     worst = max(worst, jline)
 
     # scaling covariance: volume r^{2n}, sections r^{2n-2}, transform r^p
-    # (light rules whose phase count still covers the perturbed bandwidth)
+    # (light rules: levels below the configured ones, phases from the body)
     volsc = sectsc = 0.0
-    rule_cache = {2: invariant_sphere_rule(2, 64, nphase=17),
-                  3: invariant_sphere_rule(3, 24, nphase=13)}
+    light_level = {2: 64, 3: 24}
     for k in range(1000):
         body = (samples2 + samples3)[k % (len(samples2) + len(samples3))]
         n = body.dim.n
         r = float(rng.uniform(0.5, 2.0))
-        rule = rule_cache[n]
+        rule = sect.radial_power_rule(light_level[n], body)
         v1 = sect.volume(body, rule=rule)
         v2 = sect.volume(body.scaled(r), rule=rule)
         volsc = max(volsc, abs(v2 / (r ** (2 * n) * v1) - 1.0))

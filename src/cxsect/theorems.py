@@ -21,7 +21,7 @@ from .bodies import validate
 from .config import RunConfig, default_config
 from .errors import InvalidInputError
 from .harmonics import expansion_rule, ft_norm_power
-from .spherequad import integrate_sphere, invariant_sphere_rule
+from .spherequad import integrate_sphere
 from .specfun import log_gamma
 
 _TOL_FLOOR = 1e-12
@@ -83,9 +83,7 @@ class VerificationContext:
 
     def inradius(self, body):
         if body not in self._inradius:
-            rmin, _ = sections.min_radial(body, self.config)
-            vol, _ = self.volume(body)
-            self._inradius[body] = rmin / vol ** (1.0 / (2 * body.dim.n))
+            self._inradius[body] = sections.inradius_normalized(body, self.config)
         return self._inradius[body]
 
 
@@ -129,7 +127,7 @@ def _diff_extremum(K, L, ctx, mode):
     """Extremize section(K) - section(L): scan-level grid + pattern search,
     final value re-evaluated at the full quadrature level."""
     cfg = ctx.config
-    with_phases = not (K.is_full_torus_invariant and L.is_full_torus_invariant)
+    with_phases = max(K.phase_bandwidth, L.phase_bandwidth) != 0
     grid = ctx.grid(K.dim.n, with_phases)
     sK = ctx.section_grid_values(K, with_phases)
     sL = ctx.section_grid_values(L, with_phases)
@@ -417,8 +415,9 @@ def parseval_check(K, L, p, config: RunConfig | None = None,
 
     lhs:  int over S^{2n-1} of ft[||.||_K^{-p}] * ft[||.||_L^{-2n+p}]
     rhs:  (2 pi)^{2n} int over S^{2n-1} of rho_K^p rho_L^{2n-p}
-    lhs uses a product rule exact for the degree-2*jmax integrand; rhs uses a
-    high-level torus-reduced rule (the integrand is rotation-invariant).
+    lhs uses a product rule exact for the degree-2*jmax integrand; rhs uses
+    ``sections.radial_power_rule`` at the configured level (the integrand is
+    rotation-invariant).
     """
     cfg = config or default_config()
     if K.dim.n != L.dim.n:
@@ -434,9 +433,7 @@ def parseval_check(K, L, p, config: RunConfig | None = None,
     rule = expansion_rule(N, jmax)
     lhs_vals = ft_k.evaluate(rule.nodes) * ft_l.evaluate(rule.nodes)
     lhs = integrate_sphere(lhs_vals, rule)
-    bw = max(K.phase_bandwidth, L.phase_bandwidth)
-    reduced = invariant_sphere_rule(n, cfg.reduced_level(n),
-                                    nphase=(N * bw + 1) if bw else 1)
+    reduced = sections.radial_power_rule(cfg.reduced_level(n), K, L)
     rho = K.radial(reduced.nodes) ** p * L.radial(reduced.nodes) ** (N - p)
     rhs = (2.0 * math.pi) ** N * integrate_sphere(rho, reduced)
     rel = abs(lhs - rhs) / abs(rhs)
@@ -487,7 +484,7 @@ def positivity_check(K, config: RunConfig | None = None,
         raise InvalidInputError("positivity scan supports complex dimension 2, 3, 4")
     exploratory = n == 4
     ft = ctx.ft(K, 2.0)
-    grid = ctx.grid(n, not K.is_full_torus_invariant)
+    grid = ctx.grid(n, K.phase_bandwidth != 0)
     vals = ft.evaluate(grid.directions)
     vmax = float(np.max(vals))
     best = int(np.argmin(vals))

@@ -114,9 +114,22 @@ class TestVolumeCommand:
         assert "Traceback" not in err
 
 
-def huge_ball(tmp_path, n):
+def huge_ball(tmp_path, n, radius=1e100):
     return write_spec(tmp_path, f"huge{n}.json",
-                      {"n": n, "kind": "euclidean", "params": {"radius": 1e100}})
+                      {"n": n, "kind": "euclidean", "params": {"radius": radius}})
+
+
+def run_subprocess(args, tmp_path):
+    """The CLI in a fresh interpreter: it sees numpy's RuntimeWarnings, which
+    pytest's capture hides."""
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"output_dir": str(tmp_path / "reports")}))
+    src = os.path.dirname(os.path.dirname(cxsect.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    return subprocess.run(
+        [sys.executable, "-m", "cxsect.cli", "--config", str(cfg)] + args,
+        capture_output=True, text=True, env=env, timeout=600,
+    )
 
 
 class TestOverflow:
@@ -141,19 +154,24 @@ class TestOverflow:
         (["ft"], 3),
     ])
     def test_one_stderr_line_in_subprocess(self, tmp_path, command, n):
-        # a subprocess sees numpy's RuntimeWarnings, which pytest's capture hides
-        cfg = tmp_path / "config.json"
-        cfg.write_text(json.dumps({"output_dir": str(tmp_path / "reports")}))
-        src = os.path.dirname(os.path.dirname(cxsect.__file__))
-        env = {**os.environ, "PYTHONPATH": src}
-        args = [command[0], huge_ball(tmp_path, n)] + command[1:]
-        proc = subprocess.run(
-            [sys.executable, "-m", "cxsect.cli", "--config", str(cfg)] + args,
-            capture_output=True, text=True, env=env, timeout=600,
-        )
+        proc = run_subprocess([command[0], huge_ball(tmp_path, n)] + command[1:], tmp_path)
         assert proc.returncode == 2
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+
+    # finite integrand values whose weighted sum overflows
+    OVERFLOWING_SUMS = [
+        (["volume"], 9e76),
+        (["section", "--method", "direct", "--grid", "1"], 1.2e154),
+    ]
+
+    @pytest.mark.parametrize("command, radius", OVERFLOWING_SUMS)
+    def test_overflowing_sum_one_stderr_line_in_subprocess(self, tmp_path, command, radius):
+        args = [command[0], huge_ball(tmp_path, 2, radius)] + command[1:]
+        proc = run_subprocess(args, tmp_path)
+        assert proc.returncode == 2
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: non-finite"), proc.stderr
 
 
 class TestTheoremCommand:
@@ -209,9 +227,21 @@ class TestDeterminism:
         (["volume", "BALL"], "volume_ball-n-2-r-1"),
         (["theorem", "--which", "gamma"], "theorem_gamma"),
         (["suite", "--criteria", "gamma_inequality", "separation"], "suite_summary"),
+        (["section", "PERT", "--method", "both", "--grid", "3"],
+         "section_perturbed-n-2-r-1.1-2-2-0.05_both"),
+        (["ft", "PERT", "--grid", "3"], "ft_perturbed-n-2-r-1.1-2-2-0.05_p2"),
+        (["theorem", "--which", "stability", "-K", "PERT", "-L", "BALL"], "theorem_stability"),
+        (["theorem", "--which", "separation", "-K", "PERT", "-L", "BALL"], "theorem_separation"),
+        (["theorem", "--which", "corollary1", "-K", "PERT", "-L", "BALL"], "theorem_corollary1"),
+        (["theorem", "--which", "parseval", "-K", "PERT", "-L", "BALL", "-p", "2"],
+         "theorem_parseval"),
+        (["theorem", "--which", "positivity", "-K", "PERT"], "theorem_positivity"),
     ])
     def test_command_reports_byte_identical(self, tmp_path, ball_spec, args, stem):
-        args = [ball_spec if a == "BALL" else a for a in args]
+        pert = write_spec(tmp_path, "pert.json",
+                          {"n": 2, "kind": "perturbed",
+                           "params": {"radius": 1.1, "terms": [[2, 2, 0.05]]}})
+        args = [{"BALL": ball_spec, "PERT": pert}.get(a, a) for a in args]
         reports = tmp_path / "reports"
         runs = []
         for _ in range(2):

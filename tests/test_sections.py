@@ -11,6 +11,7 @@ from cxsect import (
     ComplexLqBall,
     EuclideanBall,
     InvalidInputError,
+    PerturbedBall,
     complex_structure,
     direction,
     ft_norm_power,
@@ -23,8 +24,9 @@ from cxsect import (
     sphere_rule,
     volume,
 )
-from cxsect.sections import Direction, section_values, volume_with_error
-from cxsect.suite import bodies_n3
+from cxsect.config import default_config
+from cxsect.sections import Direction, radial_power_rule, section_values, volume_with_error
+from cxsect.suite import bodies_n2, bodies_n3
 
 from conftest import unit_vectors
 
@@ -154,8 +156,7 @@ class TestSectionDirect:
     def test_batch_matches_single(self, ell12):
         dirs = unit_vectors(np.random.default_rng(4), 6, 4)
         batch = section_values(ell12, dirs)
-        singles = [section_volume_direct(ell12, direction(v), with_error=False).value
-                   for v in dirs]
+        singles = [section_values(ell12, v)[0] for v in dirs]
         assert np.allclose(batch, singles, rtol=1e-13)
 
 
@@ -287,6 +288,7 @@ class TestVolume:
 
     def test_perturbed_volume_exact_under_both_rules(self, pert2):
         bw = pert2.phase_bandwidth
+        assert bw == 2  # top degree 4
         reduced = volume(pert2)
         generic = volume(pert2, rule=sphere_rule(4, 24))
         assert reduced == pytest.approx(generic, rel=1e-12)
@@ -302,6 +304,48 @@ class TestVolume:
     def test_dimension_mismatch(self, ball3):
         with pytest.raises(InvalidInputError):
             volume(ball3, rule=sphere_rule(4, 8))
+
+
+class TestRadialPowerRule:
+    """The phase count 2n*bw + 1, bw = max j/2, is sufficient and needed."""
+
+    @pytest.mark.parametrize("name, n, level", [
+        ("pert_a", 2, None),
+        ("pert_b", 2, None),
+        # phases are integrated exactly at any moduli level; the doubled rule
+        # at the configured n=3 level would have 4,326,400 nodes
+        ("pert", 3, 48),
+    ])
+    def test_matches_doubled_phase_count(self, name, n, level):
+        body = (bodies_n2() if n == 2 else bodies_n3())[name]
+        level = level or default_config().reduced_level(n)
+        doubled = invariant_sphere_rule(n, level, nphase=2 * n * 2 * body.phase_bandwidth + 1)
+        assert volume(body, rule=radial_power_rule(level, body)) == pytest.approx(
+            volume(body, rule=doubled), rel=1e-13)
+
+    def test_one_phase_fewer_aliases(self):
+        body = bodies_n2()["pert_b"]
+        level = default_config().reduced_level(2)
+        exact = volume(body, rule=radial_power_rule(level, body))
+        short = volume(body, rule=invariant_sphere_rule(2, level, nphase=4 * body.phase_bandwidth))
+        assert abs(short / exact - 1.0) > 1e-10  # measured 9.6e-9
+
+    def test_bandwidths_and_phase_counts(self):
+        b2, b3 = bodies_n2(), bodies_n3()
+        assert (b2["pert_a"].phase_bandwidth, b2["pert_b"].phase_bandwidth,
+                b3["pert"].phase_bandwidth) == (2, 1, 1)
+        for body in list(b2.values()) + list(b3.values()):
+            if not isinstance(body, PerturbedBall):
+                assert body.phase_bandwidth == 0
+                assert radial_power_rule(8, body).meta == (("nphase", 1),)
+        # a pair takes the larger bandwidth
+        assert radial_power_rule(8, b2["ball"], b2["pert_a"]).meta == (("nphase", 9),)
+
+    def test_n3_node_counts(self):
+        body = bodies_n3()["pert"]
+        level = default_config().reduced_level(3)
+        assert radial_power_rule(level, body).node_count == 1_254_400
+        assert radial_power_rule(level + max(8, level // 8), body).node_count == 1_587_600
 
 
 class TestInradius:

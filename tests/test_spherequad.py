@@ -15,7 +15,6 @@ from cxsect import (
     sphere_area,
     sphere_rule,
 )
-from cxsect.spherequad import integrate_with_error
 
 
 def sphere_monomial_moment(m, alpha):
@@ -111,13 +110,10 @@ class TestIntegrateSphere:
         with pytest.raises(NumericalEvaluationError, match="node 7"):
             integrate_sphere(bad, rule)
 
-    def test_refinement_error_estimate_decreases(self):
-        f = lambda x: np.exp(x[:, 0] + 0.3 * x[:, 2])
-        errs = []
-        for level in (4, 6, 8, 10):
-            _, err = integrate_with_error(f, 4, level)
-            errs.append(err)
-        assert all(errs[i] > errs[i + 1] for i in range(len(errs) - 1))
+    def test_overflowing_weighted_sum_flagged(self):
+        rule = sphere_rule(3, 4)
+        with pytest.raises(NumericalEvaluationError, match="weighted sum"):
+            integrate_sphere(np.full(rule.node_count, 1e308), rule)
 
 
 class TestInvariantRule:
