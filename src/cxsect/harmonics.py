@@ -41,6 +41,7 @@ from .specfun import log_gamma
 
 _MAX_DEGREE = {4: 24, 6: 32, 8: 32}  # per N; see harmonic_basis
 _NOISE_FLOOR = 1e-12
+_CHUNK_ROWS = 8192  # points per monomial chunk in _Block._monomial_chunks
 
 
 @lru_cache(maxsize=None)
@@ -55,8 +56,12 @@ def multi_indices(n, deg):
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
 def complex_sphere_moment(n, alpha):
-    """int_{S^{2n-1}} prod_k |z_k|^{2 alpha_k} dsigma = 2 pi^n alpha! / Gamma(n + |alpha|)."""
+    """int_{S^{2n-1}} prod_k |z_k|^{2 alpha_k} dsigma = 2 pi^n alpha! / Gamma(n + |alpha|).
+
+    Memoised; ``alpha`` is a tuple of ints.
+    """
     logv = n * math.log(math.pi) + math.log(2.0)
     for a in alpha:
         logv += log_gamma(a + 1.0)
@@ -98,6 +103,7 @@ class _Block:
         self.B = multi_indices(n, q)
         P, Q = len(self.A), len(self.B)
         self.P, self.Q = P, Q
+        self._ea, self._eb = np.array(self.A), np.array(self.B)
         self.is_real = p == q
         V = self._nullspace()
         self.dim = V.shape[1]
@@ -140,20 +146,17 @@ class _Block:
 
     def _exact_gram(self):
         # group monomial pairs by a - b; inner products vanish across groups
-        n = self.n
-        P, Q = self.P, self.Q
-        Aarr = np.array(self.A, dtype=int)
-        Barr = np.array(self.B, dtype=int)
+        Q = self.Q
         groups = {}
-        for ia in range(P):
-            for ib in range(Q):
-                groups.setdefault(tuple(Aarr[ia] - Barr[ib]), []).append((ia, ib))
-        S = np.zeros((P * Q, P * Q))
+        for ia, a in enumerate(self.A):
+            for ib, b in enumerate(self.B):
+                groups.setdefault(tuple(x - y for x, y in zip(a, b)), []).append((ia, ib))
+        S = np.zeros((self.P * Q, self.P * Q))
         for members in groups.values():
             for ia, ib in members:
                 for ic, idd in members:
-                    e = tuple(Aarr[ia] + Barr[idd])
-                    S[ia * Q + ib, ic * Q + idd] = complex_sphere_moment(n, e)
+                    e = tuple(x + y for x, y in zip(self.A[ia], self.B[idd]))
+                    S[ia * Q + ib, ic * Q + idd] = complex_sphere_moment(self.n, e)
         return S
 
     def _generators(self):
@@ -215,59 +218,44 @@ class _Block:
 
     # -- evaluation ----------------------------------------------------
 
-    def monomials(self, X):
-        """Za (M, P) and Zb (M, Q) monomial values at points X in R^{2n}."""
-        Z = X[:, 0::2] + 1j * X[:, 1::2]
-        maxexp = max(self.p, self.q)
-        pows = [None] * self.n
-        for k in range(self.n):
-            table = np.empty((maxexp + 1, X.shape[0]), dtype=complex)
-            table[0] = 1.0
-            for e in range(1, maxexp + 1):
-                table[e] = table[e - 1] * Z[:, k]
-            pows[k] = table
+    def _monomial_chunks(self, X):
+        """Yield (lo, hi, Za, Zb): z^a (rows, P) and z^b (rows, Q) at X[lo:hi].
 
-        def build(idxs):
-            out = np.empty((X.shape[0], len(idxs)), dtype=complex)
-            for i, a in enumerate(idxs):
-                v = pows[0][a[0]]
-                for k in range(1, self.n):
-                    if a[k]:
-                        v = v * pows[k][a[k]]
-                out[:, i] = v.copy() if v is pows[0][a[0]] else v
-            return out
-
-        return build(self.A), build(self.B)
+        Each chunk of _CHUNK_ROWS points builds the power table z_k^e once and
+        gathers every monomial from it; on diagonal blocks Zb is Za.
+        """
+        for lo in range(0, X.shape[0], _CHUNK_ROWS):
+            hi = min(lo + _CHUNK_ROWS, X.shape[0])
+            Z = X[lo:hi, 0::2] + 1j * X[lo:hi, 1::2]
+            table = np.empty((self.n, hi - lo, max(self.p, self.q) + 1), dtype=complex)
+            table[:, :, 0] = 1.0
+            for e in range(1, table.shape[2]):
+                table[:, :, e] = table[:, :, e - 1] * Z.T
+            Za = math.prod(table[k][:, self._ea[:, k]] for k in range(self.n))
+            Zb = Za if self.is_real else math.prod(table[k][:, self._eb[:, k]]
+                                                   for k in range(self.n))
+            yield lo, hi, Za, Zb
 
     def eval_basis(self, X):
         """Values of the block's own basis functions at X, shape (M, dim), complex."""
         out = np.empty((X.shape[0], self.dim), dtype=complex)
-        step = max(2048, 12_000_000 // max(self.P * self.Q, 1))
-        CT = self.C.T
-        for lo in range(0, X.shape[0], step):
-            hi = min(lo + step, X.shape[0])
-            Za, Zb = self.monomials(X[lo:hi])
+        for lo, hi, Za, Zb in self._monomial_chunks(X):
             pairs = (Za[:, :, None] * Zb.conj()[:, None, :]).reshape(hi - lo, -1)
-            out[lo:hi] = pairs @ CT
+            out[lo:hi] = pairs @ self.C.T
         return out
 
     def eval_combo(self, X, coeffvec):
         """Evaluate sum_i coeffvec[i] * basis_i at X; returns the complex values."""
         combo = (coeffvec @ self.C).reshape(self.P, self.Q)
         out = np.empty(X.shape[0], dtype=complex)
-        step = max(8192, 24_000_000 // max(self.P * self.Q, 1))
-        for lo in range(0, X.shape[0], step):
-            hi = min(lo + step, X.shape[0])
-            Za, Zb = self.monomials(X[lo:hi])
+        for lo, hi, Za, Zb in self._monomial_chunks(X):
             out[lo:hi] = np.einsum("mp,pq,mq->m", Za, combo, Zb.conj(), optimize=True)
         return out
 
-    def moments(self, nodes, wf, chunk=200_000):
-        """mu_ab = sum_i wf_i z^a(x_i) zbar^b(x_i), chunked over nodes."""
+    def moments(self, nodes, wf):
+        """mu_ab = sum_i wf_i z^a(x_i) zbar^b(x_i)."""
         mu = np.zeros((self.P, self.Q), dtype=complex)
-        for lo in range(0, nodes.shape[0], chunk):
-            hi = min(lo + chunk, nodes.shape[0])
-            Za, Zb = self.monomials(nodes[lo:hi])
+        for lo, hi, Za, Zb in self._monomial_chunks(nodes):
             mu += Za.T @ (wf[lo:hi, None] * Zb.conj())
         return mu
 

@@ -1,5 +1,6 @@
 """Report persistence: JSON with full provenance, CSV summary rows, and a
-separate metadata sidecar for timestamps so the main files stay diffable.
+separate metadata sidecar for timestamps and machine details (numpy version,
+CPU count, BLAS thread variables) so the main files stay diffable.
 
 Given identical configuration and seeds the .json and .csv bytes are
 identical across runs; wall-clock information lives only in the
@@ -13,7 +14,10 @@ import json
 import os
 import platform
 
+import numpy as np
+
 SCHEMA_VERSION = "1"
+_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def artifact_version():
@@ -59,6 +63,10 @@ def write_report(stem, report, rows=None, header=None, timings=None):
         "written_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "platform": platform.platform(),
         "python": platform.python_version(),
+        "numpy": np.__version__,
+        "cpu_count": os.cpu_count(),
+        # BLAS threading changes the low bits of reported values
+        "threads": {var: os.environ.get(var) for var in _THREAD_VARS},
     }
     if timings:
         meta.update(timings)

@@ -25,6 +25,8 @@ import numpy as np
 from .errors import InvalidInputError, NumericalEvaluationError
 from .specfun import gauss_gegenbauer, gauss_power01, log_gamma
 
+_MC_CHUNK = 1_000_000  # Monte Carlo samples drawn and tested per batch
+
 
 def sphere_area(m):
     """Surface area |S^{m-1}| = 2 pi^{m/2} / Gamma(m/2)."""
@@ -226,7 +228,7 @@ def _philox(seed):
     return np.random.Generator(np.random.Philox(key=np.uint64(seed)))
 
 
-def mc_volume(body, samples: int, seed: int, chunk: int = 1_000_000) -> MCVolume:
+def mc_volume(body, samples: int, seed: int) -> MCVolume:
     """Rejection-sampling volume estimate in the bounding box [-R, R]^{2n}.
 
     R is 1.01 times the maximum radial value over a coarse direction scan.
@@ -246,7 +248,7 @@ def mc_volume(body, samples: int, seed: int, chunk: int = 1_000_000) -> MCVolume
     hits = 0
     remaining = int(samples)
     while remaining > 0:
-        k = min(chunk, remaining)
+        k = min(_MC_CHUNK, remaining)
         pts = rng.uniform(-R, R, size=(k, N))
         hits += int(np.count_nonzero(body.norm(pts) <= 1.0))
         remaining -= k

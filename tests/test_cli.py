@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import cxsect
@@ -282,6 +283,16 @@ class TestDeterminism:
         meta = json.loads((tmp_path / "reports" / "validate_ball-n-2-r-1.meta.json").read_text())
         assert "written_at" in meta
         assert "written_at" not in body
+
+    def test_thread_provenance_in_meta(self, tmp_path, ball_spec, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        run(["validate", ball_spec], tmp_path)
+        meta = json.loads((tmp_path / "reports" / "validate_ball-n-2-r-1.meta.json").read_text())
+        assert meta["threads"]["OPENBLAS_NUM_THREADS"] == "3"
+        assert meta["threads"]["MKL_NUM_THREADS"] is None
+        assert meta["numpy"] == np.__version__
+        assert meta["cpu_count"] == os.cpu_count()
 
     def test_empty_config_equals_explicit_defaults(self, tmp_path, ball_spec):
         from cxsect.config import default_config

@@ -22,6 +22,8 @@ from cxsect import (
 from cxsect.config import default_config
 from cxsect.spherequad import torus_sphere_rule
 from cxsect.harmonics import (
+    _CHUNK_ROWS,
+    _block,
     complex_sphere_moment,
     expansion_rule,
     harmonic_dim,
@@ -134,6 +136,46 @@ class TestMoments:
         mods2 = rule.nodes[:, 0::2] ** 2 + rule.nodes[:, 1::2] ** 2
         quad = float(rule.weights @ (mods2[:, 0] ** 2 * mods2[:, 2]))
         assert quad == pytest.approx(complex_sphere_moment(3, (2, 0, 1)), rel=1e-13)
+
+
+class TestMonomialKernel:
+    # N=6, j=4: the diagonal block (2,2) and the off-diagonal block (3,1), on
+    # enough points for two full chunks and a partial third
+    M = 2 * _CHUNK_ROWS + 5
+
+    @pytest.fixture(scope="class")
+    def points(self):
+        rng = np.random.default_rng(11)
+        return unit_vectors(rng, self.M, 6), rng.normal(size=self.M)
+
+    @pytest.mark.parametrize("p,q", [(2, 2), (3, 1)])
+    def test_moments_match_direct_sum(self, points, p, q):
+        X, w = points
+        blk = _block(3, p, q)
+        Z = [complex(*x[k:k + 2]) for x in X.tolist() for k in (0, 2, 4)]
+
+        def mono(idxs):
+            return np.array([[math.prod(Z[3 * i + k] ** e[k] for k in range(3)) for e in idxs]
+                             for i in range(self.M)])
+
+        expect = mono(blk.A).T @ (w[:, None] * mono(blk.B).conj())
+        got = blk.moments(X, w)
+        assert np.max(np.abs(got - expect)) <= 1e-13 * np.max(np.abs(expect))
+
+    @pytest.mark.parametrize("p,q", [(2, 2), (3, 1)])
+    def test_combo_matches_basis_values(self, points, p, q):
+        X, _ = points
+        blk = _block(3, p, q)
+        c = np.random.default_rng(12).normal(size=blk.dim) + 0j
+        expect = blk.eval_basis(X) @ c
+        assert np.max(np.abs(blk.eval_combo(X, c) - expect)) <= 1e-13 * np.max(np.abs(expect))
+
+    def test_evaluate_is_rowwise(self, points):
+        X, _ = points
+        basis = harmonic_basis(6, 4)
+        allrows = basis.evaluate(X)
+        rows = np.array([basis.evaluate(x)[0] for x in X])
+        assert np.max(np.abs(allrows - rows)) <= 1e-13 * np.max(np.abs(rows))
 
 
 class TestExpansion:

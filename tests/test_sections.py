@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -29,6 +30,14 @@ from cxsect.sections import Direction, radial_power_rule, section_values, volume
 from cxsect.suite import bodies_n2, bodies_n3
 
 from conftest import unit_vectors
+
+
+@functools.cache
+def _scaling_bodies():
+    # one body of each kind at n = 2 and n = 3, taken from the suite
+    b2, b3 = bodies_n2(), bodies_n3()
+    return {2: {"ball": b2["ball"], "lq3": b2["lq3"], "ell": b2["ell_1_2"], "pert": b2["pert_a"]},
+            3: {"ball": b3["ball"], "lq3": b3["lq3"], "ell": b3["ell_1_1.5_2"], "pert": b3["pert"]}}
 
 
 class TestDirection:
@@ -212,6 +221,17 @@ class TestSectionKernel:
         w = np.array([-xi[2], xi[3], xi[0], -xi[1]])
         expect = math.pi * float(body.radial(w)) ** 2
         assert section_values(body, xi)[0] == pytest.approx(expect, rel=1e-13)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("name", ["ball", "lq3", "ell", "pert"])
+    @given(r=st.floats(0.5, 2.0), seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=15, deadline=None)
+    def test_scaling_covariance(self, n, name, r, seed):
+        # rho_{rK} = r rho_K, so every section scales by r^(2n-2)
+        body = _scaling_bodies()[n][name]
+        xi = unit_vectors(np.random.default_rng(seed), 1, 2 * n)
+        expect = r ** (2 * n - 2) * section_values(body, xi)[0]
+        assert section_values(body.scaled(r), xi)[0] == pytest.approx(expect, rel=1e-12)
 
     def test_n3_rules_beat_product_rules(self):
         # against a level-200 torus reference, over the moduli lattice
