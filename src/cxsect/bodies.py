@@ -427,6 +427,8 @@ def body_from_dict(spec, certify=True) -> ConvexBody:
         raise InvalidInputError(f"malformed body spec: {exc}") from exc
     if kind not in _KINDS:
         raise InvalidInputError(f"unknown body kind {kind!r}; expected one of {_KINDS}")
+    if not isinstance(params, dict):
+        raise InvalidInputError(f"body params must be a JSON object, got {params!r}")
     dim = ComplexDim(n)
     try:
         if kind == "euclidean":

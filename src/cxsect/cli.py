@@ -73,6 +73,11 @@ def _load_body(path, certify=True):
     return body_from_dict(_load_body_spec(path), certify=certify)
 
 
+def _check_grid(args):
+    if args.grid < 1:
+        raise InvalidInputError(f"--grid must be >= 1, got {args.grid}")
+
+
 def _parse_xi(text, n):
     try:
         vec = np.array([float(v) for v in text.split(",")], dtype=float)
@@ -106,6 +111,7 @@ def cmd_validate(args):
 
 
 def cmd_section(args):
+    _check_grid(args)
     cfg = _load_config(args)
     body = _load_body(args.body)
     n = body.dim.n
@@ -168,6 +174,7 @@ def cmd_volume(args):
 
 
 def cmd_ft(args):
+    _check_grid(args)
     cfg = _load_config(args)
     body = _load_body(args.body)
     N = body.dim.N

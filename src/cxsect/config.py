@@ -7,6 +7,7 @@ documented defaults.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, asdict
 
 from .errors import InvalidInputError
@@ -22,8 +23,20 @@ _MODULI_RES = {2: 48, 3: 14, 4: 6}
 _PHASE_RES = {2: 16, 3: 4, 4: 4}
 
 
-def _intkeys(d):
-    return {int(k): int(v) for k, v in d.items()}
+_TABLES = ("product_levels", "reduced_levels", "jmax", "moduli_res", "phase_res")
+
+
+def _is_int(v):
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _intkeys(name, d):
+    if not isinstance(d, dict):
+        raise InvalidInputError(f"{name} must be an object of positive ints")
+    try:
+        return {int(k): v for k, v in d.items()}
+    except (TypeError, ValueError):
+        raise InvalidInputError(f"{name} keys must be integers, got {sorted(d)}") from None
 
 
 @dataclass(frozen=True)
@@ -41,14 +54,24 @@ class RunConfig:
     output_dir: str = "reports"
 
     def __post_init__(self):
-        for name in ("product_levels", "reduced_levels", "jmax", "moduli_res", "phase_res"):
+        for name in _TABLES:
             vals = getattr(self, name)
-            if any(v < 1 for v in vals.values()):
-                raise InvalidInputError(f"{name} entries must be >= 1")
-        if self.refine_halvings < 0:
-            raise InvalidInputError("refine_halvings must be >= 0")
-        if self.tol_multiplier <= 0:
-            raise InvalidInputError("tol_multiplier must be positive")
+            if not (isinstance(vals, dict)
+                    and all(_is_int(k) and _is_int(v) and v >= 1 for k, v in vals.items())):
+                raise InvalidInputError(f"{name} must be an object of positive ints")
+        for name in ("refine_halvings", "mc_samples", "seed"):
+            v = getattr(self, name)
+            if not (_is_int(v) and v >= 0):
+                raise InvalidInputError(f"{name} must be a non-negative int")
+        if self.seed >= 2 ** 64:
+            raise InvalidInputError("seed must be below 2**64")
+        for name in ("tol_multiplier", "tail_warn"):
+            v = getattr(self, name)
+            if not (isinstance(v, (int, float)) and not isinstance(v, bool)
+                    and math.isfinite(v) and v > 0):
+                raise InvalidInputError(f"{name} must be a finite positive number")
+        if not isinstance(self.output_dir, str):
+            raise InvalidInputError("output_dir must be a string")
 
     # --- accessors ------------------------------------------------------
 
@@ -91,9 +114,9 @@ class RunConfig:
             raise InvalidInputError(f"unknown config fields: {sorted(unknown)}")
         merged = {}
         for key, value in data.items():
-            if key in ("product_levels", "reduced_levels", "jmax", "moduli_res", "phase_res"):
+            if key in _TABLES:
                 base = dict(getattr(cls(), key))
-                base.update(_intkeys(value))
+                base.update(_intkeys(key, value))
                 merged[key] = base
             else:
                 merged[key] = value

@@ -10,8 +10,9 @@ monomials have the closed form
     <z^a zbar^b, z^c zbar^d> = [a+d == b+c] * 2 pi^n (a+d)! / Gamma(n + j)
 
 which makes Gram-Schmidt orthonormalization exact.  The basis is canonical:
-projections of a fixed generator sequence onto the harmonic subspace,
-orthonormalized in order, so indices are stable across runs.
+projections of a fixed generator matrix onto the harmonic subspace (one
+product), orthonormalized in order by classical Gram-Schmidt run twice, so
+indices are stable across runs.
 
 Diagonal blocks (p == q) are exactly the harmonics invariant under the
 simultaneous rotation of all coordinate pairs; restricting an expansion to
@@ -56,12 +57,8 @@ def multi_indices(n, deg):
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
 def complex_sphere_moment(n, alpha):
-    """int_{S^{2n-1}} prod_k |z_k|^{2 alpha_k} dsigma = 2 pi^n alpha! / Gamma(n + |alpha|).
-
-    Memoised; ``alpha`` is a tuple of ints.
-    """
+    """int_{S^{2n-1}} prod_k |z_k|^{2 alpha_k} dsigma = 2 pi^n alpha! / Gamma(n + |alpha|)."""
     logv = n * math.log(math.pi) + math.log(2.0)
     for a in alpha:
         logv += log_gamma(a + 1.0)
@@ -145,76 +142,61 @@ class _Block:
         return vh[rank:].conj().T.astype(complex)
 
     def _exact_gram(self):
-        # group monomial pairs by a - b; inner products vanish across groups
-        Q = self.Q
-        groups = {}
-        for ia, a in enumerate(self.A):
-            for ib, b in enumerate(self.B):
-                groups.setdefault(tuple(x - y for x, y in zip(a, b)), []).append((ia, ib))
-        S = np.zeros((self.P * Q, self.P * Q))
-        for members in groups.values():
-            for ia, ib in members:
-                for ic, idd in members:
-                    e = tuple(x + y for x, y in zip(self.A[ia], self.B[idd]))
-                    S[ia * Q + ib, ic * Q + idd] = complex_sphere_moment(self.n, e)
-        return S
+        # S[(a,b),(c,d)] = moment(a + d) when a - b == c - d, and 0 across groups
+        P, Q = self.P, self.Q
+        moment = np.array([[complex_sphere_moment(self.n, tuple(x + y for x, y in zip(a, d)))
+                            for d in self.B] for a in self.A])
+        diff = (self._ea[:, None, :] - self._eb[None, :, :]).reshape(P * Q, -1)
+        same = (diff[:, None, :] == diff[None, :, :]).all(axis=2)
+        pair_moment = np.broadcast_to(moment[:, None, None, :], (P, Q, P, Q)).reshape(P * Q, P * Q)
+        return np.where(same, pair_moment, 0.0)
 
     def _generators(self):
-        """Canonical generator sequence: unit pairs, or Hermitian pairs when p == q."""
+        """Canonical generator matrix, one column per generator: unit pairs, or
+        Hermitian pairs (i, j >= i) when p == q."""
         P, Q = self.P, self.Q
         if not self.is_real:
-            for g in range(P * Q):
-                vec = np.zeros(P * Q, dtype=complex)
-                vec[g] = 1.0
-                yield vec
-            return
+            return np.eye(P * Q, dtype=complex)
         inv_sqrt2 = 1.0 / math.sqrt(2.0)
+        gens = np.zeros((P * Q, P * Q), dtype=complex)  # P == Q: P diagonal + P(P-1) pair columns
+        k = 0
         for i in range(P):
-            for j in range(i, Q):
-                if i == j:
-                    vec = np.zeros(P * Q, dtype=complex)
-                    vec[i * Q + i] = 1.0
-                    yield vec
-                else:
-                    vec = np.zeros(P * Q, dtype=complex)
-                    vec[i * Q + j] = inv_sqrt2
-                    vec[j * Q + i] = inv_sqrt2
-                    yield vec
-                    vec = np.zeros(P * Q, dtype=complex)
-                    vec[i * Q + j] = 1j * inv_sqrt2
-                    vec[j * Q + i] = -1j * inv_sqrt2
-                    yield vec
-
-    def _hermitize(self, vec):
-        M = vec.reshape(self.P, self.Q)
-        return (0.5 * (M + M.conj().T)).ravel()
+            gens[i * Q + i, k] = 1.0
+            k += 1
+            for j in range(i + 1, Q):
+                gens[[i * Q + j, j * Q + i], k] = inv_sqrt2
+                gens[[i * Q + j, j * Q + i], k + 1] = 1j * inv_sqrt2, -1j * inv_sqrt2
+                k += 2
+        return gens
 
     def _canonical_basis(self, V, S):
         G = V.conj().T @ S @ V
         proj = V @ np.linalg.solve(G, V.conj().T @ S)
-        basis, simages = [], []
-        for gen in self._generators():
-            cand = proj @ gen
-            if self.is_real:
-                cand = self._hermitize(cand)
-            scand = S @ cand
-            for _ in range(2):  # reorthogonalization pass for stability
-                for bvec, simg in zip(basis, simages):
-                    coef = np.vdot(bvec, scand)
-                    cand = cand - coef * bvec
-                    scand = scand - coef * simg
+        cands = (proj @ self._generators()).T
+        if self.is_real:
+            M = cands.reshape(-1, self.P, self.Q)
+            cands = (0.5 * (M + M.conj().transpose(0, 2, 1))).reshape(cands.shape)
+        simages = cands @ S  # S is real symmetric: row k is S @ cands[k]
+        basis = np.empty((self.dim, cands.shape[1]), dtype=complex)
+        sbasis = np.empty_like(basis)
+        kept = 0
+        for cand, scand in zip(cands, simages):
+            for _ in range(2):  # classical Gram-Schmidt against the kept rows, twice
+                coef = (sbasis[:kept] @ cand.conj()).conj()  # <b, cand>_S = (S b)^H cand
+                cand = cand - coef @ basis[:kept]
+                scand = scand - coef @ sbasis[:kept]
             nrm = math.sqrt(abs(np.vdot(cand, scand)))
             if nrm > 1e-8:
-                basis.append(cand / nrm)
-                simages.append(scand / nrm)
-            if len(basis) == self.dim:
-                break
-        if len(basis) != self.dim:
+                basis[kept], sbasis[kept] = cand / nrm, scand / nrm
+                kept += 1
+                if kept == self.dim:
+                    break
+        if kept != self.dim:
             raise NumericalEvaluationError(
                 f"harmonic block ({self.p},{self.q}) of C^{self.n}: "
-                f"orthonormalization found {len(basis)} of {self.dim} functions"
+                f"orthonormalization found {kept} of {self.dim} functions"
             )
-        return np.array(basis)
+        return basis
 
     # -- evaluation ----------------------------------------------------
 

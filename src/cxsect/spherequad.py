@@ -164,30 +164,24 @@ def invariant_sphere_rule(n: int, level: int, nphase: int = 1) -> QuadratureRule
 def torus_sphere_rule(n: int, level: int, nphase: int) -> QuadratureRule:
     """Polar-product rule on S^{2n-1} aligned with the coordinate pairs.
 
-    Moduli handled as in ``invariant_sphere_rule``; every one of the n phases
-    gets ``nphase`` uniform points (no pinning).  Phase cancellation in each
-    coordinate pair is then exact, so the rule integrates all polynomials of
-    degree <= min(2*level - 1, nphase - 1) exactly.  Useful where the torus
-    structure of an integrand must vanish to machine precision rather than to
-    quadrature accuracy.
+    The nodes of ``invariant_sphere_rule(n, level, nphase)`` turned by the
+    ``nphase`` uniform simultaneous rotations, weights divided by ``nphase``:
+    every one of the n phases then runs over ``nphase`` uniform points (no
+    pinning).  Phase cancellation in each coordinate pair is exact, so the
+    rule integrates all polynomials of degree <= min(2*level - 1, nphase - 1)
+    exactly.  Useful where the torus structure of an integrand must vanish to
+    machine precision rather than to quadrature accuracy.
     """
     if n < 1 or level < 1 or nphase < 1:
         raise InvalidInputError("n, level, nphase must be >= 1")
-    base = invariant_sphere_rule(n, level, nphase=1)
-    U = np.sqrt(base.nodes[:, 0::2] ** 2 + base.nodes[:, 1::2] ** 2)
-    uw = base.weights / (2.0 * math.pi) ** n
-    axes = [2.0 * math.pi * np.arange(nphase) / nphase for _ in range(n)]
-    pg = np.meshgrid(*axes, indexing="ij")
-    phases = np.stack([g.ravel() for g in pg], axis=1)
-    nph = phases.shape[0]
-    nodes = np.empty((U.shape[0] * nph, 2 * n))
-    for k in range(n):
-        uk = np.repeat(U[:, k], nph)
-        ph = np.tile(phases[:, k], U.shape[0])
-        nodes[:, 2 * k] = uk * np.cos(ph)
-        nodes[:, 2 * k + 1] = uk * np.sin(ph)
-    weights = np.repeat(uw, nph) * ((2.0 * math.pi) ** n / nph)
-    return QuadratureRule(2 * n, nodes, weights,
+    base = invariant_sphere_rule(n, level, nphase)
+    theta = 2.0 * math.pi * np.arange(nphase) / nphase
+    c, s = np.cos(theta)[:, None, None], np.sin(theta)[:, None, None]
+    x, y = base.nodes[None, :, 0::2], base.nodes[None, :, 1::2]
+    nodes = np.empty((nphase, base.node_count, 2 * n))
+    nodes[:, :, 0::2] = c * x - s * y
+    nodes[:, :, 1::2] = s * x + c * y
+    return QuadratureRule(2 * n, nodes.reshape(-1, 2 * n), np.tile(base.weights / nphase, nphase),
                           min(2 * level - 1, nphase - 1), level,
                           kind="torus-product", meta=(("nphase", nphase),))
 

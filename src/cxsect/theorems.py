@@ -20,7 +20,7 @@ from . import grids, sections
 from .bodies import validate
 from .config import RunConfig, default_config
 from .errors import InvalidInputError
-from .harmonics import expansion_rule, ft_norm_power
+from .harmonics import ft_norm_power
 from .spherequad import integrate_sphere
 from .specfun import log_gamma
 
@@ -236,8 +236,8 @@ def stability_verify(K, L, config: RunConfig | None = None,
         grid_points, evaluations = gap.grid_points, gap.evaluations
         extra = {}
     else:
-        if epsilon < 0:
-            raise InvalidInputError("epsilon must be nonnegative")
+        if not (math.isfinite(epsilon) and epsilon >= 0):
+            raise InvalidInputError(f"epsilon must be finite and nonnegative, got {epsilon}")
         eps, eps_err = float(epsilon), 0.0
         grid_points = evaluations = 0
         extra = {"epsilon_source": "supplied"}
@@ -358,8 +358,8 @@ def separation_verify(K, L, config: RunConfig | None = None,
     if epsilon is None:
         value, _, gap_err, _, _ = _diff_extremum(L, K, ctx, "min")
     else:
-        if epsilon < 0:
-            raise InvalidInputError("epsilon must be nonnegative")
+        if not (math.isfinite(epsilon) and epsilon >= 0):
+            raise InvalidInputError(f"epsilon must be finite and nonnegative, got {epsilon}")
         value, gap_err = float(epsilon), 0.0
     degenerate = value <= 0.0
     eps = max(0.0, value)
@@ -415,9 +415,10 @@ def parseval_check(K, L, p, config: RunConfig | None = None,
 
     lhs:  int over S^{2n-1} of ft[||.||_K^{-p}] * ft[||.||_L^{-2n+p}]
     rhs:  (2 pi)^{2n} int over S^{2n-1} of rho_K^p rho_L^{2n-p}
-    lhs uses a product rule exact for the degree-2*jmax integrand; rhs uses
-    ``sections.radial_power_rule`` at the configured level (the integrand is
-    rotation-invariant).
+    lhs is the coefficient pairing sum_j c^K_j . c^L_j of the two truncated
+    expansions, which is their sphere integral exactly (the basis is
+    orthonormal); rhs uses ``sections.radial_power_rule`` at the configured
+    level (the integrand is rotation-invariant).
     """
     cfg = config or default_config()
     if K.dim.n != L.dim.n:
@@ -430,9 +431,7 @@ def parseval_check(K, L, p, config: RunConfig | None = None,
         jmax = cfg.jmax_for(N)
     ft_k = ft_norm_power(K, p, jmax=jmax, tail_warn=cfg.tail_warn)
     ft_l = ft_norm_power(L, N - p, jmax=jmax, tail_warn=cfg.tail_warn)
-    rule = expansion_rule(N, jmax)
-    lhs_vals = ft_k.evaluate(rule.nodes) * ft_l.evaluate(rule.nodes)
-    lhs = integrate_sphere(lhs_vals, rule)
+    lhs = float(sum(ft_k.coeffs[j] @ ft_l.coeffs[j] for j in ft_k.degrees()))
     reduced = sections.radial_power_rule(cfg.reduced_level(n), K, L)
     rho = K.radial(reduced.nodes) ** p * L.radial(reduced.nodes) ** (N - p)
     rhs = (2.0 * math.pi) ** N * integrate_sphere(rho, reduced)

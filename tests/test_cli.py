@@ -175,6 +175,44 @@ class TestOverflow:
         assert len(lines) == 1 and lines[0].startswith("error: non-finite"), proc.stderr
 
 
+class TestBadInput:
+    """Malformed outside input exits 3 with one error line, never a traceback."""
+
+    BODY = "<body spec path>"
+    BALL = {"n": 2, "kind": "euclidean", "params": {"radius": 1.0}}
+    CASES = {
+        "params-list": ({**BALL, "params": [1]}, {}, ["volume", BODY]),
+        "params-null": ({**BALL, "params": None}, {}, ["volume", BODY]),
+        "table-not-object": (BALL, {"jmax": 5}, ["volume", BODY]),
+        "table-float-entry": (BALL, {"jmax": {"4": 2.5}}, ["volume", BODY]),
+        "table-key": (BALL, {"moduli_res": {"two": 4}}, ["volume", BODY]),
+        "halvings-string": (BALL, {"refine_halvings": "3"}, ["volume", BODY]),
+        "tail-warn-string": (BALL, {"tail_warn": "x"}, ["volume", BODY]),
+        "tol-nan": (BALL, {"tol_multiplier": math.nan}, ["volume", BODY]),
+        "samples-bool": (BALL, {"mc_samples": True}, ["volume", BODY]),
+        "seed-float": (BALL, {"seed": 1.5}, ["volume", BODY]),
+        "seed-too-big": (BALL, {"seed": 2 ** 64}, ["volume", BODY]),
+        "output-dir-number": (BALL, {"output_dir": 3}, ["volume", BODY]),
+        "seed-flag-negative": (BALL, {}, ["--seed", "-1", "section", BODY, "--grid", "1"]),
+        "ft-grid-zero": (BALL, {}, ["ft", BODY, "--grid", "0"]),
+        "section-grid-zero": (BALL, {}, ["section", BODY, "--grid", "0"]),
+        "stability-epsilon-nan": (BALL, {}, ["theorem", "--which", "stability", "-K", BODY,
+                                             "-L", BODY, "--epsilon", "nan"]),
+        "stability-epsilon-inf": (BALL, {}, ["theorem", "--which", "stability", "-K", BODY,
+                                             "-L", BODY, "--epsilon", "inf"]),
+        "separation-epsilon-nan": (BALL, {}, ["theorem", "--which", "separation", "-K", BODY,
+                                              "-L", BODY, "--epsilon", "nan"]),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_exit3_one_error_line(self, tmp_path, capsys, case):
+        spec, config, args = self.CASES[case]
+        path = write_spec(tmp_path, "body.json", spec)
+        assert run([path if a == self.BODY else a for a in args], tmp_path, config) == 3
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+
+
 class TestTheoremCommand:
     def test_gamma_exit0(self, tmp_path):
         assert run(["theorem", "--which", "gamma", "--nmax", "170"], tmp_path) == 0

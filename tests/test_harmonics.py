@@ -68,6 +68,92 @@ class TestBasisStructure:
             harmonic_basis(4, 30)
 
 
+def exact_gram_error(blk, C=None):
+    """max |C S C^H - I| under the block's exact monomial Gram S."""
+    C = blk.C if C is None else C
+    return np.abs(C.conj() @ blk._gram @ C.T - np.eye(len(C))).max()
+
+
+def reference_basis(blk):
+    """Vector-at-a-time Gram-Schmidt on the block's V, S and generators.
+
+    Each generator is projected by its own matrix-vector product, hermitised
+    when p == q, and orthogonalised against one kept vector at a time, twice;
+    same keep threshold and order as the batched build in ``_Block``.
+    """
+    V, S = blk._nullspace(), blk._gram
+    G = V.conj().T @ S @ V
+    proj = V @ np.linalg.solve(G, V.conj().T @ S)
+    basis, simages = [], []
+    for gen in blk._generators().T:
+        cand = proj @ gen
+        if blk.is_real:
+            M = cand.reshape(blk.P, blk.Q)
+            cand = (0.5 * (M + M.conj().T)).ravel()
+        scand = S @ cand
+        for _ in range(2):
+            for bvec, simg in zip(basis, simages):
+                coef = np.vdot(bvec, scand)
+                cand = cand - coef * bvec
+                scand = scand - coef * simg
+        nrm = math.sqrt(abs(np.vdot(cand, scand)))
+        if nrm > 1e-8:
+            basis.append(cand / nrm)
+            simages.append(scand / nrm)
+        if len(basis) == blk.dim:
+            break
+    return np.array(basis)
+
+
+class TestBatchedOrthonormalisation:
+    # largest relative change of C against the reference over all blocks of
+    # the degree, measured (BLAS 1 and 2 threads) and padded about tenfold;
+    # the two orders of the same projections drift apart with the degree
+    C_TOL = {**{(4, j): 1e-14 for j in range(0, 11, 2)}, (4, 12): 1e-13, (4, 14): 5e-13,
+             (4, 16): 2e-12, **{(6, j): 1e-14 for j in range(0, 7, 2)}, (6, 8): 1e-13,
+             **{(8, j): 1e-14 for j in range(0, 5, 2)}}
+
+    @pytest.mark.parametrize("N,j", sorted(C_TOL))
+    def test_matches_vector_at_a_time_reference(self, N, j):
+        blocks = harmonic_basis(N, j).blocks
+        refs = [reference_basis(blk) for blk in blocks]
+        for blk, ref in zip(blocks, refs):
+            assert blk.C.shape == ref.shape
+            assert np.abs(blk.C - ref).max() <= self.C_TOL[N, j] * np.abs(ref).max()
+        # Gram error no worse than the reference's, up to a few rounding units
+        # of the Gram evaluation itself
+        assert max(map(exact_gram_error, blocks)) <= \
+            max(exact_gram_error(blk, ref) for blk, ref in zip(blocks, refs)) + 1e-15
+
+    @pytest.mark.parametrize("n,p,q", [(3, 2, 2), (3, 3, 1)])
+    def test_generator_order(self, n, p, q):
+        # unit pairs; on p == q, e_ii then the Hermitian pair of each (i, j > i)
+        blk = _block(n, p, q)
+        P, Q = blk.P, blk.Q
+        unit = np.eye(P * Q).reshape(P, Q, P * Q)
+        if p != q:
+            expect = unit.reshape(P * Q, P * Q)
+        else:
+            cols = []
+            for i in range(P):
+                cols.append(unit[i, i])
+                for k in range(i + 1, Q):
+                    cols.append((unit[i, k] + unit[k, i]) / math.sqrt(2.0))
+                    cols.append(1j * (unit[i, k] - unit[k, i]) / math.sqrt(2.0))
+            expect = np.array(cols).T
+        assert np.allclose(blk._generators(), expect, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("n,p,q", [(3, 2, 2), (3, 3, 1)])
+    def test_exact_gram_matches_entry_formula(self, n, p, q):
+        # <z^a zbar^b, z^c zbar^d> = [a + d == b + c] * moment(a + d)
+        blk = _block(n, p, q)
+        pairs = [(a, b) for a in blk.A for b in blk.B]
+        expect = np.array([[complex_sphere_moment(n, tuple(x + y for x, y in zip(a, d)))
+                            if all(x + y == u + v for x, y, u, v in zip(a, d, b, c)) else 0.0
+                            for c, d in pairs] for a, b in pairs])
+        assert np.array_equal(blk._gram, expect)
+
+
 class TestOrthonormality:
     @pytest.mark.parametrize("N,j", [(4, 2), (4, 6), (4, 12), (6, 2), (6, 4)])
     def test_gram_identity_full(self, N, j):
@@ -81,8 +167,15 @@ class TestOrthonormality:
         # the N=4 limit is the highest degree whose blocks satisfy C S C^H = I
         # to 1e-10 under the exact monomial Gram S
         for blk in harmonic_basis(4, 24).blocks:
-            gram = blk.C.conj() @ blk._gram @ blk.C.T
-            assert np.abs(gram - np.eye(blk.dim)).max() < 1e-10
+            assert exact_gram_error(blk) < 1e-10
+
+    @pytest.mark.parametrize("N,j", [(4, j) for j in range(0, 21, 2)]
+                             + [(6, j) for j in range(0, 13, 2)]
+                             + [(8, j) for j in range(0, 7, 2)])
+    def test_exact_gram_identity_invariant_in_use(self, N, j):
+        # every invariant block the default and suite configurations expand on
+        (blk,) = invariant_harmonic_basis(N, j).blocks
+        assert exact_gram_error(blk) < 1e-10
 
     def test_gram_identity_invariant_n6_high_degree(self):
         basis = invariant_harmonic_basis(6, 10)

@@ -15,6 +15,8 @@ from cxsect import (
     sphere_area,
     sphere_rule,
 )
+from cxsect.harmonics import complex_sphere_moment, multi_indices
+from cxsect.spherequad import torus_sphere_rule
 
 
 def sphere_monomial_moment(m, alpha):
@@ -156,6 +158,26 @@ class TestInvariantRule:
         a = integrate_sphere(f, sphere_rule(4, 24))
         b = integrate_sphere(f, invariant_sphere_rule(2, 200))
         assert a == pytest.approx(b, rel=1e-9)
+
+
+class TestTorusRule:
+    @pytest.mark.parametrize("n,level,nphase", [(2, 4, 8), (3, 3, 6)])
+    def test_exact_on_all_monomials(self, n, level, nphase):
+        # z^a zbar^b of degree <= min(2L - 1, nphase - 1): the moment when
+        # a == b, zero otherwise (non-invariant monomials included)
+        rule = torus_sphere_rule(n, level, nphase)
+        deg = min(2 * level - 1, nphase - 1)
+        z = rule.nodes[:, 0::2] + 1j * rule.nodes[:, 1::2]
+        for da in range(deg + 1):
+            for db in range(deg + 1 - da):
+                for a in multi_indices(n, da):
+                    for b in multi_indices(n, db):
+                        mono = np.prod(z ** np.array(a) * np.conj(z) ** np.array(b), axis=1)
+                        quad = np.sum(rule.weights * mono)
+                        if a == b:
+                            assert quad == pytest.approx(complex_sphere_moment(n, a), rel=1e-13)
+                        else:
+                            assert abs(quad) <= 1e-14
 
 
 class TestMonteCarlo:

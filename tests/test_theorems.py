@@ -12,13 +12,16 @@ from cxsect import (
     PerturbedBall,
     VerificationContext,
     corollary1_verify,
+    ft_norm_power,
     gamma_lemma_check,
+    integrate_sphere,
     parseval_check,
     positivity_check,
     section_gap,
     separation_verify,
     stability_verify,
 )
+from cxsect.harmonics import expansion_rule
 
 
 @pytest.fixture(scope="module")
@@ -178,6 +181,17 @@ class TestParseval:
         errs = [parseval_check(ell12, ball2, 2.0, jmax=j).relative_error
                 for j in (12, 16, 20)]
         assert errs[0] > errs[1] > errs[2]
+
+    @pytest.mark.parametrize("pair,jmax", [("ball|ball", 16), ("ell12|lq3", 12), ("ell12|lq3", 20)])
+    def test_coefficient_pairing_matches_quadrature(self, ball2, ell12, pair, jmax):
+        # lhs is the coefficient pairing; the sphere integral of the two
+        # truncated expansions on a rule exact for their product agrees
+        K, L = (ball2, ball2) if pair == "ball|ball" else (ell12, ComplexLqBall(d2, 3.0))
+        res = parseval_check(K, L, 2.0, jmax=jmax)
+        rule = expansion_rule(4, jmax)
+        vals = ft_norm_power(K, 2.0, jmax=jmax).evaluate(rule.nodes) \
+            * ft_norm_power(L, 2.0, jmax=jmax).evaluate(rule.nodes)
+        assert res.lhs == pytest.approx(integrate_sphere(vals, rule), rel=1e-12)
 
     def test_exponent_range(self, ball2):
         with pytest.raises(InvalidInputError):
