@@ -28,7 +28,6 @@ from .harmonics import (
     HarmonicExpansion,
     bochner_multiplier,
     ft_norm_power,
-    harmonic_basis,
     harmonic_expand,
     invariant_harmonic_basis,
 )
@@ -70,7 +69,7 @@ __all__ = [
     "RunConfig", "default_config",
     "ConvexityError", "InvalidInputError", "NumericalEvaluationError",
     "HarmonicExpansion", "bochner_multiplier", "ft_norm_power",
-    "harmonic_basis", "harmonic_expand", "invariant_harmonic_basis",
+    "harmonic_expand", "invariant_harmonic_basis",
     "Direction", "SectionReport", "SubspaceBasis", "direction",
     "hyperplane_basis", "inradius_normalized", "section_volume_direct",
     "section_volume_fourier", "volume",

@@ -257,7 +257,7 @@ class PerturbedBall(ConvexBody):
             coeffs.setdefault(j, np.zeros(size))[ell] += c
         object.__setattr__(self, "terms", tuple(cleaned))
         object.__setattr__(self, "perturbation", harmonics.HarmonicExpansion(
-            self.dim.N, max(coeffs, default=0), True, coeffs, tail_ratio=0.0, l2_norm=0.0))
+            self.dim.N, max(coeffs, default=0), coeffs, tail_ratio=0.0, l2_norm=0.0))
         if self.certify:
             self._certify()
 

@@ -160,32 +160,6 @@ def invariant_sphere_rule(n: int, level: int, nphase: int = 1) -> QuadratureRule
                           meta=(("nphase", nphase),))
 
 
-@lru_cache(maxsize=16)
-def torus_sphere_rule(n: int, level: int, nphase: int) -> QuadratureRule:
-    """Polar-product rule on S^{2n-1} aligned with the coordinate pairs.
-
-    The nodes of ``invariant_sphere_rule(n, level, nphase)`` turned by the
-    ``nphase`` uniform simultaneous rotations, weights divided by ``nphase``:
-    every one of the n phases then runs over ``nphase`` uniform points (no
-    pinning).  Phase cancellation in each coordinate pair is exact, so the
-    rule integrates all polynomials of degree <= min(2*level - 1, nphase - 1)
-    exactly.  Useful where the torus structure of an integrand must vanish to
-    machine precision rather than to quadrature accuracy.
-    """
-    if n < 1 or level < 1 or nphase < 1:
-        raise InvalidInputError("n, level, nphase must be >= 1")
-    base = invariant_sphere_rule(n, level, nphase)
-    theta = 2.0 * math.pi * np.arange(nphase) / nphase
-    c, s = np.cos(theta)[:, None, None], np.sin(theta)[:, None, None]
-    x, y = base.nodes[None, :, 0::2], base.nodes[None, :, 1::2]
-    nodes = np.empty((nphase, base.node_count, 2 * n))
-    nodes[:, :, 0::2] = c * x - s * y
-    nodes[:, :, 1::2] = s * x + c * y
-    return QuadratureRule(2 * n, nodes.reshape(-1, 2 * n), np.tile(base.weights / nphase, nphase),
-                          min(2 * level - 1, nphase - 1), level,
-                          kind="torus-product", meta=(("nphase", nphase),))
-
-
 def integrate_sphere(f, rule: QuadratureRule) -> float:
     """Sum of weights * f(nodes), fixed node order, pairwise summation.
 
@@ -227,7 +201,9 @@ def mc_volume(body, samples: int, seed: int) -> MCVolume:
 
     R is 1.01 times the maximum radial value over a coarse direction scan.
     Counter-based RNG (Philox) keyed by ``seed``; results are reproducible and
-    independent of chunking because each chunk draws from one stream.
+    independent of chunking because each chunk draws from one stream.  Raises
+    ``NumericalEvaluationError`` when the box volume, the estimate or its
+    standard error is not finite.
     """
     if samples < 10_000:
         raise InvalidInputError("mc_volume requires at least 1e4 samples")
@@ -247,7 +223,13 @@ def mc_volume(body, samples: int, seed: int) -> MCVolume:
         hits += int(np.count_nonzero(body.norm(pts) <= 1.0))
         remaining -= k
     frac = hits / samples
-    boxvol = (2.0 * R) ** N
+    try:
+        boxvol = (2.0 * R) ** N
+    except OverflowError:  # a float power raises instead of returning inf
+        boxvol = math.inf
     est = boxvol * frac
     se = boxvol * math.sqrt(max(frac * (1.0 - frac), 1e-300) / samples)
+    if not (math.isfinite(boxvol) and math.isfinite(est) and math.isfinite(se)):
+        raise NumericalEvaluationError(
+            f"Monte Carlo volume is not finite: box volume (2R)^{N} with R={R:.6g}")
     return MCVolume(est, se, int(samples), hits, R, int(seed))

@@ -279,9 +279,13 @@ def criterion_parseval(ctx):
     details = {"golden": {"lhs": golden.lhs, "rhs": golden.rhs,
                           "relative_error": golden.relative_error}}
     warnings = list(golden.warnings)
+    # a ball pair measures only the rule's error on the other body's rho^2
+    # (lambda_j(N, p) lambda_j(N, N - p) = (2 pi)^N leaves only j = 0); the
+    # pair without a ball measures truncation
     mixed_pairs = [
         (ComplexEllipsoid((1.0, 2.0)), ball),
         (ComplexLqBall(d, 3.0), ball),
+        (ComplexEllipsoid((1.0, 2.0)), ComplexLqBall(d, 3.0)),
     ]
     worst_mixed = 0.0
     monotone = True

@@ -186,7 +186,7 @@ class TestPerturbedBall:
 
         body = PerturbedBall(ComplexDim(n), 1.3, terms)
         theta = unit_vectors(np.random.default_rng(11), 1000, 2 * n)
-        ref = 1.0 + sum(c * invariant_harmonic_basis(2 * n, j).function(ell)(theta)
+        ref = 1.0 + sum(c * invariant_harmonic_basis(2 * n, j).evaluate(theta)[:, ell]
                         for j, ell, c in terms)
         got = body.radial_profile(theta)
         assert np.max(np.abs(got / (1.3 * ref) - 1.0)) <= 1e-14

@@ -114,6 +114,15 @@ class TestVolumeCommand:
         assert err.startswith("error: non-finite integrand")
         assert "Traceback" not in err
 
+    def test_overflowing_monte_carlo_box_exit2(self, tmp_path):
+        # the polar volume 2.07e307 is finite, the Monte Carlo box (2R)^6 is not
+        spec = write_spec(tmp_path, "big.json",
+                          {"n": 3, "kind": "euclidean", "params": {"radius": 1.26e51}})
+        proc = run_subprocess(["volume", spec, "--mc", "10000"], tmp_path)
+        assert proc.returncode == 2
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: Monte Carlo volume is not finite"), proc.stderr
+
 
 def huge_ball(tmp_path, n, radius=1e100):
     return write_spec(tmp_path, f"huge{n}.json",

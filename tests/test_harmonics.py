@@ -12,7 +12,6 @@ from cxsect import (
     NumericalEvaluationError,
     bochner_multiplier,
     ft_norm_power,
-    harmonic_basis,
     harmonic_expand,
     invariant_harmonic_basis,
     integrate_sphere,
@@ -20,36 +19,56 @@ from cxsect import (
     sphere_rule,
 )
 from cxsect.config import default_config
-from cxsect.spherequad import torus_sphere_rule
 from cxsect.harmonics import (
     _CHUNK_ROWS,
     _block,
     complex_sphere_moment,
     expansion_rule,
-    harmonic_dim,
     invariant_harmonic_dim,
+    multi_indices,
 )
+from cxsect.suite import bodies_n2, bodies_n3
 from cxsect.specfun import log_gamma
 
 from conftest import unit_vectors
 
 
+def degree_dim(N, j):
+    """Real dimension of all degree-j spherical harmonics on S^{N-1}."""
+    return math.comb(j + N - 1, N - 1) - math.comb(j + N - 3, N - 1)
+
+
+def bidegree_dim(n, p, q):
+    """Dimension of the bidegree (p, q) harmonics on C^n (Rudin 1980, ch. 12)."""
+    def b(t):
+        return math.comb(t + n - 1, n - 1) if t >= 0 else 0
+
+    return b(p) * b(q) - b(p - 1) * b(q - 1)
+
+
 class TestBasisStructure:
     def test_constant_function(self):
-        basis = harmonic_basis(4, 0)
+        basis = invariant_harmonic_basis(4, 0)
         assert len(basis) == 1
-        val = basis.function(0)(np.array([1.0, 0, 0, 0]))
+        val = basis.evaluate(np.array([1.0, 0, 0, 0]))[0, 0]
         assert val == pytest.approx(1.0 / math.sqrt(2 * math.pi ** 2), rel=1e-13)
 
     def test_degree2_dimension_n4(self):
-        assert len(harmonic_basis(4, 2)) == 9 == harmonic_dim(4, 2)
+        # |z1|^2 - |z2|^2, Re(z1 conj z2), Im(z1 conj z2): the traceless
+        # Hermitian forms, n^2 - 1 of them
+        assert len(invariant_harmonic_basis(4, 2)) == 3 == invariant_harmonic_dim(2, 2)
 
     def test_degree2_dimension_n6(self):
-        assert len(harmonic_basis(6, 2)) == 20 == harmonic_dim(6, 2)
+        assert len(invariant_harmonic_basis(6, 2)) == 8 == invariant_harmonic_dim(3, 2)
 
     @pytest.mark.parametrize("N,j", [(4, 4), (4, 10), (4, 24), (6, 4), (8, 2)])
     def test_dimension_formula(self, N, j):
-        assert len(harmonic_basis(N, j)) == harmonic_dim(N, j)
+        # the invariant block completes the bidegree decomposition of all
+        # degree-j harmonics
+        n = N // 2
+        off_diagonal = sum(bidegree_dim(n, p, j - p) for p in range(j + 1) if 2 * p != j)
+        assert invariant_harmonic_dim(n, j) + off_diagonal == degree_dim(N, j)
+        assert len(invariant_harmonic_basis(N, j)) == invariant_harmonic_dim(n, j)
 
     @pytest.mark.parametrize("N,j", [(4, 2), (4, 8), (6, 2), (6, 6)])
     def test_invariant_dimension(self, N, j):
@@ -57,15 +76,15 @@ class TestBasisStructure:
 
     def test_unsupported_inputs(self):
         with pytest.raises(InvalidInputError):
-            harmonic_basis(5, 2)
+            invariant_harmonic_basis(5, 2)
         with pytest.raises(InvalidInputError):
-            harmonic_basis(4, 3)
+            invariant_harmonic_basis(4, 3)
         with pytest.raises(InvalidInputError):
-            harmonic_basis(4, 34)
+            invariant_harmonic_basis(4, 34)
         with pytest.raises(InvalidInputError):
-            harmonic_basis(4, 26)
+            invariant_harmonic_basis(4, 26)
         with pytest.raises(InvalidInputError):
-            harmonic_basis(4, 30)
+            invariant_harmonic_basis(4, 30)
 
 
 def exact_gram_error(blk, C=None):
@@ -78,18 +97,16 @@ def reference_basis(blk):
     """Vector-at-a-time Gram-Schmidt on the block's V, S and generators.
 
     Each generator is projected by its own matrix-vector product, hermitised
-    when p == q, and orthogonalised against one kept vector at a time, twice;
-    same keep threshold and order as the batched build in ``_Block``.
+    and orthogonalised against one kept vector at a time, twice; same keep
+    threshold and order as the batched build in ``_Block``.
     """
     V, S = blk._nullspace(), blk._gram
     G = V.conj().T @ S @ V
     proj = V @ np.linalg.solve(G, V.conj().T @ S)
     basis, simages = [], []
     for gen in blk._generators().T:
-        cand = proj @ gen
-        if blk.is_real:
-            M = cand.reshape(blk.P, blk.Q)
-            cand = (0.5 * (M + M.conj().T)).ravel()
+        M = (proj @ gen).reshape(blk.P, blk.P)
+        cand = (0.5 * (M + M.conj().T)).ravel()
         scand = S @ cand
         for _ in range(2):
             for bvec, simg in zip(basis, simages):
@@ -106,48 +123,44 @@ def reference_basis(blk):
 
 
 class TestBatchedOrthonormalisation:
-    # largest relative change of C against the reference over all blocks of
-    # the degree, measured (BLAS 1 and 2 threads) and padded about tenfold;
-    # the two orders of the same projections drift apart with the degree
+    # largest relative change of C against the reference, measured over all
+    # bidegree blocks of the degree (BLAS 1 and 2 threads) and padded about
+    # tenfold; the two orders of the same projections drift apart with the degree
     C_TOL = {**{(4, j): 1e-14 for j in range(0, 11, 2)}, (4, 12): 1e-13, (4, 14): 5e-13,
              (4, 16): 2e-12, **{(6, j): 1e-14 for j in range(0, 7, 2)}, (6, 8): 1e-13,
              **{(8, j): 1e-14 for j in range(0, 5, 2)}}
 
     @pytest.mark.parametrize("N,j", sorted(C_TOL))
     def test_matches_vector_at_a_time_reference(self, N, j):
-        blocks = harmonic_basis(N, j).blocks
-        refs = [reference_basis(blk) for blk in blocks]
-        for blk, ref in zip(blocks, refs):
-            assert blk.C.shape == ref.shape
-            assert np.abs(blk.C - ref).max() <= self.C_TOL[N, j] * np.abs(ref).max()
+        blk = invariant_harmonic_basis(N, j).block
+        ref = reference_basis(blk)
+        assert blk.C.shape == ref.shape
+        assert np.abs(blk.C - ref).max() <= self.C_TOL[N, j] * np.abs(ref).max()
         # Gram error no worse than the reference's, up to a few rounding units
         # of the Gram evaluation itself
-        assert max(map(exact_gram_error, blocks)) <= \
-            max(exact_gram_error(blk, ref) for blk, ref in zip(blocks, refs)) + 1e-15
+        assert exact_gram_error(blk) <= exact_gram_error(blk, ref) + 1e-15
 
-    @pytest.mark.parametrize("n,p,q", [(3, 2, 2), (3, 3, 1)])
+    # (p, q) is the bidegree; the invariant blocks are the diagonal ones, p == q
+
+    @pytest.mark.parametrize("n,p,q", [(3, 2, 2)])
     def test_generator_order(self, n, p, q):
-        # unit pairs; on p == q, e_ii then the Hermitian pair of each (i, j > i)
-        blk = _block(n, p, q)
-        P, Q = blk.P, blk.Q
+        # e_ii, then the Hermitian pair of each (i, j > i)
+        blk = _block(n, p)
+        P, Q = len(multi_indices(n, p)), len(multi_indices(n, q))
         unit = np.eye(P * Q).reshape(P, Q, P * Q)
-        if p != q:
-            expect = unit.reshape(P * Q, P * Q)
-        else:
-            cols = []
-            for i in range(P):
-                cols.append(unit[i, i])
-                for k in range(i + 1, Q):
-                    cols.append((unit[i, k] + unit[k, i]) / math.sqrt(2.0))
-                    cols.append(1j * (unit[i, k] - unit[k, i]) / math.sqrt(2.0))
-            expect = np.array(cols).T
-        assert np.allclose(blk._generators(), expect, rtol=0, atol=1e-15)
+        cols = []
+        for i in range(P):
+            cols.append(unit[i, i])
+            for k in range(i + 1, Q):
+                cols.append((unit[i, k] + unit[k, i]) / math.sqrt(2.0))
+                cols.append(1j * (unit[i, k] - unit[k, i]) / math.sqrt(2.0))
+        assert np.allclose(blk._generators(), np.array(cols).T, rtol=0, atol=1e-15)
 
-    @pytest.mark.parametrize("n,p,q", [(3, 2, 2), (3, 3, 1)])
+    @pytest.mark.parametrize("n,p,q", [(3, 2, 2)])
     def test_exact_gram_matches_entry_formula(self, n, p, q):
         # <z^a zbar^b, z^c zbar^d> = [a + d == b + c] * moment(a + d)
-        blk = _block(n, p, q)
-        pairs = [(a, b) for a in blk.A for b in blk.B]
+        blk = _block(n, p)
+        pairs = [(a, b) for a in multi_indices(n, p) for b in multi_indices(n, q)]
         expect = np.array([[complex_sphere_moment(n, tuple(x + y for x, y in zip(a, d)))
                             if all(x + y == u + v for x, y, u, v in zip(a, d, b, c)) else 0.0
                             for c, d in pairs] for a, b in pairs])
@@ -157,7 +170,8 @@ class TestBatchedOrthonormalisation:
 class TestOrthonormality:
     @pytest.mark.parametrize("N,j", [(4, 2), (4, 6), (4, 12), (6, 2), (6, 4)])
     def test_gram_identity_full(self, N, j):
-        basis = harmonic_basis(N, j)
+        # on the generic product rule, exact for every product of two basis functions
+        basis = invariant_harmonic_basis(N, j)
         rule = sphere_rule(N, j + 2)
         vals = basis.evaluate(rule.nodes)
         gram = vals.T @ (rule.weights[:, None] * vals)
@@ -166,16 +180,14 @@ class TestOrthonormality:
     def test_exact_gram_identity_at_n4_degree_limit(self):
         # the N=4 limit is the highest degree whose blocks satisfy C S C^H = I
         # to 1e-10 under the exact monomial Gram S
-        for blk in harmonic_basis(4, 24).blocks:
-            assert exact_gram_error(blk) < 1e-10
+        assert exact_gram_error(invariant_harmonic_basis(4, 24).block) < 1e-10
 
     @pytest.mark.parametrize("N,j", [(4, j) for j in range(0, 21, 2)]
                              + [(6, j) for j in range(0, 13, 2)]
                              + [(8, j) for j in range(0, 7, 2)])
     def test_exact_gram_identity_invariant_in_use(self, N, j):
         # every invariant block the default and suite configurations expand on
-        (blk,) = invariant_harmonic_basis(N, j).blocks
-        assert exact_gram_error(blk) < 1e-10
+        assert exact_gram_error(invariant_harmonic_basis(N, j).block) < 1e-10
 
     def test_gram_identity_invariant_n6_high_degree(self):
         basis = invariant_harmonic_basis(6, 10)
@@ -188,8 +200,8 @@ class TestOrthonormality:
         assert np.abs(gram - np.eye(len(basis))).max() < 1e-10
 
     def test_cross_degree_orthogonality(self):
-        b2 = harmonic_basis(4, 2)
-        b4 = harmonic_basis(4, 4)
+        b2 = invariant_harmonic_basis(4, 2)
+        b4 = invariant_harmonic_basis(4, 4)
         rule = sphere_rule(4, 8)
         v2 = b2.evaluate(rule.nodes)
         v4 = b4.evaluate(rule.nodes)
@@ -198,14 +210,13 @@ class TestOrthonormality:
 
     def test_harmonicity_via_laplacian_stencil(self):
         # numerical Laplacian of the homogeneous extension r^j Y(x/r) vanishes
-        basis = harmonic_basis(4, 4)
-        fn = basis.function(2)
+        basis = invariant_harmonic_basis(4, 4)
         rng = np.random.default_rng(0)
         x0 = rng.normal(size=4)
 
         def solid(pt):
             r = np.linalg.norm(pt)
-            return r ** 4 * fn(pt / r)
+            return r ** 4 * basis.evaluate(pt / r)[0, 2]
 
         h = 1e-3
         lap = 0.0
@@ -232,8 +243,8 @@ class TestMoments:
 
 
 class TestMonomialKernel:
-    # N=6, j=4: the diagonal block (2,2) and the off-diagonal block (3,1), on
-    # enough points for two full chunks and a partial third
+    # N=6, j=4: the invariant block of bidegree (p, q) = (2, 2), on enough
+    # points for two full chunks and a partial third
     M = 2 * _CHUNK_ROWS + 5
 
     @pytest.fixture(scope="class")
@@ -241,34 +252,110 @@ class TestMonomialKernel:
         rng = np.random.default_rng(11)
         return unit_vectors(rng, self.M, 6), rng.normal(size=self.M)
 
-    @pytest.mark.parametrize("p,q", [(2, 2), (3, 1)])
+    @pytest.mark.parametrize("p,q", [(2, 2)])
     def test_moments_match_direct_sum(self, points, p, q):
         X, w = points
-        blk = _block(3, p, q)
+        blk = _block(3, p)
         Z = [complex(*x[k:k + 2]) for x in X.tolist() for k in (0, 2, 4)]
 
         def mono(idxs):
             return np.array([[math.prod(Z[3 * i + k] ** e[k] for k in range(3)) for e in idxs]
                              for i in range(self.M)])
 
-        expect = mono(blk.A).T @ (w[:, None] * mono(blk.B).conj())
+        expect = mono(multi_indices(3, p)).T @ (w[:, None] * mono(multi_indices(3, q)).conj())
         got = blk.moments(X, w)
         assert np.max(np.abs(got - expect)) <= 1e-13 * np.max(np.abs(expect))
 
-    @pytest.mark.parametrize("p,q", [(2, 2), (3, 1)])
+    @pytest.mark.parametrize("p,q", [(2, 2)])
     def test_combo_matches_basis_values(self, points, p, q):
         X, _ = points
-        blk = _block(3, p, q)
-        c = np.random.default_rng(12).normal(size=blk.dim) + 0j
+        blk = _block(3, p)
+        c = np.random.default_rng(12).normal(size=blk.dim)
         expect = blk.eval_basis(X) @ c
         assert np.max(np.abs(blk.eval_combo(X, c) - expect)) <= 1e-13 * np.max(np.abs(expect))
 
     def test_evaluate_is_rowwise(self, points):
         X, _ = points
-        basis = harmonic_basis(6, 4)
+        basis = invariant_harmonic_basis(6, 4)
         allrows = basis.evaluate(X)
         rows = np.array([basis.evaluate(x)[0] for x in X])
         assert np.max(np.abs(allrows - rows)) <= 1e-13 * np.max(np.abs(rows))
+
+
+def gegenbauer_ratio(j, lam, t):
+    """C_j^lam(t) / C_j^lam(1), both from the three-term recurrence."""
+    def values(t):
+        prev, cur = np.ones_like(t), 2.0 * lam * t
+        if j == 0:
+            return prev
+        for m in range(1, j):
+            prev, cur = cur, (2.0 * (m + lam) * t * cur - (m + 2.0 * lam - 1.0) * prev) / (m + 1)
+        return cur
+
+    return values(t) / values(np.ones(1))[0]
+
+
+def zonal_projection(f, N, j, rule, xi):
+    """(P_j f)(xi), the projection of f onto all degree-j harmonics on S^{N-1}.
+
+    P_j f(xi) = dim_j / |S^{N-1}| * int f(x) C_j^lam(<x, xi>) / C_j^lam(1) dx,
+    lam = N/2 - 1, on ``rule``; it uses no harmonic basis, and it is exact
+    when the rule integrates f times a degree-j polynomial exactly.
+    """
+    kernel = gegenbauer_ratio(j, N / 2.0 - 1.0, rule.nodes @ xi.T)
+    return degree_dim(N, j) / sphere_area(N) * ((rule.weights * f(rule.nodes)) @ kernel)
+
+
+def exact_rule(N, degree, jmax):
+    """Product rule exact for a degree-``degree`` integrand times degree <= jmax."""
+    return sphere_rule(N, (degree + jmax) // 2 + 1)
+
+
+def hand_polynomial(X):
+    """(sum_m m |z_m|^2)^3 + Re(z_1 conj z_2)^4 + |<z, u>|^8: invariant, degree 8.
+
+    Built without the basis.  The last term, with u_m = m e^{i m}, has a
+    nonzero component along every invariant basis function of degree <= 8
+    (its projection onto a block is the block's kernel at u), so dropping
+    any one function from a block shows.
+    """
+    z = X[:, 0::2] + 1j * X[:, 1::2]
+    m = np.arange(1.0, z.shape[1] + 1.0)
+    weighted = (np.abs(z) ** 2) @ m
+    return weighted ** 3 + np.real(z[:, 0] * np.conj(z[:, 1])) ** 4 \
+        + np.abs(z @ np.conj(m * np.exp(1j * m))) ** 8
+
+
+def perturbed_suite_bodies():
+    """The suite's perturbed bodies with the degree of their rho^2."""
+    b2, b3 = bodies_n2(), bodies_n3()
+    return [(b2["pert_a"], 8), (b2["pert_b"], 4), (b3["pert"], 4)]
+
+
+def zonal_discrepancy(exp, f, rule, xi):
+    """max over degrees of |degree-j part of exp - P_j f| at xi, relative to L2(f)."""
+    return max(np.abs(exp.evaluate(xi, degrees=[j]) - zonal_projection(f, exp.N, j, rule, xi)).max()
+               for j in exp.degrees()) / exp.l2_norm
+
+
+class TestZonalReference:
+    """An invariant f has no harmonic component outside the (k, k) blocks, so
+    the degree-j part of its invariant expansion is the projection of f onto
+    all degree-j harmonics, which the zonal kernel computes without a basis."""
+
+    def test_gegenbauer_recurrence_closed_forms(self):
+        t = np.linspace(-1.0, 1.0, 7)
+        # lam = 1: Chebyshev U_2(t) = 4t^2 - 1, U_2(1) = 3
+        assert np.allclose(gegenbauer_ratio(2, 1.0, t), (4 * t * t - 1) / 3, rtol=0, atol=1e-15)
+        # lam = 2: C_2^2(t) = 12t^2 - 2, C_2^2(1) = 10
+        assert np.allclose(gegenbauer_ratio(2, 2.0, t), (12 * t * t - 2) / 10, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("N", [4, 6])
+    def test_hand_built_polynomial(self, N):
+        rule = exact_rule(N, 8, 8)
+        exp = harmonic_expand(hand_polynomial, 8, rule)
+        xi = unit_vectors(np.random.default_rng(20 + N), 20, N)
+        assert zonal_discrepancy(exp, hand_polynomial, rule, xi) <= 1e-12
 
 
 class TestExpansion:
@@ -280,11 +367,10 @@ class TestExpansion:
             assert np.abs(exp.coeffs[j]).max() < 1e-10
 
     def test_pure_harmonic_recovered(self):
-        basis = harmonic_basis(4, 2)
-        target = basis.function(4)
+        basis = invariant_harmonic_basis(4, 2)
         rule = sphere_rule(4, 10)
-        exp = harmonic_expand(lambda x: target(x), 6, rule)
-        assert exp.coefficient(2, 4) == pytest.approx(1.0, abs=1e-12)
+        exp = harmonic_expand(lambda x: basis.evaluate(x)[:, 2], 6, rule)
+        assert exp.coefficient(2, 2) == pytest.approx(1.0, abs=1e-12)
         coeffs = np.concatenate([exp.coeffs[j] for j in exp.degrees()])
         assert np.sort(np.abs(coeffs))[-2] < 1e-10  # everything else is noise
 
@@ -297,26 +383,24 @@ class TestExpansion:
         assert total <= direct * (1 + 1e-10)  # Bessel bound
 
     def test_ellipsoid_hits_only_invariant_harmonics(self, ell12):
-        # full expansion with a phase-aligned rule: the torus cancellation on
-        # the non-invariant blocks is then exact, not just quadrature-small
-        rule = torus_sphere_rule(2, 48, nphase=24)
-        full = harmonic_expand(lambda x: ell12.radial(x) ** 2, 8, rule)
-        scale = math.sqrt(sum(full.degree_energies().values()))
-        for j in full.degrees():
-            basis = harmonic_basis(4, j)
-            inv_dim = len(invariant_harmonic_basis(4, j))
-            # the invariant block occupies the trailing indices
-            off_block = full.coeffs[j][: len(basis) - inv_dim]
-            if off_block.size:
-                assert np.abs(off_block).max() < 1e-12 * scale
+        # rho^2 is not a polynomial: a level-40 product rule resolves it to
+        # round-off (about 5e-15 of the L2 norm)
+        f = lambda x: ell12.radial(x) ** 2
+        rule = sphere_rule(4, 40)
+        exp = harmonic_expand(f, 8, rule)
+        xi = unit_vectors(np.random.default_rng(0), 20, 4)
+        assert zonal_discrepancy(exp, f, rule, xi) <= 1e-12
 
-    def test_invariant_path_matches_full(self, pert2):
-        rule = expansion_rule(4, 8)
-        f = lambda x: pert2.radial(x) ** 2
-        full = harmonic_expand(f, 8, rule)
-        fast = harmonic_expand(f, 8, rule, invariant_only=True)
-        x = unit_vectors(np.random.default_rng(0), 50, 4)
-        assert np.allclose(full.evaluate(x), fast.evaluate(x), rtol=0, atol=1e-10)
+    def test_invariant_path_matches_full(self):
+        # the full projection is the zonal kernel's, on rho^2 of every
+        # perturbed suite body
+        for body, degree in perturbed_suite_bodies():
+            N = body.dim.N
+            f = lambda x: body.radial(x) ** 2
+            rule = exact_rule(N, degree, 8)
+            exp = harmonic_expand(f, 8, rule)
+            xi = unit_vectors(np.random.default_rng(1), 20, N)
+            assert zonal_discrepancy(exp, f, rule, xi) <= 1e-12, body.label
 
     def test_resummation_error_decreases(self, ell12):
         x = unit_vectors(np.random.default_rng(1), 100, 4)
@@ -403,8 +487,7 @@ class TestMultiplier:
         # decay makes the equispaced Riemann sum spectrally accurate), accumulated
         # slice by slice to stay within memory.
         N, j = 4, 2
-        basis = harmonic_basis(N, j)
-        Y = basis.function(3)
+        basis = invariant_harmonic_basis(N, j)
         rng = np.random.default_rng(5)
         xi = rng.normal(size=N)
         grid = np.linspace(-9.0, 9.0, 48)
@@ -416,11 +499,12 @@ class TestMultiplier:
             r = np.linalg.norm(mesh, axis=1)
             good = r > 1e-12
             solid = np.zeros(len(mesh))
-            solid[good] = r[good] ** j * basis.evaluate(mesh[good] / r[good, None])[:, 3]
+            solid[good] = r[good] ** j * basis.evaluate(mesh[good] / r[good, None])[:, 2]
             acc += np.sum(solid * np.exp(-r * r / 2.0) * np.exp(-1j * mesh @ xi))
         got = float(np.real(acc)) * h ** N
         expect = (2 * math.pi) ** (N / 2) * (-1) ** (j // 2) \
-            * np.linalg.norm(xi) ** j * Y(xi / np.linalg.norm(xi)) * math.exp(-xi @ xi / 2)
+            * np.linalg.norm(xi) ** j * basis.evaluate(xi / np.linalg.norm(xi))[0, 2] \
+            * math.exp(-xi @ xi / 2)
         assert got == pytest.approx(expect, rel=1e-6)
 
 
@@ -452,18 +536,19 @@ class TestFtNormPower:
         x = unit_vectors(np.random.default_rng(5), 5, 4)
         assert np.allclose(ft2.evaluate(x), (2 * math.pi) ** N, rtol=1e-11)
 
-    def test_rotation_equivariance_coefficients(self, ell12):
-        # an invariant body's transform lives on the invariant harmonics only
-        rule = torus_sphere_rule(2, 48, nphase=24)
-        ft = harmonic_expand(lambda x: ell12.radial(x) ** 2, 8, rule,
-                             invariant_only=False).multiplied(2.0)
-        lead = abs(ft.coefficient(0, 0))
-        for j in ft.degrees():
-            basis = harmonic_basis(4, j)
-            inv_dim = len(invariant_harmonic_basis(4, j))
-            off = ft.coeffs[j][: len(basis) - inv_dim]
-            if off.size:
-                assert np.abs(off).max() <= 1e-8 * lead
+    def test_rotation_equivariance_coefficients(self):
+        # an invariant body's transform is lambda_j times the full degree-j
+        # projection of rho^2, which lives on the invariant harmonics only
+        for body, degree in perturbed_suite_bodies():
+            N = body.dim.N
+            f = lambda x: body.radial(x) ** 2
+            ft = ft_norm_power(body, 2.0, jmax=8)
+            rule = exact_rule(N, degree, 8)
+            xi = unit_vectors(np.random.default_rng(2), 20, N)
+            for j in ft.degrees():
+                got = ft.evaluate(xi, degrees=[j]) / bochner_multiplier(N, 2.0, j)
+                ref = zonal_projection(f, N, j, rule, xi)
+                assert np.abs(got - ref).max() <= 1e-12 * ft.l2_norm, (body.label, j)
 
     def test_default_jmax_from_config(self, ball2):
         ft = ft_norm_power(ball2, 2.0)

@@ -33,11 +33,13 @@ from conftest import unit_vectors
 
 
 @functools.cache
-def _scaling_bodies():
+def _bodies_by_kind():
     # one body of each kind at n = 2 and n = 3, taken from the suite
     b2, b3 = bodies_n2(), bodies_n3()
-    return {2: {"ball": b2["ball"], "lq3": b2["lq3"], "ell": b2["ell_1_2"], "pert": b2["pert_a"]},
-            3: {"ball": b3["ball"], "lq3": b3["lq3"], "ell": b3["ell_1_1.5_2"], "pert": b3["pert"]}}
+    return {2: {"ball": b2["ball"], "lq3": b2["lq3"], "polydisc": b2["polydisc"],
+                "ell": b2["ell_1_2"], "pert": b2["pert_a"]},
+            3: {"ball": b3["ball"], "lq3": b3["lq3"], "polydisc": b3["polydisc"],
+                "ell": b3["ell_1_1.5_2"], "pert": b3["pert"]}}
 
 
 class TestDirection:
@@ -228,10 +230,23 @@ class TestSectionKernel:
     @settings(max_examples=15, deadline=None)
     def test_scaling_covariance(self, n, name, r, seed):
         # rho_{rK} = r rho_K, so every section scales by r^(2n-2)
-        body = _scaling_bodies()[n][name]
+        body = _bodies_by_kind()[n][name]
         xi = unit_vectors(np.random.default_rng(seed), 1, 2 * n)
         expect = r ** (2 * n - 2) * section_values(body, xi)[0]
         assert section_values(body.scaled(r), xi)[0] == pytest.approx(expect, rel=1e-12)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("name", ["ball", "lq3", "polydisc", "ell", "pert"])
+    @given(t=st.floats(0.0, 2.0 * math.pi), seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=15, deadline=None)
+    def test_complex_line_invariance(self, n, name, t, seed):
+        # every unit vector cos t xi + sin t J xi of the complex line through
+        # xi has the same complex hyperplane, hence the same section
+        body = _bodies_by_kind()[n][name]
+        xi = unit_vectors(np.random.default_rng(seed), 1, 2 * n)
+        turned = math.cos(t) * xi + math.sin(t) * complex_structure(xi)
+        assert section_values(body, turned)[0] == pytest.approx(section_values(body, xi)[0],
+                                                                rel=1e-10)
 
     def test_n3_rules_beat_product_rules(self):
         # against a level-200 torus reference, over the moduli lattice
