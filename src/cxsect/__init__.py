@@ -34,7 +34,6 @@ from .harmonics import (
 from .sections import (
     Direction,
     SectionReport,
-    SubspaceBasis,
     direction,
     hyperplane_basis,
     inradius_normalized,
@@ -70,7 +69,7 @@ __all__ = [
     "ConvexityError", "InvalidInputError", "NumericalEvaluationError",
     "HarmonicExpansion", "bochner_multiplier", "ft_norm_power",
     "harmonic_expand", "invariant_harmonic_basis",
-    "Direction", "SectionReport", "SubspaceBasis", "direction",
+    "Direction", "SectionReport", "direction",
     "hyperplane_basis", "inradius_normalized", "section_volume_direct",
     "section_volume_fourier", "volume",
     "MCVolume", "QuadratureRule", "integrate_sphere", "invariant_sphere_rule",

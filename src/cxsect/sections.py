@@ -62,48 +62,50 @@ def direction(vec) -> Direction:
     return Direction(vec / length)
 
 
-@dataclass(frozen=True)
-class SubspaceBasis:
-    """Orthonormal basis of the (2n-2)-dimensional hyperplane orthogonal to
-    both xi and J xi.  Rows are the basis vectors, J-paired as
-    (v_1, J v_1, v_2, J v_2, ...): in these coordinates J acts as the complex
-    structure of C^{n-1}."""
+def hyperplane_basis(dirs) -> np.ndarray:
+    """J-paired orthonormal bases of the hyperplanes orthogonal to xi and J xi
+    for a batch of directions: (P, 2n) or one vector in, (P, 2n-2, 2n) out.
 
-    direction: Direction
-    basis: np.ndarray
-
-    def __post_init__(self):
-        self.basis.setflags(write=False)
-
-
-def hyperplane_basis(xi) -> SubspaceBasis:
-    """Deterministic J-paired orthonormal basis of the hyperplane at xi.
-
-    Gram-Schmidt of the even standard basis vectors e_0, e_2, ... against
-    {xi, J xi} and the rows so far, in fixed order; each kept v brings J v
-    along (the span is closed under J, so J v is already orthogonal to it),
-    and a vector that becomes dependent is dropped.  The projection depends
-    on xi only through its complex line, so any phase rotation of xi yields
-    the same basis.
+    Rows come as (v_1, J v_1, v_2, J v_2, ...), so in these coordinates J is
+    the complex structure of C^{n-1}.  Each direction is normalized (a zero or
+    non-finite one raises).  The even standard basis vectors e_0, e_2, ... are
+    projected in fixed order, twice, against xi, J xi and the rows kept so
+    far, one candidate at a time for the whole batch; a kept v brings J v
+    along (the span is closed under J) and a vector that becomes dependent is
+    dropped.  The basis depends on xi only through its complex line.
     """
-    d = xi if isinstance(xi, Direction) else direction(xi)
-    N = d.xi.size
-    rows = []
-    for i in range(0, N, 2):
-        v = np.zeros(N)
-        v[i] = 1.0
+    X = np.atleast_2d(np.asarray(dirs, dtype=float))
+    if X.ndim != 2 or X.shape[1] % 2:
+        raise InvalidInputError("directions must be vectors of even length")
+    length = np.linalg.norm(X, axis=1)
+    if not np.all(np.isfinite(length) & (length > 0.0)):
+        raise InvalidInputError("cannot normalize a zero or non-finite vector")
+    P, N = X.shape
+    n = N // 2
+    # xi, J xi, then one (v, J v) pair per candidate; the pair of a dropped or
+    # untried candidate stays zero, so projecting against it changes nothing
+    frame = np.zeros((N + 2, P, N))
+    frame[0] = X / length[:, None]
+    frame[1] = complex_structure(frame[0])
+    kept = np.zeros((P, n), dtype=bool)
+    count = np.zeros(P, dtype=int)
+    for c in range(n):
+        v = np.zeros((P, N))
+        v[:, 2 * c] = 1.0
         for _ in range(2):  # two passes for orthogonality to ~1e-15
-            for b in [d.xi, d.jxi] + rows:
-                v = v - (v @ b) * b
-        length = float(np.linalg.norm(v))
-        if length > 1e-7:
-            v = v / length
-            rows.extend((v, complex_structure(v)))
-        if len(rows) == N - 2:
+            for b in frame[:2 * c + 2]:
+                v -= np.einsum("pk,pk->p", v, b)[:, None] * b
+        length = np.linalg.norm(v, axis=1)
+        kept[:, c] = length > 1e-7  # after a complete basis the residual is ~1e-16
+        count += kept[:, c]
+        np.divide(v, length[:, None], out=frame[2 * c + 2], where=kept[:, c, None])
+        frame[2 * c + 3] = complex_structure(frame[2 * c + 2])
+        if np.all(count == n - 1):
             break
-    if len(rows) != N - 2:
+    if np.any(count != n - 1):
         raise InvalidInputError("failed to complete hyperplane basis")
-    return SubspaceBasis(d, np.array(rows))
+    pairs = frame[2:].reshape(n, 2, P, N).transpose(2, 0, 1, 3)
+    return pairs[kept].reshape(P, N - 2, N)
 
 
 @dataclass(frozen=True)
@@ -184,18 +186,15 @@ def section_values(body, dirs, rule: QuadratureRule | None = None,
         rule = _section_rule(n, cfg, scan=scan)
     if rule.m != 2 * n - 2:
         raise InvalidInputError(f"section rule must live on S^{2 * n - 3}")
-    dirs = np.atleast_2d(np.asarray(dirs, dtype=float))
-    if dirs.shape[-1] != 2 * n:
+    bases = hyperplane_basis(dirs)
+    P = bases.shape[0]
+    if bases.shape[2] != 2 * n:
         raise InvalidInputError("direction dimension does not match the body")
-    P = dirs.shape[0]
     out = np.empty(P)
     nodes = rule.nodes
     M = nodes.shape[0]
     power = 2 * n - 2
     chunk = max(1, 4_000_000 // M)
-    bases = np.empty((P, 2 * n - 2, 2 * n))
-    for i in range(P):
-        bases[i] = hyperplane_basis(dirs[i]).basis
     for lo in range(0, P, chunk):
         hi = min(lo + chunk, P)
         pts = np.einsum("mj,pjk->pmk", nodes, bases[lo:hi])

@@ -83,7 +83,8 @@ class VerificationContext:
 
     def inradius(self, body):
         if body not in self._inradius:
-            self._inradius[body] = sections.inradius_normalized(body, self.config)
+            rmin, _ = sections.min_radial(body, self.config)
+            self._inradius[body] = rmin / self.volume(body)[0] ** (1.0 / (2 * body.dim.n))
         return self._inradius[body]
 
 

@@ -58,25 +58,64 @@ class TestDirection:
         assert np.linalg.norm(d.jxi) == pytest.approx(1.0, abs=1e-14)
 
 
+def _reference_basis(vec):
+    """Test-only J-paired basis, one direction at a time: Gram-Schmidt of
+    e_0, e_2, ... against (xi, J xi) and the kept rows, two passes, a
+    candidate of length <= 1e-7 dropped, J v after each kept v."""
+    vec = np.asarray(vec, dtype=float)
+    xi = vec / np.linalg.norm(vec)
+    jxi = np.empty_like(xi)
+    jxi[0::2], jxi[1::2] = -xi[1::2], xi[0::2]
+    N = xi.size
+    rows = []
+    for i in range(0, N, 2):
+        v = np.zeros(N)
+        v[i] = 1.0
+        for _ in range(2):
+            for b in [xi, jxi] + rows:
+                v = v - (v @ b) * b
+        length = float(np.linalg.norm(v))
+        if length > 1e-7:
+            v = v / length
+            jv = np.empty_like(v)
+            jv[0::2], jv[1::2] = -v[1::2], v[0::2]
+            rows.extend((v, jv))
+        if len(rows) == N - 2:
+            break
+    return np.array(rows)
+
+
+def _basis_direction_sets(n):
+    """Random directions, exact axes, and directions within 1e-12..1e-3 of an
+    axis, at complex dimension n; rows are not normalized."""
+    rng = np.random.default_rng(n)
+    dirs = list(unit_vectors(rng, 200, 2 * n))
+    for k in range(2 * n):
+        for eps in (0.0, 1e-12, 1e-9, 1e-6, 1e-3):
+            v = eps * rng.normal(size=2 * n)
+            v[k] += 1.0
+            dirs.append(v)
+    return np.array(dirs)
+
+
 class TestHyperplaneBasis:
     def test_coordinate_direction_n2(self):
-        sub = hyperplane_basis(direction([1.0, 0, 0, 0]))
-        expect = np.zeros((2, 4))
-        expect[0, 2] = expect[1, 3] = 1.0
-        assert np.allclose(sub.basis, expect)
+        B = hyperplane_basis([1.0, 0, 0, 0])
+        expect = np.zeros((1, 2, 4))
+        expect[0, 0, 2] = expect[0, 1, 3] = 1.0
+        assert np.allclose(B, expect)
 
     def test_coordinate_direction_n3(self):
-        sub = hyperplane_basis(direction([1.0, 0, 0, 0, 0, 0]))
-        assert sub.basis.shape == (4, 6)
-        assert np.allclose(sub.basis[:, :2], 0.0)
-        assert np.allclose(sub.basis @ sub.basis.T, np.eye(4), atol=1e-15)
+        B = hyperplane_basis([1.0, 0, 0, 0, 0, 0])
+        assert B.shape == (1, 4, 6)
+        assert np.allclose(B[0, :, :2], 0.0)
+        assert np.allclose(B[0] @ B[0].T, np.eye(4), atol=1e-15)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_invariants_random_direction(self, seed):
         rng = np.random.default_rng(seed)
         d = direction(rng.normal(size=6))
-        sub = hyperplane_basis(d)
-        B = sub.basis
+        B = hyperplane_basis(d.xi)[0]
         assert np.abs(B @ B.T - np.eye(4)).max() < 1e-13
         assert np.abs(B @ d.xi).max() < 1e-13
         assert np.abs(B @ d.jxi).max() < 1e-13
@@ -87,26 +126,47 @@ class TestHyperplaneBasis:
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_rows_are_j_paired(self, n):
-        # random directions, exact axes, and directions within 1e-12..1e-3 of an axis
-        rng = np.random.default_rng(n)
-        dirs = list(unit_vectors(rng, 200, 2 * n))
-        for k in range(2 * n):
-            for eps in (0.0, 1e-12, 1e-9, 1e-6, 1e-3):
-                v = eps * rng.normal(size=2 * n)
-                v[k] += 1.0
-                dirs.append(v)
-        for v in dirs:
-            B = hyperplane_basis(v).basis
-            assert np.abs(B[1::2] - complex_structure(B[0::2])).max() <= 1e-13
-            assert np.abs(B @ B.T - np.eye(2 * n - 2)).max() < 1e-13
+        B = hyperplane_basis(_basis_direction_sets(n))
+        assert B.shape[1:] == (2 * n - 2, 2 * n)
+        assert np.abs(B[:, 1::2] - complex_structure(B[:, 0::2])).max() <= 1e-13
+        gram = np.einsum("pij,pkj->pik", B, B)
+        assert np.abs(gram - np.eye(2 * n - 2)).max() < 1e-13
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_matches_reference(self, n):
+        # the batched kernel keeps the per-direction orientation, not just the span
+        dirs = _basis_direction_sets(n)
+        expect = np.array([_reference_basis(v) for v in dirs])
+        assert np.abs(hyperplane_basis(dirs) - expect).max() <= 1e-14
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_batch_equals_rows_alone(self, n):
+        dirs = _basis_direction_sets(n)
+        batch = hyperplane_basis(dirs)
+        for v, B in zip(dirs, batch):
+            assert np.array_equal(hyperplane_basis(v)[0], B)
+
+    @pytest.mark.parametrize("bad", ["zero", math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("row", [0, 3, 6])
+    def test_bad_row_anywhere_raises(self, bad, row):
+        dirs = unit_vectors(np.random.default_rng(9), 7, 6)
+        if bad == "zero":
+            dirs[row] = 0.0
+        else:
+            dirs[row, 2] = bad
+        with pytest.raises(InvalidInputError):
+            hyperplane_basis(dirs)
+
+    def test_odd_length_rejected(self):
+        with pytest.raises(InvalidInputError):
+            hyperplane_basis([1.0, 0.0, 0.0])
 
     def test_same_complex_line_same_basis(self):
         rng = np.random.default_rng(3)
         d = direction(rng.normal(size=4))
         t = 1.234
-        d2 = Direction(math.cos(t) * d.xi + math.sin(t) * d.jxi)
-        a = hyperplane_basis(d).basis
-        b = hyperplane_basis(d2).basis
+        a = hyperplane_basis(d.xi)
+        b = hyperplane_basis(math.cos(t) * d.xi + math.sin(t) * d.jxi)
         assert np.abs(a - b).max() < 1e-12
 
 

@@ -14,6 +14,7 @@ from cxsect import (
     corollary1_verify,
     ft_norm_power,
     gamma_lemma_check,
+    inradius_normalized,
     integrate_sphere,
     parseval_check,
     positivity_check,
@@ -21,6 +22,7 @@ from cxsect import (
     separation_verify,
     stability_verify,
 )
+from cxsect import sections
 from cxsect.harmonics import expansion_rule
 
 
@@ -155,6 +157,20 @@ class TestSeparation:
         assert rep.passed and not rep.degenerate
         assert "supplied" in rep.note
         assert abs(rep.margin) <= 1e-9
+
+
+class TestContextInradius:
+    def test_reuses_context_volume(self, monkeypatch):
+        body = PerturbedBall(d2, 1.0, ((2, 2, 0.05),))
+        context = VerificationContext()
+        vol, _ = context.volume(body)
+        calls = []
+        real = sections.volume
+        monkeypatch.setattr(sections, "volume", lambda *a, **k: calls.append(a) or real(*a, **k))
+        r = context.inradius(body)
+        assert calls == []
+        assert r == sections.min_radial(body)[0] / vol ** 0.25
+        assert r == pytest.approx(inradius_normalized(body), rel=1e-12)
 
 
 class TestParseval:

@@ -42,6 +42,7 @@ def test_tracer_installs_records_and_uninstalls():
         pert = PerturbedBall(ComplexDim(2), 1.0, ((2, 2, 0.05),))
         ctx = cxsect.VerificationContext()
         ctx.inradius(pert)  # min_radial, refine_extremum, volume, integrate_sphere
+        cxsect.sections.inradius_normalized(pert)
         cxsect.sections.section_values(ball, np.eye(4)[:2])
         cxsect.harmonics.invariant_harmonic_basis(4, 2).evaluate(np.eye(4))
         cxsect.ft_norm_power(ball, 2.0, jmax=4)  # harmonic_expand, multiplied
@@ -58,4 +59,5 @@ def test_tracer_installs_records_and_uninstalls():
             "spherequad.mc_volume"} <= names
     assert not any(rec[tm.RAISED] for rec in tracer.spans)
     assert summary["sections.section_values.dirs"] == 2
+    assert summary["sections.hyperplane_basis.calls"] == 1  # one batch per call
     assert summary["spherequad.mc.samples"] == 10_000
