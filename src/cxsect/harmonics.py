@@ -19,6 +19,14 @@ projections of a fixed Hermitian generator matrix onto the harmonic subspace
 (one product), orthonormalized in order by classical Gram-Schmidt run twice,
 so indices are stable across runs and every basis function is real.
 
+Expansion coefficients come from the quadrature moments
+mu_k[a, b] = sum_i w_i f(x_i) z^a zbar^b of each block.  On the unit sphere
+sum_m |z_m|^2 = 1, so z^a zbar^b = sum_m z^{a+e_m} zbar^{b+e_m} and every
+lower block's moments are exact sums of the top block's:
+mu_k[a, b] = sum_m mu_{k+1}[a + e_m, b + e_m].  One pass over the rule's nodes
+at the top degree therefore gives every degree.  This assumes the rule's nodes
+are unit vectors, as those of every rule in ``spherequad`` are to rounding.
+
 The Fourier transform of the degree -p homogeneous extension of a spherical
 harmonic Y_j multiplies it by
 
@@ -220,6 +228,27 @@ def _block(n, k):
     return _Block(n, k)
 
 
+@lru_cache(maxsize=None)
+def _raise_index(n, k):
+    """up[i, m]: the position of a + e_m in multi_indices(n, k + 1), for a the
+    i-th entry of multi_indices(n, k)."""
+    pos = {a: i for i, a in enumerate(multi_indices(n, k + 1))}
+    up = np.array([[pos[a[:m] + (a[m] + 1,) + a[m + 1:]] for m in range(n)]
+                   for a in multi_indices(n, k)])
+    up.flags.writeable = False  # shared by every caller through the cache
+    return up
+
+
+def _lower_moments(mu, n, k):
+    """Degree-k moment table from the degree-(k+1) one on unit nodes.
+
+    z^a zbar^b = sum_m z^{a+e_m} zbar^{b+e_m} where |z| = 1, so
+    mu_k[a, b] = sum_m mu_{k+1}[a + e_m, b + e_m].
+    """
+    up = _raise_index(n, k)
+    return sum(mu[up[:, m, None], up[None, :, m]] for m in range(n))
+
+
 class HarmonicBasis:
     """Real orthonormal basis of the invariant degree-j harmonics on S^{N-1}.
 
@@ -359,7 +388,11 @@ def harmonic_expand(f, jmax, rule: QuadratureRule, tail_warn=1e-3,
     of all coordinate pairs has no other harmonic components, so for it the
     expansion is complete.  The coefficients are computed from monomial
     moments of f under ``rule`` (algebraically identical to the direct inner
-    product, factored for speed).  Coefficients below 1e-12 times the L2 norm of f are
+    product, factored for speed).  Only the top block, degree jmax, takes its
+    moments from the nodes; each lower block's table is gathered from the one
+    above by mu_k[a, b] = sum_m mu_{k+1}[a + e_m, b + e_m], which is the same
+    quadrature sum because |z|^2 = 1 at every node.  The rule's nodes must
+    therefore be unit vectors.  Coefficients below 1e-12 times the L2 norm of f are
     dropped as quadrature noise.  A warning is recorded when the top two
     degrees hold more than ``tail_warn`` of the expansion energy.  Raises
     ``NumericalEvaluationError`` when f or its L2 norm is not finite.
@@ -377,12 +410,16 @@ def harmonic_expand(f, jmax, rule: QuadratureRule, tail_warn=1e-3,
         l2 = math.sqrt(max(float(np.sum(wf * fvals)), 0.0))
     if not (np.all(np.isfinite(fvals)) and math.isfinite(l2)):
         raise NumericalEvaluationError(f"non-finite expansion integrand or L2 norm {label}".rstrip())
+    n, K = N // 2, jmax // 2
+    tables = [_block(n, K).moments(rule.nodes, wf)]  # the only pass over the nodes
+    for k in range(K - 1, -1, -1):
+        tables.append(_lower_moments(tables[-1], n, k))
     coeffs = {}
-    for j in range(0, jmax + 1, 2):
-        blk = _block(N // 2, j // 2)
-        cvec = (blk.C @ blk.moments(rule.nodes, wf).ravel()).real.copy()
+    for k, mu in enumerate(reversed(tables)):
+        blk = _block(n, k)
+        cvec = (blk.C @ mu.ravel()).real.copy()
         cvec[np.abs(cvec) < _NOISE_FLOOR * l2] = 0.0
-        coeffs[j] = cvec
+        coeffs[2 * k] = cvec
     energies = {j: float(np.sum(c * c)) for j, c in coeffs.items()}
     total = sum(energies.values())
     degs = sorted(energies)

@@ -24,6 +24,9 @@ from .errors import InvalidInputError, NumericalEvaluationError
 from .harmonics import HarmonicExpansion
 from .spherequad import QuadratureRule, integrate_sphere, invariant_sphere_rule
 
+# the configuration of every call that passes none; built once, never written
+_DEFAULT_CONFIG = default_config()
+
 
 @dataclass(frozen=True)
 class Direction:
@@ -131,7 +134,7 @@ def section_volume_direct(body, xi, config: RunConfig | None = None) -> SectionR
     The error estimate is the difference against the rule two levels up,
     whose value is the one reported.
     """
-    cfg = config or default_config()
+    cfg = config or _DEFAULT_CONFIG
     d = xi if isinstance(xi, Direction) else direction(xi)
     coarse = section_values(body, d.xi, config=cfg)[0]
     value = section_values(body, d.xi, rule=_section_rule(body.dim.n, cfg, bump=2))[0]
@@ -180,7 +183,7 @@ def section_values(body, dirs, rule: QuadratureRule | None = None,
     reference.  Radial evaluations are chunked so large direction grids stay
     within memory.
     """
-    cfg = config or default_config()
+    cfg = config or _DEFAULT_CONFIG
     n = body.dim.n
     if rule is None:
         rule = _section_rule(n, cfg, scan=scan)
@@ -231,7 +234,7 @@ def volume(body, rule: QuadratureRule | None = None,
     rotation-invariant for every admitted body); pass the generic product
     rule on S^{2n-1} for the reference path.
     """
-    cfg = config or default_config()
+    cfg = config or _DEFAULT_CONFIG
     n = body.dim.n
     if rule is None:
         rule = radial_power_rule(cfg.reduced_level(n), body)
@@ -244,7 +247,7 @@ def volume(body, rule: QuadratureRule | None = None,
 
 def volume_with_error(body, config: RunConfig | None = None):
     """Volume plus a refinement-difference error estimate (reduced rule)."""
-    cfg = config or default_config()
+    cfg = config or _DEFAULT_CONFIG
     level = cfg.reduced_level(body.dim.n)
     coarse = volume(body, rule=radial_power_rule(level, body))
     fine = volume(body, rule=radial_power_rule(level + max(8, level // 8), body))
@@ -253,7 +256,7 @@ def volume_with_error(body, config: RunConfig | None = None):
 
 def min_radial(body, config: RunConfig | None = None):
     """Minimum of the radial function over directions (grid + refinement)."""
-    cfg = config or default_config()
+    cfg = config or _DEFAULT_CONFIG
     n = body.dim.n
     grid = grids.direction_grid(n, cfg.moduli_res[n], cfg.phase_res[n],
                                 with_phases=body.phase_bandwidth != 0)
@@ -265,6 +268,6 @@ def min_radial(body, config: RunConfig | None = None):
 
 def inradius_normalized(body, config: RunConfig | None = None) -> float:
     """min rho / Vol^{1/2n}; scale-invariant by construction."""
-    cfg = config or default_config()
+    cfg = config or _DEFAULT_CONFIG
     rmin, _ = min_radial(body, cfg)
     return rmin / volume(body, config=cfg) ** (1.0 / (2 * body.dim.n))

@@ -21,7 +21,9 @@ from cxsect import (
 from cxsect.config import default_config
 from cxsect.harmonics import (
     _CHUNK_ROWS,
+    _Block,
     _block,
+    _lower_moments,
     complex_sphere_moment,
     expansion_rule,
     invariant_harmonic_dim,
@@ -428,6 +430,70 @@ class TestExpansion:
     def test_tail_warning_triggers_on_low_jmax(self, ell12):
         exp = harmonic_expand(lambda x: ell12.radial(x) ** 2, 4, expansion_rule(4, 4))
         assert any("tail energy" in w for w in exp.warnings)
+
+
+def per_degree_expand(f, jmax, rule):
+    """Expansion coefficients with every degree's moments taken from the nodes.
+
+    Returns the coefficients, with those below 1e-12 times the L2 norm of f
+    zeroed, and that L2 norm.
+    """
+    fvals = f(rule.nodes)
+    wf = rule.weights * fvals
+    l2 = math.sqrt(float(np.sum(wf * fvals)))
+    coeffs = {}
+    for j in range(0, jmax + 1, 2):
+        blk = _block(rule.m // 2, j // 2)
+        c = (blk.C @ blk.moments(rule.nodes, wf).ravel()).real
+        coeffs[j] = np.where(np.abs(c) < 1e-12 * l2, 0.0, c)
+    return coeffs, l2
+
+
+class TestMomentRecursion:
+    # (N, jmax): the highest degree per N that the default and suite
+    # configurations expand at (N = 4 at its basis limit) -> semiaxes of the
+    # expanded ellipsoid, product-rule level, coefficient tolerance over L2.
+    # (4, 24) is on its expansion_rule; the other two rules are below the
+    # expansion's exactness, since the recursion needs only unit nodes.  The
+    # tolerances are the largest change against the per-degree reference,
+    # measured on these cases (1 BLAS thread) and padded about tenfold: 3.4e-14,
+    # 2.3e-15 and 1.6e-15.  Both paths round at |C| * eps, and the N = 4
+    # blocks at j = 24 have |C| ~ 1e6.
+    CASES = {(4, 24): ((1.0, 3.0), 26, 3e-13), (6, 12): ((1.0, 1.5, 2.0), 8, 3e-14),
+             (8, 6): ((1.0, 1.5, 2.0, 2.5), 4, 2e-14)}
+
+    @pytest.mark.parametrize("n,k", [(N // 2, k) for N, jmax in CASES for k in range(jmax // 2)])
+    def test_lowered_table_matches_direct_moments(self, n, k):
+        rng = np.random.default_rng(40 + 20 * n + k)
+        X = unit_vectors(rng, 500, 2 * n)
+        w = rng.normal(size=500)
+        lowered = _lower_moments(_block(n, k + 1).moments(X, w), n, k)
+        direct = _block(n, k).moments(X, w)
+        assert np.abs(lowered - direct).max() <= 1e-13 * np.abs(direct).max()
+
+    @pytest.mark.parametrize("N,jmax", sorted(CASES))
+    def test_expansion_matches_per_degree_moments(self, N, jmax):
+        semiaxes, level, tol = self.CASES[N, jmax]
+        body, rule = ComplexEllipsoid(semiaxes), sphere_rule(N, level)
+        f = lambda X: body.radial(X) ** (N - 2)
+        exp = harmonic_expand(f, jmax, rule)
+        ref, l2 = per_degree_expand(f, jmax, rule)
+        assert exp.degrees() == sorted(ref) == list(exp.coeffs)
+        for j in ref:
+            assert np.array_equal(exp.coeffs[j] == 0.0, ref[j] == 0.0), j
+            assert np.abs(exp.coeffs[j] - ref[j]).max() <= tol * l2, j
+
+    def test_one_moment_pass_per_transform(self, monkeypatch, ball3):
+        degrees = []
+        moments = _Block.moments
+
+        def counted(self, nodes, wf):
+            degrees.append(2 * self.k)
+            return moments(self, nodes, wf)
+
+        monkeypatch.setattr(_Block, "moments", counted)
+        ft_norm_power(ball3, 4, jmax=12)
+        assert degrees == [12]
 
 
 def multiplier_oracle(N, p, j):

@@ -25,8 +25,15 @@ from cxsect import (
     sphere_rule,
     volume,
 )
-from cxsect.config import default_config
-from cxsect.sections import Direction, radial_power_rule, section_values, volume_with_error
+from cxsect import sections
+from cxsect.config import RunConfig, default_config
+from cxsect.sections import (
+    Direction,
+    min_radial,
+    radial_power_rule,
+    section_values,
+    volume_with_error,
+)
 from cxsect.suite import bodies_n2, bodies_n3
 
 from conftest import unit_vectors
@@ -463,3 +470,21 @@ class TestInradius:
         # min rho = 1/sqrt(2), volume = pi^2 * 2^2 / 4! = pi^2/6
         expect = (1.0 / math.sqrt(2.0)) / (math.pi ** 2 / 6.0) ** 0.25
         assert inradius_normalized(body) == pytest.approx(expect, rel=1e-6)
+
+
+class TestDefaultConfig:
+    def test_config_less_calls_share_one_unchanged_default(self, monkeypatch):
+        body = _bodies_by_kind()[3]["ell"]
+        xi = unit_vectors(np.random.default_rng(8), 1, 6)[0]
+        calls = [
+            lambda **kw: section_values(body, xi, **kw)[0],
+            lambda **kw: section_volume_direct(body, xi, **kw).value,
+            lambda **kw: volume(body, **kw),
+            lambda **kw: volume_with_error(body, **kw),
+            lambda **kw: min_radial(body, **kw)[0],
+            lambda **kw: inradius_normalized(body, **kw),
+        ]
+        explicit = [call(config=default_config()) for call in calls]
+        monkeypatch.setattr(sections, "default_config", None)  # no fresh config per call
+        assert [call() for call in calls] == explicit
+        assert sections._DEFAULT_CONFIG == RunConfig()
