@@ -27,6 +27,13 @@ mu_k[a, b] = sum_m mu_{k+1}[a + e_m, b + e_m].  One pass over the rule's nodes
 at the top degree therefore gives every degree.  This assumes the rule's nodes
 are unit vectors, as those of every rule in ``spherequad`` are to rounding.
 
+That pass sums ring by ring (``QuadratureRule.ring``): within a ring only the
+phase of z_n moves, so z^a zbar^b = u_a conj(u_b) e^{i (a_n - b_n) psi_k}
+with u the monomials at the ring's first node, and
+mu[a, b] = sum_rings u_a conj(u_b) G_{a_n - b_n},  G_d = sum_k w_k f_k e^{i d psi_k}.
+This is the same quadrature sum, reassociated; the monomial tables and the
+block products run on the ring heads only (1/2L of a level-L product rule).
+
 The Fourier transform of the degree -p homogeneous extension of a spherical
 harmonic Y_j multiplies it by
 
@@ -215,11 +222,29 @@ class _Block:
             out[lo:hi] = np.einsum("mp,pq,mq->m", Za, combo, Za.conj(), optimize=True).real
         return out
 
-    def moments(self, nodes, wf):
-        """mu_ab = sum_i wf_i z^a(x_i) zbar^b(x_i)."""
+    def moments(self, nodes, wf, ring=1):
+        """mu_ab = sum_i wf_i z^a(x_i) zbar^b(x_i) for real wf, summed ring by ring.
+
+        The nodes come in rings of ``ring`` consecutive points, laid out as
+        ``QuadratureRule.ring`` states: within a ring only the phase of z_n
+        moves, by the same e^{i psi_k} in every ring.  With u the monomials
+        at a ring's first node, z^a zbar^b = u_a conj(u_b) e^{i (a_n - b_n) psi_k}
+        there, so mu_ab = sum_rings u_a conj(u_b) G_{a_n - b_n} with
+        G_d = sum_k wf_k e^{i d psi_k} and G_{-d} = conj(G_d).  The monomials
+        are built at the ring heads only; ring = 1 is the per-node sum.
+        """
+        K, an = self.k, self._ea[:, -1]
+        rows_by_an = [np.flatnonzero(an == alpha) for alpha in range(K + 1)]
+        z = nodes[:ring, -2] + 1j * nodes[:ring, -1]  # the first ring's z_n
+        phase = np.exp(1j * np.outer(np.angle(z * z[:1].conj()), np.arange(K + 1)))
+        W = np.reshape(wf, (-1, ring))
         mu = np.zeros((self.P, self.P), dtype=complex)
-        for lo, hi, Za in self._monomial_chunks(nodes):
-            mu += Za.T @ (wf[lo:hi, None] * Za.conj())
+        for lo, hi, Ua in self._monomial_chunks(nodes[::ring]):
+            G = W[lo:hi] @ phase
+            G = np.concatenate([G[:, :0:-1].conj(), G], axis=1)  # column K + d holds G_d
+            Ub = Ua.conj()
+            for alpha, rows in enumerate(rows_by_an):
+                mu[rows] += Ua[:, rows].T @ (G[:, K + alpha - an] * Ub)
         return mu
 
 
@@ -392,7 +417,11 @@ def harmonic_expand(f, jmax, rule: QuadratureRule, tail_warn=1e-3,
     moments from the nodes; each lower block's table is gathered from the one
     above by mu_k[a, b] = sum_m mu_{k+1}[a + e_m, b + e_m], which is the same
     quadrature sum because |z|^2 = 1 at every node.  The rule's nodes must
-    therefore be unit vectors.  Coefficients below 1e-12 times the L2 norm of f are
+    therefore be unit vectors.  The top block sums the phase of z_n first
+    within each of the rule's rings (``rule.ring`` nodes that differ only in
+    that phase): mu[a, b] = sum_rings u_a conj(u_b) G_{a_n - b_n} with u the
+    monomials at the ring's first node and G_d = sum_k w_k f_k e^{i d psi_k},
+    again the same sum.  Coefficients below 1e-12 times the L2 norm of f are
     dropped as quadrature noise.  A warning is recorded when the top two
     degrees hold more than ``tail_warn`` of the expansion energy.  Raises
     ``NumericalEvaluationError`` when f or its L2 norm is not finite.
@@ -411,7 +440,7 @@ def harmonic_expand(f, jmax, rule: QuadratureRule, tail_warn=1e-3,
     if not (np.all(np.isfinite(fvals)) and math.isfinite(l2)):
         raise NumericalEvaluationError(f"non-finite expansion integrand or L2 norm {label}".rstrip())
     n, K = N // 2, jmax // 2
-    tables = [_block(n, K).moments(rule.nodes, wf)]  # the only pass over the nodes
+    tables = [_block(n, K).moments(rule.nodes, wf, rule.ring)]  # the only pass over the nodes
     for k in range(K - 1, -1, -1):
         tables.append(_lower_moments(tables[-1], n, k))
     coeffs = {}

@@ -71,44 +71,46 @@ def hyperplane_basis(dirs) -> np.ndarray:
 
     Rows come as (v_1, J v_1, v_2, J v_2, ...), so in these coordinates J is
     the complex structure of C^{n-1}.  Each direction is normalized (a zero or
-    non-finite one raises).  The even standard basis vectors e_0, e_2, ... are
-    projected in fixed order, twice, against xi, J xi and the rows kept so
-    far, one candidate at a time for the whole batch; a kept v brings J v
-    along (the span is closed under J) and a vector that becomes dependent is
-    dropped.  The basis depends on xi only through its complex line.
+    non-finite one raises).  In complex coordinates z_k = x_{2k} + i x_{2k+1}
+    the rows are Gram-Schmidt in C^n: the coordinate vectors e_0, e_1, ... are
+    projected in fixed order, twice, against xi and the vectors kept so far
+    (one product per pass for the whole batch), and a vector that becomes
+    dependent is dropped.  A kept v gives the rows v and J v = i v, since the
+    complex projection onto v is the real one onto span{v, J v}.  The basis
+    depends on xi only through its complex line.
     """
-    X = np.atleast_2d(np.asarray(dirs, dtype=float))
+    X = np.atleast_2d(np.ascontiguousarray(dirs, dtype=float))
     if X.ndim != 2 or X.shape[1] % 2:
         raise InvalidInputError("directions must be vectors of even length")
-    length = np.linalg.norm(X, axis=1)
-    if not np.all(np.isfinite(length) & (length > 0.0)):
+    length = np.sqrt(np.einsum("pk,pk->p", X, X))
+    if not ((length > 0.0) & (length < np.inf)).all():
         raise InvalidInputError("cannot normalize a zero or non-finite vector")
     P, N = X.shape
     n = N // 2
-    # xi, J xi, then one (v, J v) pair per candidate; the pair of a dropped or
+    # per direction: xi, then one row per candidate; the row of a dropped or
     # untried candidate stays zero, so projecting against it changes nothing
-    frame = np.zeros((N + 2, P, N))
-    frame[0] = X / length[:, None]
-    frame[1] = complex_structure(frame[0])
+    frame = np.zeros((P, n + 1, n), dtype=complex)
+    frame[:, 0] = X.view(complex) / length[:, None]  # z_k = x_{2k} + i x_{2k+1}
     kept = np.zeros((P, n), dtype=bool)
     count = np.zeros(P, dtype=int)
     for c in range(n):
-        v = np.zeros((P, N))
-        v[:, 2 * c] = 1.0
-        for _ in range(2):  # two passes for orthogonality to ~1e-15
-            for b in frame[:2 * c + 2]:
-                v -= np.einsum("pk,pk->p", v, b)[:, None] * b
-        length = np.linalg.norm(v, axis=1)
+        F = frame[:, :c + 1]
+        Fc = F.conj()
+        # two passes for orthogonality to ~1e-15; the first, from e_c, has
+        # the coefficients conj(F[:, :, c])
+        v = -np.einsum("pf,pfk->pk", Fc[:, :, c], F)
+        v[:, c] += 1.0
+        v -= np.einsum("pf,pfk->pk", np.einsum("pk,pfk->pf", v, Fc), F)
+        length = np.sqrt(np.einsum("pk,pk->p", v.view(float), v.view(float)))
         kept[:, c] = length > 1e-7  # after a complete basis the residual is ~1e-16
         count += kept[:, c]
-        np.divide(v, length[:, None], out=frame[2 * c + 2], where=kept[:, c, None])
-        frame[2 * c + 3] = complex_structure(frame[2 * c + 2])
-        if np.all(count == n - 1):
+        np.divide(v, length[:, None], out=frame[:, c + 1], where=kept[:, c, None])
+        if (count == n - 1).all():
             break
-    if np.any(count != n - 1):
+    if (count != n - 1).any():
         raise InvalidInputError("failed to complete hyperplane basis")
-    pairs = frame[2:].reshape(n, 2, P, N).transpose(2, 0, 1, 3)
-    return pairs[kept].reshape(P, N - 2, N)
+    rows = frame[:, 1:][kept].reshape(P, n - 1, 1, n)
+    return np.concatenate([rows, 1j * rows], axis=2).view(float).reshape(P, N - 2, N)
 
 
 @dataclass(frozen=True)

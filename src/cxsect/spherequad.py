@@ -17,7 +17,7 @@ so repeated runs produce identical bits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -40,6 +40,14 @@ class QuadratureRule:
     ``kind`` is "product" for the generic rule (exact on all polynomials) or
     "invariant" for the torus-reduced rule (exact on rotation-invariant
     polynomials only).
+
+    ``ring`` is the rule's ring length: the nodes come in consecutive rings
+    of ``ring`` points that share every coordinate but the last pair, whose
+    phase (that of z_n = x_{m-2} + i x_{m-1}) advances by the same angles
+    psi_0 = 0, psi_1, ... in every ring (z_n != 0 on the first ring, which
+    fixes them).  A sum over the nodes can then take the phase first:
+    sum_i w_i g(x_i) = sum_rings sum_k w_k g(head * e^{i psi_k}) with
+    e^{i psi_k} acting on z_n only.  The default 1 holds for any rule.
     """
 
     m: int
@@ -48,9 +56,12 @@ class QuadratureRule:
     exactness_degree: int
     level: int
     kind: str = "product"
-    meta: tuple = field(default_factory=tuple)
+    ring: int = 1
 
     def __post_init__(self):
+        if self.ring < 1 or self.nodes.shape[0] % self.ring:
+            raise InvalidInputError(
+                f"ring length {self.ring} does not divide the {self.nodes.shape[0]} nodes")
         self.nodes.setflags(write=False)
         self.weights.setflags(write=False)
 
@@ -66,7 +77,9 @@ def sphere_rule(m: int, level: int) -> QuadratureRule:
     Gauss nodes in each polar cosine t_i (against the exact surface weight
     (1-t^2)^{(m-2-i)/2}) and 2*level uniform azimuth angles.  The node set is
     closed under x -> -x with equal weights, and all spherical polynomials of
-    degree <= 2*level - 1 integrate exactly.
+    degree <= 2*level - 1 integrate exactly.  The azimuth of the last
+    coordinate pair is the fastest axis, so the rule's rings are its
+    2*level azimuths at each polar node (``QuadratureRule.ring`` = 2*level).
     """
     if not 2 <= m <= 8:
         raise InvalidInputError(f"sphere_rule supports 2 <= m <= 8, got {m}")
@@ -78,7 +91,7 @@ def sphere_rule(m: int, level: int) -> QuadratureRule:
     wpsi = np.full(naz, math.pi / L)
     if m == 2:
         nodes = np.stack([np.cos(psi), np.sin(psi)], axis=1)
-        return QuadratureRule(m, nodes, wpsi, 2 * L - 1, L)
+        return QuadratureRule(m, nodes, wpsi, 2 * L - 1, L, ring=naz)
     tcos, tw = [], []
     for i in range(1, m - 1):
         lam = (m - 2 - i) / 2.0
@@ -99,7 +112,7 @@ def sphere_rule(m: int, level: int) -> QuadratureRule:
         sinprod = sinprod * np.sqrt(1.0 - cols[i] ** 2)
     nodes[:, m - 2] = sinprod * np.cos(cols[m - 2])
     nodes[:, m - 1] = sinprod * np.sin(cols[m - 2])
-    return QuadratureRule(m, nodes, weights, 2 * L - 1, L)
+    return QuadratureRule(m, nodes, weights, 2 * L - 1, L, ring=naz)
 
 
 @lru_cache(maxsize=32)
@@ -114,7 +127,9 @@ def invariant_sphere_rule(n: int, level: int, nphase: int = 1) -> QuadratureRule
     the simultaneous phase shift but not the full torus.
 
     Exact for rotation-invariant polynomials of degree <= 2*level - 1 when
-    nphase exceeds the polynomial's phase bandwidth.
+    nphase exceeds the polynomial's phase bandwidth.  The phase of z_n is the
+    fastest axis, so for n >= 2 the rule's rings are its ``nphase`` phases at
+    each moduli node and outer phase (``QuadratureRule.ring`` = nphase).
     """
     if n < 1:
         raise InvalidInputError("n must be >= 1")
@@ -157,7 +172,7 @@ def invariant_sphere_rule(n: int, level: int, nphase: int = 1) -> QuadratureRule
         nodes[:, 2 * k + 1] = uk * np.sin(ph)
     weights = np.repeat(uw, nph) * ((2.0 * math.pi) ** n / nph)
     return QuadratureRule(2 * n, nodes, weights, 2 * L - 1, L, kind="invariant",
-                          meta=(("nphase", nphase),))
+                          ring=nphase if n > 1 else 1)
 
 
 def integrate_sphere(f, rule: QuadratureRule) -> float:

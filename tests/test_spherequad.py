@@ -9,13 +9,16 @@ from cxsect import (
     EuclideanBall,
     InvalidInputError,
     NumericalEvaluationError,
+    QuadratureRule,
     integrate_sphere,
     invariant_sphere_rule,
     mc_volume,
     sphere_area,
     sphere_rule,
 )
+from cxsect.config import default_config
 from cxsect.harmonics import complex_sphere_moment, multi_indices
+from cxsect.suite import bodies_n2, bodies_n3
 
 
 def sphere_monomial_moment(m, alpha):
@@ -81,6 +84,62 @@ class TestSphereRule:
             sphere_rule(9, 4)
         with pytest.raises(InvalidInputError):
             sphere_rule(1, 4)
+
+
+def _built_invariant_rules():
+    """(n, level, nphase) of the torus-reduced rules the package builds at the
+    default configuration: section rules (direct, refined, scan), polar-volume
+    rules for the suite bodies' phase bandwidths (plain, refined and the
+    suite's light levels) and the Monte Carlo radius scans."""
+    cfg, light = default_config(), {2: 64, 3: 24}
+    bandwidths = {n: {b.phase_bandwidth for b in bodies().values()} | {0}
+                  for n, bodies in ((2, bodies_n2), (3, bodies_n3))}
+    out = set()
+    for n in (2, 3, 4):
+        L = cfg.product_level(2 * n - 2)
+        out |= {(n - 1, lev, lev) for lev in (L, L + 2, max(8, L // 2))}
+        R = cfg.reduced_level(n)
+        for bw in bandwidths.get(n, {0}):
+            out |= {(n, lev, 2 * n * bw + 1) for lev in (R, R + max(8, R // 8), light.get(n, R))}
+            out.add((n, 48, 8 if bw else 1))
+    return sorted(out)
+
+
+def assert_ring_layout(rule):
+    """Every ring shares all coordinates but the last pair exactly, and its z_n
+    phases, relative to its first node, are ring 0's."""
+    assert rule.node_count % rule.ring == 0
+    rings = rule.nodes.reshape(-1, rule.ring, rule.m)
+    assert np.array_equal(rings[:, :, :-2], np.broadcast_to(rings[:, :1, :-2], rings[:, :, :-2].shape))
+    z = rings[:, :, -2] + 1j * rings[:, :, -1]
+    assert np.abs(np.abs(z) - np.abs(z[:, :1])).max() <= 1e-15  # measured <= 2.3e-16
+    rel = z * z[:, :1].conj()
+    rel /= np.abs(rel)
+    assert np.abs(rel - rel[0]).max() <= 1e-15  # measured <= 5.0e-16
+
+
+class TestRingLayout:
+    @pytest.mark.parametrize("m,level", [(m, L) for m in (4, 6, 8) for L in (1, 2, 5, 8)]
+                             + [(4, 18), (4, 26), (6, 14)])
+    def test_product_rule_rings(self, m, level):
+        rule = sphere_rule(m, level)
+        assert rule.ring == 2 * level
+        assert_ring_layout(rule)
+
+    @pytest.mark.parametrize("n,level,nphase", _built_invariant_rules())
+    def test_invariant_rule_rings(self, n, level, nphase):
+        rule = invariant_sphere_rule(n, level, nphase)
+        assert rule.ring == (nphase if n > 1 else 1)
+        assert_ring_layout(rule)
+
+    def test_circle_rule_is_one_ring(self):
+        assert sphere_rule(2, 10).ring == sphere_rule(2, 10).node_count
+
+    def test_default_ring_and_divisibility(self):
+        nodes, weights = np.eye(4)[:3], np.ones(3)
+        assert QuadratureRule(4, nodes, weights, 1, 1).ring == 1
+        with pytest.raises(InvalidInputError):
+            QuadratureRule(4, nodes.copy(), weights.copy(), 1, 1, ring=2)
 
 
 class TestIntegrateSphere:
