@@ -9,6 +9,12 @@ homogeneity and midpoint convexity) by randomized sampling.
 
 Bodies are immutable and hashable; all evaluations are pure and vectorized
 over a trailing axis of length 2n.
+
+``radial`` checks its input once (finite, trailing axis 2n, unit length) and
+hands it to the kind's ``_radial_impl``.  For the ball, lq and ellipsoid
+kinds that is 1/norm, as before.  A PerturbedBall is defined by its radial
+function, so its ``radial`` evaluates that profile directly and only its norm
+inverts it.
 """
 from __future__ import annotations
 
@@ -76,7 +82,8 @@ def moduli(x, n):
 
 
 class ConvexBody:
-    """Common behavior of the parametric kinds; subclasses provide ``_norm_impl``."""
+    """Common behavior of the parametric kinds; subclasses provide ``_norm_impl``
+    and may provide ``_radial_impl`` (default 1/``_norm_impl``)."""
 
     dim: ComplexDim
 
@@ -84,24 +91,34 @@ class ConvexBody:
 
     def norm(self, x):
         """The norm whose unit ball is this body; 1-homogeneous, vectorized."""
-        x = np.asarray(x, dtype=float)
-        if x.shape[-1] != self.dim.N:
-            raise InvalidInputError(
-                f"expected vectors in R^{self.dim.N}, got trailing axis {x.shape[-1]}"
-            )
-        if not np.all(np.isfinite(x)):
-            raise InvalidInputError("norm input must be finite")
-        return self._norm_impl(x)
+        return self._norm_impl(self._points(x, "norm"))
 
     def radial(self, theta):
-        """rho(theta) = 1/||theta|| for unit vectors theta."""
-        theta = np.asarray(theta, dtype=float)
-        lengths = np.linalg.norm(theta, axis=-1)
+        """rho(theta) = 1/||theta|| for unit vectors theta.
+
+        Checks the input once (finite vectors of unit length within 1e-8)
+        and hands it to ``_radial_impl``: 1/``_norm_impl`` unless a kind
+        defines its radial function directly.
+        """
+        theta = self._points(theta, "radial")
+        lengths = np.sqrt(np.einsum("...i,...i->...", theta, theta))
         if np.any(lengths == 0):
             raise InvalidInputError("radial function is undefined at the zero vector")
         if np.any(np.abs(lengths - 1.0) > 1e-8):
             raise InvalidInputError("radial expects unit vectors; normalize first")
-        return 1.0 / self.norm(theta)
+        return self._radial_impl(theta)
+
+    def _radial_impl(self, theta):
+        return 1.0 / self._norm_impl(theta)
+
+    def _points(self, x, what):
+        """x as a float array of finite vectors in R^{2n}; InvalidInputError otherwise."""
+        x = np.asarray(x, dtype=float)
+        if x.ndim == 0 or x.shape[-1] != self.dim.N:
+            raise InvalidInputError(f"expected vectors in R^{self.dim.N}, got shape {x.shape}")
+        if not np.all(np.isfinite(x)):
+            raise InvalidInputError(f"{what} input must be finite")
+        return x
 
     # --- structure ------------------------------------------------------
 
@@ -223,7 +240,7 @@ class ComplexEllipsoid(ConvexBody):
 @dataclass(frozen=True, repr=False)
 class PerturbedBall(ConvexBody):
     """Radial function r * (1 + sum_t c_t Y_{j_t, l_t}) with even rotation-invariant
-    harmonics; the norm inverts the radial function.
+    harmonics; ``radial`` evaluates it directly and the norm inverts it.
 
     Terms are (even degree j >= 2, invariant-basis index l, coefficient c),
     summed into one invariant expansion ``perturbation``.  Construction
@@ -271,6 +288,10 @@ class PerturbedBall(ConvexBody):
         """The defining radial function on unit vectors (no norm inversion)."""
         theta = np.atleast_2d(np.asarray(theta, dtype=float))
         return self.radius * (1.0 + self.perturbation.evaluate(theta))
+
+    def _radial_impl(self, theta):
+        rho = self.radial_profile(theta.reshape(-1, self.dim.N))
+        return rho.reshape(theta.shape[:-1])[()]  # [()]: a scalar for one vector
 
     def _norm_impl(self, x):
         flat = x.reshape(-1, self.dim.N)

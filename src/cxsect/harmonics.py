@@ -34,6 +34,15 @@ mu[a, b] = sum_rings u_a conj(u_b) G_{a_n - b_n},  G_d = sum_k w_k f_k e^{i d ps
 This is the same quadrature sum, reassociated; the monomial tables and the
 block products run on the ring heads only (1/2L of a level-L product rule).
 
+Evaluation uses the same identity the other way round.  A degree-k
+combination sum_ab H[a, b] z^a zbar^b equals
+sum_ab H[a, b] sum_m z^{a+e_m} zbar^{b+e_m} on the unit sphere, so it lifts
+exactly to the block above: H_{k+1}[a + e_m, b + e_m] += H_k[a, b].  An
+expansion is therefore one Hermitian matrix at its top degree, built once
+per instance, and evaluating it is one monomial table per chunk of points and
+one product.  The lift holds on unit vectors only, so
+``HarmonicExpansion.evaluate`` rejects rows more than 1e-8 off unit length.
+
 The Fourier transform of the degree -p homogeneous extension of a spherical
 harmonic Y_j multiplies it by
 
@@ -45,7 +54,7 @@ a body's norm power and rescales the coefficients degree by degree.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -214,14 +223,6 @@ class _Block:
             out[lo:hi] = (pairs @ self.C.T).real
         return out
 
-    def eval_combo(self, X, coeffvec):
-        """Values of sum_i coeffvec[i] * basis_i at X."""
-        combo = (np.asarray(coeffvec, dtype=complex) @ self.C).reshape(self.P, self.P)
-        out = np.empty(X.shape[0])
-        for lo, hi, Za in self._monomial_chunks(X):
-            out[lo:hi] = np.einsum("mp,pq,mq->m", Za, combo, Za.conj(), optimize=True).real
-        return out
-
     def moments(self, nodes, wf, ring=1):
         """mu_ab = sum_i wf_i z^a(x_i) zbar^b(x_i) for real wf, summed ring by ring.
 
@@ -272,6 +273,21 @@ def _lower_moments(mu, n, k):
     """
     up = _raise_index(n, k)
     return sum(mu[up[:, m, None], up[None, :, m]] for m in range(n))
+
+
+def _raise_combo(H, n, k):
+    """Degree-(k+1) combination matrix equal to the degree-k one H on unit vectors.
+
+    sum_ab H[a, b] z^a zbar^b = sum_ab H[a, b] sum_m z^{a+e_m} zbar^{b+e_m}
+    where |z| = 1, so H_{k+1}[a + e_m, b + e_m] += H_k[a, b]: the adjoint of
+    ``_lower_moments``.
+    """
+    up = _raise_index(n, k)
+    P = len(multi_indices(n, k + 1))
+    out = np.zeros((P, P), dtype=complex)
+    for m in range(n):  # a -> a + e_m is injective, so no index repeats within one m
+        out[up[:, m, None], up[None, :, m]] += H
+    return out
 
 
 class HarmonicBasis:
@@ -337,7 +353,9 @@ class HarmonicExpansion:
     Y_{j,l} are the invariant basis functions of ``invariant_harmonic_basis``.
     ``multiplier_power`` records that coefficients were rescaled by
     lambda_j(N, p); ``tail_ratio`` always refers to the unscaled expansion.
-    Instances are immutable in practice and safe to evaluate concurrently.
+    Instances are immutable in practice and safe to evaluate concurrently;
+    the lifted matrix of ``evaluate`` is cached on first use, so coefficients
+    must not change after it.
     """
 
     N: int
@@ -348,6 +366,7 @@ class HarmonicExpansion:
     multiplier_power: float | None = None
     warnings: tuple = ()
     label: str = ""
+    _lifted: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def degrees(self):
         return sorted(self.coeffs)
@@ -358,23 +377,59 @@ class HarmonicExpansion:
     def degree_energies(self):
         return {j: float(np.sum(c * c)) for j, c in self.coeffs.items()}
 
-    def evaluate(self, X, degrees=None):
-        """Values at unit vectors X (array (M, N) or single vector)."""
-        pts = np.atleast_2d(np.asarray(X, dtype=float))
-        if pts.shape[1] != self.N:
-            raise InvalidInputError(f"expected vectors in R^{self.N}")
-        total = np.zeros(pts.shape[0])
-        for j in self.degrees() if degrees is None else degrees:
-            if np.any(self.coeffs[j]):
-                total += _block(self.N // 2, j // 2).eval_combo(pts, self.coeffs[j])
-        return total if np.ndim(X) == 2 else float(total[0])
+    def evaluate(self, X):
+        """Values at unit vectors X (array (M, N) or single vector).
+
+        The whole expansion is one combination matrix at its highest degree
+        with a nonzero coefficient (see ``_lift``), so this is one monomial
+        table per chunk of points and one product.  The lift is exact on the unit sphere only: rows more than
+        1e-8 off unit length raise ``InvalidInputError``.
+        """
+        return self._values(X, self.degrees())
 
     __call__ = evaluate
 
     def tail_values(self, X, top=2):
-        """Contribution of the highest ``top`` degrees at X (truncation indicator)."""
-        degs = self.degrees()[-top:]
-        return self.evaluate(X, degrees=degs)
+        """Contribution of the highest ``top`` degrees at unit vectors X
+        (truncation indicator); lifted and checked as in ``evaluate``."""
+        return self._values(X, self.degrees()[-top:])
+
+    def _values(self, X, degrees):
+        pts = np.atleast_2d(np.asarray(X, dtype=float))
+        if pts.shape[1] != self.N:
+            raise InvalidInputError(f"expected vectors in R^{self.N}")
+        if not np.all(np.abs(np.sqrt(np.einsum("ij,ij->i", pts, pts)) - 1.0) <= 1e-8):
+            raise InvalidInputError("expansions are evaluated at unit vectors only")
+        H, blk = self._lift(tuple(degrees))
+        out = np.empty(pts.shape[0])
+        for lo, hi, Za in blk._monomial_chunks(pts):
+            ZH = Za @ H  # value = Re sum_b ZH_b conj(Za_b)
+            out[lo:hi] = (np.einsum("ij,ij->i", ZH.real, Za.real)
+                          + np.einsum("ij,ij->i", ZH.imag, Za.imag))
+        return out if np.ndim(X) == 2 else float(out[0])
+
+    def _lift(self, degrees):
+        """(H, block): the Hermitian P x P matrix with
+        sum_ab H[a, b] z^a zbar^b = sum_{j in degrees} sum_l c[j][l] Y_{j,l}
+        on the unit sphere, at the highest of ``degrees`` with a nonzero
+        coefficient, and that degree's block.
+
+        Each degree's combination c_j @ C_j is added on the way up while the
+        sum is raised one degree at a time by ``_raise_combo``.  Cached per
+        degree tuple.
+        """
+        if degrees not in self._lifted:
+            live = {j for j in degrees if np.any(self.coeffs[j])}
+            n, top = self.N // 2, max(live, default=0) // 2
+            H = np.zeros((1, 1), dtype=complex)
+            for k in range(top + 1):
+                if k:
+                    H = _raise_combo(H, n, k - 1)
+                if 2 * k in live:
+                    blk = _block(n, k)
+                    H = H + (self.coeffs[2 * k] @ blk.C).reshape(blk.P, blk.P)
+            self._lifted[degrees] = H, _block(n, top)
+        return self._lifted[degrees]
 
     def multiplied(self, p):
         """New expansion with coefficients scaled by lambda_j(N, p)."""

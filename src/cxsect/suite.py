@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -45,6 +46,20 @@ BUDGET_SECONDS = 15 * 60
 
 
 def bodies_n2():
+    """The n = 2 body matrix, name -> body: a fresh dict over bodies built once
+    per process (see ``_matrix_n2``)."""
+    return dict(_matrix_n2())
+
+
+def bodies_n3():
+    """The n = 3 body matrix, as ``bodies_n2``."""
+    return dict(_matrix_n3())
+
+
+# Bodies are immutable, so every caller may share them; building them once
+# certifies each PerturbedBall once per process instead of once per call.
+@cache
+def _matrix_n2():
     d = ComplexDim(2)
     return {
         "ball": EuclideanBall(d, 1.0),
@@ -64,7 +79,8 @@ def bodies_n2():
     }
 
 
-def bodies_n3():
+@cache
+def _matrix_n3():
     d = ComplexDim(3)
     return {
         "ball": EuclideanBall(d, 1.0),

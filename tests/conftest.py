@@ -32,3 +32,9 @@ def pert2():
 def unit_vectors(rng, count, N):
     x = rng.normal(size=(count, N))
     return x / np.linalg.norm(x, axis=1, keepdims=True)
+
+
+def trapezoid(y, x):
+    """Trapezoid rule for samples y at points x; the same sum as NumPy 2's
+    ``np.trapezoid``, written out so the tests run on NumPy 1.x as well."""
+    return float(np.sum(np.diff(x) * (y[1:] + y[:-1])) / 2.0)

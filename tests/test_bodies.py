@@ -77,6 +77,68 @@ class TestRadial:
             assert np.max(np.abs(prod - 1.0)) <= 1e-14
 
 
+class TestRadialPath:
+    """``radial`` checks its input once; PerturbedBall then evaluates its
+    profile directly, and every other kind takes 1/norm."""
+
+    @staticmethod
+    def matrix():
+        from cxsect.suite import bodies_n2, bodies_n3
+
+        return list(bodies_n2().values()) + list(bodies_n3().values()) + [
+            PerturbedBall(ComplexDim(3), 0.8, ((4, 2, 0.01), (2, 5, 0.01))),
+            PerturbedBall(ComplexDim(2), 1.1, ((4, 1, 0.02),)),
+        ]
+
+    def test_perturbed_radial_is_the_profile(self):
+        rng = np.random.default_rng(40)
+        for body in self.matrix():
+            if isinstance(body, PerturbedBall):
+                theta = unit_vectors(rng, 2000, body.dim.N)
+                rho = body.radial(theta)
+                assert np.array_equal(rho, body.radial_profile(theta)), body.label
+                assert np.max(np.abs(rho * body.norm(theta) - 1.0)) <= 1e-14, body.label
+                assert body.radial(theta[0]) == rho[0]
+
+    def test_other_kinds_invert_the_norm_bit_for_bit(self):
+        # the radial values of ball, lq and ellipsoid are exactly 1/norm
+        rng = np.random.default_rng(41)
+        for body in self.matrix():
+            if not isinstance(body, PerturbedBall):
+                theta = unit_vectors(rng, 2000, body.dim.N)
+                assert np.array_equal(body.radial(theta), 1.0 / body.norm(theta)), body.label
+                assert body.radial(theta[0]) == 1.0 / body.norm(theta[0])
+
+    def test_shape_follows_input(self, pert2, ell12):
+        theta = unit_vectors(np.random.default_rng(42), 6, 4).reshape(2, 3, 4)
+        for body in (pert2, ell12):
+            assert body.radial(theta).shape == (2, 3)
+            assert np.ndim(body.radial(theta[0, 0])) == 0
+
+    @pytest.mark.parametrize("kind", ["ball", "lq", "ellipsoid", "perturbed"])
+    @pytest.mark.parametrize("bad", ["zero", "non_unit", "nan", "inf", "axis", "scalar"])
+    def test_invalid_input_rejected(self, kind, bad):
+        d = ComplexDim(2)
+        body = {"ball": EuclideanBall(d, 1.0), "lq": ComplexLqBall(d, 3.0),
+                "ellipsoid": ComplexEllipsoid((1.0, 2.0)),
+                "perturbed": PerturbedBall(d, 1.0, ((2, 0, 0.06),))}[kind]
+        theta = unit_vectors(np.random.default_rng(43), 3, 4)
+        if bad == "zero":
+            theta[1] = 0.0
+        elif bad == "non_unit":
+            theta[1] *= 1.0 + 1e-6
+        elif bad == "nan":
+            theta[1, 2] = np.nan
+        elif bad == "inf":
+            theta[1, 2] = np.inf
+        elif bad == "axis":
+            theta = unit_vectors(np.random.default_rng(43), 3, 6)
+        else:
+            theta = np.float64(1.0)
+        with pytest.raises(InvalidInputError):
+            body.radial(theta)
+
+
 class TestComplexStructure:
     def test_basis_rotation(self):
         assert np.array_equal(complex_structure(np.array([1.0, 0, 0, 0])),

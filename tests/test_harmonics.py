@@ -10,6 +10,7 @@ from cxsect import (
     EuclideanBall,
     InvalidInputError,
     NumericalEvaluationError,
+    PerturbedBall,
     bochner_multiplier,
     ft_norm_power,
     harmonic_expand,
@@ -22,6 +23,7 @@ from cxsect import (
 from cxsect.config import default_config
 from cxsect.harmonics import (
     _CHUNK_ROWS,
+    HarmonicExpansion,
     _Block,
     _block,
     _lower_moments,
@@ -33,7 +35,7 @@ from cxsect.harmonics import (
 from cxsect.suite import bodies_n2, bodies_n3
 from cxsect.specfun import log_gamma
 
-from conftest import unit_vectors
+from conftest import trapezoid, unit_vectors
 
 
 def degree_dim(N, j):
@@ -47,6 +49,19 @@ def bidegree_dim(n, p, q):
         return math.comb(t + n - 1, n - 1) if t >= 0 else 0
 
     return b(p) * b(q) - b(p - 1) * b(q - 1)
+
+
+def degree_values(N, j, c, X):
+    """sum_l c[l] Y_{j,l}(X) through the basis values: a per-degree reference
+    that shares no code with the lifted ``HarmonicExpansion.evaluate``."""
+    return invariant_harmonic_basis(N, j).evaluate(X) @ c
+
+
+def per_degree_values(exp, X, degrees=None):
+    """The expansion at X, summed degree by degree with ``degree_values``."""
+    return sum((degree_values(exp.N, j, exp.coeffs[j], X)
+                for j in (exp.degrees() if degrees is None else degrees)),
+               np.zeros(len(X)))
 
 
 class TestBasisStructure:
@@ -271,11 +286,12 @@ class TestMonomialKernel:
 
     @pytest.mark.parametrize("p,q", [(2, 2)])
     def test_combo_matches_basis_values(self, points, p, q):
+        # one degree's combination, evaluated by the lift, against the basis values
         X, _ = points
-        blk = _block(3, p)
-        c = np.random.default_rng(12).normal(size=blk.dim)
-        expect = blk.eval_basis(X) @ c
-        assert np.max(np.abs(blk.eval_combo(X, c) - expect)) <= 1e-13 * np.max(np.abs(expect))
+        c = np.random.default_rng(12).normal(size=_block(3, p).dim)
+        expect = degree_values(6, 2 * p, c, X)
+        got = HarmonicExpansion(6, 2 * p, {2 * p: c}, 0.0, 0.0).evaluate(X)
+        assert np.max(np.abs(got - expect)) <= 1e-13 * np.max(np.abs(expect))
 
     def test_evaluate_is_rowwise(self, points):
         X, _ = points
@@ -337,7 +353,8 @@ def perturbed_suite_bodies():
 
 def zonal_discrepancy(exp, f, rule, xi):
     """max over degrees of |degree-j part of exp - P_j f| at xi, relative to L2(f)."""
-    return max(np.abs(exp.evaluate(xi, degrees=[j]) - zonal_projection(f, exp.N, j, rule, xi)).max()
+    return max(np.abs(degree_values(exp.N, j, exp.coeffs[j], xi)
+                      - zonal_projection(f, exp.N, j, rule, xi)).max()
                for j in exp.degrees()) / exp.l2_norm
 
 
@@ -450,6 +467,88 @@ def per_degree_expand(f, jmax, rule):
     return coeffs, l2
 
 
+class TestLiftedEvaluate:
+    """``HarmonicExpansion.evaluate`` lifts every degree to one matrix at the
+    top degree; these compare it with the sum of the degrees' basis values."""
+
+    @staticmethod
+    def random_expansion(N, jmax, seed, zero=()):
+        rng = np.random.default_rng(seed)
+        coeffs = {j: rng.normal(size=invariant_harmonic_dim(N // 2, j)) * (j not in zero)
+                  for j in range(0, jmax + 1, 2)}
+        return HarmonicExpansion(N, jmax, coeffs, 0.0, 0.0)
+
+    @staticmethod
+    def assert_close(got, expect):
+        assert np.max(np.abs(got - expect)) <= 1e-13 * np.max(np.abs(expect))
+
+    @pytest.mark.parametrize("N,jmax", [(4, 24), (6, 12), (8, 6)])
+    def test_matches_per_degree_reference(self, N, jmax):
+        exp = self.random_expansion(N, jmax, 21)
+        X = unit_vectors(np.random.default_rng(22), 300, N)
+        self.assert_close(exp.evaluate(X), per_degree_values(exp, X))
+
+    @pytest.mark.parametrize("N,jmax,zero", [(4, 10, (2, 4, 6)), (6, 8, (0, 4, 8)),
+                                             (8, 6, (2,))])
+    def test_zero_degrees_in_between(self, N, jmax, zero):
+        exp = self.random_expansion(N, jmax, 23, zero)
+        X = unit_vectors(np.random.default_rng(24), 300, N)
+        self.assert_close(exp.evaluate(X), per_degree_values(exp, X))
+        self.assert_close(exp.tail_values(X), per_degree_values(exp, X, exp.degrees()[-2:]))
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_perturbation_with_one_degree_four_term(self, n):
+        body = PerturbedBall(ComplexDim(n), 1.0, ((4, 1, 0.03),))
+        X = unit_vectors(np.random.default_rng(25), 300, 2 * n)
+        self.assert_close(body.perturbation.evaluate(X), per_degree_values(body.perturbation, X))
+
+    def test_transform_matches_per_degree_reference(self, ell12):
+        ft = ft_norm_power(ell12, 2.0, jmax=16)
+        X = unit_vectors(np.random.default_rng(26), 300, 4)
+        self.assert_close(ft.evaluate(X), per_degree_values(ft, X))
+        self.assert_close(ft.tail_values(X), per_degree_values(ft, X, [14, 16]))
+        self.assert_close(ft.tail_values(X, top=5), per_degree_values(ft, X, [8, 10, 12, 14, 16]))
+
+    def test_all_zero_tail_is_zero(self, ball2):
+        ft = ft_norm_power(ball2, 2.0, jmax=8)
+        assert not any(np.any(ft.coeffs[j]) for j in (6, 8))
+        X = unit_vectors(np.random.default_rng(27), 10, 4)
+        assert np.array_equal(ft.tail_values(X), np.zeros(10))
+
+    def test_single_vector_gives_float(self):
+        exp = self.random_expansion(6, 6, 28)
+        X = unit_vectors(np.random.default_rng(29), 3, 6)
+        got = exp.evaluate(X[1])
+        assert isinstance(got, float)
+        assert got == pytest.approx(per_degree_values(exp, X[1:2])[0], rel=1e-13)
+        assert isinstance(exp.tail_values(X[1]), float)
+
+    @pytest.mark.parametrize("bad", [1.0 + 2e-8, 1.0 - 2e-8, 2.0, 0.0, np.nan, np.inf])
+    def test_non_unit_rows_rejected(self, bad):
+        exp = self.random_expansion(4, 4, 30)
+        X = unit_vectors(np.random.default_rng(31), 5, 4)
+        X[3] *= bad
+        for fn in (exp.evaluate, exp.tail_values):
+            with pytest.raises(InvalidInputError):
+                fn(X)
+            with pytest.raises(InvalidInputError):
+                fn(X[3])
+
+    def test_rows_within_tolerance_accepted(self):
+        exp = self.random_expansion(4, 4, 32)
+        X = unit_vectors(np.random.default_rng(33), 5, 4) * (1.0 + 5e-9)
+        assert np.all(np.isfinite(exp.evaluate(X)))
+
+    def test_cached_lift_leaves_repr_and_body_identity(self):
+        terms = ((2, 0, 0.06), (4, 1, 0.02))
+        a = PerturbedBall(ComplexDim(2), 1.0, terms)
+        b = PerturbedBall(ComplexDim(2), 1.0, terms, certify=False)  # nothing evaluated yet
+        before = repr(b.perturbation)
+        b.radial(unit_vectors(np.random.default_rng(35), 2, 4))
+        assert repr(b.perturbation) == before
+        assert a == b and hash(a) == hash(b)
+
+
 class TestMomentRecursion:
     # (N, jmax): the highest degree per N that the default and suite
     # configurations expand at (N = 4 at its basis limit) -> semiaxes of the
@@ -549,8 +648,8 @@ def multiplier_oracle(N, p, j):
     integrals evaluated here by dense trapezoid quadrature.
     """
     r = np.linspace(1e-9, 40.0, 400_001)
-    num = np.trapezoid(r ** (j - p + N - 1) * np.exp(-r * r / 2.0), r)
-    den = np.trapezoid(r ** (p + j - 1) * np.exp(-r * r / 2.0), r)
+    num = trapezoid(r ** (j - p + N - 1) * np.exp(-r * r / 2.0), r)
+    den = trapezoid(r ** (p + j - 1) * np.exp(-r * r / 2.0), r)
     sign = -1.0 if (j // 2) % 2 else 1.0
     return sign * (2.0 * math.pi) ** (N / 2.0) * num / den
 
@@ -656,7 +755,7 @@ class TestFtNormPower:
             rule = exact_rule(N, degree, 8)
             xi = unit_vectors(np.random.default_rng(2), 20, N)
             for j in ft.degrees():
-                got = ft.evaluate(xi, degrees=[j]) / bochner_multiplier(N, 2.0, j)
+                got = degree_values(N, j, ft.coeffs[j], xi) / bochner_multiplier(N, 2.0, j)
                 ref = zonal_projection(f, N, j, rule, xi)
                 assert np.abs(got - ref).max() <= 1e-12 * ft.l2_norm, (body.label, j)
 

@@ -36,7 +36,7 @@ from cxsect.sections import (
 )
 from cxsect.suite import bodies_n2, bodies_n3
 
-from conftest import unit_vectors
+from conftest import trapezoid, unit_vectors
 
 
 @functools.cache
@@ -379,7 +379,7 @@ class TestVolume:
         q = 3.0
         body = ComplexLqBall(ComplexDim(2), q)
         u = np.linspace(0.0, 1.0, 2_000_001)
-        area = np.trapezoid((1.0 - u ** (q / 2)) ** (2.0 / q), u)
+        area = trapezoid((1.0 - u ** (q / 2)) ** (2.0 / q), u)
         assert volume(body) == pytest.approx(math.pi ** 2 * area, rel=1e-8)
 
     def test_generic_rule_path_matches_reduced(self, ell12):
