@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import harmonics
+from .config import philox
 from .errors import ConvexityError, InvalidInputError
 
 _CERTIFY_SEED = 0x5EED_C0DE
@@ -304,7 +305,7 @@ class PerturbedBall(ConvexBody):
         return out.reshape(x.shape[:-1])
 
     def _certify(self):
-        rng = np.random.Generator(np.random.Philox(key=np.uint64(_CERTIFY_SEED)))
+        rng = philox(_CERTIFY_SEED)
         N = self.dim.N
         probe = rng.normal(size=(4096, N))
         probe /= np.linalg.norm(probe, axis=-1, keepdims=True)
@@ -394,7 +395,7 @@ def validate(body, sample_count=1000, seed=0) -> ValidationReport:
     """
     if sample_count < 1:
         raise InvalidInputError("sample_count must be >= 1")
-    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+    rng = philox(seed)
     N = body.dim.N
     x = rng.normal(size=(sample_count, N))
     x /= np.linalg.norm(x, axis=-1, keepdims=True)

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import sections as sect
 from .bodies import body_from_dict, validate
-from .config import RunConfig, default_config
+from .config import RunConfig, default_config, philox
 from .errors import (
     EXIT_INVALID,
     EXIT_PASS,
@@ -118,7 +118,7 @@ def cmd_section(args):
     if args.xi:
         dirs = [_parse_xi(args.xi, n)]
     else:
-        rng = np.random.Generator(np.random.Philox(key=np.uint64(cfg.seed)))
+        rng = philox(cfg.seed)
         raw = rng.normal(size=(args.grid, 2 * n))
         dirs = [sect.direction(v) for v in raw]
     need_ft = args.method in ("fourier", "both")
@@ -180,7 +180,7 @@ def cmd_ft(args):
     N = body.dim.N
     p = args.p if args.p is not None else float(N - 2)
     ft = ft_norm_power(body, p, jmax=cfg.jmax_for(N), tail_warn=cfg.tail_warn)
-    rng = np.random.Generator(np.random.Philox(key=np.uint64(cfg.seed)))
+    rng = philox(cfg.seed)
     xs = rng.normal(size=(args.grid, N))
     xs /= np.linalg.norm(xs, axis=1, keepdims=True)
     vals = ft.evaluate(xs)

@@ -10,6 +10,8 @@ import json
 import math
 from dataclasses import dataclass, field, asdict
 
+import numpy as np
+
 from .errors import InvalidInputError
 
 # direct-section rule levels per subspace dimension m = 2n-2 (exactness 2L-1)
@@ -24,6 +26,12 @@ _PHASE_RES = {2: 16, 3: 4, 4: 4}
 
 
 _TABLES = ("product_levels", "reduced_levels", "jmax", "moduli_res", "phase_res")
+
+
+def philox(seed):
+    """Philox generator keyed by ``seed`` mod 2**64, so that derived keys such
+    as seed + salt stay valid; a seed below 2**64 is its own key."""
+    return np.random.Generator(np.random.Philox(key=np.uint64(int(seed) % 2 ** 64)))
 
 
 def _is_int(v):

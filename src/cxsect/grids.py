@@ -90,20 +90,21 @@ def _clip_params(params, n, with_phases):
     return out
 
 
-def refine_extremum(fn, grid: DirectionGrid, mode="max", halvings=3):
+def refine_extremum(fn, grid: DirectionGrid, values, mode="max", halvings=3):
     """Locate an extremum of ``fn`` over directions: coarse grid + pattern search.
 
-    ``fn`` maps an (M, 2n) array of unit directions to values.  Starting from
-    the best grid point, coordinate steps are tried in both senses, in up to
-    two sweeps per step size; the step vector is halved ``halvings`` times.
-    Returns (params, direction, value, evaluations).
+    ``fn`` maps an (M, 2n) array of unit directions to values; ``values`` holds
+    its values on ``grid.directions``, from the caller.  Starting from the best
+    grid point, coordinate steps are tried in both senses, in up to two sweeps
+    per step size; the step vector is halved ``halvings`` times.  Returns
+    (params, direction, value, evaluations of ``fn`` made here).
     """
     sign = 1.0 if mode == "max" else -1.0
-    vals = sign * np.asarray(fn(grid.directions), dtype=float)
+    vals = sign * np.asarray(values, dtype=float)
     best_idx = int(np.argmax(vals))
     best_p = grid.params[best_idx].copy()
     best_v = vals[best_idx]
-    evals = grid.size
+    evals = 0
     steps = grid.steps.copy()
     d = best_p.size
     for _ in range(halvings + 1):

@@ -346,7 +346,7 @@ def bochner_multiplier(N, p, j):
     return sign * math.exp(logv)
 
 
-@dataclass
+@dataclass(eq=False)
 class HarmonicExpansion:
     """Truncated expansion sum_{j even <= jmax} sum_l c[j][l] Y_{j,l} on S^{N-1}.
 
@@ -355,7 +355,8 @@ class HarmonicExpansion:
     lambda_j(N, p); ``tail_ratio`` always refers to the unscaled expansion.
     Instances are immutable in practice and safe to evaluate concurrently;
     the lifted matrix of ``evaluate`` is cached on first use, so coefficients
-    must not change after it.
+    must not change after it.  Expansions compare and hash by identity: the
+    coefficients are arrays, so value equality has no single truth value.
     """
 
     N: int
@@ -366,7 +367,7 @@ class HarmonicExpansion:
     multiplier_power: float | None = None
     warnings: tuple = ()
     label: str = ""
-    _lifted: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    _lifted: dict = field(default_factory=dict, init=False, repr=False)
 
     def degrees(self):
         return sorted(self.coeffs)

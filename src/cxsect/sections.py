@@ -263,7 +263,8 @@ def min_radial(body, config: RunConfig | None = None):
     grid = grids.direction_grid(n, cfg.moduli_res[n], cfg.phase_res[n],
                                 with_phases=body.phase_bandwidth != 0)
     _, dir_min, value, _ = grids.refine_extremum(
-        lambda X: body.radial(X), grid, mode="min", halvings=cfg.refine_halvings,
+        body.radial, grid, body.radial(grid.directions), mode="min",
+        halvings=cfg.refine_halvings,
     )
     return float(value), dir_min
 

@@ -22,6 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .config import philox
 from .errors import InvalidInputError, NumericalEvaluationError
 from .specfun import gauss_gegenbauer, gauss_power01, log_gamma
 
@@ -207,10 +208,6 @@ class MCVolume:
     seed: int
 
 
-def _philox(seed):
-    return np.random.Generator(np.random.Philox(key=np.uint64(seed)))
-
-
 def mc_volume(body, samples: int, seed: int) -> MCVolume:
     """Rejection-sampling volume estimate in the bounding box [-R, R]^{2n}.
 
@@ -229,7 +226,7 @@ def mc_volume(body, samples: int, seed: int) -> MCVolume:
     if not (rmax > 0 and math.isfinite(rmax)):
         raise InvalidInputError("degenerate body: nonpositive bounding radius")
     R = 1.01 * rmax
-    rng = _philox(seed)
+    rng = philox(seed)
     hits = 0
     remaining = int(samples)
     while remaining > 0:

@@ -25,7 +25,7 @@ from .bodies import (
     complex_structure,
     rotate_pairs,
 )
-from .config import RunConfig, default_config
+from .config import RunConfig, default_config, philox
 from .errors import InvalidInputError, exit_code
 from .harmonics import euclidean_ft_constant, ft_norm_power
 from .spherequad import mc_volume
@@ -226,10 +226,6 @@ def _timed(fn):
     return wrapper
 
 
-def _rng(ctx, salt):
-    return np.random.Generator(np.random.Philox(key=np.uint64(ctx.config.seed + salt)))
-
-
 def _unit_dirs(rng, count, N):
     x = rng.normal(size=(count, N))
     return x / np.linalg.norm(x, axis=1, keepdims=True)
@@ -265,7 +261,7 @@ def criterion_section_cross_validation(ctx):
     warnings = []
     for body in cross_validation_matrix():
         n = body.dim.n
-        rng = _rng(ctx, 100 + n)
+        rng = philox(ctx.config.seed + 100 + n)
         dirs = _unit_dirs(rng, 64, 2 * n)
         direct = sect.section_values(body, dirs, config=cfg)
         ft = ctx.ft(body, float(2 * n - 2))
@@ -447,7 +443,7 @@ def criterion_volume_oracles(ctx):
 def criterion_structural(ctx):
     """C10: randomized structural identities at 1e-10 relative."""
     cfg = ctx.config
-    rng = _rng(ctx, 10)
+    rng = philox(ctx.config.seed + 10)
     samples2 = list(bodies_n2().values())
     samples3 = list(bodies_n3().values())
     worst = 0.0

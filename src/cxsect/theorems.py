@@ -3,6 +3,10 @@ identity, positivity of the transformed norm power at exponent 2, the
 stability and separation comparisons, the two-sided corollary, and the
 Gamma-function inequality.
 
+The pair comparisons read one gap per ordered pair (K, L), the largest
+section(K) - section(L), computed once by ``VerificationContext.gap``;
+separation's epsilon is the negated gap, the smallest section(L) - section(K).
+
 Every inequality check carries a tolerance assembled from the propagated
 quadrature and truncation error estimates of its inputs (times a
 configurable multiplier): the verified statements are exact, so only
@@ -38,6 +42,7 @@ class VerificationContext:
         self._validated = {}
         self._ft = {}
         self._inradius = {}
+        self._gaps = {}
 
     def volume(self, body):
         if body not in self._volumes:
@@ -87,19 +92,26 @@ class VerificationContext:
             self._inradius[body] = rmin / self.volume(body)[0] ** (1.0 / (2 * body.dim.n))
         return self._inradius[body]
 
+    def gap(self, K, L):
+        """Section gap of the ordered pair (K, L), computed once per pair."""
+        if (K, L) not in self._gaps:
+            self._gaps[K, L] = _max_section_difference(K, L, self)
+        return self._gaps[K, L]
 
-def _ctx(context, config):
-    return context if context is not None else VerificationContext(config)
 
-
-def _require_theorem_dim(*bodies):
-    for b in bodies:
+def _check_pair(K, L, ctx, epsilon):
+    """Preconditions shared by the stability and separation checks."""
+    for b in (K, L):
         if b.dim.n not in (2, 3):
             raise InvalidInputError(
                 f"theorem checks require complex dimension 2 or 3, got {b.dim.n}"
             )
-    if len({b.dim.n for b in bodies}) != 1:
+    if K.dim.n != L.dim.n:
         raise InvalidInputError("bodies must share a dimension")
+    ctx.ensure_valid(K)
+    ctx.ensure_valid(L)
+    if epsilon is not None and not (math.isfinite(epsilon) and epsilon >= 0):
+        raise InvalidInputError(f"epsilon must be finite and nonnegative, got {epsilon}")
 
 
 # --- section gap -----------------------------------------------------------
@@ -124,42 +136,34 @@ class GapResult:
         return self.epsilon
 
 
-def _diff_extremum(K, L, ctx, mode):
-    """Extremize section(K) - section(L): scan-level grid + pattern search,
+def _max_section_difference(K, L, ctx) -> GapResult:
+    """Maximize section(K) - section(L): scan-level grid + pattern search,
     final value re-evaluated at the full quadrature level."""
     cfg = ctx.config
     with_phases = max(K.phase_bandwidth, L.phase_bandwidth) != 0
     grid = ctx.grid(K.dim.n, with_phases)
-    sK = ctx.section_grid_values(K, with_phases)
-    sL = ctx.section_grid_values(L, with_phases)
-    diff_grid = sK - sL
+    diff_grid = (ctx.section_grid_values(K, with_phases)
+                 - ctx.section_grid_values(L, with_phases))
 
     def diff_fn(X):
         return (sections.section_values(K, X, config=cfg, scan=True)
                 - sections.section_values(L, X, config=cfg, scan=True))
 
-    sign = 1.0 if mode == "max" else -1.0
-    best = int(np.argmax(sign * diff_grid))
-    start_p = grid.params[best]
-    sub = grids.DirectionGrid(grid.n, start_p[None, :],
-                              grid.directions[best][None, :], grid.steps, with_phases)
     _, xi_star, _, evals = grids.refine_extremum(
-        diff_fn, sub, mode=mode, halvings=cfg.refine_halvings
+        diff_fn, grid, diff_grid, mode="max", halvings=cfg.refine_halvings
     )
-    # full-level value and quadrature error at the extremizer
-    rK = sections.section_volume_direct(K, sections.direction(xi_star), config=cfg)
-    rL = sections.section_volume_direct(L, sections.direction(xi_star), config=cfg)
+    # full-level value and quadrature error at the maximizer
+    xi = sections.direction(xi_star)
+    rK = sections.section_volume_direct(K, xi, config=cfg)
+    rL = sections.section_volume_direct(L, xi, config=cfg)
     value = rK.value - rL.value
-    err = rK.error + rL.error
-    return value, xi_star, err, grid.size, evals + grid.size
+    return GapResult(max(0.0, value), value, tuple(xi_star), rK.error + rL.error,
+                     grid.size, grid.size + evals)
 
 
-def section_gap(K, L, config: RunConfig | None = None,
-                context: VerificationContext | None = None) -> GapResult:
+def section_gap(K, L, context: VerificationContext | None = None) -> GapResult:
     """Smallest epsilon with section(K, xi) <= section(L, xi) + epsilon on the grid."""
-    ctx = _ctx(context, config)
-    value, xi_star, err, gpts, evals = _diff_extremum(K, L, ctx, "max")
-    return GapResult(max(0.0, value), value, tuple(xi_star), err, gpts, evals)
+    return (context or VerificationContext()).gap(K, L)
 
 
 # --- stability / corollary / separation ------------------------------------
@@ -215,8 +219,7 @@ class StabilityReport:
         return out
 
 
-def stability_verify(K, L, config: RunConfig | None = None,
-                     context: VerificationContext | None = None,
+def stability_verify(K, L, context: VerificationContext | None = None,
                      epsilon=None) -> StabilityReport:
     """Volume comparison under an epsilon-relaxed section hypothesis.
 
@@ -226,19 +229,15 @@ def stability_verify(K, L, config: RunConfig | None = None,
     A caller-supplied ``epsilon`` runs the hypothesis-driven form instead;
     the conclusion is only guaranteed when that hypothesis actually holds.
     """
-    ctx = _ctx(context, config)
-    _require_theorem_dim(K, L)
-    ctx.ensure_valid(K)
-    ctx.ensure_valid(L)
+    ctx = context or VerificationContext()
+    _check_pair(K, L, ctx, epsilon)
     n = K.dim.n
     if epsilon is None:
-        gap = section_gap(K, L, context=ctx)
+        gap = ctx.gap(K, L)
         eps, eps_err = gap.epsilon, gap.error
         grid_points, evaluations = gap.grid_points, gap.evaluations
         extra = {}
     else:
-        if not (math.isfinite(epsilon) and epsilon >= 0):
-            raise InvalidInputError(f"epsilon must be finite and nonnegative, got {epsilon}")
         eps, eps_err = float(epsilon), 0.0
         grid_points = evaluations = 0
         extra = {"epsilon_source": "supplied"}
@@ -283,14 +282,13 @@ class Corollary1Report:
         }
 
 
-def corollary1_verify(K, L, config: RunConfig | None = None,
-                      context: VerificationContext | None = None) -> Corollary1Report:
+def corollary1_verify(K, L, context: VerificationContext | None = None) -> Corollary1Report:
     """Two-sided form: |Vol(K)^a - Vol(L)^a| <= max_xi |section difference| + tol.
 
     Implemented as the stability check run in both orders; the reported
     margin uses the direct two-sided quantities.
     """
-    ctx = _ctx(context, config)
+    ctx = context or VerificationContext()
     fwd = stability_verify(K, L, context=ctx)
     rev = stability_verify(L, K, context=ctx)
     lhs_k, err_k = _volume_power_terms(K, ctx)
@@ -340,27 +338,24 @@ class SeparationReport:
         }
 
 
-def separation_verify(K, L, config: RunConfig | None = None,
-                      context: VerificationContext | None = None,
+def separation_verify(K, L, context: VerificationContext | None = None,
                       epsilon=None) -> SeparationReport:
     """Strengthened comparison when K's sections sit below L's by a margin.
 
-    epsilon = max(0, min_xi [section(L) - section(K)]); the check is
+    epsilon = max(0, min_xi [section(L) - section(K)]), the negated section
+    gap of (K, L): max(0, -gap(K, L).refined_max).  The check is
     Vol(K)^{(n-1)/n} <= Vol(L)^{(n-1)/n} - (pi r(K)^2 / n) epsilon + tol,
     where r(K) is the normalized inradius.  epsilon = 0 degenerates to the
     plain comparison and is labeled as such.  A caller-supplied ``epsilon``
     runs the hypothesis-driven form.
     """
-    ctx = _ctx(context, config)
-    _require_theorem_dim(K, L)
-    ctx.ensure_valid(K)
-    ctx.ensure_valid(L)
+    ctx = context or VerificationContext()
+    _check_pair(K, L, ctx, epsilon)
     n = K.dim.n
     if epsilon is None:
-        value, _, gap_err, _, _ = _diff_extremum(L, K, ctx, "min")
+        gap = ctx.gap(K, L)
+        value, gap_err = -gap.refined_max, gap.error
     else:
-        if not (math.isfinite(epsilon) and epsilon >= 0):
-            raise InvalidInputError(f"epsilon must be finite and nonnegative, got {epsilon}")
         value, gap_err = float(epsilon), 0.0
     degenerate = value <= 0.0
     eps = max(0.0, value)
@@ -470,15 +465,14 @@ class PositivityResult:
         }
 
 
-def positivity_check(K, config: RunConfig | None = None,
-                     context: VerificationContext | None = None) -> PositivityResult:
+def positivity_check(K, context: VerificationContext | None = None) -> PositivityResult:
     """Sign scan of the transformed norm power at exponent 2 over a refined grid.
 
     Pass criterion (complex dimension 2 or 3): grid minimum >= -1e-6 * grid
     maximum.  Dimension 4 runs in exploratory mode: values are reported, no
     pass/fail is attached.
     """
-    ctx = _ctx(context, config)
+    ctx = context or VerificationContext()
     n = K.dim.n
     if n not in (2, 3, 4):
         raise InvalidInputError("positivity scan supports complex dimension 2, 3, 4")
@@ -487,13 +481,8 @@ def positivity_check(K, config: RunConfig | None = None,
     grid = ctx.grid(n, K.phase_bandwidth != 0)
     vals = ft.evaluate(grid.directions)
     vmax = float(np.max(vals))
-    best = int(np.argmin(vals))
-    sub = grids.DirectionGrid(grid.n, grid.params[best][None, :],
-                              grid.directions[best][None, :], grid.steps,
-                              grid.with_phases)
     _, xi_star, vmin, _ = grids.refine_extremum(
-        lambda X: ft.evaluate(X), sub, mode="min",
-        halvings=ctx.config.refine_halvings,
+        ft.evaluate, grid, vals, mode="min", halvings=ctx.config.refine_halvings,
     )
     passed = None if exploratory else bool(vmin >= -1e-6 * vmax)
     return PositivityResult(

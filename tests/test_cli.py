@@ -374,6 +374,13 @@ class TestSuiteCommand:
     def test_single_fast_criterion_exit0(self, tmp_path):
         assert run(["suite", "--criteria", "gamma_inequality"], tmp_path) == 0
 
+    def test_largest_seed_exit0(self, tmp_path, capsys):
+        # the criterion keys its generators with seed + salt, past 2**64 here
+        code = run(["--seed", str(2 ** 64 - 1), "suite", "--criteria",
+                    "section_cross_validation"], tmp_path)
+        assert code == 0
+        assert "Traceback" not in capsys.readouterr().err
+
 
 @pytest.mark.parametrize("outcomes, code", [
     ([], 0),

@@ -41,7 +41,7 @@ class TestRefineExtremum:
     def test_finds_radial_minimum_of_ellipsoid(self):
         body = ComplexEllipsoid((1.0, 2.0))
         grid = direction_grid(2, 24)
-        _, xi, value, _ = refine_extremum(lambda X: body.radial(X), grid,
+        _, xi, value, _ = refine_extremum(body.radial, grid, body.radial(grid.directions),
                                           mode="min", halvings=3)
         assert value == pytest.approx(1.0, rel=1e-9)
         # minimizer is the small-axis circle |z_1| = 1
@@ -50,15 +50,32 @@ class TestRefineExtremum:
     def test_finds_maximum(self):
         body = ComplexEllipsoid((1.0, 2.0))
         grid = direction_grid(2, 24)
-        _, _, value, _ = refine_extremum(lambda X: body.radial(X), grid,
+        _, _, value, _ = refine_extremum(body.radial, grid, body.radial(grid.directions),
                                          mode="max", halvings=3)
         assert value == pytest.approx(2.0, rel=1e-9)
 
     def test_refinement_improves_on_coarse_grid(self):
         body = ComplexEllipsoid((1.0, 1.618))
         grid = direction_grid(2, 5)
-        coarse = float(np.min(body.radial(grid.directions)))
-        _, _, refined, _ = refine_extremum(lambda X: body.radial(X), grid,
+        values = body.radial(grid.directions)
+        coarse = float(np.min(values))
+        _, _, refined, _ = refine_extremum(body.radial, grid, values,
                                            mode="min", halvings=3)
         assert refined <= coarse + 1e-15
         assert refined == pytest.approx(1.0, rel=1e-6)
+
+    def test_grid_values_come_from_the_caller(self):
+        # fn sees only pattern-search candidates: at most 2 per parameter
+        body = ComplexEllipsoid((1.0, 1.3))
+        grid = direction_grid(2, 8, 6, with_phases=True)
+        rows = []
+
+        def fn(X):
+            rows.append(len(X))
+            return body.radial(X)
+
+        _, _, value, evals = refine_extremum(fn, grid, body.radial(grid.directions),
+                                             mode="min", halvings=3)
+        assert rows and max(rows) <= 2 * grid.params.shape[1]
+        assert evals == sum(rows)
+        assert value == pytest.approx(1.0, rel=1e-6)

@@ -548,6 +548,14 @@ class TestLiftedEvaluate:
         assert repr(b.perturbation) == before
         assert a == b and hash(a) == hash(b)
 
+    def test_expansions_compare_by_identity(self):
+        # coefficients are arrays: value equality would have no truth value
+        a = self.random_expansion(4, 8, 36)
+        b = self.random_expansion(4, 8, 36)
+        assert a == a
+        assert (a == b) is False and a != b
+        assert len({a, b, a}) == 2
+
 
 class TestMomentRecursion:
     # (N, jmax): the highest degree per N that the default and suite

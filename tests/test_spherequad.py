@@ -16,7 +16,7 @@ from cxsect import (
     sphere_area,
     sphere_rule,
 )
-from cxsect.config import default_config
+from cxsect.config import default_config, philox
 from cxsect.harmonics import complex_sphere_moment, multi_indices
 from cxsect.suite import bodies_n2, bodies_n3
 
@@ -216,6 +216,22 @@ class TestInvariantRule:
         a = integrate_sphere(f, sphere_rule(4, 24))
         b = integrate_sphere(f, invariant_sphere_rule(2, 200))
         assert a == pytest.approx(b, rel=1e-9)
+
+
+class TestPhilox:
+    def test_keeps_the_stream_below_two_to_the_64(self):
+        for seed in (0, 20240 + 817, 2 ** 64 - 1):
+            ref = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+            assert np.array_equal(philox(seed).normal(size=8), ref.normal(size=8))
+
+    def test_derived_keys_wrap(self):
+        # seed + salt past 2**64 keys the stream of the wrapped sum
+        assert np.array_equal(philox(2 ** 64 - 1 + 10).normal(size=8),
+                              philox(9).normal(size=8))
+
+    def test_monte_carlo_seed_past_two_to_the_64(self, ball2):
+        a = mc_volume(ball2, 10_000, seed=2 ** 64 + 5)
+        assert a.estimate == mc_volume(ball2, 10_000, seed=5).estimate
 
 
 class TestMonteCarlo:

@@ -22,7 +22,8 @@ from cxsect import (
     separation_verify,
     stability_verify,
 )
-from cxsect import sections
+from cxsect import grids, sections, theorems
+from cxsect.grids import refine_extremum
 from cxsect.harmonics import expansion_rule
 
 
@@ -159,6 +160,70 @@ class TestSeparation:
         assert abs(rep.margin) <= 1e-9
 
 
+def min_section_difference(K, L, ctx):
+    """Minimize section(L) - section(K) directly: the search that separation
+    ran before it read the negated gap of (K, L)."""
+    cfg = ctx.config
+    with_phases = max(K.phase_bandwidth, L.phase_bandwidth) != 0
+    grid = ctx.grid(K.dim.n, with_phases)
+    values = ctx.section_grid_values(L, with_phases) - ctx.section_grid_values(K, with_phases)
+
+    def fn(X):
+        return (sections.section_values(L, X, config=cfg, scan=True)
+                - sections.section_values(K, X, config=cfg, scan=True))
+
+    _, xi, _, _ = refine_extremum(fn, grid, values, mode="min",
+                                  halvings=cfg.refine_halvings)
+    rL = sections.section_volume_direct(L, sections.direction(xi), config=cfg)
+    rK = sections.section_volume_direct(K, sections.direction(xi), config=cfg)
+    return rL.value - rK.value, rL.error + rK.error
+
+
+class TestOneGapPerPair:
+    @pytest.mark.parametrize("pair", ["balls_n2", "ellipsoid_perturbed", "polydisc_n3"])
+    def test_separation_is_the_negated_gap_bit_for_bit(self, ctx, ball2, pair):
+        K, L = {
+            "balls_n2": (ball2, EuclideanBall(d2, 1.2)),
+            "ellipsoid_perturbed": (ComplexEllipsoid((1.0, 1.2)),
+                                    PerturbedBall(d2, 1.5, ((2, 0, 0.05), (4, 1, 0.02)))),
+            "polydisc_n3": (ComplexLqBall(d3, np.inf), EuclideanBall(d3, 1.8)),
+        }[pair]
+        value, err = min_section_difference(K, L, ctx)
+        rep = separation_verify(K, L, context=ctx)
+        assert rep.epsilon == max(0.0, value) and not rep.degenerate
+        assert ctx.gap(K, L).error == err
+        lhs_err = theorems._volume_power_terms(K, ctx)[1]
+        rterm_err = theorems._volume_power_terms(L, ctx)[1]
+        factor = math.pi * rep.inradius_sq / K.dim.n
+        rhs_err = rterm_err + factor * err + 1e-9 * factor * rep.epsilon
+        assert rep.tol == ctx.config.tol_multiplier * (lhs_err + rhs_err) \
+            + 1e-12 * max(abs(rep.lhs), abs(rep.rhs), 1.0)
+
+    def test_corollary_reuses_the_stability_gap(self, monkeypatch, ell12, ball2):
+        context = VerificationContext()
+        K, L = ell12, ball2.scaled(1.4)
+        calls = []
+        real = sections.section_volume_direct
+        monkeypatch.setattr(sections, "section_volume_direct",
+                            lambda *a, **k: calls.append(a[0]) or real(*a, **k))
+        stability_verify(K, L, context=context)
+        assert len(calls) == 2
+        corollary1_verify(K, L, context=context)
+        assert len(calls) == 4  # the reverse pair only
+
+    def test_evaluations_are_grid_plus_refinement(self, monkeypatch, ell12, ball2):
+        context = VerificationContext()
+        made = []
+        real = grids.refine_extremum
+        monkeypatch.setattr(grids, "refine_extremum",
+                            lambda *a, **k: made.append(real(*a, **k)) or made[-1])
+        gap = section_gap(ell12, ball2, context=context)
+        assert len(made) == 1
+        assert gap.grid_points == context.grid(2, False).size
+        assert gap.evaluations == gap.grid_points + made[0][3]
+        assert section_gap(ell12, ball2, context=context) is gap
+
+
 class TestContextInradius:
     def test_reuses_context_volume(self, monkeypatch):
         body = PerturbedBall(d2, 1.0, ((2, 2, 0.05),))
@@ -234,8 +299,7 @@ class TestPositivity:
         assert res.min_value >= -1e-6 * res.max_value
 
     def test_exploratory_dimension4(self):
-        res = positivity_check(ComplexLqBall(ComplexDim(4), 6.0),
-                               config=None)
+        res = positivity_check(ComplexLqBall(ComplexDim(4), 6.0))
         assert res.exploratory and res.passed is None
         assert res.min_value < 0  # sign failure expected in dimension 4
 
