@@ -17,8 +17,6 @@ from .bodies import (
     body_from_dict,
     body_to_dict,
     complex_structure,
-    norm,
-    radial,
     rotate_pairs,
     validate,
 )
@@ -32,13 +30,11 @@ from .harmonics import (
     invariant_harmonic_basis,
 )
 from .sections import (
-    Direction,
-    SectionReport,
-    direction,
     hyperplane_basis,
     inradius_normalized,
     section_volume_direct,
     section_volume_fourier,
+    unit_directions,
     volume,
 )
 from .spherequad import (
@@ -64,14 +60,13 @@ from .theorems import (
 __all__ = [
     "ComplexDim", "ComplexEllipsoid", "ComplexLqBall", "EuclideanBall",
     "PerturbedBall", "body_from_dict", "body_to_dict", "complex_structure",
-    "norm", "radial", "rotate_pairs", "validate",
+    "rotate_pairs", "validate",
     "RunConfig", "default_config",
     "ConvexityError", "InvalidInputError", "NumericalEvaluationError",
     "HarmonicExpansion", "bochner_multiplier", "ft_norm_power",
     "harmonic_expand", "invariant_harmonic_basis",
-    "Direction", "SectionReport", "direction",
     "hyperplane_basis", "inradius_normalized", "section_volume_direct",
-    "section_volume_fourier", "volume",
+    "section_volume_fourier", "unit_directions", "volume",
     "MCVolume", "QuadratureRule", "integrate_sphere", "invariant_sphere_rule",
     "mc_volume", "sphere_area", "sphere_rule",
     "VerificationContext", "corollary1_verify", "gamma_lemma_check",

@@ -76,7 +76,7 @@ def _positive(value, name):
         raise InvalidInputError(f"{name} must be finite and positive, got {value!r}")
 
 
-def moduli(x, n):
+def moduli(x):
     """|z_k| for each coordinate pair; shape (..., n)."""
     x = np.asarray(x, dtype=float)
     return np.sqrt(x[..., 0::2] ** 2 + x[..., 1::2] ** 2)
@@ -180,7 +180,7 @@ class ComplexLqBall(ConvexBody):
         _positive(self.scale, "scale")
 
     def _norm_impl(self, x):
-        mods = moduli(x, self.dim.n)
+        mods = moduli(x)
         if math.isinf(self.q):
             return np.max(mods, axis=-1) / self.scale
         return np.sum(mods ** self.q, axis=-1) ** (1.0 / self.q) / self.scale
@@ -339,17 +339,6 @@ class PerturbedBall(ConvexBody):
             "kind": "perturbed",
             "params": {"radius": self.radius, "terms": [list(t) for t in self.terms]},
         }
-
-
-# --- module-level operations ---------------------------------------------
-
-
-def norm(body, x):
-    return body.norm(x)
-
-
-def radial(body, theta):
-    return body.radial(theta)
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,6 @@ from .errors import (
     NumericalEvaluationError,
     exit_code,
 )
-from .harmonics import ft_norm_power
 from .reporting import build_report, write_report
 from .spherequad import mc_volume
 from .suite import run_suite
@@ -85,7 +84,7 @@ def _parse_xi(text, n):
         raise InvalidInputError(f"cannot parse direction {text!r}") from exc
     if vec.size != 2 * n:
         raise InvalidInputError(f"direction needs {2 * n} components, got {vec.size}")
-    return sect.direction(vec)
+    return sect.unit_directions(vec)
 
 
 # --- subcommands -------------------------------------------------------------
@@ -116,33 +115,37 @@ def cmd_section(args):
     body = _load_body(args.body)
     n = body.dim.n
     if args.xi:
-        dirs = [_parse_xi(args.xi, n)]
+        dirs = _parse_xi(args.xi, n)
     else:
-        rng = philox(cfg.seed)
-        raw = rng.normal(size=(args.grid, 2 * n))
-        dirs = [sect.direction(v) for v in raw]
-    need_ft = args.method in ("fourier", "both")
-    ft = None
+        dirs = sect.unit_directions(philox(cfg.seed).normal(size=(args.grid, 2 * n)))
+    want_direct, want_fourier = args.method != "fourier", args.method != "direct"
+    columns = {}
     warnings = []
-    if need_ft:
-        ft = ft_norm_power(body, float(2 * n - 2), jmax=cfg.jmax_for(2 * n),
-                           tail_warn=cfg.tail_warn)
+    if want_fourier:
+        ft = VerificationContext(cfg).ft(body, float(2 * n - 2))
         warnings.extend(ft.warnings)
+    if want_direct:
+        columns["direct"], columns["direct_error"] = sect.section_volume_direct(
+            body, dirs, config=cfg)
+    if want_fourier:
+        values, errors = sect.section_volume_fourier(body, dirs, ft)
+        columns["fourier"], columns["fourier_error"] = values, errors
+        # section volumes are positive: a value below minus its tail estimate
+        # means the truncation failed
+        negative = values < -errors
+        for value, err in zip(values[negative], errors[negative]):
+            msg = (f"negative section value {value:.3e} beyond tail estimate {err:.3e}: "
+                   "truncation failure")
+            if msg not in warnings:
+                warnings.append(msg)
+    if want_direct and want_fourier:
+        columns["relative_discrepancy"] = np.abs(columns["fourier"] - columns["direct"]) \
+            / columns["direct"]
     rows = []
     results = []
-    for d in dirs:
-        entry = {"xi": [float(v) for v in d.xi]}
-        if args.method in ("direct", "both"):
-            rep = sect.section_volume_direct(body, d, config=cfg)
-            entry["direct"] = rep.value
-            entry["direct_error"] = rep.error
-        if need_ft:
-            rep = sect.section_volume_fourier(body, d, ft)
-            entry["fourier"] = rep.value
-            entry["fourier_error"] = rep.error
-            warnings.extend(w for w in rep.warnings if w not in warnings)
-        if args.method == "both":
-            entry["relative_discrepancy"] = abs(entry["fourier"] - entry["direct"]) / entry["direct"]
+    for i, xi in enumerate(dirs):
+        entry = {"xi": [float(v) for v in xi]}
+        entry.update((key, float(col[i])) for key, col in columns.items())
         results.append(entry)
         rows.append([entry["xi"], entry.get("direct"), entry.get("fourier"),
                      entry.get("relative_discrepancy")])
@@ -179,10 +182,8 @@ def cmd_ft(args):
     body = _load_body(args.body)
     N = body.dim.N
     p = args.p if args.p is not None else float(N - 2)
-    ft = ft_norm_power(body, p, jmax=cfg.jmax_for(N), tail_warn=cfg.tail_warn)
-    rng = philox(cfg.seed)
-    xs = rng.normal(size=(args.grid, N))
-    xs /= np.linalg.norm(xs, axis=1, keepdims=True)
+    ft = VerificationContext(cfg).ft(body, p)
+    xs = sect.unit_directions(philox(cfg.seed).normal(size=(args.grid, N)))
     vals = ft.evaluate(xs)
     payload = ft.to_dict()
     payload["sample_values"] = [
@@ -225,7 +226,7 @@ def cmd_theorem(args):
     elif which == "parseval":
         K = _load_body(args.K)
         L = _load_body(args.L) if args.L else K
-        res = parseval_check(K, L, args.p if args.p is not None else 2.0, cfg)
+        res = parseval_check(K, L, args.p if args.p is not None else 2.0, context=ctx)
         passed = res.relative_error <= 1e-2
         payload = res.to_dict()
         csv_rows = [[K.label, L.label, res.lhs, res.rhs, res.relative_error]]

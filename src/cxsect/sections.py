@@ -9,16 +9,18 @@ the torus-reduced rule) or through the Fourier route: the transformed norm
 power at exponent 2n-2, evaluated at xi and divided by 4 pi (n-1).
 Agreement of the two routes is the central cross-check of the verification
 suite.
+
+Both routes take a batch of directions, shape (P, 2n) or one vector, and
+return (values, errors) arrays of shape (P,).  Directions are checked and
+normalized in one place, ``unit_directions``.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import grids
-from .bodies import complex_structure
 from .config import RunConfig, default_config
 from .errors import InvalidInputError, NumericalEvaluationError
 from .harmonics import HarmonicExpansion
@@ -28,41 +30,19 @@ from .spherequad import QuadratureRule, integrate_sphere, invariant_sphere_rule
 _DEFAULT_CONFIG = default_config()
 
 
-@dataclass(frozen=True)
-class Direction:
-    """A unit vector xi with its image under the complex structure."""
+def unit_directions(dirs) -> np.ndarray:
+    """Directions as unit rows: (P, 2n) or one vector in, (P, 2n) out.
 
-    xi: np.ndarray
-    jxi: np.ndarray = field(init=False, compare=False)
-
-    def __post_init__(self):
-        xi = np.asarray(self.xi, dtype=float)
-        if xi.ndim != 1 or xi.size % 2:
-            raise InvalidInputError("direction must be a vector of even length")
-        length = float(np.linalg.norm(xi))
-        if not math.isfinite(length) or length == 0.0:
-            raise InvalidInputError("direction must be a nonzero finite vector")
-        if abs(length - 1.0) > 1e-12:
-            raise InvalidInputError("direction must be unit length; use direction() to normalize")
-        xi = xi.copy()
-        xi.setflags(write=False)
-        object.__setattr__(self, "xi", xi)
-        jxi = complex_structure(xi)
-        jxi.setflags(write=False)
-        object.__setattr__(self, "jxi", jxi)
-
-    @property
-    def n(self):
-        return self.xi.size // 2
-
-
-def direction(vec) -> Direction:
-    """Normalize a vector into a Direction."""
-    vec = np.asarray(vec, dtype=float)
-    length = float(np.linalg.norm(vec))
-    if length == 0.0 or not math.isfinite(length):
+    The one place directions are checked: a row of odd length, zero or not
+    finite raises ``InvalidInputError``.
+    """
+    X = np.atleast_2d(np.asarray(dirs, dtype=float))
+    if X.ndim != 2 or X.shape[1] % 2:
+        raise InvalidInputError("directions must be vectors of even length")
+    length = np.sqrt(np.einsum("pk,pk->p", X, X))
+    if not ((length > 0.0) & (length < np.inf)).all():
         raise InvalidInputError("cannot normalize a zero or non-finite vector")
-    return Direction(vec / length)
+    return X * (1.0 / length)[:, None]
 
 
 def hyperplane_basis(dirs) -> np.ndarray:
@@ -70,8 +50,8 @@ def hyperplane_basis(dirs) -> np.ndarray:
     for a batch of directions: (P, 2n) or one vector in, (P, 2n-2, 2n) out.
 
     Rows come as (v_1, J v_1, v_2, J v_2, ...), so in these coordinates J is
-    the complex structure of C^{n-1}.  Each direction is normalized (a zero or
-    non-finite one raises).  In complex coordinates z_k = x_{2k} + i x_{2k+1}
+    the complex structure of C^{n-1}.  Directions go through
+    ``unit_directions``.  In complex coordinates z_k = x_{2k} + i x_{2k+1}
     the rows are Gram-Schmidt in C^n: the coordinate vectors e_0, e_1, ... are
     projected in fixed order, twice, against xi and the vectors kept so far
     (one product per pass for the whole batch), and a vector that becomes
@@ -79,18 +59,13 @@ def hyperplane_basis(dirs) -> np.ndarray:
     complex projection onto v is the real one onto span{v, J v}.  The basis
     depends on xi only through its complex line.
     """
-    X = np.atleast_2d(np.ascontiguousarray(dirs, dtype=float))
-    if X.ndim != 2 or X.shape[1] % 2:
-        raise InvalidInputError("directions must be vectors of even length")
-    length = np.sqrt(np.einsum("pk,pk->p", X, X))
-    if not ((length > 0.0) & (length < np.inf)).all():
-        raise InvalidInputError("cannot normalize a zero or non-finite vector")
+    X = unit_directions(dirs)
     P, N = X.shape
     n = N // 2
     # per direction: xi, then one row per candidate; the row of a dropped or
     # untried candidate stays zero, so projecting against it changes nothing
     frame = np.zeros((P, n + 1, n), dtype=complex)
-    frame[:, 0] = X.view(complex) / length[:, None]  # z_k = x_{2k} + i x_{2k+1}
+    frame[:, 0] = X.view(complex)  # z_k = x_{2k} + i x_{2k+1}
     kept = np.zeros((P, n), dtype=bool)
     count = np.zeros(P, dtype=int)
     for c in range(n):
@@ -113,16 +88,6 @@ def hyperplane_basis(dirs) -> np.ndarray:
     return np.concatenate([rows, 1j * rows], axis=2).view(float).reshape(P, N - 2, N)
 
 
-@dataclass(frozen=True)
-class SectionReport:
-    body: str
-    xi: tuple
-    value: float
-    method: str
-    error: float
-    warnings: tuple = ()
-
-
 def _section_rule(n, config, bump=0, scan=False):
     level = config.product_level(2 * n - 2)
     if scan:
@@ -130,42 +95,34 @@ def _section_rule(n, config, bump=0, scan=False):
     return invariant_sphere_rule(n - 1, level + bump, nphase=level + bump)
 
 
-def section_volume_direct(body, xi, config: RunConfig | None = None) -> SectionReport:
-    """Section volume at one direction by the kernel ``section_values``.
+def section_volume_direct(body, dirs, config: RunConfig | None = None):
+    """Section volumes and error estimates, (values, errors) of shape (P,),
+    at a batch of directions by the kernel ``section_values``.
 
     The error estimate is the difference against the rule two levels up,
-    whose value is the one reported.
+    whose values are the ones reported.
     """
     cfg = config or _DEFAULT_CONFIG
-    d = xi if isinstance(xi, Direction) else direction(xi)
-    coarse = section_values(body, d.xi, config=cfg)[0]
-    value = section_values(body, d.xi, rule=_section_rule(body.dim.n, cfg, bump=2))[0]
-    return SectionReport(body.label, tuple(d.xi), float(value), "direct", float(abs(value - coarse)))
+    coarse = section_values(body, dirs, config=cfg)
+    values = section_values(body, dirs, rule=_section_rule(body.dim.n, cfg, bump=2))
+    return values, np.abs(values - coarse)
 
 
-def section_volume_fourier(body, xi, ft: HarmonicExpansion) -> SectionReport:
-    """Section volume from the transformed norm power at exponent 2n-2.
+def section_volume_fourier(body, dirs, ft: HarmonicExpansion):
+    """Section volumes from the transformed norm power at exponent 2n-2,
+    (values, errors) of shape (P,) at a batch of directions.
 
-    value = ft(xi) / (4 pi (n-1)); the error estimate is the magnitude of the
-    top-two-degree contribution at xi (truncation indicator).  A value more
-    negative than the estimate is flagged: section volumes are positive, so
-    that signals unreliable truncation.
+    values = ft(xi) / (4 pi (n-1)); the error estimate is the magnitude of
+    the top-two-degree contribution at xi (truncation indicator).  Section
+    volumes are positive, so a value below minus its estimate signals
+    unreliable truncation.
     """
     n = body.dim.n
     if ft.multiplier_power is None or abs(ft.multiplier_power - (2 * n - 2)) > 1e-12:
         raise InvalidInputError("fourier section needs ft_norm_power at p = 2n-2")
-    d = xi if isinstance(xi, Direction) else direction(xi)
+    X = unit_directions(dirs)
     scale = 4.0 * math.pi * (n - 1)
-    raw = float(ft.evaluate(d.xi[None, :])[0])
-    tail = abs(float(ft.tail_values(d.xi[None, :])[0]))
-    value = raw / scale
-    err = tail / scale
-    warnings = tuple(ft.warnings)
-    if value < -err:
-        warnings = warnings + (
-            f"negative section value {value:.3e} beyond tail estimate {err:.3e}: truncation failure",
-        )
-    return SectionReport(body.label, tuple(d.xi), value, "fourier", err, warnings)
+    return ft.evaluate(X) / scale, np.abs(ft.tail_values(X)) / scale
 
 
 def section_values(body, dirs, rule: QuadratureRule | None = None,

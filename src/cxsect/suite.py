@@ -265,7 +265,7 @@ def criterion_section_cross_validation(ctx):
         dirs = _unit_dirs(rng, 64, 2 * n)
         direct = sect.section_values(body, dirs, config=cfg)
         ft = ctx.ft(body, float(2 * n - 2))
-        fourier = ft.evaluate(dirs) / (4.0 * math.pi * (n - 1))
+        fourier, _ = sect.section_volume_fourier(body, dirs, ft)
         rel = float(np.max(np.abs(fourier / direct - 1.0)))
         details[body.label] = {"max_relative_discrepancy": rel,
                                "tail_ratio": ft.tail_ratio}
@@ -278,10 +278,9 @@ def criterion_section_cross_validation(ctx):
 @_timed
 def criterion_parseval(ctx):
     """C3: pairing identity; golden value at n=2, mixed pairs with decreasing error."""
-    cfg = ctx.config
     d = ComplexDim(2)
     ball = EuclideanBall(d, 1.0)
-    golden = parseval_check(ball, ball, 2.0, cfg)
+    golden = parseval_check(ball, ball, 2.0, context=ctx)
     exact = 32.0 * math.pi ** 6
     golden_rel = max(
         golden.relative_error,
@@ -304,7 +303,7 @@ def criterion_parseval(ctx):
     for K, L in mixed_pairs:
         errs = []
         for jm in (12, 16, 20):
-            res = parseval_check(K, L, 2.0, cfg, jmax=jm)
+            res = parseval_check(K, L, 2.0, context=ctx, jmax=jm)
             errs.append(res.relative_error)
             warnings.extend(res.warnings)
         details[f"{K.label}|{L.label}"] = {"relative_errors_j12_16_20": errs}
@@ -465,20 +464,22 @@ def criterion_structural(ctx):
     details["rotation_invariance"] = rot
     worst = max(worst, hom, rot)
 
-    # section invariance along the complex line: xi vs cos t xi + sin t J xi
-    jline = 0.0
-    trials = 0
+    # section invariance along the complex line: xi vs cos t xi + sin t J xi,
+    # 1000 trials drawn in turn for each body, then evaluated per body
     bodies_cycle = [samples2[0], samples2[9], samples2[12], samples3[2]]
-    while trials < 1000:
-        body = bodies_cycle[trials % len(bodies_cycle)]
-        N = body.dim.N
+    pairs = [([], []) for _ in bodies_cycle]
+    for trial in range(1000):
+        N = bodies_cycle[trial % len(bodies_cycle)].dim.N
         xi = _unit_dirs(rng, 1, N)[0]
         t = float(rng.uniform(0.0, 2.0 * math.pi))
-        xi2 = math.cos(t) * xi + math.sin(t) * complex_structure(xi)
-        v1 = sect.section_values(body, xi[None, :], config=cfg, scan=True)[0]
-        v2 = sect.section_values(body, xi2[None, :], config=cfg, scan=True)[0]
-        jline = max(jline, abs(v2 / v1 - 1.0))
-        trials += 1
+        first, turned = pairs[trial % len(bodies_cycle)]
+        first.append(xi)
+        turned.append(math.cos(t) * xi + math.sin(t) * complex_structure(xi))
+    jline = 0.0
+    for body, (first, turned) in zip(bodies_cycle, pairs):
+        v1 = sect.section_values(body, first, config=cfg, scan=True)
+        v2 = sect.section_values(body, turned, config=cfg, scan=True)
+        jline = max(jline, float(np.max(np.abs(v2 / v1 - 1.0))))
     details["jline_section_invariance"] = jline
     worst = max(worst, jline)
 

@@ -77,13 +77,14 @@ class VerificationContext:
                 f"{body.label} failed validation: {', '.join(report.failed_checks())}"
             )
 
-    def ft(self, body, p):
-        key = (body, float(p))
+    def ft(self, body, p, jmax=None):
+        """Transformed norm power at exponent p, truncated at ``jmax`` (default
+        the configured degree), built once per body, exponent and degree."""
+        if jmax is None:
+            jmax = self.config.jmax_for(body.dim.N)
+        key = (body, float(p), jmax)
         if key not in self._ft:
-            cfg = self.config
-            self._ft[key] = ft_norm_power(
-                body, p, jmax=cfg.jmax_for(body.dim.N), tail_warn=cfg.tail_warn
-            )
+            self._ft[key] = ft_norm_power(body, p, jmax=jmax, tail_warn=self.config.tail_warn)
         return self._ft[key]
 
     def inradius(self, body):
@@ -153,11 +154,10 @@ def _max_section_difference(K, L, ctx) -> GapResult:
         diff_fn, grid, diff_grid, mode="max", halvings=cfg.refine_halvings
     )
     # full-level value and quadrature error at the maximizer
-    xi = sections.direction(xi_star)
-    rK = sections.section_volume_direct(K, xi, config=cfg)
-    rL = sections.section_volume_direct(L, xi, config=cfg)
-    value = rK.value - rL.value
-    return GapResult(max(0.0, value), value, tuple(xi_star), rK.error + rL.error,
+    vK, eK = sections.section_volume_direct(K, xi_star, config=cfg)
+    vL, eL = sections.section_volume_direct(L, xi_star, config=cfg)
+    value = float(vK[0] - vL[0])
+    return GapResult(max(0.0, value), value, tuple(xi_star), float(eK[0] + eL[0]),
                      grid.size, grid.size + evals)
 
 
@@ -405,7 +405,7 @@ class ParsevalResult:
         }
 
 
-def parseval_check(K, L, p, config: RunConfig | None = None,
+def parseval_check(K, L, p, context: VerificationContext | None = None,
                    jmax=None) -> ParsevalResult:
     """Spherical pairing identity for the exponent pair (p, 2n-p).
 
@@ -414,26 +414,26 @@ def parseval_check(K, L, p, config: RunConfig | None = None,
     lhs is the coefficient pairing sum_j c^K_j . c^L_j of the two truncated
     expansions, which is their sphere integral exactly (the basis is
     orthonormal); rhs uses ``sections.radial_power_rule`` at the configured
-    level (the integrand is rotation-invariant).
+    level (the integrand is rotation-invariant).  Both transforms come from
+    the context, truncated at ``jmax`` (default the configured degree).
     """
-    cfg = config or default_config()
+    ctx = context or VerificationContext()
+    cfg = ctx.config
     if K.dim.n != L.dim.n:
         raise InvalidInputError("bodies must share a dimension")
     n = K.dim.n
     N = 2 * n
     if not 0 < p < N:
         raise InvalidInputError(f"parseval exponent must lie in (0, {N})")
-    if jmax is None:
-        jmax = cfg.jmax_for(N)
-    ft_k = ft_norm_power(K, p, jmax=jmax, tail_warn=cfg.tail_warn)
-    ft_l = ft_norm_power(L, N - p, jmax=jmax, tail_warn=cfg.tail_warn)
+    ft_k = ctx.ft(K, p, jmax)
+    ft_l = ctx.ft(L, N - p, jmax)
     lhs = float(sum(ft_k.coeffs[j] @ ft_l.coeffs[j] for j in ft_k.degrees()))
     reduced = sections.radial_power_rule(cfg.reduced_level(n), K, L)
     rho = K.radial(reduced.nodes) ** p * L.radial(reduced.nodes) ** (N - p)
     rhs = (2.0 * math.pi) ** N * integrate_sphere(rho, reduced)
     rel = abs(lhs - rhs) / abs(rhs)
     return ParsevalResult(
-        K.label, L.label, n, float(p), lhs, rhs, rel, jmax,
+        K.label, L.label, n, float(p), lhs, rhs, rel, ft_k.jmax,
         tuple(ft_k.warnings) + tuple(ft_l.warnings),
     )
 

@@ -99,6 +99,49 @@ class TestSectionCommand:
         assert max(r["relative_discrepancy"] for r in rows) <= 5e-3
 
 
+    @pytest.mark.parametrize("grid", [1, 64])
+    def test_one_batch_per_route(self, tmp_path, monkeypatch, grid):
+        # whatever the grid size: the direct route's two section_values
+        # calls (value and refinement estimate), one transform evaluation and
+        # one tail evaluation
+        calls = []
+
+        def counted(holder, name):
+            real = getattr(holder, name)
+            monkeypatch.setattr(holder, name,
+                                lambda *a, **k: calls.append(name) or real(*a, **k))
+
+        counted(cxsect.sections, "section_values")
+        counted(cxsect.HarmonicExpansion, "evaluate")
+        counted(cxsect.HarmonicExpansion, "tail_values")
+        spec = write_spec(tmp_path, "ell.json",
+                          {"n": 2, "kind": "ellipsoid", "params": {"semiaxes": [1, 2]}})
+        assert run(["section", spec, "--grid", str(grid), "--method", "both"], tmp_path) == 0
+        assert sorted(calls) == ["evaluate", "section_values", "section_values", "tail_values"]
+        report = json.loads((tmp_path / "reports").joinpath(
+            "section_ellipsoid-1-2_both.json").read_text())
+        assert len(report["results"]["directions"]) == grid
+
+    def test_negative_fourier_value_warns_exit2(self, tmp_path, ball_spec, monkeypatch):
+        # a transform at p = 2n - 2 whose constant term is negative and whose
+        # top two degrees are small: every value lies below minus its tail
+        coeffs = {j: np.zeros(len(cxsect.invariant_harmonic_basis(4, j))) for j in (0, 2, 4)}
+        coeffs[0][0] = -1.0
+        coeffs[4][0] = 1e-3
+        fake = cxsect.HarmonicExpansion(4, 4, coeffs, 0.0, 1.0, multiplier_power=2.0)
+        monkeypatch.setattr(cxsect.VerificationContext, "ft", lambda self, body, p, jmax=None: fake)
+        assert run(["section", ball_spec, "--grid", "3", "--method", "both"], tmp_path) == 2
+        report = json.loads((tmp_path / "reports").joinpath(
+            "section_ball-n-2-r-1_both.json").read_text())
+        rows = report["results"]["directions"]
+        warnings = report["results"]["warnings"]
+        assert len(warnings) == 3
+        for row, msg in zip(rows, warnings):
+            assert row["fourier"] < -row["fourier_error"] < 0.0
+            assert msg == (f"negative section value {row['fourier']:.3e} beyond tail "
+                           f"estimate {row['fourier_error']:.3e}: truncation failure")
+
+
 class TestVolumeCommand:
     def test_infinite_radius_exit3(self, tmp_path, capsys):
         spec = write_spec(tmp_path, "inf.json",

@@ -785,16 +785,14 @@ class TestFtNormPower:
         body = ComplexLqBall(ComplexDim(2), 4.0)
         ft = ft_norm_power(body, 2.0, jmax=16)
         x = unit_vectors(np.random.default_rng(6), 8, 4)
-        for xi in x:
-            direct = section_volume_direct(body, xi).value
-            assert float(ft.evaluate(xi[None, :])[0]) == pytest.approx(
-                4 * math.pi * direct, rel=5e-3)
+        direct, _ = section_volume_direct(body, x)
+        assert ft.evaluate(x) == pytest.approx(4 * math.pi * direct, rel=5e-3)
 
     def test_crosscheck_error_decreases_with_jmax(self, ell12):
         from cxsect import section_volume_direct
 
         x = unit_vectors(np.random.default_rng(7), 12, 4)
-        direct = np.array([section_volume_direct(ell12, v).value for v in x])
+        direct, _ = section_volume_direct(ell12, x)
         errs = []
         for jm in (8, 12, 16):
             ft = ft_norm_power(ell12, 2.0, jmax=jm)

@@ -14,7 +14,6 @@ from cxsect import (
     InvalidInputError,
     PerturbedBall,
     complex_structure,
-    direction,
     ft_norm_power,
     hyperplane_basis,
     inradius_normalized,
@@ -23,12 +22,12 @@ from cxsect import (
     section_volume_direct,
     section_volume_fourier,
     sphere_rule,
+    unit_directions,
     volume,
 )
 from cxsect import sections
 from cxsect.config import RunConfig, default_config
 from cxsect.sections import (
-    Direction,
     min_radial,
     radial_power_rule,
     section_values,
@@ -50,19 +49,18 @@ def _bodies_by_kind():
 
 
 class TestDirection:
-    def test_requires_unit_length(self):
-        with pytest.raises(InvalidInputError):
-            Direction(np.array([1.0, 1.0, 0, 0]))
-
     def test_normalizing_factory(self):
-        d = direction([3.0, 0, 4.0, 0])
-        assert np.linalg.norm(d.xi) == pytest.approx(1.0, abs=1e-15)
-        assert d.jxi @ d.xi == 0.0
+        X = unit_directions([3.0, 0, 4.0, 0])
+        assert X.shape == (1, 4)
+        assert X[0] == pytest.approx([0.6, 0.0, 0.8, 0.0], abs=1e-15)
+        batch = unit_directions(unit_vectors(np.random.default_rng(0), 5, 6) * np.arange(1, 6)[:, None])
+        assert np.allclose(np.linalg.norm(batch, axis=1), 1.0, atol=1e-15)
 
-    def test_jxi_is_complex_structure(self):
-        d = direction(np.random.default_rng(0).normal(size=6))
-        assert np.array_equal(d.jxi, complex_structure(d.xi))
-        assert np.linalg.norm(d.jxi) == pytest.approx(1.0, abs=1e-14)
+    @pytest.mark.parametrize("bad", [[0.0, 0.0, 0.0, 0.0], [math.nan, 0, 1, 0],
+                                     [math.inf, 0, 1, 0], [1.0, 0.0, 0.0]])
+    def test_bad_direction_raises(self, bad):
+        with pytest.raises(InvalidInputError):
+            unit_directions(bad)
 
 
 def _reference_basis(vec):
@@ -121,11 +119,11 @@ class TestHyperplaneBasis:
     @pytest.mark.parametrize("seed", range(8))
     def test_invariants_random_direction(self, seed):
         rng = np.random.default_rng(seed)
-        d = direction(rng.normal(size=6))
-        B = hyperplane_basis(d.xi)[0]
+        xi = unit_directions(rng.normal(size=6))[0]
+        B = hyperplane_basis(xi)[0]
         assert np.abs(B @ B.T - np.eye(4)).max() < 1e-13
-        assert np.abs(B @ d.xi).max() < 1e-13
-        assert np.abs(B @ d.jxi).max() < 1e-13
+        assert np.abs(B @ xi).max() < 1e-13
+        assert np.abs(B @ complex_structure(xi)).max() < 1e-13
         # J-closedness: J of every basis vector stays in the span
         JB = complex_structure(B)
         residual = JB - (JB @ B.T) @ B
@@ -170,66 +168,66 @@ class TestHyperplaneBasis:
 
     def test_same_complex_line_same_basis(self):
         rng = np.random.default_rng(3)
-        d = direction(rng.normal(size=4))
+        xi = unit_directions(rng.normal(size=4))[0]
         t = 1.234
-        a = hyperplane_basis(d.xi)
-        b = hyperplane_basis(math.cos(t) * d.xi + math.sin(t) * d.jxi)
+        a = hyperplane_basis(xi)
+        b = hyperplane_basis(math.cos(t) * xi + math.sin(t) * complex_structure(xi))
         assert np.abs(a - b).max() < 1e-12
 
 
 class TestSectionDirect:
     def test_ball_section_is_disc(self, ball2):
-        rep = section_volume_direct(ball2, direction([1.0, 0, 0, 0]))
-        assert rep.value == pytest.approx(math.pi, rel=1e-13)
+        values, errors = section_volume_direct(ball2, [1.0, 0, 0, 0])
+        assert values.shape == errors.shape == (1,)
+        assert values[0] == pytest.approx(math.pi, rel=1e-13)
 
     def test_ball3_section_is_four_ball(self, ball3):
-        rep = section_volume_direct(ball3, direction([0, 0, 1.0, 0, 0, 0]))
-        assert rep.value == pytest.approx(math.pi ** 2 / 2, rel=1e-13)
+        values, _ = section_volume_direct(ball3, [0, 0, 1.0, 0, 0, 0])
+        assert values[0] == pytest.approx(math.pi ** 2 / 2, rel=1e-13)
 
     def test_ellipsoid_section_at_axis(self, ell12):
-        rep = section_volume_direct(ell12, direction([1.0, 0, 0, 0]))
-        assert rep.value == pytest.approx(4 * math.pi, rel=1e-12)
+        values, _ = section_volume_direct(ell12, [2.0, 0, 0, 0])
+        assert values[0] == pytest.approx(4 * math.pi, rel=1e-12)
 
     def test_polydisc_section_at_axis(self, polydisc2):
-        rep = section_volume_direct(polydisc2, direction([1.0, 0, 0, 0]))
-        assert rep.value == pytest.approx(math.pi, rel=1e-10)
+        values, _ = section_volume_direct(polydisc2, [1.0, 0, 0, 0])
+        assert values[0] == pytest.approx(math.pi, rel=1e-10)
 
     def test_ellipsoid_closed_form_general_direction(self):
         # section volume of a Hermitian ellipsoid: pi * (prod a_k^2) / sum a_k^2 |xi_k|^2
         ell = ComplexEllipsoid((1.0, 2.0))
-        rng = np.random.default_rng(1)
-        for _ in range(5):
-            d = direction(rng.normal(size=4))
-            u = d.xi[0::2] ** 2 + d.xi[1::2] ** 2
-            expect = math.pi * 4.0 / (u @ np.array([1.0, 4.0]))
-            assert section_volume_direct(ell, d).value == pytest.approx(expect, rel=1e-10)
+        X = unit_directions(np.random.default_rng(1).normal(size=(5, 4)))
+        u = X[:, 0::2] ** 2 + X[:, 1::2] ** 2
+        expect = math.pi * 4.0 / (u @ np.array([1.0, 4.0]))
+        values, errors = section_volume_direct(ell, X)
+        assert values.shape == errors.shape == (5,)
+        assert values == pytest.approx(expect, rel=1e-10)
 
     def test_ellipsoid_closed_form_general_direction_n3(self):
         # pi^2/2 * (prod a_k^2) / sum a_k^2 |xi_k|^2
         a = np.array([1.0, 1.5, 2.0])
         ell = ComplexEllipsoid(tuple(a))
-        rng = np.random.default_rng(5)
-        for _ in range(5):
-            d = direction(rng.normal(size=6))
-            u = d.xi[0::2] ** 2 + d.xi[1::2] ** 2
-            expect = math.pi ** 2 / 2 * np.prod(a ** 2) / (u @ a ** 2)
-            assert section_volume_direct(ell, d).value == pytest.approx(expect, rel=1e-10)
+        X = unit_directions(np.random.default_rng(5).normal(size=(5, 6)))
+        u = X[:, 0::2] ** 2 + X[:, 1::2] ** 2
+        expect = math.pi ** 2 / 2 * np.prod(a ** 2) / (u @ a ** 2)
+        assert section_volume_direct(ell, X)[0] == pytest.approx(expect, rel=1e-10)
 
     def test_complex_line_invariance(self, pert2):
-        rng = np.random.default_rng(2)
-        d = direction(rng.normal(size=4))
+        xi = unit_directions(np.random.default_rng(2).normal(size=4))[0]
         t = 0.77
-        d2 = Direction(math.cos(t) * d.xi + math.sin(t) * d.jxi)
-        v1 = section_volume_direct(pert2, d).value
-        v2 = section_volume_direct(pert2, d2).value
+        turned = math.cos(t) * xi + math.sin(t) * complex_structure(xi)
+        v1, v2 = section_volume_direct(pert2, [xi, turned])[0]
         assert v2 == pytest.approx(v1, rel=1e-10)
 
     def test_rotation_invariance_of_sections(self, ell12):
-        d = direction(np.random.default_rng(3).normal(size=4))
-        d2 = Direction(rotate_pairs(d.xi, 1.1))
-        v1 = section_volume_direct(ell12, d).value
-        v2 = section_volume_direct(ell12, d2).value
+        xi = unit_directions(np.random.default_rng(3).normal(size=4))[0]
+        v1, v2 = section_volume_direct(ell12, [xi, rotate_pairs(xi, 1.1)])[0]
         assert v2 == pytest.approx(v1, rel=1e-10)
+
+    def test_error_is_the_refinement_difference(self, pert2):
+        X = unit_vectors(np.random.default_rng(10), 4, 4)
+        values, errors = section_volume_direct(pert2, X)
+        assert np.array_equal(errors, np.abs(values - section_values(pert2, X)))
 
     def test_batch_matches_single(self, ell12):
         dirs = unit_vectors(np.random.default_rng(4), 6, 4)
@@ -286,7 +284,7 @@ class TestSectionKernel:
             "ellipsoid": ComplexEllipsoid((r, q)),
             "perturbed": pert2.scaled(r),
         }[kind]
-        xi = direction(vec).xi
+        xi = unit_directions(vec)[0]
         w = np.array([-xi[2], xi[3], xi[0], -xi[1]])
         expect = math.pi * float(body.radial(w)) ** 2
         assert section_values(body, xi)[0] == pytest.approx(expect, rel=1e-13)
@@ -343,24 +341,37 @@ class TestSectionKernel:
 class TestSectionFourier:
     def test_ball_n2(self, ball2):
         ft = ft_norm_power(ball2, 2.0, jmax=8)
-        rep = section_volume_fourier(ball2, direction([1.0, 0, 0, 0]), ft)
-        assert rep.value == pytest.approx(math.pi, rel=1e-12)
+        values, errors = section_volume_fourier(ball2, [1.0, 0, 0, 0], ft)
+        assert values.shape == errors.shape == (1,)
+        assert values[0] == pytest.approx(math.pi, rel=1e-12)
 
     def test_ball_n3(self, ball3):
         ft = ft_norm_power(ball3, 4.0, jmax=8)
-        rep = section_volume_fourier(ball3, direction([1.0, 0, 0, 0, 0, 0]), ft)
-        assert rep.value == pytest.approx(math.pi ** 2 / 2, rel=1e-12)
+        values, _ = section_volume_fourier(ball3, [1.0, 0, 0, 0, 0, 0], ft)
+        assert values[0] == pytest.approx(math.pi ** 2 / 2, rel=1e-12)
 
     def test_ellipsoid_agrees_with_direct(self, ell12):
         ft = ft_norm_power(ell12, 2.0, jmax=16)
-        d = direction([1.0, 0, 0, 0])
-        rep = section_volume_fourier(ell12, d, ft)
-        assert rep.value == pytest.approx(4 * math.pi, rel=5e-3)
+        values, _ = section_volume_fourier(ell12, [3.0, 0, 0, 0], ft)
+        assert values[0] == pytest.approx(4 * math.pi, rel=5e-3)
+
+    def test_batch_is_the_scaled_transform_and_tail(self, ell12):
+        ft = ft_norm_power(ell12, 2.0, jmax=16)
+        X = unit_vectors(np.random.default_rng(11), 6, 4)
+        values, errors = section_volume_fourier(ell12, 2.5 * X, ft)
+        X = unit_directions(2.5 * X)
+        assert np.array_equal(values, ft.evaluate(X) / (4 * math.pi))
+        assert np.array_equal(errors, np.abs(ft.tail_values(X)) / (4 * math.pi))
 
     def test_requires_matching_exponent(self, ball2):
         ft = ft_norm_power(ball2, 1.0, jmax=4)
         with pytest.raises(InvalidInputError):
-            section_volume_fourier(ball2, direction([1.0, 0, 0, 0]), ft)
+            section_volume_fourier(ball2, [1.0, 0, 0, 0], ft)
+
+    def test_bad_direction_raises(self, ball2):
+        ft = ft_norm_power(ball2, 2.0, jmax=4)
+        with pytest.raises(InvalidInputError):
+            section_volume_fourier(ball2, [[1.0, 0, 0, 0], [0.0, 0, 0, 0]], ft)
 
 
 class TestVolume:
@@ -478,7 +489,7 @@ class TestDefaultConfig:
         xi = unit_vectors(np.random.default_rng(8), 1, 6)[0]
         calls = [
             lambda **kw: section_values(body, xi, **kw)[0],
-            lambda **kw: section_volume_direct(body, xi, **kw).value,
+            lambda **kw: section_volume_direct(body, xi, **kw)[0][0],
             lambda **kw: volume(body, **kw),
             lambda **kw: volume_with_error(body, **kw),
             lambda **kw: min_radial(body, **kw)[0],

@@ -1,5 +1,6 @@
-"""The acceptance suite's body matrix is built once per process."""
-from cxsect import PerturbedBall, suite
+"""The acceptance suite's body matrix is built once per process, and its
+criteria share transforms through the context."""
+from cxsect import PerturbedBall, VerificationContext, suite, theorems
 
 
 def test_matrix_certifies_each_perturbed_body_once(monkeypatch):
@@ -26,3 +27,18 @@ def test_each_call_returns_a_fresh_dict():
     second = suite.bodies_n2()
     assert second["ball"] is not None and second is not first
     assert second["pert_a"] is suite.bodies_n2()["pert_a"]
+
+
+def test_parseval_criterion_builds_each_transform_once(monkeypatch):
+    built = []
+    real = theorems.ft_norm_power
+    monkeypatch.setattr(theorems, "ft_norm_power",
+                        lambda *a, **k: built.append((a[0], a[1], k["jmax"])) or real(*a, **k))
+    context = VerificationContext()
+    suite.criterion_golden_transform(context)
+    suite.criterion_section_cross_validation(context)
+    before = len(built)
+    suite.criterion_parseval(context)
+    # three bodies at jmax 12, 16 and 20; the golden ball and the two mixed
+    # bodies at the configured degree come from C1 and C2
+    assert len(built) - before == 6 and len(set(built)) == len(built)

@@ -174,9 +174,9 @@ def min_section_difference(K, L, ctx):
 
     _, xi, _, _ = refine_extremum(fn, grid, values, mode="min",
                                   halvings=cfg.refine_halvings)
-    rL = sections.section_volume_direct(L, sections.direction(xi), config=cfg)
-    rK = sections.section_volume_direct(K, sections.direction(xi), config=cfg)
-    return rL.value - rK.value, rL.error + rK.error
+    vL, eL = sections.section_volume_direct(L, xi, config=cfg)
+    vK, eK = sections.section_volume_direct(K, xi, config=cfg)
+    return float(vL[0] - vK[0]), float(eL[0] + eK[0])
 
 
 class TestOneGapPerPair:
@@ -277,6 +277,23 @@ class TestParseval:
     def test_exponent_range(self, ball2):
         with pytest.raises(InvalidInputError):
             parseval_check(ball2, ball2, 4.0)
+
+    def test_transforms_come_from_the_context(self, monkeypatch, ball2, ell12):
+        context = VerificationContext()
+        built = []
+        real = theorems.ft_norm_power
+        monkeypatch.setattr(theorems, "ft_norm_power",
+                            lambda *a, **k: built.append((a[0], a[1], k["jmax"])) or real(*a, **k))
+        default = context.config.jmax_for(4)
+        res = parseval_check(ell12, ball2, 2.0, context=context)
+        assert res.jmax == default
+        assert built == [(ell12, 2.0, default), (ball2, 2.0, default)]
+        # the context keys on the resolved degree: no new transform
+        again = parseval_check(ell12, ball2, 2.0, context=context, jmax=default)
+        assert again == res and len(built) == 2
+        assert context.ft(ball2, 2.0) is context.ft(ball2, 2.0, jmax=default)
+        parseval_check(ball2, ball2, 2.0, context=context, jmax=12)
+        assert built[2:] == [(ball2, 2.0, 12)]  # K = L at p = n shares one transform
 
     def test_exponent_pairing_nontrivial(self, ball3):
         # n=3 with p = 2n-2 pairs against exponent 2, mirroring the stability proof;
