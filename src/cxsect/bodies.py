@@ -59,11 +59,15 @@ def complex_structure(x):
 
 
 def rotate_pairs(x, theta):
-    """Rotate every coordinate pair by the same angle theta."""
+    """Rotate every coordinate pair of a vector by the same angle theta.
+
+    ``theta`` is one angle, or one angle per vector (shape ``x.shape[:-1]``).
+    """
     x = np.asarray(x, dtype=float)
     if x.shape[-1] % 2:
         raise InvalidInputError("pair rotation needs an even number of coordinates")
-    c, s = math.cos(theta), math.sin(theta)
+    theta = np.asarray(theta, dtype=float)[..., None]
+    c, s = np.cos(theta), np.sin(theta)
     out = np.empty_like(x)
     out[..., 0::2] = c * x[..., 0::2] - s * x[..., 1::2]
     out[..., 1::2] = s * x[..., 0::2] + c * x[..., 1::2]
@@ -396,11 +400,7 @@ def validate(body, sample_count=1000, seed=0) -> ValidationReport:
 
     # rotation check: one random theta per sample
     thetas = rng.uniform(0.0, 2.0 * math.pi, size=sample_count)
-    c, s = np.cos(thetas)[:, None], np.sin(thetas)[:, None]
-    xr = np.empty_like(x)
-    xr[:, 0::2] = c * x[:, 0::2] - s * x[:, 1::2]
-    xr[:, 1::2] = s * x[:, 0::2] + c * x[:, 1::2]
-    rot = np.abs(body.norm(xr) - base) / base
+    rot = np.abs(body.norm(rotate_pairs(x, thetas)) - base) / base
     worst_rot = float(np.max(rot)) if np.all(np.isfinite(rot)) else math.inf
 
     y = rng.normal(size=(sample_count, N))

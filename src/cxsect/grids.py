@@ -80,23 +80,17 @@ def direction_grid(n, moduli_res, phase_res=0, with_phases=False) -> DirectionGr
     return DirectionGrid(n, params, dirs, np.array(steps), with_phases)
 
 
-def _clip_params(params, n, with_phases):
-    out = params.copy()
-    for i in range(n - 1):
-        out[i] = min(max(out[i], 0.0), math.pi / 2)
-    if with_phases:
-        for i in range(n - 1, 2 * (n - 1)):
-            out[i] = out[i] % (2 * math.pi)
-    return out
-
-
 def refine_extremum(fn, grid: DirectionGrid, values, mode="max", halvings=3):
     """Locate an extremum of ``fn`` over directions: coarse grid + pattern search.
 
     ``fn`` maps an (M, 2n) array of unit directions to values; ``values`` holds
     its values on ``grid.directions``, from the caller.  Starting from the best
-    grid point, coordinate steps are tried in both senses, in up to two sweeps
-    per step size; the step vector is halved ``halvings`` times.  Returns
+    grid point, each sweep evaluates the 2d coordinate steps in the order
+    (coordinate 0, +), (0, -), (1, +), ... as one batch (moduli angles clipped
+    to [0, pi/2], phases taken mod 2 pi), in up to two sweeps per step size;
+    the step vector is halved ``halvings`` times.  Ties keep the earlier
+    point: the grid's first best point starts, only a strict improvement
+    moves it, and the first best candidate of a sweep wins.  Returns
     (params, direction, value, evaluations of ``fn`` made here).
     """
     sign = 1.0 if mode == "max" else -1.0
@@ -107,25 +101,20 @@ def refine_extremum(fn, grid: DirectionGrid, values, mode="max", halvings=3):
     evals = 0
     steps = grid.steps.copy()
     d = best_p.size
+    moves = np.repeat(np.eye(d), 2, axis=0)
+    moves[1::2] *= -1.0
     for _ in range(halvings + 1):
         for _ in range(2):
-            improved = False
-            cands = []
-            for i in range(d):
-                for s in (+1.0, -1.0):
-                    p = best_p.copy()
-                    p[i] += s * steps[i]
-                    cands.append(_clip_params(p, grid.n, grid.with_phases))
-            cands = np.array(cands)
+            cands = best_p + moves * steps
+            cands[:, : grid.n - 1] = np.clip(cands[:, : grid.n - 1], 0.0, math.pi / 2)
+            cands[:, grid.n - 1:] %= 2 * math.pi
             cvals = sign * np.asarray(fn(params_to_direction(cands, grid.n)), dtype=float)
             evals += len(cands)
             k = int(np.argmax(cvals))
-            if cvals[k] > best_v:
-                best_v = cvals[k]
-                best_p = cands[k]
-                improved = True
-            if not improved:
+            if not cvals[k] > best_v:
                 break
+            best_v = cvals[k]
+            best_p = cands[k]
         steps = steps / 2.0
     direction = params_to_direction(best_p[None, :], grid.n)[0]
     return best_p, direction, sign * best_v, evals

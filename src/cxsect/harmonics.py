@@ -12,12 +12,14 @@ The Laplacian acts as z^a zbar^b -> sum_m a_m b_m z^{a-e_m} zbar^{b-e_m}, so
 the harmonic subspace of a block is a small null-space problem, and sphere
 inner products of monomials have the closed form
 
-    <z^a zbar^b, z^c zbar^d> = [a+d == b+c] * 2 pi^n (a+d)! / Gamma(n + j)
+    <z^a zbar^b, z^c zbar^d> = [a+d == b+c] * 2 pi^n (a+d)! / (n - 1 + j)!
 
-which makes Gram-Schmidt orthonormalization exact.  The basis is canonical:
-projections of a fixed Hermitian generator matrix onto the harmonic subspace
-(one product), orthonormalized in order by classical Gram-Schmidt run twice,
-so indices are stable across runs and every basis function is real.
+(``complex_sphere_moment``: the factorial ratio is taken in integers and
+rounded once), which makes Gram-Schmidt orthonormalization exact.  The basis
+is canonical: projections of a fixed Hermitian generator matrix onto the
+harmonic subspace (one product), orthonormalized in order by classical
+Gram-Schmidt run twice, so indices are stable across runs and every basis
+function is real.
 
 Expansion coefficients come from the quadrature moments
 mu_k[a, b] = sum_i w_i f(x_i) z^a zbar^b of each block.  On the unit sphere
@@ -62,7 +64,6 @@ import numpy as np
 from .config import default_config
 from .errors import InvalidInputError, NumericalEvaluationError
 from .spherequad import QuadratureRule, sphere_rule
-from .specfun import log_gamma
 
 _MAX_DEGREE = {4: 24, 6: 32, 8: 32}  # per N; see invariant_harmonic_basis
 _NOISE_FLOOR = 1e-12
@@ -82,12 +83,12 @@ def multi_indices(n, deg):
 
 
 def complex_sphere_moment(n, alpha):
-    """int_{S^{2n-1}} prod_k |z_k|^{2 alpha_k} dsigma = 2 pi^n alpha! / Gamma(n + |alpha|)."""
-    logv = n * math.log(math.pi) + math.log(2.0)
-    for a in alpha:
-        logv += log_gamma(a + 1.0)
-    logv -= log_gamma(n + sum(alpha))
-    return math.exp(logv)
+    """int_{S^{2n-1}} prod_k |z_k|^{2 alpha_k} dsigma = 2 pi^n alpha! / (n - 1 + |alpha|)!.
+
+    The factorial ratio is an exact integer quotient, rounded once.
+    """
+    num = math.prod(math.factorial(a) for a in alpha)
+    return 2.0 * math.pi ** n * (num / math.factorial(n - 1 + sum(alpha)))
 
 
 def invariant_harmonic_dim(n, j):
@@ -340,8 +341,8 @@ def bochner_multiplier(N, p, j):
     logv = (
         (N - p) * math.log(2.0)
         + 0.5 * N * math.log(math.pi)
-        + log_gamma((j + N - p) / 2.0)
-        - log_gamma((j + p) / 2.0)
+        + math.lgamma((j + N - p) / 2.0)
+        - math.lgamma((j + p) / 2.0)
     )
     return sign * math.exp(logv)
 

@@ -1,5 +1,9 @@
 """Quadrature on unit spheres S^{m-1} and Monte Carlo volume oracles.
 
+The 1-D building blocks are Gauss-Jacobi rules, nodes and weights from
+Golub-Welsch on the classical three-term recurrence (``gauss_jacobi``), with
+the total mass 2^{a+b+1} B(a+1, b+1) taken through ``math.lgamma``.
+
 Two rule families:
 
 * ``sphere_rule(m, level)`` -- the generic product rule (Gauss nodes in the
@@ -24,14 +28,56 @@ import numpy as np
 
 from .config import philox
 from .errors import InvalidInputError, NumericalEvaluationError
-from .specfun import gauss_gegenbauer, gauss_power01, log_gamma
 
 _MC_CHUNK = 1_000_000  # Monte Carlo samples drawn and tested per batch
 
 
 def sphere_area(m):
     """Surface area |S^{m-1}| = 2 pi^{m/2} / Gamma(m/2)."""
-    return 2.0 * math.pi ** (m / 2.0) / math.exp(log_gamma(m / 2.0))
+    return 2.0 * math.pi ** (m / 2.0) / math.gamma(m / 2.0)
+
+
+def gauss_jacobi(npts, alpha, beta):
+    """Gauss nodes/weights for weight (1-x)^alpha (1+x)^beta on (-1, 1).
+
+    Golub-Welsch on the monic Jacobi recurrence; exact for polynomial degree
+    <= 2*npts - 1 against the weight.
+    """
+    if npts < 1:
+        raise InvalidInputError("need at least one quadrature point")
+    if alpha <= -1 or beta <= -1:
+        raise InvalidInputError("Jacobi exponents must exceed -1")
+    a, b = float(alpha), float(beta)
+    diag = np.empty(npts)
+    diag[0] = (b - a) / (a + b + 2.0)
+    k = np.arange(1, npts, dtype=float)
+    diag[1:] = (b * b - a * a) / ((2 * k + a + b) * (2 * k + a + b + 2.0))
+    off = np.sqrt(
+        4 * k * (k + a) * (k + b) * (k + a + b)
+        / ((2 * k + a + b) ** 2 * (2 * k + a + b + 1.0) * (2 * k + a + b - 1.0))
+    )
+    T = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+    vals, vecs = np.linalg.eigh(T)
+    mu0 = math.exp(
+        (a + b + 1.0) * math.log(2.0) + math.lgamma(a + 1.0) + math.lgamma(b + 1.0)
+        - math.lgamma(a + b + 2.0)
+    )
+    return vals, mu0 * vecs[0, :] ** 2
+
+
+def gauss_gegenbauer(npts, lam):
+    """Symmetric Gauss rule for weight (1-t^2)^lam on (-1, 1), antipodally exact.
+
+    Nodes and weights are symmetrized so the t -> -t closure holds bitwise.
+    """
+    t, w = gauss_jacobi(npts, lam, lam)
+    return 0.5 * (t - t[::-1]), 0.5 * (w + w[::-1])
+
+
+def gauss_power01(npts, expo):
+    """Gauss rule on (0, 1) with weight s^expo."""
+    x, w = gauss_jacobi(npts, 0.0, float(expo))
+    return 0.5 * (x + 1.0), w / 2.0 ** (expo + 1.0)
 
 
 @dataclass(frozen=True)

@@ -23,11 +23,11 @@ from .bodies import (
     EuclideanBall,
     PerturbedBall,
     complex_structure,
-    rotate_pairs,
+    validate,
 )
 from .config import RunConfig, default_config, philox
 from .errors import InvalidInputError, exit_code
-from .harmonics import euclidean_ft_constant, ft_norm_power
+from .harmonics import euclidean_ft_constant
 from .spherequad import mc_volume
 from .theorems import (
     VerificationContext,
@@ -226,11 +226,6 @@ def _timed(fn):
     return wrapper
 
 
-def _unit_dirs(rng, count, N):
-    x = rng.normal(size=(count, N))
-    return x / np.linalg.norm(x, axis=1, keepdims=True)
-
-
 # --- criteria ----------------------------------------------------------------
 
 
@@ -262,7 +257,7 @@ def criterion_section_cross_validation(ctx):
     for body in cross_validation_matrix():
         n = body.dim.n
         rng = philox(ctx.config.seed + 100 + n)
-        dirs = _unit_dirs(rng, 64, 2 * n)
+        dirs = sect.unit_directions(rng.normal(size=(64, 2 * n)))
         direct = sect.section_values(body, dirs, config=cfg)
         ft = ctx.ft(body, float(2 * n - 2))
         fourier, _ = sect.section_volume_fourier(body, dirs, ft)
@@ -448,18 +443,14 @@ def criterion_structural(ctx):
     worst = 0.0
     details = {}
 
-    # homogeneity and rotation invariance: 1000 trials each across the matrix
+    # homogeneity and rotation invariance: 1000 trials each across the matrix,
+    # the worst values of the validator's own checks
     hom = rot = 0.0
-    trials_per = 1000 // (len(samples2) + len(samples3))
-    for body in samples2 + samples3:
-        N = body.dim.N
-        x = _unit_dirs(rng, trials_per, N)
-        lam = rng.uniform(0.2, 2.5, size=trials_per) * rng.choice([-1.0, 1.0], trials_per)
-        base = body.norm(x)
-        hom = max(hom, float(np.max(np.abs(body.norm(lam[:, None] * x) - np.abs(lam) * base)
-                                    / (np.abs(lam) * base))))
-        theta = float(rng.uniform(0.0, 2.0 * math.pi))
-        rot = max(rot, float(np.max(np.abs(body.norm(rotate_pairs(x, theta)) - base) / base)))
+    matrix = samples2 + samples3
+    for i, body in enumerate(matrix):
+        checks = validate(body, 1000 // len(matrix), cfg.seed + 2000 + i).checks
+        hom = max(hom, checks["homogeneity"].worst)
+        rot = max(rot, checks["rotation_invariance"].worst)
     details["homogeneity"] = hom
     details["rotation_invariance"] = rot
     worst = max(worst, hom, rot)
@@ -470,7 +461,7 @@ def criterion_structural(ctx):
     pairs = [([], []) for _ in bodies_cycle]
     for trial in range(1000):
         N = bodies_cycle[trial % len(bodies_cycle)].dim.N
-        xi = _unit_dirs(rng, 1, N)[0]
+        xi = sect.unit_directions(rng.normal(size=N))[0]
         t = float(rng.uniform(0.0, 2.0 * math.pi))
         first, turned = pairs[trial % len(bodies_cycle)]
         first.append(xi)
@@ -488,7 +479,7 @@ def criterion_structural(ctx):
     volsc = sectsc = 0.0
     light_level = {2: 64, 3: 24}
     for k in range(1000):
-        body = (samples2 + samples3)[k % (len(samples2) + len(samples3))]
+        body = matrix[k % len(matrix)]
         n = body.dim.n
         r = float(rng.uniform(0.5, 2.0))
         rule = sect.radial_power_rule(light_level[n], body)
@@ -496,7 +487,7 @@ def criterion_structural(ctx):
         v2 = sect.volume(body.scaled(r), rule=rule)
         volsc = max(volsc, abs(v2 / (r ** (2 * n) * v1) - 1.0))
         if k % 10 == 0:
-            xi = _unit_dirs(rng, 1, 2 * n)
+            xi = sect.unit_directions(rng.normal(size=2 * n))
             s1 = sect.section_values(body, xi, config=cfg, scan=True)[0]
             s2 = sect.section_values(body.scaled(r), xi, config=cfg, scan=True)[0]
             sectsc = max(sectsc, abs(s2 / (r ** (2 * n - 2) * s1) - 1.0))
@@ -508,9 +499,9 @@ def criterion_structural(ctx):
     for body in (samples2[0], samples2[9]):
         r = 1.37
         p = 2.0
-        ft1 = ft_norm_power(body, p, jmax=8)
-        ft2 = ft_norm_power(body.scaled(r), p, jmax=8)
-        xs = _unit_dirs(rng, 500, body.dim.N)
+        ft1 = ctx.ft(body, p, jmax=8)
+        ft2 = ctx.ft(body.scaled(r), p, jmax=8)
+        xs = sect.unit_directions(rng.normal(size=(500, body.dim.N)))
         ftsc = max(ftsc, float(np.max(np.abs(ft2.evaluate(xs) / (r ** p * ft1.evaluate(xs)) - 1.0))))
     details["transform_scaling"] = ftsc
     worst = max(worst, ftsc)

@@ -162,6 +162,13 @@ class TestComplexStructure:
         x = np.random.default_rng(1).normal(size=8)
         assert np.allclose(complex_structure(x), rotate_pairs(x, math.pi / 2), atol=1e-15)
 
+    def test_rotate_pairs_one_angle_per_row(self):
+        rng = np.random.default_rng(3)
+        x = rng.normal(size=(20, 6))
+        thetas = rng.uniform(0.0, 2.0 * math.pi, size=20)
+        expect = np.array([rotate_pairs(row, float(t)) for row, t in zip(x, thetas)])
+        assert np.allclose(rotate_pairs(x, thetas), expect, rtol=0.0, atol=1e-15)
+
 
 class TestInvariance:
     @given(st.floats(-3.0, 3.0).filter(lambda v: abs(v) > 1e-3),

@@ -79,3 +79,23 @@ class TestRefineExtremum:
         assert rows and max(rows) <= 2 * grid.params.shape[1]
         assert evals == sum(rows)
         assert value == pytest.approx(1.0, rel=1e-6)
+
+    def test_ties_keep_the_earlier_point(self):
+        # the grid's first best point starts; a tie never moves it; among equal
+        # candidates the first in (coordinate, +, -) order wins
+        grid = direction_grid(2, 4, 4, with_phases=True)
+        values = np.zeros(grid.size)
+        values[[6, 7]] = 1.0
+        start = grid.params[6]
+
+        def flat(level):
+            return lambda X: np.full(len(X), level)
+
+        p, _, value, evals = refine_extremum(flat(1.0), grid, values, halvings=3)
+        assert np.array_equal(p, start) and value == 1.0
+        assert evals == 4 * 4  # one sweep of 2d candidates per step size
+        p, _, value, _ = refine_extremum(flat(2.0), grid, values, halvings=3)
+        assert np.array_equal(p, start + [grid.steps[0], 0.0]) and value == 2.0
+        p, _, value, _ = refine_extremum(lambda X: np.array([1.5, 1.5, 2.0, 2.0]), grid, values,
+                                         halvings=0)
+        assert np.array_equal(p, start + [0.0, grid.steps[1]]) and value == 2.0

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -33,7 +34,6 @@ from cxsect.harmonics import (
     multi_indices,
 )
 from cxsect.suite import bodies_n2, bodies_n3
-from cxsect.specfun import log_gamma
 
 from conftest import trapezoid, unit_vectors
 
@@ -258,6 +258,27 @@ class TestMoments:
         mods2 = rule.nodes[:, 0::2] ** 2 + rule.nodes[:, 1::2] ** 2
         quad = float(rule.weights @ (mods2[:, 0] ** 2 * mods2[:, 2]))
         assert quad == pytest.approx(complex_sphere_moment(3, (2, 0, 1)), rel=1e-13)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_raising_one_exponent(self, n):
+        # moment(alpha + e_k) / moment(alpha) = (alpha_k + 1) / (n + |alpha|)
+        for deg in range(12):
+            for alpha in multi_indices(n, deg):
+                for k in range(n):
+                    up = alpha[:k] + (alpha[k] + 1,) + alpha[k + 1:]
+                    ratio = complex_sphere_moment(n, up) / complex_sphere_moment(n, alpha)
+                    assert ratio == pytest.approx((alpha[k] + 1) / (n + deg), rel=1e-15)
+
+    def test_against_exact_fraction(self):
+        # 2 pi^n / (n-1)!, then one exact factor (alpha_k + 1)/(n + |alpha|) per raised exponent
+        n, alpha = 4, (5, 0, 3, 2)
+        exact, deg = Fraction(1, math.factorial(n - 1)), 0
+        for k, a in enumerate(alpha):
+            for step in range(a):
+                exact *= Fraction(step + 1, n + deg)
+                deg += 1
+        expect = 2.0 * math.pi ** n * float(exact)
+        assert complex_sphere_moment(n, alpha) == pytest.approx(expect, rel=1e-15)
 
 
 class TestMonomialKernel:
@@ -806,14 +827,3 @@ class TestFtNormPower:
         assert blob["N"] == 4 and blob["multiplier_power"] == 2.0
         assert all(len(entry) == 3 for entry in blob["coefficients"])
 
-
-class TestLogGamma:
-    def test_against_math_lgamma(self):
-        xs = np.linspace(0.5, 200.0, 400)
-        ours = log_gamma(xs)
-        ref = np.array([math.lgamma(v) for v in xs])
-        assert np.max(np.abs(ours - ref) / np.maximum(np.abs(ref), 1.0)) < 1e-13
-
-    def test_exact_factorials(self):
-        for n in (1, 2, 5, 10, 20):
-            assert math.exp(log_gamma(n)) == pytest.approx(math.factorial(n - 1), rel=1e-12)

@@ -45,6 +45,12 @@ class TestSphereRule:
         assert rule.weights.sum() == pytest.approx(area, rel=1e-12)
         assert sphere_area(m) == pytest.approx(area, rel=1e-14)
 
+    @pytest.mark.parametrize("m,area", [
+        (2, 2 * math.pi), (3, 4 * math.pi), (4, 2 * math.pi ** 2), (5, 8 * math.pi ** 2 / 3),
+        (6, math.pi ** 3), (7, 16 * math.pi ** 3 / 15), (8, math.pi ** 4 / 3)])
+    def test_sphere_area_closed_forms(self, m, area):
+        assert sphere_area(m) == pytest.approx(area, rel=1e-15)
+
     @pytest.mark.parametrize("m", [2, 3, 4, 5, 6, 7, 8])
     def test_weights_positive(self, m):
         assert np.all(sphere_rule(m, 4).weights > 0)

@@ -1,6 +1,6 @@
 """The acceptance suite's body matrix is built once per process, and its
 criteria share transforms through the context."""
-from cxsect import PerturbedBall, VerificationContext, suite, theorems
+from cxsect import PerturbedBall, VerificationContext, suite, theorems, validate
 
 
 def test_matrix_certifies_each_perturbed_body_once(monkeypatch):
@@ -42,3 +42,14 @@ def test_parseval_criterion_builds_each_transform_once(monkeypatch):
     # three bodies at jmax 12, 16 and 20; the golden ball and the two mixed
     # bodies at the configured degree come from C1 and C2
     assert len(built) - before == 6 and len(set(built)) == len(built)
+
+
+def test_structural_invariants_are_the_validator_worst_values():
+    context = VerificationContext()
+    details = suite.criterion_structural(context).details
+    matrix = [*suite.bodies_n2().values(), *suite.bodies_n3().values()]
+    reports = [validate(body, 1000 // len(matrix), context.config.seed + 2000 + i)
+               for i, body in enumerate(matrix)]
+    assert details["homogeneity"] == max(r.checks["homogeneity"].worst for r in reports)
+    assert details["rotation_invariance"] == max(
+        r.checks["rotation_invariance"].worst for r in reports)

@@ -330,6 +330,7 @@ class TestGammaLemma:
         rows = gamma_lemma_check(170)
         assert len(rows) == 170
         assert all(r.passed for r in rows)
+        assert rows[0].log_margin == 0.0  # ln Gamma(1) is exactly 0
 
     def test_equality_at_one(self):
         row = gamma_lemma_check(1)[0]
