@@ -116,6 +116,25 @@ class ConvexBody:
     def _radial_impl(self, theta):
         return 1.0 / self._norm_impl(theta)
 
+    def torus_radial(self, moduli, phases):
+        """rho at the torus points z_k = U[i, k] e^{i Phi[f, k]}, shape (M, F),
+        for moduli rows U (M, n) of unit length and phase rows Phi (F, n).
+
+        A body with ``phase_bandwidth`` 0 depends on the moduli only, so this
+        is ``radial`` at the moduli rows embedded at phase 0, repeated over
+        the F phases.  Kinds whose radial function depends on the phases
+        override it.
+        """
+        if self.phase_bandwidth:
+            raise NotImplementedError(f"{type(self).__name__} has no torus evaluation")
+        U = np.atleast_2d(np.asarray(moduli, dtype=float))
+        if U.shape[1] != self.dim.n:
+            raise InvalidInputError(f"expected moduli rows of length {self.dim.n}")
+        theta = np.zeros((U.shape[0], self.dim.N))
+        theta[:, 0::2] = U
+        rho = self.radial(theta)
+        return np.broadcast_to(rho[:, None], (rho.shape[0], np.shape(phases)[0]))
+
     def _points(self, x, what):
         """x as a float array of finite vectors in R^{2n}; InvalidInputError otherwise."""
         x = np.asarray(x, dtype=float)
@@ -297,6 +316,11 @@ class PerturbedBall(ConvexBody):
     def _radial_impl(self, theta):
         rho = self.radial_profile(theta.reshape(-1, self.dim.N))
         return rho.reshape(theta.shape[:-1])[()]  # [()]: a scalar for one vector
+
+    def torus_radial(self, moduli, phases):
+        """The radial profile at the torus points z_k = U[i, k] e^{i Phi[f, k]},
+        shape (M, F), through ``HarmonicExpansion.torus_values``."""
+        return self.radius * (1.0 + self.perturbation.torus_values(moduli, phases))
 
     def _norm_impl(self, x):
         flat = x.reshape(-1, self.dim.N)

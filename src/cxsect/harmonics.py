@@ -44,6 +44,10 @@ expansion is therefore one Hermitian matrix at its top degree, built once
 per instance, and evaluating it is one monomial table per chunk of points and
 one product.  The lift holds on unit vectors only, so
 ``HarmonicExpansion.evaluate`` rejects rows more than 1e-8 off unit length.
+At the points z_k = u_k e^{i phi_k} of a torus rule the same matrix gives
+sum_ab H[a, b] u^{a+b} e^{i (a - b) . phi}, so ``torus_values`` works on the
+rule's moduli rows and phase rows separately (one real product) and never
+forms the points.
 
 The Fourier transform of the degree -p homogeneous extension of a spherical
 harmonic Y_j multiplies it by
@@ -67,7 +71,7 @@ from .spherequad import QuadratureRule, sphere_rule
 
 _MAX_DEGREE = {4: 24, 6: 32, 8: 32}  # per N; see invariant_harmonic_basis
 _NOISE_FLOOR = 1e-12
-_CHUNK_ROWS = 8192  # points per monomial chunk in _Block._monomial_chunks
+_CHUNK_ROWS = 8192  # points (or torus moduli rows) per monomial chunk
 
 
 @lru_cache(maxsize=None)
@@ -201,20 +205,21 @@ class _Block:
 
     # -- evaluation ----------------------------------------------------
 
-    def _monomial_chunks(self, X):
-        """Yield (lo, hi, Za): the monomials z^a at X[lo:hi], shape (rows, P).
+    def _monomials(self, Z):
+        """The monomials z^a at the rows of Z (rows, n), complex or real, shape
+        (rows, P): one power table z_m^e, from which every monomial is gathered."""
+        table = np.empty((self.n, Z.shape[0], self.k + 1), dtype=Z.dtype)
+        table[:, :, 0] = 1.0
+        for e in range(1, self.k + 1):
+            table[:, :, e] = table[:, :, e - 1] * Z.T
+        return math.prod(table[m][:, self._ea[:, m]] for m in range(self.n))
 
-        Each chunk of _CHUNK_ROWS points builds the power table z_m^e once and
-        gathers every monomial from it.
-        """
+    def _monomial_chunks(self, X):
+        """Yield (lo, hi, Za): the monomials z^a at X[lo:hi], shape (rows, P),
+        in chunks of _CHUNK_ROWS points."""
         for lo in range(0, X.shape[0], _CHUNK_ROWS):
             hi = min(lo + _CHUNK_ROWS, X.shape[0])
-            Z = X[lo:hi, 0::2] + 1j * X[lo:hi, 1::2]
-            table = np.empty((self.n, hi - lo, self.k + 1), dtype=complex)
-            table[:, :, 0] = 1.0
-            for e in range(1, table.shape[2]):
-                table[:, :, e] = table[:, :, e - 1] * Z.T
-            yield lo, hi, math.prod(table[m][:, self._ea[:, m]] for m in range(self.n))
+            yield lo, hi, self._monomials(X[lo:hi, 0::2] + 1j * X[lo:hi, 1::2])
 
     def eval_basis(self, X):
         """Values of the block's basis functions at X, shape (M, dim)."""
@@ -347,6 +352,12 @@ def bochner_multiplier(N, p, j):
     return sign * math.exp(logv)
 
 
+def _require_unit_rows(X):
+    """The lift of ``HarmonicExpansion`` is exact on the unit sphere only."""
+    if not np.all(np.abs(np.sqrt(np.einsum("ij,ij->i", X, X)) - 1.0) <= 1e-8):
+        raise InvalidInputError("expansions are evaluated at unit vectors only")
+
+
 @dataclass(eq=False)
 class HarmonicExpansion:
     """Truncated expansion sum_{j even <= jmax} sum_l c[j][l] Y_{j,l} on S^{N-1}.
@@ -400,8 +411,7 @@ class HarmonicExpansion:
         pts = np.atleast_2d(np.asarray(X, dtype=float))
         if pts.shape[1] != self.N:
             raise InvalidInputError(f"expected vectors in R^{self.N}")
-        if not np.all(np.abs(np.sqrt(np.einsum("ij,ij->i", pts, pts)) - 1.0) <= 1e-8):
-            raise InvalidInputError("expansions are evaluated at unit vectors only")
+        _require_unit_rows(pts)
         H, blk = self._lift(tuple(degrees))
         out = np.empty(pts.shape[0])
         for lo, hi, Za in blk._monomial_chunks(pts):
@@ -409,6 +419,36 @@ class HarmonicExpansion:
             out[lo:hi] = (np.einsum("ij,ij->i", ZH.real, Za.real)
                           + np.einsum("ij,ij->i", ZH.imag, Za.imag))
         return out if np.ndim(X) == 2 else float(out[0])
+
+    def torus_values(self, moduli, phases):
+        """Values at the torus points z_k = U[i, k] e^{i Phi[f, k]}, shape (M, F),
+        for unit moduli rows U (M, n) and phase rows Phi (F, n).
+
+        With H the lifted matrix of ``evaluate``, the value is
+        Re sum_ab H[a, b] u^{a+b} e^{i (a - b) . phi}: one real (rows, P^2)
+        block of moduli monomial products per chunk of moduli rows, times one
+        (P^2, F) matrix Re(H[a, b] e^{i (a - b) . phi}).  No point of the
+        product is formed.  Moduli rows more than 1e-8 off unit length, and
+        non-finite phases, raise ``InvalidInputError``.
+        """
+        U = np.atleast_2d(np.asarray(moduli, dtype=float))
+        Phi = np.atleast_2d(np.asarray(phases, dtype=float))
+        n = self.N // 2
+        if U.shape[1] != n or Phi.shape[1] != n:
+            raise InvalidInputError(f"expected moduli and phase rows of length {n}")
+        _require_unit_rows(U)
+        if not np.all(np.isfinite(Phi)):
+            raise InvalidInputError("torus phases must be finite")
+        H, blk = self._lift(tuple(self.degrees()))
+        P = blk.P
+        freq = (blk._ea[:, None, :] - blk._ea[None, :, :]).reshape(P * P, n)  # a - b
+        R = (H.reshape(-1, 1) * np.exp(1j * (freq @ Phi.T))).real
+        out = np.empty((U.shape[0], Phi.shape[0]))
+        for lo in range(0, U.shape[0], _CHUNK_ROWS):
+            hi = min(lo + _CHUNK_ROWS, U.shape[0])
+            Ua = blk._monomials(U[lo:hi])  # u^a, real
+            out[lo:hi] = (Ua[:, :, None] * Ua[:, None, :]).reshape(hi - lo, P * P) @ R
+        return out
 
     def _lift(self, degrees):
         """(H, block): the Hermitian P x P matrix with

@@ -24,7 +24,7 @@ from . import grids
 from .config import RunConfig, default_config
 from .errors import InvalidInputError, NumericalEvaluationError
 from .harmonics import HarmonicExpansion
-from .spherequad import QuadratureRule, integrate_sphere, invariant_sphere_rule
+from .spherequad import QuadratureRule, integrate_sphere, invariant_sphere_rule, radial_values
 
 # the configuration of every call that passes none; built once, never written
 _DEFAULT_CONFIG = default_config()
@@ -190,8 +190,9 @@ def volume(body, rule: QuadratureRule | None = None,
     """Total volume by the polar formula Vol = (1/2n) int rho^{2n}.
 
     With no explicit rule the torus-reduced rule is used (the integrand is
-    rotation-invariant for every admitted body); pass the generic product
-    rule on S^{2n-1} for the reference path.
+    rotation-invariant for every admitted body), evaluated through its
+    factors (``radial_values``); pass the generic product rule on S^{2n-1}
+    for the reference path.
     """
     cfg = config or _DEFAULT_CONFIG
     n = body.dim.n
@@ -200,7 +201,7 @@ def volume(body, rule: QuadratureRule | None = None,
     if rule.m != 2 * n:
         raise InvalidInputError(f"volume rule must live on S^{2 * n - 1}")
     with np.errstate(over="ignore"):  # integrate_sphere rejects the overflow
-        vals = body.radial(rule.nodes) ** (2 * n)
+        vals = radial_values(body, rule) ** (2 * n)
     return integrate_sphere(vals, rule) / (2 * n)
 
 

@@ -14,6 +14,10 @@ Two rule families:
   coordinate pairs.  The reduction drops the integral to the moduli simplex
   (plus optional relative phases), so high levels stay cheap; used as the
   default for radial-power integrals such as the polar volume formula.
+  The rule keeps its two factors, moduli rows and phase rows, and builds
+  its node array only when asked for it: ``radial_values`` evaluates a
+  body through the factors (``ConvexBody.torus_radial``), so volumes,
+  pairings and radius scans on these rules never form the nodes.
 
 Final reductions go through ``np.sum`` (pairwise, thread-count independent)
 so repeated runs produce identical bits.
@@ -29,7 +33,7 @@ import numpy as np
 from .config import philox
 from .errors import InvalidInputError, NumericalEvaluationError
 
-_MC_CHUNK = 1_000_000  # Monte Carlo samples drawn and tested per batch
+_MC_CHUNK = 65_536  # Monte Carlo samples drawn and tested per batch
 
 
 def sphere_area(m):
@@ -80,7 +84,6 @@ def gauss_power01(npts, expo):
     return 0.5 * (x + 1.0), w / 2.0 ** (expo + 1.0)
 
 
-@dataclass(frozen=True)
 class QuadratureRule:
     """Nodes/weights on S^{m-1} with a stated polynomial exactness degree.
 
@@ -95,26 +98,70 @@ class QuadratureRule:
     fixes them).  A sum over the nodes can then take the phase first:
     sum_i w_i g(x_i) = sum_rings sum_k w_k g(head * e^{i psi_k}) with
     e^{i psi_k} acting on z_n only.  The default 1 holds for any rule.
+
+    A torus rule is given by its factors instead of its nodes: ``moduli``
+    (M, n) and ``phases`` (F, n), node i*F + f being z_k = U[i, k] e^{i Phi[f, k]}
+    (``torus_points``).  Its node array is built on first access to
+    ``nodes``; ``nodes_built`` tells whether that has happened.  Evaluations
+    that can use the factors (``radial_values``) never build it.  Nodes and
+    weights are read-only.
     """
 
-    m: int
-    nodes: np.ndarray
-    weights: np.ndarray
-    exactness_degree: int
-    level: int
-    kind: str = "product"
-    ring: int = 1
-
-    def __post_init__(self):
-        if self.ring < 1 or self.nodes.shape[0] % self.ring:
+    def __init__(self, m, nodes, weights, exactness_degree, level, kind="product", ring=1,
+                 moduli=None, phases=None):
+        if ring < 1 or weights.shape[0] % ring:
             raise InvalidInputError(
-                f"ring length {self.ring} does not divide the {self.nodes.shape[0]} nodes")
-        self.nodes.setflags(write=False)
-        self.weights.setflags(write=False)
+                f"ring length {ring} does not divide the {weights.shape[0]} nodes")
+        if (nodes is None) == (moduli is None or phases is None):
+            raise InvalidInputError("a rule takes either its nodes or its torus factors")
+        self.m, self.weights, self.exactness_degree, self.level = m, weights, exactness_degree, level
+        self.kind, self.ring, self.moduli, self.phases = kind, ring, moduli, phases
+        self._nodes = nodes
+        for arr in (nodes, weights, moduli, phases):
+            if arr is not None:
+                arr.setflags(write=False)
+
+    @property
+    def nodes(self):
+        """The (node_count, m) node array; a torus rule builds it here once."""
+        if self._nodes is None:
+            nodes = torus_points(self.moduli, self.phases)
+            nodes.setflags(write=False)
+            self._nodes = nodes
+        return self._nodes
+
+    @property
+    def nodes_built(self):
+        return self._nodes is not None
 
     @property
     def node_count(self):
-        return self.nodes.shape[0]
+        return self.weights.shape[0]
+
+    def __repr__(self):
+        return (f"QuadratureRule(m={self.m}, kind={self.kind!r}, level={self.level}, "
+                f"nodes={self.node_count}, ring={self.ring})")
+
+
+def torus_points(moduli, phases):
+    """The points z_k = U[i, k] e^{i Phi[f, k]} in R^{2n}, row i*F + f, for
+    moduli rows U (M, n) and phase rows Phi (F, n)."""
+    U, Phi = np.asarray(moduli, dtype=float), np.asarray(phases, dtype=float)
+    out = np.empty((U.shape[0], Phi.shape[0], 2 * U.shape[1]))
+    out[:, :, 0::2] = U[:, None, :] * np.cos(Phi)[None, :, :]
+    out[:, :, 1::2] = U[:, None, :] * np.sin(Phi)[None, :, :]
+    return out.reshape(-1, 2 * U.shape[1])
+
+
+def radial_values(body, rule: QuadratureRule):
+    """``body.radial`` at the rule's nodes, in node order.
+
+    A torus rule evaluates through its factors, ``body.torus_radial(moduli,
+    phases)``, and builds no node array; any other rule evaluates at its nodes.
+    """
+    if rule.moduli is None:
+        return body.radial(rule.nodes)
+    return body.torus_radial(rule.moduli, rule.phases).ravel()
 
 
 @lru_cache(maxsize=32)
@@ -177,6 +224,8 @@ def invariant_sphere_rule(n: int, level: int, nphase: int = 1) -> QuadratureRule
     nphase exceeds the polynomial's phase bandwidth.  The phase of z_n is the
     fastest axis, so for n >= 2 the rule's rings are its ``nphase`` phases at
     each moduli node and outer phase (``QuadratureRule.ring`` = nphase).
+    The rule is returned in factored form: moduli rows (L^{n-1}, n) and phase
+    rows (nphase^{n-1}, n), whose node array is built on first access.
     """
     if n < 1:
         raise InvalidInputError("n must be >= 1")
@@ -209,17 +258,9 @@ def invariant_sphere_rule(n: int, level: int, nphase: int = 1) -> QuadratureRule
     axes = [np.zeros(1)] + [2.0 * math.pi * np.arange(nphase) / nphase for _ in range(n - 1)]
     pg = np.meshgrid(*axes, indexing="ij")
     phases = np.stack([g.ravel() for g in pg], axis=1)
-    nph = phases.shape[0]
-    mu_count, N = U.shape[0], 2 * n
-    nodes = np.empty((mu_count * nph, N))
-    for k in range(n):
-        uk = np.repeat(U[:, k], nph)
-        ph = np.tile(phases[:, k], mu_count)
-        nodes[:, 2 * k] = uk * np.cos(ph)
-        nodes[:, 2 * k + 1] = uk * np.sin(ph)
-    weights = np.repeat(uw, nph) * ((2.0 * math.pi) ** n / nph)
-    return QuadratureRule(2 * n, nodes, weights, 2 * L - 1, L, kind="invariant",
-                          ring=nphase if n > 1 else 1)
+    weights = np.repeat(uw, phases.shape[0]) * ((2.0 * math.pi) ** n / phases.shape[0])
+    return QuadratureRule(2 * n, None, weights, 2 * L - 1, L, kind="invariant",
+                          ring=nphase if n > 1 else 1, moduli=U, phases=phases)
 
 
 def integrate_sphere(f, rule: QuadratureRule) -> float:
@@ -257,9 +298,11 @@ class MCVolume:
 def mc_volume(body, samples: int, seed: int) -> MCVolume:
     """Rejection-sampling volume estimate in the bounding box [-R, R]^{2n}.
 
-    R is 1.01 times the maximum radial value over a coarse direction scan.
-    Counter-based RNG (Philox) keyed by ``seed``; results are reproducible and
-    independent of chunking because each chunk draws from one stream.  Raises
+    R is 1.01 times the maximum radial value over a coarse direction scan
+    (a level-48 torus rule, evaluated through its factors).  Counter-based
+    RNG (Philox) keyed by ``seed``; results are reproducible and independent
+    of the chunk size ``_MC_CHUNK`` because the chunks draw, in order, from
+    one stream filled row by row.  Raises
     ``NumericalEvaluationError`` when the box volume, the estimate or its
     standard error is not finite.
     """
@@ -268,7 +311,7 @@ def mc_volume(body, samples: int, seed: int) -> MCVolume:
     n = body.dim.n
     N = 2 * n
     scan = invariant_sphere_rule(n, 48, nphase=1 if body.phase_bandwidth == 0 else 8)
-    rmax = float(np.max(body.radial(scan.nodes)))
+    rmax = float(np.max(radial_values(body, scan)))
     if not (rmax > 0 and math.isfinite(rmax)):
         raise InvalidInputError("degenerate body: nonpositive bounding radius")
     R = 1.01 * rmax

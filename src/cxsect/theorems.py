@@ -25,7 +25,7 @@ from .bodies import validate
 from .config import RunConfig, default_config
 from .errors import InvalidInputError
 from .harmonics import ft_norm_power
-from .spherequad import integrate_sphere
+from .spherequad import integrate_sphere, radial_values
 
 _TOL_FLOOR = 1e-12
 
@@ -413,8 +413,9 @@ def parseval_check(K, L, p, context: VerificationContext | None = None,
     lhs is the coefficient pairing sum_j c^K_j . c^L_j of the two truncated
     expansions, which is their sphere integral exactly (the basis is
     orthonormal); rhs uses ``sections.radial_power_rule`` at the configured
-    level (the integrand is rotation-invariant).  Both transforms come from
-    the context, truncated at ``jmax`` (default the configured degree).
+    level (the integrand is rotation-invariant), evaluated through the rule's
+    torus factors.  Both transforms come from the context, truncated at
+    ``jmax`` (default the configured degree).
     """
     ctx = context or VerificationContext()
     cfg = ctx.config
@@ -428,7 +429,7 @@ def parseval_check(K, L, p, context: VerificationContext | None = None,
     ft_l = ctx.ft(L, N - p, jmax)
     lhs = float(sum(ft_k.coeffs[j] @ ft_l.coeffs[j] for j in ft_k.degrees()))
     reduced = sections.radial_power_rule(cfg.reduced_level(n), K, L)
-    rho = K.radial(reduced.nodes) ** p * L.radial(reduced.nodes) ** (N - p)
+    rho = radial_values(K, reduced) ** p * radial_values(L, reduced) ** (N - p)
     rhs = (2.0 * math.pi) ** N * integrate_sphere(rho, reduced)
     rel = abs(lhs - rhs) / abs(rhs)
     return ParsevalResult(

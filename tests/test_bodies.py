@@ -17,6 +17,7 @@ from cxsect import (
     body_from_dict,
     body_to_dict,
     complex_structure,
+    invariant_sphere_rule,
     rotate_pairs,
     validate,
 )
@@ -137,6 +138,46 @@ class TestRadialPath:
             theta = np.float64(1.0)
         with pytest.raises(InvalidInputError):
             body.radial(theta)
+
+
+class TestTorusRadial:
+    """``torus_radial`` on a torus rule's factors equals ``radial`` at the
+    rule's nodes, in node order."""
+
+    @staticmethod
+    def assert_matches_nodes(body, rule):
+        got = body.torus_radial(rule.moduli, rule.phases)
+        assert got.shape == (rule.moduli.shape[0], rule.phases.shape[0])
+        ref = body.radial(rule.nodes)
+        assert np.max(np.abs(got.ravel() / ref - 1.0)) <= 1e-14, (body.label, rule)
+        return got.ravel(), ref
+
+    def test_every_kind_matches_radial_at_nodes(self):
+        for body in TestRadialPath.matrix():
+            n, bw = body.dim.n, body.phase_bandwidth
+            for nphase in sorted({1, 2 * n * bw + 1, 8}):
+                got, ref = self.assert_matches_nodes(body, invariant_sphere_rule(n, 12, nphase))
+                if bw == 0 and nphase == 1:  # radial at the same points, bit for bit
+                    assert np.array_equal(got, ref), body.label
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("terms", [((2, 1, 0.04),), ((4, 2, 0.02),), ((6, 3, 0.01),),
+                                       ((2, 0, 0.03), (4, 1, 0.01), (6, 4, 0.005))])
+    def test_perturbed_degrees_and_phase_counts(self, n, terms):
+        body = PerturbedBall(ComplexDim(n), 1.2, terms, certify=False)
+        for nphase in (1, 2 * n * body.phase_bandwidth + 1, 8):
+            self.assert_matches_nodes(body, invariant_sphere_rule(n, 14, nphase))
+
+    @pytest.mark.parametrize("kind", ["ball", "perturbed"])
+    def test_non_unit_moduli_rejected(self, kind):
+        d = ComplexDim(2)
+        body = EuclideanBall(d) if kind == "ball" else PerturbedBall(d, 1.0, ((2, 0, 0.06),))
+        rule = invariant_sphere_rule(2, 6, 3)
+        for scale in (1.0 + 2e-8, 0.5, np.nan):
+            with pytest.raises(InvalidInputError):
+                body.torus_radial(rule.moduli * scale, rule.phases)
+        with pytest.raises(InvalidInputError):
+            body.torus_radial(invariant_sphere_rule(3, 6).moduli, rule.phases)
 
 
 class TestComplexStructure:

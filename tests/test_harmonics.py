@@ -33,6 +33,7 @@ from cxsect.harmonics import (
     invariant_harmonic_dim,
     multi_indices,
 )
+from cxsect.spherequad import torus_points
 from cxsect.suite import bodies_n2, bodies_n3
 
 from conftest import trapezoid, unit_vectors
@@ -529,6 +530,24 @@ class TestLiftedEvaluate:
         self.assert_close(ft.evaluate(X), per_degree_values(ft, X))
         self.assert_close(ft.tail_values(X), per_degree_values(ft, X, [14, 16]))
         self.assert_close(ft.tail_values(X, top=5), per_degree_values(ft, X, [8, 10, 12, 14, 16]))
+
+    @pytest.mark.parametrize("N,jmax,level,nphase", [(4, 24, 6, 3), (6, 12, 5, 5), (8, 6, 3, 2),
+                                                     (6, 4, 96, 1)])  # 9,216 rows: two chunks
+    def test_torus_values_match_evaluate(self, N, jmax, level, nphase):
+        exp = self.random_expansion(N, jmax, 37)
+        rule = invariant_sphere_rule(N // 2, level, nphase)
+        got = exp.torus_values(rule.moduli, rule.phases)
+        assert got.shape == (rule.moduli.shape[0], rule.phases.shape[0])
+        self.assert_close(got.ravel(), exp.evaluate(torus_points(rule.moduli, rule.phases)))
+
+    def test_torus_values_reject_bad_rows(self):
+        exp = self.random_expansion(6, 4, 38)
+        rule = invariant_sphere_rule(3, 4, 3)
+        for U, Phi in ((rule.moduli * (1.0 + 2e-8), rule.phases),
+                       (rule.moduli, rule.phases * np.nan),
+                       (rule.moduli[:, :2], rule.phases)):
+            with pytest.raises(InvalidInputError):
+                exp.torus_values(U, Phi)
 
     def test_all_zero_tail_is_zero(self, ball2):
         ft = ft_norm_power(ball2, 2.0, jmax=8)

@@ -17,6 +17,7 @@ from cxsect import (
     ft_norm_power,
     hyperplane_basis,
     inradius_normalized,
+    integrate_sphere,
     invariant_sphere_rule,
     rotate_pairs,
     section_volume_direct,
@@ -435,6 +436,17 @@ class TestRadialPowerRule:
         doubled = invariant_sphere_rule(n, level, nphase=2 * n * 2 * body.phase_bandwidth + 1)
         assert volume(body, rule=radial_power_rule(level, body)) == pytest.approx(
             volume(body, rule=doubled), rel=1e-13)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_volume_through_factors_matches_node_path(self, n):
+        for body in (bodies_n2() if n == 2 else bodies_n3()).values():
+            rule = radial_power_rule(24, body)
+            ref = integrate_sphere(lambda x: body.radial(x) ** (2 * n), rule) / (2 * n)
+            got = volume(body, rule=rule)
+            if body.phase_bandwidth:
+                assert got == pytest.approx(ref, rel=1e-14), body.label
+            else:  # one phase: radial at the same points, summed in the same order
+                assert got == ref, body.label
 
     def test_one_phase_fewer_aliases(self):
         body = bodies_n2()["pert_b"]

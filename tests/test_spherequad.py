@@ -16,6 +16,8 @@ from cxsect import (
     sphere_area,
     sphere_rule,
 )
+from cxsect import spherequad
+from cxsect.spherequad import radial_values
 from cxsect.config import default_config, philox
 from cxsect.harmonics import complex_sphere_moment, multi_indices
 from cxsect.suite import bodies_n2, bodies_n3
@@ -148,6 +150,61 @@ class TestRingLayout:
             QuadratureRule(4, nodes.copy(), weights.copy(), 1, 1, ring=2)
 
 
+def reference_torus_nodes(moduli, phases):
+    """The torus rule's node array as the eager builder assembled it: moduli
+    repeated over the phases, phases tiled over the moduli, one column pair
+    at a time."""
+    nph, count, n = phases.shape[0], moduli.shape[0], moduli.shape[1]
+    nodes = np.empty((count * nph, 2 * n))
+    for k in range(n):
+        uk = np.repeat(moduli[:, k], nph)
+        ph = np.tile(phases[:, k], count)
+        nodes[:, 2 * k] = uk * np.cos(ph)
+        nodes[:, 2 * k + 1] = uk * np.sin(ph)
+    return nodes
+
+
+class TestFactoredRule:
+    """A torus rule keeps its moduli and phase rows and builds its node
+    array on first access only."""
+
+    @pytest.mark.parametrize("n,level,nphase", [(1, 5, 1), (2, 64, 9), (3, 24, 7), (4, 6, 5)])
+    def test_lazy_nodes_are_the_reference_build(self, n, level, nphase):
+        rule = invariant_sphere_rule.__wrapped__(n, level, nphase)  # a fresh, unbuilt rule
+        assert not rule.nodes_built
+        assert rule.node_count == rule.moduli.shape[0] * rule.phases.shape[0]
+        assert rule.ring == (nphase if n > 1 else 1)
+        assert not rule.nodes_built  # node_count and the ring check read the weights
+        nodes = rule.nodes
+        assert rule.nodes_built and rule.nodes is nodes
+        assert np.array_equal(nodes, reference_torus_nodes(rule.moduli, rule.phases))
+        for arr in (rule.nodes, rule.weights, rule.moduli, rule.phases):
+            assert not arr.flags.writeable
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_unit_moduli_rows_and_pinned_first_phase(self, n):
+        rule = invariant_sphere_rule(n, 10, 4)
+        assert np.abs(np.linalg.norm(rule.moduli, axis=1) - 1.0).max() <= 1e-15
+        assert np.all(rule.phases[:, 0] == 0.0)
+
+    def test_nodes_or_factors_not_both(self):
+        rule = invariant_sphere_rule(2, 4, 3)
+        w = np.ones(rule.node_count)
+        with pytest.raises(InvalidInputError):
+            QuadratureRule(4, None, w, 1, 1)
+        with pytest.raises(InvalidInputError):
+            QuadratureRule(4, rule.nodes.copy(), w, 1, 1, moduli=rule.moduli, phases=rule.phases)
+
+    def test_radial_values_in_node_order(self, ell12, pert2):
+        rule = invariant_sphere_rule(2, 16, 9)
+        for body in (ell12, pert2):
+            got = radial_values(body, rule)
+            assert got.shape == (rule.node_count,)
+            assert np.max(np.abs(got / body.radial(rule.nodes) - 1.0)) <= 1e-14
+        product = sphere_rule(4, 6)
+        assert np.array_equal(radial_values(pert2, product), pert2.radial(product.nodes))
+
+
 class TestIntegrateSphere:
     def test_constant(self):
         rule = sphere_rule(4, 8)
@@ -253,6 +310,13 @@ class TestMonteCarlo:
         a = mc_volume(ball2, 50_000, seed=7)
         b = mc_volume(ball2, 50_000, seed=7)
         assert a == b
+
+    def test_independent_of_chunk_size(self, pert2, monkeypatch):
+        # 25,000 samples: one chunk, or chunks of 4,096 with a partial last one
+        monkeypatch.setattr(spherequad, "_MC_CHUNK", 25_000)
+        whole = mc_volume(pert2, 25_000, seed=11)
+        monkeypatch.setattr(spherequad, "_MC_CHUNK", 4_096)
+        assert mc_volume(pert2, 25_000, seed=11) == whole
 
     def test_coverage_over_seeds(self, ball2):
         # statistical acceptance: >= 19 of 20 seeds within 3 standard errors

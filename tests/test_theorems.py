@@ -16,14 +16,16 @@ from cxsect import (
     gamma_lemma_check,
     inradius_normalized,
     integrate_sphere,
+    mc_volume,
     parseval_check,
     positivity_check,
     section_gap,
     separation_verify,
     stability_verify,
 )
-from cxsect import grids, sections, theorems
+from cxsect import grids, sections, spherequad, theorems
 from cxsect.grids import refine_extremum
+from cxsect.config import default_config
 from cxsect.harmonics import expansion_rule
 
 
@@ -295,12 +297,44 @@ class TestParseval:
         parseval_check(ball2, ball2, 2.0, context=context, jmax=12)
         assert built[2:] == [(ball2, 2.0, 12)]  # K = L at p = n shares one transform
 
+    def test_rhs_matches_the_node_path(self, pert2):
+        # the pairing integrand through the torus factors against the same
+        # integrand at the rule's nodes
+        res = parseval_check(pert2, ComplexLqBall(d2, 3.0), 2.0, jmax=8)
+        rule = sections.radial_power_rule(default_config().reduced_level(2), pert2)
+        ref = integrate_sphere(lambda x: pert2.radial(x) ** 2 * ComplexLqBall(d2, 3.0).radial(x) ** 2,
+                               rule)
+        assert res.rhs == pytest.approx((2 * math.pi) ** 4 * ref, rel=1e-14)
+
     def test_exponent_pairing_nontrivial(self, ball3):
         # n=3 with p = 2n-2 pairs against exponent 2, mirroring the stability proof;
         # closed form: lhs = |S^5| * lam_0(6,4) * lam_0(6,2) = pi^3 * 4pi^3 * 16pi^3
         res = parseval_check(ball3, ball3, 4.0)
         assert res.lhs == pytest.approx(64 * math.pi ** 9, rel=1e-10)
         assert res.relative_error <= 1e-10
+
+
+class TestTorusRulesStayFactored:
+    """Radial-power integrals and scans on torus rules evaluate through the
+    rules' factors: none of them builds a node array."""
+
+    def test_no_torus_node_array_is_built(self, monkeypatch):
+        built, build = [], spherequad.invariant_sphere_rule.__wrapped__
+
+        def fresh(n, level, nphase=1):  # uncached, so the lazy state is these calls'
+            rule = build(n, level, nphase)
+            built.append(rule)
+            return rule
+
+        monkeypatch.setattr(sections, "invariant_sphere_rule", fresh)
+        monkeypatch.setattr(spherequad, "invariant_sphere_rule", fresh)
+        pert = PerturbedBall(d3, 1.0, ((2, 0, 0.05),))
+        sections.volume_with_error(pert)
+        mc_volume(pert, 10_000, seed=0)
+        parseval_check(pert, EuclideanBall(d3), 2.0, jmax=4)
+        assert [(r.m, r.level, r.phases.shape[0]) for r in built] == [
+            (6, 160, 49), (6, 180, 49), (6, 48, 64), (6, 160, 49)]
+        assert not any(r.nodes_built for r in built)
 
 
 class TestPositivity:

@@ -61,3 +61,22 @@ def test_tracer_installs_records_and_uninstalls():
     assert summary["sections.section_values.dirs"] == 2
     assert summary["sections.hyperplane_basis.calls"] == 1  # one batch per call
     assert summary["spherequad.mc.samples"] == 10_000
+
+
+def test_traced_perturbed_volume_counts_nodes_without_building_them():
+    # a cold rule cache, so both polar-volume rules are built inside the trace
+    tm = _load_tracer()
+    cxsect.invariant_sphere_rule.cache_clear()
+    pert = PerturbedBall(ComplexDim(3), 1.0, ((2, 0, 0.05),))
+    tracer = tm.Tracer()
+    tracer.install(cxsect)
+    try:
+        cxsect.sections.volume_with_error(pert)
+        summary = tracer.summary(1.0)
+    finally:
+        tracer.uninstall()
+    level = cxsect.config.default_config().reduced_level(3)
+    rules = [cxsect.invariant_sphere_rule(3, lev, 7) for lev in (level, level + max(8, level // 8))]
+    assert summary["spherequad.rule_nodes"] == sum(r.node_count for r in rules) == 2_842_000
+    assert not any(r.nodes_built for r in rules)
+    assert "spherequad.torus_points" not in {rec[tm.NAME] for rec in tracer.spans}
