@@ -31,6 +31,7 @@ from .errors import (
     NumericalEvaluationError,
     exit_code,
 )
+from .harmonics import _check_degree
 from .reporting import build_report, write_report
 from .spherequad import mc_volume
 from .suite import run_suite
@@ -57,6 +58,8 @@ def _load_config(args) -> RunConfig:
         for key in jm:
             jm[key] = args.jmax
         cfg = cfg.replace(jmax=jm)
+    for N, j in cfg.jmax.items():  # before any basis is built
+        _check_degree(N, j)
     return cfg
 
 
@@ -318,7 +321,8 @@ def build_parser():
 
     p = sub.add_parser("suite", help="run the acceptance criteria")
     p.add_argument("--criteria", nargs="*", help="subset of criterion names")
-    p.add_argument("--jmax", type=int, help="override truncation degree everywhere")
+    p.add_argument("--jmax", type=int, help="override truncation degree everywhere; "
+                   "above a dimension's degree cap (24, 22, 12 at N = 4, 6, 8) exits 3")
     p.set_defaults(fn=cmd_suite)
     return parser
 

@@ -15,11 +15,16 @@ inner products of monomials have the closed form
     <z^a zbar^b, z^c zbar^d> = [a+d == b+c] * 2 pi^n (a+d)! / (n - 1 + j)!
 
 (``complex_sphere_moment``: the factorial ratio is taken in integers and
-rounded once), which makes Gram-Schmidt orthonormalization exact.  The basis
-is canonical: projections of a fixed Hermitian generator matrix onto the
-harmonic subspace (one product), orthonormalized in order by classical
-Gram-Schmidt run twice, so indices are stable across runs and every basis
-function is real.
+rounded once), which makes Gram-Schmidt orthonormalization exact.  Neither
+the Laplacian nor this Gram mixes monomials of different d = a - b, and the
+conjugate of a d monomial is a -d one, so a block splits into the pairs
+{d, -d}, and so does its basis: each pair gets its own Laplacian rows, null
+space, Gram, projector and classical Gram-Schmidt run twice (CGS2), and
+inner products across pairs are exactly 0.  The basis is canonical: the
+projections of a fixed sequence of Hermitian generators onto the harmonic
+subspace, orthonormalized in that order (each against the kept rows of its
+own pair), so indices are stable across runs and every basis function is
+real.
 
 Expansion coefficients come from the quadrature moments
 mu_k[a, b] = sum_i w_i f(x_i) z^a zbar^b of each block.  On the unit sphere
@@ -69,9 +74,10 @@ from .config import default_config
 from .errors import InvalidInputError, NumericalEvaluationError
 from .spherequad import QuadratureRule, sphere_rule
 
-_MAX_DEGREE = {4: 24, 6: 32, 8: 32}  # per N; see invariant_harmonic_basis
+_MAX_DEGREE = {4: 24, 6: 22, 8: 12}  # per N; see invariant_harmonic_basis
 _NOISE_FLOOR = 1e-12
 _CHUNK_ROWS = 8192  # points (or torus moduli rows) per monomial chunk
+_INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
 @lru_cache(maxsize=None)
@@ -107,6 +113,27 @@ def invariant_harmonic_dim(n, j):
     return b(k) ** 2 - b(k - 1) ** 2
 
 
+def _split(keys, count=None):
+    """Indices of ``keys`` grouped by key value 0..count-1, each group ascending."""
+    order = np.argsort(keys, kind="stable")
+    return np.split(order, np.cumsum(np.bincount(keys, minlength=count or 0))[:-1])
+
+
+def _projector(cols, terms, S):
+    """S-orthogonal projector onto the harmonic polynomials among the
+    entries ``cols`` (ascending), and their dimension.  ``terms`` are the
+    Laplacian's (entry, row, value) columns on these entries."""
+    if terms.shape[1]:
+        rows, row = np.unique(terms[1], return_inverse=True)
+        lap = np.zeros((len(rows), len(cols)))
+        lap[row, np.searchsorted(cols, terms[0])] = terms[2]
+        _, s, vh = np.linalg.svd(lap)
+        V = vh[int(np.count_nonzero(s > 1e-10 * s[0])):].T
+    else:
+        V = np.eye(len(cols))
+    return V @ np.linalg.solve(V.T @ S @ V, V.T @ S), V.shape[1]
+
+
 class _Block:
     """Invariant harmonic polynomials of bidegree (k, k) on C^n, orthonormal on S^{2n-1}.
 
@@ -120,88 +147,98 @@ class _Block:
         self.A = multi_indices(n, k)
         self.P = len(self.A)
         self._ea = np.array(self.A)
-        V = self._nullspace()
-        self.dim = V.shape[1]
-        expect = invariant_harmonic_dim(n, 2 * k)
-        if self.dim != expect:
+        self.dim = invariant_harmonic_dim(n, 2 * k)
+        self.C = self._canonical_basis()
+
+    def _canonical_basis(self):
+        """Projections of the canonical generators onto the harmonic subspace,
+        orthonormalised in generator order, one difference pair {d, -d} at a time.
+
+        The generators are e_aa, then for each (a, b > a) the Hermitian pair
+        (e_ab + e_ba)/sqrt2, i (e_ab - e_ba)/sqrt2, in the order of the
+        entries (a, b), b >= a, a-major.  Each lives in the pair of d = a - b.
+        Neither the Laplacian nor the exact Gram mixes pairs, so each pair gets
+        its own null space, Gram, projector and CGS2 run, and the kept rows are
+        merged back in generator order.
+        """
+        n, P = self.n, self.P
+        first, second = np.divmod(np.arange(P * P), P)  # entry a*P + b -> (a, b)
+        moment = np.array([[complex_sphere_moment(n, tuple(x + y for x, y in zip(a, b)))
+                            for b in self.A] for a in self.A])  # moment(a + b)
+        diff = self._ea[first] - self._ea[second]
+        lead = diff[np.arange(P * P), np.argmax(diff != 0, axis=1)]  # 0 only for d = 0
+        sign = np.where(lead < 0, -1, 1)  # d = sign * (the larger of d and -d)
+        _, group = np.unique(diff * sign[:, None], axis=0, return_inverse=True)
+        width = np.where(first == second, 1, 2 * (first < second))  # generators per entry
+        start = np.cumsum(width) - width  # the entry's first generator
+        terms = self._laplacian_terms()
+        parts, found = [], 0
+        for cols, lap in zip(_split(group), _split(group[terms[0]], group.max() + 1)):
+            # <z^a zbar^b, z^c zbar^e> = moment(a + e) when a - b == c - e, else 0
+            S = np.where(sign[cols, None] == sign[None, cols],
+                         moment[first[cols, None], second[None, cols]], 0.0)
+            proj, dim = _projector(cols, terms[:, lap], S)
+            found += dim
+            up = np.flatnonzero(width[cols])  # the entries (a, b >= a)
+            flip = np.searchsorted(cols, second[cols] * P + first[cols])  # (a, b) -> (b, a)
+            pair = width[cols[up]] == 2
+            pu, pt = proj[:, up].T, proj[:, flip[up]].T  # projected e_ab and e_ba
+            cands = np.concatenate([np.where(pair[:, None], _INV_SQRT2 * (pu + pt), pu),
+                                    1j * _INV_SQRT2 * (pu - pt)[pair]])
+            ids = np.concatenate([start[cols[up]], start[cols[up[pair]]] + 1])
+            order = np.argsort(ids)
+            ids, cands = ids[order], cands[order]
+            basis, kept = self._cgs2(0.5 * (cands + cands[:, flip].conj()), S, dim)
+            parts.append((cols, basis, ids[kept]))
+        if found != self.dim:
             raise NumericalEvaluationError(
-                f"harmonic block ({k},{k}) of C^{n}: null space dimension {self.dim} != {expect}"
+                f"harmonic block ({self.k},{self.k}) of C^{n}: null space dimension {found} != {self.dim}"
             )
-        S = self._exact_gram()
-        self._gram = S
-        self.C = self._canonical_basis(V, S)
+        merged = np.sort(np.concatenate([ids for _, _, ids in parts]))
+        C = np.zeros((self.dim, P * P), dtype=complex)
+        for cols, basis, ids in parts:
+            C[np.searchsorted(merged, ids)[:, None], cols] = basis
+        return C
 
-    def _nullspace(self):
-        n, k, P = self.n, self.k, self.P
-        if k == 0:
-            return np.eye(1, dtype=complex)
-        rows = {a: i for i, a in enumerate(multi_indices(n, k - 1))}
-        nr = len(rows)
-        L = np.zeros((nr * nr, P * P))
-        for ia, a in enumerate(self.A):
-            for ib, b in enumerate(self.A):
-                col = ia * P + ib
-                for m in range(n):
-                    if a[m] and b[m]:
-                        a2 = a[:m] + (a[m] - 1,) + a[m + 1:]
-                        b2 = b[:m] + (b[m] - 1,) + b[m + 1:]
-                        L[rows[a2] * nr + rows[b2], col] += a[m] * b[m]
-        _, s, vh = np.linalg.svd(L)
-        rank = int(np.count_nonzero(s > 1e-10 * s[0])) if s.size else 0
-        return vh[rank:].conj().T.astype(complex)
+    def _laplacian_terms(self):
+        """(entry, row, value) columns of the Laplacian
+        z^a zbar^b -> sum_m a_m b_m z^{a-e_m} zbar^{b-e_m}: entry a*P + b of
+        this block, row a'*P' + b' of the block below, shape (3, terms)."""
+        if self.k == 0:
+            return np.zeros((3, 0), dtype=int)
+        up = _raise_index(self.n, self.k - 1)  # a' -> a' + e_m
+        below = np.arange(up.shape[0] ** 2)
+        terms = []
+        for m in range(self.n):
+            e = self._ea[up[:, m], m]
+            terms.append(np.stack([(up[:, m, None] * self.P + up[None, :, m]).ravel(), below,
+                                   (e[:, None] * e[None, :]).ravel()]))
+        return np.concatenate(terms, axis=1)
 
-    def _exact_gram(self):
-        # S[(a,b),(c,d)] = moment(a + d) when a - b == c - d, and 0 across groups
-        P = self.P
-        moment = np.array([[complex_sphere_moment(self.n, tuple(x + y for x, y in zip(a, d)))
-                            for d in self.A] for a in self.A])
-        diff = (self._ea[:, None, :] - self._ea[None, :, :]).reshape(P * P, -1)
-        same = (diff[:, None, :] == diff[None, :, :]).all(axis=2)
-        pair_moment = np.broadcast_to(moment[:, None, None, :], (P, P, P, P)).reshape(P * P, P * P)
-        return np.where(same, pair_moment, 0.0)
-
-    def _generators(self):
-        """Canonical generator matrix, one column per Hermitian pair (i, j >= i)."""
-        P = self.P
-        inv_sqrt2 = 1.0 / math.sqrt(2.0)
-        gens = np.zeros((P * P, P * P), dtype=complex)  # P diagonal + P(P-1) pair columns
-        col = 0
-        for i in range(P):
-            gens[i * P + i, col] = 1.0
-            col += 1
-            for j in range(i + 1, P):
-                gens[[i * P + j, j * P + i], col] = inv_sqrt2
-                gens[[i * P + j, j * P + i], col + 1] = 1j * inv_sqrt2, -1j * inv_sqrt2
-                col += 2
-        return gens
-
-    def _canonical_basis(self, V, S):
-        G = V.conj().T @ S @ V
-        proj = V @ np.linalg.solve(G, V.conj().T @ S)
-        cands = (proj @ self._generators()).T
-        M = cands.reshape(-1, self.P, self.P)
-        cands = (0.5 * (M + M.conj().transpose(0, 2, 1))).reshape(cands.shape)
-        simages = cands @ S  # S is real symmetric: row k is S @ cands[k]
-        basis = np.empty((self.dim, cands.shape[1]), dtype=complex)
-        sbasis = np.empty_like(basis)
-        kept = 0
-        for cand, scand in zip(cands, simages):
-            for _ in range(2):  # classical Gram-Schmidt against the kept rows, twice
-                coef = (sbasis[:kept] @ cand.conj()).conj()  # <b, cand>_S = (S b)^H cand
-                cand = cand - coef @ basis[:kept]
-                scand = scand - coef @ sbasis[:kept]
-            nrm = math.sqrt(abs(np.vdot(cand, scand)))
+    def _cgs2(self, cands, S, dim):
+        """The first ``dim`` candidate rows kept by classical Gram-Schmidt, run
+        twice against the kept rows under the real symmetric Gram S, normalised,
+        and their indices among the candidates.  S @ cand is taken afresh for
+        every inner product, so no rounding is carried from row to row."""
+        S = S.astype(complex)
+        basis = np.empty((dim, cands.shape[1]), dtype=complex)
+        kept = []
+        for i, cand in enumerate(cands):
+            if len(kept) == dim:
+                break
+            for _ in range(2):
+                coef = (basis[:len(kept)] @ (S @ cand).conj()).conj()  # <b, cand>_S = b^H S cand
+                cand = cand - coef @ basis[:len(kept)]
+            nrm = math.sqrt(abs(np.vdot(cand, S @ cand)))
             if nrm > 1e-8:
-                basis[kept], sbasis[kept] = cand / nrm, scand / nrm
-                kept += 1
-                if kept == self.dim:
-                    break
-        if kept != self.dim:
+                basis[len(kept)] = cand / nrm
+                kept.append(i)
+        if len(kept) != dim:
             raise NumericalEvaluationError(
                 f"harmonic block ({self.k},{self.k}) of C^{self.n}: "
-                f"orthonormalization found {kept} of {self.dim} functions"
+                f"orthonormalization found {len(kept)} of {dim} functions"
             )
-        return basis
+        return basis, kept
 
     # -- evaluation ----------------------------------------------------
 
@@ -317,16 +354,21 @@ class HarmonicBasis:
 
 
 def _check_degree(N, j):
-    if N not in _MAX_DEGREE or j % 2 or not 0 <= j <= _MAX_DEGREE[N]:
-        raise InvalidInputError(f"no harmonic basis for N={N}, j={j}: supported are N in "
-                                f"{tuple(_MAX_DEGREE)} and even j <= {_MAX_DEGREE.get(N, 32)}")
+    if N not in _MAX_DEGREE:
+        raise InvalidInputError(f"no harmonic basis for N={N}: supported are N in {tuple(_MAX_DEGREE)}")
+    if j % 2 or not 0 <= j <= _MAX_DEGREE[N]:
+        raise InvalidInputError(f"no harmonic basis for N={N}, j={j}: "
+                                f"supported are even j <= {_MAX_DEGREE[N]}")
 
 
 def invariant_harmonic_basis(N, j):
     """Orthonormal real basis of the rotation-invariant degree-j harmonics on S^{N-1}.
 
-    N in {4, 6, 8}, j even, j <= 32 (24 at N = 4, where the Gram identity of
-    the full degree-26 harmonics misses 1e-10).
+    N in {4, 6, 8}, j even, j <= 24, 22 and 12 there.  The caps at N = 4 and
+    6 are the highest degrees whose blocks were measured to satisfy
+    C S C^H = I to 1e-10 under the exact monomial Gram S (the blocks at
+    j = 26 and 24 miss it).  At N = 8 the j = 14 block passes too, but its
+    dense coefficients alone take 1.7 GB, so the cap is 12.
     """
     _check_degree(N, j)
     return HarmonicBasis(N, j)
@@ -575,6 +617,7 @@ def ft_norm_power(body, p, jmax=None, tail_warn=1e-3) -> HarmonicExpansion:
         raise InvalidInputError(f"ft_norm_power requires 0 < p < {N}, got {p}")
     if jmax is None:
         jmax = default_config().jmax_for(N)
+    _check_degree(N, jmax)  # before the rule is built
     expansion = harmonic_expand(
         lambda X: body.radial(X) ** p, jmax, expansion_rule(N, jmax), tail_warn=tail_warn,
         label=f"ft[{body.label}]^(-{p})",

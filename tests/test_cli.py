@@ -238,6 +238,7 @@ class TestBadInput:
         "table-not-object": (BALL, {"jmax": 5}, ["volume", BODY]),
         "table-float-entry": (BALL, {"jmax": {"4": 2.5}}, ["volume", BODY]),
         "table-key": (BALL, {"moduli_res": {"two": 4}}, ["volume", BODY]),
+        "jmax-above-cap": (BALL, {"jmax": {"6": 24}}, ["volume", BODY]),
         "halvings-string": (BALL, {"refine_halvings": "3"}, ["volume", BODY]),
         "tail-warn-string": (BALL, {"tail_warn": "x"}, ["volume", BODY]),
         "tol-nan": (BALL, {"tol_multiplier": math.nan}, ["volume", BODY]),
@@ -413,6 +414,16 @@ class TestSuiteCommand:
 
     def test_unknown_criterion_exit3(self, tmp_path):
         assert run(["suite", "--criteria", "nonexistent"], tmp_path) == 3
+
+    def test_jmax_above_a_degree_cap_exit3_before_any_block(self, tmp_path, monkeypatch, capsys):
+        # 24 is N=4's cap but above N=6's: the suite would build every N
+        def never(n, k):
+            raise AssertionError(f"block ({k},{k}) of C^{n} built")
+
+        monkeypatch.setattr(cxsect.harmonics, "_block", never)
+        assert run(["suite", "--jmax", "24"], tmp_path) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            "error: no harmonic basis for N=6, j=24: supported are even j <= 22"]
 
     def test_single_fast_criterion_exit0(self, tmp_path):
         assert run(["suite", "--criteria", "gamma_inequality"], tmp_path) == 0
