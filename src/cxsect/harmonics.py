@@ -72,7 +72,7 @@ import numpy as np
 
 from .config import default_config
 from .errors import InvalidInputError, NumericalEvaluationError
-from .spherequad import QuadratureRule, sphere_rule
+from .spherequad import QuadratureRule, radial_values, sphere_rule
 
 _MAX_DEGREE = {4: 24, 6: 22, 8: 12}  # per N; see invariant_harmonic_basis
 _NOISE_FLOOR = 1e-12
@@ -610,7 +610,8 @@ def ft_norm_power(body, p, jmax=None, tail_warn=1e-3) -> HarmonicExpansion:
     Expands the radial power rho^p (the sphere restriction of the norm power)
     on the rotation-invariant harmonics through degree ``jmax`` (default
     ``default_config().jmax_for(N)``) and rescales degree j by
-    lambda_j(N, p).
+    lambda_j(N, p).  rho comes from ``radial_values`` on ``expansion_rule``,
+    so a body that depends on the moduli only is evaluated once per ring.
     """
     N = body.dim.N
     if not 0 < p < N:
@@ -618,10 +619,11 @@ def ft_norm_power(body, p, jmax=None, tail_warn=1e-3) -> HarmonicExpansion:
     if jmax is None:
         jmax = default_config().jmax_for(N)
     _check_degree(N, jmax)  # before the rule is built
-    expansion = harmonic_expand(
-        lambda X: body.radial(X) ** p, jmax, expansion_rule(N, jmax), tail_warn=tail_warn,
-        label=f"ft[{body.label}]^(-{p})",
-    )
+    rule = expansion_rule(N, jmax)
+    with np.errstate(over="ignore"):  # harmonic_expand rejects an overflowed power
+        rho_p = radial_values(body, rule) ** p
+    expansion = harmonic_expand(rho_p, jmax, rule, tail_warn=tail_warn,
+                                label=f"ft[{body.label}]^(-{p})")
     return expansion.multiplied(p)
 
 

@@ -9,6 +9,9 @@ Two rule families:
 * ``sphere_rule(m, level)`` -- the generic product rule (Gauss nodes in the
   polar cosines against the exact sphere weight, uniform trigonometric nodes
   in the azimuth).  Exact for all polynomials of degree <= 2*level - 1.
+  Built ring heads first: everything but the azimuth is formed once per
+  ring head and broadcast over the azimuths.  ``radial_values`` evaluates a
+  body that depends on the moduli only once per ring on this rule.
 * ``invariant_sphere_rule(n, level, ...)`` -- a torus-reduced rule on
   S^{2n-1} for integrands invariant under the simultaneous rotation of all
   coordinate pairs.  The reduction drops the integral to the moduli simplex
@@ -157,11 +160,17 @@ def radial_values(body, rule: QuadratureRule):
     """``body.radial`` at the rule's nodes, in node order.
 
     A torus rule evaluates through its factors, ``body.torus_radial(moduli,
-    phases)``, and builds no node array; any other rule evaluates at its nodes.
+    phases)``, and builds no node array.  On a rule given by its nodes, a
+    body with ``phase_bandwidth`` 0 depends on the moduli only, which are
+    the same on every node of a ring: it is evaluated at the ring heads and
+    each value repeated ``rule.ring`` times (equal to the per-node values up
+    to rounding).  Any other body evaluates at every node.
     """
-    if rule.moduli is None:
-        return body.radial(rule.nodes)
-    return body.torus_radial(rule.moduli, rule.phases).ravel()
+    if rule.moduli is not None:
+        return body.torus_radial(rule.moduli, rule.phases).ravel()
+    if rule.ring > 1 and body.phase_bandwidth == 0:
+        return np.repeat(body.radial(rule.nodes[::rule.ring]), rule.ring)
+    return body.radial(rule.nodes)
 
 
 @lru_cache(maxsize=32)
@@ -174,6 +183,8 @@ def sphere_rule(m: int, level: int) -> QuadratureRule:
     degree <= 2*level - 1 integrate exactly.  The azimuth of the last
     coordinate pair is the fastest axis, so the rule's rings are its
     2*level azimuths at each polar node (``QuadratureRule.ring`` = 2*level).
+    The polar coordinates, sine products and polar weights are formed once
+    per ring head (level^{m-2} rows) and broadcast over the azimuths.
     """
     if not 2 <= m <= 8:
         raise InvalidInputError(f"sphere_rule supports 2 <= m <= 8, got {m}")
@@ -192,21 +203,20 @@ def sphere_rule(m: int, level: int) -> QuadratureRule:
         t, w = gauss_gegenbauer(L, lam)
         tcos.append(t)
         tw.append(w)
-    grids = np.meshgrid(*tcos, psi, indexing="ij")
-    wgrids = np.meshgrid(*tw, wpsi, indexing="ij")
-    cols = [g.ravel() for g in grids]
-    weights = np.ones_like(cols[0])
-    for g in wgrids:
-        weights = weights * g.ravel()
-    count = cols[0].size
-    nodes = np.empty((count, m))
-    sinprod = np.ones(count)
+    cols = [g.ravel() for g in np.meshgrid(*tcos, indexing="ij")]  # one row per ring head
+    hweights = np.ones_like(cols[0])
+    for g in np.meshgrid(*tw, indexing="ij"):
+        hweights = hweights * g.ravel()
+    weights = (hweights[:, None] * wpsi).ravel()
+    heads = cols[0].size
+    nodes = np.empty((heads, naz, m))
+    sinprod = np.ones(heads)
     for i in range(m - 2):
-        nodes[:, i] = sinprod * cols[i]
+        nodes[:, :, i] = (sinprod * cols[i])[:, None]
         sinprod = sinprod * np.sqrt(1.0 - cols[i] ** 2)
-    nodes[:, m - 2] = sinprod * np.cos(cols[m - 2])
-    nodes[:, m - 1] = sinprod * np.sin(cols[m - 2])
-    return QuadratureRule(m, nodes, weights, 2 * L - 1, L, ring=naz)
+    nodes[:, :, m - 2] = sinprod[:, None] * np.cos(psi)
+    nodes[:, :, m - 1] = sinprod[:, None] * np.sin(psi)
+    return QuadratureRule(m, nodes.reshape(-1, m), weights, 2 * L - 1, L, ring=naz)
 
 
 @lru_cache(maxsize=32)

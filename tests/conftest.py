@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from cxsect import ComplexDim, ComplexEllipsoid, ComplexLqBall, EuclideanBall, PerturbedBall
+from cxsect.bodies import ConvexBody
 
 
 @pytest.fixture(scope="session")
@@ -38,3 +39,17 @@ def trapezoid(y, x):
     """Trapezoid rule for samples y at points x; the same sum as NumPy 2's
     ``np.trapezoid``, written out so the tests run on NumPy 1.x as well."""
     return float(np.sum(np.diff(x) * (y[1:] + y[:-1])) / 2.0)
+
+
+class CountingRadial:
+    """Wraps ``ConvexBody.radial`` (through ``monkeypatch``) and records the
+    number of rows of each call in ``rows``."""
+
+    def __init__(self, monkeypatch):
+        self.rows, real = [], ConvexBody.radial
+
+        def radial(body, theta):
+            self.rows.append(int(np.asarray(theta).shape[0]))
+            return real(body, theta)
+
+        monkeypatch.setattr(ConvexBody, "radial", radial)

@@ -40,7 +40,7 @@ from cxsect.harmonics import (
 from cxsect.spherequad import torus_points
 from cxsect.suite import bodies_n2, bodies_n3
 
-from conftest import trapezoid, unit_vectors
+from conftest import CountingRadial, trapezoid, unit_vectors
 
 
 def degree_dim(N, j):
@@ -1003,6 +1003,20 @@ class TestFtNormPower:
                 got = degree_values(N, j, ft.coeffs[j], xi) / bochner_multiplier(N, 2.0, j)
                 ref = zonal_projection(f, N, j, rule, xi)
                 assert np.abs(got - ref).max() <= 1e-12 * ft.l2_norm, (body.label, j)
+
+    @pytest.mark.parametrize("body,jmax", [(ComplexLqBall(ComplexDim(3), 4.0), 4),
+                                           (ComplexEllipsoid((1.0, 2.0)), 8)])
+    def test_moduli_only_body_evaluated_once_per_ring(self, body, jmax, monkeypatch):
+        rule = expansion_rule(body.dim.N, jmax)
+        counter = CountingRadial(monkeypatch)
+        ft_norm_power(body, 2.0, jmax=jmax)
+        assert counter.rows == [rule.node_count // rule.ring]
+
+    def test_perturbed_body_evaluated_at_every_node(self, pert2, monkeypatch):
+        rule = expansion_rule(4, 8)
+        counter = CountingRadial(monkeypatch)
+        ft_norm_power(pert2, 2.0, jmax=8)
+        assert counter.rows == [rule.node_count]
 
     def test_default_jmax_from_config(self, ball2):
         ft = ft_norm_power(ball2, 2.0)

@@ -5,6 +5,7 @@ import pytest
 
 from cxsect import (
     ComplexDim,
+    ComplexEllipsoid,
     ComplexLqBall,
     EuclideanBall,
     InvalidInputError,
@@ -21,6 +22,7 @@ from cxsect.spherequad import radial_values
 from cxsect.config import default_config, philox
 from cxsect.harmonics import complex_sphere_moment, multi_indices
 from cxsect.suite import bodies_n2, bodies_n3
+from conftest import CountingRadial
 
 
 def sphere_monomial_moment(m, alpha):
@@ -92,6 +94,40 @@ class TestSphereRule:
             sphere_rule(9, 4)
         with pytest.raises(InvalidInputError):
             sphere_rule(1, 4)
+
+
+def reference_sphere_rule(m, level):
+    """The product rule built node by node through full meshgrids (every
+    coordinate of every node formed on its own), as a bitwise oracle for
+    ``sphere_rule``'s ring-head build."""
+    L, naz = level, 2 * level
+    psi = 2.0 * math.pi * np.arange(naz) / naz
+    wpsi = np.full(naz, math.pi / L)
+    if m == 2:
+        return np.stack([np.cos(psi), np.sin(psi)], axis=1), wpsi
+    tcos, tw = zip(*(spherequad.gauss_gegenbauer(L, (m - 2 - i) / 2.0) for i in range(1, m - 1)))
+    cols = [g.ravel() for g in np.meshgrid(*tcos, psi, indexing="ij")]
+    weights = np.ones_like(cols[0])
+    for g in np.meshgrid(*tw, wpsi, indexing="ij"):
+        weights = weights * g.ravel()
+    nodes = np.empty((cols[0].size, m))
+    sinprod = np.ones(cols[0].size)
+    for i in range(m - 2):
+        nodes[:, i] = sinprod * cols[i]
+        sinprod = sinprod * np.sqrt(1.0 - cols[i] ** 2)
+    nodes[:, m - 2] = sinprod * np.cos(cols[m - 2])
+    nodes[:, m - 1] = sinprod * np.sin(cols[m - 2])
+    return nodes, weights
+
+
+class TestHeadFirstBuild:
+    @pytest.mark.parametrize("m,level", [(m, L) for m in range(2, 9) for L in (1, 2, 3, 6)]
+                             + [(m, 14) for m in range(2, 7)])
+    def test_bit_identical_to_meshgrid_build(self, m, level):
+        rule = sphere_rule(m, level)
+        nodes, weights = reference_sphere_rule(m, level)
+        assert np.array_equal(rule.nodes, nodes)
+        assert np.array_equal(rule.weights, weights)
 
 
 def _built_invariant_rules():
@@ -203,6 +239,48 @@ class TestFactoredRule:
             assert np.max(np.abs(got / body.radial(rule.nodes) - 1.0)) <= 1e-14
         product = sphere_rule(4, 6)
         assert np.array_equal(radial_values(pert2, product), pert2.radial(product.nodes))
+
+
+def moduli_only_bodies(n):
+    return [EuclideanBall(ComplexDim(n), 1.0)] + [
+        ComplexLqBall(ComplexDim(n), q) for q in (1.0, 3.0, np.inf)] + [
+        ComplexEllipsoid((1.0, 2.0) if n == 2 else (1.0, 1.5, 3.0))]
+
+
+class TestRingHeadRadial:
+    """On a product rule a moduli-only body is evaluated once per ring."""
+
+    @pytest.mark.parametrize("n,level", [(2, 8), (2, 26), (3, 8), (3, 14)])
+    def test_moduli_only_bodies_match_per_node_values(self, n, level, monkeypatch):
+        rule = sphere_rule(2 * n, level)
+        for body in moduli_only_bodies(n):
+            per_node = body.radial(rule.nodes)
+            counter = CountingRadial(monkeypatch)
+            got = radial_values(body, rule)
+            monkeypatch.undo()
+            assert counter.rows == [rule.node_count // rule.ring]
+            assert got.shape == (rule.node_count,)
+            # measured <= 4.1e-16 (the ring's nodes differ from its head by rounding)
+            assert np.max(np.abs(got / per_node - 1.0)) <= 4 * np.finfo(float).eps, body.label
+
+    @pytest.mark.parametrize("body,level", [(bodies_n2()["pert_a"], 8), (bodies_n2()["pert_b"], 14),
+                                            (bodies_n3()["pert"], 8)])
+    def test_perturbed_body_takes_every_node(self, body, level, monkeypatch):
+        rule = sphere_rule(body.dim.N, level)
+        per_node = body.radial(rule.nodes)
+        counter = CountingRadial(monkeypatch)
+        assert np.array_equal(radial_values(body, rule), per_node)
+        assert counter.rows == [rule.node_count]
+
+    def test_ring_one_takes_every_node(self, monkeypatch):
+        product = sphere_rule(4, 6)
+        rule = QuadratureRule(4, product.nodes.copy(), product.weights.copy(), 11, 6)
+        assert rule.ring == 1
+        body = ComplexLqBall(ComplexDim(2), 3.0)
+        counter = CountingRadial(monkeypatch)
+        got = radial_values(body, rule)
+        assert counter.rows == [rule.node_count]
+        assert np.array_equal(got, body.radial(rule.nodes))
 
 
 class TestIntegrateSphere:
