@@ -24,10 +24,22 @@ Two rule families:
 
 Final reductions go through ``np.sum`` (pairwise, thread-count independent)
 so repeated runs produce identical bits.
+
+``mc_volume`` draws its samples from one Philox stream keyed by the seed and
+tests them in chunks of ``_MC_CHUNK`` rows, split over up to two of the CPUs
+this process may use: the calling thread and a helper thread each take the
+next untested chunk.  Each chunk positions its own generator at its first
+draw through the counter, so it draws exactly the rows a sequential pass
+would give it.  Hit counts are integers, so the result does not depend on
+the CPU count, the chunk size or which thread tested which chunk.
 """
 from __future__ import annotations
 
 import math
+import numbers
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -36,7 +48,15 @@ import numpy as np
 from .config import philox
 from .errors import InvalidInputError, NumericalEvaluationError
 
-_MC_CHUNK = 65_536  # Monte Carlo samples drawn and tested per batch
+_MC_CHUNK = 16_384  # Monte Carlo samples drawn and tested per batch
+# Threads that test Monte Carlo chunks, caller included: the CPUs this process
+# may run on (its affinity; a CPU quota is not read), at most two.  Run time
+# and peak memory were measured with one and two; each further thread would
+# hold a chunk and its own malloc arena, unmeasured.
+try:
+    _MC_WORKERS = min(len(os.sched_getaffinity(0)), 2)
+except AttributeError:  # no affinity query on this platform
+    _MC_WORKERS = min(os.cpu_count() or 1, 2)
 
 
 def sphere_area(m):
@@ -305,17 +325,54 @@ class MCVolume:
     seed: int
 
 
+def _mc_hits(body, R, seed, todo, lock):
+    """Hits among the chunks this thread takes from the shared iterator
+    ``todo`` of (lo, hi) row ranges of the (samples, N) stream of
+    ``philox(seed)`` scaled to [-R, R]; ``lock`` guards ``todo``."""
+    N = body.dim.N
+    hits = 0
+    try:
+        while True:
+            with lock:
+                chunk = next(todo, None)
+            if chunk is None:
+                return hits
+            lo, hi = chunk
+            # one Philox counter step yields 4 draws and ``uniform`` takes one
+            # draw per double: skip whole steps, then discard the remainder
+            rng = philox(seed)
+            rng.bit_generator.advance(lo * N // 4)
+            rng.random(lo * N % 4)
+            pts = rng.uniform(-R, R, size=(hi - lo, N))
+            hits += int(np.count_nonzero(body.norm(pts) <= 1.0))
+    except BaseException:
+        with lock:  # the other threads stop at their next chunk
+            for _ in todo:
+                pass
+        raise
+
+
 def mc_volume(body, samples: int, seed: int) -> MCVolume:
     """Rejection-sampling volume estimate in the bounding box [-R, R]^{2n}.
 
     R is 1.01 times the maximum radial value over a coarse direction scan
-    (a level-48 torus rule, evaluated through its factors).  Counter-based
-    RNG (Philox) keyed by ``seed``; results are reproducible and independent
-    of the chunk size ``_MC_CHUNK`` because the chunks draw, in order, from
-    one stream filled row by row.  Raises
+    (a level-48 torus rule, evaluated through its factors).  The samples are
+    the rows of one counter-based stream (Philox) keyed by ``seed``, tested in
+    chunks of ``_MC_CHUNK`` rows.  The calling thread and up to
+    ``_MC_WORKERS`` - 1 helper threads each take the next untested chunk
+    until none is left, so a thread on a busy CPU takes fewer.  A helper's
+    exception is re-raised unchanged, and a thread that fails empties the
+    chunk list, so the others stop after the chunk in hand.  Each chunk
+    advances its own generator to its first draw, so it gets the rows a
+    sequential pass would give it, and the hit count is the same for any
+    number of CPUs and any chunk size.  ``samples`` must be an integer
+    >= 1e4.  Raises
     ``NumericalEvaluationError`` when the box volume, the estimate or its
     standard error is not finite.
     """
+    if not isinstance(samples, numbers.Integral) or isinstance(samples, bool):
+        raise InvalidInputError(f"mc_volume takes an integer sample count, got {samples!r}")
+    samples = int(samples)
     if samples < 10_000:
         raise InvalidInputError("mc_volume requires at least 1e4 samples")
     n = body.dim.n
@@ -325,14 +382,12 @@ def mc_volume(body, samples: int, seed: int) -> MCVolume:
     if not (rmax > 0 and math.isfinite(rmax)):
         raise InvalidInputError("degenerate body: nonpositive bounding radius")
     R = 1.01 * rmax
-    rng = philox(seed)
-    hits = 0
-    remaining = int(samples)
-    while remaining > 0:
-        k = min(_MC_CHUNK, remaining)
-        pts = rng.uniform(-R, R, size=(k, N))
-        hits += int(np.count_nonzero(body.norm(pts) <= 1.0))
-        remaining -= k
+    chunks = [(lo, min(lo + _MC_CHUNK, samples)) for lo in range(0, samples, _MC_CHUNK)]
+    W = min(_MC_WORKERS, len(chunks))
+    todo, lock = iter(chunks), threading.Lock()
+    with ThreadPoolExecutor(max_workers=max(W - 1, 1)) as pool:  # threads start on submit
+        helpers = [pool.submit(_mc_hits, body, R, seed, todo, lock) for _ in range(W - 1)]
+        hits = _mc_hits(body, R, seed, todo, lock) + sum(f.result() for f in helpers)
     frac = hits / samples
     try:
         boxvol = (2.0 * R) ** N
@@ -343,4 +398,4 @@ def mc_volume(body, samples: int, seed: int) -> MCVolume:
     if not (math.isfinite(boxvol) and math.isfinite(est) and math.isfinite(se)):
         raise NumericalEvaluationError(
             f"Monte Carlo volume is not finite: box volume (2R)^{N} with R={R:.6g}")
-    return MCVolume(est, se, int(samples), hits, R, int(seed))
+    return MCVolume(est, se, samples, hits, R, int(seed))

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -395,6 +397,101 @@ class TestMonteCarlo:
         whole = mc_volume(pert2, 25_000, seed=11)
         monkeypatch.setattr(spherequad, "_MC_CHUNK", 4_096)
         assert mc_volume(pert2, 25_000, seed=11) == whole
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_independent_of_worker_count(self, pert2, workers, monkeypatch):
+        # 50,000 samples: three full chunks of 16,384 and a partial fourth
+        lq4 = ComplexLqBall(ComplexDim(3), 4.0)
+        monkeypatch.setattr(spherequad, "_MC_WORKERS", 1)
+        serial = {b: mc_volume(b, 50_000, seed=13) for b in (pert2, lq4)}
+        monkeypatch.setattr(spherequad, "_MC_WORKERS", workers)
+        for body, whole in serial.items():
+            assert mc_volume(body, 50_000, seed=13) == whole
+
+    @pytest.mark.parametrize("chunk", [16_384, 4_097, 25_000])
+    def test_independent_of_chunk_size_with_helpers(self, pert2, chunk, monkeypatch):
+        # at N = 6, chunk k of 4,097 rows starts at draw 6 * 4,097 * k = 2k
+        # (mod 4), so every odd chunk positions its generator by whole counter
+        # steps plus a discard of two draws
+        lq4 = ComplexLqBall(ComplexDim(3), 4.0)
+        monkeypatch.setattr(spherequad, "_MC_WORKERS", 1)
+        monkeypatch.setattr(spherequad, "_MC_CHUNK", 60_000)
+        whole = {b: mc_volume(b, 60_000, seed=17) for b in (pert2, lq4)}
+        monkeypatch.setattr(spherequad, "_MC_WORKERS", 2)
+        monkeypatch.setattr(spherequad, "_MC_CHUNK", chunk)
+        for body, one_chunk in whole.items():
+            assert mc_volume(body, 60_000, seed=17) == one_chunk
+
+    def test_shared_chunk_list_under_thread_switches(self, monkeypatch):
+        # more threads than CPUs switching every microsecond: a chunk taken
+        # twice or lost would change the hit count
+        lq4 = ComplexLqBall(ComplexDim(3), 4.0)
+        monkeypatch.setattr(spherequad, "_MC_WORKERS", 1)
+        whole = mc_volume(lq4, 40_000, seed=19)
+        monkeypatch.setattr(spherequad, "_MC_WORKERS", 5)
+        monkeypatch.setattr(spherequad, "_MC_CHUNK", 500)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            split = mc_volume(lq4, 40_000, seed=19)
+        finally:
+            sys.setswitchinterval(interval)
+        assert split == whole
+
+    def test_helper_exception_reraised(self, ball3, monkeypatch):
+        # the norm fails only off the calling thread; the caller's first chunk
+        # waits until a helper has taken a chunk, so a helper surely fails
+        caller = threading.get_ident()
+        helper_started = threading.Event()
+        real = EuclideanBall.norm
+
+        def norm(body, x):
+            if threading.get_ident() != caller:
+                helper_started.set()
+                raise NumericalEvaluationError("norm failed on a helper chunk")
+            assert helper_started.wait(timeout=60)
+            return real(body, x)
+
+        monkeypatch.setattr(spherequad, "_MC_WORKERS", 2)
+        monkeypatch.setattr(EuclideanBall, "norm", norm)
+        threads = threading.active_count()
+        with pytest.raises(NumericalEvaluationError) as info:
+            mc_volume(ball3, 40_000, seed=0)
+        assert type(info.value) is NumericalEvaluationError
+        assert str(info.value) == "norm failed on a helper chunk"
+        assert threading.active_count() == threads
+
+    def test_failure_leaves_no_chunks_to_the_other_thread(self, ball3, monkeypatch):
+        # the calling thread fails on its first chunk of 40; the helper may
+        # finish the chunk in hand and one taken before the list is emptied,
+        # but tests none of the rest
+        caller = threading.get_ident()
+        failed = threading.Event()
+        late_calls = []
+        real = EuclideanBall.norm
+
+        def norm(body, x):
+            if threading.get_ident() == caller:
+                failed.set()
+                raise NumericalEvaluationError("norm failed on the calling thread")
+            if failed.is_set():
+                late_calls.append(len(x))
+            return real(body, x)
+
+        monkeypatch.setattr(spherequad, "_MC_WORKERS", 2)
+        monkeypatch.setattr(spherequad, "_MC_CHUNK", 1_000)
+        monkeypatch.setattr(EuclideanBall, "norm", norm)
+        with pytest.raises(NumericalEvaluationError, match="calling thread"):
+            mc_volume(ball3, 40_000, seed=0)
+        assert len(late_calls) <= 2
+
+    @pytest.mark.parametrize("samples", [20_000.7, 20_000.0, True, "20000"])
+    def test_rejects_non_integral_samples(self, ball2, samples):
+        with pytest.raises(InvalidInputError, match="integer sample count"):
+            mc_volume(ball2, samples, seed=0)
+
+    def test_takes_numpy_integer_samples(self, ball2):
+        assert mc_volume(ball2, np.int64(20_000), seed=0) == mc_volume(ball2, 20_000, seed=0)
 
     def test_coverage_over_seeds(self, ball2):
         # statistical acceptance: >= 19 of 20 seeds within 3 standard errors
