@@ -139,8 +139,10 @@ def section_values(body, dirs, rule: QuadratureRule | None = None,
     8), cheap enough for extremum scans over large grids (final values at the
     extremizer should be re-evaluated at the full level).  Any rule on
     S^{2n-3} may be passed instead, e.g. the generic product rule as a
-    reference.  Radial evaluations are chunked so large direction grids stay
-    within memory.
+    reference.  Directions are taken in chunks so large grids stay within
+    memory; a chunk's points theta B come from one batched matrix product,
+    rule nodes (M, 2n-2) times the stacked bases, and go to ``body.radial``
+    in one call.
     """
     cfg = config or _DEFAULT_CONFIG
     n = body.dim.n
@@ -159,7 +161,7 @@ def section_values(body, dirs, rule: QuadratureRule | None = None,
     chunk = max(1, 4_000_000 // M)
     for lo in range(0, P, chunk):
         hi = min(lo + chunk, P)
-        pts = np.einsum("mj,pjk->pmk", nodes, bases[lo:hi])
+        pts = np.matmul(nodes, bases[lo:hi])  # (hi - lo, M, 2n)
         with np.errstate(over="ignore"):  # overflow is caught by the checks below
             vals = body.radial(pts.reshape(-1, 2 * n)).reshape(hi - lo, M) ** power
             sums = vals @ rule.weights  # positive weights: a non-finite value stays

@@ -43,10 +43,10 @@ from conftest import trapezoid, unit_vectors
 def _bodies_by_kind():
     # one body of each kind at n = 2 and n = 3, taken from the suite
     b2, b3 = bodies_n2(), bodies_n3()
-    return {2: {"ball": b2["ball"], "lq3": b2["lq3"], "polydisc": b2["polydisc"],
-                "ell": b2["ell_1_2"], "pert": b2["pert_a"]},
-            3: {"ball": b3["ball"], "lq3": b3["lq3"], "polydisc": b3["polydisc"],
-                "ell": b3["ell_1_1.5_2"], "pert": b3["pert"]}}
+    return {2: {"ball": b2["ball"], "lq1": b2["lq1"], "lq3": b2["lq3"], "lq4": b2["lq4"],
+                "polydisc": b2["polydisc"], "ell": b2["ell_1_2"], "pert": b2["pert_a"]},
+            3: {"ball": b3["ball"], "lq1": b3["lq1"], "lq3": b3["lq3"], "lq4": b3["lq4"],
+                "polydisc": b3["polydisc"], "ell": b3["ell_1_1.5_2"], "pert": b3["pert"]}}
 
 
 class TestDirection:
@@ -248,7 +248,31 @@ class _CountingBody:
         return self.body.radial(theta)
 
 
+def _section_values_loop(body, dirs, rule):
+    # reference kernel: one direction at a time, each point built as
+    # sum_j nodes[:, j] B[j], integrated with the same rule weights
+    power = rule.m
+    out = []
+    for B in hyperplane_basis(dirs):
+        pts = sum(rule.nodes[:, j, None] * B[j] for j in range(rule.m))
+        out.append(body.radial(pts) ** power @ rule.weights / power)
+    return np.array(out)
+
+
 class TestSectionKernel:
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("name", ["ball", "lq1", "lq4", "polydisc", "ell", "pert"])
+    @pytest.mark.parametrize("scan", [False, True])
+    def test_matches_per_direction_reference(self, n, name, scan):
+        body = _bodies_by_kind()[n][name]
+        rule = sections._section_rule(n, default_config(), scan=scan)
+        dirs = unit_vectors(np.random.default_rng(10 + n), 9, 2 * n)
+        for X in (dirs, dirs[4]):  # a batch, and one direction as a vector
+            got = section_values(body, X, scan=scan)
+            ref = _section_values_loop(body, X, rule)
+            assert got.shape == ref.shape == (np.atleast_2d(X).shape[0],)
+            assert np.max(np.abs(got / ref - 1.0)) <= 1e-14, (name, X.ndim)
+
     @pytest.mark.parametrize("scan", [False, True])
     def test_one_point_per_direction_at_n2(self, ell12, scan):
         body = _CountingBody(ell12)
