@@ -135,6 +135,21 @@ class ConvexBody:
         rho = self.radial(theta)
         return np.broadcast_to(rho[:, None], (rho.shape[0], np.shape(phases)[0]))
 
+    def ring_radial(self, heads, psi):
+        """rho at the ring points, shape (H, R): head h (H, 2n) of unit length
+        with its last coordinate pair turned by the angle psi_k (R angles),
+        the layout of ``QuadratureRule.heads`` and ``psi``.
+
+        A body with ``phase_bandwidth`` 0 depends on the moduli only, which
+        are the same on every point of a ring, so this is ``radial`` at the
+        heads, repeated over the ring.  Kinds whose radial function depends
+        on the phases override it.
+        """
+        if self.phase_bandwidth:
+            raise NotImplementedError(f"{type(self).__name__} has no ring evaluation")
+        rho = self.radial(np.atleast_2d(heads))
+        return np.broadcast_to(rho[:, None], (rho.shape[0], np.shape(psi)[0]))
+
     def _points(self, x, what):
         """x as a float array of finite vectors in R^{2n}; InvalidInputError otherwise."""
         x = np.asarray(x, dtype=float)
@@ -321,6 +336,11 @@ class PerturbedBall(ConvexBody):
         """The radial profile at the torus points z_k = U[i, k] e^{i Phi[f, k]},
         shape (M, F), through ``HarmonicExpansion.torus_values``."""
         return self.radius * (1.0 + self.perturbation.torus_values(moduli, phases))
+
+    def ring_radial(self, heads, psi):
+        """The radial profile at the ring points, shape (H, R), through
+        ``HarmonicExpansion.ring_values``."""
+        return self.radius * (1.0 + self.perturbation.ring_values(heads, psi))
 
     def _norm_impl(self, x):
         flat = x.reshape(-1, self.dim.N)

@@ -34,12 +34,14 @@ mu_k[a, b] = sum_m mu_{k+1}[a + e_m, b + e_m].  One pass over the rule's nodes
 at the top degree therefore gives every degree.  This assumes the rule's nodes
 are unit vectors, as those of every rule in ``spherequad`` are to rounding.
 
-That pass sums ring by ring (``QuadratureRule.ring``): within a ring only the
-phase of z_n moves, so z^a zbar^b = u_a conj(u_b) e^{i (a_n - b_n) psi_k}
-with u the monomials at the ring's first node, and
+That pass sums ring by ring, on the rule's ring heads and ring angles
+(``QuadratureRule.heads`` and ``psi``): within a ring only the phase of z_n
+moves, so z^a zbar^b = u_a conj(u_b) e^{i (a_n - b_n) psi_k} with u the
+monomials at the ring's head, and
 mu[a, b] = sum_rings u_a conj(u_b) G_{a_n - b_n},  G_d = sum_k w_k f_k e^{i d psi_k}.
 This is the same quadrature sum, reassociated; the monomial tables and the
-block products run on the ring heads only (1/2L of a level-L product rule).
+block products run on the ring heads only (1/2L of a level-L product rule),
+and the angles come from the rule, so no node array is formed.
 
 Evaluation uses the same identity the other way round.  A degree-k
 combination sum_ab H[a, b] z^a zbar^b equals
@@ -52,7 +54,9 @@ one product.  The lift holds on unit vectors only, so
 At the points z_k = u_k e^{i phi_k} of a torus rule the same matrix gives
 sum_ab H[a, b] u^{a+b} e^{i (a - b) . phi}, so ``torus_values`` works on the
 rule's moduli rows and phase rows separately (one real product) and never
-forms the points.
+forms the points.  On a ring, grouped by d = a_n - b_n, the same matrix gives
+sum_d S_d e^{i d psi_k} with S_d taken once per head: ``ring_values``, the
+adjoint of the ring moment sum, costs about one evaluation per ring head.
 
 The Fourier transform of the degree -p homogeneous extension of a spherical
 harmonic Y_j multiplies it by
@@ -147,6 +151,8 @@ class _Block:
         self.A = multi_indices(n, k)
         self.P = len(self.A)
         self._ea = np.array(self.A)
+        # the monomials with a_n = alpha, for alpha = 0..k: the ring sums group by them
+        self._by_last = [np.flatnonzero(self._ea[:, -1] == alpha) for alpha in range(k + 1)]
         self.dim = invariant_harmonic_dim(n, 2 * k)
         self.C = self._canonical_basis()
 
@@ -266,28 +272,27 @@ class _Block:
             out[lo:hi] = (pairs @ self.C.T).real
         return out
 
-    def moments(self, nodes, wf, ring=1):
-        """mu_ab = sum_i wf_i z^a(x_i) zbar^b(x_i) for real wf, summed ring by ring.
+    def moments(self, heads, wf, psi=(0.0,)):
+        """mu_ab = sum_i wf_i z^a(x_i) zbar^b(x_i) for real wf over the ring
+        points of ``heads`` and ``psi``, summed ring by ring.
 
-        The nodes come in rings of ``ring`` consecutive points, laid out as
-        ``QuadratureRule.ring`` states: within a ring only the phase of z_n
-        moves, by the same e^{i psi_k} in every ring.  With u the monomials
-        at a ring's first node, z^a zbar^b = u_a conj(u_b) e^{i (a_n - b_n) psi_k}
-        there, so mu_ab = sum_rings u_a conj(u_b) G_{a_n - b_n} with
+        Point h*R + k is head h with z_n turned by e^{i psi_k}, the layout of
+        ``QuadratureRule.heads`` and ``psi``.  With u the monomials at the
+        head, z^a zbar^b = u_a conj(u_b) e^{i (a_n - b_n) psi_k} there, so
+        mu_ab = sum_h u_a conj(u_b) G_{a_n - b_n} with
         G_d = sum_k wf_k e^{i d psi_k} and G_{-d} = conj(G_d).  The monomials
-        are built at the ring heads only; ring = 1 is the per-node sum.
+        are built at the heads only; the default psi = (0,) makes every head
+        a point of its own, the per-node sum.
         """
         K, an = self.k, self._ea[:, -1]
-        rows_by_an = [np.flatnonzero(an == alpha) for alpha in range(K + 1)]
-        z = nodes[:ring, -2] + 1j * nodes[:ring, -1]  # the first ring's z_n
-        phase = np.exp(1j * np.outer(np.angle(z * z[:1].conj()), np.arange(K + 1)))
-        W = np.reshape(wf, (-1, ring))
+        phase = np.exp(1j * np.outer(psi, np.arange(K + 1)))
+        W = np.reshape(wf, (-1, phase.shape[0]))
         mu = np.zeros((self.P, self.P), dtype=complex)
-        for lo, hi, Ua in self._monomial_chunks(nodes[::ring]):
+        for lo, hi, Ua in self._monomial_chunks(heads):
             G = W[lo:hi] @ phase
             G = np.concatenate([G[:, :0:-1].conj(), G], axis=1)  # column K + d holds G_d
             Ub = Ua.conj()
-            for alpha, rows in enumerate(rows_by_an):
+            for alpha, rows in enumerate(self._by_last):
                 mu[rows] += Ua[:, rows].T @ (G[:, K + alpha - an] * Ub)
         return mu
 
@@ -492,6 +497,44 @@ class HarmonicExpansion:
             out[lo:hi] = (Ua[:, :, None] * Ua[:, None, :]).reshape(hi - lo, P * P) @ R
         return out
 
+    def ring_values(self, heads, psi):
+        """Values at the ring points, shape (H, R): unit head h (H, N) with
+        z_n turned by e^{i psi_k} (R angles), the layout of
+        ``QuadratureRule.heads`` and ``psi``.
+
+        With H the lifted matrix of ``evaluate`` and u the monomials at a
+        head, the value is Re sum_ab H[a, b] u_a conj(u_b) e^{i (a_n - b_n) psi_k}
+        = S_0 + 2 Re sum_{d > 0} S_d e^{i d psi_k}, where S_d sums
+        H[a, b] u_a conj(u_b) over a_n - b_n = d (H is Hermitian, so
+        S_{-d} = conj(S_d)).  This is the adjoint of ``_Block.moments``'
+        ring sum: one monomial table per chunk of heads, the products grouped
+        by (a_n, b_n), which costs about one evaluation per head, and one
+        (rows, K+1) by (K+1, R) product for the ring.  No ring point is
+        formed.  Heads more than 1e-8 off unit length, and non-finite
+        angles, raise ``InvalidInputError``.
+        """
+        X = np.atleast_2d(np.asarray(heads, dtype=float))
+        psi = np.atleast_1d(np.asarray(psi, dtype=float))
+        if X.shape[1] != self.N or psi.ndim != 1:
+            raise InvalidInputError(f"expected heads in R^{self.N} and one row of angles")
+        _require_unit_rows(X)
+        if not np.all(np.isfinite(psi)):
+            raise InvalidInputError("ring angles must be finite")
+        H, blk = self._lift(tuple(self.degrees()))
+        groups = blk._by_last
+        E = np.exp(1j * np.outer(np.arange(blk.k + 1), psi))
+        E[1:] *= 2.0
+        out = np.empty((X.shape[0], psi.shape[0]))
+        for lo, hi, Ua in blk._monomial_chunks(X):
+            Ub = Ua.conj()
+            S = np.zeros((hi - lo, blk.k + 1), dtype=complex)
+            for alpha, ra in enumerate(groups):
+                ZH = Ua[:, ra] @ H[ra]  # sum over a_n = alpha of u_a H[a, b], per b
+                for beta, rb in enumerate(groups[:alpha + 1]):
+                    S[:, alpha - beta] += np.einsum("ij,ij->i", ZH[:, rb], Ub[:, rb])
+            out[lo:hi] = S.real @ E.real - S.imag @ E.imag
+        return out
+
     def _lift(self, degrees):
         """(H, block): the Hermitian P x P matrix with
         sum_ab H[a, b] z^a zbar^b = sum_{j in degrees} sum_l c[j][l] Y_{j,l}
@@ -559,10 +602,12 @@ def harmonic_expand(f, jmax, rule: QuadratureRule, tail_warn=1e-3,
     therefore be unit vectors.  The top block sums the phase of z_n first
     within each of the rule's rings (``rule.ring`` nodes that differ only in
     that phase): mu[a, b] = sum_rings u_a conj(u_b) G_{a_n - b_n} with u the
-    monomials at the ring's first node and G_d = sum_k w_k f_k e^{i d psi_k},
-    again the same sum.  Coefficients below 1e-12 times the L2 norm of f are
-    dropped as quadrature noise.  A warning is recorded when the top two
-    degrees hold more than ``tail_warn`` of the expansion energy.  Raises
+    monomials at the ring head (``rule.heads``) and
+    G_d = sum_k w_k f_k e^{i d psi_k} over the ring angles (``rule.psi``),
+    again the same sum; no node array is formed unless ``f`` is a callable.
+    Coefficients below 1e-12 times the L2 norm of f are dropped as
+    quadrature noise.  A warning is recorded when the top two degrees hold
+    more than ``tail_warn`` of the expansion energy.  Raises
     ``NumericalEvaluationError`` when f or its L2 norm is not finite.
     """
     N = rule.m
@@ -579,7 +624,7 @@ def harmonic_expand(f, jmax, rule: QuadratureRule, tail_warn=1e-3,
     if not (np.all(np.isfinite(fvals)) and math.isfinite(l2)):
         raise NumericalEvaluationError(f"non-finite expansion integrand or L2 norm {label}".rstrip())
     n, K = N // 2, jmax // 2
-    tables = [_block(n, K).moments(rule.nodes, wf, rule.ring)]  # the only pass over the nodes
+    tables = [_block(n, K).moments(rule.heads, wf, rule.psi)]  # the only pass over the nodes
     for k in range(K - 1, -1, -1):
         tables.append(_lower_moments(tables[-1], n, k))
     coeffs = {}
@@ -611,7 +656,9 @@ def ft_norm_power(body, p, jmax=None, tail_warn=1e-3) -> HarmonicExpansion:
     on the rotation-invariant harmonics through degree ``jmax`` (default
     ``default_config().jmax_for(N)``) and rescales degree j by
     lambda_j(N, p).  rho comes from ``radial_values`` on ``expansion_rule``,
-    so a body that depends on the moduli only is evaluated once per ring.
+    ring by ring: a body that depends on the moduli only is evaluated once
+    per ring, a perturbed ball through ``HarmonicExpansion.ring_values``.
+    The rule's node array is never formed.
     """
     N = body.dim.N
     if not 0 < p < N:

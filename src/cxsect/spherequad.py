@@ -9,9 +9,12 @@ Two rule families:
 * ``sphere_rule(m, level)`` -- the generic product rule (Gauss nodes in the
   polar cosines against the exact sphere weight, uniform trigonometric nodes
   in the azimuth).  Exact for all polynomials of degree <= 2*level - 1.
-  Built ring heads first: everything but the azimuth is formed once per
-  ring head and broadcast over the azimuths.  ``radial_values`` evaluates a
-  body that depends on the moduli only once per ring on this rule.
+  The rule keeps only its ring heads (one per polar node, at azimuth 0) and
+  its azimuths ``psi``; ``radial_values`` evaluates a body through them
+  (``ConvexBody.ring_radial``: a moduli-only body once per ring, a perturbed
+  ball through ``HarmonicExpansion.ring_values``), and expansions take their
+  moments from them, so neither forms the node array.  It is built, bit for
+  bit the per-node meshgrid build, only when ``nodes`` is read.
 * ``invariant_sphere_rule(n, level, ...)`` -- a torus-reduced rule on
   S^{2n-1} for integrands invariant under the simultaneous rotation of all
   coordinate pairs.  The reduction drops the integral to the moduli simplex
@@ -21,6 +24,9 @@ Two rule families:
   its node array only when asked for it: ``radial_values`` evaluates a
   body through the factors (``ConvexBody.torus_radial``), so volumes,
   pairings and radius scans on these rules never form the nodes.
+
+``QuadratureRule.node(i)`` forms one node from the factors, so an error
+message can name a node without the array.
 
 Final reductions go through ``np.sum`` (pairwise, thread-count independent)
 so repeated runs produce identical bits.
@@ -114,41 +120,63 @@ class QuadratureRule:
     "invariant" for the torus-reduced rule (exact on rotation-invariant
     polynomials only).
 
-    ``ring`` is the rule's ring length: the nodes come in consecutive rings
-    of ``ring`` points that share every coordinate but the last pair, whose
-    phase (that of z_n = x_{m-2} + i x_{m-1}) advances by the same angles
-    psi_0 = 0, psi_1, ... in every ring (z_n != 0 on the first ring, which
-    fixes them).  A sum over the nodes can then take the phase first:
-    sum_i w_i g(x_i) = sum_rings sum_k w_k g(head * e^{i psi_k}) with
-    e^{i psi_k} acting on z_n only.  The default 1 holds for any rule.
+    Every rule is a set of rings: ``heads`` (H, m) holds one point per ring
+    and ``psi`` the ``ring`` angles by which the phase of the last pair,
+    z_n = x_{m-2} + i x_{m-1}, turns within every ring.  Node h*ring + k is
+    head h with z_n multiplied by e^{i psi_k} and the other coordinates
+    unchanged (``ring_points``).  A sum over the nodes can then take the
+    phase first: sum_i w_i g(x_i) = sum_h sum_k w_{h,k} g(head_h turned by
+    psi_k).  A rule comes in one of three forms:
 
-    A torus rule is given by its factors instead of its nodes: ``moduli``
-    (M, n) and ``phases`` (F, n), node i*F + f being z_k = U[i, k] e^{i Phi[f, k]}
-    (``torus_points``).  Its node array is built on first access to
+    * by its nodes: ring 1, heads = nodes, psi = [0];
+    * by ``heads`` and ``psi`` (the product rule);
+    * by the torus factors ``moduli`` (M, n) and ``phases`` (F, n), node
+      i*F + f being z_k = U[i, k] e^{i Phi[f, k]} (``torus_points``), with
+      the phase of z_n the fastest of the ``ring`` phases; its heads and
+      psi are ``torus_points(moduli, phases[::ring])`` and
+      ``phases[:ring, -1]``, formed on first access.
+
+    A rule not given by its nodes builds its node array on first access to
     ``nodes``; ``nodes_built`` tells whether that has happened.  Evaluations
-    that can use the factors (``radial_values``) never build it.  Nodes and
-    weights are read-only.
+    that can use the factors (``radial_values``, ``node``) never build it.
+    Nodes, weights and factors are read-only.
     """
 
     def __init__(self, m, nodes, weights, exactness_degree, level, kind="product", ring=1,
-                 moduli=None, phases=None):
-        if ring < 1 or weights.shape[0] % ring:
+                 moduli=None, phases=None, heads=None, psi=None):
+        forms = [arrs for arrs in ((nodes,), (heads, psi), (moduli, phases))
+                 if any(a is not None for a in arrs)]
+        if len(forms) != 1 or any(a is None for a in forms[0]):
             raise InvalidInputError(
-                f"ring length {ring} does not divide the {weights.shape[0]} nodes")
-        if (nodes is None) == (moduli is None or phases is None):
-            raise InvalidInputError("a rule takes either its nodes or its torus factors")
+                "a rule takes either its nodes, its ring heads and angles, or its torus factors")
+        if ring != 1 and moduli is None:
+            raise InvalidInputError("only a rule given by its torus factors takes a ring length")
+        if psi is not None:
+            ring = psi.shape[0]
+        count = weights.shape[0]
+        if ring < 1 or count % ring or (phases is not None and phases.shape[0] % ring):
+            raise InvalidInputError(f"ring length {ring} does not divide the {count} nodes")
+        if (heads is not None and heads.shape[0] * ring != count) or (
+                moduli is not None and moduli.shape[0] * phases.shape[0] != count):
+            raise InvalidInputError(f"the rule's factors do not give its {count} nodes")
         self.m, self.weights, self.exactness_degree, self.level = m, weights, exactness_degree, level
         self.kind, self.ring, self.moduli, self.phases = kind, ring, moduli, phases
-        self._nodes = nodes
-        for arr in (nodes, weights, moduli, phases):
+        self._nodes, self._heads, self._psi = nodes, heads, psi
+        if nodes is not None:
+            self._heads, self._psi = nodes, np.zeros(1)
+        for arr in (nodes, weights, moduli, phases, heads, self._psi):
             if arr is not None:
                 arr.setflags(write=False)
 
     @property
     def nodes(self):
-        """The (node_count, m) node array; a torus rule builds it here once."""
+        """The (node_count, m) node array; built here once unless the rule
+        was given by its nodes."""
         if self._nodes is None:
-            nodes = torus_points(self.moduli, self.phases)
+            if self.moduli is not None:
+                nodes = torus_points(self.moduli, self.phases)
+            else:
+                nodes = ring_points(self._heads, self._psi)
             nodes.setflags(write=False)
             self._nodes = nodes
         return self._nodes
@@ -156,6 +184,32 @@ class QuadratureRule:
     @property
     def nodes_built(self):
         return self._nodes is not None
+
+    @property
+    def heads(self):
+        """The (node_count / ring, m) ring heads; a torus rule forms them here once."""
+        if self._heads is None:
+            heads = torus_points(self.moduli, self.phases[::self.ring])
+            heads.setflags(write=False)
+            self._heads = heads
+        return self._heads
+
+    @property
+    def psi(self):
+        """The ``ring`` angles by which z_n turns within every ring."""
+        if self._psi is None:
+            self._psi = self.phases[:self.ring, -1]
+        return self._psi
+
+    def node(self, i):
+        """Node i, bit for bit ``nodes[i]``, formed from the factors alone
+        when the node array is not built."""
+        if self._nodes is not None:
+            return self._nodes[i]
+        if self.moduli is not None:
+            F = self.phases.shape[0]
+            return torus_points(self.moduli[i // F, None], self.phases[i % F, None])[0]
+        return ring_points(self._heads[i // self.ring, None], self._psi[i % self.ring, None])[0]
 
     @property
     def node_count(self):
@@ -176,21 +230,30 @@ def torus_points(moduli, phases):
     return out.reshape(-1, 2 * U.shape[1])
 
 
+def ring_points(heads, psi):
+    """The points of the rings, row h*R + k: head h (H, m) with its last
+    coordinate pair turned by the angle psi_k (R angles)."""
+    X, psi = np.asarray(heads, dtype=float), np.asarray(psi, dtype=float)
+    out = np.empty((X.shape[0], psi.shape[0], X.shape[1]))
+    out[:, :, :-2] = X[:, None, :-2]
+    x, y, c, s = X[:, -2, None], X[:, -1, None], np.cos(psi), np.sin(psi)
+    out[:, :, -2] = x * c - y * s
+    out[:, :, -1] = x * s + y * c
+    return out.reshape(-1, X.shape[1])
+
+
 def radial_values(body, rule: QuadratureRule):
-    """``body.radial`` at the rule's nodes, in node order.
+    """``body.radial`` at the rule's nodes, in node order, without the node array.
 
     A torus rule evaluates through its factors, ``body.torus_radial(moduli,
-    phases)``, and builds no node array.  On a rule given by its nodes, a
-    body with ``phase_bandwidth`` 0 depends on the moduli only, which are
-    the same on every node of a ring: it is evaluated at the ring heads and
-    each value repeated ``rule.ring`` times (equal to the per-node values up
-    to rounding).  Any other body evaluates at every node.
+    phases)``; any other rule through its rings, ``body.ring_radial(heads,
+    psi)``.  A body with ``phase_bandwidth`` 0 depends on the moduli only,
+    which are the same on every node of a ring, so it is evaluated once per
+    ring (equal to the per-node values up to rounding).
     """
     if rule.moduli is not None:
         return body.torus_radial(rule.moduli, rule.phases).ravel()
-    if rule.ring > 1 and body.phase_bandwidth == 0:
-        return np.repeat(body.radial(rule.nodes[::rule.ring]), rule.ring)
-    return body.radial(rule.nodes)
+    return body.ring_radial(rule.heads, rule.psi).ravel()
 
 
 @lru_cache(maxsize=32)
@@ -203,8 +266,10 @@ def sphere_rule(m: int, level: int) -> QuadratureRule:
     degree <= 2*level - 1 integrate exactly.  The azimuth of the last
     coordinate pair is the fastest axis, so the rule's rings are its
     2*level azimuths at each polar node (``QuadratureRule.ring`` = 2*level).
-    The polar coordinates, sine products and polar weights are formed once
-    per ring head (level^{m-2} rows) and broadcast over the azimuths.
+    The rule keeps only its ring heads, one row per polar node (level^{m-2}
+    rows) with the last pair at azimuth 0 (the sine product, then 0), and
+    the azimuths as ``psi``; its node array, bit for bit the per-node
+    meshgrid build, is formed only when ``nodes`` is first read.
     """
     if not 2 <= m <= 8:
         raise InvalidInputError(f"sphere_rule supports 2 <= m <= 8, got {m}")
@@ -215,8 +280,7 @@ def sphere_rule(m: int, level: int) -> QuadratureRule:
     psi = 2.0 * math.pi * np.arange(naz) / naz
     wpsi = np.full(naz, math.pi / L)
     if m == 2:
-        nodes = np.stack([np.cos(psi), np.sin(psi)], axis=1)
-        return QuadratureRule(m, nodes, wpsi, 2 * L - 1, L, ring=naz)
+        return QuadratureRule(m, None, wpsi, 2 * L - 1, L, heads=np.array([[1.0, 0.0]]), psi=psi)
     tcos, tw = [], []
     for i in range(1, m - 1):
         lam = (m - 2 - i) / 2.0
@@ -228,15 +292,13 @@ def sphere_rule(m: int, level: int) -> QuadratureRule:
     for g in np.meshgrid(*tw, indexing="ij"):
         hweights = hweights * g.ravel()
     weights = (hweights[:, None] * wpsi).ravel()
-    heads = cols[0].size
-    nodes = np.empty((heads, naz, m))
-    sinprod = np.ones(heads)
+    heads = np.zeros((cols[0].size, m))
+    sinprod = np.ones(cols[0].size)
     for i in range(m - 2):
-        nodes[:, :, i] = (sinprod * cols[i])[:, None]
+        heads[:, i] = sinprod * cols[i]
         sinprod = sinprod * np.sqrt(1.0 - cols[i] ** 2)
-    nodes[:, :, m - 2] = sinprod[:, None] * np.cos(psi)
-    nodes[:, :, m - 1] = sinprod[:, None] * np.sin(psi)
-    return QuadratureRule(m, nodes.reshape(-1, m), weights, 2 * L - 1, L, ring=naz)
+    heads[:, m - 2] = sinprod
+    return QuadratureRule(m, None, weights, 2 * L - 1, L, heads=heads, psi=psi)
 
 
 @lru_cache(maxsize=32)
@@ -306,7 +368,7 @@ def integrate_sphere(f, rule: QuadratureRule) -> float:
     if not np.all(np.isfinite(vals)):
         bad = int(np.flatnonzero(~np.isfinite(vals))[0])
         raise NumericalEvaluationError(
-            f"non-finite integrand value at node {bad}: {rule.nodes[bad]}"
+            f"non-finite integrand value at node {bad}: {rule.node(bad)}"
         )
     with np.errstate(over="ignore"):  # an overflowing sum is rejected below
         total = float(np.sum(rule.weights * vals))
@@ -355,18 +417,22 @@ def _mc_hits(body, R, seed, todo, lock):
 def mc_volume(body, samples: int, seed: int) -> MCVolume:
     """Rejection-sampling volume estimate in the bounding box [-R, R]^{2n}.
 
-    R is 1.01 times the maximum radial value over a coarse direction scan
-    (a level-48 torus rule, evaluated through its factors).  The samples are
-    the rows of one counter-based stream (Philox) keyed by ``seed``, tested in
-    chunks of ``_MC_CHUNK`` rows.  The calling thread and up to
-    ``_MC_WORKERS`` - 1 helper threads each take the next untested chunk
-    until none is left, so a thread on a busy CPU takes fewer.  A helper's
-    exception is re-raised unchanged, and a thread that fails empties the
-    chunk list, so the others stop after the chunk in hand.  Each chunk
-    advances its own generator to its first draw, so it gets the rows a
-    sequential pass would give it, and the hit count is the same for any
-    number of CPUs and any chunk size.  ``samples`` must be an integer
-    >= 1e4.  Raises
+    R is the larger of 1.01 times the maximum radial value over a coarse
+    direction scan (a level-48 torus rule, evaluated through its factors)
+    and the largest radial value at the n axes e_0, e_2, ..., e_{2n-2}.  For
+    a body of the moduli only the second is exactly sup |x_i| over the body
+    (turn every pair but the one of x_i by pi and take the midpoint), so the
+    box contains the body even where the scan misses a vertex of the moduli
+    simplex.  The samples are the rows of one counter-based stream (Philox)
+    keyed by ``seed``, tested in chunks of ``_MC_CHUNK`` rows.  The calling
+    thread and up to ``_MC_WORKERS`` - 1 helper threads each take the next
+    untested chunk until none is left, so a thread on a busy CPU takes
+    fewer.  A helper's exception is re-raised unchanged, and a thread that
+    fails empties the chunk list, so the others stop after the chunk in
+    hand.  Each chunk advances its own generator to its first draw, so it
+    gets the rows a sequential pass would give it, and the hit count is the
+    same for any number of CPUs and any chunk size.  ``samples`` must be an
+    integer >= 1e4.  Raises
     ``NumericalEvaluationError`` when the box volume, the estimate or its
     standard error is not finite.
     """
@@ -381,7 +447,7 @@ def mc_volume(body, samples: int, seed: int) -> MCVolume:
     rmax = float(np.max(radial_values(body, scan)))
     if not (rmax > 0 and math.isfinite(rmax)):
         raise InvalidInputError("degenerate body: nonpositive bounding radius")
-    R = 1.01 * rmax
+    R = max(1.01 * rmax, float(np.max(body.radial(np.eye(N)[0::2]))))
     chunks = [(lo, min(lo + _MC_CHUNK, samples)) for lo in range(0, samples, _MC_CHUNK)]
     W = min(_MC_WORKERS, len(chunks))
     todo, lock = iter(chunks), threading.Lock()

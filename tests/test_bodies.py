@@ -21,6 +21,7 @@ from cxsect import (
     rotate_pairs,
     validate,
 )
+from cxsect.spherequad import ring_points
 
 from conftest import unit_vectors
 
@@ -178,6 +179,33 @@ class TestTorusRadial:
                 body.torus_radial(rule.moduli * scale, rule.phases)
         with pytest.raises(InvalidInputError):
             body.torus_radial(invariant_sphere_rule(3, 6).moduli, rule.phases)
+
+
+class TestRingRadial:
+    """``ring_radial`` on ring heads and angles equals ``radial`` at the ring
+    points, row by row."""
+
+    def test_every_kind_matches_radial_at_ring_points(self):
+        rng = np.random.default_rng(44)
+        psi = np.array([0.0, 0.4, 2.5, -1.0])
+        for body in TestRadialPath.matrix():
+            heads = unit_vectors(rng, 50, body.dim.N)  # z_n off the real axis
+            got = body.ring_radial(heads, psi)
+            assert got.shape == (50, 4)
+            ref = body.radial(ring_points(heads, psi))
+            # measured <= 1 eps: a ring's points differ from its head by rounding
+            assert np.max(np.abs(got.ravel() / ref - 1.0)) <= 4 * np.finfo(float).eps, body.label
+
+    @pytest.mark.parametrize("kind", ["ball", "perturbed"])
+    def test_non_unit_heads_rejected(self, kind):
+        d = ComplexDim(2)
+        body = EuclideanBall(d) if kind == "ball" else PerturbedBall(d, 1.0, ((2, 0, 0.06),))
+        heads = unit_vectors(np.random.default_rng(45), 3, 4)
+        for scale in (1.0 + 2e-8, 0.5, np.nan):
+            with pytest.raises(InvalidInputError):
+                body.ring_radial(heads * scale, [0.0, 1.0])
+        with pytest.raises(InvalidInputError):
+            body.ring_radial(unit_vectors(np.random.default_rng(45), 3, 6), [0.0])
 
 
 class TestComplexStructure:

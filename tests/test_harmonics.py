@@ -37,7 +37,7 @@ from cxsect.harmonics import (
     invariant_harmonic_dim,
     multi_indices,
 )
-from cxsect.spherequad import torus_points
+from cxsect.spherequad import ring_points, torus_points
 from cxsect.suite import bodies_n2, bodies_n3
 
 from conftest import CountingRadial, trapezoid, unit_vectors
@@ -698,8 +698,8 @@ class TestLiftedEvaluate:
         return HarmonicExpansion(N, jmax, coeffs, 0.0, 0.0)
 
     @staticmethod
-    def assert_close(got, expect):
-        assert np.max(np.abs(got - expect)) <= 1e-13 * np.max(np.abs(expect))
+    def assert_close(got, expect, tol=1e-13):
+        assert np.max(np.abs(got - expect)) <= tol * np.max(np.abs(expect))
 
     @pytest.mark.parametrize("N,jmax", [(4, 24), (6, 12), (8, 6)])
     def test_matches_per_degree_reference(self, N, jmax):
@@ -745,6 +745,37 @@ class TestLiftedEvaluate:
                        (rule.moduli[:, :2], rule.phases)):
             with pytest.raises(InvalidInputError):
                 exp.torus_values(U, Phi)
+
+    # (N, jmax, heads) -> tolerance.  At N = 4, jmax 24 the lifted matrix has
+    # entries near 1e6 that cancel, and the ring sum, grouped by a_n - b_n,
+    # rounds apart from ``evaluate`` by 3.9e-13 (``evaluate`` is within
+    # 5.9e-14 of the per-degree reference there); elsewhere by <= 1.5e-15.
+    RING_CASES = {(4, 24, 40): 2e-12, (4, 16, 40): 1e-13, (6, 12, 30): 1e-13, (8, 6, 20): 1e-13,
+                  (6, 4, _CHUNK_ROWS + 9): 1e-13}  # the last: two chunks
+
+    @pytest.mark.parametrize("N,jmax,heads", sorted(RING_CASES))
+    def test_ring_values_match_evaluate(self, N, jmax, heads):
+        # heads with z_n off the real axis, non-uniform angles, a negative one
+        exp = self.random_expansion(N, jmax, 39)
+        rng = np.random.default_rng(40)
+        X, psi = unit_vectors(rng, heads, N), np.array([0.0, 0.3, 2.0, -1.1, 4.5])
+        got = exp.ring_values(X, psi)
+        assert got.shape == (heads, psi.size)
+        self.assert_close(got.ravel(), exp.evaluate(ring_points(X, psi)),
+                          self.RING_CASES[N, jmax, heads])
+
+    def test_ring_values_of_an_empty_perturbation(self):
+        X = unit_vectors(np.random.default_rng(41), 4, 6)
+        got = HarmonicExpansion(6, 0, {}, 0.0, 0.0).ring_values(X, [0.0, 1.0])
+        assert np.array_equal(got, np.zeros((4, 2)))
+
+    def test_ring_values_reject_bad_input(self):
+        exp = self.random_expansion(6, 4, 42)
+        X = unit_vectors(np.random.default_rng(43), 5, 6)
+        for heads, psi in ((X * (1.0 + 2e-8), [0.0, 1.0]), (X, [0.0, np.nan]),
+                           (X[:, :4], [0.0]), (X, [[0.0, 1.0]])):
+            with pytest.raises(InvalidInputError):
+                exp.ring_values(heads, psi)
 
     def test_all_zero_tail_is_zero(self, ball2):
         ft = ft_norm_power(ball2, 2.0, jmax=8)
@@ -832,9 +863,9 @@ class TestMomentRecursion:
         degrees = []
         moments = _Block.moments
 
-        def counted(self, nodes, wf, ring=1):
+        def counted(self, heads, wf, psi=(0.0,)):
             degrees.append(2 * self.k)
-            return moments(self, nodes, wf, ring)
+            return moments(self, heads, wf, psi)
 
         monkeypatch.setattr(_Block, "moments", counted)
         ft_norm_power(ball3, 4, jmax=12)
@@ -857,7 +888,7 @@ class TestRingMoments:
         wf = rule.weights * np.random.default_rng(7).normal(size=rule.node_count)
         blk = _block(rule.m // 2, k)
         per_node = blk.moments(rule.nodes, wf)
-        ringed = blk.moments(rule.nodes, wf, rule.ring)
+        ringed = blk.moments(rule.heads, wf, rule.psi)
         assert np.abs(ringed - per_node).max() <= 1e-13 * np.abs(per_node).max()
 
     @pytest.mark.parametrize("n,k", [(2, 12), (3, 6), (4, 3)])
@@ -866,22 +897,18 @@ class TestRingMoments:
         X, w = unit_vectors(rng, _CHUNK_ROWS + 7, 2 * n), rng.normal(size=_CHUNK_ROWS + 7)
         expect = sum(Za.T @ (w[lo:hi, None] * Za.conj())
                      for lo, hi, Za in _block(n, k)._monomial_chunks(X))
-        got = _block(n, k).moments(X, w, 1)
+        got = _block(n, k).moments(X, w)
         assert np.abs(got - expect).max() <= 1e-13 * np.abs(expect).max()
 
-    def test_ring_phases_come_from_the_nodes(self):
-        # a hand-built two-ring rule whose z_n turns by a non-uniform angle
+    def test_non_uniform_ring_angles(self):
+        # two rings given by their heads, z_n off the real axis, and angles
+        # that are not uniform: the ring sum against the per-node sum
         rng = np.random.default_rng(5)
-        head = unit_vectors(rng, 2, 4)
-        head[:, 2:] = np.linalg.norm(head[:, 2:], axis=1, keepdims=True) * [1.0, 0.0]
-        angles = np.array([0.0, 0.3, 2.0])
-        X = np.repeat(head, 3, axis=0)
-        zn = X[:, 2] * np.exp(1j * np.tile(angles, 2))
-        X[:, 2], X[:, 3] = zn.real, zn.imag
+        heads, psi = unit_vectors(rng, 2, 4), np.array([0.0, 0.3, 2.0])
         w = rng.normal(size=6)
         blk = _block(2, 3)
-        per_node = blk.moments(X, w)
-        assert np.abs(blk.moments(X, w, 3) - per_node).max() <= 1e-13 * np.abs(per_node).max()
+        per_node = blk.moments(ring_points(heads, psi), w)
+        assert np.abs(blk.moments(heads, w, psi) - per_node).max() <= 1e-13 * np.abs(per_node).max()
 
 
 def multiplier_oracle(N, p, j):
@@ -962,6 +989,17 @@ class TestMultiplier:
         assert got == pytest.approx(expect, rel=1e-6)
 
 
+def fresh_expansion_rules(monkeypatch):
+    """The rules ``ft_norm_power`` takes from ``expansion_rule``, collected in
+    the returned list; each is built afresh, so no earlier test's read of a
+    cached rule's ``nodes`` shows in its ``nodes_built``."""
+    rules, real = [], harmonics.expansion_rule
+    monkeypatch.setattr(harmonics, "sphere_rule", sphere_rule.__wrapped__)
+    monkeypatch.setattr(harmonics, "expansion_rule",
+                        lambda N, jmax: rules.append(real(N, jmax)) or rules[-1])
+    return rules
+
+
 class TestFtNormPower:
     def test_euclidean_constant_n2(self, ball2):
         ft = ft_norm_power(ball2, 2.0, jmax=8)
@@ -1012,11 +1050,29 @@ class TestFtNormPower:
         ft_norm_power(body, 2.0, jmax=jmax)
         assert counter.rows == [rule.node_count // rule.ring]
 
-    def test_perturbed_body_evaluated_at_every_node(self, pert2, monkeypatch):
-        rule = expansion_rule(4, 8)
+    def test_perturbed_body_evaluated_ring_by_ring(self, pert2, monkeypatch):
+        # the profile comes from the rings, with no node array and no call of
+        # radial, and expands as the per-node profile does
+        rules = fresh_expansion_rules(monkeypatch)
         counter = CountingRadial(monkeypatch)
-        ft_norm_power(pert2, 2.0, jmax=8)
-        assert counter.rows == [rule.node_count]
+        ft = ft_norm_power(pert2, 2.0, jmax=8)
+        monkeypatch.undo()
+        (rule,) = rules
+        assert counter.rows == [] and not rule.nodes_built
+        ref = harmonic_expand(pert2.radial(rule.nodes) ** 2, 8, rule).multiplied(2.0)
+        for j in ref.coeffs:  # measured <= 2.4e-16 of the largest
+            assert np.abs(ft.coeffs[j] - ref.coeffs[j]).max() <= 1e-14 * ft.coeffs[0][0]
+
+    @pytest.mark.parametrize("N", [4, 6, 8])
+    def test_no_node_array_built(self, N, monkeypatch):
+        # the n = 4 rule's heads take 16.8 MB, its node array would take 268 MB
+        n = N // 2
+        bodies = [ComplexLqBall(ComplexDim(n), 3.0), PerturbedBall(ComplexDim(n), 1.0, ((2, 0, 0.04),))]
+        rules = fresh_expansion_rules(monkeypatch)
+        for body in bodies:
+            ft_norm_power(body, 2.0)
+        assert len(rules) == 2 and not any(rule.nodes_built for rule in rules)
+        assert rules[0].heads.shape == (rules[0].level ** (N - 2), N)
 
     def test_default_jmax_from_config(self, ball2):
         ft = ft_norm_power(ball2, 2.0)

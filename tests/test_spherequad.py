@@ -20,7 +20,7 @@ from cxsect import (
     sphere_rule,
 )
 from cxsect import spherequad
-from cxsect.spherequad import radial_values
+from cxsect.spherequad import radial_values, ring_points, torus_points
 from cxsect.config import default_config, philox
 from cxsect.harmonics import complex_sphere_moment, multi_indices
 from cxsect.suite import bodies_n2, bodies_n3
@@ -183,9 +183,14 @@ class TestRingLayout:
 
     def test_default_ring_and_divisibility(self):
         nodes, weights = np.eye(4)[:3], np.ones(3)
-        assert QuadratureRule(4, nodes, weights, 1, 1).ring == 1
+        rule = QuadratureRule(4, nodes, weights, 1, 1)
+        assert rule.ring == 1 and rule.heads is rule.nodes and np.array_equal(rule.psi, [0.0])
         with pytest.raises(InvalidInputError):
             QuadratureRule(4, nodes.copy(), weights.copy(), 1, 1, ring=2)
+        torus = invariant_sphere_rule(2, 4, 3)
+        with pytest.raises(InvalidInputError, match="does not divide"):
+            QuadratureRule(4, None, torus.weights, 1, 1, ring=2, moduli=torus.moduli,
+                           phases=torus.phases)
 
 
 def reference_torus_nodes(moduli, phases):
@@ -226,21 +231,66 @@ class TestFactoredRule:
         assert np.all(rule.phases[:, 0] == 0.0)
 
     def test_nodes_or_factors_not_both(self):
-        rule = invariant_sphere_rule(2, 4, 3)
-        w = np.ones(rule.node_count)
-        with pytest.raises(InvalidInputError):
-            QuadratureRule(4, None, w, 1, 1)
-        with pytest.raises(InvalidInputError):
-            QuadratureRule(4, rule.nodes.copy(), w, 1, 1, moduli=rule.moduli, phases=rule.phases)
+        # exactly one of the three forms: nodes, ring heads and angles, torus factors
+        torus, product = invariant_sphere_rule(2, 4, 3), sphere_rule(4, 3)
+        w = np.ones(torus.node_count)
+        nodes = {"nodes": torus.nodes.copy()}
+        rings = {"heads": product.heads, "psi": product.psi}
+        factors = {"moduli": torus.moduli, "phases": torus.phases}
+        for given in ({}, {**nodes, **rings}, {**nodes, **factors}, {**rings, **factors},
+                      {"heads": product.heads}, {"psi": product.psi},
+                      {"moduli": torus.moduli}, {"phases": torus.phases}):
+            args = {"nodes": None, **given}
+            with pytest.raises(InvalidInputError, match="either its nodes"):
+                QuadratureRule(4, args.pop("nodes"), w, 1, 1, **args)
+        with pytest.raises(InvalidInputError, match="do not give"):
+            QuadratureRule(4, None, w, 1, 1, heads=product.heads, psi=product.psi[:2])
 
     def test_radial_values_in_node_order(self, ell12, pert2):
-        rule = invariant_sphere_rule(2, 16, 9)
+        # on all three forms, the torus and product rules without a node array;
+        # the ring sums round apart from the per-node profile (measured <= 1 eps)
+        product, eps4 = sphere_rule(4, 6), 4 * np.finfo(float).eps
+        forms = {"torus": (lambda: invariant_sphere_rule.__wrapped__(2, 16, 9), 1e-14),
+                 "product": (lambda: sphere_rule.__wrapped__(4, 6), eps4),
+                 "nodes": (lambda: QuadratureRule(4, product.nodes.copy(), product.weights.copy(),
+                                                  11, 6), eps4)}
         for body in (ell12, pert2):
-            got = radial_values(body, rule)
-            assert got.shape == (rule.node_count,)
-            assert np.max(np.abs(got / body.radial(rule.nodes) - 1.0)) <= 1e-14
-        product = sphere_rule(4, 6)
-        assert np.array_equal(radial_values(pert2, product), pert2.radial(product.nodes))
+            for form, (make, tol) in forms.items():
+                rule = make()
+                got = radial_values(body, rule)
+                assert got.shape == (rule.node_count,)
+                assert rule.nodes_built == (form == "nodes")
+                assert np.max(np.abs(got / body.radial(rule.nodes) - 1.0)) <= tol, (body, form)
+
+    @pytest.mark.parametrize("m,level", [(2, 5), (4, 6), (6, 3), (8, 2)])
+    def test_product_rule_keeps_heads_and_angles(self, m, level):
+        rule = sphere_rule.__wrapped__(m, level)  # a fresh, unbuilt rule
+        assert not rule.nodes_built
+        assert rule.heads.shape == (level ** (m - 2), m) and rule.ring == 2 * level
+        assert np.all(rule.heads[:, -1] == 0.0) and np.all(rule.heads[:, -2] >= 0.0)
+        assert np.array_equal(rule.psi, 2.0 * math.pi * np.arange(2 * level) / (2 * level))
+        assert not rule.nodes_built
+        assert np.array_equal(rule.nodes, ring_points(rule.heads, rule.psi))
+        for arr in (rule.nodes, rule.weights, rule.heads, rule.psi):
+            assert not arr.flags.writeable
+
+    @pytest.mark.parametrize("n,level,nphase", [(1, 5, 1), (2, 12, 9), (3, 6, 7)])
+    def test_torus_rule_heads_and_angles(self, n, level, nphase):
+        rule = invariant_sphere_rule.__wrapped__(n, level, nphase)
+        assert np.array_equal(rule.heads, torus_points(rule.moduli, rule.phases[::rule.ring]))
+        assert np.array_equal(rule.psi, rule.phases[:rule.ring, -1])
+        assert not rule.nodes_built
+        # the rings' points are the nodes up to the rounding of cos(a + b)
+        assert np.abs(ring_points(rule.heads, rule.psi) - rule.nodes).max() <= 1e-15
+
+    def test_one_node_from_the_factors(self):
+        rules = [sphere_rule.__wrapped__(6, 4), invariant_sphere_rule.__wrapped__(3, 6, 7)]
+        picks = [[0, 7, 8, 101, rule.node_count - 1] for rule in rules]
+        got = [[rule.node(i) for i in pick] for rule, pick in zip(rules, picks)]
+        assert not any(rule.nodes_built for rule in rules)
+        for rule, pick, nodes in zip(rules, picks, got):
+            assert np.array_equal(nodes, rule.nodes[pick])
+            assert np.array_equal(rule.node(5), rule.nodes[5])  # once built, read from the array
 
 
 def moduli_only_bodies(n):
@@ -267,12 +317,14 @@ class TestRingHeadRadial:
 
     @pytest.mark.parametrize("body,level", [(bodies_n2()["pert_a"], 8), (bodies_n2()["pert_b"], 14),
                                             (bodies_n3()["pert"], 8)])
-    def test_perturbed_body_takes_every_node(self, body, level, monkeypatch):
-        rule = sphere_rule(body.dim.N, level)
-        per_node = body.radial(rule.nodes)
+    def test_perturbed_body_evaluated_ring_by_ring(self, body, level, monkeypatch):
+        rule = sphere_rule.__wrapped__(body.dim.N, level)  # a fresh, unbuilt rule
         counter = CountingRadial(monkeypatch)
-        assert np.array_equal(radial_values(body, rule), per_node)
-        assert counter.rows == [rule.node_count]
+        got = radial_values(body, rule)
+        monkeypatch.undo()
+        assert counter.rows == [] and not rule.nodes_built
+        # measured <= 1 eps against the per-node profile
+        assert np.max(np.abs(got / body.radial(rule.nodes) - 1.0)) <= 4 * np.finfo(float).eps
 
     def test_ring_one_takes_every_node(self, monkeypatch):
         product = sphere_rule(4, 6)
@@ -312,6 +364,17 @@ class TestIntegrateSphere:
 
         with pytest.raises(NumericalEvaluationError, match="node 7"):
             integrate_sphere(bad, rule)
+
+    @pytest.mark.parametrize("make,bad", [(lambda: sphere_rule.__wrapped__(6, 5), 333),
+                                          (lambda: invariant_sphere_rule.__wrapped__(3, 8, 7), 250)])
+    def test_nonfinite_integrand_names_its_node_without_the_node_array(self, make, bad):
+        rule = make()
+        vals = np.ones(rule.node_count)
+        vals[bad] = np.inf
+        with pytest.raises(NumericalEvaluationError, match=f"node {bad}") as info:
+            integrate_sphere(vals, rule)
+        assert not rule.nodes_built
+        assert str(info.value).endswith(f": {rule.nodes[bad]}")
 
     def test_overflowing_weighted_sum_flagged(self):
         rule = sphere_rule(3, 4)
@@ -385,6 +448,22 @@ class TestMonteCarlo:
     def test_polydisc_volume(self, polydisc2):
         mc = mc_volume(polydisc2, 200_000, seed=1)
         assert abs(mc.estimate - math.pi ** 2) <= 3 * mc.std_error
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_box_contains_lq1(self, n):
+        # sup |x_i| over the complex l1 ball is 1, at the axes; the level-48
+        # scan alone gave R = 0.9859 (n = 2) and 0.9718 (n = 3)
+        assert mc_volume(ComplexLqBall(ComplexDim(n), 1.0), 10_000, seed=0).box_halfwidth >= 1.0
+
+    @pytest.mark.parametrize("body,hits,R", [
+        (EuclideanBall(ComplexDim(2), 1.0), 14861, 1.0100000000000002),
+        (EuclideanBall(ComplexDim(3), 1.2), 3824, 1.2120000000000002),
+        (ComplexEllipsoid((1.0, 2.0)), 3746, 2.0181406463665033),
+        (ComplexEllipsoid((1.0, 1.5, 3.0)), 89, 3.019961629330473)])
+    def test_box_unchanged_where_the_scan_bounds_the_axes(self, body, hits, R):
+        # hits and half-widths of the scan-only box, before the axes entered R
+        mc = mc_volume(body, 50_000, seed=23)
+        assert (mc.hits, mc.box_halfwidth) == (hits, R)
 
     def test_reproducible(self, ball2):
         a = mc_volume(ball2, 50_000, seed=7)
