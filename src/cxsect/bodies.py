@@ -116,39 +116,23 @@ class ConvexBody:
     def _radial_impl(self, theta):
         return 1.0 / self._norm_impl(theta)
 
-    def torus_radial(self, moduli, phases):
-        """rho at the torus points z_k = U[i, k] e^{i Phi[f, k]}, shape (M, F),
-        for moduli rows U (M, n) of unit length and phase rows Phi (F, n).
+    def factor_radial(self, base, phases):
+        """rho at the points z_k = W[h, k] e^{i Phi[f, k]}, shape (H, F), for
+        base rows W (H, n), real (moduli) or complex, of unit length and phase
+        rows Phi (F, n): the factors of a ``QuadratureRule``.
 
         A body with ``phase_bandwidth`` 0 depends on the moduli only, so this
-        is ``radial`` at the moduli rows embedded at phase 0, repeated over
-        the F phases.  Kinds whose radial function depends on the phases
-        override it.
+        is ``radial`` once per base row, at the base viewed as real points,
+        repeated over the F phases.  Kinds whose radial function depends on
+        the phases override it.
         """
         if self.phase_bandwidth:
-            raise NotImplementedError(f"{type(self).__name__} has no torus evaluation")
-        U = np.atleast_2d(np.asarray(moduli, dtype=float))
-        if U.shape[1] != self.dim.n:
-            raise InvalidInputError(f"expected moduli rows of length {self.dim.n}")
-        theta = np.zeros((U.shape[0], self.dim.N))
-        theta[:, 0::2] = U
-        rho = self.radial(theta)
+            raise NotImplementedError(f"{type(self).__name__} has no factored evaluation")
+        W = np.atleast_2d(np.asarray(base))
+        if W.ndim != 2 or W.shape[1] != self.dim.n:
+            raise InvalidInputError(f"expected base rows of {self.dim.n} coordinate pairs")
+        rho = self.radial(np.stack([W.real, W.imag], axis=-1).reshape(W.shape[0], -1))
         return np.broadcast_to(rho[:, None], (rho.shape[0], np.shape(phases)[0]))
-
-    def ring_radial(self, heads, psi):
-        """rho at the ring points, shape (H, R): head h (H, 2n) of unit length
-        with its last coordinate pair turned by the angle psi_k (R angles),
-        the layout of ``QuadratureRule.heads`` and ``psi``.
-
-        A body with ``phase_bandwidth`` 0 depends on the moduli only, which
-        are the same on every point of a ring, so this is ``radial`` at the
-        heads, repeated over the ring.  Kinds whose radial function depends
-        on the phases override it.
-        """
-        if self.phase_bandwidth:
-            raise NotImplementedError(f"{type(self).__name__} has no ring evaluation")
-        rho = self.radial(np.atleast_2d(heads))
-        return np.broadcast_to(rho[:, None], (rho.shape[0], np.shape(psi)[0]))
 
     def _points(self, x, what):
         """x as a float array of finite vectors in R^{2n}; InvalidInputError otherwise."""
@@ -332,15 +316,10 @@ class PerturbedBall(ConvexBody):
         rho = self.radial_profile(theta.reshape(-1, self.dim.N))
         return rho.reshape(theta.shape[:-1])[()]  # [()]: a scalar for one vector
 
-    def torus_radial(self, moduli, phases):
-        """The radial profile at the torus points z_k = U[i, k] e^{i Phi[f, k]},
-        shape (M, F), through ``HarmonicExpansion.torus_values``."""
-        return self.radius * (1.0 + self.perturbation.torus_values(moduli, phases))
-
-    def ring_radial(self, heads, psi):
-        """The radial profile at the ring points, shape (H, R), through
-        ``HarmonicExpansion.ring_values``."""
-        return self.radius * (1.0 + self.perturbation.ring_values(heads, psi))
+    def factor_radial(self, base, phases):
+        """The radial profile at the points of base rows and phase rows,
+        shape (H, F), through ``HarmonicExpansion.factor_values``."""
+        return self.radius * (1.0 + self.perturbation.factor_values(base, phases))
 
     def _norm_impl(self, x):
         flat = x.reshape(-1, self.dim.N)

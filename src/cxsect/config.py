@@ -73,6 +73,8 @@ class RunConfig:
                 raise InvalidInputError(f"{name} must be a non-negative int")
         if self.seed >= 2 ** 64:
             raise InvalidInputError("seed must be below 2**64")
+        if self.mc_samples < 10_000:  # mc_volume's own floor, checked before any criterion
+            raise InvalidInputError("mc_samples must be at least 10000")
         for name in ("tol_multiplier", "tail_warn"):
             v = getattr(self, name)
             if not (isinstance(v, (int, float)) and not isinstance(v, bool)

@@ -34,8 +34,8 @@ mu_k[a, b] = sum_m mu_{k+1}[a + e_m, b + e_m].  One pass over the rule's nodes
 at the top degree therefore gives every degree.  This assumes the rule's nodes
 are unit vectors, as those of every rule in ``spherequad`` are to rounding.
 
-That pass sums ring by ring, on the rule's ring heads and ring angles
-(``QuadratureRule.heads`` and ``psi``): within a ring only the phase of z_n
+That pass sums ring by ring, on the rule's ring view (``QuadratureRule.heads``
+and ``psi``, derived from its factors): within a ring only the phase of z_n
 moves, so z^a zbar^b = u_a conj(u_b) e^{i (a_n - b_n) psi_k} with u the
 monomials at the ring's head, and
 mu[a, b] = sum_rings u_a conj(u_b) G_{a_n - b_n},  G_d = sum_k w_k f_k e^{i d psi_k}.
@@ -51,12 +51,10 @@ expansion is therefore one Hermitian matrix at its top degree, built once
 per instance, and evaluating it is one monomial table per chunk of points and
 one product.  The lift holds on unit vectors only, so
 ``HarmonicExpansion.evaluate`` rejects rows more than 1e-8 off unit length.
-At the points z_k = u_k e^{i phi_k} of a torus rule the same matrix gives
-sum_ab H[a, b] u^{a+b} e^{i (a - b) . phi}, so ``torus_values`` works on the
-rule's moduli rows and phase rows separately (one real product) and never
-forms the points.  On a ring, grouped by d = a_n - b_n, the same matrix gives
-sum_d S_d e^{i d psi_k} with S_d taken once per head: ``ring_values``, the
-adjoint of the ring moment sum, costs about one evaluation per ring head.
+At the points z_k = w_k e^{i phi_k} of a rule's factors (base rows w, real
+moduli or complex, and phase rows phi) the same matrix gives
+sum_ab H[a, b] w^a conj(w)^b e^{i (a - b) . phi}, so ``factor_values`` works
+on the base rows and phase rows separately and never forms the points.
 
 The Fourier transform of the degree -p homogeneous extension of a spherical
 harmonic Y_j multiplies it by
@@ -467,72 +465,39 @@ class HarmonicExpansion:
                           + np.einsum("ij,ij->i", ZH.imag, Za.imag))
         return out if np.ndim(X) == 2 else float(out[0])
 
-    def torus_values(self, moduli, phases):
-        """Values at the torus points z_k = U[i, k] e^{i Phi[f, k]}, shape (M, F),
-        for unit moduli rows U (M, n) and phase rows Phi (F, n).
+    def factor_values(self, base, phases):
+        """Values at the points z_k = W[h, k] e^{i Phi[f, k]}, shape (H, F), for
+        unit base rows W (H, n), real (moduli) or complex, and phase rows
+        Phi (F, n): the factors of a ``QuadratureRule``.
 
-        With H the lifted matrix of ``evaluate``, the value is
-        Re sum_ab H[a, b] u^{a+b} e^{i (a - b) . phi}: one real (rows, P^2)
-        block of moduli monomial products per chunk of moduli rows, times one
-        (P^2, F) matrix Re(H[a, b] e^{i (a - b) . phi}).  No point of the
-        product is formed.  Moduli rows more than 1e-8 off unit length, and
-        non-finite phases, raise ``InvalidInputError``.
+        With H the lifted matrix of ``evaluate``, z^a zbar^b =
+        w^a conj(w)^b e^{i (a - b) . phi}, so the value is Re sum_ab Q_ab E_ab
+        with Q = w^a conj(w)^b, one (rows, P^2) block per chunk of base rows,
+        and E = H[a, b] e^{i (a - b) . phi}, one (P^2, F) matrix: Q.real @ E.real,
+        less Q.imag @ E.imag where the base is complex.  No point is formed.
+        Base rows more than 1e-8 off unit length, and non-finite phases,
+        raise ``InvalidInputError``.
         """
-        U = np.atleast_2d(np.asarray(moduli, dtype=float))
+        W = np.atleast_2d(np.asarray(base))
         Phi = np.atleast_2d(np.asarray(phases, dtype=float))
         n = self.N // 2
-        if U.shape[1] != n or Phi.shape[1] != n:
-            raise InvalidInputError(f"expected moduli and phase rows of length {n}")
-        _require_unit_rows(U)
+        if W.ndim != 2 or W.shape[1] != n or Phi.ndim != 2 or Phi.shape[1] != n:
+            raise InvalidInputError(f"expected base and phase rows of length {n}")
+        _require_unit_rows(np.abs(W))
         if not np.all(np.isfinite(Phi)):
-            raise InvalidInputError("torus phases must be finite")
+            raise InvalidInputError("phases must be finite")
         H, blk = self._lift(tuple(self.degrees()))
         P = blk.P
         freq = (blk._ea[:, None, :] - blk._ea[None, :, :]).reshape(P * P, n)  # a - b
-        R = (H.reshape(-1, 1) * np.exp(1j * (freq @ Phi.T))).real
-        out = np.empty((U.shape[0], Phi.shape[0]))
-        for lo in range(0, U.shape[0], _CHUNK_ROWS):
-            hi = min(lo + _CHUNK_ROWS, U.shape[0])
-            Ua = blk._monomials(U[lo:hi])  # u^a, real
-            out[lo:hi] = (Ua[:, :, None] * Ua[:, None, :]).reshape(hi - lo, P * P) @ R
-        return out
-
-    def ring_values(self, heads, psi):
-        """Values at the ring points, shape (H, R): unit head h (H, N) with
-        z_n turned by e^{i psi_k} (R angles), the layout of
-        ``QuadratureRule.heads`` and ``psi``.
-
-        With H the lifted matrix of ``evaluate`` and u the monomials at a
-        head, the value is Re sum_ab H[a, b] u_a conj(u_b) e^{i (a_n - b_n) psi_k}
-        = S_0 + 2 Re sum_{d > 0} S_d e^{i d psi_k}, where S_d sums
-        H[a, b] u_a conj(u_b) over a_n - b_n = d (H is Hermitian, so
-        S_{-d} = conj(S_d)).  This is the adjoint of ``_Block.moments``'
-        ring sum: one monomial table per chunk of heads, the products grouped
-        by (a_n, b_n), which costs about one evaluation per head, and one
-        (rows, K+1) by (K+1, R) product for the ring.  No ring point is
-        formed.  Heads more than 1e-8 off unit length, and non-finite
-        angles, raise ``InvalidInputError``.
-        """
-        X = np.atleast_2d(np.asarray(heads, dtype=float))
-        psi = np.atleast_1d(np.asarray(psi, dtype=float))
-        if X.shape[1] != self.N or psi.ndim != 1:
-            raise InvalidInputError(f"expected heads in R^{self.N} and one row of angles")
-        _require_unit_rows(X)
-        if not np.all(np.isfinite(psi)):
-            raise InvalidInputError("ring angles must be finite")
-        H, blk = self._lift(tuple(self.degrees()))
-        groups = blk._by_last
-        E = np.exp(1j * np.outer(np.arange(blk.k + 1), psi))
-        E[1:] *= 2.0
-        out = np.empty((X.shape[0], psi.shape[0]))
-        for lo, hi, Ua in blk._monomial_chunks(X):
-            Ub = Ua.conj()
-            S = np.zeros((hi - lo, blk.k + 1), dtype=complex)
-            for alpha, ra in enumerate(groups):
-                ZH = Ua[:, ra] @ H[ra]  # sum over a_n = alpha of u_a H[a, b], per b
-                for beta, rb in enumerate(groups[:alpha + 1]):
-                    S[:, alpha - beta] += np.einsum("ij,ij->i", ZH[:, rb], Ub[:, rb])
-            out[lo:hi] = S.real @ E.real - S.imag @ E.imag
+        E = H.reshape(-1, 1) * np.exp(1j * (freq @ Phi.T))
+        out = np.empty((W.shape[0], Phi.shape[0]))
+        for lo in range(0, W.shape[0], _CHUNK_ROWS):
+            hi = min(lo + _CHUNK_ROWS, W.shape[0])
+            Wa = blk._monomials(W[lo:hi])  # w^a
+            Q = (Wa[:, :, None] * Wa.conj()[:, None, :]).reshape(hi - lo, P * P)
+            out[lo:hi] = Q.real @ E.real
+            if np.iscomplexobj(Q):
+                out[lo:hi] -= Q.imag @ E.imag
         return out
 
     def _lift(self, degrees):
@@ -656,9 +621,10 @@ def ft_norm_power(body, p, jmax=None, tail_warn=1e-3) -> HarmonicExpansion:
     on the rotation-invariant harmonics through degree ``jmax`` (default
     ``default_config().jmax_for(N)``) and rescales degree j by
     lambda_j(N, p).  rho comes from ``radial_values`` on ``expansion_rule``,
-    ring by ring: a body that depends on the moduli only is evaluated once
-    per ring, a perturbed ball through ``HarmonicExpansion.ring_values``.
-    The rule's node array is never formed.
+    through the rule's factors: a body that depends on the moduli only is
+    evaluated once per ring head, a perturbed ball through
+    ``HarmonicExpansion.factor_values``.  The rule's node array is never
+    formed.
     """
     N = body.dim.N
     if not 0 < p < N:

@@ -4,29 +4,30 @@ The 1-D building blocks are Gauss-Jacobi rules, nodes and weights from
 Golub-Welsch on the classical three-term recurrence (``gauss_jacobi``), with
 the total mass 2^{a+b+1} B(a+1, b+1) taken through ``math.lgamma``.
 
-Two rule families:
+Two rule families, both kept as the factors of ``QuadratureRule``: a base
+(H, c) and phase rows (F, c), node h*F + f being base row h with its
+coordinate pairs turned by the phases of row f (``factor_points``).
 
 * ``sphere_rule(m, level)`` -- the generic product rule (Gauss nodes in the
   polar cosines against the exact sphere weight, uniform trigonometric nodes
   in the azimuth).  Exact for all polynomials of degree <= 2*level - 1.
-  The rule keeps only its ring heads (one per polar node, at azimuth 0) and
-  its azimuths ``psi``; ``radial_values`` evaluates a body through them
-  (``ConvexBody.ring_radial``: a moduli-only body once per ring, a perturbed
-  ball through ``HarmonicExpansion.ring_values``), and expansions take their
-  moments from them, so neither forms the node array.  It is built, bit for
-  bit the per-node meshgrid build, only when ``nodes`` is read.
+  Its base is its ring heads (one per polar node, at azimuth 0) as complex
+  rows, its phase rows turn the last pair by the azimuths.
 * ``invariant_sphere_rule(n, level, ...)`` -- a torus-reduced rule on
   S^{2n-1} for integrands invariant under the simultaneous rotation of all
   coordinate pairs.  The reduction drops the integral to the moduli simplex
   (plus optional relative phases), so high levels stay cheap; used as the
   default for radial-power integrals such as the polar volume formula.
-  The rule keeps its two factors, moduli rows and phase rows, and builds
-  its node array only when asked for it: ``radial_values`` evaluates a
-  body through the factors (``ConvexBody.torus_radial``), so volumes,
-  pairings and radius scans on these rules never form the nodes.
+  Its base is its real moduli rows.
 
-``QuadratureRule.node(i)`` forms one node from the factors, so an error
-message can name a node without the array.
+``radial_values`` evaluates a body through the factors
+(``ConvexBody.factor_radial``: a moduli-only body once per base row, a
+perturbed ball through ``HarmonicExpansion.factor_values``), and expansions
+take their moments from the rule's rings, so volumes, pairings, radius scans
+and expansions never form the node array.  It is built, bit for bit the
+former eager builds, only when ``nodes`` is read; ``QuadratureRule.node(i)``
+forms one node from the factors, so an error message can name a node
+without the array.
 
 Final reductions go through ``np.sum`` (pairwise, thread-count independent)
 so repeated runs produce identical bits.
@@ -114,71 +115,62 @@ def gauss_power01(npts, expo):
 
 
 class QuadratureRule:
-    """Nodes/weights on S^{m-1} with a stated polynomial exactness degree.
+    """Nodes and weights on S^{m-1} with a stated polynomial exactness degree,
+    kept as two factors.
 
     ``kind`` is "product" for the generic rule (exact on all polynomials) or
     "invariant" for the torus-reduced rule (exact on rotation-invariant
     polynomials only).
 
-    Every rule is a set of rings: ``heads`` (H, m) holds one point per ring
-    and ``psi`` the ``ring`` angles by which the phase of the last pair,
-    z_n = x_{m-2} + i x_{m-1}, turns within every ring.  Node h*ring + k is
-    head h with z_n multiplied by e^{i psi_k} and the other coordinates
-    unchanged (``ring_points``).  A sum over the nodes can then take the
-    phase first: sum_i w_i g(x_i) = sum_h sum_k w_{h,k} g(head_h turned by
-    psi_k).  A rule comes in one of three forms:
+    The factors are a ``base`` (H, c) and ``phases`` (F, c) over c = ceil(m/2)
+    coordinate pairs z_k: node h*F + f is base row h with z_k turned by
+    e^{i phases[f, k]} (``factor_points``).  The torus rule's base is real,
+    its moduli rows; the product rule's is complex, its ring heads, with
+    phase rows (0, ..., 0, psi); a rule given by its nodes is base = nodes
+    viewed as complex with one zero phase row.  An odd m pads the base with
+    a leading zero coordinate, which the nodes drop.
 
-    * by its nodes: ring 1, heads = nodes, psi = [0];
-    * by ``heads`` and ``psi`` (the product rule);
-    * by the torus factors ``moduli`` (M, n) and ``phases`` (F, n), node
-      i*F + f being z_k = U[i, k] e^{i Phi[f, k]} (``torus_points``), with
-      the phase of z_n the fastest of the ``ring`` phases; its heads and
-      psi are ``torus_points(moduli, phases[::ring])`` and
-      ``phases[:ring, -1]``, formed on first access.
+    Each ``ring`` consecutive phase rows (all F by default) differ only in
+    the phase of the last pair, so their nodes form a ring: ``heads`` holds
+    one point per ring and ``psi`` the ``ring`` angles by which z_n turns
+    within every ring (node r*ring + k is head r turned by psi_k).  The
+    moment sums of ``harmonics`` read this view.
 
-    A rule not given by its nodes builds its node array on first access to
-    ``nodes``; ``nodes_built`` tells whether that has happened.  Evaluations
-    that can use the factors (``radial_values``, ``node``) never build it.
-    Nodes, weights and factors are read-only.
+    The node array is built on first access to ``nodes`` (``nodes_built``
+    tells); ``radial_values`` and ``node`` work on the factors.  Every array
+    of the rule is read-only.
     """
 
-    def __init__(self, m, nodes, weights, exactness_degree, level, kind="product", ring=1,
-                 moduli=None, phases=None, heads=None, psi=None):
-        forms = [arrs for arrs in ((nodes,), (heads, psi), (moduli, phases))
-                 if any(a is not None for a in arrs)]
-        if len(forms) != 1 or any(a is None for a in forms[0]):
-            raise InvalidInputError(
-                "a rule takes either its nodes, its ring heads and angles, or its torus factors")
-        if ring != 1 and moduli is None:
-            raise InvalidInputError("only a rule given by its torus factors takes a ring length")
-        if psi is not None:
-            ring = psi.shape[0]
+    def __init__(self, m, base, phases, weights, exactness_degree, level, kind="product",
+                 ring=None):
+        base, F = np.ascontiguousarray(base), phases.shape[0]
+        ring = F if ring is None else ring
         count = weights.shape[0]
-        if ring < 1 or count % ring or (phases is not None and phases.shape[0] % ring):
-            raise InvalidInputError(f"ring length {ring} does not divide the {count} nodes")
-        if (heads is not None and heads.shape[0] * ring != count) or (
-                moduli is not None and moduli.shape[0] * phases.shape[0] != count):
+        if base.ndim != 2 or phases.shape[1:] != (base.shape[1],) or base.shape[1] != (m + 1) // 2:
+            raise InvalidInputError(f"a rule on S^{m - 1} takes base and phase rows of "
+                                    f"{(m + 1) // 2} coordinate pairs")
+        if base.shape[0] * F != count:
             raise InvalidInputError(f"the rule's factors do not give its {count} nodes")
-        self.m, self.weights, self.exactness_degree, self.level = m, weights, exactness_degree, level
-        self.kind, self.ring, self.moduli, self.phases = kind, ring, moduli, phases
-        self._nodes, self._heads, self._psi = nodes, heads, psi
-        if nodes is not None:
-            self._heads, self._psi = nodes, np.zeros(1)
-        for arr in (nodes, weights, moduli, phases, heads, self._psi):
-            if arr is not None:
-                arr.setflags(write=False)
+        if ring < 1 or F % ring:
+            raise InvalidInputError(f"ring length {ring} does not divide the {F} phase rows")
+        self.m, self.base, self.phases, self.weights = m, base, phases, weights
+        self.exactness_degree, self.level = exactness_degree, level
+        self.kind, self.ring = kind, ring
+        self._nodes = self._heads = None
+        for arr in (base, phases, weights):
+            arr.setflags(write=False)
+
+    def _trim(self, pts):
+        """The points ``pts``, read-only, without an odd m's padding coordinate."""
+        pts = pts[:, pts.shape[1] - self.m:]
+        pts.setflags(write=False)
+        return pts
 
     @property
     def nodes(self):
-        """The (node_count, m) node array; built here once unless the rule
-        was given by its nodes."""
+        """The (node_count, m) node array, built here once."""
         if self._nodes is None:
-            if self.moduli is not None:
-                nodes = torus_points(self.moduli, self.phases)
-            else:
-                nodes = ring_points(self._heads, self._psi)
-            nodes.setflags(write=False)
-            self._nodes = nodes
+            self._nodes = self._trim(factor_points(self.base, self.phases))
         return self._nodes
 
     @property
@@ -187,29 +179,28 @@ class QuadratureRule:
 
     @property
     def heads(self):
-        """The (node_count / ring, m) ring heads; a torus rule forms them here once."""
+        """One point per ring, the base turned by every ``ring``-th phase row;
+        where those rows are 0 (the product rule) the complex base itself."""
         if self._heads is None:
-            heads = torus_points(self.moduli, self.phases[::self.ring])
-            heads.setflags(write=False)
-            self._heads = heads
+            first = self.phases[::self.ring]
+            if np.iscomplexobj(self.base) and not first.any():
+                self._heads = self._trim(self.base.view(float))
+            else:
+                self._heads = self._trim(factor_points(self.base, first))
         return self._heads
 
     @property
     def psi(self):
         """The ``ring`` angles by which z_n turns within every ring."""
-        if self._psi is None:
-            self._psi = self.phases[:self.ring, -1]
-        return self._psi
+        return self.phases[:self.ring, -1]
 
     def node(self, i):
         """Node i, bit for bit ``nodes[i]``, formed from the factors alone
         when the node array is not built."""
         if self._nodes is not None:
             return self._nodes[i]
-        if self.moduli is not None:
-            F = self.phases.shape[0]
-            return torus_points(self.moduli[i // F, None], self.phases[i % F, None])[0]
-        return ring_points(self._heads[i // self.ring, None], self._psi[i % self.ring, None])[0]
+        F = self.phases.shape[0]
+        return self._trim(factor_points(self.base[i // F, None], self.phases[i % F, None]))[0]
 
     @property
     def node_count(self):
@@ -220,40 +211,28 @@ class QuadratureRule:
                 f"nodes={self.node_count}, ring={self.ring})")
 
 
-def torus_points(moduli, phases):
-    """The points z_k = U[i, k] e^{i Phi[f, k]} in R^{2n}, row i*F + f, for
-    moduli rows U (M, n) and phase rows Phi (F, n)."""
-    U, Phi = np.asarray(moduli, dtype=float), np.asarray(phases, dtype=float)
-    out = np.empty((U.shape[0], Phi.shape[0], 2 * U.shape[1]))
-    out[:, :, 0::2] = U[:, None, :] * np.cos(Phi)[None, :, :]
-    out[:, :, 1::2] = U[:, None, :] * np.sin(Phi)[None, :, :]
-    return out.reshape(-1, 2 * U.shape[1])
-
-
-def ring_points(heads, psi):
-    """The points of the rings, row h*R + k: head h (H, m) with its last
-    coordinate pair turned by the angle psi_k (R angles)."""
-    X, psi = np.asarray(heads, dtype=float), np.asarray(psi, dtype=float)
-    out = np.empty((X.shape[0], psi.shape[0], X.shape[1]))
-    out[:, :, :-2] = X[:, None, :-2]
-    x, y, c, s = X[:, -2, None], X[:, -1, None], np.cos(psi), np.sin(psi)
-    out[:, :, -2] = x * c - y * s
-    out[:, :, -1] = x * s + y * c
-    return out.reshape(-1, X.shape[1])
+def factor_points(base, phases):
+    """The points z_k = W[h, k] e^{i Phi[f, k]} in R^{2c}, row h*F + f, for
+    base rows W (H, c), real (moduli) or complex, and phase rows Phi (F, c)."""
+    W, Phi = np.asarray(base), np.asarray(phases, dtype=float)
+    c, s = np.cos(Phi), np.sin(Phi)
+    out = np.empty((W.shape[0], Phi.shape[0], 2 * W.shape[1]))
+    if np.iscomplexobj(W):
+        x, y = W.real[:, None, :], W.imag[:, None, :]
+        out[:, :, 0::2] = x * c - y * s
+        out[:, :, 1::2] = x * s + y * c
+    else:
+        out[:, :, 0::2] = W[:, None, :] * c
+        out[:, :, 1::2] = W[:, None, :] * s
+    return out.reshape(-1, 2 * W.shape[1])
 
 
 def radial_values(body, rule: QuadratureRule):
-    """``body.radial`` at the rule's nodes, in node order, without the node array.
-
-    A torus rule evaluates through its factors, ``body.torus_radial(moduli,
-    phases)``; any other rule through its rings, ``body.ring_radial(heads,
-    psi)``.  A body with ``phase_bandwidth`` 0 depends on the moduli only,
-    which are the same on every node of a ring, so it is evaluated once per
-    ring (equal to the per-node values up to rounding).
-    """
-    if rule.moduli is not None:
-        return body.torus_radial(rule.moduli, rule.phases).ravel()
-    return body.ring_radial(rule.heads, rule.psi).ravel()
+    """``body.radial`` at the rule's nodes, in node order, from the rule's
+    factors (``body.factor_radial``), so no node array is formed.  A body
+    with ``phase_bandwidth`` 0 is evaluated once per base row (equal to the
+    per-node values up to rounding)."""
+    return body.factor_radial(rule.base, rule.phases).ravel()
 
 
 @lru_cache(maxsize=32)
@@ -266,10 +245,11 @@ def sphere_rule(m: int, level: int) -> QuadratureRule:
     degree <= 2*level - 1 integrate exactly.  The azimuth of the last
     coordinate pair is the fastest axis, so the rule's rings are its
     2*level azimuths at each polar node (``QuadratureRule.ring`` = 2*level).
-    The rule keeps only its ring heads, one row per polar node (level^{m-2}
-    rows) with the last pair at azimuth 0 (the sine product, then 0), and
-    the azimuths as ``psi``; its node array, bit for bit the per-node
-    meshgrid build, is formed only when ``nodes`` is first read.
+    Its base is the ring heads as complex rows, one per polar node
+    (level^{m-2} rows) with the last pair at azimuth 0 (the sine product,
+    then 0), and its phase rows are (0, ..., 0, psi) for the 2*level
+    azimuths psi; its node array, bit for bit the per-node meshgrid build,
+    is formed only when ``nodes`` is first read.
     """
     if not 2 <= m <= 8:
         raise InvalidInputError(f"sphere_rule supports 2 <= m <= 8, got {m}")
@@ -280,25 +260,30 @@ def sphere_rule(m: int, level: int) -> QuadratureRule:
     psi = 2.0 * math.pi * np.arange(naz) / naz
     wpsi = np.full(naz, math.pi / L)
     if m == 2:
-        return QuadratureRule(m, None, wpsi, 2 * L - 1, L, heads=np.array([[1.0, 0.0]]), psi=psi)
-    tcos, tw = [], []
-    for i in range(1, m - 1):
-        lam = (m - 2 - i) / 2.0
-        t, w = gauss_gegenbauer(L, lam)
-        tcos.append(t)
-        tw.append(w)
-    cols = [g.ravel() for g in np.meshgrid(*tcos, indexing="ij")]  # one row per ring head
-    hweights = np.ones_like(cols[0])
-    for g in np.meshgrid(*tw, indexing="ij"):
-        hweights = hweights * g.ravel()
+        heads, hweights = np.array([[1.0, 0.0]]), np.ones(1)
+    else:
+        tcos, tw = [], []
+        for i in range(1, m - 1):
+            lam = (m - 2 - i) / 2.0
+            t, w = gauss_gegenbauer(L, lam)
+            tcos.append(t)
+            tw.append(w)
+        cols = [g.ravel() for g in np.meshgrid(*tcos, indexing="ij")]  # one row per ring head
+        hweights = np.ones_like(cols[0])
+        for g in np.meshgrid(*tw, indexing="ij"):
+            hweights = hweights * g.ravel()
+        heads = np.zeros((cols[0].size, m))
+        sinprod = np.ones(cols[0].size)
+        for i in range(m - 2):
+            heads[:, i] = sinprod * cols[i]
+            sinprod = sinprod * np.sqrt(1.0 - cols[i] ** 2)
+        heads[:, m - 2] = sinprod
+    if m % 2:  # pad to whole coordinate pairs; the nodes drop the leading 0
+        heads = np.hstack([np.zeros((heads.shape[0], 1)), heads])
+    phases = np.zeros((naz, heads.shape[1] // 2))
+    phases[:, -1] = psi
     weights = (hweights[:, None] * wpsi).ravel()
-    heads = np.zeros((cols[0].size, m))
-    sinprod = np.ones(cols[0].size)
-    for i in range(m - 2):
-        heads[:, i] = sinprod * cols[i]
-        sinprod = sinprod * np.sqrt(1.0 - cols[i] ** 2)
-    heads[:, m - 2] = sinprod
-    return QuadratureRule(m, None, weights, 2 * L - 1, L, heads=heads, psi=psi)
+    return QuadratureRule(m, heads.view(complex), phases, weights, 2 * L - 1, L)
 
 
 @lru_cache(maxsize=32)
@@ -316,8 +301,8 @@ def invariant_sphere_rule(n: int, level: int, nphase: int = 1) -> QuadratureRule
     nphase exceeds the polynomial's phase bandwidth.  The phase of z_n is the
     fastest axis, so for n >= 2 the rule's rings are its ``nphase`` phases at
     each moduli node and outer phase (``QuadratureRule.ring`` = nphase).
-    The rule is returned in factored form: moduli rows (L^{n-1}, n) and phase
-    rows (nphase^{n-1}, n), whose node array is built on first access.
+    Its base is the real moduli rows (L^{n-1}, n), with phase rows
+    (nphase^{n-1}, n); its node array is built on first access.
     """
     if n < 1:
         raise InvalidInputError("n must be >= 1")
@@ -351,8 +336,8 @@ def invariant_sphere_rule(n: int, level: int, nphase: int = 1) -> QuadratureRule
     pg = np.meshgrid(*axes, indexing="ij")
     phases = np.stack([g.ravel() for g in pg], axis=1)
     weights = np.repeat(uw, phases.shape[0]) * ((2.0 * math.pi) ** n / phases.shape[0])
-    return QuadratureRule(2 * n, None, weights, 2 * L - 1, L, kind="invariant",
-                          ring=nphase if n > 1 else 1, moduli=U, phases=phases)
+    return QuadratureRule(2 * n, U, phases, weights, 2 * L - 1, L, kind="invariant",
+                          ring=nphase if n > 1 else 1)
 
 
 def integrate_sphere(f, rule: QuadratureRule) -> float:

@@ -41,6 +41,29 @@ def trapezoid(y, x):
     return float(np.sum(np.diff(x) * (y[1:] + y[:-1])) / 2.0)
 
 
+def ring_points(heads, psi):
+    """The points of the rings, row h*R + k: head h (H, m) with its last
+    coordinate pair turned by the angle psi_k (R angles).  A reference that
+    shares no code with ``factor_points``."""
+    X, psi = np.asarray(heads, dtype=float), np.asarray(psi, dtype=float)
+    out = np.empty((X.shape[0], psi.shape[0], X.shape[1]))
+    out[:, :, :-2] = X[:, None, :-2]
+    x, y, c, s = X[:, -2, None], X[:, -1, None], np.cos(psi), np.sin(psi)
+    out[:, :, -2] = x * c - y * s
+    out[:, :, -1] = x * s + y * c
+    return out.reshape(-1, X.shape[1])
+
+
+def ring_factors(heads, psi):
+    """The factors (complex base, phase rows) whose points are
+    ``ring_points(heads, psi)``: the heads as complex rows, and phase rows
+    (0, ..., 0, psi_k)."""
+    heads = np.ascontiguousarray(heads, dtype=float)
+    phases = np.zeros((len(psi), heads.shape[1] // 2))
+    phases[:, -1] = psi
+    return heads.view(complex), phases
+
+
 class CountingRadial:
     """Wraps ``ConvexBody.radial`` (through ``monkeypatch``) and records the
     number of rows of each call in ``rows``."""

@@ -21,9 +21,7 @@ from cxsect import (
     rotate_pairs,
     validate,
 )
-from cxsect.spherequad import ring_points
-
-from conftest import unit_vectors
+from conftest import ring_factors, ring_points, unit_vectors
 
 
 class TestNorms:
@@ -142,13 +140,13 @@ class TestRadialPath:
 
 
 class TestTorusRadial:
-    """``torus_radial`` on a torus rule's factors equals ``radial`` at the
-    rule's nodes, in node order."""
+    """``factor_radial`` on a torus rule's factors (real moduli rows) equals
+    ``radial`` at the rule's nodes, in node order."""
 
     @staticmethod
     def assert_matches_nodes(body, rule):
-        got = body.torus_radial(rule.moduli, rule.phases)
-        assert got.shape == (rule.moduli.shape[0], rule.phases.shape[0])
+        got = body.factor_radial(rule.base, rule.phases)
+        assert got.shape == (rule.base.shape[0], rule.phases.shape[0])
         ref = body.radial(rule.nodes)
         assert np.max(np.abs(got.ravel() / ref - 1.0)) <= 1e-14, (body.label, rule)
         return got.ravel(), ref
@@ -176,21 +174,21 @@ class TestTorusRadial:
         rule = invariant_sphere_rule(2, 6, 3)
         for scale in (1.0 + 2e-8, 0.5, np.nan):
             with pytest.raises(InvalidInputError):
-                body.torus_radial(rule.moduli * scale, rule.phases)
+                body.factor_radial(rule.base * scale, rule.phases)
         with pytest.raises(InvalidInputError):
-            body.torus_radial(invariant_sphere_rule(3, 6).moduli, rule.phases)
+            body.factor_radial(invariant_sphere_rule(3, 6).base, rule.phases)
 
 
 class TestRingRadial:
-    """``ring_radial`` on ring heads and angles equals ``radial`` at the ring
-    points, row by row."""
+    """``factor_radial`` on ring factors (complex heads, phase rows that turn
+    the last pair) equals ``radial`` at the ring points, row by row."""
 
     def test_every_kind_matches_radial_at_ring_points(self):
         rng = np.random.default_rng(44)
         psi = np.array([0.0, 0.4, 2.5, -1.0])
         for body in TestRadialPath.matrix():
             heads = unit_vectors(rng, 50, body.dim.N)  # z_n off the real axis
-            got = body.ring_radial(heads, psi)
+            got = body.factor_radial(*ring_factors(heads, psi))
             assert got.shape == (50, 4)
             ref = body.radial(ring_points(heads, psi))
             # measured <= 1 eps: a ring's points differ from its head by rounding
@@ -203,9 +201,9 @@ class TestRingRadial:
         heads = unit_vectors(np.random.default_rng(45), 3, 4)
         for scale in (1.0 + 2e-8, 0.5, np.nan):
             with pytest.raises(InvalidInputError):
-                body.ring_radial(heads * scale, [0.0, 1.0])
+                body.factor_radial(*ring_factors(heads * scale, [0.0, 1.0]))
         with pytest.raises(InvalidInputError):
-            body.ring_radial(unit_vectors(np.random.default_rng(45), 3, 6), [0.0])
+            body.factor_radial(*ring_factors(unit_vectors(np.random.default_rng(45), 3, 6), [0.0]))
 
 
 class TestComplexStructure:

@@ -243,6 +243,7 @@ class TestBadInput:
         "tail-warn-string": (BALL, {"tail_warn": "x"}, ["volume", BODY]),
         "tol-nan": (BALL, {"tol_multiplier": math.nan}, ["volume", BODY]),
         "samples-bool": (BALL, {"mc_samples": True}, ["volume", BODY]),
+        "samples-below-mc-floor": (BALL, {"mc_samples": 5000}, ["suite"]),
         "seed-float": (BALL, {"seed": 1.5}, ["volume", BODY]),
         "seed-too-big": (BALL, {"seed": 2 ** 64}, ["volume", BODY]),
         "output-dir-number": (BALL, {"output_dir": 3}, ["volume", BODY]),
@@ -264,6 +265,12 @@ class TestBadInput:
         assert run([path if a == self.BODY else a for a in args], tmp_path, config) == 3
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), lines
+
+    def test_mc_samples_below_the_floor_rejected_before_any_criterion(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cxsect.cli, "run_suite", lambda *a, **k: pytest.fail("suite ran"))
+        assert run(["suite"], tmp_path, {"mc_samples": 9_999}) == 3
+        assert not (tmp_path / "reports").exists()
+        assert cxsect.RunConfig(mc_samples=10_000).mc_samples == 10_000  # the floor itself passes
 
 
 class TestTheoremCommand:

@@ -37,10 +37,9 @@ from cxsect.harmonics import (
     invariant_harmonic_dim,
     multi_indices,
 )
-from cxsect.spherequad import ring_points, torus_points
 from cxsect.suite import bodies_n2, bodies_n3
 
-from conftest import CountingRadial, trapezoid, unit_vectors
+from conftest import CountingRadial, ring_factors, ring_points, trapezoid, unit_vectors
 
 
 def degree_dim(N, j):
@@ -733,24 +732,25 @@ class TestLiftedEvaluate:
     def test_torus_values_match_evaluate(self, N, jmax, level, nphase):
         exp = self.random_expansion(N, jmax, 37)
         rule = invariant_sphere_rule(N // 2, level, nphase)
-        got = exp.torus_values(rule.moduli, rule.phases)
-        assert got.shape == (rule.moduli.shape[0], rule.phases.shape[0])
-        self.assert_close(got.ravel(), exp.evaluate(torus_points(rule.moduli, rule.phases)))
+        got = exp.factor_values(rule.base, rule.phases)
+        assert got.shape == (rule.base.shape[0], rule.phases.shape[0])
+        self.assert_close(got.ravel(), exp.evaluate(rule.nodes))
 
     def test_torus_values_reject_bad_rows(self):
         exp = self.random_expansion(6, 4, 38)
         rule = invariant_sphere_rule(3, 4, 3)
-        for U, Phi in ((rule.moduli * (1.0 + 2e-8), rule.phases),
-                       (rule.moduli, rule.phases * np.nan),
-                       (rule.moduli[:, :2], rule.phases)):
+        for U, Phi in ((rule.base * (1.0 + 2e-8), rule.phases),
+                       (rule.base, rule.phases * np.nan),
+                       (rule.base[:, :2], rule.phases)):
             with pytest.raises(InvalidInputError):
-                exp.torus_values(U, Phi)
+                exp.factor_values(U, Phi)
 
-    # (N, jmax, heads) -> tolerance.  At N = 4, jmax 24 the lifted matrix has
-    # entries near 1e6 that cancel, and the ring sum, grouped by a_n - b_n,
-    # rounds apart from ``evaluate`` by 3.9e-13 (``evaluate`` is within
-    # 5.9e-14 of the per-degree reference there); elsewhere by <= 1.5e-15.
-    RING_CASES = {(4, 24, 40): 2e-12, (4, 16, 40): 1e-13, (6, 12, 30): 1e-13, (8, 6, 20): 1e-13,
+    # (N, jmax, heads) -> tolerance, on ring factors (complex heads, phase
+    # rows that turn the last pair).  At N = 4, jmax 24 the lifted matrix has
+    # entries near 1e6 that cancel: the factored values round apart from
+    # ``evaluate`` by 5.3e-14 there (8.0e-14 from the per-degree reference,
+    # against ``evaluate``'s 5.9e-14); elsewhere by <= 1.9e-15 (1 BLAS thread).
+    RING_CASES = {(4, 24, 40): 1.5e-13, (4, 16, 40): 1e-13, (6, 12, 30): 1e-13, (8, 6, 20): 1e-13,
                   (6, 4, _CHUNK_ROWS + 9): 1e-13}  # the last: two chunks
 
     @pytest.mark.parametrize("N,jmax,heads", sorted(RING_CASES))
@@ -759,23 +759,25 @@ class TestLiftedEvaluate:
         exp = self.random_expansion(N, jmax, 39)
         rng = np.random.default_rng(40)
         X, psi = unit_vectors(rng, heads, N), np.array([0.0, 0.3, 2.0, -1.1, 4.5])
-        got = exp.ring_values(X, psi)
+        got = exp.factor_values(*ring_factors(X, psi))
         assert got.shape == (heads, psi.size)
         self.assert_close(got.ravel(), exp.evaluate(ring_points(X, psi)),
                           self.RING_CASES[N, jmax, heads])
 
     def test_ring_values_of_an_empty_perturbation(self):
         X = unit_vectors(np.random.default_rng(41), 4, 6)
-        got = HarmonicExpansion(6, 0, {}, 0.0, 0.0).ring_values(X, [0.0, 1.0])
+        got = HarmonicExpansion(6, 0, {}, 0.0, 0.0).factor_values(*ring_factors(X, [0.0, 1.0]))
         assert np.array_equal(got, np.zeros((4, 2)))
 
     def test_ring_values_reject_bad_input(self):
         exp = self.random_expansion(6, 4, 42)
-        X = unit_vectors(np.random.default_rng(43), 5, 6)
-        for heads, psi in ((X * (1.0 + 2e-8), [0.0, 1.0]), (X, [0.0, np.nan]),
-                           (X[:, :4], [0.0]), (X, [[0.0, 1.0]])):
+        W, Phi = ring_factors(unit_vectors(np.random.default_rng(43), 5, 6), [0.0, 1.0])
+        nan = Phi.copy()
+        nan[1, -1] = np.nan
+        for base, phases in ((W * (1.0 + 2e-8), Phi), (W, nan), (W[:, :2], Phi[:, :2]),
+                             (W[:, :2], Phi), (W, Phi[:, :2]), (W, Phi[None])):
             with pytest.raises(InvalidInputError):
-                exp.ring_values(heads, psi)
+                exp.factor_values(base, phases)
 
     def test_all_zero_tail_is_zero(self, ball2):
         ft = ft_norm_power(ball2, 2.0, jmax=8)

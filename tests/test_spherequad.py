@@ -20,11 +20,18 @@ from cxsect import (
     sphere_rule,
 )
 from cxsect import spherequad
-from cxsect.spherequad import radial_values, ring_points, torus_points
+from cxsect.spherequad import factor_points, radial_values
 from cxsect.config import default_config, philox
 from cxsect.harmonics import complex_sphere_moment, multi_indices
 from cxsect.suite import bodies_n2, bodies_n3
-from conftest import CountingRadial
+from conftest import CountingRadial, ring_factors, ring_points
+
+
+def node_rule(nodes, weights, exactness_degree, level):
+    """A rule given by its nodes: base = nodes viewed as complex, one zero phase row."""
+    nodes = np.ascontiguousarray(nodes)
+    return QuadratureRule(nodes.shape[1], nodes.view(complex), np.zeros((1, nodes.shape[1] // 2)),
+                          weights, exactness_degree, level)
 
 
 def sphere_monomial_moment(m, alpha):
@@ -183,14 +190,14 @@ class TestRingLayout:
 
     def test_default_ring_and_divisibility(self):
         nodes, weights = np.eye(4)[:3], np.ones(3)
-        rule = QuadratureRule(4, nodes, weights, 1, 1)
-        assert rule.ring == 1 and rule.heads is rule.nodes and np.array_equal(rule.psi, [0.0])
-        with pytest.raises(InvalidInputError):
-            QuadratureRule(4, nodes.copy(), weights.copy(), 1, 1, ring=2)
+        rule = node_rule(nodes, weights, 1, 1)
+        assert rule.ring == 1 and np.array_equal(rule.psi, [0.0])
+        assert np.array_equal(rule.heads, nodes) and np.array_equal(rule.nodes, nodes)
+        with pytest.raises(InvalidInputError, match="does not divide"):
+            QuadratureRule(4, nodes.view(complex), np.zeros((1, 2)), weights.copy(), 1, 1, ring=2)
         torus = invariant_sphere_rule(2, 4, 3)
         with pytest.raises(InvalidInputError, match="does not divide"):
-            QuadratureRule(4, None, torus.weights, 1, 1, ring=2, moduli=torus.moduli,
-                           phases=torus.phases)
+            QuadratureRule(4, torus.base, torus.phases, torus.weights, 1, 1, ring=2)
 
 
 def reference_torus_nodes(moduli, phases):
@@ -215,51 +222,50 @@ class TestFactoredRule:
     def test_lazy_nodes_are_the_reference_build(self, n, level, nphase):
         rule = invariant_sphere_rule.__wrapped__(n, level, nphase)  # a fresh, unbuilt rule
         assert not rule.nodes_built
-        assert rule.node_count == rule.moduli.shape[0] * rule.phases.shape[0]
+        assert rule.node_count == rule.base.shape[0] * rule.phases.shape[0]
         assert rule.ring == (nphase if n > 1 else 1)
         assert not rule.nodes_built  # node_count and the ring check read the weights
         nodes = rule.nodes
         assert rule.nodes_built and rule.nodes is nodes
-        assert np.array_equal(nodes, reference_torus_nodes(rule.moduli, rule.phases))
-        for arr in (rule.nodes, rule.weights, rule.moduli, rule.phases):
+        assert np.array_equal(nodes, reference_torus_nodes(rule.base, rule.phases))
+        for arr in (rule.nodes, rule.weights, rule.base, rule.phases):
             assert not arr.flags.writeable
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_unit_moduli_rows_and_pinned_first_phase(self, n):
         rule = invariant_sphere_rule(n, 10, 4)
-        assert np.abs(np.linalg.norm(rule.moduli, axis=1) - 1.0).max() <= 1e-15
+        assert not np.iscomplexobj(rule.base)  # moduli rows
+        assert np.abs(np.linalg.norm(rule.base, axis=1) - 1.0).max() <= 1e-15
         assert np.all(rule.phases[:, 0] == 0.0)
 
-    def test_nodes_or_factors_not_both(self):
-        # exactly one of the three forms: nodes, ring heads and angles, torus factors
+    def test_factor_shapes_checked(self):
+        # one form: a base and phase rows of ceil(m/2) pairs whose counts give the weights'
         torus, product = invariant_sphere_rule(2, 4, 3), sphere_rule(4, 3)
-        w = np.ones(torus.node_count)
-        nodes = {"nodes": torus.nodes.copy()}
-        rings = {"heads": product.heads, "psi": product.psi}
-        factors = {"moduli": torus.moduli, "phases": torus.phases}
-        for given in ({}, {**nodes, **rings}, {**nodes, **factors}, {**rings, **factors},
-                      {"heads": product.heads}, {"psi": product.psi},
-                      {"moduli": torus.moduli}, {"phases": torus.phases}):
-            args = {"nodes": None, **given}
-            with pytest.raises(InvalidInputError, match="either its nodes"):
-                QuadratureRule(4, args.pop("nodes"), w, 1, 1, **args)
+        one = torus.phases[:, :1]
+        for base, phases in ((torus.base, one), (torus.base[:, :1], one), (product.base, one),
+                             (torus.base[0], torus.phases)):
+            with pytest.raises(InvalidInputError, match="coordinate pairs"):
+                QuadratureRule(4, base, phases, torus.weights, 1, 1)
         with pytest.raises(InvalidInputError, match="do not give"):
-            QuadratureRule(4, None, w, 1, 1, heads=product.heads, psi=product.psi[:2])
+            QuadratureRule(4, product.base, product.phases[:2], product.weights, 1, 1)
+        with pytest.raises(InvalidInputError, match="do not give"):
+            QuadratureRule(4, torus.base, torus.phases, torus.weights[1:], 1, 1)
 
     def test_radial_values_in_node_order(self, ell12, pert2):
-        # on all three forms, the torus and product rules without a node array;
-        # the ring sums round apart from the per-node profile (measured <= 1 eps)
+        # on the torus and product rules and a rule given by its nodes, all
+        # without a node array; the complex bases round apart from the
+        # per-node profile (measured <= 1 eps)
         product, eps4 = sphere_rule(4, 6), 4 * np.finfo(float).eps
         forms = {"torus": (lambda: invariant_sphere_rule.__wrapped__(2, 16, 9), 1e-14),
                  "product": (lambda: sphere_rule.__wrapped__(4, 6), eps4),
-                 "nodes": (lambda: QuadratureRule(4, product.nodes.copy(), product.weights.copy(),
-                                                  11, 6), eps4)}
+                 "nodes": (lambda: node_rule(product.nodes.copy(), product.weights.copy(), 11, 6),
+                           eps4)}
         for body in (ell12, pert2):
             for form, (make, tol) in forms.items():
                 rule = make()
                 got = radial_values(body, rule)
                 assert got.shape == (rule.node_count,)
-                assert rule.nodes_built == (form == "nodes")
+                assert not rule.nodes_built
                 assert np.max(np.abs(got / body.radial(rule.nodes) - 1.0)) <= tol, (body, form)
 
     @pytest.mark.parametrize("m,level", [(2, 5), (4, 6), (6, 3), (8, 2)])
@@ -269,15 +275,19 @@ class TestFactoredRule:
         assert rule.heads.shape == (level ** (m - 2), m) and rule.ring == 2 * level
         assert np.all(rule.heads[:, -1] == 0.0) and np.all(rule.heads[:, -2] >= 0.0)
         assert np.array_equal(rule.psi, 2.0 * math.pi * np.arange(2 * level) / (2 * level))
+        # the heads are the complex base itself, the phase rows (0, ..., 0, psi)
+        assert np.shares_memory(rule.heads, rule.base)
+        assert np.array_equal(rule.base, ring_factors(rule.heads, rule.psi)[0])
+        assert np.array_equal(rule.phases, ring_factors(rule.heads, rule.psi)[1])
         assert not rule.nodes_built
         assert np.array_equal(rule.nodes, ring_points(rule.heads, rule.psi))
-        for arr in (rule.nodes, rule.weights, rule.heads, rule.psi):
+        for arr in (rule.nodes, rule.weights, rule.heads, rule.psi, rule.base, rule.phases):
             assert not arr.flags.writeable
 
     @pytest.mark.parametrize("n,level,nphase", [(1, 5, 1), (2, 12, 9), (3, 6, 7)])
     def test_torus_rule_heads_and_angles(self, n, level, nphase):
         rule = invariant_sphere_rule.__wrapped__(n, level, nphase)
-        assert np.array_equal(rule.heads, torus_points(rule.moduli, rule.phases[::rule.ring]))
+        assert np.array_equal(rule.heads, factor_points(rule.base, rule.phases[::rule.ring]))
         assert np.array_equal(rule.psi, rule.phases[:rule.ring, -1])
         assert not rule.nodes_built
         # the rings' points are the nodes up to the rounding of cos(a + b)
@@ -328,13 +338,42 @@ class TestRingHeadRadial:
 
     def test_ring_one_takes_every_node(self, monkeypatch):
         product = sphere_rule(4, 6)
-        rule = QuadratureRule(4, product.nodes.copy(), product.weights.copy(), 11, 6)
+        rule = node_rule(product.nodes.copy(), product.weights.copy(), 11, 6)
         assert rule.ring == 1
         body = ComplexLqBall(ComplexDim(2), 3.0)
         counter = CountingRadial(monkeypatch)
         got = radial_values(body, rule)
         assert counter.rows == [rule.node_count]
         assert np.array_equal(got, body.radial(rule.nodes))
+
+
+SUITE_BODIES = [(n, name) for n, bodies in ((2, bodies_n2), (3, bodies_n3)) for name in bodies()]
+
+
+class TestBothRuleFamilies:
+    """``radial_values`` through the factors of a product rule (complex base)
+    and of a torus rule with several phases (real base), on every suite body."""
+
+    # family -> (rule at n, tolerance against the per-node values); the
+    # product rule's ring points differ from its heads by rounding
+    RULES = {"product": (lambda n: sphere_rule.__wrapped__(2 * n, 8), 4 * np.finfo(float).eps),
+             "torus": (lambda n: invariant_sphere_rule.__wrapped__(n, 12, 5), 1e-14)}
+
+    @pytest.mark.parametrize("family", sorted(RULES))
+    @pytest.mark.parametrize("n,name", SUITE_BODIES)
+    def test_radial_values_match_the_nodes(self, n, name, family, monkeypatch):
+        body = (bodies_n2 if n == 2 else bodies_n3)()[name]
+        make, tol = self.RULES[family]
+        rule = make(n)  # fresh and unbuilt
+        assert rule.phases.shape[0] > 1
+        counter = CountingRadial(monkeypatch)
+        got = radial_values(body, rule)
+        monkeypatch.undo()
+        assert not rule.nodes_built
+        # a moduli-only body: one radial call, once per base row
+        assert counter.rows == ([] if body.phase_bandwidth else [rule.base.shape[0]])
+        assert got.shape == (rule.node_count,)
+        assert np.max(np.abs(got / body.radial(rule.nodes) - 1.0)) <= tol, body.label
 
 
 class TestIntegrateSphere:

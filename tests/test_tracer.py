@@ -79,4 +79,4 @@ def test_traced_perturbed_volume_counts_nodes_without_building_them():
     rules = [cxsect.invariant_sphere_rule(3, lev, 7) for lev in (level, level + max(8, level // 8))]
     assert summary["spherequad.rule_nodes"] == sum(r.node_count for r in rules) == 2_842_000
     assert not any(r.nodes_built for r in rules)
-    assert "spherequad.torus_points" not in {rec[tm.NAME] for rec in tracer.spans}
+    assert "spherequad.factor_points" not in {rec[tm.NAME] for rec in tracer.spans}
