@@ -34,14 +34,20 @@ mu_k[a, b] = sum_m mu_{k+1}[a + e_m, b + e_m].  One pass over the rule's nodes
 at the top degree therefore gives every degree.  This assumes the rule's nodes
 are unit vectors, as those of every rule in ``spherequad`` are to rounding.
 
-That pass sums ring by ring, on the rule's ring view (``QuadratureRule.heads``
-and ``psi``, derived from its factors): within a ring only the phase of z_n
-moves, so z^a zbar^b = u_a conj(u_b) e^{i (a_n - b_n) psi_k} with u the
-monomials at the ring's head, and
-mu[a, b] = sum_rings u_a conj(u_b) G_{a_n - b_n},  G_d = sum_k w_k f_k e^{i d psi_k}.
-This is the same quadrature sum, reassociated; the monomial tables and the
-block products run on the ring heads only (1/2L of a level-L product rule),
-and the angles come from the rule, so no node array is formed.
+That pass runs on the rule's factors, base rows w and phase rows phi, whose
+points are z_k = w_k e^{i phi_k}.  There z^a zbar^b = w^a conj(w)^b
+e^{i (a - b) . phi}, so
+
+    mu[a, b] = sum_h w_h^a conj(w_h)^b G_h(a - b),  G_h(d) = sum_f w_hf f_hf e^{i d . phi_f},
+
+the same quadrature sum, reassociated: the adjoint of ``factor_values``
+below.  Only the phase columns some row turns enter d, so G is one product
+per chunk of base rows for the distinct frequencies, and the rows a that
+agree on those columns share one frequency row.  The monomial tables and
+block products run on the base rows only (1/2L of a level-L product rule),
+and no node array is formed.  Moments, basis values and expansion values all
+take their monomial tables from one chunk loop over rows, real or complex
+(``_Block._monomial_chunks``).
 
 Evaluation uses the same identity the other way round.  A degree-k
 combination sum_ab H[a, b] z^a zbar^b equals
@@ -149,8 +155,6 @@ class _Block:
         self.A = multi_indices(n, k)
         self.P = len(self.A)
         self._ea = np.array(self.A)
-        # the monomials with a_n = alpha, for alpha = 0..k: the ring sums group by them
-        self._by_last = [np.flatnonzero(self._ea[:, -1] == alpha) for alpha in range(k + 1)]
         self.dim = invariant_harmonic_dim(n, 2 * k)
         self.C = self._canonical_basis()
 
@@ -246,52 +250,55 @@ class _Block:
 
     # -- evaluation ----------------------------------------------------
 
-    def _monomials(self, Z):
-        """The monomials z^a at the rows of Z (rows, n), complex or real, shape
-        (rows, P): one power table z_m^e, from which every monomial is gathered."""
-        table = np.empty((self.n, Z.shape[0], self.k + 1), dtype=Z.dtype)
-        table[:, :, 0] = 1.0
-        for e in range(1, self.k + 1):
-            table[:, :, e] = table[:, :, e - 1] * Z.T
-        return math.prod(table[m][:, self._ea[:, m]] for m in range(self.n))
-
-    def _monomial_chunks(self, X):
-        """Yield (lo, hi, Za): the monomials z^a at X[lo:hi], shape (rows, P),
-        in chunks of _CHUNK_ROWS points."""
-        for lo in range(0, X.shape[0], _CHUNK_ROWS):
-            hi = min(lo + _CHUNK_ROWS, X.shape[0])
-            yield lo, hi, self._monomials(X[lo:hi, 0::2] + 1j * X[lo:hi, 1::2])
+    def _monomial_chunks(self, W):
+        """Yield (lo, hi, Wa): the monomials w^a at the rows W[lo:hi] of W
+        (rows, n), real or complex, shape (hi - lo, P), in chunks of
+        _CHUNK_ROWS rows.  Each chunk takes one power table w_m^e, from which
+        every monomial is gathered."""
+        for lo in range(0, W.shape[0], _CHUNK_ROWS):
+            hi = min(lo + _CHUNK_ROWS, W.shape[0])
+            table = np.empty((self.n, hi - lo, self.k + 1), dtype=W.dtype)
+            table[:, :, 0] = 1.0
+            for e in range(1, self.k + 1):
+                table[:, :, e] = table[:, :, e - 1] * W[lo:hi].T
+            yield lo, hi, math.prod(table[m][:, self._ea[:, m]] for m in range(self.n))
 
     def eval_basis(self, X):
         """Values of the block's basis functions at X, shape (M, dim)."""
         out = np.empty((X.shape[0], self.dim))
-        for lo, hi, Za in self._monomial_chunks(X):
+        for lo, hi, Za in self._monomial_chunks(np.ascontiguousarray(X).view(complex)):
             pairs = (Za[:, :, None] * Za.conj()[:, None, :]).reshape(hi - lo, -1)
             out[lo:hi] = (pairs @ self.C.T).real
         return out
 
-    def moments(self, heads, wf, psi=(0.0,)):
-        """mu_ab = sum_i wf_i z^a(x_i) zbar^b(x_i) for real wf over the ring
-        points of ``heads`` and ``psi``, summed ring by ring.
+    def moments(self, base, phases, wf):
+        """mu_ab = sum_i wf_i z^a zbar^b for real wf over the points of base
+        rows W (H, n), real or complex, and phase rows Phi (F, n), point h*F + f
+        being z_k = W[h, k] e^{i Phi[f, k]} (the factors of a
+        ``QuadratureRule``): the adjoint of ``HarmonicExpansion.factor_values``.
 
-        Point h*R + k is head h with z_n turned by e^{i psi_k}, the layout of
-        ``QuadratureRule.heads`` and ``psi``.  With u the monomials at the
-        head, z^a zbar^b = u_a conj(u_b) e^{i (a_n - b_n) psi_k} there, so
-        mu_ab = sum_h u_a conj(u_b) G_{a_n - b_n} with
-        G_d = sum_k wf_k e^{i d psi_k} and G_{-d} = conj(G_d).  The monomials
-        are built at the heads only; the default psi = (0,) makes every head
-        a point of its own, the per-node sum.
+        There z^a zbar^b = w^a conj(w)^b e^{i (a - b) . phi}, so
+        mu_ab = sum_h w^a conj(w)^b G_h(a - b) with
+        G_h(d) = sum_f wf[h, f] e^{i d . phi_f}.  Only the columns where some
+        phase row turns enter d, so G is one product per chunk of base rows
+        for the distinct d there, and the rows a that agree on those columns
+        share their frequency row over b and are summed in one product.
         """
-        K, an = self.k, self._ea[:, -1]
-        phase = np.exp(1j * np.outer(psi, np.arange(K + 1)))
-        W = np.reshape(wf, (-1, phase.shape[0]))
+        Phi = np.asarray(phases, dtype=float)
+        live = Phi.any(axis=0)  # the columns some phase row turns
+        turn = self._ea[:, live]
+        freq, col = np.unique((turn[:, None] - turn[None, :]).reshape(self.P ** 2, turn.shape[1]),
+                              axis=0, return_inverse=True)
+        col = col.reshape(self.P, self.P)  # (a, b) -> the index of its d in freq
+        E = np.exp(1j * (Phi[:, live] @ freq.T))  # (F, D)
+        W = np.reshape(wf, (-1, Phi.shape[0]))
+        groups = _split(np.unique(turn, axis=0, return_inverse=True)[1].ravel())
         mu = np.zeros((self.P, self.P), dtype=complex)
-        for lo, hi, Ua in self._monomial_chunks(heads):
-            G = W[lo:hi] @ phase
-            G = np.concatenate([G[:, :0:-1].conj(), G], axis=1)  # column K + d holds G_d
-            Ub = Ua.conj()
-            for alpha, rows in enumerate(self._by_last):
-                mu[rows] += Ua[:, rows].T @ (G[:, K + alpha - an] * Ub)
+        for lo, hi, Wa in self._monomial_chunks(base):
+            G = W[lo:hi] @ E
+            Wb = Wa.conj()
+            for rows in groups:
+                mu[rows] += Wa[:, rows].T @ (G[:, col[rows[0]]] * Wb)
         return mu
 
 
@@ -459,7 +466,7 @@ class HarmonicExpansion:
         _require_unit_rows(pts)
         H, blk = self._lift(tuple(degrees))
         out = np.empty(pts.shape[0])
-        for lo, hi, Za in blk._monomial_chunks(pts):
+        for lo, hi, Za in blk._monomial_chunks(np.ascontiguousarray(pts).view(complex)):
             ZH = Za @ H  # value = Re sum_b ZH_b conj(Za_b)
             out[lo:hi] = (np.einsum("ij,ij->i", ZH.real, Za.real)
                           + np.einsum("ij,ij->i", ZH.imag, Za.imag))
@@ -491,9 +498,7 @@ class HarmonicExpansion:
         freq = (blk._ea[:, None, :] - blk._ea[None, :, :]).reshape(P * P, n)  # a - b
         E = H.reshape(-1, 1) * np.exp(1j * (freq @ Phi.T))
         out = np.empty((W.shape[0], Phi.shape[0]))
-        for lo in range(0, W.shape[0], _CHUNK_ROWS):
-            hi = min(lo + _CHUNK_ROWS, W.shape[0])
-            Wa = blk._monomials(W[lo:hi])  # w^a
+        for lo, hi, Wa in blk._monomial_chunks(W):
             Q = (Wa[:, :, None] * Wa.conj()[:, None, :]).reshape(hi - lo, P * P)
             out[lo:hi] = Q.real @ E.real
             if np.iscomplexobj(Q):
@@ -564,15 +569,14 @@ def harmonic_expand(f, jmax, rule: QuadratureRule, tail_warn=1e-3,
     moments from the nodes; each lower block's table is gathered from the one
     above by mu_k[a, b] = sum_m mu_{k+1}[a + e_m, b + e_m], which is the same
     quadrature sum because |z|^2 = 1 at every node.  The rule's nodes must
-    therefore be unit vectors.  The top block sums the phase of z_n first
-    within each of the rule's rings (``rule.ring`` nodes that differ only in
-    that phase): mu[a, b] = sum_rings u_a conj(u_b) G_{a_n - b_n} with u the
-    monomials at the ring head (``rule.heads``) and
-    G_d = sum_k w_k f_k e^{i d psi_k} over the ring angles (``rule.psi``),
-    again the same sum; no node array is formed unless ``f`` is a callable.
+    therefore be unit vectors.  The top block's moments come from the rule's
+    factors (``_Block.moments`` on ``rule.base`` and ``rule.phases``), again
+    the same sum; no node array is formed unless ``f`` is a callable.
     Coefficients below 1e-12 times the L2 norm of f are dropped as
     quadrature noise.  A warning is recorded when the top two degrees hold
     more than ``tail_warn`` of the expansion energy.  Raises
+    ``InvalidInputError`` when f (an array, or a callable's values at the
+    nodes) does not have shape (rule.node_count,), and
     ``NumericalEvaluationError`` when f or its L2 norm is not finite.
     """
     N = rule.m
@@ -584,12 +588,15 @@ def harmonic_expand(f, jmax, rule: QuadratureRule, tail_warn=1e-3,
         )
     with np.errstate(over="ignore"):  # overflow is caught by the checks below
         fvals = f(rule.nodes) if callable(f) else np.asarray(f, dtype=float)
+        if np.shape(fvals) != (rule.node_count,):
+            raise InvalidInputError(f"expansion integrand has shape {np.shape(fvals)}, "
+                                    f"expected ({rule.node_count},)")
         wf = rule.weights * fvals
         l2 = math.sqrt(max(float(np.sum(wf * fvals)), 0.0))
     if not (np.all(np.isfinite(fvals)) and math.isfinite(l2)):
         raise NumericalEvaluationError(f"non-finite expansion integrand or L2 norm {label}".rstrip())
     n, K = N // 2, jmax // 2
-    tables = [_block(n, K).moments(rule.heads, wf, rule.psi)]  # the only pass over the nodes
+    tables = [_block(n, K).moments(rule.base, rule.phases, wf)]  # the only pass over the nodes
     for k in range(K - 1, -1, -1):
         tables.append(_lower_moments(tables[-1], n, k))
     coeffs = {}
@@ -622,7 +629,7 @@ def ft_norm_power(body, p, jmax=None, tail_warn=1e-3) -> HarmonicExpansion:
     ``default_config().jmax_for(N)``) and rescales degree j by
     lambda_j(N, p).  rho comes from ``radial_values`` on ``expansion_rule``,
     through the rule's factors: a body that depends on the moduli only is
-    evaluated once per ring head, a perturbed ball through
+    evaluated once per base row, a perturbed ball through
     ``HarmonicExpansion.factor_values``.  The rule's node array is never
     formed.
     """

@@ -11,8 +11,8 @@ coordinate pairs turned by the phases of row f (``factor_points``).
 * ``sphere_rule(m, level)`` -- the generic product rule (Gauss nodes in the
   polar cosines against the exact sphere weight, uniform trigonometric nodes
   in the azimuth).  Exact for all polynomials of degree <= 2*level - 1.
-  Its base is its ring heads (one per polar node, at azimuth 0) as complex
-  rows, its phase rows turn the last pair by the azimuths.
+  Its base is one point per polar node, at azimuth 0, as complex rows; its
+  phase rows turn the last pair by the azimuths.
 * ``invariant_sphere_rule(n, level, ...)`` -- a torus-reduced rule on
   S^{2n-1} for integrands invariant under the simultaneous rotation of all
   coordinate pairs.  The reduction drops the integral to the moduli simplex
@@ -23,11 +23,11 @@ coordinate pairs turned by the phases of row f (``factor_points``).
 ``radial_values`` evaluates a body through the factors
 (``ConvexBody.factor_radial``: a moduli-only body once per base row, a
 perturbed ball through ``HarmonicExpansion.factor_values``), and expansions
-take their moments from the rule's rings, so volumes, pairings, radius scans
-and expansions never form the node array.  It is built, bit for bit the
-former eager builds, only when ``nodes`` is read; ``QuadratureRule.node(i)``
-forms one node from the factors, so an error message can name a node
-without the array.
+take their moments from the same factors (``harmonics._Block.moments``), so
+volumes, pairings, radius scans and expansions never form the node array.
+It is built, bit for bit the former eager builds, only when ``nodes`` is
+read; ``QuadratureRule.node(i)`` forms one node from the factors, so an
+error message can name a node without the array.
 
 Final reductions go through ``np.sum`` (pairwise, thread-count independent)
 so repeated runs produce identical bits.
@@ -118,45 +118,30 @@ class QuadratureRule:
     """Nodes and weights on S^{m-1} with a stated polynomial exactness degree,
     kept as two factors.
 
-    ``kind`` is "product" for the generic rule (exact on all polynomials) or
-    "invariant" for the torus-reduced rule (exact on rotation-invariant
-    polynomials only).
-
     The factors are a ``base`` (H, c) and ``phases`` (F, c) over c = ceil(m/2)
     coordinate pairs z_k: node h*F + f is base row h with z_k turned by
     e^{i phases[f, k]} (``factor_points``).  The torus rule's base is real,
-    its moduli rows; the product rule's is complex, its ring heads, with
-    phase rows (0, ..., 0, psi); a rule given by its nodes is base = nodes
+    its moduli rows; the product rule's is complex, one row per polar node,
+    with phase rows (0, ..., 0, psi); a rule given by its nodes is base = nodes
     viewed as complex with one zero phase row.  An odd m pads the base with
     a leading zero coordinate, which the nodes drop.
-
-    Each ``ring`` consecutive phase rows (all F by default) differ only in
-    the phase of the last pair, so their nodes form a ring: ``heads`` holds
-    one point per ring and ``psi`` the ``ring`` angles by which z_n turns
-    within every ring (node r*ring + k is head r turned by psi_k).  The
-    moment sums of ``harmonics`` read this view.
 
     The node array is built on first access to ``nodes`` (``nodes_built``
     tells); ``radial_values`` and ``node`` work on the factors.  Every array
     of the rule is read-only.
     """
 
-    def __init__(self, m, base, phases, weights, exactness_degree, level, kind="product",
-                 ring=None):
+    def __init__(self, m, base, phases, weights, exactness_degree, level):
         base, F = np.ascontiguousarray(base), phases.shape[0]
-        ring = F if ring is None else ring
         count = weights.shape[0]
         if base.ndim != 2 or phases.shape[1:] != (base.shape[1],) or base.shape[1] != (m + 1) // 2:
             raise InvalidInputError(f"a rule on S^{m - 1} takes base and phase rows of "
                                     f"{(m + 1) // 2} coordinate pairs")
         if base.shape[0] * F != count:
             raise InvalidInputError(f"the rule's factors do not give its {count} nodes")
-        if ring < 1 or F % ring:
-            raise InvalidInputError(f"ring length {ring} does not divide the {F} phase rows")
         self.m, self.base, self.phases, self.weights = m, base, phases, weights
         self.exactness_degree, self.level = exactness_degree, level
-        self.kind, self.ring = kind, ring
-        self._nodes = self._heads = None
+        self._nodes = None
         for arr in (base, phases, weights):
             arr.setflags(write=False)
 
@@ -177,23 +162,6 @@ class QuadratureRule:
     def nodes_built(self):
         return self._nodes is not None
 
-    @property
-    def heads(self):
-        """One point per ring, the base turned by every ``ring``-th phase row;
-        where those rows are 0 (the product rule) the complex base itself."""
-        if self._heads is None:
-            first = self.phases[::self.ring]
-            if np.iscomplexobj(self.base) and not first.any():
-                self._heads = self._trim(self.base.view(float))
-            else:
-                self._heads = self._trim(factor_points(self.base, first))
-        return self._heads
-
-    @property
-    def psi(self):
-        """The ``ring`` angles by which z_n turns within every ring."""
-        return self.phases[:self.ring, -1]
-
     def node(self, i):
         """Node i, bit for bit ``nodes[i]``, formed from the factors alone
         when the node array is not built."""
@@ -207,8 +175,7 @@ class QuadratureRule:
         return self.weights.shape[0]
 
     def __repr__(self):
-        return (f"QuadratureRule(m={self.m}, kind={self.kind!r}, level={self.level}, "
-                f"nodes={self.node_count}, ring={self.ring})")
+        return f"QuadratureRule(m={self.m}, level={self.level}, nodes={self.node_count})"
 
 
 def factor_points(base, phases):
@@ -243,13 +210,11 @@ def sphere_rule(m: int, level: int) -> QuadratureRule:
     (1-t^2)^{(m-2-i)/2}) and 2*level uniform azimuth angles.  The node set is
     closed under x -> -x with equal weights, and all spherical polynomials of
     degree <= 2*level - 1 integrate exactly.  The azimuth of the last
-    coordinate pair is the fastest axis, so the rule's rings are its
-    2*level azimuths at each polar node (``QuadratureRule.ring`` = 2*level).
-    Its base is the ring heads as complex rows, one per polar node
-    (level^{m-2} rows) with the last pair at azimuth 0 (the sine product,
-    then 0), and its phase rows are (0, ..., 0, psi) for the 2*level
-    azimuths psi; its node array, bit for bit the per-node meshgrid build,
-    is formed only when ``nodes`` is first read.
+    coordinate pair is the fastest axis.  Its base is one complex row per
+    polar node (level^{m-2} rows) with the last pair at azimuth 0 (the sine
+    product, then 0), and its phase rows are (0, ..., 0, psi) for the
+    2*level azimuths psi; its node array, bit for bit the per-node meshgrid
+    build, is formed only when ``nodes`` is first read.
     """
     if not 2 <= m <= 8:
         raise InvalidInputError(f"sphere_rule supports 2 <= m <= 8, got {m}")
@@ -268,7 +233,7 @@ def sphere_rule(m: int, level: int) -> QuadratureRule:
             t, w = gauss_gegenbauer(L, lam)
             tcos.append(t)
             tw.append(w)
-        cols = [g.ravel() for g in np.meshgrid(*tcos, indexing="ij")]  # one row per ring head
+        cols = [g.ravel() for g in np.meshgrid(*tcos, indexing="ij")]  # one row per polar node
         hweights = np.ones_like(cols[0])
         for g in np.meshgrid(*tw, indexing="ij"):
             hweights = hweights * g.ravel()
@@ -299,9 +264,7 @@ def invariant_sphere_rule(n: int, level: int, nphase: int = 1) -> QuadratureRule
 
     Exact for rotation-invariant polynomials of degree <= 2*level - 1 when
     nphase exceeds the polynomial's phase bandwidth.  The phase of z_n is the
-    fastest axis, so for n >= 2 the rule's rings are its ``nphase`` phases at
-    each moduli node and outer phase (``QuadratureRule.ring`` = nphase).
-    Its base is the real moduli rows (L^{n-1}, n), with phase rows
+    fastest axis.  Its base is the real moduli rows (L^{n-1}, n), with phase rows
     (nphase^{n-1}, n); its node array is built on first access.
     """
     if n < 1:
@@ -336,8 +299,7 @@ def invariant_sphere_rule(n: int, level: int, nphase: int = 1) -> QuadratureRule
     pg = np.meshgrid(*axes, indexing="ij")
     phases = np.stack([g.ravel() for g in pg], axis=1)
     weights = np.repeat(uw, phases.shape[0]) * ((2.0 * math.pi) ** n / phases.shape[0])
-    return QuadratureRule(2 * n, U, phases, weights, 2 * L - 1, L, kind="invariant",
-                          ring=nphase if n > 1 else 1)
+    return QuadratureRule(2 * n, U, phases, weights, 2 * L - 1, L)
 
 
 def integrate_sphere(f, rule: QuadratureRule) -> float:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from cxsect import ComplexDim, ComplexEllipsoid, ComplexLqBall, EuclideanBall, PerturbedBall
+from cxsect import QuadratureRule
 from cxsect.bodies import ConvexBody
 
 
@@ -62,6 +63,13 @@ def ring_factors(heads, psi):
     phases = np.zeros((len(psi), heads.shape[1] // 2))
     phases[:, -1] = psi
     return heads.view(complex), phases
+
+
+def node_rule(nodes, weights, exactness_degree, level):
+    """A rule given by its nodes: base = nodes viewed as complex, one zero phase row."""
+    nodes = np.ascontiguousarray(nodes)
+    return QuadratureRule(nodes.shape[1], nodes.view(complex), np.zeros((1, nodes.shape[1] // 2)),
+                          weights, exactness_degree, level)
 
 
 class CountingRadial:

@@ -23,7 +23,7 @@ from cxsect import (
     sphere_area,
     sphere_rule,
 )
-from cxsect import harmonics
+from cxsect import harmonics, spherequad
 from cxsect.config import default_config
 from cxsect.harmonics import (
     _CHUNK_ROWS,
@@ -37,9 +37,10 @@ from cxsect.harmonics import (
     invariant_harmonic_dim,
     multi_indices,
 )
+from cxsect.spherequad import factor_points, radial_values
 from cxsect.suite import bodies_n2, bodies_n3
 
-from conftest import CountingRadial, ring_factors, ring_points, trapezoid, unit_vectors
+from conftest import CountingRadial, node_rule, ring_factors, ring_points, trapezoid, unit_vectors
 
 
 def degree_dim(N, j):
@@ -59,6 +60,24 @@ def degree_values(N, j, c, X):
     """sum_l c[l] Y_{j,l}(X) through the basis values: a per-degree reference
     that shares no code with the lifted ``HarmonicExpansion.evaluate``."""
     return invariant_harmonic_basis(N, j).evaluate(X) @ c
+
+
+def point_moments(blk, X, w):
+    """``blk.moments`` at the points X (M, N) with weights w: the factors of a
+    rule given by its nodes (the points as complex rows, one zero phase row)."""
+    return blk.moments(X[:, 0::2] + 1j * X[:, 1::2], np.zeros((1, X.shape[1] // 2)), w)
+
+
+def node_sum_moments(blk, X, w):
+    """sum_i w_i z^a zbar^b at the points X (M, N), the monomials taken as
+    products of powers, a few thousand points at a time: a per-node reference
+    that shares no code with ``_Block``."""
+    mu = np.zeros((blk.P, blk.P), dtype=complex)
+    for lo in range(0, X.shape[0], 4096):
+        Z = X[lo:lo + 4096, 0::2] + 1j * X[lo:lo + 4096, 1::2]
+        Za = np.prod(Z[:, None, :] ** np.array(blk.A)[None], axis=2)
+        mu += Za.T @ (w[lo:lo + 4096, None] * Za.conj())
+    return mu
 
 
 def per_degree_values(exp, X, degrees=None):
@@ -499,7 +518,7 @@ class TestMonomialKernel:
                              for i in range(self.M)])
 
         expect = mono(multi_indices(3, p)).T @ (w[:, None] * mono(multi_indices(3, q)).conj())
-        got = blk.moments(X, w)
+        got = point_moments(blk, X, w)
         assert np.max(np.abs(got - expect)) <= 1e-13 * np.max(np.abs(expect))
 
     @pytest.mark.parametrize("p,q", [(2, 2)])
@@ -656,6 +675,17 @@ class TestExpansion:
         with pytest.raises(NumericalEvaluationError):
             harmonic_expand(lambda x: np.full(len(x), value), 4, rule)
 
+    @pytest.mark.parametrize("form", ["array", "callable"])
+    @pytest.mark.parametrize("shape", [(1024, 1), (1,), (5,)], ids=["column", "one", "five"])
+    def test_integrand_of_wrong_shape_rejected(self, shape, form):
+        # a column, a broadcasting scalar and a short array, given as values
+        # or returned by the integrand: each is one value per node or nothing
+        rule = sphere_rule(4, 8)
+        assert rule.node_count == 1024
+        vals = np.ones(shape)
+        with pytest.raises(InvalidInputError, match="shape"):
+            harmonic_expand(vals if form == "array" else (lambda x: vals), 8, rule)
+
     def test_degree_above_limit_rejected_before_evaluation(self):
         def never(x):
             raise AssertionError("integrand evaluated")
@@ -680,7 +710,7 @@ def per_degree_expand(f, jmax, rule):
     coeffs = {}
     for j in range(0, jmax + 1, 2):
         blk = _block(rule.m // 2, j // 2)
-        c = (blk.C @ blk.moments(rule.nodes, wf).ravel()).real
+        c = (blk.C @ point_moments(blk, rule.nodes, wf).ravel()).real
         coeffs[j] = np.where(np.abs(c) < 1e-12 * l2, 0.0, c)
     return coeffs, l2
 
@@ -845,8 +875,8 @@ class TestMomentRecursion:
         rng = np.random.default_rng(40 + 20 * n + k)
         X = unit_vectors(rng, 500, 2 * n)
         w = rng.normal(size=500)
-        lowered = _lower_moments(_block(n, k + 1).moments(X, w), n, k)
-        direct = _block(n, k).moments(X, w)
+        lowered = _lower_moments(point_moments(_block(n, k + 1), X, w), n, k)
+        direct = point_moments(_block(n, k), X, w)
         assert np.abs(lowered - direct).max() <= 1e-13 * np.abs(direct).max()
 
     @pytest.mark.parametrize("N,jmax", sorted(CASES))
@@ -865,52 +895,76 @@ class TestMomentRecursion:
         degrees = []
         moments = _Block.moments
 
-        def counted(self, heads, wf, psi=(0.0,)):
+        def counted(self, base, phases, wf):
             degrees.append(2 * self.k)
-            return moments(self, heads, wf, psi)
+            return moments(self, base, phases, wf)
 
         monkeypatch.setattr(_Block, "moments", counted)
         ft_norm_power(ball3, 4, jmax=12)
         assert degrees == [12]
 
 
+def factors(rule):
+    return rule.base, rule.phases
+
+
+def general_layout(n, rows, nphase, seed):
+    """Factors no rule builder makes: complex unit base rows with no pair on
+    the real axis, and non-uniform phase rows that turn the first and the
+    last pair and leave the others fixed."""
+    rng = np.random.default_rng(seed)
+    base = np.ascontiguousarray(unit_vectors(rng, rows, 2 * n)).view(complex)
+    phases = np.zeros((nphase, n))
+    phases[:, 0], phases[:, -1] = rng.uniform(-4.0, 7.0, size=(2, nphase))
+    return base, phases
+
+
 class TestRingMoments:
-    # the ring-by-ring sum against the per-node one (ring = 1) on the layouts
-    # the expansions meet, with random real weights so no symmetry of the
-    # integrand helps; measured <= 9.1e-16 of the largest entry (1 BLAS thread)
-    RULES = {"product N=6 L=14": (lambda: sphere_rule(6, 14), 6),
-             "product N=4 L=26": (lambda: sphere_rule(4, 26), 12),
-             "invariant n=3 L=14 nphase=8": (lambda: invariant_sphere_rule(3, 14, 8), 6)}
+    """``_Block.moments`` on a rule's factors against the per-node sum at the
+    points of the factors (``factor_points``), with random real weights so no
+    symmetry of the integrand helps."""
+
+    # layout -> (factors, k); measured <= 5.3e-15 of the largest entry (1 BLAS thread)
+    RULES = {"product N=6 L=14": (lambda: factors(sphere_rule(6, 14)), 6),
+             "product N=4 L=26": (lambda: factors(sphere_rule(4, 26)), 12),
+             "invariant n=3 L=14 nphase=8": (lambda: factors(invariant_sphere_rule(3, 14, 8)), 6),
+             "nodes N=6 L=6": (lambda: factors(node_rule(sphere_rule(6, 6).nodes.copy(),
+                                                         sphere_rule(6, 6).weights.copy(), 11, 6)), 5),
+             # the base spans two chunks; two of its three pairs turn
+             "general n=3 rows=chunk+9": (lambda: general_layout(3, _CHUNK_ROWS + 9, 4, 8), 4)}
 
     @pytest.mark.parametrize("name", sorted(RULES))
     def test_ring_sum_matches_node_sum(self, name):
         make, k = self.RULES[name]
-        rule = make()
-        assert rule.ring > 1
-        wf = rule.weights * np.random.default_rng(7).normal(size=rule.node_count)
-        blk = _block(rule.m // 2, k)
-        per_node = blk.moments(rule.nodes, wf)
-        ringed = blk.moments(rule.heads, wf, rule.psi)
-        assert np.abs(ringed - per_node).max() <= 1e-13 * np.abs(per_node).max()
+        base, phases = make()
+        X = factor_points(base, phases)
+        wf = np.random.default_rng(7).normal(size=X.shape[0])
+        blk = _block(base.shape[1], k)
+        per_node = node_sum_moments(blk, X, wf)
+        got = blk.moments(base, phases, wf)
+        assert np.abs(got - per_node).max() <= 1e-13 * np.abs(per_node).max()
 
     @pytest.mark.parametrize("n,k", [(2, 12), (3, 6), (4, 3)])
     def test_ring_one_is_the_node_sum(self, n, k):
+        # one zero phase row: every base row is a point of its own
         rng = np.random.default_rng(50 + n)
         X, w = unit_vectors(rng, _CHUNK_ROWS + 7, 2 * n), rng.normal(size=_CHUNK_ROWS + 7)
+        Z = X[:, 0::2] + 1j * X[:, 1::2]
         expect = sum(Za.T @ (w[lo:hi, None] * Za.conj())
-                     for lo, hi, Za in _block(n, k)._monomial_chunks(X))
-        got = _block(n, k).moments(X, w)
+                     for lo, hi, Za in _block(n, k)._monomial_chunks(Z))
+        got = _block(n, k).moments(Z, np.zeros((1, n)), w)
         assert np.abs(got - expect).max() <= 1e-13 * np.abs(expect).max()
 
     def test_non_uniform_ring_angles(self):
         # two rings given by their heads, z_n off the real axis, and angles
-        # that are not uniform: the ring sum against the per-node sum
+        # that are not uniform: the factored sum against the per-node sum
         rng = np.random.default_rng(5)
         heads, psi = unit_vectors(rng, 2, 4), np.array([0.0, 0.3, 2.0])
         w = rng.normal(size=6)
         blk = _block(2, 3)
-        per_node = blk.moments(ring_points(heads, psi), w)
-        assert np.abs(blk.moments(heads, w, psi) - per_node).max() <= 1e-13 * np.abs(per_node).max()
+        per_node = node_sum_moments(blk, ring_points(heads, psi), w)
+        got = blk.moments(*ring_factors(heads, psi), w)
+        assert np.abs(got - per_node).max() <= 1e-13 * np.abs(per_node).max()
 
 
 def multiplier_oracle(N, p, j):
@@ -1050,7 +1104,7 @@ class TestFtNormPower:
         rule = expansion_rule(body.dim.N, jmax)
         counter = CountingRadial(monkeypatch)
         ft_norm_power(body, 2.0, jmax=jmax)
-        assert counter.rows == [rule.node_count // rule.ring]
+        assert counter.rows == [rule.node_count // rule.phases.shape[0]]
 
     def test_perturbed_body_evaluated_ring_by_ring(self, pert2, monkeypatch):
         # the profile comes from the rings, with no node array and no call of
@@ -1065,16 +1119,35 @@ class TestFtNormPower:
         for j in ref.coeffs:  # measured <= 2.4e-16 of the largest
             assert np.abs(ft.coeffs[j] - ref.coeffs[j]).max() <= 1e-14 * ft.coeffs[0][0]
 
+    @staticmethod
+    def forbid_point_arrays(monkeypatch):
+        def never(base, phases):
+            raise AssertionError("a point array was formed")
+
+        monkeypatch.setattr(spherequad, "factor_points", never)
+
     @pytest.mark.parametrize("N", [4, 6, 8])
     def test_no_node_array_built(self, N, monkeypatch):
-        # the n = 4 rule's heads take 16.8 MB, its node array would take 268 MB
+        # the n = 4 rule's base takes 16.8 MB, its node array would take 268 MB
         n = N // 2
         bodies = [ComplexLqBall(ComplexDim(n), 3.0), PerturbedBall(ComplexDim(n), 1.0, ((2, 0, 0.04),))]
         rules = fresh_expansion_rules(monkeypatch)
+        self.forbid_point_arrays(monkeypatch)
         for body in bodies:
             ft_norm_power(body, 2.0)
         assert len(rules) == 2 and not any(rule.nodes_built for rule in rules)
-        assert rules[0].heads.shape == (rules[0].level ** (N - 2), N)
+        assert rules[0].base.shape == (rules[0].level ** (N - 2), n)
+
+    def test_no_point_array_on_the_torus_rule(self, monkeypatch):
+        # the moments of a torus rule come from its moduli rows and phase
+        # rows; no point array of any size is formed
+        rule = invariant_sphere_rule.__wrapped__(3, 14, 8)  # a fresh, unbuilt rule
+        self.forbid_point_arrays(monkeypatch)
+        for body in (ComplexLqBall(ComplexDim(3), 3.0),
+                     PerturbedBall(ComplexDim(3), 1.0, ((2, 0, 0.04),))):
+            exp = harmonic_expand(radial_values(body, rule) ** 2, 12, rule)
+            assert exp.degrees() == list(range(0, 13, 2))
+        assert not rule.nodes_built
 
     def test_default_jmax_from_config(self, ball2):
         ft = ft_norm_power(ball2, 2.0)

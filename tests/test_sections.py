@@ -486,9 +486,9 @@ class TestRadialPowerRule:
         for body in list(b2.values()) + list(b3.values()):
             if not isinstance(body, PerturbedBall):
                 assert body.phase_bandwidth == 0
-                assert radial_power_rule(8, body).ring == 1
+                assert radial_power_rule(8, body).phases.shape[0] == 1
         # a pair takes the larger bandwidth
-        assert radial_power_rule(8, b2["ball"], b2["pert_a"]).ring == 9
+        assert radial_power_rule(8, b2["ball"], b2["pert_a"]).phases.shape[0] == 9
 
     def test_n3_node_counts(self):
         body = bodies_n3()["pert"]

@@ -24,14 +24,7 @@ from cxsect.spherequad import factor_points, radial_values
 from cxsect.config import default_config, philox
 from cxsect.harmonics import complex_sphere_moment, multi_indices
 from cxsect.suite import bodies_n2, bodies_n3
-from conftest import CountingRadial, ring_factors, ring_points
-
-
-def node_rule(nodes, weights, exactness_degree, level):
-    """A rule given by its nodes: base = nodes viewed as complex, one zero phase row."""
-    nodes = np.ascontiguousarray(nodes)
-    return QuadratureRule(nodes.shape[1], nodes.view(complex), np.zeros((1, nodes.shape[1] // 2)),
-                          weights, exactness_degree, level)
+from conftest import CountingRadial, node_rule, ring_factors, ring_points
 
 
 def sphere_monomial_moment(m, alpha):
@@ -159,16 +152,23 @@ def _built_invariant_rules():
 
 
 def assert_ring_layout(rule):
-    """Every ring shares all coordinates but the last pair exactly, and its z_n
-    phases, relative to its first node, are ring 0's."""
-    assert rule.node_count % rule.ring == 0
-    rings = rule.nodes.reshape(-1, rule.ring, rule.m)
-    assert np.array_equal(rings[:, :, :-2], np.broadcast_to(rings[:, :1, :-2], rings[:, :, :-2].shape))
-    z = rings[:, :, -2] + 1j * rings[:, :, -1]
-    assert np.abs(np.abs(z) - np.abs(z[:, :1])).max() <= 1e-15  # measured <= 2.3e-16
+    """Each run of F consecutive nodes (F phase rows) is one point turned by
+    the phase rows: the pairs that no row turns are shared exactly, every
+    pair's modulus is shared, and every pair's phase relative to the run's
+    first node is its phase row's relative to row 0."""
+    F, turns = rule.phases.shape[0], rule.phases.any(axis=0)
+    assert rule.node_count == rule.base.shape[0] * F
+    runs = rule.nodes.reshape(-1, F, rule.m)
+    still = np.repeat(~turns, 2)
+    assert np.array_equal(runs[:, :, still], np.broadcast_to(runs[:, :1, still], runs[:, :, still].shape))
+    z = runs[:, :, np.repeat(turns, 2)]
+    z = z[:, :, 0::2] + 1j * z[:, :, 1::2]
+    assert np.abs(np.abs(z) - np.abs(z[:, :1])).max(initial=0.0) <= 1e-15  # measured <= 2.3e-16
     rel = z * z[:, :1].conj()
-    rel /= np.abs(rel)
-    assert np.abs(rel - rel[0]).max() <= 1e-15  # measured <= 5.0e-16
+    nonzero = np.abs(rel) > 0
+    turn = np.broadcast_to(np.exp(1j * (rule.phases - rule.phases[0]))[:, turns], rel.shape)
+    # measured <= 3.8e-16
+    assert np.abs(rel[nonzero] / np.abs(rel[nonzero]) - turn[nonzero]).max(initial=0.0) <= 1e-15
 
 
 class TestRingLayout:
@@ -176,28 +176,20 @@ class TestRingLayout:
                              + [(4, 18), (4, 26), (6, 14)])
     def test_product_rule_rings(self, m, level):
         rule = sphere_rule(m, level)
-        assert rule.ring == 2 * level
+        assert rule.phases.shape[0] == 2 * level
+        assert not rule.phases[:, :-1].any()  # only the last pair turns
         assert_ring_layout(rule)
 
     @pytest.mark.parametrize("n,level,nphase", _built_invariant_rules())
     def test_invariant_rule_rings(self, n, level, nphase):
         rule = invariant_sphere_rule(n, level, nphase)
-        assert rule.ring == (nphase if n > 1 else 1)
+        assert rule.phases.shape == (nphase ** (n - 1), n)
+        assert rule.node_count // rule.phases.shape[0] == level ** (n - 1)
         assert_ring_layout(rule)
 
     def test_circle_rule_is_one_ring(self):
-        assert sphere_rule(2, 10).ring == sphere_rule(2, 10).node_count
-
-    def test_default_ring_and_divisibility(self):
-        nodes, weights = np.eye(4)[:3], np.ones(3)
-        rule = node_rule(nodes, weights, 1, 1)
-        assert rule.ring == 1 and np.array_equal(rule.psi, [0.0])
-        assert np.array_equal(rule.heads, nodes) and np.array_equal(rule.nodes, nodes)
-        with pytest.raises(InvalidInputError, match="does not divide"):
-            QuadratureRule(4, nodes.view(complex), np.zeros((1, 2)), weights.copy(), 1, 1, ring=2)
-        torus = invariant_sphere_rule(2, 4, 3)
-        with pytest.raises(InvalidInputError, match="does not divide"):
-            QuadratureRule(4, torus.base, torus.phases, torus.weights, 1, 1, ring=2)
+        rule = sphere_rule(2, 10)
+        assert rule.base.shape[0] == 1 and rule.phases.shape[0] == rule.node_count
 
 
 def reference_torus_nodes(moduli, phases):
@@ -223,8 +215,8 @@ class TestFactoredRule:
         rule = invariant_sphere_rule.__wrapped__(n, level, nphase)  # a fresh, unbuilt rule
         assert not rule.nodes_built
         assert rule.node_count == rule.base.shape[0] * rule.phases.shape[0]
-        assert rule.ring == (nphase if n > 1 else 1)
-        assert not rule.nodes_built  # node_count and the ring check read the weights
+        assert rule.phases.shape == (nphase ** (n - 1), n)
+        assert not rule.nodes_built  # node_count reads the weights
         nodes = rule.nodes
         assert rule.nodes_built and rule.nodes is nodes
         assert np.array_equal(nodes, reference_torus_nodes(rule.base, rule.phases))
@@ -272,26 +264,32 @@ class TestFactoredRule:
     def test_product_rule_keeps_heads_and_angles(self, m, level):
         rule = sphere_rule.__wrapped__(m, level)  # a fresh, unbuilt rule
         assert not rule.nodes_built
-        assert rule.heads.shape == (level ** (m - 2), m) and rule.ring == 2 * level
-        assert np.all(rule.heads[:, -1] == 0.0) and np.all(rule.heads[:, -2] >= 0.0)
-        assert np.array_equal(rule.psi, 2.0 * math.pi * np.arange(2 * level) / (2 * level))
-        # the heads are the complex base itself, the phase rows (0, ..., 0, psi)
-        assert np.shares_memory(rule.heads, rule.base)
-        assert np.array_equal(rule.base, ring_factors(rule.heads, rule.psi)[0])
-        assert np.array_equal(rule.phases, ring_factors(rule.heads, rule.psi)[1])
+        # one complex base row per polar node, the ring head at azimuth 0
+        assert np.iscomplexobj(rule.base) and rule.base.shape == (level ** (m - 2), m // 2)
+        assert rule.node_count // rule.phases.shape[0] == level ** (m - 2)
+        heads, psi = rule.base.view(float), rule.phases[:, -1]
+        assert np.all(heads[:, -1] == 0.0) and np.all(heads[:, -2] >= 0.0)
+        # the phase rows (0, ..., 0, psi) for the 2*level azimuths
+        assert np.array_equal(psi, 2.0 * math.pi * np.arange(2 * level) / (2 * level))
+        assert np.array_equal(rule.phases, ring_factors(heads, psi)[1])
         assert not rule.nodes_built
-        assert np.array_equal(rule.nodes, ring_points(rule.heads, rule.psi))
-        for arr in (rule.nodes, rule.weights, rule.heads, rule.psi, rule.base, rule.phases):
+        assert np.array_equal(rule.nodes, ring_points(heads, psi))
+        for arr in (rule.nodes, rule.weights, rule.base, rule.phases):
             assert not arr.flags.writeable
 
     @pytest.mark.parametrize("n,level,nphase", [(1, 5, 1), (2, 12, 9), (3, 6, 7)])
     def test_torus_rule_heads_and_angles(self, n, level, nphase):
         rule = invariant_sphere_rule.__wrapped__(n, level, nphase)
-        assert np.array_equal(rule.heads, factor_points(rule.base, rule.phases[::rule.ring]))
-        assert np.array_equal(rule.psi, rule.phases[:rule.ring, -1])
+        # real moduli rows; the phase rows are the grid of the relative
+        # phases, z_1's pinned at 0, z_n's the fastest
+        R = nphase if n > 1 else 1
+        assert not np.iscomplexobj(rule.base) and rule.base.shape == (level ** (n - 1), n)
+        assert np.array_equal(rule.phases[:R, -1], 2.0 * math.pi * np.arange(R) / R)
+        assert np.array_equal(rule.phases[:, -1], np.tile(rule.phases[:R, -1], rule.phases.shape[0] // R))
+        heads = factor_points(rule.base, rule.phases[::R])
         assert not rule.nodes_built
         # the rings' points are the nodes up to the rounding of cos(a + b)
-        assert np.abs(ring_points(rule.heads, rule.psi) - rule.nodes).max() <= 1e-15
+        assert np.abs(ring_points(heads, rule.phases[:R, -1]) - rule.nodes).max() <= 1e-15
 
     def test_one_node_from_the_factors(self):
         rules = [sphere_rule.__wrapped__(6, 4), invariant_sphere_rule.__wrapped__(3, 6, 7)]
@@ -320,7 +318,7 @@ class TestRingHeadRadial:
             counter = CountingRadial(monkeypatch)
             got = radial_values(body, rule)
             monkeypatch.undo()
-            assert counter.rows == [rule.node_count // rule.ring]
+            assert counter.rows == [rule.node_count // rule.phases.shape[0]]
             assert got.shape == (rule.node_count,)
             # measured <= 4.1e-16 (the ring's nodes differ from its head by rounding)
             assert np.max(np.abs(got / per_node - 1.0)) <= 4 * np.finfo(float).eps, body.label
@@ -339,7 +337,7 @@ class TestRingHeadRadial:
     def test_ring_one_takes_every_node(self, monkeypatch):
         product = sphere_rule(4, 6)
         rule = node_rule(product.nodes.copy(), product.weights.copy(), 11, 6)
-        assert rule.ring == 1
+        assert rule.base.shape == (rule.node_count, 2) and not rule.phases.any()
         body = ComplexLqBall(ComplexDim(2), 3.0)
         counter = CountingRadial(monkeypatch)
         got = radial_values(body, rule)
