@@ -241,8 +241,13 @@ class ComplexEllipsoid(ConvexBody):
 
     def _norm_impl(self, x):
         mods2 = x[..., 0::2] ** 2 + x[..., 1::2] ** 2
-        inv = np.array([1.0 / a ** 2 for a in self.semiaxes])
-        return np.sqrt(mods2 @ inv)
+        # summed one coordinate at a time, so each row rounds the same alone
+        # or in a batch (a matrix product does not)
+        inv = [1.0 / a ** 2 for a in self.semiaxes]
+        total = mods2[..., 0] * inv[0]
+        for k in range(1, self.dim.n):
+            total += mods2[..., k] * inv[k]
+        return np.sqrt(total)
 
     def scaled(self, factor):
         return ComplexEllipsoid(tuple(a * factor for a in self.semiaxes))

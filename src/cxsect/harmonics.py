@@ -80,11 +80,10 @@ import numpy as np
 
 from .config import default_config
 from .errors import InvalidInputError, NumericalEvaluationError
-from .spherequad import QuadratureRule, radial_values, sphere_rule
+from .spherequad import CHUNK_ROWS, QuadratureRule, radial_values, sphere_rule
 
 _MAX_DEGREE = {4: 24, 6: 22, 8: 12}  # per N; see invariant_harmonic_basis
 _NOISE_FLOOR = 1e-12
-_CHUNK_ROWS = 8192  # points (or torus moduli rows) per monomial chunk
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
@@ -253,10 +252,10 @@ class _Block:
     def _monomial_chunks(self, W):
         """Yield (lo, hi, Wa): the monomials w^a at the rows W[lo:hi] of W
         (rows, n), real or complex, shape (hi - lo, P), in chunks of
-        _CHUNK_ROWS rows.  Each chunk takes one power table w_m^e, from which
+        ``CHUNK_ROWS`` rows.  Each chunk takes one power table w_m^e, from which
         every monomial is gathered."""
-        for lo in range(0, W.shape[0], _CHUNK_ROWS):
-            hi = min(lo + _CHUNK_ROWS, W.shape[0])
+        for lo in range(0, W.shape[0], CHUNK_ROWS):
+            hi = min(lo + CHUNK_ROWS, W.shape[0])
             table = np.empty((self.n, hi - lo, self.k + 1), dtype=W.dtype)
             table[:, :, 0] = 1.0
             for e in range(1, self.k + 1):
@@ -359,8 +358,10 @@ class HarmonicBasis:
         return self.block.dim
 
     def evaluate(self, X):
-        """All basis function values at unit vectors X, shape (M, len(self))."""
-        return self.block.eval_basis(np.atleast_2d(np.asarray(X, dtype=float)))
+        """All basis function values at unit vectors X, shape (M, len(self)).
+        Rows of another width than N, or more than 1e-8 off unit length,
+        raise ``InvalidInputError``."""
+        return self.block.eval_basis(_unit_rows(X, self.N))
 
 
 def _check_degree(N, j):
@@ -408,6 +409,15 @@ def _require_unit_rows(X):
     """The lift of ``HarmonicExpansion`` is exact on the unit sphere only."""
     if not np.all(np.abs(np.sqrt(np.einsum("ij,ij->i", X, X)) - 1.0) <= 1e-8):
         raise InvalidInputError("expansions are evaluated at unit vectors only")
+
+
+def _unit_rows(X, N):
+    """X as a 2-D float array of unit rows in R^N; InvalidInputError otherwise."""
+    pts = np.atleast_2d(np.asarray(X, dtype=float))
+    if pts.ndim != 2 or pts.shape[1] != N:
+        raise InvalidInputError(f"expected vectors in R^{N}")
+    _require_unit_rows(pts)
+    return pts
 
 
 @dataclass(eq=False)
@@ -460,10 +470,7 @@ class HarmonicExpansion:
         return self._values(X, self.degrees()[-top:])
 
     def _values(self, X, degrees):
-        pts = np.atleast_2d(np.asarray(X, dtype=float))
-        if pts.shape[1] != self.N:
-            raise InvalidInputError(f"expected vectors in R^{self.N}")
-        _require_unit_rows(pts)
+        pts = _unit_rows(X, self.N)
         H, blk = self._lift(tuple(degrees))
         out = np.empty(pts.shape[0])
         for lo, hi, Za in blk._monomial_chunks(np.ascontiguousarray(pts).view(complex)):

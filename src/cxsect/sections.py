@@ -24,7 +24,8 @@ from . import grids
 from .config import RunConfig, default_config
 from .errors import InvalidInputError, NumericalEvaluationError
 from .harmonics import HarmonicExpansion
-from .spherequad import QuadratureRule, integrate_sphere, invariant_sphere_rule, radial_values
+from .spherequad import (CHUNK_ROWS, QuadratureRule, integrate_sphere, invariant_sphere_rule,
+                         radial_values)
 
 # the configuration of every call that passes none; built once, never written
 _DEFAULT_CONFIG = default_config()
@@ -139,10 +140,12 @@ def section_values(body, dirs, rule: QuadratureRule | None = None,
     8), cheap enough for extremum scans over large grids (final values at the
     extremizer should be re-evaluated at the full level).  Any rule on
     S^{2n-3} may be passed instead, e.g. the generic product rule as a
-    reference.  Directions are taken in chunks so large grids stay within
-    memory; a chunk's points theta B come from one batched matrix product,
-    rule nodes (M, 2n-2) times the stacked bases, and go to ``body.radial``
-    in one call.
+    reference.  Directions are taken max(1, ``CHUNK_ROWS`` // M) at a time,
+    so one ``body.radial`` call holds at most max(M, ``CHUNK_ROWS``) points;
+    a chunk's points theta B come from one batched matrix product, rule
+    nodes (M, 2n-2) times the stacked bases.  Each direction's integral is
+    summed within its own row, so its value depends on the body, the
+    direction and the rule only, not on the batch or the chunk it came in.
     """
     cfg = config or _DEFAULT_CONFIG
     n = body.dim.n
@@ -158,13 +161,16 @@ def section_values(body, dirs, rule: QuadratureRule | None = None,
     nodes = rule.nodes
     M = nodes.shape[0]
     power = 2 * n - 2
-    chunk = max(1, 4_000_000 // M)
+    chunk = max(1, CHUNK_ROWS // M)
     for lo in range(0, P, chunk):
         hi = min(lo + chunk, P)
         pts = np.matmul(nodes, bases[lo:hi])  # (hi - lo, M, 2n)
         with np.errstate(over="ignore"):  # overflow is caught by the checks below
             vals = body.radial(pts.reshape(-1, 2 * n)).reshape(hi - lo, M) ** power
-            sums = vals @ rule.weights  # positive weights: a non-finite value stays
+            # summed along each row: unlike vals @ weights, a row rounds the
+            # same in any chunk; positive weights keep a non-finite value
+            vals *= rule.weights
+            sums = vals.sum(axis=1)
         if not np.all(np.isfinite(sums)):
             raise NumericalEvaluationError(
                 f"non-finite section integrand or integral for {body.label}")

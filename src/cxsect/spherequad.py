@@ -32,8 +32,12 @@ error message can name a node without the array.
 Final reductions go through ``np.sum`` (pairwise, thread-count independent)
 so repeated runs produce identical bits.
 
+``CHUNK_ROWS`` is the one chunk size of the point kernels: the monomial
+tables of ``harmonics``, the radial calls of ``sections.section_values`` and
+the samples of ``mc_volume``.
+
 ``mc_volume`` draws its samples from one Philox stream keyed by the seed and
-tests them in chunks of ``_MC_CHUNK`` rows, split over up to two of the CPUs
+tests them in chunks of ``CHUNK_ROWS`` rows, split over up to two of the CPUs
 this process may use: the calling thread and a helper thread each take the
 next untested chunk.  Each chunk positions its own generator at its first
 draw through the counter, so it draws exactly the rows a sequential pass
@@ -55,7 +59,9 @@ import numpy as np
 from .config import philox
 from .errors import InvalidInputError, NumericalEvaluationError
 
-_MC_CHUNK = 16_384  # Monte Carlo samples drawn and tested per batch
+# rows per chunk of a point kernel: per-chunk overhead stays small, and a
+# chunk's temporaries a few MB (an n = 3 degree-12 monomial table: 3.7 MB)
+CHUNK_ROWS = 8192
 # Threads that test Monte Carlo chunks, caller included: the CPUs this process
 # may run on (its affinity; a CPU quota is not read), at most two.  Run time
 # and peak memory were measured with one and two; each further thread would
@@ -71,11 +77,14 @@ def sphere_area(m):
     return 2.0 * math.pi ** (m / 2.0) / math.gamma(m / 2.0)
 
 
+@lru_cache(maxsize=128)
 def gauss_jacobi(npts, alpha, beta):
     """Gauss nodes/weights for weight (1-x)^alpha (1+x)^beta on (-1, 1).
 
     Golub-Welsch on the monic Jacobi recurrence; exact for polynomial degree
-    <= 2*npts - 1 against the weight.
+    <= 2*npts - 1 against the weight.  Memoised, since every phase count of
+    ``invariant_sphere_rule`` repeats the same solves; the arrays are
+    read-only.
     """
     if npts < 1:
         raise InvalidInputError("need at least one quadrature point")
@@ -96,7 +105,10 @@ def gauss_jacobi(npts, alpha, beta):
         (a + b + 1.0) * math.log(2.0) + math.lgamma(a + 1.0) + math.lgamma(b + 1.0)
         - math.lgamma(a + b + 2.0)
     )
-    return vals, mu0 * vecs[0, :] ** 2
+    weights = mu0 * vecs[0, :] ** 2
+    for arr in (vals, weights):
+        arr.setflags(write=False)
+    return vals, weights
 
 
 def gauss_gegenbauer(npts, lam):
@@ -371,7 +383,7 @@ def mc_volume(body, samples: int, seed: int) -> MCVolume:
     (turn every pair but the one of x_i by pi and take the midpoint), so the
     box contains the body even where the scan misses a vertex of the moduli
     simplex.  The samples are the rows of one counter-based stream (Philox)
-    keyed by ``seed``, tested in chunks of ``_MC_CHUNK`` rows.  The calling
+    keyed by ``seed``, tested in chunks of ``CHUNK_ROWS`` rows.  The calling
     thread and up to ``_MC_WORKERS`` - 1 helper threads each take the next
     untested chunk until none is left, so a thread on a busy CPU takes
     fewer.  A helper's exception is re-raised unchanged, and a thread that
@@ -395,7 +407,7 @@ def mc_volume(body, samples: int, seed: int) -> MCVolume:
     if not (rmax > 0 and math.isfinite(rmax)):
         raise InvalidInputError("degenerate body: nonpositive bounding radius")
     R = max(1.01 * rmax, float(np.max(body.radial(np.eye(N)[0::2]))))
-    chunks = [(lo, min(lo + _MC_CHUNK, samples)) for lo in range(0, samples, _MC_CHUNK)]
+    chunks = [(lo, min(lo + CHUNK_ROWS, samples)) for lo in range(0, samples, CHUNK_ROWS)]
     W = min(_MC_WORKERS, len(chunks))
     todo, lock = iter(chunks), threading.Lock()
     with ThreadPoolExecutor(max_workers=max(W - 1, 1)) as pool:  # threads start on submit

@@ -3,7 +3,8 @@ tolerance, one test per criterion.
 
 The full suite runs once (module scope) under the default configuration;
 each test then asserts its criterion and prints a pass/fail line.  This
-module is the slow part of the test run (several minutes on a desktop).
+module is the slow part of the test run, so it is marked ``slow``:
+``pytest -m "not slow"`` leaves it out.
 """
 import math
 
@@ -11,6 +12,8 @@ import pytest
 
 from cxsect import default_config
 from cxsect.suite import run_suite
+
+pytestmark = pytest.mark.slow
 
 
 @pytest.fixture(scope="module")

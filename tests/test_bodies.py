@@ -49,6 +49,17 @@ class TestNorms:
         with pytest.raises(InvalidInputError):
             ball2.norm(np.array([np.inf, 0, 0, 0]))
 
+    @pytest.mark.parametrize("axes", [(1.0, 2.0), (1.4, 0.9), (1.0, 1.5, 2.0), (1.0, 1.0, 3.0)])
+    def test_ellipsoid_norm_is_row_independent(self, axes):
+        # each row's norm is the same bits alone, in a batch or in a stack
+        body = ComplexEllipsoid(axes)
+        x = np.random.default_rng(len(axes)).normal(size=(200, 2 * len(axes)))
+        batch = body.norm(x)
+        assert np.array_equal(np.array([body.norm(row) for row in x]), batch)
+        assert np.array_equal(np.concatenate([body.norm(x[i:i + 3]) for i in range(0, 200, 3)]),
+                              batch)
+        assert np.array_equal(body.norm(x.reshape(10, 20, -1)).ravel(), batch)
+
 
 class TestRadial:
     def test_ball_radius(self):

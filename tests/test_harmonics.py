@@ -26,7 +26,6 @@ from cxsect import (
 from cxsect import harmonics, spherequad
 from cxsect.config import default_config
 from cxsect.harmonics import (
-    _CHUNK_ROWS,
     _MAX_DEGREE,
     HarmonicExpansion,
     _Block,
@@ -37,7 +36,7 @@ from cxsect.harmonics import (
     invariant_harmonic_dim,
     multi_indices,
 )
-from cxsect.spherequad import factor_points, radial_values
+from cxsect.spherequad import CHUNK_ROWS, factor_points, radial_values
 from cxsect.suite import bodies_n2, bodies_n3
 
 from conftest import CountingRadial, node_rule, ring_factors, ring_points, trapezoid, unit_vectors
@@ -132,6 +131,14 @@ class TestBasisStructure:
             invariant_harmonic_basis(8, 14)
         with pytest.raises(InvalidInputError, match=r"N in \(4, 6, 8\)$"):
             invariant_harmonic_basis(10, 2)
+
+    @pytest.mark.parametrize("X", [np.ones((3, 5)), np.ones((3, 6)) / math.sqrt(6),
+                                   np.full((3, 4), 0.5 + 1e-8), np.full(4, 0.5 - 1e-8)],
+                             ids=["width5", "width6", "rows-off-unit", "vector-off-unit"])
+    def test_basis_rejects_bad_points(self, X):
+        # the contract of HarmonicExpansion.evaluate: width N, unit rows within 1e-8
+        with pytest.raises(InvalidInputError):
+            invariant_harmonic_basis(4, 2).evaluate(X)
 
 
 def monomials(n, k):
@@ -423,6 +430,7 @@ class TestOrthonormality:
         # of the largest |L| |C|^T term on these blocks (BLAS 1 thread)
         assert harmonicity_residual(invariant_harmonic_basis(N, j).block) <= 1e-14
 
+    @pytest.mark.slow
     def test_gram_identity_invariant_n6_high_degree(self):
         basis = invariant_harmonic_basis(6, 10)
         rule = sphere_rule(6, 12)
@@ -500,7 +508,7 @@ class TestMoments:
 class TestMonomialKernel:
     # N=6, j=4: the invariant block of bidegree (p, q) = (2, 2), on enough
     # points for two full chunks and a partial third
-    M = 2 * _CHUNK_ROWS + 5
+    M = 2 * CHUNK_ROWS + 5
 
     @pytest.fixture(scope="class")
     def points(self):
@@ -781,7 +789,7 @@ class TestLiftedEvaluate:
     # ``evaluate`` by 5.3e-14 there (8.0e-14 from the per-degree reference,
     # against ``evaluate``'s 5.9e-14); elsewhere by <= 1.9e-15 (1 BLAS thread).
     RING_CASES = {(4, 24, 40): 1.5e-13, (4, 16, 40): 1e-13, (6, 12, 30): 1e-13, (8, 6, 20): 1e-13,
-                  (6, 4, _CHUNK_ROWS + 9): 1e-13}  # the last: two chunks
+                  (6, 4, CHUNK_ROWS + 9): 1e-13}  # the last: two chunks
 
     @pytest.mark.parametrize("N,jmax,heads", sorted(RING_CASES))
     def test_ring_values_match_evaluate(self, N, jmax, heads):
@@ -931,7 +939,7 @@ class TestRingMoments:
              "nodes N=6 L=6": (lambda: factors(node_rule(sphere_rule(6, 6).nodes.copy(),
                                                          sphere_rule(6, 6).weights.copy(), 11, 6)), 5),
              # the base spans two chunks; two of its three pairs turn
-             "general n=3 rows=chunk+9": (lambda: general_layout(3, _CHUNK_ROWS + 9, 4, 8), 4)}
+             "general n=3 rows=chunk+9": (lambda: general_layout(3, CHUNK_ROWS + 9, 4, 8), 4)}
 
     @pytest.mark.parametrize("name", sorted(RULES))
     def test_ring_sum_matches_node_sum(self, name):
@@ -948,7 +956,7 @@ class TestRingMoments:
     def test_ring_one_is_the_node_sum(self, n, k):
         # one zero phase row: every base row is a point of its own
         rng = np.random.default_rng(50 + n)
-        X, w = unit_vectors(rng, _CHUNK_ROWS + 7, 2 * n), rng.normal(size=_CHUNK_ROWS + 7)
+        X, w = unit_vectors(rng, CHUNK_ROWS + 7, 2 * n), rng.normal(size=CHUNK_ROWS + 7)
         Z = X[:, 0::2] + 1j * X[:, 1::2]
         expect = sum(Za.T @ (w[lo:hi, None] * Za.conj())
                      for lo, hi, Za in _block(n, k)._monomial_chunks(Z))

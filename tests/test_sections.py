@@ -28,15 +28,17 @@ from cxsect import (
 )
 from cxsect import sections
 from cxsect.config import RunConfig, default_config
+from cxsect.grids import direction_grid, refine_extremum
 from cxsect.sections import (
     min_radial,
     radial_power_rule,
     section_values,
     volume_with_error,
 )
+from cxsect.spherequad import CHUNK_ROWS
 from cxsect.suite import bodies_n2, bodies_n3
 
-from conftest import trapezoid, unit_vectors
+from conftest import CountingRadial, trapezoid, unit_vectors
 
 
 @functools.cache
@@ -361,6 +363,59 @@ class TestSectionKernel:
             floor = 1e-13
             assert err() <= max(err(rule=sphere_rule(4, 24)), floor), body.label
             assert err(scan=True) <= max(err(rule=sphere_rule(4, 12)), floor), body.label
+
+
+class TestBatchIndependence:
+    """A section value depends on the body, the direction and the rule only,
+    not on the batch or the chunk it is computed in."""
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("name", ["ball", "lq1", "lq3", "lq4", "polydisc", "ell", "pert"])
+    @pytest.mark.parametrize("scan", [False, True])
+    def test_batch_single_and_chunked_values_are_equal(self, n, name, scan, monkeypatch):
+        body = _bodies_by_kind()[n][name]
+        M = sections._section_rule(n, default_config(), scan=scan).node_count
+        X = unit_vectors(np.random.default_rng(40 + n), 40, 2 * n)
+        batch = section_values(body, X, scan=scan)
+        assert np.array_equal(np.array([section_values(body, x, scan=scan)[0] for x in X]), batch)
+        for per_chunk in (1, 2, 3):
+            monkeypatch.setattr(sections, "CHUNK_ROWS", per_chunk * M)
+            assert np.array_equal(section_values(body, X, scan=scan), batch), per_chunk
+
+    def test_radial_calls_hold_at_most_one_chunk(self, ball3, monkeypatch):
+        # the n = 3 phase grid of the comparison checks: 3,600 directions of
+        # 256 scan nodes, 921,600 points
+        cfg = default_config()
+        grid = direction_grid(3, cfg.moduli_res[3], cfg.phase_res[3], with_phases=True)
+        M = sections._section_rule(3, cfg, scan=True).node_count
+        assert (grid.size, M) == (3600, 256)
+        counter = CountingRadial(monkeypatch)
+        section_values(ball3, grid.directions, scan=True)
+        assert sum(counter.rows) == grid.size * M
+        assert max(counter.rows) <= max(M, CHUNK_ROWS)
+        # a rule larger than a chunk: one direction per call
+        monkeypatch.setattr(sections, "CHUNK_ROWS", M - 1)
+        counter.rows.clear()
+        section_values(ball3, grid.directions[:5], scan=True)
+        assert counter.rows == [M] * 5
+
+    def test_refined_gap_values_are_one_row_values(self):
+        # the start value of the pattern search comes from the batched grid
+        # scan; it, and the refined value, equal a one-direction evaluation
+        cfg = default_config()
+        K, L = bodies_n3()["pert"], ComplexLqBall(ComplexDim(3), 2.85)
+
+        def gap(X):
+            return section_values(K, X, scan=True) - section_values(L, X, scan=True)
+
+        grid = direction_grid(3, cfg.moduli_res[3], cfg.phase_res[3], with_phases=True)
+        values = gap(grid.directions)
+        _, start, value, _ = refine_extremum(lambda X: np.full(len(X), -np.inf), grid, values,
+                                             halvings=0)
+        assert np.array_equal(start, grid.directions[np.argmax(values)])
+        assert value == gap(start)[0]
+        _, xi, value, _ = refine_extremum(gap, grid, values, halvings=cfg.refine_halvings)
+        assert value == gap(xi)[0]
 
 
 class TestSectionFourier:

@@ -509,14 +509,14 @@ class TestMonteCarlo:
 
     def test_independent_of_chunk_size(self, pert2, monkeypatch):
         # 25,000 samples: one chunk, or chunks of 4,096 with a partial last one
-        monkeypatch.setattr(spherequad, "_MC_CHUNK", 25_000)
+        monkeypatch.setattr(spherequad, "CHUNK_ROWS", 25_000)
         whole = mc_volume(pert2, 25_000, seed=11)
-        monkeypatch.setattr(spherequad, "_MC_CHUNK", 4_096)
+        monkeypatch.setattr(spherequad, "CHUNK_ROWS", 4_096)
         assert mc_volume(pert2, 25_000, seed=11) == whole
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_independent_of_worker_count(self, pert2, workers, monkeypatch):
-        # 50,000 samples: three full chunks of 16,384 and a partial fourth
+        # 50,000 samples: six full chunks of 8,192 and a partial seventh
         lq4 = ComplexLqBall(ComplexDim(3), 4.0)
         monkeypatch.setattr(spherequad, "_MC_WORKERS", 1)
         serial = {b: mc_volume(b, 50_000, seed=13) for b in (pert2, lq4)}
@@ -524,17 +524,17 @@ class TestMonteCarlo:
         for body, whole in serial.items():
             assert mc_volume(body, 50_000, seed=13) == whole
 
-    @pytest.mark.parametrize("chunk", [16_384, 4_097, 25_000])
+    @pytest.mark.parametrize("chunk", [8_192, 16_384, 4_097, 25_000])
     def test_independent_of_chunk_size_with_helpers(self, pert2, chunk, monkeypatch):
         # at N = 6, chunk k of 4,097 rows starts at draw 6 * 4,097 * k = 2k
         # (mod 4), so every odd chunk positions its generator by whole counter
         # steps plus a discard of two draws
         lq4 = ComplexLqBall(ComplexDim(3), 4.0)
         monkeypatch.setattr(spherequad, "_MC_WORKERS", 1)
-        monkeypatch.setattr(spherequad, "_MC_CHUNK", 60_000)
+        monkeypatch.setattr(spherequad, "CHUNK_ROWS", 60_000)
         whole = {b: mc_volume(b, 60_000, seed=17) for b in (pert2, lq4)}
         monkeypatch.setattr(spherequad, "_MC_WORKERS", 2)
-        monkeypatch.setattr(spherequad, "_MC_CHUNK", chunk)
+        monkeypatch.setattr(spherequad, "CHUNK_ROWS", chunk)
         for body, one_chunk in whole.items():
             assert mc_volume(body, 60_000, seed=17) == one_chunk
 
@@ -545,7 +545,7 @@ class TestMonteCarlo:
         monkeypatch.setattr(spherequad, "_MC_WORKERS", 1)
         whole = mc_volume(lq4, 40_000, seed=19)
         monkeypatch.setattr(spherequad, "_MC_WORKERS", 5)
-        monkeypatch.setattr(spherequad, "_MC_CHUNK", 500)
+        monkeypatch.setattr(spherequad, "CHUNK_ROWS", 500)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -595,7 +595,7 @@ class TestMonteCarlo:
             return real(body, x)
 
         monkeypatch.setattr(spherequad, "_MC_WORKERS", 2)
-        monkeypatch.setattr(spherequad, "_MC_CHUNK", 1_000)
+        monkeypatch.setattr(spherequad, "CHUNK_ROWS", 1_000)
         monkeypatch.setattr(EuclideanBall, "norm", norm)
         with pytest.raises(NumericalEvaluationError, match="calling thread"):
             mc_volume(ball3, 40_000, seed=0)
