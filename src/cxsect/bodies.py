@@ -30,6 +30,7 @@ from .errors import ConvexityError, InvalidInputError
 _CERTIFY_SEED = 0x5EED_C0DE
 _CERTIFY_PAIRS = 100_000
 _MIDPOINT_TOL = 1e-10
+_TINY = np.finfo(float).tiny  # the smallest normal double
 
 
 @dataclass(frozen=True)
@@ -84,6 +85,30 @@ def moduli(x):
     """|z_k| for each coordinate pair; shape (..., n)."""
     x = np.asarray(x, dtype=float)
     return np.sqrt(x[..., 0::2] ** 2 + x[..., 1::2] ** 2)
+
+
+def _row_sum(a):
+    """``np.sum(a, axis=-1)``, bit for bit, over a last axis of at least two
+    columns.  NumPy sums fewer than 8 terms one after the other in index
+    order, so there the columns are added in that order, at a fraction of the
+    cost of NumPy's reduction over a short last axis; from 8 terms on its
+    pairwise sum reorders them, and it is called as is."""
+    if a.shape[-1] >= 8:
+        return np.sum(a, axis=-1)
+    total = a[..., 0] + a[..., 1]
+    for k in range(2, a.shape[-1]):
+        total += a[..., k]
+    return total
+
+
+def _lq_rescaled(mods, q):
+    """(sum_k m_k^q)^{1/q} per row of ``mods`` (R, n), taken as
+    M (sum_k (m_k / M)^q)^{1/q} with M = max_k m_k, so no power leaves the
+    double range; a zero row gives 0."""
+    top = np.max(mods, axis=-1)
+    with np.errstate(under="ignore"):
+        ratios = mods / np.where(top > 0, top, 1.0)[:, None]
+        return top * np.sum(ratios ** q, axis=-1) ** (1.0 / q)
 
 
 class ConvexBody:
@@ -175,7 +200,9 @@ class EuclideanBall(ConvexBody):
         _positive(self.radius, "radius")
 
     def _norm_impl(self, x):
-        return np.linalg.norm(x, axis=-1) / self.radius
+        # the x_k^2 summed one coordinate at a time in coordinate order
+        # (``_row_sum``): the bits of np.linalg.norm(x, axis=-1)
+        return np.sqrt(_row_sum(x * x)) / self.radius
 
     def scaled(self, factor):
         return EuclideanBall(self.dim, self.radius * factor)
@@ -202,10 +229,26 @@ class ComplexLqBall(ConvexBody):
         _positive(self.scale, "scale")
 
     def _norm_impl(self, x):
+        # the m_k^q summed one modulus at a time in index order (``_row_sum``),
+        # the bits of np.sum(..., axis=-1); for q = inf the m_k compared one
+        # at a time (a maximum is exact in any order)
         mods = moduli(x)
         if math.isinf(self.q):
-            return np.max(mods, axis=-1) / self.scale
-        return np.sum(mods ** self.q, axis=-1) ** (1.0 / self.q) / self.scale
+            top = mods[..., 0]
+            for k in range(1, self.dim.n):
+                top = np.maximum(top, mods[..., k])
+            return top / self.scale
+        with np.errstate(over="ignore", under="ignore"):  # such rows are redone below
+            total = _row_sum(mods ** self.q)
+        out = total ** (1.0 / self.q)
+        # a sum out of range (inf, or below the smallest normal double, where
+        # it has lost digits or reads 0 for a nonzero point): rescale the row
+        bad = ~(total >= _TINY) | (total == math.inf)
+        if np.any(bad):
+            out = np.array(out)
+            out[bad] = _lq_rescaled(mods[bad], self.q)
+            out = out[()]
+        return out / self.scale
 
     def scaled(self, factor):
         return ComplexLqBall(self.dim, self.q, self.scale * factor)
@@ -328,12 +371,14 @@ class PerturbedBall(ConvexBody):
 
     def _norm_impl(self, x):
         flat = x.reshape(-1, self.dim.N)
-        lengths = np.linalg.norm(flat, axis=-1)
-        out = np.zeros(flat.shape[0])
+        lengths = np.sqrt(_row_sum(flat * flat))
         nz = lengths > 0
-        if np.any(nz):
-            units = flat[nz] / lengths[nz, None]
-            out[nz] = lengths[nz] / self.radial_profile(units)
+        if np.all(nz):  # no zero row: no copies through the mask
+            out = lengths / self.radial_profile(flat / lengths[:, None])
+        else:
+            out = np.zeros(flat.shape[0])
+            if np.any(nz):
+                out[nz] = lengths[nz] / self.radial_profile(flat[nz] / lengths[nz, None])
         return out.reshape(x.shape[:-1])
 
     def _certify(self):

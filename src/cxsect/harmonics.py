@@ -156,6 +156,7 @@ class _Block:
         self._ea = np.array(self.A)
         self.dim = invariant_harmonic_dim(n, 2 * k)
         self.C = self._canonical_basis()
+        self._plans = {}  # live-column mask -> ``_plan``
 
     def _canonical_basis(self):
         """Projections of the canonical generators onto the harmonic subspace,
@@ -285,13 +286,9 @@ class _Block:
         """
         Phi = np.asarray(phases, dtype=float)
         live = Phi.any(axis=0)  # the columns some phase row turns
-        turn = self._ea[:, live]
-        freq, col = np.unique((turn[:, None] - turn[None, :]).reshape(self.P ** 2, turn.shape[1]),
-                              axis=0, return_inverse=True)
-        col = col.reshape(self.P, self.P)  # (a, b) -> the index of its d in freq
+        freq, col, groups = self._plan(live)
         E = np.exp(1j * (Phi[:, live] @ freq.T))  # (F, D)
         W = np.reshape(wf, (-1, Phi.shape[0]))
-        groups = _split(np.unique(turn, axis=0, return_inverse=True)[1].ravel())
         mu = np.zeros((self.P, self.P), dtype=complex)
         for lo, hi, Wa in self._monomial_chunks(base):
             G = W[lo:hi] @ E
@@ -299,6 +296,22 @@ class _Block:
             for rows in groups:
                 mu[rows] += Wa[:, rows].T @ (G[:, col[rows[0]]] * Wb)
         return mu
+
+    def _plan(self, live):
+        """The frequency plan of ``moments`` for the turning columns ``live``
+        (a bool mask over the n pairs), built once per mask: the distinct
+        frequencies d = a - b on those columns (D, live count), the index of
+        each (a, b)'s d (P, P), and the groups of rows a that agree there."""
+        key = live.tobytes()
+        if key not in self._plans:
+            turn = self._ea[:, live]
+            freq, col = np.unique((turn[:, None] - turn[None, :]).reshape(self.P ** 2, turn.shape[1]),
+                                  axis=0, return_inverse=True)
+            groups = _split(np.unique(turn, axis=0, return_inverse=True)[1].ravel())
+            for arr in (freq, col, *groups):
+                arr.setflags(write=False)
+            self._plans[key] = freq, col.reshape(self.P, self.P), groups
+        return self._plans[key]
 
 
 @lru_cache(maxsize=None)

@@ -39,10 +39,11 @@ the samples of ``mc_volume``.
 ``mc_volume`` draws its samples from one Philox stream keyed by the seed and
 tests them in chunks of ``CHUNK_ROWS`` rows, split over up to two of the CPUs
 this process may use: the calling thread and a helper thread each take the
-next untested chunk.  Each chunk positions its own generator at its first
-draw through the counter, so it draws exactly the rows a sequential pass
-would give it.  Hit counts are integers, so the result does not depend on
-the CPU count, the chunk size or which thread tested which chunk.
+next untested chunk.  Each thread keeps one generator and one draw buffer;
+it positions the generator at each chunk's first draw through the counter,
+so the chunk gets exactly the rows a sequential pass would give it.  Hit
+counts are integers, so the result does not depend on the CPU count, the
+chunk size or which thread tested which chunk.
 """
 from __future__ import annotations
 
@@ -346,25 +347,33 @@ class MCVolume:
     seed: int
 
 
-def _mc_hits(body, R, seed, todo, lock):
+def _mc_hits(body, R, seed, todo, lock, rows):
     """Hits among the chunks this thread takes from the shared iterator
     ``todo`` of (lo, hi) row ranges of the (samples, N) stream of
-    ``philox(seed)`` scaled to [-R, R]; ``lock`` guards ``todo``."""
+    ``philox(seed)`` scaled to [-R, R]; ``lock`` guards ``todo``.  The thread
+    draws into one buffer of ``rows`` rows with one generator, reset to its
+    fresh state and advanced to each chunk's first draw."""
     N = body.dim.N
     hits = 0
     try:
+        rng = philox(seed)
+        fresh = rng.bit_generator.state
+        buf = np.empty((rows, N))
         while True:
             with lock:
                 chunk = next(todo, None)
             if chunk is None:
                 return hits
             lo, hi = chunk
-            # one Philox counter step yields 4 draws and ``uniform`` takes one
+            # one Philox counter step yields 4 draws and ``random`` takes one
             # draw per double: skip whole steps, then discard the remainder
-            rng = philox(seed)
+            rng.bit_generator.state = fresh
             rng.bit_generator.advance(lo * N // 4)
             rng.random(lo * N % 4)
-            pts = rng.uniform(-R, R, size=(hi - lo, N))
+            pts = rng.random(out=buf[:hi - lo])
+            # ``uniform(-R, R)`` gives -R + (2R) U: the same doubles
+            pts *= 2.0 * R
+            pts -= R
             hits += int(np.count_nonzero(body.norm(pts) <= 1.0))
     except BaseException:
         with lock:  # the other threads stop at their next chunk
@@ -388,12 +397,13 @@ def mc_volume(body, samples: int, seed: int) -> MCVolume:
     untested chunk until none is left, so a thread on a busy CPU takes
     fewer.  A helper's exception is re-raised unchanged, and a thread that
     fails empties the chunk list, so the others stop after the chunk in
-    hand.  Each chunk advances its own generator to its first draw, so it
-    gets the rows a sequential pass would give it, and the hit count is the
-    same for any number of CPUs and any chunk size.  ``samples`` must be an
-    integer >= 1e4.  Raises
-    ``NumericalEvaluationError`` when the box volume, the estimate or its
-    standard error is not finite.
+    hand.  Each thread has one generator and one draw buffer; it positions
+    the generator at each chunk's first draw, so the chunk gets the rows a
+    sequential pass would give it, and the hit count is the same for any
+    number of CPUs and any chunk size.  ``samples`` must be an integer
+    >= 1e4.  Raises ``NumericalEvaluationError``, before drawing, when the
+    box volume is not finite (the estimate and its standard error are then
+    finite too).
     """
     if not isinstance(samples, numbers.Integral) or isinstance(samples, bool):
         raise InvalidInputError(f"mc_volume takes an integer sample count, got {samples!r}")
@@ -407,20 +417,21 @@ def mc_volume(body, samples: int, seed: int) -> MCVolume:
     if not (rmax > 0 and math.isfinite(rmax)):
         raise InvalidInputError("degenerate body: nonpositive bounding radius")
     R = max(1.01 * rmax, float(np.max(body.radial(np.eye(N)[0::2]))))
-    chunks = [(lo, min(lo + CHUNK_ROWS, samples)) for lo in range(0, samples, CHUNK_ROWS)]
-    W = min(_MC_WORKERS, len(chunks))
-    todo, lock = iter(chunks), threading.Lock()
-    with ThreadPoolExecutor(max_workers=max(W - 1, 1)) as pool:  # threads start on submit
-        helpers = [pool.submit(_mc_hits, body, R, seed, todo, lock) for _ in range(W - 1)]
-        hits = _mc_hits(body, R, seed, todo, lock) + sum(f.result() for f in helpers)
-    frac = hits / samples
     try:
         boxvol = (2.0 * R) ** N
     except OverflowError:  # a float power raises instead of returning inf
         boxvol = math.inf
-    est = boxvol * frac
-    se = boxvol * math.sqrt(max(frac * (1.0 - frac), 1e-300) / samples)
-    if not (math.isfinite(boxvol) and math.isfinite(est) and math.isfinite(se)):
+    if not math.isfinite(boxvol):
         raise NumericalEvaluationError(
             f"Monte Carlo volume is not finite: box volume (2R)^{N} with R={R:.6g}")
+    chunks = [(lo, min(lo + CHUNK_ROWS, samples)) for lo in range(0, samples, CHUNK_ROWS)]
+    W = min(_MC_WORKERS, len(chunks))
+    todo, lock = iter(chunks), threading.Lock()
+    with ThreadPoolExecutor(max_workers=max(W - 1, 1)) as pool:  # threads start on submit
+        args = (body, R, seed, todo, lock, min(CHUNK_ROWS, samples))
+        helpers = [pool.submit(_mc_hits, *args) for _ in range(W - 1)]
+        hits = _mc_hits(*args) + sum(f.result() for f in helpers)
+    frac = hits / samples
+    est = boxvol * frac
+    se = boxvol * math.sqrt(max(frac * (1.0 - frac), 1e-300) / samples)
     return MCVolume(est, se, samples, hits, R, int(seed))

@@ -19,8 +19,12 @@ from cxsect import (
     complex_structure,
     invariant_sphere_rule,
     rotate_pairs,
+    mc_volume,
     validate,
+    volume,
 )
+from cxsect.bodies import moduli
+from cxsect.suite import bodies_n2, bodies_n3
 from conftest import ring_factors, ring_points, unit_vectors
 
 
@@ -59,6 +63,123 @@ class TestNorms:
         assert np.array_equal(np.concatenate([body.norm(x[i:i + 3]) for i in range(0, 200, 3)]),
                               batch)
         assert np.array_equal(body.norm(x.reshape(10, 20, -1)).ravel(), batch)
+
+
+def reduction_norm(body, x):
+    """The norm of the ball, lq and perturbed kinds written with NumPy's
+    reductions over the last axis (``np.linalg.norm``, ``np.sum``, ``np.max``)
+    and, for the perturbed ball, with the copies through the nonzero mask: a
+    reference that shares no summation code with ``bodies``."""
+    x = np.asarray(x, dtype=float)
+    if isinstance(body, EuclideanBall):
+        return np.linalg.norm(x, axis=-1) / body.radius
+    if isinstance(body, ComplexLqBall):
+        mods = moduli(x)
+        if math.isinf(body.q):
+            return np.max(mods, axis=-1) / body.scale
+        return np.sum(mods ** body.q, axis=-1) ** (1.0 / body.q) / body.scale
+    flat = x.reshape(-1, body.dim.N)
+    lengths = np.linalg.norm(flat, axis=-1)
+    out = np.zeros(flat.shape[0])
+    nz = lengths > 0
+    if np.any(nz):
+        out[nz] = lengths[nz] / body.radial_profile(flat[nz] / lengths[nz, None])
+    return out.reshape(x.shape[:-1])
+
+
+def kernel_bodies():
+    """label -> body: the ball, the lq balls for q in {1, 1.5, 2, 3, 4, 6, inf}
+    and a perturbed ball (the suite's at n = 2 and 3), at n = 2, 3 and 4.  At
+    n = 4 the ball and the perturbed ball sum 8 coordinates, where NumPy's
+    pairwise sum takes another order than the coordinate loop."""
+    out = {}
+    pert4 = PerturbedBall(ComplexDim(4), 1.0, ((2, 0, 0.02),), certify=False)
+    for n, pert in ((2, bodies_n2()["pert_a"]), (3, bodies_n3()["pert"]), (4, pert4)):
+        d = ComplexDim(n)
+        out[f"ball n={n}"] = EuclideanBall(d, 1.3)
+        for q in (1.0, 1.5, 2.0, 3.0, 4.0, 6.0, math.inf):
+            out[f"lq{q:g} n={n}"] = ComplexLqBall(d, q, 0.9)
+        out[f"perturbed n={n}"] = pert
+    return out
+
+
+class TestNormKernels:
+    """The coordinate-by-coordinate norms give the bits of the reductions over
+    the last axis, in the reduction's result type and shape."""
+
+    BODIES = kernel_bodies()
+
+    @pytest.mark.parametrize("name", sorted(BODIES))
+    @pytest.mark.parametrize("shape", [(), (1,), (3, 5), (2000,)])
+    def test_same_bits_as_the_reductions(self, name, shape):
+        body = self.BODIES[name]
+        rng = np.random.default_rng(len(shape) + body.dim.n)
+        x = rng.uniform(-1.4, 1.4, size=shape + (body.dim.N,))
+        if shape:  # a zero row, and a row with one zero pair
+            x.reshape(-1, body.dim.N)[0] = 0.0
+            x.reshape(-1, body.dim.N)[-1, :2] = 0.0
+        got, ref = body.norm(x), reduction_norm(body, x)
+        assert type(got) is type(ref)
+        assert np.shape(got) == np.shape(ref) == shape
+        assert np.array_equal(got, ref)
+
+    @pytest.mark.parametrize("name", sorted(BODIES))
+    def test_zero_vector(self, name):
+        body = self.BODIES[name]
+        x = np.zeros(body.dim.N)
+        got, ref = body.norm(x), reduction_norm(body, x)
+        assert type(got) is type(ref) and got == ref == 0.0
+
+    def test_one_vector_gives_a_scalar(self):
+        for body in self.BODIES.values():
+            if not isinstance(body, PerturbedBall):
+                assert isinstance(body.norm(np.ones(body.dim.N)), np.float64)
+
+
+class TestLqRange:
+    """(sum_k |z_k|^q)^{1/q} for large q, where |z_k|^q leaves the double
+    range: the rows out of range are rescaled by their largest modulus."""
+
+    def test_overflowing_sum(self):
+        body = ComplexLqBall(ComplexDim(2), 200.0, 100.0)
+        assert body.norm(np.array([100.0, 0, 0, 0])) == pytest.approx(1.0, rel=1e-15)
+
+    def test_underflowing_sum(self):
+        body = ComplexLqBall(ComplexDim(2), 400.0)
+        assert body.norm(np.array([0.1, 0, 0, 0])) == pytest.approx(0.1, rel=1e-15)
+
+    @pytest.mark.parametrize("q", [200.0, 400.0])
+    @pytest.mark.parametrize("lam", [1e-3, 1e3])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_homogeneity(self, n, q, lam):
+        body = ComplexLqBall(ComplexDim(n), q)
+        x = np.random.default_rng(n).normal(size=(500, 2 * n))
+        x[0] = 0.0
+        base, scaled = body.norm(x), body.norm(lam * x)
+        assert np.all(np.isfinite(scaled)) and scaled[0] == 0.0
+        assert np.max(np.abs(scaled[1:] - lam * base[1:]) / (lam * base[1:])) <= 1e-13
+
+    @pytest.mark.parametrize("q", [200.0, 400.0])
+    @pytest.mark.parametrize("scale", [1.0, 100.0])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_radial_at_the_axes(self, n, q, scale):
+        body = ComplexLqBall(ComplexDim(n), q, scale)
+        axes = np.eye(2 * n)
+        assert np.array_equal(body.radial(axes), np.full(2 * n, scale))
+        diagonal = np.ones(2 * n) / math.sqrt(2 * n)  # every modulus 1/sqrt(n)
+        assert body.radial(diagonal) == pytest.approx(scale * n ** (0.5 - 1.0 / q), rel=1e-14)
+
+    @pytest.mark.parametrize("scale", [1.0, 100.0])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_monte_carlo_agrees_with_the_polar_volume(self, n, scale):
+        # before the rescaling, the scale-100 body read 0.147 s^4 at n = 2
+        # against a polar 9.868 s^4: its sample points overflowed |z_k|^q
+        body = ComplexLqBall(ComplexDim(n), 200.0, scale)
+        mc = mc_volume(body, 100_000, seed=5)
+        polar = volume(body)
+        assert abs(mc.estimate - polar) <= 3 * mc.std_error
+        assert polar / scale ** (2 * n) == pytest.approx(volume(ComplexLqBall(ComplexDim(n), 200.0)),
+                                                        rel=1e-12)
 
 
 class TestRadial:

@@ -975,6 +975,58 @@ class TestRingMoments:
         assert np.abs(got - per_node).max() <= 1e-13 * np.abs(per_node).max()
 
 
+def planned_in_the_call(blk, base, phases, wf):
+    """``blk.moments`` with its frequency plan built in the call, as it was
+    before the block kept its plans: the reference for bit identity."""
+    Phi = np.asarray(phases, dtype=float)
+    live = Phi.any(axis=0)
+    turn = blk._ea[:, live]
+    freq, col = np.unique((turn[:, None] - turn[None, :]).reshape(blk.P ** 2, turn.shape[1]),
+                          axis=0, return_inverse=True)
+    col = col.reshape(blk.P, blk.P)
+    E = np.exp(1j * (Phi[:, live] @ freq.T))
+    W = np.reshape(wf, (-1, Phi.shape[0]))
+    groups = harmonics._split(np.unique(turn, axis=0, return_inverse=True)[1].ravel())
+    mu = np.zeros((blk.P, blk.P), dtype=complex)
+    for lo, hi, Wa in blk._monomial_chunks(base):
+        G = W[lo:hi] @ E
+        Wb = Wa.conj()
+        for rows in groups:
+            mu[rows] += Wa[:, rows].T @ (G[:, col[rows[0]]] * Wb)
+    return mu
+
+
+class TestMomentPlan:
+    """The block keeps one frequency plan per set of turning columns; the
+    moments stay bit for bit those of a plan built in the call."""
+
+    # n -> (k, product rule, torus rule): the product rule turns the last
+    # pair, the torus rule every pair but the first, so one block holds two plans
+    RULES = {2: (12, lambda: sphere_rule(4, 26), lambda: invariant_sphere_rule(2, 26, 13)),
+             3: (6, lambda: sphere_rule(6, 14), lambda: invariant_sphere_rule(3, 14, 8)),
+             4: (3, lambda: sphere_rule(8, 4), lambda: invariant_sphere_rule(4, 5, 4))}
+
+    @pytest.mark.parametrize("n", sorted(RULES))
+    def test_bit_identical_to_a_plan_built_in_the_call(self, n):
+        k, *makers = self.RULES[n]
+        blk = _block(n, k)
+        for make in makers:
+            rule = make()
+            wf = np.random.default_rng(n).normal(size=rule.node_count) * rule.weights
+            ref = planned_in_the_call(blk, rule.base, rule.phases, wf)
+            for _ in range(2):  # the first call may build the plan, the second reuses it
+                assert np.array_equal(blk.moments(rule.base, rule.phases, wf), ref)
+        for make in makers:
+            live = make().phases.any(axis=0)
+            assert blk._plan(live) is blk._plan(live)
+
+    def test_plans_keyed_by_the_turning_columns(self):
+        blk = _block(3, 2)
+        last, middle = np.array([False, False, True]), np.array([False, True, False])
+        assert blk._plan(last) is not blk._plan(middle)
+        assert not blk._plan(last)[0].flags.writeable
+
+
 def multiplier_oracle(N, p, j):
     """Independent multiplier value via the Gaussian pairing.
 

@@ -601,6 +601,79 @@ class TestMonteCarlo:
             mc_volume(ball3, 40_000, seed=0)
         assert len(late_calls) <= 2
 
+    REFERENCE_BODIES = {
+        "ball n=2": lambda: EuclideanBall(ComplexDim(2), 1.1),
+        "lq4 n=2": lambda: ComplexLqBall(ComplexDim(2), 4.0),
+        "polydisc n=2": lambda: ComplexLqBall(ComplexDim(2), math.inf, 0.9),
+        "ellipsoid n=2": lambda: ComplexEllipsoid((1.0, 2.0)),
+        "perturbed n=2": lambda: bodies_n2()["pert_a"],
+        "ball n=3": lambda: EuclideanBall(ComplexDim(3), 1.0),
+        "lq1.5 n=3": lambda: ComplexLqBall(ComplexDim(3), 1.5),
+        "polydisc n=3": lambda: ComplexLqBall(ComplexDim(3), math.inf),
+        "ellipsoid n=3": lambda: ComplexEllipsoid((1.0, 1.5, 2.0)),
+        "perturbed n=3": lambda: bodies_n3()["pert"],
+    }
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("name", sorted(REFERENCE_BODIES))
+    def test_hits_of_the_one_array_stream(self, name, workers, monkeypatch):
+        # two full chunks and a partial third: the hits of the whole stream
+        # drawn at once with ``uniform(-R, R)`` and tested in one norm call
+        body = self.REFERENCE_BODIES[name]()
+        samples = 2 * spherequad.CHUNK_ROWS + 5
+        monkeypatch.setattr(spherequad, "_MC_WORKERS", workers)
+        mc = mc_volume(body, samples, seed=29)
+        R = mc.box_halfwidth
+        pts = philox(29).uniform(-R, R, size=(samples, body.dim.N))
+        assert mc.hits == int(np.count_nonzero(body.norm(pts) <= 1.0))
+
+    @pytest.mark.parametrize("chunk", [8_192, 4_097])
+    def test_draws_are_the_uniform_stream(self, ball3, chunk, monkeypatch):
+        # the points the norm is given, chunk after chunk on one thread, are
+        # the doubles of ``uniform(-R, R)`` over the whole stream; chunks of
+        # 4,097 rows start mid counter step
+        seen = []
+        real = EuclideanBall.norm
+
+        def norm(body, x):
+            seen.append(np.array(x))
+            return real(body, x)
+
+        monkeypatch.setattr(spherequad, "_MC_WORKERS", 1)
+        monkeypatch.setattr(spherequad, "CHUNK_ROWS", chunk)
+        monkeypatch.setattr(EuclideanBall, "norm", norm)
+        mc = mc_volume(ball3, 20_000, seed=31)
+        R = mc.box_halfwidth
+        expect = philox(31).uniform(-R, R, size=(20_000, 6))
+        assert len(seen) == len(range(0, 20_000, chunk))
+        assert np.array_equal(np.concatenate(seen), expect)
+
+    def test_suite_hits_of_the_one_array_stream(self):
+        # the suite's C9 bodies and seeds at 500,000 samples (about 3 s)
+        seed = default_config().seed + 1000
+        bodies = list(bodies_n2().values()) + list(bodies_n3().values())
+        for i, body in enumerate(bodies):
+            mc = mc_volume(body, 500_000, seed + i)
+            R = mc.box_halfwidth
+            pts = philox(seed + i).uniform(-R, R, size=(500_000, body.dim.N))
+            assert mc.hits == int(np.count_nonzero(body.norm(pts) <= 1.0)), body.label
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_one_generator_per_thread(self, ball3, workers, monkeypatch):
+        # 40,000 samples: five chunks, each positioned on its thread's generator
+        made = []
+
+        def counted(seed):
+            made.append(threading.get_ident())
+            return philox(seed)
+
+        monkeypatch.setattr(spherequad, "_MC_WORKERS", workers)
+        monkeypatch.setattr(spherequad, "philox", counted)
+        mc = mc_volume(ball3, 40_000, seed=3)
+        assert 1 <= len(made) <= workers and len(set(made)) == len(made)
+        monkeypatch.setattr(spherequad, "philox", philox)
+        assert mc_volume(ball3, 40_000, seed=3) == mc
+
     @pytest.mark.parametrize("samples", [20_000.7, 20_000.0, True, "20000"])
     def test_rejects_non_integral_samples(self, ball2, samples):
         with pytest.raises(InvalidInputError, match="integer sample count"):
