@@ -379,7 +379,7 @@ class PerturbedBall(ConvexBody):
             out = np.zeros(flat.shape[0])
             if np.any(nz):
                 out[nz] = lengths[nz] / self.radial_profile(flat[nz] / lengths[nz, None])
-        return out.reshape(x.shape[:-1])
+        return out.reshape(x.shape[:-1])[()]  # [()]: a scalar for one vector
 
     def _certify(self):
         rng = philox(_CERTIFY_SEED)

@@ -43,11 +43,27 @@ e^{i (a - b) . phi}, so
 the same quadrature sum, reassociated: the adjoint of ``factor_values``
 below.  Only the phase columns some row turns enter d, so G is one product
 per chunk of base rows for the distinct frequencies, and the rows a that
-agree on those columns share one frequency row.  The monomial tables and
-block products run on the base rows only (1/2L of a level-L product rule),
-and no node array is formed.  Moments, basis values and expansion values all
-take their monomial tables from one chunk loop over rows, real or complex
-(``_Block._monomial_chunks``).
+agree on those columns form a group whose block against each column group
+has one frequency.  f is real, so mu is Hermitian: only the blocks of column
+groups at or after the row group are formed (462 of 784 entries at n = 3,
+k = 6 on the product rule), and the rest is their conjugate transpose.
+
+A function that ignores the phases (a body with ``phase_bandwidth`` 0) is
+given once per base row, weighted by the base row's summed weight.  Every
+rule's phase rows are the uniform product grid of its per-pair counts n_c,
+equally weighted, so then G_h(d) = u_h f_h s(d) with s(d) exactly 1 when
+every d_c is a multiple of n_c and exactly 0 otherwise.  The blocks where
+s = 0 are skipped (on the product rule, 2L azimuths > k, only the diagonal
+groups remain: 140 of 784 entries at n = 3, k = 6), and no node-length
+array is formed at all.  Where n_c <= k (a torus rule with few phases) the
+aliased blocks d_c = +-n_c stay, as their phase sum is not 0.
+
+The monomial tables and block products run on the base rows only (1/2L of
+a level-L product rule), and no node array is formed.  Moments, basis values
+and expansion values all take their monomial tables from one chunk loop over
+rows, real or complex (``_Block._monomial_chunks``): one power table per
+chunk, (n, k + 1, rows), from which each monomial is gathered as a
+contiguous row of a (P, rows) table and multiplied in place.
 
 Evaluation uses the same identity the other way round.  A degree-k
 combination sum_ab H[a, b] z^a zbar^b equals
@@ -250,28 +266,37 @@ class _Block:
 
     # -- evaluation ----------------------------------------------------
 
-    def _monomial_chunks(self, W):
+    def _monomial_chunks(self, W, ea=None):
         """Yield (lo, hi, Wa): the monomials w^a at the rows W[lo:hi] of W
-        (rows, n), real or complex, shape (hi - lo, P), in chunks of
-        ``CHUNK_ROWS`` rows.  Each chunk takes one power table w_m^e, from which
-        every monomial is gathered."""
+        (rows, n), real or complex, shape (P, hi - lo), one row per exponent
+        row a of ``ea`` (default the block's order), in chunks of
+        ``CHUNK_ROWS`` rows.  Each chunk takes one power table w_m^e, shape
+        (n, k + 1, rows), gathers each factor of a monomial as a contiguous
+        row and takes the products in place, m = 0 first."""
+        ea = self._ea if ea is None else ea
         for lo in range(0, W.shape[0], CHUNK_ROWS):
             hi = min(lo + CHUNK_ROWS, W.shape[0])
-            table = np.empty((self.n, hi - lo, self.k + 1), dtype=W.dtype)
-            table[:, :, 0] = 1.0
+            table = np.empty((self.n, self.k + 1, hi - lo), dtype=W.dtype)
+            table[:, 0] = 1.0
             for e in range(1, self.k + 1):
-                table[:, :, e] = table[:, :, e - 1] * W[lo:hi].T
-            yield lo, hi, math.prod(table[m][:, self._ea[:, m]] for m in range(self.n))
+                # into a fresh array: an out= overlapping its input would take
+                # NumPy's scalar complex loop for one row, which rounds apart
+                table[:, e] = table[:, e - 1] * W[lo:hi].T
+            Wa = table[0][ea[:, 0]]
+            for m in range(1, self.n):
+                Wa *= table[m][ea[:, m]]
+            yield lo, hi, Wa
 
     def eval_basis(self, X):
         """Values of the block's basis functions at X, shape (M, dim)."""
         out = np.empty((X.shape[0], self.dim))
         for lo, hi, Za in self._monomial_chunks(np.ascontiguousarray(X).view(complex)):
+            Za = Za.T
             pairs = (Za[:, :, None] * Za.conj()[:, None, :]).reshape(hi - lo, -1)
             out[lo:hi] = (pairs @ self.C.T).real
         return out
 
-    def moments(self, base, phases, wf):
+    def moments(self, base, phases, wf, counts=None):
         """mu_ab = sum_i wf_i z^a zbar^b for real wf over the points of base
         rows W (H, n), real or complex, and phase rows Phi (F, n), point h*F + f
         being z_k = W[h, k] e^{i Phi[f, k]} (the factors of a
@@ -279,39 +304,98 @@ class _Block:
 
         There z^a zbar^b = w^a conj(w)^b e^{i (a - b) . phi}, so
         mu_ab = sum_h w^a conj(w)^b G_h(a - b) with
-        G_h(d) = sum_f wf[h, f] e^{i d . phi_f}.  Only the columns where some
-        phase row turns enter d, so G is one product per chunk of base rows
-        for the distinct d there, and the rows a that agree on those columns
-        share their frequency row over b and are summed in one product.
-        """
-        Phi = np.asarray(phases, dtype=float)
-        live = Phi.any(axis=0)  # the columns some phase row turns
-        freq, col, groups = self._plan(live)
-        E = np.exp(1j * (Phi[:, live] @ freq.T))  # (F, D)
-        W = np.reshape(wf, (-1, Phi.shape[0]))
-        mu = np.zeros((self.P, self.P), dtype=complex)
-        for lo, hi, Wa in self._monomial_chunks(base):
-            G = W[lo:hi] @ E
-            Wb = Wa.conj()
-            for rows in groups:
-                mu[rows] += Wa[:, rows].T @ (G[:, col[rows[0]]] * Wb)
-        return mu
+        G_h(d) = sum_f wf[h, f] e^{i d . phi_f}, wf one value per point.
+        With ``counts``, Phi is the uniform grid of counts[c] phases in pair c
+        (``spherequad.phase_grid``) and wf is one value per base row (H,): a
+        phase-independent integrand times its base row's summed weight.  Then
+        G_h(d) = wf_h s(d), with s(d) the phase sum over the F rows divided
+        by F: 1 when every d_c is a multiple of counts[c] and 0 otherwise,
+        taken as exact values.
 
-    def _plan(self, live):
-        """The frequency plan of ``moments`` for the turning columns ``live``
-        (a bool mask over the n pairs), built once per mask: the distinct
-        frequencies d = a - b on those columns (D, live count), the index of
-        each (a, b)'s d (P, P), and the groups of rows a that agree there."""
-        key = live.tobytes()
+        Only the columns where some phase row turns (with ``counts``, those
+        of count > 1) enter d, so G is one product per chunk of base rows for
+        the distinct d there.  The rows a that agree on those columns form a
+        group, and each (row group, column group) block has one d.  wf is
+        real, so mu is Hermitian: only the blocks of column groups >= the
+        row group are formed, and the rest is their conjugate transpose.
+        With ``counts``, the blocks where s(d) = 0 are skipped, and their
+        entries are exactly 0.
+        """
+        if counts is None:
+            Phi = np.asarray(phases, dtype=float)
+            live = Phi.any(axis=0)  # the columns some phase row turns
+            plan = self._plan(live)
+            E = np.exp(1j * (Phi[:, live] @ plan.freq.T))  # (F, D)
+            W = np.reshape(wf, (-1, Phi.shape[0]))
+        else:
+            plan = self._plan(np.array(counts) > 1, tuple(counts))
+            E = plan.phase_sum  # (1, D), exactly 0 or 1
+            W = np.reshape(wf, (-1, 1))
+        mu = np.zeros((self.P, self.P), dtype=complex)  # in the plan's row order
+        for lo, hi, Wa in self._monomial_chunks(base, plan.ea):
+            GT = (W[lo:hi] @ E).T  # (D, rows)
+            Wb = Wa.conj()
+            for rows, cols, fcol in plan.blocks:
+                mu[rows, cols] += Wa[rows] @ (GT[fcol] * Wb[cols]).T
+        mu = np.triu(mu)
+        mu += np.triu(mu, 1).conj().T
+        mu[np.diag_indices(self.P)] = mu.diagonal().real
+        return mu[np.ix_(plan.undo, plan.undo)]
+
+    def _plan(self, live, counts=None):
+        """The plan of ``moments`` for the turning columns ``live`` (a bool
+        mask over the n pairs) and, for an integrand per base row, the phase
+        ``counts``; built once per key, every array read-only.
+
+        The rows a are put in the order of their exponents on the live
+        columns (``ea``, ``undo`` restores the block's order), so the rows
+        that agree there form contiguous groups.  ``freq`` holds the distinct
+        d = a - b on those columns (D, live count).  ``blocks`` holds, per
+        row group, its row slice, the columns of the groups >= it and the
+        index into ``freq`` of each column's d; with ``counts`` only the
+        column groups whose d has a nonzero phase sum, which is
+        ``phase_sum`` (1, D).
+        """
+        key = (live.tobytes(), counts)
         if key not in self._plans:
             turn = self._ea[:, live]
+            group = np.unique(turn, axis=0, return_inverse=True)[1].ravel()
+            order = np.argsort(group, kind="stable")
+            group, turn = group[order], turn[order]
             freq, col = np.unique((turn[:, None] - turn[None, :]).reshape(self.P ** 2, turn.shape[1]),
                                   axis=0, return_inverse=True)
-            groups = _split(np.unique(turn, axis=0, return_inverse=True)[1].ravel())
-            for arr in (freq, col, *groups):
+            col = col.reshape(self.P, self.P)
+            starts = np.searchsorted(group, np.arange(group[-1] + 2))
+            phase_sum = None
+            keep = np.ones(len(freq), dtype=bool)
+            if counts is not None:
+                keep = np.all(freq % np.array(counts)[live] == 0, axis=1)
+                phase_sum = keep[None, :].astype(float)
+            blocks = []
+            for lo, hi in zip(starts[:-1], starts[1:]):
+                cols = lo + np.flatnonzero(keep[col[lo, lo:]])  # d = 0 at lo: never empty
+                fcol = col[lo, cols]
+                if cols[-1] - lo + 1 == cols.size:  # a contiguous run: a view, not a copy
+                    cols = slice(lo, lo + cols.size)
+                blocks.append((slice(lo, hi), cols, fcol))
+            ea, undo = self._ea[order], np.argsort(order)
+            for arr in (ea, undo, freq, *(f for _, _, f in blocks)):
                 arr.setflags(write=False)
-            self._plans[key] = freq, col.reshape(self.P, self.P), groups
+            if phase_sum is not None:
+                phase_sum.setflags(write=False)
+            self._plans[key] = _MomentPlan(ea, undo, freq, tuple(blocks), phase_sum)
         return self._plans[key]
+
+
+@dataclass(frozen=True)
+class _MomentPlan:
+    """The frequency plan of ``_Block.moments`` (see ``_Block._plan``)."""
+
+    ea: np.ndarray
+    undo: np.ndarray
+    freq: np.ndarray
+    blocks: tuple
+    phase_sum: np.ndarray | None
 
 
 @lru_cache(maxsize=None)
@@ -487,6 +571,7 @@ class HarmonicExpansion:
         H, blk = self._lift(tuple(degrees))
         out = np.empty(pts.shape[0])
         for lo, hi, Za in blk._monomial_chunks(np.ascontiguousarray(pts).view(complex)):
+            Za = Za.T
             ZH = Za @ H  # value = Re sum_b ZH_b conj(Za_b)
             out[lo:hi] = (np.einsum("ij,ij->i", ZH.real, Za.real)
                           + np.einsum("ij,ij->i", ZH.imag, Za.imag))
@@ -519,6 +604,7 @@ class HarmonicExpansion:
         E = H.reshape(-1, 1) * np.exp(1j * (freq @ Phi.T))
         out = np.empty((W.shape[0], Phi.shape[0]))
         for lo, hi, Wa in blk._monomial_chunks(W):
+            Wa = Wa.T
             Q = (Wa[:, :, None] * Wa.conj()[:, None, :]).reshape(hi - lo, P * P)
             out[lo:hi] = Q.real @ E.real
             if np.iscomplexobj(Q):
@@ -592,12 +678,21 @@ def harmonic_expand(f, jmax, rule: QuadratureRule, tail_warn=1e-3,
     therefore be unit vectors.  The top block's moments come from the rule's
     factors (``_Block.moments`` on ``rule.base`` and ``rule.phases``), again
     the same sum; no node array is formed unless ``f`` is a callable.
+
+    f is one value per node (rule.node_count,), in node order, or, for a
+    function that does not depend on the phases of the rule's phase grid,
+    one value per base row (H,), taken at every phase row of its base row.
+    The two shapes agree when the rule has one phase row.  Values per base
+    row are weighted by ``rule.base_weights``, and the moment pass then uses
+    the exact phase sums of the rule's uniform grid (``rule.phase_counts``),
+    so no node-length array is formed at all.
+
     Coefficients below 1e-12 times the L2 norm of f are dropped as
     quadrature noise.  A warning is recorded when the top two degrees hold
     more than ``tail_warn`` of the expansion energy.  Raises
     ``InvalidInputError`` when f (an array, or a callable's values at the
-    nodes) does not have shape (rule.node_count,), and
-    ``NumericalEvaluationError`` when f or its L2 norm is not finite.
+    nodes) has neither shape, and ``NumericalEvaluationError`` when f or its
+    L2 norm is not finite.
     """
     N = rule.m
     _check_degree(N, jmax)
@@ -606,17 +701,22 @@ def harmonic_expand(f, jmax, rule: QuadratureRule, tail_warn=1e-3,
         warnings.append(
             f"rule exactness {rule.exactness_degree} below 2*jmax={2 * jmax}; aliasing possible"
         )
+    rows = rule.base.shape[0]
     with np.errstate(over="ignore"):  # overflow is caught by the checks below
         fvals = f(rule.nodes) if callable(f) else np.asarray(f, dtype=float)
-        if np.shape(fvals) != (rule.node_count,):
+        if np.shape(fvals) == (rows,):  # one value per base row
+            weights, counts = rule.base_weights, rule.phase_counts
+        elif np.shape(fvals) == (rule.node_count,):
+            weights, counts = rule.weights, None
+        else:
             raise InvalidInputError(f"expansion integrand has shape {np.shape(fvals)}, "
-                                    f"expected ({rule.node_count},)")
-        wf = rule.weights * fvals
+                                    f"expected ({rule.node_count},) or ({rows},)")
+        wf = weights * fvals
         l2 = math.sqrt(max(float(np.sum(wf * fvals)), 0.0))
     if not (np.all(np.isfinite(fvals)) and math.isfinite(l2)):
         raise NumericalEvaluationError(f"non-finite expansion integrand or L2 norm {label}".rstrip())
     n, K = N // 2, jmax // 2
-    tables = [_block(n, K).moments(rule.base, rule.phases, wf)]  # the only pass over the nodes
+    tables = [_block(n, K).moments(rule.base, rule.phases, wf, counts)]  # the only pass over the nodes
     for k in range(K - 1, -1, -1):
         tables.append(_lower_moments(tables[-1], n, k))
     coeffs = {}
@@ -647,11 +747,13 @@ def ft_norm_power(body, p, jmax=None, tail_warn=1e-3) -> HarmonicExpansion:
     Expands the radial power rho^p (the sphere restriction of the norm power)
     on the rotation-invariant harmonics through degree ``jmax`` (default
     ``default_config().jmax_for(N)``) and rescales degree j by
-    lambda_j(N, p).  rho comes from ``radial_values`` on ``expansion_rule``,
-    through the rule's factors: a body that depends on the moduli only is
-    evaluated once per base row, a perturbed ball through
-    ``HarmonicExpansion.factor_values``.  The rule's node array is never
-    formed.
+    lambda_j(N, p).  rho comes from ``expansion_rule``'s factors.  A body
+    with ``phase_bandwidth`` 0 depends on the moduli only: it is evaluated
+    once per base row (``factor_radial``), and ``harmonic_expand`` takes its
+    rho^p as one value per base row (H,), so no node-length array is formed.
+    A perturbed ball is evaluated at every node through
+    ``HarmonicExpansion.factor_values`` (``radial_values``, node order).
+    The rule's node array is never formed.
     """
     N = body.dim.N
     if not 0 < p < N:
@@ -661,7 +763,10 @@ def ft_norm_power(body, p, jmax=None, tail_warn=1e-3) -> HarmonicExpansion:
     _check_degree(N, jmax)  # before the rule is built
     rule = expansion_rule(N, jmax)
     with np.errstate(over="ignore"):  # harmonic_expand rejects an overflowed power
-        rho_p = radial_values(body, rule) ** p
+        if body.phase_bandwidth:
+            rho_p = radial_values(body, rule) ** p
+        else:  # one value per base row, the same at each of its phase rows
+            rho_p = body.factor_radial(rule.base, rule.phases)[:, 0] ** p
     expansion = harmonic_expand(rho_p, jmax, rule, tail_warn=tail_warn,
                                 label=f"ft[{body.label}]^(-{p})")
     return expansion.multiplied(p)

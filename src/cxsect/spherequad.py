@@ -6,19 +6,28 @@ the total mass 2^{a+b+1} B(a+1, b+1) taken through ``math.lgamma``.
 
 Two rule families, both kept as the factors of ``QuadratureRule``: a base
 (H, c) and phase rows (F, c), node h*F + f being base row h with its
-coordinate pairs turned by the phases of row f (``factor_points``).
+coordinate pairs turned by the phases of row f (``factor_points``).  The
+phase rows are always the uniform product grid of per-pair counts n_c
+(``phase_grid``: n_c phases 2 pi j / n_c in pair c), stated by the rule as
+``phase_counts`` and equally weighted within each base row
+(``base_weights`` holds a base row's summed weight).  So the sum over the
+phase rows of e^{i d . phi} is F when every d_c is a multiple of n_c and 0
+otherwise, which the expansions take as exact values for integrands that
+ignore the phases (``harmonics._Block.moments``).
 
 * ``sphere_rule(m, level)`` -- the generic product rule (Gauss nodes in the
   polar cosines against the exact sphere weight, uniform trigonometric nodes
   in the azimuth).  Exact for all polynomials of degree <= 2*level - 1.
   Its base is one point per polar node, at azimuth 0, as complex rows; its
-  phase rows turn the last pair by the azimuths.
+  phase counts are (1, ..., 1, 2L): the phase rows turn the last pair by
+  the azimuths.
 * ``invariant_sphere_rule(n, level, ...)`` -- a torus-reduced rule on
   S^{2n-1} for integrands invariant under the simultaneous rotation of all
   coordinate pairs.  The reduction drops the integral to the moduli simplex
   (plus optional relative phases), so high levels stay cheap; used as the
   default for radial-power integrals such as the polar volume formula.
-  Its base is its real moduli rows.
+  Its base is its real moduli rows, and its phase counts are
+  (1, nphase, ..., nphase): z_1's phase is pinned at 0.
 
 ``radial_values`` evaluates a body through the factors
 (``ConvexBody.factor_radial``: a moduli-only body once per base row, a
@@ -53,7 +62,7 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -133,30 +142,50 @@ class QuadratureRule:
 
     The factors are a ``base`` (H, c) and ``phases`` (F, c) over c = ceil(m/2)
     coordinate pairs z_k: node h*F + f is base row h with z_k turned by
-    e^{i phases[f, k]} (``factor_points``).  The torus rule's base is real,
-    its moduli rows; the product rule's is complex, one row per polar node,
-    with phase rows (0, ..., 0, psi); a rule given by its nodes is base = nodes
-    viewed as complex with one zero phase row.  An odd m pads the base with
-    a leading zero coordinate, which the nodes drop.
+    e^{i phases[f, k]} (``factor_points``).  The phase rows are the uniform
+    product grid of ``phase_counts``: n_k phases 2 pi j / n_k in pair k, the
+    last pair fastest (``phase_grid``), built from the counts, which are the
+    one statement of the grid.  Every phase row of a base row carries the same
+    weight, and ``base_weights`` (H,) holds their sum per base row.  The torus
+    rule's base is real, its moduli rows, with counts (1, nphase, ...,
+    nphase); the product rule's is complex, one row per polar node, with
+    counts (1, ..., 1, 2L); a rule given by its nodes is base = nodes viewed
+    as complex with counts of 1.  An odd m pads the base with a leading zero
+    coordinate, which the nodes drop.
 
     The node array is built on first access to ``nodes`` (``nodes_built``
     tells); ``radial_values`` and ``node`` work on the factors.  Every array
     of the rule is read-only.
     """
 
-    def __init__(self, m, base, phases, weights, exactness_degree, level):
-        base, F = np.ascontiguousarray(base), phases.shape[0]
+    def __init__(self, m, base, phase_counts, weights, exactness_degree, level):
+        base, counts = np.ascontiguousarray(base), tuple(phase_counts)
         count = weights.shape[0]
-        if base.ndim != 2 or phases.shape[1:] != (base.shape[1],) or base.shape[1] != (m + 1) // 2:
-            raise InvalidInputError(f"a rule on S^{m - 1} takes base and phase rows of "
+        if base.ndim != 2 or base.shape[1] != (m + 1) // 2 or len(counts) != base.shape[1]:
+            raise InvalidInputError(f"a rule on S^{m - 1} takes base rows and phase counts of "
                                     f"{(m + 1) // 2} coordinate pairs")
-        if base.shape[0] * F != count:
+        if not all(isinstance(c, numbers.Integral) and c >= 1 for c in counts):
+            raise InvalidInputError(f"phase counts must be integers >= 1, got {counts}")
+        phases = phase_grid(counts)
+        if base.shape[0] * phases.shape[0] != count:
             raise InvalidInputError(f"the rule's factors do not give its {count} nodes")
+        per_row = weights.reshape(base.shape[0], phases.shape[0])
+        if not np.array_equal(per_row.max(axis=1), per_row.min(axis=1)):
+            raise InvalidInputError("the phase rows of a base row must carry equal weights")
         self.m, self.base, self.phases, self.weights = m, base, phases, weights
+        self.phase_counts = tuple(int(c) for c in counts)
         self.exactness_degree, self.level = exactness_degree, level
         self._nodes = None
         for arr in (base, phases, weights):
             arr.setflags(write=False)
+
+    @cached_property
+    def base_weights(self):
+        """Each base row's weights summed over its phase rows, (H,), read-only;
+        formed on first use, as only expansions of values per base row need it."""
+        out = np.sum(self.weights.reshape(self.base.shape[0], -1), axis=1)
+        out.setflags(write=False)
+        return out
 
     def _trim(self, pts):
         """The points ``pts``, read-only, without an odd m's padding coordinate."""
@@ -189,6 +218,13 @@ class QuadratureRule:
 
     def __repr__(self):
         return f"QuadratureRule(m={self.m}, level={self.level}, nodes={self.node_count})"
+
+
+def phase_grid(counts):
+    """The phase rows (prod counts, c) of the uniform product grid with
+    counts[k] phases 2 pi j / counts[k] in pair k, the last pair fastest."""
+    axes = [2.0 * math.pi * np.arange(c) / c for c in counts]
+    return np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
 
 
 def factor_points(base, phases):
@@ -225,18 +261,17 @@ def sphere_rule(m: int, level: int) -> QuadratureRule:
     degree <= 2*level - 1 integrate exactly.  The azimuth of the last
     coordinate pair is the fastest axis.  Its base is one complex row per
     polar node (level^{m-2} rows) with the last pair at azimuth 0 (the sine
-    product, then 0), and its phase rows are (0, ..., 0, psi) for the
-    2*level azimuths psi; its node array, bit for bit the per-node meshgrid
-    build, is formed only when ``nodes`` is first read.
+    product, then 0), and its phase counts are (1, ..., 1, 2*level): the
+    phase rows are (0, ..., 0, psi) for the 2*level azimuths psi; its node
+    array, bit for bit the per-node meshgrid build, is formed only when
+    ``nodes`` is first read.
     """
     if not 2 <= m <= 8:
         raise InvalidInputError(f"sphere_rule supports 2 <= m <= 8, got {m}")
     if level < 1:
         raise InvalidInputError("level must be >= 1")
     L = int(level)
-    naz = 2 * L
-    psi = 2.0 * math.pi * np.arange(naz) / naz
-    wpsi = np.full(naz, math.pi / L)
+    wpsi = np.full(2 * L, math.pi / L)
     if m == 2:
         heads, hweights = np.array([[1.0, 0.0]]), np.ones(1)
     else:
@@ -258,10 +293,9 @@ def sphere_rule(m: int, level: int) -> QuadratureRule:
         heads[:, m - 2] = sinprod
     if m % 2:  # pad to whole coordinate pairs; the nodes drop the leading 0
         heads = np.hstack([np.zeros((heads.shape[0], 1)), heads])
-    phases = np.zeros((naz, heads.shape[1] // 2))
-    phases[:, -1] = psi
+    counts = (1,) * (heads.shape[1] // 2 - 1) + (2 * L,)
     weights = (hweights[:, None] * wpsi).ravel()
-    return QuadratureRule(m, heads.view(complex), phases, weights, 2 * L - 1, L)
+    return QuadratureRule(m, heads.view(complex), counts, weights, 2 * L - 1, L)
 
 
 @lru_cache(maxsize=32)
@@ -277,8 +311,9 @@ def invariant_sphere_rule(n: int, level: int, nphase: int = 1) -> QuadratureRule
 
     Exact for rotation-invariant polynomials of degree <= 2*level - 1 when
     nphase exceeds the polynomial's phase bandwidth.  The phase of z_n is the
-    fastest axis.  Its base is the real moduli rows (L^{n-1}, n), with phase rows
-    (nphase^{n-1}, n); its node array is built on first access.
+    fastest axis.  Its base is the real moduli rows (L^{n-1}, n), with phase
+    counts (1, nphase, ..., nphase), so (nphase^{n-1}, n) phase rows; its
+    node array is built on first access.
     """
     if n < 1:
         raise InvalidInputError("n must be >= 1")
@@ -308,11 +343,9 @@ def invariant_sphere_rule(n: int, level: int, nphase: int = 1) -> QuadratureRule
             running = running * S[:, i]
         U[:, n - 1] = np.sqrt(running)
     # phase part: first coordinate pinned at phase 0
-    axes = [np.zeros(1)] + [2.0 * math.pi * np.arange(nphase) / nphase for _ in range(n - 1)]
-    pg = np.meshgrid(*axes, indexing="ij")
-    phases = np.stack([g.ravel() for g in pg], axis=1)
-    weights = np.repeat(uw, phases.shape[0]) * ((2.0 * math.pi) ** n / phases.shape[0])
-    return QuadratureRule(2 * n, U, phases, weights, 2 * L - 1, L)
+    F = nphase ** (n - 1)
+    weights = np.repeat(uw, F) * ((2.0 * math.pi) ** n / F)
+    return QuadratureRule(2 * n, U, (1,) + (nphase,) * (n - 1), weights, 2 * L - 1, L)
 
 
 def integrate_sphere(f, rule: QuadratureRule) -> float:

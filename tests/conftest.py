@@ -66,9 +66,10 @@ def ring_factors(heads, psi):
 
 
 def node_rule(nodes, weights, exactness_degree, level):
-    """A rule given by its nodes: base = nodes viewed as complex, one zero phase row."""
+    """A rule given by its nodes: base = nodes viewed as complex, phase counts
+    of 1 (one zero phase row)."""
     nodes = np.ascontiguousarray(nodes)
-    return QuadratureRule(nodes.shape[1], nodes.view(complex), np.zeros((1, nodes.shape[1] // 2)),
+    return QuadratureRule(nodes.shape[1], nodes.view(complex), (1,) * (nodes.shape[1] // 2),
                           weights, exactness_degree, level)
 
 

@@ -684,15 +684,32 @@ class TestExpansion:
             harmonic_expand(lambda x: np.full(len(x), value), 4, rule)
 
     @pytest.mark.parametrize("form", ["array", "callable"])
-    @pytest.mark.parametrize("shape", [(1024, 1), (1,), (5,)], ids=["column", "one", "five"])
+    @pytest.mark.parametrize("shape", [(1024, 1), (1,), (5,), (64, 1), (64, 16), (63,), (65,)],
+                             ids=["column", "one", "five", "base column", "rows by phases",
+                                  "short base", "long base"])
     def test_integrand_of_wrong_shape_rejected(self, shape, form):
         # a column, a broadcasting scalar and a short array, given as values
-        # or returned by the integrand: each is one value per node or nothing
+        # or returned by the integrand, and the near misses of one value per
+        # base row: each is one value per node, one per base row, or nothing
         rule = sphere_rule(4, 8)
-        assert rule.node_count == 1024
+        assert rule.node_count == 1024 and rule.base.shape[0] == 64
         vals = np.ones(shape)
         with pytest.raises(InvalidInputError, match="shape"):
             harmonic_expand(vals if form == "array" else (lambda x: vals), 8, rule)
+
+    @pytest.mark.parametrize("make", [lambda: sphere_rule(4, 10), lambda: invariant_sphere_rule(3, 8, 5),
+                                      lambda: invariant_sphere_rule(2, 12, 1)],
+                             ids=["product", "torus", "torus one phase"])
+    def test_one_value_per_base_row(self, make):
+        # the values per base row expand as the same values at every phase
+        # row of their base row; with one phase row the two shapes agree
+        rule = make()
+        f = np.random.default_rng(4).uniform(0.5, 2.0, size=rule.base.shape[0])
+        per_row = harmonic_expand(f, 8, rule)
+        per_node = harmonic_expand(np.repeat(f, rule.phases.shape[0]), 8, rule)
+        assert per_row.l2_norm == pytest.approx(per_node.l2_norm, rel=1e-14)
+        for j in per_node.coeffs:
+            assert np.abs(per_row.coeffs[j] - per_node.coeffs[j]).max() <= 1e-13 * per_node.l2_norm
 
     def test_degree_above_limit_rejected_before_evaluation(self):
         def never(x):
@@ -903,13 +920,13 @@ class TestMomentRecursion:
         degrees = []
         moments = _Block.moments
 
-        def counted(self, base, phases, wf):
-            degrees.append(2 * self.k)
-            return moments(self, base, phases, wf)
+        def counted(self, base, phases, wf, counts=None):
+            degrees.append((2 * self.k, counts))
+            return moments(self, base, phases, wf, counts)
 
         monkeypatch.setattr(_Block, "moments", counted)
         ft_norm_power(ball3, 4, jmax=12)
-        assert degrees == [12]
+        assert degrees == [(12, expansion_rule(6, 12).phase_counts)]
 
 
 def factors(rule):
@@ -958,7 +975,7 @@ class TestRingMoments:
         rng = np.random.default_rng(50 + n)
         X, w = unit_vectors(rng, CHUNK_ROWS + 7, 2 * n), rng.normal(size=CHUNK_ROWS + 7)
         Z = X[:, 0::2] + 1j * X[:, 1::2]
-        expect = sum(Za.T @ (w[lo:hi, None] * Za.conj())
+        expect = sum(Za @ (w[lo:hi, None] * Za.T.conj())
                      for lo, hi, Za in _block(n, k)._monomial_chunks(Z))
         got = _block(n, k).moments(Z, np.zeros((1, n)), w)
         assert np.abs(got - expect).max() <= 1e-13 * np.abs(expect).max()
@@ -975,30 +992,55 @@ class TestRingMoments:
         assert np.abs(got - per_node).max() <= 1e-13 * np.abs(per_node).max()
 
 
-def planned_in_the_call(blk, base, phases, wf):
-    """``blk.moments`` with its frequency plan built in the call, as it was
-    before the block kept its plans: the reference for bit identity."""
-    Phi = np.asarray(phases, dtype=float)
-    live = Phi.any(axis=0)
+def planned_in_the_call(blk, base, phases, wf, counts=None):
+    """``blk.moments`` with its plan built in the call, as it was before the
+    block kept its plans: the reference for bit identity.  The rows are
+    grouped by their exponents on the turning columns, each group's row
+    block is formed against the column groups from it on (the Hermitian
+    half; with ``counts`` only those whose phase sum is not 0), and the rest
+    is the conjugate transpose."""
+    if counts is None:
+        Phi = np.asarray(phases, dtype=float)
+        live = Phi.any(axis=0)
+    else:
+        live = np.array(counts) > 1
     turn = blk._ea[:, live]
+    group = np.unique(turn, axis=0, return_inverse=True)[1].ravel()
+    order = np.argsort(group, kind="stable")
+    group, turn = group[order], turn[order]
     freq, col = np.unique((turn[:, None] - turn[None, :]).reshape(blk.P ** 2, turn.shape[1]),
                           axis=0, return_inverse=True)
     col = col.reshape(blk.P, blk.P)
-    E = np.exp(1j * (Phi[:, live] @ freq.T))
-    W = np.reshape(wf, (-1, Phi.shape[0]))
-    groups = harmonics._split(np.unique(turn, axis=0, return_inverse=True)[1].ravel())
+    if counts is None:
+        keep = np.ones(len(freq), dtype=bool)
+        E = np.exp(1j * (Phi[:, live] @ freq.T))
+        W = np.reshape(wf, (-1, Phi.shape[0]))
+    else:
+        keep = np.all(freq % np.array(counts)[live] == 0, axis=1)
+        E = keep[None, :].astype(float)
+        W = np.reshape(wf, (-1, 1))
+    bounds = np.searchsorted(group, np.arange(group[-1] + 2))
+    blocks = []
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        cols = lo + np.flatnonzero(keep[col[lo, lo:]])
+        blocks.append((slice(lo, hi), cols, col[lo, cols]))
     mu = np.zeros((blk.P, blk.P), dtype=complex)
-    for lo, hi, Wa in blk._monomial_chunks(base):
-        G = W[lo:hi] @ E
+    for lo, hi, Wa in blk._monomial_chunks(base, blk._ea[order]):
+        GT = (W[lo:hi] @ E).T
         Wb = Wa.conj()
-        for rows in groups:
-            mu[rows] += Wa[:, rows].T @ (G[:, col[rows[0]]] * Wb)
-    return mu
+        for rows, cols, fcol in blocks:
+            mu[rows, cols] += Wa[rows] @ (GT[fcol] * Wb[cols]).T
+    mu = np.triu(mu)
+    mu += np.triu(mu, 1).conj().T
+    mu[np.diag_indices(blk.P)] = mu.diagonal().real
+    undo = np.argsort(order)
+    return mu[np.ix_(undo, undo)]
 
 
 class TestMomentPlan:
-    """The block keeps one frequency plan per set of turning columns; the
-    moments stay bit for bit those of a plan built in the call."""
+    """The block keeps one plan per set of turning columns (and phase counts,
+    for an integrand per base row); the moments stay bit for bit those of a
+    plan built in the call."""
 
     # n -> (k, product rule, torus rule): the product rule turns the last
     # pair, the torus rule every pair but the first, so one block holds two plans
@@ -1012,19 +1054,130 @@ class TestMomentPlan:
         blk = _block(n, k)
         for make in makers:
             rule = make()
-            wf = np.random.default_rng(n).normal(size=rule.node_count) * rule.weights
-            ref = planned_in_the_call(blk, rule.base, rule.phases, wf)
-            for _ in range(2):  # the first call may build the plan, the second reuses it
-                assert np.array_equal(blk.moments(rule.base, rule.phases, wf), ref)
+            rng = np.random.default_rng(n)
+            per_node = rng.normal(size=rule.node_count) * rule.weights
+            per_row = rng.normal(size=rule.base.shape[0]) * rule.base_weights
+            for wf, counts in ((per_node, None), (per_row, rule.phase_counts)):
+                ref = planned_in_the_call(blk, rule.base, rule.phases, wf, counts)
+                for _ in range(2):  # the first call may build the plan, the second reuses it
+                    assert np.array_equal(blk.moments(rule.base, rule.phases, wf, counts), ref)
         for make in makers:
-            live = make().phases.any(axis=0)
+            rule = make()
+            live = rule.phases.any(axis=0)
             assert blk._plan(live) is blk._plan(live)
+            assert blk._plan(live, rule.phase_counts) is blk._plan(live, rule.phase_counts)
+            assert blk._plan(live) is not blk._plan(live, rule.phase_counts)
 
     def test_plans_keyed_by_the_turning_columns(self):
         blk = _block(3, 2)
         last, middle = np.array([False, False, True]), np.array([False, True, False])
         assert blk._plan(last) is not blk._plan(middle)
-        assert not blk._plan(last)[0].flags.writeable
+        plan = blk._plan(last)
+        assert not any(arr.flags.writeable for arr in (plan.ea, plan.undo, plan.freq))
+        assert not any(fcol.flags.writeable for _, _, fcol in plan.blocks)
+
+
+def row_layout_monomials(blk, W):
+    """The monomials w^a at the rows of W (rows, n), shape (rows, P), from one
+    power table (n, rows, k + 1) and the product of the n gathered factors
+    (``math.prod``): a test-only copy of the row-layout gather that the
+    tables by exponent row replaced."""
+    table = np.empty((blk.n, W.shape[0], blk.k + 1), dtype=W.dtype)
+    table[:, :, 0] = 1.0
+    for e in range(1, blk.k + 1):
+        table[:, :, e] = table[:, :, e - 1] * W.T
+    return math.prod(table[m][:, blk._ea[:, m]] for m in range(blk.n))
+
+
+def phase_sums(blk, phases):
+    """S(a - b) = sum_f e^{i (a - b) . phi_f} over the phase rows, (P, P),
+    summed numerically: a reference for the plan's exact phase sums."""
+    d = blk._ea[:, None, :] - blk._ea[None, :, :]
+    return np.exp(1j * (d @ np.asarray(phases).T)).sum(axis=-1)
+
+
+class TestBaseRowMoments:
+    """An integrand that ignores the phases, given once per base row: its
+    moments take the exact phase sums of the rule's uniform phase grid and
+    skip the blocks where they vanish."""
+
+    # rule, k: the product rules at the degrees the suite expands, torus
+    # rules with more phases than k, and one with fewer (nphase 4 <= k = 6),
+    # whose aliased blocks d_c = +-4 carry moments
+    RULES = {"product N=4 L=26": (lambda: sphere_rule(4, 26), 12),
+             "product N=6 L=14": (lambda: sphere_rule(6, 14), 6),
+             "product N=8 L=4": (lambda: sphere_rule(8, 4), 3),
+             "torus n=3 L=14 nphase=8": (lambda: invariant_sphere_rule(3, 14, 8), 6),
+             "torus n=2 L=26 nphase=13": (lambda: invariant_sphere_rule(2, 26, 13), 12),
+             "torus n=3 L=14 nphase=4": (lambda: invariant_sphere_rule(3, 14, 4), 6)}
+
+    @classmethod
+    def both_paths(cls, name):
+        """(rule, block, moments per base row, moments per node of the same
+        integrand broadcast over the phase rows)."""
+        make, k = cls.RULES[name]
+        rule = make()
+        blk = _block(rule.base.shape[1], k)
+        f = np.random.default_rng(k).normal(size=rule.base.shape[0])
+        per_row = blk.moments(rule.base, rule.phases, rule.base_weights * f, rule.phase_counts)
+        F = rule.phases.shape[0]
+        per_node = blk.moments(rule.base, rule.phases, rule.weights * np.repeat(f, F))
+        return rule, blk, per_row, per_node
+
+    @pytest.mark.parametrize("name", sorted(RULES))
+    def test_matches_the_node_moments(self, name):
+        _, _, per_row, per_node = self.both_paths(name)
+        assert np.abs(per_row - per_node).max() <= 1e-13 * np.abs(per_node).max()
+
+    @pytest.mark.parametrize("name", sorted(RULES))
+    def test_skipped_entries_are_the_zero_phase_sums(self, name):
+        rule, blk, per_row, _ = self.both_paths(name)
+        S = phase_sums(blk, rule.phases)
+        F = rule.phases.shape[0]
+        zero = np.abs(S) <= 1e-9 * F
+        assert np.all(np.abs(S[~zero] - F) <= 1e-9 * F)  # every other sum is F
+        assert np.array_equal(per_row == 0.0, zero)
+        if name == "torus n=3 L=14 nphase=4":  # aliased blocks off the diagonal
+            assert np.count_nonzero(~zero & ~np.eye(blk.P, dtype=bool))
+
+    @pytest.mark.parametrize("name", sorted(RULES))
+    def test_hermitian_bit_for_bit(self, name):
+        _, _, per_row, per_node = self.both_paths(name)
+        for mu in (per_row, per_node):
+            assert np.array_equal(mu, mu.conj().T)
+
+    def test_entries_formed_on_the_product_rule(self):
+        # n = 3, k = 6: the Hermitian half forms 462 of the 784 entries, and
+        # with 2L = 28 azimuths > k the phase sums leave the diagonal groups,
+        # 140 entries
+        blk, rule = _block(3, 6), sphere_rule(6, 14)
+        live = rule.phases.any(axis=0)
+
+        def formed(plan):
+            idx = np.arange(blk.P)
+            return sum(idx[rows].size * idx[cols].size for rows, cols, _ in plan.blocks)
+
+        assert formed(blk._plan(live)) == 462
+        assert formed(blk._plan(live, rule.phase_counts)) == 140
+
+    @pytest.mark.parametrize("n,k,complex_base", [(3, 6, True), (3, 6, False), (2, 12, True),
+                                                  (4, 3, True), (3, 0, True)])
+    def test_monomial_table_matches_the_row_layout_gather(self, n, k, complex_base):
+        # the same bits, in two chunks and for rows taken one, two or three at
+        # a time: a row's monomials do not depend on the rows beside it
+        rng = np.random.default_rng(10 * n + k)
+        W = unit_vectors(rng, CHUNK_ROWS + 11, 2 * n)
+        W = np.ascontiguousarray(W).view(complex) if complex_base else np.abs(W[:, :n])
+        blk = _block(n, k)
+
+        def table(rows):
+            return np.concatenate([Wa.T for _, _, Wa in blk._monomial_chunks(rows)])
+
+        got = table(W)
+        assert np.array_equal(got, row_layout_monomials(blk, W))
+        for r in (1, 2, 3):
+            for lo in range(0, 60, r):
+                assert np.array_equal(table(W[lo:lo + r]), got[lo:lo + r])
 
 
 def multiplier_oracle(N, p, j):
@@ -1197,6 +1350,29 @@ class TestFtNormPower:
             ft_norm_power(body, 2.0)
         assert len(rules) == 2 and not any(rule.nodes_built for rule in rules)
         assert rules[0].base.shape == (rules[0].level ** (N - 2), n)
+
+    @pytest.mark.parametrize("body", [ComplexLqBall(ComplexDim(2), 3.0), ComplexEllipsoid((1.0, 2.0))],
+                             ids=["lq3", "ellipsoid"])
+    def test_moduli_only_body_expanded_per_base_row(self, body, monkeypatch):
+        # rho^p reaches harmonic_expand as one value per base row, and no
+        # node-length array is formed: on a rule of 200 azimuths (2,000,000
+        # nodes, 16 MB per double array, built before tracing) the transform's
+        # peak traced allocation stays below a quarter of one such array
+        import tracemalloc
+
+        rule, shapes, real = sphere_rule.__wrapped__(4, 100), [], harmonics.harmonic_expand
+        monkeypatch.setattr(harmonics, "expansion_rule", lambda N, jmax: rule)
+        monkeypatch.setattr(harmonics, "harmonic_expand",
+                            lambda f, *args, **kw: shapes.append(np.shape(f)) or real(f, *args, **kw))
+        ft_norm_power(body, 2.0, jmax=8)  # blocks and plans built
+        tracemalloc.start()
+        try:
+            ft_norm_power(body, 2.0, jmax=8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert shapes == [(rule.base.shape[0],)] * 2
+        assert peak < rule.node_count * 8 // 4
 
     def test_no_point_array_on_the_torus_rule(self, monkeypatch):
         # the moments of a torus rule come from its moduli rows and phase

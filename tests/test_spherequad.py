@@ -231,17 +231,39 @@ class TestFactoredRule:
         assert np.all(rule.phases[:, 0] == 0.0)
 
     def test_factor_shapes_checked(self):
-        # one form: a base and phase rows of ceil(m/2) pairs whose counts give the weights'
+        # one form: a base and phase counts of ceil(m/2) pairs whose grid gives
+        # the weights', equal over the phase rows of a base row
         torus, product = invariant_sphere_rule(2, 4, 3), sphere_rule(4, 3)
-        one = torus.phases[:, :1]
-        for base, phases in ((torus.base, one), (torus.base[:, :1], one), (product.base, one),
-                             (torus.base[0], torus.phases)):
+        for base, counts in ((torus.base, (3,)), (torus.base[:, :1], (1,)), (product.base, (6,)),
+                             (torus.base[0], (1, 3)), (torus.base, (1, 3, 1))):
             with pytest.raises(InvalidInputError, match="coordinate pairs"):
-                QuadratureRule(4, base, phases, torus.weights, 1, 1)
+                QuadratureRule(4, base, counts, torus.weights, 1, 1)
+        for counts in ((1, 0), (1, 2.0), (1, -3)):
+            with pytest.raises(InvalidInputError, match="integers >= 1"):
+                QuadratureRule(4, torus.base, counts, torus.weights, 1, 1)
         with pytest.raises(InvalidInputError, match="do not give"):
-            QuadratureRule(4, product.base, product.phases[:2], product.weights, 1, 1)
+            QuadratureRule(4, product.base, (1, 2), product.weights, 1, 1)
         with pytest.raises(InvalidInputError, match="do not give"):
-            QuadratureRule(4, torus.base, torus.phases, torus.weights[1:], 1, 1)
+            QuadratureRule(4, torus.base, (1, 3), torus.weights[1:], 1, 1)
+        uneven = torus.weights.copy()
+        uneven[1] *= 1.5
+        with pytest.raises(InvalidInputError, match="equal weights"):
+            QuadratureRule(4, torus.base, (1, 3), uneven, 1, 1)
+
+    @pytest.mark.parametrize("m,level", [(2, 5), (3, 4), (4, 6), (6, 3)])
+    def test_phase_rows_from_the_counts(self, m, level):
+        # the builders' phase rows are the grid of their counts, and the base
+        # weights are the weights summed over each base row's phase rows
+        c = (m + 1) // 2
+        for rule, counts in ((sphere_rule(m, level), (1,) * (c - 1) + (2 * level,)),
+                             (invariant_sphere_rule(c, level, 5), (1,) + (5,) * (c - 1))):
+            assert rule.phase_counts == counts
+            assert np.array_equal(rule.phases, spherequad.phase_grid(counts))
+            F = rule.phases.shape[0]
+            assert F == math.prod(counts)
+            per_row = rule.weights.reshape(-1, F)
+            assert np.array_equal(rule.base_weights, per_row.sum(axis=1))
+            assert not rule.base_weights.flags.writeable
 
     def test_radial_values_in_node_order(self, ell12, pert2):
         # on the torus and product rules and a rule given by its nodes, all
