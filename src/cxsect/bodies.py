@@ -142,22 +142,22 @@ class ConvexBody:
         return 1.0 / self._norm_impl(theta)
 
     def factor_radial(self, base, phases):
-        """rho at the points z_k = W[h, k] e^{i Phi[f, k]}, shape (H, F), for
-        base rows W (H, n), real (moduli) or complex, of unit length and phase
-        rows Phi (F, n): the factors of a ``QuadratureRule``.
+        """rho at the points z_k = W[h, k] e^{i Phi[f, k]} of base rows W
+        (H, n), real (moduli) or complex, of unit length and phase rows
+        Phi (F, n), the factors of a ``QuadratureRule``, as a table on them
+        (``QuadratureRule.table``).
 
         A body with ``phase_bandwidth`` 0 depends on the moduli only, so this
         is ``radial`` once per base row, at the base viewed as real points,
-        repeated over the F phases.  Kinds whose radial function depends on
-        the phases override it.
+        shape (H, 1).  Kinds whose radial function depends on the phases
+        override it and return (H, F).
         """
         if self.phase_bandwidth:
             raise NotImplementedError(f"{type(self).__name__} has no factored evaluation")
         W = np.atleast_2d(np.asarray(base))
         if W.ndim != 2 or W.shape[1] != self.dim.n:
             raise InvalidInputError(f"expected base rows of {self.dim.n} coordinate pairs")
-        rho = self.radial(np.stack([W.real, W.imag], axis=-1).reshape(W.shape[0], -1))
-        return np.broadcast_to(rho[:, None], (rho.shape[0], np.shape(phases)[0]))
+        return self.radial(np.stack([W.real, W.imag], axis=-1).reshape(W.shape[0], -1))[:, None]
 
     def _points(self, x, what):
         """x as a float array of finite vectors in R^{2n}; InvalidInputError otherwise."""

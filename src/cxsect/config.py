@@ -14,7 +14,9 @@ import numpy as np
 
 from .errors import InvalidInputError
 
-# direct-section rule levels per subspace dimension m = 2n-2 (exactness 2L-1)
+# direct-section rule levels per subspace dimension m = 2n-2 (exactness 2L-1);
+# the m = 2 rule is one node of weight 2 pi at every level, so its entry is
+# only echoed
 _PRODUCT_LEVELS = {2: 24, 4: 32, 6: 16, 8: 6}
 # torus-reduced levels per complex dimension n (polar volumes, radial scans)
 _REDUCED_LEVELS = {2: 320, 3: 160, 4: 48}

@@ -35,7 +35,8 @@ at the top degree therefore gives every degree.  This assumes the rule's nodes
 are unit vectors, as those of every rule in ``spherequad`` are to rounding.
 
 That pass runs on the rule's factors, base rows w and phase rows phi, whose
-points are z_k = w_k e^{i phi_k}.  There z^a zbar^b = w^a conj(w)^b
+points are z_k = w_k e^{i phi_k}, with f a table on them
+(``QuadratureRule.table``).  There z^a zbar^b = w^a conj(w)^b
 e^{i (a - b) . phi}, so
 
     mu[a, b] = sum_h w_h^a conj(w_h)^b G_h(a - b),  G_h(d) = sum_f w_hf f_hf e^{i d . phi_f},
@@ -48,15 +49,13 @@ has one frequency.  f is real, so mu is Hermitian: only the blocks of column
 groups at or after the row group are formed (462 of 784 entries at n = 3,
 k = 6 on the product rule), and the rest is their conjugate transpose.
 
-A function that ignores the phases (a body with ``phase_bandwidth`` 0) is
-given once per base row, weighted by the base row's summed weight.  Every
-rule's phase rows are the uniform product grid of its per-pair counts n_c,
-equally weighted, so then G_h(d) = u_h f_h s(d) with s(d) exactly 1 when
-every d_c is a multiple of n_c and exactly 0 otherwise.  The blocks where
-s = 0 are skipped (on the product rule, 2L azimuths > k, only the diagonal
-groups remain: 140 of 784 entries at n = 3, k = 6), and no node-length
-array is formed at all.  Where n_c <= k (a torus rule with few phases) the
-aliased blocks d_c = +-n_c stay, as their phase sum is not 0.
+A table of width 1 ignores the phases.  The phase rows are the uniform grid
+of per-pair counts n_c, equally weighted, so then G_h(d) = u_h f_h s(d),
+u_h the base row's summed weight and s(d) exactly 1 when every d_c is a
+multiple of n_c and exactly 0 otherwise.  The blocks where s = 0 are
+skipped (on the product rule, 2L azimuths > k, only the diagonal groups
+remain: 140 of 784 entries at n = 3, k = 6).  Where n_c <= k (a torus rule
+with few phases) the aliased blocks d_c = +-n_c stay.
 
 The monomial tables and block products run on the base rows only (1/2L of
 a level-L product rule), and no node array is formed.  Moments, basis values
@@ -84,7 +83,7 @@ harmonic Y_j multiplies it by
     lambda_j(N, p) = (-1)^{j/2} 2^{N-p} pi^{N/2} Gamma((j+N-p)/2) / Gamma((j+p)/2),
 
 computed in log space.  ``ft_norm_power`` expands the sphere restriction of
-a body's norm power and rescales the coefficients degree by degree.
+a body's norm power, rho^p, and rescales the coefficients degree by degree.
 """
 from __future__ import annotations
 
@@ -304,10 +303,10 @@ class _Block:
 
         There z^a zbar^b = w^a conj(w)^b e^{i (a - b) . phi}, so
         mu_ab = sum_h w^a conj(w)^b G_h(a - b) with
-        G_h(d) = sum_f wf[h, f] e^{i d . phi_f}, wf one value per point.
+        G_h(d) = sum_f wf[h, f] e^{i d . phi_f}, wf (H, F).
         With ``counts``, Phi is the uniform grid of counts[c] phases in pair c
-        (``spherequad.phase_grid``) and wf is one value per base row (H,): a
-        phase-independent integrand times its base row's summed weight.  Then
+        (``spherequad.phase_grid``) and wf is (H, 1): a phase-independent
+        integrand times its base row's summed weight.  Then
         G_h(d) = wf_h s(d), with s(d) the phase sum over the F rows divided
         by F: 1 when every d_c is a multiple of counts[c] and 0 otherwise,
         taken as exact values.
@@ -344,7 +343,7 @@ class _Block:
 
     def _plan(self, live, counts=None):
         """The plan of ``moments`` for the turning columns ``live`` (a bool
-        mask over the n pairs) and, for an integrand per base row, the phase
+        mask over the n pairs) and, for a table of width 1, the phase
         ``counts``; built once per key, every array read-only.
 
         The rows a are put in the order of their exponents on the live
@@ -561,10 +560,10 @@ class HarmonicExpansion:
 
     __call__ = evaluate
 
-    def tail_values(self, X, top=2):
-        """Contribution of the highest ``top`` degrees at unit vectors X
+    def tail_values(self, X):
+        """Contribution of the two highest degrees at unit vectors X
         (truncation indicator); lifted and checked as in ``evaluate``."""
-        return self._values(X, self.degrees()[-top:])
+        return self._values(X, self.degrees()[-2:])
 
     def _values(self, X, degrees):
         pts = _unit_rows(X, self.N)
@@ -666,33 +665,26 @@ def harmonic_expand(f, jmax, rule: QuadratureRule, tail_warn=1e-3,
                     label="") -> HarmonicExpansion:
     """Expand an even function on S^{N-1} on the invariant harmonics through ``jmax``.
 
+    f is given by its values on ``rule``, a table on the rule's factors
+    (``QuadratureRule.table``): (H, F), or its flattening in node order, or
+    (H, 1) for a function that ignores the phases of the rule's uniform
+    phase grid, whose moments then take the grid's exact phase sums.
+
     Coefficients are c_{j,l} = int f Y_{j,l} over the invariant basis
     functions Y_{j,l}.  A function invariant under the simultaneous rotation
     of all coordinate pairs has no other harmonic components, so for it the
-    expansion is complete.  The coefficients are computed from monomial
-    moments of f under ``rule`` (algebraically identical to the direct inner
-    product, factored for speed).  Only the top block, degree jmax, takes its
-    moments from the nodes; each lower block's table is gathered from the one
-    above by mu_k[a, b] = sum_m mu_{k+1}[a + e_m, b + e_m], which is the same
-    quadrature sum because |z|^2 = 1 at every node.  The rule's nodes must
-    therefore be unit vectors.  The top block's moments come from the rule's
-    factors (``_Block.moments`` on ``rule.base`` and ``rule.phases``), again
-    the same sum; no node array is formed unless ``f`` is a callable.
-
-    f is one value per node (rule.node_count,), in node order, or, for a
-    function that does not depend on the phases of the rule's phase grid,
-    one value per base row (H,), taken at every phase row of its base row.
-    The two shapes agree when the rule has one phase row.  Values per base
-    row are weighted by ``rule.base_weights``, and the moment pass then uses
-    the exact phase sums of the rule's uniform grid (``rule.phase_counts``),
-    so no node-length array is formed at all.
+    expansion is complete.  Only the top block, degree jmax, takes its
+    moments from the rule (``_Block.moments`` on its factors); each lower
+    block's table is gathered from the one above by
+    mu_k[a, b] = sum_m mu_{k+1}[a + e_m, b + e_m], the same quadrature sum
+    because |z|^2 = 1 at every node, so the rule's nodes must be unit
+    vectors.
 
     Coefficients below 1e-12 times the L2 norm of f are dropped as
     quadrature noise.  A warning is recorded when the top two degrees hold
     more than ``tail_warn`` of the expansion energy.  Raises
-    ``InvalidInputError`` when f (an array, or a callable's values at the
-    nodes) has neither shape, and ``NumericalEvaluationError`` when f or its
-    L2 norm is not finite.
+    ``InvalidInputError`` when f is a callable or of another shape, and
+    ``NumericalEvaluationError`` when f or its L2 norm is not finite.
     """
     N = rule.m
     _check_degree(N, jmax)
@@ -701,21 +693,14 @@ def harmonic_expand(f, jmax, rule: QuadratureRule, tail_warn=1e-3,
         warnings.append(
             f"rule exactness {rule.exactness_degree} below 2*jmax={2 * jmax}; aliasing possible"
         )
-    rows = rule.base.shape[0]
     with np.errstate(over="ignore"):  # overflow is caught by the checks below
-        fvals = f(rule.nodes) if callable(f) else np.asarray(f, dtype=float)
-        if np.shape(fvals) == (rows,):  # one value per base row
-            weights, counts = rule.base_weights, rule.phase_counts
-        elif np.shape(fvals) == (rule.node_count,):
-            weights, counts = rule.weights, None
-        else:
-            raise InvalidInputError(f"expansion integrand has shape {np.shape(fvals)}, "
-                                    f"expected ({rule.node_count},) or ({rows},)")
+        fvals, weights = rule.table(f)
         wf = weights * fvals
         l2 = math.sqrt(max(float(np.sum(wf * fvals)), 0.0))
     if not (np.all(np.isfinite(fvals)) and math.isfinite(l2)):
         raise NumericalEvaluationError(f"non-finite expansion integrand or L2 norm {label}".rstrip())
     n, K = N // 2, jmax // 2
+    counts = rule.phase_counts if fvals.shape[1] == 1 else None
     tables = [_block(n, K).moments(rule.base, rule.phases, wf, counts)]  # the only pass over the nodes
     for k in range(K - 1, -1, -1):
         tables.append(_lower_moments(tables[-1], n, k))
@@ -747,13 +732,9 @@ def ft_norm_power(body, p, jmax=None, tail_warn=1e-3) -> HarmonicExpansion:
     Expands the radial power rho^p (the sphere restriction of the norm power)
     on the rotation-invariant harmonics through degree ``jmax`` (default
     ``default_config().jmax_for(N)``) and rescales degree j by
-    lambda_j(N, p).  rho comes from ``expansion_rule``'s factors.  A body
-    with ``phase_bandwidth`` 0 depends on the moduli only: it is evaluated
-    once per base row (``factor_radial``), and ``harmonic_expand`` takes its
-    rho^p as one value per base row (H,), so no node-length array is formed.
-    A perturbed ball is evaluated at every node through
-    ``HarmonicExpansion.factor_values`` (``radial_values``, node order).
-    The rule's node array is never formed.
+    lambda_j(N, p).  rho is ``radial_values`` on ``expansion_rule``, a table
+    of width 1 for a body that depends on the moduli only, so the rule's
+    node array is never formed.
     """
     N = body.dim.N
     if not 0 < p < N:
@@ -763,10 +744,7 @@ def ft_norm_power(body, p, jmax=None, tail_warn=1e-3) -> HarmonicExpansion:
     _check_degree(N, jmax)  # before the rule is built
     rule = expansion_rule(N, jmax)
     with np.errstate(over="ignore"):  # harmonic_expand rejects an overflowed power
-        if body.phase_bandwidth:
-            rho_p = radial_values(body, rule) ** p
-        else:  # one value per base row, the same at each of its phase rows
-            rho_p = body.factor_radial(rule.base, rule.phases)[:, 0] ** p
+        rho_p = radial_values(body, rule) ** p
     expansion = harmonic_expand(rho_p, jmax, rule, tail_warn=tail_warn,
                                 label=f"ft[{body.label}]^(-{p})")
     return expansion.multiplied(p)

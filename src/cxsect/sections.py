@@ -144,8 +144,11 @@ def section_values(body, dirs, rule: QuadratureRule | None = None,
     so one ``body.radial`` call holds at most max(M, ``CHUNK_ROWS``) points;
     a chunk's points theta B come from one batched matrix product, rule
     nodes (M, 2n-2) times the stacked bases.  Each direction's integral is
-    summed within its own row, so its value depends on the body, the
-    direction and the rule only, not on the batch or the chunk it came in.
+    summed within its own row, so for a body of the moduli only its value
+    depends on the body, the direction and the rule only, not on the batch
+    or the chunk it came in.  A perturbed ball's radial values on one point
+    round apart from a batch's (``HarmonicExpansion.evaluate``), which
+    shows at n = 2, where the rule has one node.
     """
     cfg = config or _DEFAULT_CONFIG
     n = body.dim.n

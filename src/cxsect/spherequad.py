@@ -1,45 +1,31 @@
-"""Quadrature on unit spheres S^{m-1} and Monte Carlo volume oracles.
+"""Quadrature on unit spheres S^{m-1}, m even, and Monte Carlo volume oracles.
 
 The 1-D building blocks are Gauss-Jacobi rules, nodes and weights from
 Golub-Welsch on the classical three-term recurrence (``gauss_jacobi``), with
 the total mass 2^{a+b+1} B(a+1, b+1) taken through ``math.lgamma``.
 
-Two rule families, both kept as the factors of ``QuadratureRule``: a base
-(H, c) and phase rows (F, c), node h*F + f being base row h with its
-coordinate pairs turned by the phases of row f (``factor_points``).  The
-phase rows are always the uniform product grid of per-pair counts n_c
-(``phase_grid``: n_c phases 2 pi j / n_c in pair c), stated by the rule as
-``phase_counts`` and equally weighted within each base row
-(``base_weights`` holds a base row's summed weight).  So the sum over the
-phase rows of e^{i d . phi} is F when every d_c is a multiple of n_c and 0
-otherwise, which the expansions take as exact values for integrands that
-ignore the phases (``harmonics._Block.moments``).
+Every rule is one table of base rows (H, m/2) times phase rows (F, m/2)
+(``QuadratureRule``): node h*F + f is base row h with its coordinate pairs
+turned by the phases of row f (``factor_points``).  The phase rows are the
+uniform product grid of per-pair counts n_c (``phase_grid``), equally
+weighted within each base row.
 
-* ``sphere_rule(m, level)`` -- the generic product rule (Gauss nodes in the
-  polar cosines against the exact sphere weight, uniform trigonometric nodes
-  in the azimuth).  Exact for all polynomials of degree <= 2*level - 1.
-  Its base is one point per polar node, at azimuth 0, as complex rows; its
-  phase counts are (1, ..., 1, 2L): the phase rows turn the last pair by
-  the azimuths.
-* ``invariant_sphere_rule(n, level, ...)`` -- a torus-reduced rule on
+* ``sphere_rule(m, level)`` -- the generic product rule, m in {2, 4, 6, 8}
+  (Gauss nodes in the polar cosines, uniform azimuths), exact for all
+  polynomials of degree <= 2*level - 1: one complex base row per polar node,
+  phase counts (1, ..., 1, 2L).
+* ``invariant_sphere_rule(n, level, nphase)`` -- the torus-reduced rule on
   S^{2n-1} for integrands invariant under the simultaneous rotation of all
-  coordinate pairs.  The reduction drops the integral to the moduli simplex
-  (plus optional relative phases), so high levels stay cheap; used as the
-  default for radial-power integrals such as the polar volume formula.
-  Its base is its real moduli rows, and its phase counts are
-  (1, nphase, ..., nphase): z_1's phase is pinned at 0.
+  coordinate pairs: real moduli rows, phase counts (1, nphase, ..., nphase).
 
-``radial_values`` evaluates a body through the factors
-(``ConvexBody.factor_radial``: a moduli-only body once per base row, a
-perturbed ball through ``HarmonicExpansion.factor_values``), and expansions
-take their moments from the same factors (``harmonics._Block.moments``), so
-volumes, pairings, radius scans and expansions never form the node array.
-It is built, bit for bit the former eager builds, only when ``nodes`` is
-read; ``QuadratureRule.node(i)`` forms one node from the factors, so an
-error message can name a node without the array.
-
-Final reductions go through ``np.sum`` (pairwise, thread-count independent)
-so repeated runs produce identical bits.
+An integrand reaches a rule as a table on its factors
+(``QuadratureRule.table``): (H, F), value [h, f] at node h*F + f, its
+flattening in node order, or (H, 1) for an integrand that ignores the
+phases.  ``radial_values`` gives a body's radial function in that form
+(``ConvexBody.factor_radial``), so volumes, pairings, radius scans and
+expansions never form the node array; it is built only when ``nodes`` is
+read.  Final reductions go through ``np.sum`` (pairwise, thread-count
+independent), so repeated runs produce identical bits.
 
 ``CHUNK_ROWS`` is the one chunk size of the point kernels: the monomial
 tables of ``harmonics``, the radial calls of ``sections.section_values`` and
@@ -137,33 +123,30 @@ def gauss_power01(npts, expo):
 
 
 class QuadratureRule:
-    """Nodes and weights on S^{m-1} with a stated polynomial exactness degree,
-    kept as two factors.
+    """Nodes and weights on S^{m-1}, m even, with a stated polynomial
+    exactness degree, kept as two factors.
 
-    The factors are a ``base`` (H, c) and ``phases`` (F, c) over c = ceil(m/2)
+    The factors are a ``base`` (H, m/2) and ``phases`` (F, m/2) over the
     coordinate pairs z_k: node h*F + f is base row h with z_k turned by
     e^{i phases[f, k]} (``factor_points``).  The phase rows are the uniform
     product grid of ``phase_counts``: n_k phases 2 pi j / n_k in pair k, the
-    last pair fastest (``phase_grid``), built from the counts, which are the
-    one statement of the grid.  Every phase row of a base row carries the same
-    weight, and ``base_weights`` (H,) holds their sum per base row.  The torus
-    rule's base is real, its moduli rows, with counts (1, nphase, ...,
-    nphase); the product rule's is complex, one row per polar node, with
-    counts (1, ..., 1, 2L); a rule given by its nodes is base = nodes viewed
-    as complex with counts of 1.  An odd m pads the base with a leading zero
-    coordinate, which the nodes drop.
+    last pair fastest (``phase_grid``).  Every phase row of a base row
+    carries the same weight, and ``base_weights`` (H,) holds their sum per
+    base row.  The torus rule's base is real, its moduli rows; the product
+    rule's is complex, one row per polar node; a rule given by its nodes is
+    base = nodes viewed as complex with counts of 1.
 
     The node array is built on first access to ``nodes`` (``nodes_built``
-    tells); ``radial_values`` and ``node`` work on the factors.  Every array
-    of the rule is read-only.
+    tells); ``table``, ``radial_values`` and ``node`` work on the factors.
+    Every array of the rule is read-only.
     """
 
     def __init__(self, m, base, phase_counts, weights, exactness_degree, level):
         base, counts = np.ascontiguousarray(base), tuple(phase_counts)
         count = weights.shape[0]
-        if base.ndim != 2 or base.shape[1] != (m + 1) // 2 or len(counts) != base.shape[1]:
+        if m % 2 or base.ndim != 2 or base.shape[1] != m // 2 or len(counts) != base.shape[1]:
             raise InvalidInputError(f"a rule on S^{m - 1} takes base rows and phase counts of "
-                                    f"{(m + 1) // 2} coordinate pairs")
+                                    f"m/2 = {m / 2:g} coordinate pairs")
         if not all(isinstance(c, numbers.Integral) and c >= 1 for c in counts):
             raise InvalidInputError(f"phase counts must be integers >= 1, got {counts}")
         phases = phase_grid(counts)
@@ -182,22 +165,39 @@ class QuadratureRule:
     @cached_property
     def base_weights(self):
         """Each base row's weights summed over its phase rows, (H,), read-only;
-        formed on first use, as only expansions of values per base row need it."""
+        formed on first use, by the first table of width 1 on a rule of
+        several phase rows."""
         out = np.sum(self.weights.reshape(self.base.shape[0], -1), axis=1)
         out.setflags(write=False)
         return out
 
-    def _trim(self, pts):
-        """The points ``pts``, read-only, without an odd m's padding coordinate."""
-        pts = pts[:, pts.shape[1] - self.m:]
-        pts.setflags(write=False)
-        return pts
+    def table(self, values):
+        """An integrand as a table on the factors, and its weights.
+
+        ``values`` is (H, F), value [h, f] at node h*F + f; or its flattening,
+        one value per node in node order; or (H, 1) for an integrand that
+        ignores the phases.  Returns (values, weights) as float arrays of one
+        shape: (H, F) with the weights in the same layout, or (H, 1) with
+        ``base_weights``, so the weighted sum is the quadrature sum either
+        way.  A callable, or any other shape, raises ``InvalidInputError``.
+        """
+        if callable(values):
+            raise InvalidInputError("an integrand is given by its values on the rule, not a callable")
+        vals = np.asarray(values, dtype=float)
+        H, F = self.base.shape[0], self.phases.shape[0]
+        if vals.shape == (H, 1) and F > 1:
+            return vals, self.base_weights[:, None]
+        if vals.shape not in ((H * F,), (H, F)):
+            raise InvalidInputError(f"integrand has shape {vals.shape}, expected ({H * F},), "
+                                    f"({H}, {F}) or ({H}, 1)")
+        return vals.reshape(H, F), self.weights.reshape(H, F)
 
     @property
     def nodes(self):
         """The (node_count, m) node array, built here once."""
         if self._nodes is None:
-            self._nodes = self._trim(factor_points(self.base, self.phases))
+            self._nodes = factor_points(self.base, self.phases)
+            self._nodes.setflags(write=False)
         return self._nodes
 
     @property
@@ -210,7 +210,7 @@ class QuadratureRule:
         if self._nodes is not None:
             return self._nodes[i]
         F = self.phases.shape[0]
-        return self._trim(factor_points(self.base[i // F, None], self.phases[i % F, None]))[0]
+        return factor_points(self.base[i // F, None], self.phases[i % F, None])[0]
 
     @property
     def node_count(self):
@@ -244,16 +244,16 @@ def factor_points(base, phases):
 
 
 def radial_values(body, rule: QuadratureRule):
-    """``body.radial`` at the rule's nodes, in node order, from the rule's
-    factors (``body.factor_radial``), so no node array is formed.  A body
-    with ``phase_bandwidth`` 0 is evaluated once per base row (equal to the
-    per-node values up to rounding)."""
-    return body.factor_radial(rule.base, rule.phases).ravel()
+    """``body.radial`` at the rule's nodes as a table on its factors
+    (``body.factor_radial``), so no node array is formed: (H, 1) for a body
+    with ``phase_bandwidth`` 0, which depends on the moduli only, and
+    (H, F) otherwise (see ``QuadratureRule.table``)."""
+    return body.factor_radial(rule.base, rule.phases)
 
 
 @lru_cache(maxsize=32)
 def sphere_rule(m: int, level: int) -> QuadratureRule:
-    """Product quadrature rule on S^{m-1}, 2 <= m <= 8.
+    """Product quadrature rule on S^{m-1}, m in {2, 4, 6, 8}.
 
     Gauss nodes in each polar cosine t_i (against the exact surface weight
     (1-t^2)^{(m-2-i)/2}) and 2*level uniform azimuth angles.  The node set is
@@ -266,8 +266,8 @@ def sphere_rule(m: int, level: int) -> QuadratureRule:
     array, bit for bit the per-node meshgrid build, is formed only when
     ``nodes`` is first read.
     """
-    if not 2 <= m <= 8:
-        raise InvalidInputError(f"sphere_rule supports 2 <= m <= 8, got {m}")
+    if m not in (2, 4, 6, 8):
+        raise InvalidInputError(f"sphere_rule supports m in {{2, 4, 6, 8}}, got {m}")
     if level < 1:
         raise InvalidInputError("level must be >= 1")
     L = int(level)
@@ -291,9 +291,7 @@ def sphere_rule(m: int, level: int) -> QuadratureRule:
             heads[:, i] = sinprod * cols[i]
             sinprod = sinprod * np.sqrt(1.0 - cols[i] ** 2)
         heads[:, m - 2] = sinprod
-    if m % 2:  # pad to whole coordinate pairs; the nodes drop the leading 0
-        heads = np.hstack([np.zeros((heads.shape[0], 1)), heads])
-    counts = (1,) * (heads.shape[1] // 2 - 1) + (2 * L,)
+    counts = (1,) * (m // 2 - 1) + (2 * L,)
     weights = (hweights[:, None] * wpsi).ravel()
     return QuadratureRule(m, heads.view(complex), counts, weights, 2 * L - 1, L)
 
@@ -349,22 +347,21 @@ def invariant_sphere_rule(n: int, level: int, nphase: int = 1) -> QuadratureRule
 
 
 def integrate_sphere(f, rule: QuadratureRule) -> float:
-    """Sum of weights * f(nodes), fixed node order, pairwise summation.
+    """The quadrature sum of the integrand values ``f``, a table on the
+    rule's factors (``QuadratureRule.table``), by pairwise summation.
 
-    ``f`` is either a callable on an (M, m) array of unit vectors or a
-    precomputed value array of length M.  Non-finite values, and finite
-    values whose weighted sum overflows, raise ``NumericalEvaluationError``.
+    Non-finite values, and finite values whose weighted sum overflows, raise
+    ``NumericalEvaluationError``.
     """
-    vals = f(rule.nodes) if callable(f) else np.asarray(f, dtype=float)
-    if vals.shape != (rule.node_count,):
-        raise InvalidInputError("integrand returned wrong shape")
+    vals, weights = rule.table(f)
     if not np.all(np.isfinite(vals)):
-        bad = int(np.flatnonzero(~np.isfinite(vals))[0])
+        h, c = np.argwhere(~np.isfinite(vals))[0]
+        bad = int(h) * rule.phases.shape[0] + int(c)
         raise NumericalEvaluationError(
             f"non-finite integrand value at node {bad}: {rule.node(bad)}"
         )
     with np.errstate(over="ignore"):  # an overflowing sum is rejected below
-        total = float(np.sum(rule.weights * vals))
+        total = float(np.sum(weights * vals))
     if not math.isfinite(total):
         raise NumericalEvaluationError("non-finite weighted sum of finite integrand values")
     return total

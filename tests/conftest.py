@@ -73,6 +73,18 @@ def node_rule(nodes, weights, exactness_degree, level):
                           weights, exactness_degree, level)
 
 
+def table_shape(body, rule):
+    """The shape of ``radial_values(body, rule)``: (H, 1) for a body of the
+    moduli only, (H, F) otherwise."""
+    H, F = rule.base.shape[0], rule.phases.shape[0]
+    return (H, F if body.phase_bandwidth else 1)
+
+
+def node_order(table, rule):
+    """A table on the rule's factors as one value per node, in node order."""
+    return np.broadcast_to(table, (rule.base.shape[0], rule.phases.shape[0])).ravel()
+
+
 class CountingRadial:
     """Wraps ``ConvexBody.radial`` (through ``monkeypatch``) and records the
     number of rows of each call in ``rows``."""

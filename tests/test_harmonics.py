@@ -618,7 +618,7 @@ class TestZonalReference:
     @pytest.mark.parametrize("N", [4, 6])
     def test_hand_built_polynomial(self, N):
         rule = exact_rule(N, 8, 8)
-        exp = harmonic_expand(hand_polynomial, 8, rule)
+        exp = harmonic_expand(hand_polynomial(rule.nodes), 8, rule)
         xi = unit_vectors(np.random.default_rng(20 + N), 20, N)
         assert zonal_discrepancy(exp, hand_polynomial, rule, xi) <= 1e-12
 
@@ -626,7 +626,7 @@ class TestZonalReference:
 class TestExpansion:
     def test_constant_expands_to_degree_zero(self):
         rule = sphere_rule(4, 10)
-        exp = harmonic_expand(lambda x: 3.0 * np.ones(len(x)), 8, rule)
+        exp = harmonic_expand(np.full(rule.node_count, 3.0), 8, rule)
         assert exp.coefficient(0, 0) == pytest.approx(3.0 * math.sqrt(2 * math.pi ** 2), rel=1e-13)
         for j in (2, 4, 6, 8):
             assert np.abs(exp.coeffs[j]).max() < 1e-10
@@ -634,16 +634,17 @@ class TestExpansion:
     def test_pure_harmonic_recovered(self):
         basis = invariant_harmonic_basis(4, 2)
         rule = sphere_rule(4, 10)
-        exp = harmonic_expand(lambda x: basis.evaluate(x)[:, 2], 6, rule)
+        exp = harmonic_expand(basis.evaluate(rule.nodes)[:, 2], 6, rule)
         assert exp.coefficient(2, 2) == pytest.approx(1.0, abs=1e-12)
         coeffs = np.concatenate([exp.coeffs[j] for j in exp.degrees()])
         assert np.sort(np.abs(coeffs))[-2] < 1e-10  # everything else is noise
 
     def test_ellipsoid_energy_matches_l2(self, ell12):
         rule = expansion_rule(4, 16)
-        exp = harmonic_expand(lambda x: ell12.radial(x) ** 2, 16, rule)
+        exp = harmonic_expand(ell12.radial(rule.nodes) ** 2, 16, rule)
         total = sum(exp.degree_energies().values())
-        direct = integrate_sphere(lambda x: ell12.radial(x) ** 4, sphere_rule(4, 24))
+        fine = sphere_rule(4, 24)
+        direct = integrate_sphere(ell12.radial(fine.nodes) ** 4, fine)
         assert total == pytest.approx(direct, rel=1e-4)
         assert total <= direct * (1 + 1e-10)  # Bessel bound
 
@@ -652,7 +653,7 @@ class TestExpansion:
         # round-off (about 5e-15 of the L2 norm)
         f = lambda x: ell12.radial(x) ** 2
         rule = sphere_rule(4, 40)
-        exp = harmonic_expand(f, 8, rule)
+        exp = harmonic_expand(f(rule.nodes), 8, rule)
         xi = unit_vectors(np.random.default_rng(0), 20, 4)
         assert zonal_discrepancy(exp, f, rule, xi) <= 1e-12
 
@@ -663,7 +664,7 @@ class TestExpansion:
             N = body.dim.N
             f = lambda x: body.radial(x) ** 2
             rule = exact_rule(N, degree, 8)
-            exp = harmonic_expand(f, 8, rule)
+            exp = harmonic_expand(f(rule.nodes), 8, rule)
             xi = unit_vectors(np.random.default_rng(1), 20, N)
             assert zonal_discrepancy(exp, f, rule, xi) <= 1e-12, body.label
 
@@ -672,7 +673,8 @@ class TestExpansion:
         truth = ell12.radial(x) ** 2
         errs = []
         for jm in (4, 8, 12, 16):
-            exp = harmonic_expand(lambda p: ell12.radial(p) ** 2, jm, expansion_rule(4, jm))
+            rule = expansion_rule(4, jm)
+            exp = harmonic_expand(ell12.radial(rule.nodes) ** 2, jm, rule)
             errs.append(np.abs(exp.evaluate(x) - truth).max())
         assert all(errs[i] > errs[i + 1] for i in range(len(errs) - 1))
 
@@ -681,45 +683,53 @@ class TestExpansion:
         # 1e200 is finite, but its square overflows the L2 norm
         rule = sphere_rule(4, 8)
         with pytest.raises(NumericalEvaluationError):
-            harmonic_expand(lambda x: np.full(len(x), value), 4, rule)
+            harmonic_expand(np.full(rule.node_count, value), 4, rule)
 
     @pytest.mark.parametrize("form", ["array", "callable"])
-    @pytest.mark.parametrize("shape", [(1024, 1), (1,), (5,), (64, 1), (64, 16), (63,), (65,)],
+    @pytest.mark.parametrize("shape", [(1024, 1), (1,), (5,), (63, 1), (64, 15), (63,), (65,), (64,)],
                              ids=["column", "one", "five", "base column", "rows by phases",
-                                  "short base", "long base"])
+                                  "short base", "long base", "per base row"])
     def test_integrand_of_wrong_shape_rejected(self, shape, form):
-        # a column, a broadcasting scalar and a short array, given as values
-        # or returned by the integrand, and the near misses of one value per
-        # base row: each is one value per node, one per base row, or nothing
+        # a column, a broadcasting scalar and a short array, the near misses
+        # of the (H, 1) and (H, F) tables, and one value per base row: a table
+        # is (M,), (H, F) or (H, 1), and a callable is never taken, whatever
+        # it returns
         rule = sphere_rule(4, 8)
         assert rule.node_count == 1024 and rule.base.shape[0] == 64
         vals = np.ones(shape)
-        with pytest.raises(InvalidInputError, match="shape"):
-            harmonic_expand(vals if form == "array" else (lambda x: vals), 8, rule)
+        if form == "array":
+            with pytest.raises(InvalidInputError, match="shape"):
+                harmonic_expand(vals, 8, rule)
+        else:
+            with pytest.raises(InvalidInputError, match="callable"):
+                harmonic_expand(lambda x: vals, 8, rule)
 
     @pytest.mark.parametrize("make", [lambda: sphere_rule(4, 10), lambda: invariant_sphere_rule(3, 8, 5),
                                       lambda: invariant_sphere_rule(2, 12, 1)],
                              ids=["product", "torus", "torus one phase"])
     def test_one_value_per_base_row(self, make):
-        # the values per base row expand as the same values at every phase
-        # row of their base row; with one phase row the two shapes agree
+        # a table of width 1 expands as the same values at every phase row of
+        # their base row, and its (H, F) table as its node order, bit for bit
         rule = make()
-        f = np.random.default_rng(4).uniform(0.5, 2.0, size=rule.base.shape[0])
+        f = np.random.default_rng(4).uniform(0.5, 2.0, size=(rule.base.shape[0], 1))
         per_row = harmonic_expand(f, 8, rule)
-        per_node = harmonic_expand(np.repeat(f, rule.phases.shape[0]), 8, rule)
+        table = np.repeat(f, rule.phases.shape[0], axis=1)
+        per_node = harmonic_expand(table.ravel(), 8, rule)
+        by_table = harmonic_expand(table, 8, rule)
+        assert by_table.l2_norm == per_node.l2_norm
+        assert all(np.array_equal(by_table.coeffs[j], per_node.coeffs[j]) for j in per_node.coeffs)
         assert per_row.l2_norm == pytest.approx(per_node.l2_norm, rel=1e-14)
         for j in per_node.coeffs:
             assert np.abs(per_row.coeffs[j] - per_node.coeffs[j]).max() <= 1e-13 * per_node.l2_norm
 
     def test_degree_above_limit_rejected_before_evaluation(self):
-        def never(x):
-            raise AssertionError("integrand evaluated")
-
-        with pytest.raises(InvalidInputError):
-            harmonic_expand(never, 26, sphere_rule(4, 8))
+        rule = sphere_rule(4, 8)
+        with pytest.raises(InvalidInputError, match="j <= 24"):
+            harmonic_expand(np.ones(rule.node_count), 26, rule)
 
     def test_tail_warning_triggers_on_low_jmax(self, ell12):
-        exp = harmonic_expand(lambda x: ell12.radial(x) ** 2, 4, expansion_rule(4, 4))
+        rule = expansion_rule(4, 4)
+        exp = harmonic_expand(ell12.radial(rule.nodes) ** 2, 4, rule)
         assert any("tail energy" in w for w in exp.warnings)
 
 
@@ -780,7 +790,6 @@ class TestLiftedEvaluate:
         X = unit_vectors(np.random.default_rng(26), 300, 4)
         self.assert_close(ft.evaluate(X), per_degree_values(ft, X))
         self.assert_close(ft.tail_values(X), per_degree_values(ft, X, [14, 16]))
-        self.assert_close(ft.tail_values(X, top=5), per_degree_values(ft, X, [8, 10, 12, 14, 16]))
 
     @pytest.mark.parametrize("N,jmax,level,nphase", [(4, 24, 6, 3), (6, 12, 5, 5), (8, 6, 3, 2),
                                                      (6, 4, 96, 1)])  # 9,216 rows: two chunks
@@ -909,7 +918,7 @@ class TestMomentRecursion:
         semiaxes, level, tol = self.CASES[N, jmax]
         body, rule = ComplexEllipsoid(semiaxes), sphere_rule(N, level)
         f = lambda X: body.radial(X) ** (N - 2)
-        exp = harmonic_expand(f, jmax, rule)
+        exp = harmonic_expand(f(rule.nodes), jmax, rule)
         ref, l2 = per_degree_expand(f, jmax, rule)
         assert exp.degrees() == sorted(ref) == list(exp.coeffs)
         for j in ref:
@@ -1354,7 +1363,7 @@ class TestFtNormPower:
     @pytest.mark.parametrize("body", [ComplexLqBall(ComplexDim(2), 3.0), ComplexEllipsoid((1.0, 2.0))],
                              ids=["lq3", "ellipsoid"])
     def test_moduli_only_body_expanded_per_base_row(self, body, monkeypatch):
-        # rho^p reaches harmonic_expand as one value per base row, and no
+        # rho^p reaches harmonic_expand as a table of width 1, and no
         # node-length array is formed: on a rule of 200 azimuths (2,000,000
         # nodes, 16 MB per double array, built before tracing) the transform's
         # peak traced allocation stays below a quarter of one such array
@@ -1371,7 +1380,7 @@ class TestFtNormPower:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert shapes == [(rule.base.shape[0],)] * 2
+        assert shapes == [(rule.base.shape[0], 1)] * 2
         assert peak < rule.node_count * 8 // 4
 
     def test_no_point_array_on_the_torus_rule(self, monkeypatch):

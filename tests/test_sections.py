@@ -3,13 +3,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cxsect import (
     ComplexDim,
     ComplexEllipsoid,
     ComplexLqBall,
+    ConvexityError,
     EuclideanBall,
     InvalidInputError,
     PerturbedBall,
@@ -29,6 +30,7 @@ from cxsect import (
 from cxsect import sections
 from cxsect.config import RunConfig, default_config
 from cxsect.grids import direction_grid, refine_extremum
+from cxsect.harmonics import invariant_harmonic_dim
 from cxsect.sections import (
     min_radial,
     radial_power_rule,
@@ -382,6 +384,22 @@ class TestBatchIndependence:
             monkeypatch.setattr(sections, "CHUNK_ROWS", per_chunk * M)
             assert np.array_equal(section_values(body, X, scan=scan), batch), per_chunk
 
+    def test_one_direction_at_n2_alone_and_in_a_batch(self):
+        # at n = 2 the section rule has one node, so a direction alone is a
+        # one-point radial call.  Bodies of the moduli only give the same bits
+        # alone and in a batch; pert_a's one-point values go through a
+        # matrix-vector product and round apart, by at most 2 eps (measured)
+        b2 = bodies_n2()
+        X = unit_directions(np.random.default_rng(11).normal(size=(3000, 4)))
+        for name in ("ball", "lq3", "polydisc", "ell_1_2", "pert_a"):
+            body = b2[name]
+            batch = section_values(body, X)
+            alone = np.array([section_values(body, x)[0] for x in X])
+            if body.phase_bandwidth:
+                assert np.max(np.abs(alone / batch - 1.0)) <= 4 * np.finfo(float).eps
+            else:
+                assert np.array_equal(alone, batch), name
+
     def test_radial_calls_hold_at_most_one_chunk(self, ball3, monkeypatch):
         # the n = 3 phase grid of the comparison checks: 3,600 directions of
         # 256 scan nodes, 921,600 points
@@ -416,6 +434,70 @@ class TestBatchIndependence:
         assert value == gap(start)[0]
         _, xi, value, _ = refine_extremum(gap, grid, values, halvings=cfg.refine_halvings)
         assert value == gap(xi)[0]
+
+
+class TestSectionRuleAtN2:
+    @pytest.mark.parametrize("name", ["ball_1.3", "lq1.5", "ell_1.4_0.9", "pert_a", "pert_b"])
+    def test_product_level_changes_nothing(self, name):
+        # the n = 2 section rule is one node of weight 2 pi at every level
+        body = bodies_n2()[name]
+        X = unit_vectors(np.random.default_rng(47), 25, 4)
+        got = []
+        for level in (1, 24):
+            cfg = RunConfig(product_levels={2: level, 4: 32, 6: 16, 8: 6})
+            assert sections._section_rule(2, cfg).node_count == 1
+            got.append((section_values(body, X, config=cfg),
+                        *section_volume_direct(body, X, config=cfg)))
+        for a, b in zip(*got):
+            assert np.array_equal(a, b)
+
+
+def _perturbation(n, degrees, bound):
+    """A strategy for perturbation terms: every invariant harmonic of the
+    given degrees at S^{2n-1}, each with a coefficient in [-bound, bound]."""
+    slots = [(j, ell) for j in degrees for ell in range(invariant_harmonic_dim(n, j))]
+    return st.lists(st.floats(-bound, bound), min_size=len(slots), max_size=len(slots)).map(
+        lambda cs: tuple((j, ell, c) for (j, ell), c in zip(slots, cs)))
+
+
+def _certified(n, r, terms):
+    try:
+        return PerturbedBall(ComplexDim(n), r, terms)
+    except ConvexityError:
+        assume(False)
+
+
+class TestFourierAgainstDirect:
+    """Both section routes on random certified perturbed bodies.
+
+    Where rho^{2n-2} has degree <= jmax the transform is exact up to rounding
+    and its noise floor: coefficients below 1e-12 of the L2 norm are dropped
+    (``harmonics._NOISE_FLOOR``).  Measured: <= 1.3e-14 relative at n = 2 on
+    draws with |c| up to 0.02; at n = 3, where rho^4's degree-8 coefficients
+    are of order c^4 and fall near the floor, 1.1e-12 (1.5e-14 with the floor
+    at 0); at n = 2 with one term near 1e-9, 1.2e-12.
+    """
+
+    @given(r=st.floats(0.8, 1.25), terms=_perturbation(2, (2, 4), 0.02), seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=8, deadline=None)
+    def test_n2_routes_agree_to_rounding(self, r, terms, seed):
+        # the direct route is the exact disc pi rho(v)^2, and rho^2 has
+        # degree <= 8 <= jmax 16
+        body = _certified(2, r, terms)
+        X = unit_vectors(np.random.default_rng(seed), 6, 4)
+        fourier, _ = section_volume_fourier(body, X, ft_norm_power(body, 2.0, jmax=16))
+        assert np.max(np.abs(fourier / section_values(body, X) - 1.0)) <= 1e-10
+
+    @given(r=st.floats(0.8, 1.25), terms=_perturbation(3, (2,), 0.02), seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=4, deadline=None)
+    def test_n3_routes_agree_within_the_direct_estimate(self, r, terms, seed):
+        # rho^4 has degree 8 <= jmax 12; the direct route's refinement
+        # difference bounds its own error
+        body = _certified(3, r, terms)
+        X = unit_vectors(np.random.default_rng(seed), 6, 6)
+        fourier, _ = section_volume_fourier(body, X, ft_norm_power(body, 4.0, jmax=12))
+        direct, err = section_volume_direct(body, X)
+        assert np.all(np.abs(fourier - direct) <= 3.0 * err + 1e-10 * direct)
 
 
 class TestSectionFourier:
@@ -520,7 +602,7 @@ class TestRadialPowerRule:
     def test_volume_through_factors_matches_node_path(self, n):
         for body in (bodies_n2() if n == 2 else bodies_n3()).values():
             rule = radial_power_rule(24, body)
-            ref = integrate_sphere(lambda x: body.radial(x) ** (2 * n), rule) / (2 * n)
+            ref = integrate_sphere(body.radial(rule.nodes) ** (2 * n), rule) / (2 * n)
             got = volume(body, rule=rule)
             if body.phase_bandwidth:
                 assert got == pytest.approx(ref, rel=1e-14), body.label

@@ -302,8 +302,8 @@ class TestParseval:
         # integrand at the rule's nodes
         res = parseval_check(pert2, ComplexLqBall(d2, 3.0), 2.0, jmax=8)
         rule = sections.radial_power_rule(default_config().reduced_level(2), pert2)
-        ref = integrate_sphere(lambda x: pert2.radial(x) ** 2 * ComplexLqBall(d2, 3.0).radial(x) ** 2,
-                               rule)
+        X = rule.nodes
+        ref = integrate_sphere(pert2.radial(X) ** 2 * ComplexLqBall(d2, 3.0).radial(X) ** 2, rule)
         assert res.rhs == pytest.approx((2 * math.pi) ** 4 * ref, rel=1e-14)
 
     def test_exponent_pairing_nontrivial(self, ball3):
