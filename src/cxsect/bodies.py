@@ -15,10 +15,17 @@ hands it to the kind's ``_radial_impl``.  For the ball, lq and ellipsoid
 kinds that is 1/norm, as before.  A PerturbedBall is defined by its radial
 function, so its ``radial`` evaluates that profile directly and only its norm
 inverts it.
+
+``factor_radial(rule)`` gives the radial function at a ``QuadratureRule``'s
+nodes as a table on its factors, without forming the nodes: (H, 1) through
+``radial`` once per base row for the kinds of the moduli only, (H, F)
+through ``HarmonicExpansion.factor_values`` for a PerturbedBall, which takes
+the rule's unit base rows as checked.
 """
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,6 +40,16 @@ _MIDPOINT_TOL = 1e-10
 _TINY = np.finfo(float).tiny  # the smallest normal double
 
 
+def _integer(value, what):
+    """An integer parameter: an int, or a float of integral value (so 2.0 is
+    2, and 2.5 is rejected rather than truncated)."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise InvalidInputError(f"{what} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ComplexDim:
     """Complex dimension n with its real dimension N = 2n."""
@@ -40,6 +57,7 @@ class ComplexDim:
     n: int
 
     def __post_init__(self):
+        object.__setattr__(self, "n", _integer(self.n, "complex dimension"))
         if self.n < 2:
             raise InvalidInputError("complex dimension must be at least 2")
 
@@ -141,11 +159,9 @@ class ConvexBody:
     def _radial_impl(self, theta):
         return 1.0 / self._norm_impl(theta)
 
-    def factor_radial(self, base, phases):
-        """rho at the points z_k = W[h, k] e^{i Phi[f, k]} of base rows W
-        (H, n), real (moduli) or complex, of unit length and phase rows
-        Phi (F, n), the factors of a ``QuadratureRule``, as a table on them
-        (``QuadratureRule.table``).
+    def factor_radial(self, rule):
+        """rho at the nodes of a ``QuadratureRule`` as a table on its factors
+        (``QuadratureRule.table``), no node array formed.
 
         A body with ``phase_bandwidth`` 0 depends on the moduli only, so this
         is ``radial`` once per base row, at the base viewed as real points,
@@ -154,9 +170,7 @@ class ConvexBody:
         """
         if self.phase_bandwidth:
             raise NotImplementedError(f"{type(self).__name__} has no factored evaluation")
-        W = np.atleast_2d(np.asarray(base))
-        if W.ndim != 2 or W.shape[1] != self.dim.n:
-            raise InvalidInputError(f"expected base rows of {self.dim.n} coordinate pairs")
+        W = rule.base
         return self.radial(np.stack([W.real, W.imag], axis=-1).reshape(W.shape[0], -1))[:, None]
 
     def _points(self, x, what):
@@ -331,7 +345,7 @@ class PerturbedBall(ConvexBody):
         cleaned = []
         coeffs = {}
         for j, ell, c in self.terms:
-            j, ell, c = int(j), int(ell), float(c)
+            j, ell, c = _integer(j, "term degree"), _integer(ell, "term index"), float(c)
             if not math.isfinite(c):
                 raise InvalidInputError(f"perturbation coefficient must be finite, got {c!r}")
             if j < 2 or j % 2:
@@ -364,10 +378,12 @@ class PerturbedBall(ConvexBody):
         rho = self.radial_profile(theta.reshape(-1, self.dim.N))
         return rho.reshape(theta.shape[:-1])[()]  # [()]: a scalar for one vector
 
-    def factor_radial(self, base, phases):
-        """The radial profile at the points of base rows and phase rows,
-        shape (H, F), through ``HarmonicExpansion.factor_values``."""
-        return self.radius * (1.0 + self.perturbation.factor_values(base, phases))
+    def factor_radial(self, rule):
+        """The radial profile at the nodes of a ``QuadratureRule`` on
+        S^{2n-1}, shape (H, F), through ``HarmonicExpansion.factor_values``."""
+        if rule.m != self.dim.N:
+            raise InvalidInputError(f"expected a rule on S^{self.dim.N - 1}, got S^{rule.m - 1}")
+        return self.radius * (1.0 + self.perturbation.factor_values(rule))
 
     def _norm_impl(self, x):
         flat = x.reshape(-1, self.dim.N)
@@ -504,7 +520,7 @@ def body_from_dict(spec, certify=True) -> ConvexBody:
     if not isinstance(spec, dict):
         raise InvalidInputError("body spec must be a JSON object")
     try:
-        n = int(spec["n"])
+        n = spec["n"]
         kind = spec["kind"]
         params = spec.get("params", {})
     except (KeyError, TypeError, ValueError) as exc:
@@ -522,11 +538,13 @@ def body_from_dict(spec, certify=True) -> ConvexBody:
             q = math.inf if qraw in ("inf", "infinity") else float(qraw)
             return ComplexLqBall(dim, q, float(params.get("scale", 1.0)))
         if kind == "ellipsoid":
+            if not isinstance(params["semiaxes"], (list, tuple)):
+                raise InvalidInputError(f"semiaxes must be a list, got {params['semiaxes']!r}")
             axes = tuple(float(a) for a in params["semiaxes"])
-            if len(axes) != n:
+            if len(axes) != dim.n:
                 raise InvalidInputError("semiaxes count must equal n")
             return ComplexEllipsoid(axes)
-        terms = tuple((int(j), int(ell), float(c)) for j, ell, c in params.get("terms", ()))
+        terms = tuple(params.get("terms", ()))
         return PerturbedBall(dim, float(params.get("radius", 1.0)), terms, certify=certify)
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, InvalidInputError):

@@ -206,6 +206,8 @@ def cmd_ft(args):
 def cmd_theorem(args):
     cfg = _load_config(args)
     which = args.which
+    if which != "gamma" and not args.K:
+        raise InvalidInputError(f"--which {which} requires -K")
     ctx = VerificationContext(cfg)
     if which == "gamma":
         rows = gamma_lemma_check(args.nmax)

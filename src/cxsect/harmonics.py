@@ -31,12 +31,13 @@ mu_k[a, b] = sum_i w_i f(x_i) z^a zbar^b of each block.  On the unit sphere
 sum_m |z_m|^2 = 1, so z^a zbar^b = sum_m z^{a+e_m} zbar^{b+e_m} and every
 lower block's moments are exact sums of the top block's:
 mu_k[a, b] = sum_m mu_{k+1}[a + e_m, b + e_m].  One pass over the rule's nodes
-at the top degree therefore gives every degree.  This assumes the rule's nodes
-are unit vectors, as those of every rule in ``spherequad`` are to rounding.
+at the top degree therefore gives every degree.  This holds because the
+rule's nodes are unit vectors: ``QuadratureRule`` rejects base rows more than
+1e-8 off unit length when it is built.
 
-That pass runs on the rule's factors, base rows w and phase rows phi, whose
-points are z_k = w_k e^{i phi_k}, with f a table on them
-(``QuadratureRule.table``).  There z^a zbar^b = w^a conj(w)^b
+That pass takes the rule itself (``_Block.moments``) and runs on its factors,
+base rows w and phase rows phi, whose points are z_k = w_k e^{i phi_k}, with
+f a table on them (``QuadratureRule.table``).  There z^a zbar^b = w^a conj(w)^b
 e^{i (a - b) . phi}, so
 
     mu[a, b] = sum_h w_h^a conj(w_h)^b G_h(a - b),  G_h(d) = sum_f w_hf f_hf e^{i d . phi_f},
@@ -49,13 +50,14 @@ has one frequency.  f is real, so mu is Hermitian: only the blocks of column
 groups at or after the row group are formed (462 of 784 entries at n = 3,
 k = 6 on the product rule), and the rest is their conjugate transpose.
 
-A table of width 1 ignores the phases.  The phase rows are the uniform grid
-of per-pair counts n_c, equally weighted, so then G_h(d) = u_h f_h s(d),
-u_h the base row's summed weight and s(d) exactly 1 when every d_c is a
-multiple of n_c and exactly 0 otherwise.  The blocks where s = 0 are
-skipped (on the product rule, 2L azimuths > k, only the diagonal groups
-remain: 140 of 784 entries at n = 3, k = 6).  Where n_c <= k (a torus rule
-with few phases) the aliased blocks d_c = +-n_c stay.
+A table of width 1 ignores the phases; the table's width alone picks this
+path.  The phase rows are the uniform grid of per-pair counts n_c, equally
+weighted, so then G_h(d) = u_h f_h s(d), u_h the base row's summed weight
+and s(d) exactly 1 when every d_c is a multiple of n_c and exactly 0
+otherwise.  The blocks where s = 0 are skipped (on the product rule, 2L
+azimuths > k, only the diagonal groups remain: 140 of 784 entries at n = 3,
+k = 6).  Where n_c <= k (a torus rule with few phases) the aliased blocks
+d_c = +-n_c stay.
 
 The monomial tables and block products run on the base rows only (1/2L of
 a level-L product rule), and no node array is formed.  Moments, basis values
@@ -72,10 +74,11 @@ expansion is therefore one Hermitian matrix at its top degree, built once
 per instance, and evaluating it is one monomial table per chunk of points and
 one product.  The lift holds on unit vectors only, so
 ``HarmonicExpansion.evaluate`` rejects rows more than 1e-8 off unit length.
-At the points z_k = w_k e^{i phi_k} of a rule's factors (base rows w, real
-moduli or complex, and phase rows phi) the same matrix gives
-sum_ab H[a, b] w^a conj(w)^b e^{i (a - b) . phi}, so ``factor_values`` works
-on the base rows and phase rows separately and never forms the points.
+At the nodes z_k = w_k e^{i phi_k} of a rule (base rows w, real moduli or
+complex, and phase rows phi) the same matrix gives
+sum_ab H[a, b] w^a conj(w)^b e^{i (a - b) . phi}, so
+``factor_values(rule)`` works on the base rows and phase rows separately,
+never forms the points and checks nothing: the rule did.
 
 The Fourier transform of the degree -p homogeneous extension of a spherical
 harmonic Y_j multiplies it by
@@ -95,7 +98,7 @@ import numpy as np
 
 from .config import default_config
 from .errors import InvalidInputError, NumericalEvaluationError
-from .spherequad import CHUNK_ROWS, QuadratureRule, radial_values, sphere_rule
+from .spherequad import CHUNK_ROWS, QuadratureRule, sphere_rule
 
 _MAX_DEGREE = {4: 24, 6: 22, 8: 12}  # per N; see invariant_harmonic_basis
 _NOISE_FLOOR = 1e-12
@@ -295,44 +298,38 @@ class _Block:
             out[lo:hi] = (pairs @ self.C.T).real
         return out
 
-    def moments(self, base, phases, wf, counts=None):
-        """mu_ab = sum_i wf_i z^a zbar^b for real wf over the points of base
-        rows W (H, n), real or complex, and phase rows Phi (F, n), point h*F + f
-        being z_k = W[h, k] e^{i Phi[f, k]} (the factors of a
-        ``QuadratureRule``): the adjoint of ``HarmonicExpansion.factor_values``.
+    def moments(self, rule, wf):
+        """mu_ab = sum_i wf_i z^a zbar^b for real wf, a table on the factors of
+        ``rule`` (base rows w, phase rows phi, node h*F + f at
+        z_k = w[h, k] e^{i phi[f, k]}): the adjoint of
+        ``HarmonicExpansion.factor_values``.
 
         There z^a zbar^b = w^a conj(w)^b e^{i (a - b) . phi}, so
         mu_ab = sum_h w^a conj(w)^b G_h(a - b) with
-        G_h(d) = sum_f wf[h, f] e^{i d . phi_f}, wf (H, F).
-        With ``counts``, Phi is the uniform grid of counts[c] phases in pair c
-        (``spherequad.phase_grid``) and wf is (H, 1): a phase-independent
-        integrand times its base row's summed weight.  Then
-        G_h(d) = wf_h s(d), with s(d) the phase sum over the F rows divided
-        by F: 1 when every d_c is a multiple of counts[c] and 0 otherwise,
-        taken as exact values.
+        G_h(d) = sum_f wf[h, f] e^{i d . phi_f}, wf (H, F).  A table of
+        width 1 is a phase-independent integrand times its base row's summed
+        weight; then G_h(d) = wf_h s(d), with s(d) the phase sum of the
+        rule's uniform grid divided by F: 1 when every d_c is a multiple of
+        the phase count n_c and 0 otherwise, taken as exact values.
 
-        Only the columns where some phase row turns (with ``counts``, those
-        of count > 1) enter d, so G is one product per chunk of base rows for
-        the distinct d there.  The rows a that agree on those columns form a
-        group, and each (row group, column group) block has one d.  wf is
-        real, so mu is Hermitian: only the blocks of column groups >= the
-        row group are formed, and the rest is their conjugate transpose.
-        With ``counts``, the blocks where s(d) = 0 are skipped, and their
-        entries are exactly 0.
+        Only the pairs of phase count > 1 enter d, so G is one product per
+        chunk of base rows for the distinct d there.  The rows a that agree
+        on those columns form a group, and each (row group, column group)
+        block has one d.  wf is real, so mu is Hermitian: only the blocks of
+        column groups >= the row group are formed, and the rest is their
+        conjugate transpose.  For a table of width 1 the blocks where
+        s(d) = 0 are skipped, and their entries are exactly 0.
         """
-        if counts is None:
-            Phi = np.asarray(phases, dtype=float)
-            live = Phi.any(axis=0)  # the columns some phase row turns
-            plan = self._plan(live)
-            E = np.exp(1j * (Phi[:, live] @ plan.freq.T))  # (F, D)
-            W = np.reshape(wf, (-1, Phi.shape[0]))
-        else:
-            plan = self._plan(np.array(counts) > 1, tuple(counts))
+        live = np.array(rule.phase_counts) > 1
+        if wf.shape[1] == 1:
+            plan = self._plan(live, rule.phase_counts)
             E = plan.phase_sum  # (1, D), exactly 0 or 1
-            W = np.reshape(wf, (-1, 1))
+        else:
+            plan = self._plan(live, None)
+            E = np.exp(1j * (rule.phases[:, live] @ plan.freq.T))  # (F, D)
         mu = np.zeros((self.P, self.P), dtype=complex)  # in the plan's row order
-        for lo, hi, Wa in self._monomial_chunks(base, plan.ea):
-            GT = (W[lo:hi] @ E).T  # (D, rows)
+        for lo, hi, Wa in self._monomial_chunks(rule.base, plan.ea):
+            GT = (wf[lo:hi] @ E).T  # (D, rows)
             Wb = Wa.conj()
             for rows, cols, fcol in plan.blocks:
                 mu[rows, cols] += Wa[rows] @ (GT[fcol] * Wb[cols]).T
@@ -341,7 +338,7 @@ class _Block:
         mu[np.diag_indices(self.P)] = mu.diagonal().real
         return mu[np.ix_(plan.undo, plan.undo)]
 
-    def _plan(self, live, counts=None):
+    def _plan(self, live, counts):
         """The plan of ``moments`` for the turning columns ``live`` (a bool
         mask over the n pairs) and, for a table of width 1, the phase
         ``counts``; built once per key, every array read-only.
@@ -501,18 +498,14 @@ def bochner_multiplier(N, p, j):
     return sign * math.exp(logv)
 
 
-def _require_unit_rows(X):
-    """The lift of ``HarmonicExpansion`` is exact on the unit sphere only."""
-    if not np.all(np.abs(np.sqrt(np.einsum("ij,ij->i", X, X)) - 1.0) <= 1e-8):
-        raise InvalidInputError("expansions are evaluated at unit vectors only")
-
-
 def _unit_rows(X, N):
-    """X as a 2-D float array of unit rows in R^N; InvalidInputError otherwise."""
+    """X as a 2-D float array of unit rows in R^N; InvalidInputError otherwise.
+    The lift of ``HarmonicExpansion`` is exact on the unit sphere only."""
     pts = np.atleast_2d(np.asarray(X, dtype=float))
     if pts.ndim != 2 or pts.shape[1] != N:
         raise InvalidInputError(f"expected vectors in R^{N}")
-    _require_unit_rows(pts)
+    if not np.all(np.abs(np.sqrt(np.einsum("ij,ij->i", pts, pts)) - 1.0) <= 1e-8):
+        raise InvalidInputError("expansions are evaluated at unit vectors only")
     return pts
 
 
@@ -576,33 +569,24 @@ class HarmonicExpansion:
                           + np.einsum("ij,ij->i", ZH.imag, Za.imag))
         return out if np.ndim(X) == 2 else float(out[0])
 
-    def factor_values(self, base, phases):
-        """Values at the points z_k = W[h, k] e^{i Phi[f, k]}, shape (H, F), for
-        unit base rows W (H, n), real (moduli) or complex, and phase rows
-        Phi (F, n): the factors of a ``QuadratureRule``.
+    def factor_values(self, rule):
+        """Values at the nodes of a ``QuadratureRule``, shape (H, F): node
+        h*F + f is z_k = w[h, k] e^{i phi[f, k]} for its base rows w, real
+        (moduli) or complex, and phase rows phi.
 
         With H the lifted matrix of ``evaluate``, z^a zbar^b =
         w^a conj(w)^b e^{i (a - b) . phi}, so the value is Re sum_ab Q_ab E_ab
         with Q = w^a conj(w)^b, one (rows, P^2) block per chunk of base rows,
         and E = H[a, b] e^{i (a - b) . phi}, one (P^2, F) matrix: Q.real @ E.real,
-        less Q.imag @ E.imag where the base is complex.  No point is formed.
-        Base rows more than 1e-8 off unit length, and non-finite phases,
-        raise ``InvalidInputError``.
+        less Q.imag @ E.imag where the base is complex.  No node is formed;
+        the rule has checked that its base rows are of unit length.
         """
-        W = np.atleast_2d(np.asarray(base))
-        Phi = np.atleast_2d(np.asarray(phases, dtype=float))
-        n = self.N // 2
-        if W.ndim != 2 or W.shape[1] != n or Phi.ndim != 2 or Phi.shape[1] != n:
-            raise InvalidInputError(f"expected base and phase rows of length {n}")
-        _require_unit_rows(np.abs(W))
-        if not np.all(np.isfinite(Phi)):
-            raise InvalidInputError("phases must be finite")
         H, blk = self._lift(tuple(self.degrees()))
         P = blk.P
-        freq = (blk._ea[:, None, :] - blk._ea[None, :, :]).reshape(P * P, n)  # a - b
-        E = H.reshape(-1, 1) * np.exp(1j * (freq @ Phi.T))
-        out = np.empty((W.shape[0], Phi.shape[0]))
-        for lo, hi, Wa in blk._monomial_chunks(W):
+        freq = (blk._ea[:, None, :] - blk._ea[None, :, :]).reshape(P * P, self.N // 2)  # a - b
+        E = H.reshape(-1, 1) * np.exp(1j * (freq @ rule.phases.T))
+        out = np.empty((rule.base.shape[0], rule.phases.shape[0]))
+        for lo, hi, Wa in blk._monomial_chunks(rule.base):
             Wa = Wa.T
             Q = (Wa[:, :, None] * Wa.conj()[:, None, :]).reshape(hi - lo, P * P)
             out[lo:hi] = Q.real @ E.real
@@ -674,11 +658,11 @@ def harmonic_expand(f, jmax, rule: QuadratureRule, tail_warn=1e-3,
     functions Y_{j,l}.  A function invariant under the simultaneous rotation
     of all coordinate pairs has no other harmonic components, so for it the
     expansion is complete.  Only the top block, degree jmax, takes its
-    moments from the rule (``_Block.moments`` on its factors); each lower
+    moments from the rule (``_Block.moments(rule, wf)``); each lower
     block's table is gathered from the one above by
     mu_k[a, b] = sum_m mu_{k+1}[a + e_m, b + e_m], the same quadrature sum
-    because |z|^2 = 1 at every node, so the rule's nodes must be unit
-    vectors.
+    because |z|^2 = 1 at every node, which ``QuadratureRule`` checked when
+    it was built.
 
     Coefficients below 1e-12 times the L2 norm of f are dropped as
     quadrature noise.  A warning is recorded when the top two degrees hold
@@ -700,8 +684,7 @@ def harmonic_expand(f, jmax, rule: QuadratureRule, tail_warn=1e-3,
     if not (np.all(np.isfinite(fvals)) and math.isfinite(l2)):
         raise NumericalEvaluationError(f"non-finite expansion integrand or L2 norm {label}".rstrip())
     n, K = N // 2, jmax // 2
-    counts = rule.phase_counts if fvals.shape[1] == 1 else None
-    tables = [_block(n, K).moments(rule.base, rule.phases, wf, counts)]  # the only pass over the nodes
+    tables = [_block(n, K).moments(rule, wf)]  # the only pass over the nodes
     for k in range(K - 1, -1, -1):
         tables.append(_lower_moments(tables[-1], n, k))
     coeffs = {}
@@ -732,9 +715,9 @@ def ft_norm_power(body, p, jmax=None, tail_warn=1e-3) -> HarmonicExpansion:
     Expands the radial power rho^p (the sphere restriction of the norm power)
     on the rotation-invariant harmonics through degree ``jmax`` (default
     ``default_config().jmax_for(N)``) and rescales degree j by
-    lambda_j(N, p).  rho is ``radial_values`` on ``expansion_rule``, a table
-    of width 1 for a body that depends on the moduli only, so the rule's
-    node array is never formed.
+    lambda_j(N, p).  rho is ``body.factor_radial`` on ``expansion_rule``, a
+    table of width 1 for a body that depends on the moduli only, so the
+    rule's node array is never formed.
     """
     N = body.dim.N
     if not 0 < p < N:
@@ -744,7 +727,7 @@ def ft_norm_power(body, p, jmax=None, tail_warn=1e-3) -> HarmonicExpansion:
     _check_degree(N, jmax)  # before the rule is built
     rule = expansion_rule(N, jmax)
     with np.errstate(over="ignore"):  # harmonic_expand rejects an overflowed power
-        rho_p = radial_values(body, rule) ** p
+        rho_p = body.factor_radial(rule) ** p
     expansion = harmonic_expand(rho_p, jmax, rule, tail_warn=tail_warn,
                                 label=f"ft[{body.label}]^(-{p})")
     return expansion.multiplied(p)

@@ -24,8 +24,7 @@ from . import grids
 from .config import RunConfig, default_config
 from .errors import InvalidInputError, NumericalEvaluationError
 from .harmonics import HarmonicExpansion
-from .spherequad import (CHUNK_ROWS, QuadratureRule, integrate_sphere, invariant_sphere_rule,
-                         radial_values)
+from .spherequad import CHUNK_ROWS, QuadratureRule, integrate_sphere, invariant_sphere_rule
 
 # the configuration of every call that passes none; built once, never written
 _DEFAULT_CONFIG = default_config()
@@ -202,7 +201,7 @@ def volume(body, rule: QuadratureRule | None = None,
 
     With no explicit rule the torus-reduced rule is used (the integrand is
     rotation-invariant for every admitted body), evaluated through its
-    factors (``radial_values``); pass the generic product rule on S^{2n-1}
+    factors (``body.factor_radial``); pass the generic product rule on S^{2n-1}
     for the reference path.
     """
     cfg = config or _DEFAULT_CONFIG
@@ -212,7 +211,7 @@ def volume(body, rule: QuadratureRule | None = None,
     if rule.m != 2 * n:
         raise InvalidInputError(f"volume rule must live on S^{2 * n - 1}")
     with np.errstate(over="ignore"):  # integrate_sphere rejects the overflow
-        vals = radial_values(body, rule) ** (2 * n)
+        vals = body.factor_radial(rule) ** (2 * n)
     return integrate_sphere(vals, rule) / (2 * n)
 
 

@@ -8,7 +8,9 @@ Every rule is one table of base rows (H, m/2) times phase rows (F, m/2)
 (``QuadratureRule``): node h*F + f is base row h with its coordinate pairs
 turned by the phases of row f (``factor_points``).  The phase rows are the
 uniform product grid of per-pair counts n_c (``phase_grid``), equally
-weighted within each base row.
+weighted within each base row.  The rule checks once, when built, that its
+base rows are finite and of unit length, so every node is on the sphere and
+the factored kernels of ``bodies`` and ``harmonics`` take a rule as trusted.
 
 * ``sphere_rule(m, level)`` -- the generic product rule, m in {2, 4, 6, 8}
   (Gauss nodes in the polar cosines, uniform azimuths), exact for all
@@ -21,11 +23,11 @@ weighted within each base row.
 An integrand reaches a rule as a table on its factors
 (``QuadratureRule.table``): (H, F), value [h, f] at node h*F + f, its
 flattening in node order, or (H, 1) for an integrand that ignores the
-phases.  ``radial_values`` gives a body's radial function in that form
-(``ConvexBody.factor_radial``), so volumes, pairings, radius scans and
-expansions never form the node array; it is built only when ``nodes`` is
-read.  Final reductions go through ``np.sum`` (pairwise, thread-count
-independent), so repeated runs produce identical bits.
+phases.  ``body.factor_radial(rule)`` gives a body's radial function in that
+form, so volumes, pairings, radius scans and expansions never form the node
+array; it is built only when ``nodes`` is read.  Final reductions go through
+``np.sum`` (pairwise, thread-count independent), so repeated runs produce
+identical bits.
 
 ``CHUNK_ROWS`` is the one chunk size of the point kernels: the monomial
 tables of ``harmonics``, the radial calls of ``sections.section_values`` and
@@ -136,17 +138,25 @@ class QuadratureRule:
     rule's is complex, one row per polar node; a rule given by its nodes is
     base = nodes viewed as complex with counts of 1.
 
-    The node array is built on first access to ``nodes`` (``nodes_built``
-    tells); ``table``, ``radial_values`` and ``node`` work on the factors.
-    Every array of the rule is read-only.
+    The base rows must be finite and of unit length within 1e-8, checked
+    here once: the factored kernels (``factor_radial``, ``factor_values``,
+    the moments of ``harmonic_expand``) hold only on the unit sphere and
+    take the rule as given.  ``weights`` may be any sequence.  The node array
+    is built on first access to ``nodes`` (``nodes_built`` tells); ``table``
+    and ``node`` work on the factors.  Every array of the rule is read-only.
     """
 
     def __init__(self, m, base, phase_counts, weights, exactness_degree, level):
         base, counts = np.ascontiguousarray(base), tuple(phase_counts)
+        weights = np.asarray(weights, dtype=float)
         count = weights.shape[0]
         if m % 2 or base.ndim != 2 or base.shape[1] != m // 2 or len(counts) != base.shape[1]:
             raise InvalidInputError(f"a rule on S^{m - 1} takes base rows and phase counts of "
                                     f"m/2 = {m / 2:g} coordinate pairs")
+        # the moment recursion and the lift of ``harmonics`` hold where |z| = 1
+        if not (np.all(np.isfinite(base))
+                and np.all(np.abs(np.linalg.norm(base, axis=1) - 1.0) <= 1e-8)):
+            raise InvalidInputError("a rule's base rows must be finite and of unit length")
         if not all(isinstance(c, numbers.Integral) and c >= 1 for c in counts):
             raise InvalidInputError(f"phase counts must be integers >= 1, got {counts}")
         phases = phase_grid(counts)
@@ -241,14 +251,6 @@ def factor_points(base, phases):
         out[:, :, 0::2] = W[:, None, :] * c
         out[:, :, 1::2] = W[:, None, :] * s
     return out.reshape(-1, 2 * W.shape[1])
-
-
-def radial_values(body, rule: QuadratureRule):
-    """``body.radial`` at the rule's nodes as a table on its factors
-    (``body.factor_radial``), so no node array is formed: (H, 1) for a body
-    with ``phase_bandwidth`` 0, which depends on the moduli only, and
-    (H, F) otherwise (see ``QuadratureRule.table``)."""
-    return body.factor_radial(rule.base, rule.phases)
 
 
 @lru_cache(maxsize=32)
@@ -443,7 +445,7 @@ def mc_volume(body, samples: int, seed: int) -> MCVolume:
     n = body.dim.n
     N = 2 * n
     scan = invariant_sphere_rule(n, 48, nphase=1 if body.phase_bandwidth == 0 else 8)
-    rmax = float(np.max(radial_values(body, scan)))
+    rmax = float(np.max(body.factor_radial(scan)))
     if not (rmax > 0 and math.isfinite(rmax)):
         raise InvalidInputError("degenerate body: nonpositive bounding radius")
     R = max(1.01 * rmax, float(np.max(body.radial(np.eye(N)[0::2]))))

@@ -25,7 +25,7 @@ from .bodies import validate
 from .config import RunConfig, default_config
 from .errors import InvalidInputError
 from .harmonics import ft_norm_power
-from .spherequad import integrate_sphere, radial_values
+from .spherequad import integrate_sphere
 
 _TOL_FLOOR = 1e-12
 
@@ -429,7 +429,7 @@ def parseval_check(K, L, p, context: VerificationContext | None = None,
     ft_l = ctx.ft(L, N - p, jmax)
     lhs = float(sum(ft_k.coeffs[j] @ ft_l.coeffs[j] for j in ft_k.degrees()))
     reduced = sections.radial_power_rule(cfg.reduced_level(n), K, L)
-    rho = radial_values(K, reduced) ** p * radial_values(L, reduced) ** (N - p)
+    rho = K.factor_radial(reduced) ** p * L.factor_radial(reduced) ** (N - p)
     rhs = (2.0 * math.pi) ** N * integrate_sphere(rho, reduced)
     rel = abs(lhs - rhs) / abs(rhs)
     return ParsevalResult(

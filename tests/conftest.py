@@ -55,14 +55,19 @@ def ring_points(heads, psi):
     return out.reshape(-1, X.shape[1])
 
 
-def ring_factors(heads, psi):
-    """The factors (complex base, phase rows) whose points are
-    ``ring_points(heads, psi)``: the heads as complex rows, and phase rows
-    (0, ..., 0, psi_k)."""
+def ring_angles(count):
+    """The ``count`` uniform angles 2 pi j / count of a ring."""
+    return 2.0 * np.pi * np.arange(count) / count
+
+
+def ring_rule(heads, count):
+    """A rule of rings whose nodes are ``ring_points(heads, ring_angles(count))``:
+    the heads (H, m) as complex base rows, phase counts (1, ..., 1, count),
+    weight 1 at every node."""
     heads = np.ascontiguousarray(heads, dtype=float)
-    phases = np.zeros((len(psi), heads.shape[1] // 2))
-    phases[:, -1] = psi
-    return heads.view(complex), phases
+    H, m = heads.shape
+    return QuadratureRule(m, heads.view(complex), (1,) * (m // 2 - 1) + (count,),
+                          np.ones(H * count), 0, 1)
 
 
 def node_rule(nodes, weights, exactness_degree, level):
@@ -74,7 +79,7 @@ def node_rule(nodes, weights, exactness_degree, level):
 
 
 def table_shape(body, rule):
-    """The shape of ``radial_values(body, rule)``: (H, 1) for a body of the
+    """The shape of ``body.factor_radial(rule)``: (H, 1) for a body of the
     moduli only, (H, F) otherwise."""
     H, F = rule.base.shape[0], rule.phases.shape[0]
     return (H, F if body.phase_bandwidth else 1)

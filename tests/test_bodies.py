@@ -14,6 +14,7 @@ from cxsect import (
     EuclideanBall,
     InvalidInputError,
     PerturbedBall,
+    QuadratureRule,
     body_from_dict,
     body_to_dict,
     complex_structure,
@@ -25,7 +26,7 @@ from cxsect import (
 )
 from cxsect.bodies import moduli
 from cxsect.suite import bodies_n2, bodies_n3
-from conftest import node_order, ring_factors, ring_points, table_shape, unit_vectors
+from conftest import node_order, ring_angles, ring_points, ring_rule, table_shape, unit_vectors
 
 
 class TestNorms:
@@ -276,7 +277,7 @@ class TestTorusRadial:
 
     @staticmethod
     def assert_matches_nodes(body, rule):
-        got = body.factor_radial(rule.base, rule.phases)
+        got = body.factor_radial(rule)
         assert got.shape == table_shape(body, rule)
         got, ref = node_order(got, rule), body.radial(rule.nodes)
         assert np.max(np.abs(got / ref - 1.0)) <= 1e-14, (body.label, rule)
@@ -300,29 +301,29 @@ class TestTorusRadial:
 
     @pytest.mark.parametrize("kind", ["ball", "perturbed"])
     def test_non_unit_moduli_rejected(self, kind):
+        # a torus rule of moduli rows off unit length is rejected when built,
+        # so no factored evaluation sees one
         d = ComplexDim(2)
         body = EuclideanBall(d) if kind == "ball" else PerturbedBall(d, 1.0, ((2, 0, 0.06),))
         rule = invariant_sphere_rule(2, 6, 3)
         for scale in (1.0 + 2e-8, 0.5, np.nan):
-            with pytest.raises(InvalidInputError):
-                body.factor_radial(rule.base * scale, rule.phases)
-        with pytest.raises(InvalidInputError):
-            body.factor_radial(invariant_sphere_rule(3, 6).base, rule.phases)
+            with pytest.raises(InvalidInputError, match="unit length"):
+                QuadratureRule(4, rule.base * scale, rule.phase_counts, rule.weights, 1, 1)
+        assert np.all(body.factor_radial(rule) > 0)
 
 
 class TestRingRadial:
-    """``factor_radial`` on ring factors (complex heads, phase rows that turn
-    the last pair) equals ``radial`` at the ring points, row by row."""
+    """``factor_radial`` on a rule of rings (complex heads turned in the last
+    pair by uniform angles) equals ``radial`` at the ring points, row by row."""
 
     def test_every_kind_matches_radial_at_ring_points(self):
         rng = np.random.default_rng(44)
-        psi = np.array([0.0, 0.4, 2.5, -1.0])
         for body in TestRadialPath.matrix():
             heads = unit_vectors(rng, 50, body.dim.N)  # z_n off the real axis
-            got = body.factor_radial(*ring_factors(heads, psi))
-            assert got.shape == (50, 4 if body.phase_bandwidth else 1)
-            ref = body.radial(ring_points(heads, psi)).reshape(50, 4)
-            # measured <= 1 eps: a ring's points differ from its head by rounding
+            got = body.factor_radial(ring_rule(heads, 5))
+            assert got.shape == (50, 5 if body.phase_bandwidth else 1)
+            ref = body.radial(ring_points(heads, ring_angles(5))).reshape(50, 5)
+            # measured <= 2 eps: a ring's points differ from its head by rounding
             assert np.max(np.abs(got / ref - 1.0)) <= 4 * np.finfo(float).eps, body.label
 
     @pytest.mark.parametrize("kind", ["ball", "perturbed"])
@@ -331,10 +332,11 @@ class TestRingRadial:
         body = EuclideanBall(d) if kind == "ball" else PerturbedBall(d, 1.0, ((2, 0, 0.06),))
         heads = unit_vectors(np.random.default_rng(45), 3, 4)
         for scale in (1.0 + 2e-8, 0.5, np.nan):
-            with pytest.raises(InvalidInputError):
-                body.factor_radial(*ring_factors(heads * scale, [0.0, 1.0]))
-        with pytest.raises(InvalidInputError):
-            body.factor_radial(*ring_factors(unit_vectors(np.random.default_rng(45), 3, 6), [0.0]))
+            with pytest.raises(InvalidInputError, match="unit length"):
+                ring_rule(heads * scale, 2)
+        assert np.all(body.factor_radial(ring_rule(heads, 2)) > 0)
+        with pytest.raises(InvalidInputError):  # a rule on another sphere
+            body.factor_radial(ring_rule(unit_vectors(np.random.default_rng(45), 3, 6), 1))
 
 
 class TestComplexStructure:
@@ -497,6 +499,38 @@ class TestJsonSchema:
     def test_n_below_two_rejected(self):
         with pytest.raises(InvalidInputError):
             body_from_dict({"n": 1, "kind": "euclidean", "params": {}})
+
+    @pytest.mark.parametrize("spec", [
+        {"n": 2.5, "kind": "euclidean", "params": {}},
+        {"n": "2", "kind": "euclidean", "params": {}},
+        {"n": True, "kind": "euclidean", "params": {}},
+        {"n": 2, "kind": "perturbed", "params": {"terms": [[2.9, 0, 0.05]]}},
+        {"n": 2, "kind": "perturbed", "params": {"terms": [[2, 0.7, 0.05]]}},
+        {"n": 2, "kind": "perturbed", "params": {"terms": [[2, "0", 0.05]]}},
+        {"n": 2, "kind": "ellipsoid", "params": {"semiaxes": "12"}},
+        {"n": 2, "kind": "ellipsoid", "params": {"semiaxes": 1.0}},
+    ], ids=["n-float", "n-string", "n-bool", "j-float", "ell-float", "ell-string",
+            "semiaxes-string", "semiaxes-number"])
+    def test_non_integral_indices_and_non_list_semiaxes_rejected(self, spec):
+        # rejected, not truncated: 2.5 would read as n = 2, [2.9, 0.7, c] as
+        # (2, 0, c) and "12" as semiaxes (1, 2)
+        with pytest.raises(InvalidInputError):
+            body_from_dict(spec)
+
+    def test_integral_floats_accepted(self):
+        spec = {"n": 2.0, "kind": "perturbed", "params": {"terms": [[2.0, 1.0, 0.05]]}}
+        body = body_from_dict(spec)
+        assert body == body_from_dict({"n": 2, "kind": "perturbed", "params": {"terms": [[2, 1, 0.05]]}})
+        assert type(body.dim.n) is int and all(type(i) is int for t in body.terms for i in t[:2])
+
+    def test_constructors_reject_non_integral_indices(self):
+        # the checks sit in the constructors, so library callers get them too
+        for n in (2.5, "2", True):
+            with pytest.raises(InvalidInputError, match="complex dimension must be an integer"):
+                ComplexDim(n)
+        for term in ((2.9, 0, 0.05), (2, 0.7, 0.05)):
+            with pytest.raises(InvalidInputError, match="must be an integer"):
+                PerturbedBall(ComplexDim(2), 1.0, (term,), certify=False)
 
     @pytest.mark.parametrize("bad", ["inf", "-inf", "nan"])
     @pytest.mark.parametrize("spec", [

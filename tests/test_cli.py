@@ -288,6 +288,15 @@ class TestTheoremCommand:
     def test_missing_second_body_exit3(self, tmp_path, ball_spec):
         assert run(["theorem", "--which", "stability", "-K", ball_spec], tmp_path) == 3
 
+    @pytest.mark.parametrize("which", ["positivity", "parseval", "stability", "separation",
+                                       "corollary1"])
+    def test_missing_first_body_exit3(self, tmp_path, ball_spec, capsys, which):
+        # an input error (exit 3), not a crash that reads as a violation (exit 1)
+        second = ["-L", ball_spec] if which not in ("positivity", "parseval") else []
+        assert run(["theorem", "--which", which] + second, tmp_path) == 3
+        assert capsys.readouterr().err.splitlines() == [f"error: --which {which} requires -K"]
+        assert not (tmp_path / "reports").exists()
+
     def test_supplied_epsilon_flag(self, tmp_path, ball_spec):
         big = write_spec(tmp_path, "big2.json",
                          {"n": 2, "kind": "euclidean", "params": {"radius": 1.1}})

@@ -14,6 +14,7 @@ from cxsect import (
     InvalidInputError,
     NumericalEvaluationError,
     PerturbedBall,
+    QuadratureRule,
     bochner_multiplier,
     ft_norm_power,
     harmonic_expand,
@@ -36,10 +37,11 @@ from cxsect.harmonics import (
     invariant_harmonic_dim,
     multi_indices,
 )
-from cxsect.spherequad import CHUNK_ROWS, factor_points, radial_values
+from cxsect.spherequad import CHUNK_ROWS, factor_points
 from cxsect.suite import bodies_n2, bodies_n3
 
-from conftest import CountingRadial, node_rule, ring_factors, ring_points, trapezoid, unit_vectors
+from conftest import (CountingRadial, node_rule, ring_angles, ring_points, ring_rule, trapezoid,
+                      unit_vectors)
 
 
 def degree_dim(N, j):
@@ -62,9 +64,9 @@ def degree_values(N, j, c, X):
 
 
 def point_moments(blk, X, w):
-    """``blk.moments`` at the points X (M, N) with weights w: the factors of a
-    rule given by its nodes (the points as complex rows, one zero phase row)."""
-    return blk.moments(X[:, 0::2] + 1j * X[:, 1::2], np.zeros((1, X.shape[1] // 2)), w)
+    """``blk.moments`` at the points X (M, N) with weights w: on the rule given
+    by its nodes (the points as complex rows, one zero phase row)."""
+    return blk.moments(node_rule(X, np.ones(X.shape[0]), 0, 1), np.reshape(w, (-1, 1)))
 
 
 def node_sum_moments(blk, X, w):
@@ -796,52 +798,54 @@ class TestLiftedEvaluate:
     def test_torus_values_match_evaluate(self, N, jmax, level, nphase):
         exp = self.random_expansion(N, jmax, 37)
         rule = invariant_sphere_rule(N // 2, level, nphase)
-        got = exp.factor_values(rule.base, rule.phases)
+        got = exp.factor_values(rule)
         assert got.shape == (rule.base.shape[0], rule.phases.shape[0])
         self.assert_close(got.ravel(), exp.evaluate(rule.nodes))
 
     def test_torus_values_reject_bad_rows(self):
-        exp = self.random_expansion(6, 4, 38)
+        # factors the lift cannot take are rejected when the rule is built
         rule = invariant_sphere_rule(3, 4, 3)
-        for U, Phi in ((rule.base * (1.0 + 2e-8), rule.phases),
-                       (rule.base, rule.phases * np.nan),
-                       (rule.base[:, :2], rule.phases)):
-            with pytest.raises(InvalidInputError):
-                exp.factor_values(U, Phi)
+        nan = rule.base.copy()
+        nan[2, 1] = np.nan
+        for U, match in ((rule.base * (1.0 + 2e-8), "unit length"), (nan, "finite"),
+                         (rule.base[:, :2], "coordinate pairs")):
+            with pytest.raises(InvalidInputError, match=match):
+                QuadratureRule(6, U, rule.phase_counts, rule.weights, 1, 1)
 
-    # (N, jmax, heads) -> tolerance, on ring factors (complex heads, phase
-    # rows that turn the last pair).  At N = 4, jmax 24 the lifted matrix has
-    # entries near 1e6 that cancel: the factored values round apart from
-    # ``evaluate`` by 5.3e-14 there (8.0e-14 from the per-degree reference,
-    # against ``evaluate``'s 5.9e-14); elsewhere by <= 1.9e-15 (1 BLAS thread).
+    # (N, jmax, heads) -> tolerance, on a rule of rings (complex heads turned
+    # in the last pair by five uniform angles).  At N = 4, jmax 24 the lifted
+    # matrix has entries near 1e6 that cancel: the factored values round apart
+    # from ``evaluate`` by 5.9e-14 there (8.7e-14 from the per-degree
+    # reference, against ``evaluate``'s 7.2e-14); elsewhere by <= 4.6e-15
+    # (1 BLAS thread).
     RING_CASES = {(4, 24, 40): 1.5e-13, (4, 16, 40): 1e-13, (6, 12, 30): 1e-13, (8, 6, 20): 1e-13,
                   (6, 4, CHUNK_ROWS + 9): 1e-13}  # the last: two chunks
 
     @pytest.mark.parametrize("N,jmax,heads", sorted(RING_CASES))
     def test_ring_values_match_evaluate(self, N, jmax, heads):
-        # heads with z_n off the real axis, non-uniform angles, a negative one
+        # heads with z_n off the real axis, five angles
         exp = self.random_expansion(N, jmax, 39)
-        rng = np.random.default_rng(40)
-        X, psi = unit_vectors(rng, heads, N), np.array([0.0, 0.3, 2.0, -1.1, 4.5])
-        got = exp.factor_values(*ring_factors(X, psi))
-        assert got.shape == (heads, psi.size)
-        self.assert_close(got.ravel(), exp.evaluate(ring_points(X, psi)),
+        X = unit_vectors(np.random.default_rng(40), heads, N)
+        got = exp.factor_values(ring_rule(X, 5))
+        assert got.shape == (heads, 5)
+        self.assert_close(got.ravel(), exp.evaluate(ring_points(X, ring_angles(5))),
                           self.RING_CASES[N, jmax, heads])
 
     def test_ring_values_of_an_empty_perturbation(self):
         X = unit_vectors(np.random.default_rng(41), 4, 6)
-        got = HarmonicExpansion(6, 0, {}, 0.0, 0.0).factor_values(*ring_factors(X, [0.0, 1.0]))
+        got = HarmonicExpansion(6, 0, {}, 0.0, 0.0).factor_values(ring_rule(X, 2))
         assert np.array_equal(got, np.zeros((4, 2)))
 
     def test_ring_values_reject_bad_input(self):
-        exp = self.random_expansion(6, 4, 42)
-        W, Phi = ring_factors(unit_vectors(np.random.default_rng(43), 5, 6), [0.0, 1.0])
-        nan = Phi.copy()
+        # heads the lift cannot take are rejected when the rule is built
+        X = unit_vectors(np.random.default_rng(43), 5, 6)
+        nan = X.copy()
         nan[1, -1] = np.nan
-        for base, phases in ((W * (1.0 + 2e-8), Phi), (W, nan), (W[:, :2], Phi[:, :2]),
-                             (W[:, :2], Phi), (W, Phi[:, :2]), (W, Phi[None])):
-            with pytest.raises(InvalidInputError):
-                exp.factor_values(base, phases)
+        for heads, match in ((X * (1.0 + 2e-8), "unit length"), (nan, "finite")):
+            with pytest.raises(InvalidInputError, match=match):
+                ring_rule(heads, 2)
+        with pytest.raises(InvalidInputError, match="coordinate pairs"):
+            QuadratureRule(6, np.ascontiguousarray(X[:, :4]).view(complex), (1, 2), np.ones(10), 0, 1)
 
     def test_all_zero_tail_is_zero(self, ball2):
         ft = ft_norm_power(ball2, 2.0, jmax=8)
@@ -929,28 +933,23 @@ class TestMomentRecursion:
         degrees = []
         moments = _Block.moments
 
-        def counted(self, base, phases, wf, counts=None):
-            degrees.append((2 * self.k, counts))
-            return moments(self, base, phases, wf, counts)
+        def counted(self, rule, wf):
+            degrees.append((2 * self.k, rule, wf.shape))
+            return moments(self, rule, wf)
 
         monkeypatch.setattr(_Block, "moments", counted)
         ft_norm_power(ball3, 4, jmax=12)
-        assert degrees == [(12, expansion_rule(6, 12).phase_counts)]
+        rule = expansion_rule(6, 12)  # a table of width 1: the exact phase sums
+        assert degrees == [(12, rule, (rule.base.shape[0], 1))]
 
 
-def factors(rule):
-    return rule.base, rule.phases
-
-
-def general_layout(n, rows, nphase, seed):
-    """Factors no rule builder makes: complex unit base rows with no pair on
-    the real axis, and non-uniform phase rows that turn the first and the
-    last pair and leave the others fixed."""
-    rng = np.random.default_rng(seed)
-    base = np.ascontiguousarray(unit_vectors(rng, rows, 2 * n)).view(complex)
-    phases = np.zeros((nphase, n))
-    phases[:, 0], phases[:, -1] = rng.uniform(-4.0, 7.0, size=(2, nphase))
-    return base, phases
+def general_layout(n, rows, counts, seed):
+    """A rule no builder makes: complex unit base rows with no pair on the
+    real axis, and phase counts that turn the first and the last pair and
+    leave the others fixed."""
+    base = unit_vectors(np.random.default_rng(seed), rows, 2 * n).view(complex)
+    counts = (counts[0],) + (1,) * (n - 2) + (counts[1],)
+    return QuadratureRule(2 * n, base, counts, np.ones(rows * math.prod(counts)), 0, 1)
 
 
 class TestRingMoments:
@@ -958,24 +957,24 @@ class TestRingMoments:
     points of the factors (``factor_points``), with random real weights so no
     symmetry of the integrand helps."""
 
-    # layout -> (factors, k); measured <= 5.3e-15 of the largest entry (1 BLAS thread)
-    RULES = {"product N=6 L=14": (lambda: factors(sphere_rule(6, 14)), 6),
-             "product N=4 L=26": (lambda: factors(sphere_rule(4, 26)), 12),
-             "invariant n=3 L=14 nphase=8": (lambda: factors(invariant_sphere_rule(3, 14, 8)), 6),
-             "nodes N=6 L=6": (lambda: factors(node_rule(sphere_rule(6, 6).nodes.copy(),
-                                                         sphere_rule(6, 6).weights.copy(), 11, 6)), 5),
+    # layout -> (rule, k); measured <= 5.3e-15 of the largest entry (1 BLAS thread)
+    RULES = {"product N=6 L=14": (lambda: sphere_rule(6, 14), 6),
+             "product N=4 L=26": (lambda: sphere_rule(4, 26), 12),
+             "invariant n=3 L=14 nphase=8": (lambda: invariant_sphere_rule(3, 14, 8), 6),
+             "nodes N=6 L=6": (lambda: node_rule(sphere_rule(6, 6).nodes.copy(),
+                                                 sphere_rule(6, 6).weights.copy(), 11, 6), 5),
              # the base spans two chunks; two of its three pairs turn
-             "general n=3 rows=chunk+9": (lambda: general_layout(3, CHUNK_ROWS + 9, 4, 8), 4)}
+             "general n=3 rows=chunk+9": (lambda: general_layout(3, CHUNK_ROWS + 9, (3, 4), 8), 4)}
 
     @pytest.mark.parametrize("name", sorted(RULES))
     def test_ring_sum_matches_node_sum(self, name):
         make, k = self.RULES[name]
-        base, phases = make()
-        X = factor_points(base, phases)
-        wf = np.random.default_rng(7).normal(size=X.shape[0])
-        blk = _block(base.shape[1], k)
-        per_node = node_sum_moments(blk, X, wf)
-        got = blk.moments(base, phases, wf)
+        rule = make()
+        X = factor_points(rule.base, rule.phases)  # the nodes, not kept on a cached rule
+        wf = np.random.default_rng(7).normal(size=(rule.base.shape[0], rule.phases.shape[0]))
+        blk = _block(rule.base.shape[1], k)
+        per_node = node_sum_moments(blk, X, wf.ravel())
+        got = blk.moments(rule, wf)
         assert np.abs(got - per_node).max() <= 1e-13 * np.abs(per_node).max()
 
     @pytest.mark.parametrize("n,k", [(2, 12), (3, 6), (4, 3)])
@@ -986,33 +985,29 @@ class TestRingMoments:
         Z = X[:, 0::2] + 1j * X[:, 1::2]
         expect = sum(Za @ (w[lo:hi, None] * Za.T.conj())
                      for lo, hi, Za in _block(n, k)._monomial_chunks(Z))
-        got = _block(n, k).moments(Z, np.zeros((1, n)), w)
+        got = point_moments(_block(n, k), X, w)
         assert np.abs(got - expect).max() <= 1e-13 * np.abs(expect).max()
 
-    def test_non_uniform_ring_angles(self):
-        # two rings given by their heads, z_n off the real axis, and angles
-        # that are not uniform: the factored sum against the per-node sum
+    def test_two_rings_off_the_real_axis(self):
+        # two rings given by their heads, z_n off the real axis, three angles
+        # each: the factored sum against the per-node sum
         rng = np.random.default_rng(5)
-        heads, psi = unit_vectors(rng, 2, 4), np.array([0.0, 0.3, 2.0])
-        w = rng.normal(size=6)
+        heads, w = unit_vectors(rng, 2, 4), rng.normal(size=(2, 3))
         blk = _block(2, 3)
-        per_node = node_sum_moments(blk, ring_points(heads, psi), w)
-        got = blk.moments(*ring_factors(heads, psi), w)
+        per_node = node_sum_moments(blk, ring_points(heads, ring_angles(3)), w.ravel())
+        got = blk.moments(ring_rule(heads, 3), w)
         assert np.abs(got - per_node).max() <= 1e-13 * np.abs(per_node).max()
 
 
-def planned_in_the_call(blk, base, phases, wf, counts=None):
+def planned_in_the_call(blk, rule, wf):
     """``blk.moments`` with its plan built in the call, as it was before the
     block kept its plans: the reference for bit identity.  The rows are
     grouped by their exponents on the turning columns, each group's row
     block is formed against the column groups from it on (the Hermitian
-    half; with ``counts`` only those whose phase sum is not 0), and the rest
-    is the conjugate transpose."""
-    if counts is None:
-        Phi = np.asarray(phases, dtype=float)
-        live = Phi.any(axis=0)
-    else:
-        live = np.array(counts) > 1
+    half; for a table of width 1 only those whose phase sum is not 0), and
+    the rest is the conjugate transpose."""
+    Phi, counts = rule.phases, rule.phase_counts
+    live = Phi.any(axis=0)
     turn = blk._ea[:, live]
     group = np.unique(turn, axis=0, return_inverse=True)[1].ravel()
     order = np.argsort(group, kind="stable")
@@ -1020,22 +1015,20 @@ def planned_in_the_call(blk, base, phases, wf, counts=None):
     freq, col = np.unique((turn[:, None] - turn[None, :]).reshape(blk.P ** 2, turn.shape[1]),
                           axis=0, return_inverse=True)
     col = col.reshape(blk.P, blk.P)
-    if counts is None:
+    if wf.shape[1] > 1:
         keep = np.ones(len(freq), dtype=bool)
         E = np.exp(1j * (Phi[:, live] @ freq.T))
-        W = np.reshape(wf, (-1, Phi.shape[0]))
     else:
         keep = np.all(freq % np.array(counts)[live] == 0, axis=1)
         E = keep[None, :].astype(float)
-        W = np.reshape(wf, (-1, 1))
     bounds = np.searchsorted(group, np.arange(group[-1] + 2))
     blocks = []
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         cols = lo + np.flatnonzero(keep[col[lo, lo:]])
         blocks.append((slice(lo, hi), cols, col[lo, cols]))
     mu = np.zeros((blk.P, blk.P), dtype=complex)
-    for lo, hi, Wa in blk._monomial_chunks(base, blk._ea[order]):
-        GT = (W[lo:hi] @ E).T
+    for lo, hi, Wa in blk._monomial_chunks(rule.base, blk._ea[order]):
+        GT = (wf[lo:hi] @ E).T
         Wb = Wa.conj()
         for rows, cols, fcol in blocks:
             mu[rows, cols] += Wa[rows] @ (GT[fcol] * Wb[cols]).T
@@ -1064,24 +1057,25 @@ class TestMomentPlan:
         for make in makers:
             rule = make()
             rng = np.random.default_rng(n)
-            per_node = rng.normal(size=rule.node_count) * rule.weights
-            per_row = rng.normal(size=rule.base.shape[0]) * rule.base_weights
-            for wf, counts in ((per_node, None), (per_row, rule.phase_counts)):
-                ref = planned_in_the_call(blk, rule.base, rule.phases, wf, counts)
+            H, F = rule.base.shape[0], rule.phases.shape[0]
+            per_node = (rng.normal(size=rule.node_count) * rule.weights).reshape(H, F)
+            per_row = (rng.normal(size=H) * rule.base_weights)[:, None]
+            for wf in (per_node, per_row):
+                ref = planned_in_the_call(blk, rule, wf)
                 for _ in range(2):  # the first call may build the plan, the second reuses it
-                    assert np.array_equal(blk.moments(rule.base, rule.phases, wf, counts), ref)
+                    assert np.array_equal(blk.moments(rule, wf), ref)
         for make in makers:
             rule = make()
             live = rule.phases.any(axis=0)
-            assert blk._plan(live) is blk._plan(live)
+            assert blk._plan(live, None) is blk._plan(live, None)
             assert blk._plan(live, rule.phase_counts) is blk._plan(live, rule.phase_counts)
-            assert blk._plan(live) is not blk._plan(live, rule.phase_counts)
+            assert blk._plan(live, None) is not blk._plan(live, rule.phase_counts)
 
     def test_plans_keyed_by_the_turning_columns(self):
         blk = _block(3, 2)
         last, middle = np.array([False, False, True]), np.array([False, True, False])
-        assert blk._plan(last) is not blk._plan(middle)
-        plan = blk._plan(last)
+        assert blk._plan(last, None) is not blk._plan(middle, None)
+        plan = blk._plan(last, None)
         assert not any(arr.flags.writeable for arr in (plan.ea, plan.undo, plan.freq))
         assert not any(fcol.flags.writeable for _, _, fcol in plan.blocks)
 
@@ -1128,9 +1122,9 @@ class TestBaseRowMoments:
         rule = make()
         blk = _block(rule.base.shape[1], k)
         f = np.random.default_rng(k).normal(size=rule.base.shape[0])
-        per_row = blk.moments(rule.base, rule.phases, rule.base_weights * f, rule.phase_counts)
+        per_row = blk.moments(rule, (rule.base_weights * f)[:, None])
         F = rule.phases.shape[0]
-        per_node = blk.moments(rule.base, rule.phases, rule.weights * np.repeat(f, F))
+        per_node = blk.moments(rule, (rule.weights * np.repeat(f, F)).reshape(-1, F))
         return rule, blk, per_row, per_node
 
     @pytest.mark.parametrize("name", sorted(RULES))
@@ -1166,7 +1160,7 @@ class TestBaseRowMoments:
             idx = np.arange(blk.P)
             return sum(idx[rows].size * idx[cols].size for rows, cols, _ in plan.blocks)
 
-        assert formed(blk._plan(live)) == 462
+        assert formed(blk._plan(live, None)) == 462
         assert formed(blk._plan(live, rule.phase_counts)) == 140
 
     @pytest.mark.parametrize("n,k,complex_base", [(3, 6, True), (3, 6, False), (2, 12, True),
@@ -1390,7 +1384,7 @@ class TestFtNormPower:
         self.forbid_point_arrays(monkeypatch)
         for body in (ComplexLqBall(ComplexDim(3), 3.0),
                      PerturbedBall(ComplexDim(3), 1.0, ((2, 0, 0.04),))):
-            exp = harmonic_expand(radial_values(body, rule) ** 2, 12, rule)
+            exp = harmonic_expand(body.factor_radial(rule) ** 2, 12, rule)
             assert exp.degrees() == list(range(0, 13, 2))
         assert not rule.nodes_built
 

@@ -20,11 +20,11 @@ from cxsect import (
     sphere_rule,
 )
 from cxsect import spherequad
-from cxsect.spherequad import factor_points, radial_values
+from cxsect.spherequad import factor_points
 from cxsect.config import default_config, philox
 from cxsect.harmonics import complex_sphere_moment, multi_indices
 from cxsect.suite import bodies_n2, bodies_n3
-from conftest import CountingRadial, node_order, node_rule, ring_factors, ring_points, table_shape
+from conftest import CountingRadial, node_order, node_rule, ring_points, table_shape
 
 
 def sphere_monomial_moment(m, alpha):
@@ -252,6 +252,30 @@ class TestFactoredRule:
         with pytest.raises(InvalidInputError, match="equal weights"):
             QuadratureRule(4, torus.base, (1, 3), uneven, 1, 1)
 
+    def test_base_rows_of_unit_length(self):
+        # checked once here: the moment recursion and the lift of the
+        # factored kernels hold only where |z| = 1
+        torus, product = invariant_sphere_rule(2, 4, 3), sphere_rule(4, 3)
+        for rule in (torus, product):
+            for scale in (1.0 + 2e-8, 1.0 - 2e-8, 1.1):
+                with pytest.raises(InvalidInputError, match="unit length"):
+                    QuadratureRule(4, rule.base * scale, rule.phase_counts, rule.weights, 1, 1)
+            for bad in (np.nan, np.inf):
+                base = rule.base.copy()
+                base[1, 0] = bad
+                with pytest.raises(InvalidInputError, match="finite"):
+                    QuadratureRule(4, base, rule.phase_counts, rule.weights, 1, 1)
+            # within 1e-8 of unit length the rows are accepted
+            near = QuadratureRule(4, rule.base * (1.0 + 5e-9), rule.phase_counts, rule.weights, 1, 1)
+            assert near.base.shape == rule.base.shape
+
+    def test_weights_taken_as_a_list(self):
+        torus = invariant_sphere_rule(2, 4, 3)
+        rule = QuadratureRule(4, torus.base, torus.phase_counts, torus.weights.tolist(), 7, 4)
+        assert np.array_equal(rule.weights, torus.weights) and not rule.weights.flags.writeable
+        assert integrate_sphere(np.ones(rule.node_count), rule) == integrate_sphere(
+            np.ones(torus.node_count), torus)
+
     @pytest.mark.parametrize("m,level", [(2, 5), (4, 6), (6, 3)])
     def test_phase_rows_from_the_counts(self, m, level):
         # the builders' phase rows are the grid of their counts, and the base
@@ -279,7 +303,7 @@ class TestFactoredRule:
         for body in (ell12, pert2):
             for form, (make, tol) in forms.items():
                 rule = make()
-                got = radial_values(body, rule)
+                got = body.factor_radial(rule)
                 assert got.shape == table_shape(body, rule)
                 assert not rule.nodes_built
                 got = node_order(got, rule)
@@ -296,7 +320,7 @@ class TestFactoredRule:
         assert np.all(heads[:, -1] == 0.0) and np.all(heads[:, -2] >= 0.0)
         # the phase rows (0, ..., 0, psi) for the 2*level azimuths
         assert np.array_equal(psi, 2.0 * math.pi * np.arange(2 * level) / (2 * level))
-        assert np.array_equal(rule.phases, ring_factors(heads, psi)[1])
+        assert not rule.phases[:, :-1].any()
         assert not rule.nodes_built
         assert np.array_equal(rule.nodes, ring_points(heads, psi))
         for arr in (rule.nodes, rule.weights, rule.base, rule.phases):
@@ -341,7 +365,7 @@ class TestRingHeadRadial:
         for body in moduli_only_bodies(n):
             per_node = body.radial(rule.nodes)
             counter = CountingRadial(monkeypatch)
-            got = radial_values(body, rule)
+            got = body.factor_radial(rule)
             monkeypatch.undo()
             assert counter.rows == [rule.node_count // rule.phases.shape[0]]
             assert got.shape == (rule.base.shape[0], 1)
@@ -354,7 +378,7 @@ class TestRingHeadRadial:
     def test_perturbed_body_evaluated_ring_by_ring(self, body, level, monkeypatch):
         rule = sphere_rule.__wrapped__(body.dim.N, level)  # a fresh, unbuilt rule
         counter = CountingRadial(monkeypatch)
-        got = radial_values(body, rule)
+        got = body.factor_radial(rule)
         monkeypatch.undo()
         assert counter.rows == [] and not rule.nodes_built
         assert got.shape == table_shape(body, rule)
@@ -367,7 +391,7 @@ class TestRingHeadRadial:
         assert rule.base.shape == (rule.node_count, 2) and not rule.phases.any()
         body = ComplexLqBall(ComplexDim(2), 3.0)
         counter = CountingRadial(monkeypatch)
-        got = radial_values(body, rule)
+        got = body.factor_radial(rule)
         assert counter.rows == [rule.node_count]
         assert np.array_equal(got.ravel(), body.radial(rule.nodes))
 
@@ -376,7 +400,7 @@ SUITE_BODIES = [(n, name) for n, bodies in ((2, bodies_n2), (3, bodies_n3)) for 
 
 
 class TestBothRuleFamilies:
-    """``radial_values`` through the factors of a product rule (complex base)
+    """``factor_radial`` through the factors of a product rule (complex base)
     and of a torus rule with several phases (real base), on every suite body."""
 
     # family -> (rule at n, tolerance against the per-node values); the
@@ -392,7 +416,7 @@ class TestBothRuleFamilies:
         rule = make(n)  # fresh and unbuilt
         assert rule.phases.shape[0] > 1
         counter = CountingRadial(monkeypatch)
-        got = radial_values(body, rule)
+        got = body.factor_radial(rule)
         monkeypatch.undo()
         assert not rule.nodes_built
         # a moduli-only body: one radial call, once per base row
