@@ -10,17 +10,24 @@ homogeneity and midpoint convexity) by randomized sampling.
 Bodies are immutable and hashable; all evaluations are pure and vectorized
 over a trailing axis of length 2n.
 
-``radial`` checks its input once (finite, trailing axis 2n, unit length) and
-hands it to the kind's ``_radial_impl``.  For the ball, lq and ellipsoid
-kinds that is 1/norm, as before.  A PerturbedBall is defined by its radial
-function, so its ``radial`` evaluates that profile directly and only its norm
-inverts it.
+Inputs are checked at the public entries and the kernels trust their
+callers.  ``radial`` checks its input once (finite, trailing axis 2n, unit
+length) and hands it to the kind's ``_radial_impl``; ``norm`` checks it
+(finite, trailing axis 2n) and hands it to ``_norm_impl``.  For the ball, lq
+and ellipsoid kinds the radial function is 1/norm.  A PerturbedBall is
+defined by its radial function, so its ``radial`` evaluates that profile
+directly and only its norm inverts it; both kernels evaluate the
+perturbation on rows they made unit themselves, through the unchecked path
+of ``HarmonicExpansion``.  Callers inside the package whose points are
+finite and unit by construction (section chunks, direction grids, Monte
+Carlo draws, certification samples) call the kernels directly.
 
 ``factor_radial(rule)`` gives the radial function at a ``QuadratureRule``'s
 nodes as a table on its factors, without forming the nodes: (H, 1) through
-``radial`` once per base row for the kinds of the moduli only, (H, F)
-through ``HarmonicExpansion.factor_values`` for a PerturbedBall, which takes
-the rule's unit base rows as checked.
+``_radial_impl`` once per base row for the kinds of the moduli only, (H, F)
+through ``HarmonicExpansion.factor_values`` for a PerturbedBall.  Both take
+the rule's unit base rows as checked and compare only its sphere with the
+body's.
 """
 from __future__ import annotations
 
@@ -48,6 +55,15 @@ def _integer(value, what):
     if isinstance(value, float) and value.is_integer():
         return int(value)
     raise InvalidInputError(f"{what} must be an integer, got {value!r}")
+
+
+def _real(value, what):
+    """A real parameter of a body spec: a real number, but not a bool
+    (``true`` is not a radius) and not a string (``"1.5"`` is not a scale).
+    Finiteness and sign are left to the constructors."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        return float(value)
+    raise InvalidInputError(f"{what} must be finite and numeric, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -97,6 +113,11 @@ def _positive(value, name):
     """Reject parameters that are not finite and positive (inf, nan, <= 0)."""
     if not (math.isfinite(value) and value > 0):
         raise InvalidInputError(f"{name} must be finite and positive, got {value!r}")
+
+
+def _check_rule_sphere(rule, N):
+    if rule.m != N:
+        raise InvalidInputError(f"expected a rule on S^{N - 1}, got S^{rule.m - 1}")
 
 
 def moduli(x):
@@ -164,14 +185,17 @@ class ConvexBody:
         (``QuadratureRule.table``), no node array formed.
 
         A body with ``phase_bandwidth`` 0 depends on the moduli only, so this
-        is ``radial`` once per base row, at the base viewed as real points,
-        shape (H, 1).  Kinds whose radial function depends on the phases
-        override it and return (H, F).
+        is ``_radial_impl`` once per base row, at the base viewed as real
+        points, shape (H, 1): the rule has checked that its base rows are of
+        unit length, so only its sphere is compared here.  Kinds whose radial
+        function depends on the phases override it and return (H, F).
         """
         if self.phase_bandwidth:
             raise NotImplementedError(f"{type(self).__name__} has no factored evaluation")
+        _check_rule_sphere(rule, self.dim.N)
         W = rule.base
-        return self.radial(np.stack([W.real, W.imag], axis=-1).reshape(W.shape[0], -1))[:, None]
+        return self._radial_impl(
+            np.stack([W.real, W.imag], axis=-1).reshape(W.shape[0], -1))[:, None]
 
     def _points(self, x, what):
         """x as a float array of finite vectors in R^{2n}; InvalidInputError otherwise."""
@@ -370,19 +394,26 @@ class PerturbedBall(ConvexBody):
         return max((j // 2 for j, _, _ in self.terms), default=0)
 
     def radial_profile(self, theta):
-        """The defining radial function on unit vectors (no norm inversion)."""
-        theta = np.atleast_2d(np.asarray(theta, dtype=float))
-        return self.radius * (1.0 + self.perturbation.evaluate(theta))
+        """The defining radial function on unit vectors (no norm inversion);
+        a scalar for one vector.  Rows of another width than 2n, or more than
+        1e-8 off unit length, raise ``InvalidInputError``."""
+        theta = np.asarray(theta, dtype=float)
+        rho = self.radius * (1.0 + self.perturbation.evaluate(np.atleast_2d(theta)))
+        return rho.reshape(theta.shape[:-1])[()]  # [()]: a scalar for one vector
+
+    def _profile(self, rows):
+        """The radial profile at the rows of a 2-D array of unit vectors in
+        R^{2n}, taken as checked."""
+        return self.radius * (1.0 + self.perturbation._unit_row_values(rows))
 
     def _radial_impl(self, theta):
-        rho = self.radial_profile(theta.reshape(-1, self.dim.N))
+        rho = self._profile(theta.reshape(-1, self.dim.N))
         return rho.reshape(theta.shape[:-1])[()]  # [()]: a scalar for one vector
 
     def factor_radial(self, rule):
         """The radial profile at the nodes of a ``QuadratureRule`` on
         S^{2n-1}, shape (H, F), through ``HarmonicExpansion.factor_values``."""
-        if rule.m != self.dim.N:
-            raise InvalidInputError(f"expected a rule on S^{self.dim.N - 1}, got S^{rule.m - 1}")
+        _check_rule_sphere(rule, self.dim.N)
         return self.radius * (1.0 + self.perturbation.factor_values(rule))
 
     def _norm_impl(self, x):
@@ -390,19 +421,20 @@ class PerturbedBall(ConvexBody):
         lengths = np.sqrt(_row_sum(flat * flat))
         nz = lengths > 0
         if np.all(nz):  # no zero row: no copies through the mask
-            out = lengths / self.radial_profile(flat / lengths[:, None])
+            out = lengths / self._profile(flat / lengths[:, None])
         else:
             out = np.zeros(flat.shape[0])
             if np.any(nz):
-                out[nz] = lengths[nz] / self.radial_profile(flat[nz] / lengths[nz, None])
+                out[nz] = lengths[nz] / self._profile(flat[nz] / lengths[nz, None])
         return out.reshape(x.shape[:-1])[()]  # [()]: a scalar for one vector
 
     def _certify(self):
+        # finite samples of the right width: the kernels take them unchecked
         rng = philox(_CERTIFY_SEED)
         N = self.dim.N
         probe = rng.normal(size=(4096, N))
         probe /= np.linalg.norm(probe, axis=-1, keepdims=True)
-        rho = self.radial_profile(probe)
+        rho = self._profile(probe)
         if np.min(rho) <= 0:
             raise ConvexityError(
                 f"{self.label}: radial function nonpositive (min {np.min(rho):.3g}); "
@@ -410,7 +442,7 @@ class PerturbedBall(ConvexBody):
             )
         x = rng.normal(size=(_CERTIFY_PAIRS, N))
         y = rng.normal(size=(_CERTIFY_PAIRS, N))
-        viol = self.norm(0.5 * (x + y)) - 0.5 * (self.norm(x) + self.norm(y))
+        viol = self._norm_impl(0.5 * (x + y)) - 0.5 * (self._norm_impl(x) + self._norm_impl(y))
         worst = float(np.max(viol))
         if worst > _MIDPOINT_TOL:
             raise ConvexityError(
@@ -532,20 +564,22 @@ def body_from_dict(spec, certify=True) -> ConvexBody:
     dim = ComplexDim(n)
     try:
         if kind == "euclidean":
-            return EuclideanBall(dim, float(params.get("radius", 1.0)))
+            return EuclideanBall(dim, _real(params.get("radius", 1.0), "radius"))
         if kind == "lq":
             qraw = params["q"]
-            q = math.inf if qraw in ("inf", "infinity") else float(qraw)
-            return ComplexLqBall(dim, q, float(params.get("scale", 1.0)))
+            q = math.inf if qraw in ("inf", "infinity") else _real(qraw, "exponent q")
+            return ComplexLqBall(dim, q, _real(params.get("scale", 1.0), "scale"))
         if kind == "ellipsoid":
             if not isinstance(params["semiaxes"], (list, tuple)):
                 raise InvalidInputError(f"semiaxes must be a list, got {params['semiaxes']!r}")
-            axes = tuple(float(a) for a in params["semiaxes"])
+            axes = tuple(_real(a, "semiaxis") for a in params["semiaxes"])
             if len(axes) != dim.n:
                 raise InvalidInputError("semiaxes count must equal n")
             return ComplexEllipsoid(axes)
-        terms = tuple(params.get("terms", ()))
-        return PerturbedBall(dim, float(params.get("radius", 1.0)), terms, certify=certify)
+        terms = tuple((j, ell, _real(c, "perturbation coefficient"))
+                      for j, ell, c in params.get("terms", ()))
+        return PerturbedBall(dim, _real(params.get("radius", 1.0), "radius"), terms,
+                             certify=certify)
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, InvalidInputError):
             raise

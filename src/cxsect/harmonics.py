@@ -73,7 +73,9 @@ exactly to the block above: H_{k+1}[a + e_m, b + e_m] += H_k[a, b].  An
 expansion is therefore one Hermitian matrix at its top degree, built once
 per instance, and evaluating it is one monomial table per chunk of points and
 one product.  The lift holds on unit vectors only, so
-``HarmonicExpansion.evaluate`` rejects rows more than 1e-8 off unit length.
+``HarmonicExpansion.evaluate`` rejects rows more than 1e-8 off unit length;
+a PerturbedBall's kernels, whose rows are unit by construction, take the
+unchecked path behind that check.
 At the nodes z_k = w_k e^{i phi_k} of a rule (base rows w, real moduli or
 complex, and phase rows phi) the same matrix gives
 sum_ab H[a, b] w^a conj(w)^b e^{i (a - b) . phi}, so
@@ -559,15 +561,22 @@ class HarmonicExpansion:
         return self._values(X, self.degrees()[-2:])
 
     def _values(self, X, degrees):
-        pts = _unit_rows(X, self.N)
-        H, blk = self._lift(tuple(degrees))
+        out = self._unit_row_values(_unit_rows(X, self.N), degrees)
+        return out if np.ndim(X) == 2 else float(out[0])
+
+    def _unit_row_values(self, pts, degrees=None):
+        """Values of the given degrees (default all) at the rows of a 2-D
+        float array of unit vectors in R^N, taken as checked: the path of
+        ``evaluate`` after its check, and of callers whose points are unit by
+        construction."""
+        H, blk = self._lift(tuple(self.degrees() if degrees is None else degrees))
         out = np.empty(pts.shape[0])
         for lo, hi, Za in blk._monomial_chunks(np.ascontiguousarray(pts).view(complex)):
             Za = Za.T
             ZH = Za @ H  # value = Re sum_b ZH_b conj(Za_b)
             out[lo:hi] = (np.einsum("ij,ij->i", ZH.real, Za.real)
                           + np.einsum("ij,ij->i", ZH.imag, Za.imag))
-        return out if np.ndim(X) == 2 else float(out[0])
+        return out
 
     def factor_values(self, rule):
         """Values at the nodes of a ``QuadratureRule``, shape (H, F): node

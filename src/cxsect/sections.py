@@ -97,15 +97,29 @@ def _section_rule(n, config, bump=0, scan=False):
 
 def section_volume_direct(body, dirs, config: RunConfig | None = None):
     """Section volumes and error estimates, (values, errors) of shape (P,),
-    at a batch of directions by the kernel ``section_values``.
+    at a batch of directions by the kernel of ``section_values``.
 
     The error estimate is the difference against the rule two levels up,
     whose values are the ones reported.
     """
-    cfg = config or _DEFAULT_CONFIG
-    coarse = section_values(body, dirs, config=cfg)
-    values = section_values(body, dirs, rule=_section_rule(body.dim.n, cfg, bump=2))
+    return _direct_on_bases(body, _body_bases(body, dirs), config or _DEFAULT_CONFIG)
+
+
+def _direct_on_bases(body, bases, cfg):
+    """``section_volume_direct`` on stacked hyperplane bases of the body's
+    dimension, taken as checked."""
+    n = body.dim.n
+    coarse = _section_sums(body, bases, _section_rule(n, cfg))
+    values = _section_sums(body, bases, _section_rule(n, cfg, bump=2))
     return values, np.abs(values - coarse)
+
+
+def _body_bases(body, dirs):
+    """``hyperplane_basis(dirs)``, checked against the body's dimension."""
+    bases = hyperplane_basis(dirs)
+    if bases.shape[2] != body.dim.N:
+        raise InvalidInputError("direction dimension does not match the body")
+    return bases
 
 
 def section_volume_fourier(body, dirs, ft: HarmonicExpansion):
@@ -139,15 +153,19 @@ def section_values(body, dirs, rule: QuadratureRule | None = None,
     8), cheap enough for extremum scans over large grids (final values at the
     extremizer should be re-evaluated at the full level).  Any rule on
     S^{2n-3} may be passed instead, e.g. the generic product rule as a
-    reference.  Directions are taken max(1, ``CHUNK_ROWS`` // M) at a time,
-    so one ``body.radial`` call holds at most max(M, ``CHUNK_ROWS``) points;
-    a chunk's points theta B come from one batched matrix product, rule
-    nodes (M, 2n-2) times the stacked bases.  Each direction's integral is
-    summed within its own row, so for a body of the moduli only its value
-    depends on the body, the direction and the rule only, not on the batch
-    or the chunk it came in.  A perturbed ball's radial values on one point
-    round apart from a batch's (``HarmonicExpansion.evaluate``), which
-    shows at n = 2, where the rule has one node.
+    reference.
+
+    The rule and the directions are checked here; the kernel
+    ``_section_sums`` takes the stacked bases as checked.  Directions are
+    taken max(1, ``CHUNK_ROWS`` // M) at a time, so one call of the body's
+    radial kernel holds at most max(M, ``CHUNK_ROWS``) points; a chunk's
+    points theta B are unit vectors by construction, from one batched matrix
+    product, rule nodes (M, 2n-2) times the stacked bases.  Each direction's
+    integral is summed within its own row, so for a body of the moduli only
+    its value depends on the body, the direction and the rule only, not on
+    the batch or the chunk it came in.  A perturbed ball's radial values on
+    one point round apart from a batch's (``HarmonicExpansion.evaluate``),
+    which shows at n = 2, where the rule has one node.
     """
     cfg = config or _DEFAULT_CONFIG
     n = body.dim.n
@@ -155,20 +173,24 @@ def section_values(body, dirs, rule: QuadratureRule | None = None,
         rule = _section_rule(n, cfg, scan=scan)
     if rule.m != 2 * n - 2:
         raise InvalidInputError(f"section rule must live on S^{2 * n - 3}")
-    bases = hyperplane_basis(dirs)
-    P = bases.shape[0]
-    if bases.shape[2] != 2 * n:
-        raise InvalidInputError("direction dimension does not match the body")
+    return _section_sums(body, _body_bases(body, dirs), rule)
+
+
+def _section_sums(body, bases, rule):
+    """The kernel of ``section_values``: section volumes on stacked J-paired
+    bases (P, 2n-2, 2n) of the body's dimension and a rule on S^{2n-3},
+    both taken as checked."""
+    P, _, N = bases.shape
     out = np.empty(P)
     nodes = rule.nodes
     M = nodes.shape[0]
-    power = 2 * n - 2
+    power = N - 2
     chunk = max(1, CHUNK_ROWS // M)
     for lo in range(0, P, chunk):
         hi = min(lo + chunk, P)
         pts = np.matmul(nodes, bases[lo:hi])  # (hi - lo, M, 2n)
         with np.errstate(over="ignore"):  # overflow is caught by the checks below
-            vals = body.radial(pts.reshape(-1, 2 * n)).reshape(hi - lo, M) ** power
+            vals = body._radial_impl(pts.reshape(-1, N)).reshape(hi - lo, M) ** power
             # summed along each row: unlike vals @ weights, a row rounds the
             # same in any chunk; positive weights keep a non-finite value
             vals *= rule.weights
@@ -230,8 +252,9 @@ def min_radial(body, config: RunConfig | None = None):
     n = body.dim.n
     grid = grids.direction_grid(n, cfg.moduli_res[n], cfg.phase_res[n],
                                 with_phases=body.phase_bandwidth != 0)
+    # grid and pattern-search directions are unit by construction
     _, dir_min, value, _ = grids.refine_extremum(
-        body.radial, grid, body.radial(grid.directions), mode="min",
+        body._radial_impl, grid, body._radial_impl(grid.directions), mode="min",
         halvings=cfg.refine_halvings,
     )
     return float(value), dir_min

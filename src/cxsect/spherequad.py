@@ -30,7 +30,7 @@ array; it is built only when ``nodes`` is read.  Final reductions go through
 identical bits.
 
 ``CHUNK_ROWS`` is the one chunk size of the point kernels: the monomial
-tables of ``harmonics``, the radial calls of ``sections.section_values`` and
+tables of ``harmonics``, the radial kernel calls of the section kernel and
 the samples of ``mc_volume``.
 
 ``mc_volume`` draws its samples from one Philox stream keyed by the seed and
@@ -384,7 +384,8 @@ def _mc_hits(body, R, seed, todo, lock, rows):
     ``todo`` of (lo, hi) row ranges of the (samples, N) stream of
     ``philox(seed)`` scaled to [-R, R]; ``lock`` guards ``todo``.  The thread
     draws into one buffer of ``rows`` rows with one generator, reset to its
-    fresh state and advanced to each chunk's first draw."""
+    fresh state and advanced to each chunk's first draw.  The draws are
+    finite rows of width N, so the norm kernel takes them unchecked."""
     N = body.dim.N
     hits = 0
     try:
@@ -406,7 +407,7 @@ def _mc_hits(body, R, seed, todo, lock, rows):
             # ``uniform(-R, R)`` gives -R + (2R) U: the same doubles
             pts *= 2.0 * R
             pts -= R
-            hits += int(np.count_nonzero(body.norm(pts) <= 1.0))
+            hits += int(np.count_nonzero(body._norm_impl(pts) <= 1.0))
     except BaseException:
         with lock:  # the other threads stop at their next chunk
             for _ in todo:
@@ -448,7 +449,7 @@ def mc_volume(body, samples: int, seed: int) -> MCVolume:
     rmax = float(np.max(body.factor_radial(scan)))
     if not (rmax > 0 and math.isfinite(rmax)):
         raise InvalidInputError("degenerate body: nonpositive bounding radius")
-    R = max(1.01 * rmax, float(np.max(body.radial(np.eye(N)[0::2]))))
+    R = max(1.01 * rmax, float(np.max(body._radial_impl(np.eye(N)[0::2]))))
     try:
         boxvol = (2.0 * R) ** N
     except OverflowError:  # a float power raises instead of returning inf

@@ -138,23 +138,35 @@ class GapResult:
 
 def _max_section_difference(K, L, ctx) -> GapResult:
     """Maximize section(K) - section(L): scan-level grid + pattern search,
-    final value re-evaluated at the full quadrature level."""
+    final value re-evaluated at the full quadrature level.
+
+    Both bodies share one set of hyperplane bases per batch of directions:
+    one per refinement batch, and one at the maximizer for both bodies and
+    both quadrature levels.  The directions come from the grid, so they are
+    unit and of the bodies' dimension, and the section kernels take the
+    bases unchecked.
+    """
+    if K.dim.n != L.dim.n:
+        raise InvalidInputError("bodies must share a dimension")
     cfg = ctx.config
     with_phases = max(K.phase_bandwidth, L.phase_bandwidth) != 0
     grid = ctx.grid(K.dim.n, with_phases)
     diff_grid = (ctx.section_grid_values(K, with_phases)
                  - ctx.section_grid_values(L, with_phases))
+    scan_rule = sections._section_rule(K.dim.n, cfg, scan=True)
 
     def diff_fn(X):
-        return (sections.section_values(K, X, config=cfg, scan=True)
-                - sections.section_values(L, X, config=cfg, scan=True))
+        bases = sections.hyperplane_basis(X)
+        return (sections._section_sums(K, bases, scan_rule)
+                - sections._section_sums(L, bases, scan_rule))
 
     _, xi_star, _, evals = grids.refine_extremum(
         diff_fn, grid, diff_grid, mode="max", halvings=cfg.refine_halvings
     )
     # full-level value and quadrature error at the maximizer
-    vK, eK = sections.section_volume_direct(K, xi_star, config=cfg)
-    vL, eL = sections.section_volume_direct(L, xi_star, config=cfg)
+    bases = sections.hyperplane_basis(xi_star)
+    vK, eK = sections._direct_on_bases(K, bases, cfg)
+    vL, eL = sections._direct_on_bases(L, bases, cfg)
     value = float(vK[0] - vL[0])
     return GapResult(max(0.0, value), value, tuple(xi_star), float(eK[0] + eL[0]),
                      grid.size, grid.size + evals)

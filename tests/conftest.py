@@ -91,14 +91,17 @@ def node_order(table, rule):
 
 
 class CountingRadial:
-    """Wraps ``ConvexBody.radial`` (through ``monkeypatch``) and records the
-    number of rows of each call in ``rows``."""
+    """Wraps the radial kernels ``_radial_impl`` of every kind (through
+    ``monkeypatch``), which both ``radial`` and the package's internal
+    callers reach, and records the number of rows of each call in ``rows``."""
 
     def __init__(self, monkeypatch):
-        self.rows, real = [], ConvexBody.radial
+        self.rows = []
+        for cls in (ConvexBody, PerturbedBall):  # the classes that define a kernel
+            real = vars(cls)["_radial_impl"]
 
-        def radial(body, theta):
-            self.rows.append(int(np.asarray(theta).shape[0]))
-            return real(body, theta)
+            def kernel(body, theta, real=real):
+                self.rows.append(int(np.asarray(theta).shape[0]))
+                return real(body, theta)
 
-        monkeypatch.setattr(ConvexBody, "radial", radial)
+            monkeypatch.setattr(cls, "_radial_impl", kernel)

@@ -135,6 +135,15 @@ class TestNormKernels:
         for body in self.BODIES.values():
             assert isinstance(body.norm(np.ones(body.dim.N)), np.float64), body.label
 
+    def test_perturbed_profile_of_one_vector_is_a_scalar(self):
+        # radial_profile gave shape (1,) here, where radial and norm give a scalar
+        for body in self.BODIES.values():
+            if isinstance(body, PerturbedBall):
+                theta = np.ones(body.dim.N) / math.sqrt(body.dim.N)
+                got = body.radial_profile(theta)
+                assert type(got) is np.float64 and got == body.radial_profile(theta[None])[0]
+                assert type(body.radial(theta)) is np.float64, body.label
+
 
 class TestLqRange:
     """(sum_k |z_k|^q)^{1/q} for large q, where |z_k|^q leaves the double
@@ -545,6 +554,38 @@ class TestJsonSchema:
         text = json.dumps(spec).replace("null", f'"{bad}"')
         with pytest.raises(InvalidInputError):
             body_from_dict(json.loads(text))
+
+
+    REAL_FIELDS = {
+        "ball-radius": lambda v: {"n": 2, "kind": "euclidean", "params": {"radius": v}},
+        "lq-q": lambda v: {"n": 2, "kind": "lq", "params": {"q": v}},
+        "lq-scale": lambda v: {"n": 2, "kind": "lq", "params": {"q": 3, "scale": v}},
+        "semiaxis": lambda v: {"n": 2, "kind": "ellipsoid", "params": {"semiaxes": [1.0, v]}},
+        "perturbed-radius": lambda v: {"n": 2, "kind": "perturbed", "params": {"radius": v}},
+        "coefficient": lambda v: {"n": 2, "kind": "perturbed",
+                                  "params": {"terms": [[2, 0, v]]}},
+    }
+
+    @pytest.mark.parametrize("bad", [True, False, "3", "1.5", "1"], ids=repr)
+    @pytest.mark.parametrize("field", sorted(REAL_FIELDS))
+    def test_booleans_and_numeric_strings_rejected(self, field, bad):
+        # true read as 1.0 and "1.5" as 1.5 before; now neither is a number
+        with pytest.raises(InvalidInputError, match="must be finite and numeric"):
+            body_from_dict(self.REAL_FIELDS[field](bad))
+
+    @pytest.mark.parametrize("field", sorted(REAL_FIELDS))
+    def test_ints_and_floats_accepted(self, field):
+        # an int and the float of the same value give the same body
+        make = self.REAL_FIELDS[field]
+        value = 0 if field == "coefficient" else 2
+        assert body_from_dict(make(value)) == body_from_dict(make(float(value)))
+
+    @pytest.mark.parametrize("word", ["inf", "infinity"])
+    def test_infinity_words_for_q_only(self, word):
+        assert body_from_dict(self.REAL_FIELDS["lq-q"](word)).q == math.inf
+        for field in sorted(set(self.REAL_FIELDS) - {"lq-q"}):
+            with pytest.raises(InvalidInputError, match="must be finite and numeric"):
+                body_from_dict(self.REAL_FIELDS[field](word))
 
 
 class TestScaling:

@@ -101,7 +101,7 @@ class TestSectionCommand:
 
     @pytest.mark.parametrize("grid", [1, 64])
     def test_one_batch_per_route(self, tmp_path, monkeypatch, grid):
-        # whatever the grid size: the direct route's two section_values
+        # whatever the grid size: the direct route's two section kernel
         # calls (value and refinement estimate), one transform evaluation and
         # one tail evaluation
         calls = []
@@ -111,13 +111,13 @@ class TestSectionCommand:
             monkeypatch.setattr(holder, name,
                                 lambda *a, **k: calls.append(name) or real(*a, **k))
 
-        counted(cxsect.sections, "section_values")
+        counted(cxsect.sections, "_section_sums")
         counted(cxsect.HarmonicExpansion, "evaluate")
         counted(cxsect.HarmonicExpansion, "tail_values")
         spec = write_spec(tmp_path, "ell.json",
                           {"n": 2, "kind": "ellipsoid", "params": {"semiaxes": [1, 2]}})
         assert run(["section", spec, "--grid", str(grid), "--method", "both"], tmp_path) == 0
-        assert sorted(calls) == ["evaluate", "section_values", "section_values", "tail_values"]
+        assert sorted(calls) == ["_section_sums", "_section_sums", "evaluate", "tail_values"]
         report = json.loads((tmp_path / "reports").joinpath(
             "section_ellipsoid-1-2_both.json").read_text())
         assert len(report["results"]["directions"]) == grid
@@ -148,6 +148,15 @@ class TestVolumeCommand:
                           {"n": 2, "kind": "euclidean", "params": {"radius": "inf"}})
         assert run(["volume", spec], tmp_path) == 3
         assert capsys.readouterr().err.startswith("error: radius must be finite")
+
+    @pytest.mark.parametrize("params", [{"radius": True}, {"radius": "1.5"}],
+                             ids=["bool", "string"])
+    def test_non_numeric_radius_exit3(self, tmp_path, capsys, params):
+        # a JSON true read as the unit ball before, with exit 0
+        spec = write_spec(tmp_path, "ball.json", {"n": 2, "kind": "euclidean", "params": params})
+        assert run(["volume", spec], tmp_path) == 3
+        lines = capsys.readouterr().err.splitlines()
+        assert lines == [f"error: radius must be finite and numeric, got {params['radius']!r}"]
 
     def test_overflowing_volume_exit2(self, tmp_path, capsys):
         spec = write_spec(tmp_path, "huge.json",

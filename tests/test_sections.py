@@ -242,14 +242,14 @@ class TestSectionDirect:
 
 
 class _CountingBody:
-    """Delegates to a body and records how many points radial() sees."""
+    """Delegates to a body and records how many points its radial kernel sees."""
 
     def __init__(self, body):
         self.body, self.dim, self.label, self.points = body, body.dim, body.label, 0
 
-    def radial(self, theta):
+    def _radial_impl(self, theta):
         self.points += theta.shape[0]
-        return self.body.radial(theta)
+        return self.body._radial_impl(theta)
 
 
 def _section_values_loop(body, dirs, rule):

@@ -205,8 +205,8 @@ class TestOneGapPerPair:
         context = VerificationContext()
         K, L = ell12, ball2.scaled(1.4)
         calls = []
-        real = sections.section_volume_direct
-        monkeypatch.setattr(sections, "section_volume_direct",
+        real = sections._direct_on_bases
+        monkeypatch.setattr(sections, "_direct_on_bases",
                             lambda *a, **k: calls.append(a[0]) or real(*a, **k))
         stability_verify(K, L, context=context)
         assert len(calls) == 2

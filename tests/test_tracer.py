@@ -42,6 +42,7 @@ def test_tracer_installs_records_and_uninstalls():
         pert = PerturbedBall(ComplexDim(2), 1.0, ((2, 2, 0.05),))
         ctx = cxsect.VerificationContext()
         ctx.inradius(pert)  # min_radial, refine_extremum, volume, integrate_sphere
+        pert.radial_profile(np.eye(4))  # a public method; the kernels do not call it
         cxsect.sections.inradius_normalized(pert)
         cxsect.sections.section_values(ball, np.eye(4)[:2])
         cxsect.harmonics.invariant_harmonic_basis(4, 2).evaluate(np.eye(4))
