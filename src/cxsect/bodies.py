@@ -32,38 +32,18 @@ body's.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import harmonics
-from .config import philox
+from .config import _integer, _real, philox
 from .errors import ConvexityError, InvalidInputError
 
 _CERTIFY_SEED = 0x5EED_C0DE
 _CERTIFY_PAIRS = 100_000
 _MIDPOINT_TOL = 1e-10
 _TINY = np.finfo(float).tiny  # the smallest normal double
-
-
-def _integer(value, what):
-    """An integer parameter: an int, or a float of integral value (so 2.0 is
-    2, and 2.5 is rejected rather than truncated)."""
-    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
-        return int(value)
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    raise InvalidInputError(f"{what} must be an integer, got {value!r}")
-
-
-def _real(value, what):
-    """A real parameter of a body spec: a real number, but not a bool
-    (``true`` is not a radius) and not a string (``"1.5"`` is not a scale).
-    Finiteness and sign are left to the constructors."""
-    if isinstance(value, numbers.Real) and not isinstance(value, bool):
-        return float(value)
-    raise InvalidInputError(f"{what} must be finite and numeric, got {value!r}")
 
 
 @dataclass(frozen=True)

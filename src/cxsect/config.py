@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -38,6 +39,30 @@ def philox(seed):
 
 def _is_int(v):
     return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _integer(value, what):
+    """An integer parameter: an int, or a float of integral value (so 2.0 is
+    2, and 2.5 is rejected rather than truncated)."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise InvalidInputError(f"{what} must be an integer, got {value!r}")
+
+
+def _real(value, what):
+    """A real parameter as a float: a real number, but not a bool (``true``
+    is not a radius), not a string (``"1.5"`` is not a scale) and not an
+    integer beyond the double range.  Finiteness and sign are left to the
+    callers."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:
+            raise InvalidInputError(f"{what} must be finite, got an integer "
+                                    "beyond the double range") from None
+    raise InvalidInputError(f"{what} must be finite and numeric, got {value!r}")
 
 
 def _intkeys(name, d):
@@ -79,8 +104,8 @@ class RunConfig:
             raise InvalidInputError("mc_samples must be at least 10000")
         for name in ("tol_multiplier", "tail_warn"):
             v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and not isinstance(v, bool)
-                    and math.isfinite(v) and v > 0):
+            # an int or a float only, since reports echo the value as given
+            if not (isinstance(v, (int, float)) and math.isfinite(_real(v, name)) and v > 0):
                 raise InvalidInputError(f"{name} must be a finite positive number")
         if not isinstance(self.output_dir, str):
             raise InvalidInputError("output_dir must be a string")

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cache
 
 import numpy as np
@@ -217,19 +217,9 @@ class CriterionResult:
         }
 
 
-def _timed(fn):
-    def wrapper(ctx):
-        t0 = time.perf_counter()
-        result = fn(ctx)
-        return CriterionResult(**{**result.__dict__, "seconds": time.perf_counter() - t0})
-    wrapper.__name__ = fn.__name__
-    return wrapper
-
-
 # --- criteria ----------------------------------------------------------------
 
 
-@_timed
 def criterion_golden_transform(ctx):
     """C1: transformed Euclidean norm at exponent 2n-2 equals the closed form."""
     worst = 0.0
@@ -247,7 +237,6 @@ def criterion_golden_transform(ctx):
     return CriterionResult("golden_transform", worst <= 1e-10, worst, 1e-10, "<=", details)
 
 
-@_timed
 def criterion_section_cross_validation(ctx):
     """C2: direct vs Fourier section volumes over 64 directions per body."""
     cfg = ctx.config
@@ -270,7 +259,6 @@ def criterion_section_cross_validation(ctx):
                            details, tuple(warnings))
 
 
-@_timed
 def criterion_parseval(ctx):
     """C3: pairing identity; golden value at n=2, mixed pairs with decreasing error."""
     d = ComplexDim(2)
@@ -310,7 +298,6 @@ def criterion_parseval(ctx):
     return CriterionResult("parseval", passed, measured, 1e-2, "<=", details, tuple(warnings))
 
 
-@_timed
 def criterion_positivity(ctx):
     """C4: sign of the exponent-2 transform over refined grids."""
     asserted, exploratory = positivity_matrix()
@@ -337,24 +324,26 @@ def criterion_positivity(ctx):
                            details, tuple(warnings))
 
 
-@_timed
-def criterion_stability_sweep(ctx):
-    """C5: stability comparison over the ordered pair sweep; zero violations."""
+def _pair_sweep(name, check, ctx):
+    """One pair check over the ordered pair sweep; zero violations."""
     pairs = sweep_pairs()
-    details = {"pair_count": len(pairs)}
-    worst_margin = math.inf
     fails = []
+    worst = math.inf
     for K, L in pairs:
-        rep = stability_verify(K, L, context=ctx)
-        worst_margin = min(worst_margin, rep.margin + rep.tol)
+        rep = check(K, L, context=ctx)
+        worst = min(worst, rep.margin + rep.tol)
         if not rep.passed:
             fails.append((K.label, L.label, rep.margin, rep.tol))
-    details["violations"] = fails
-    details["min_margin_plus_tol"] = worst_margin
-    return CriterionResult("stability_sweep", not fails, worst_margin, 0.0, ">=", details)
+    details = {"pair_count": len(pairs), "violations": fails,
+               "min_margin_plus_tol": worst}
+    return CriterionResult(name, not fails, worst, 0.0, ">=", details)
 
 
-@_timed
+def criterion_stability_sweep(ctx):
+    """C5: stability comparison over the ordered pair sweep; zero violations."""
+    return _pair_sweep("stability_sweep", stability_verify, ctx)
+
+
 def criterion_separation(ctx):
     """C6: separation bound; the scaled-ball pair at n=2 attains equality."""
     d2, d3 = ComplexDim(2), ComplexDim(3)
@@ -374,23 +363,11 @@ def criterion_separation(ctx):
     return CriterionResult("separation", passed, abs(eq.margin), 1e-9, "<=", details)
 
 
-@_timed
 def criterion_corollary_sweep(ctx):
     """C7: two-sided comparison over the same pairs, both orderings."""
-    pairs = sweep_pairs()
-    fails = []
-    worst = math.inf
-    for K, L in pairs:
-        rep = corollary1_verify(K, L, context=ctx)
-        worst = min(worst, rep.margin + rep.tol)
-        if not rep.passed:
-            fails.append((K.label, L.label, rep.margin, rep.tol))
-    details = {"pair_count": len(pairs), "violations": fails,
-               "min_margin_plus_tol": worst}
-    return CriterionResult("corollary_sweep", not fails, worst, 0.0, ">=", details)
+    return _pair_sweep("corollary_sweep", corollary1_verify, ctx)
 
 
-@_timed
 def criterion_gamma(ctx):
     """C8: Gamma(n)^{1/n} <= n^{(n-1)/n} for n = 1..170."""
     rows = gamma_lemma_check(170)
@@ -401,7 +378,6 @@ def criterion_gamma(ctx):
     return CriterionResult("gamma_inequality", passed, strict, 0.0, ">=", details)
 
 
-@_timed
 def criterion_volume_oracles(ctx):
     """C9: polar-formula volumes vs Monte Carlo, plus closed-form golden values."""
     cfg = ctx.config
@@ -433,7 +409,6 @@ def criterion_volume_oracles(ctx):
     return CriterionResult("volume_oracles", passed, worst_rel, 1e-3, "<=", details)
 
 
-@_timed
 def criterion_structural(ctx):
     """C10: randomized structural identities at 1e-10 relative."""
     cfg = ctx.config
@@ -564,7 +539,8 @@ def run_suite(config: RunConfig | None = None, names=None, echo=print) -> SuiteR
     t0 = time.perf_counter()
     results = []
     for crit in selected:
-        res = crit(ctx)
+        t1 = time.perf_counter()
+        res = replace(crit(ctx), seconds=time.perf_counter() - t1)
         results.append(res)
         if echo:
             status = "pass" if res.passed else "FAIL"

@@ -7,11 +7,17 @@ The pair comparisons read one gap per ordered pair (K, L), the largest
 section(K) - section(L), computed once by ``VerificationContext.gap``;
 separation's epsilon is the negated gap, the smallest section(L) - section(K).
 
-Every inequality check carries a tolerance assembled from the propagated
-quadrature and truncation error estimates of its inputs (times a
-configurable multiplier): the verified statements are exact, so only
-numerics can produce a spurious violation, and a violation beyond the
-tolerance fails loudly.
+Stability and separation are one comparison, ``_comparison``:
+Vol(K)^a <= Vol(L)^a + shift with a = (n-1)/n, where the shift is epsilon
+for stability and -(pi r(K)^2 / n) epsilon for separation.  The two-sided
+corollary runs stability in both orders and reads the volume terms from
+those two reports.
+
+Every inequality check carries one tolerance rule, ``_tolerance``:
+tol_multiplier * (propagated quadrature, truncation and gap errors of its
+inputs) + 1e-12 * max(|compared values|, 1).  The verified statements are
+exact, so only numerics can produce a spurious violation, and a violation
+beyond the tolerance fails loudly.
 """
 from __future__ import annotations
 
@@ -22,7 +28,7 @@ import numpy as np
 
 from . import grids, sections
 from .bodies import validate
-from .config import RunConfig, default_config
+from .config import RunConfig, _integer, _real, default_config
 from .errors import InvalidInputError
 from .harmonics import ft_norm_power
 from .spherequad import integrate_sphere
@@ -31,46 +37,36 @@ _TOL_FLOOR = 1e-12
 
 
 class VerificationContext:
-    """Shared per-run caches: volumes, section grids, transforms, validations."""
+    """Shared per-run caches: volumes, section grids, transforms, validations,
+    inradii and section gaps, each made once per key through ``_memo``."""
 
     def __init__(self, config: RunConfig | None = None):
         self.config = config or default_config()
-        self._volumes = {}
-        self._sections = {}
-        self._grids = {}
-        self._validated = {}
-        self._ft = {}
-        self._inradius = {}
-        self._gaps = {}
+        self._cache = {}
+
+    def _memo(self, key, make):
+        """The cached value for ``key``, made by ``make()`` on first use."""
+        if key not in self._cache:
+            self._cache[key] = make()
+        return self._cache[key]
 
     def volume(self, body):
-        if body not in self._volumes:
-            self._volumes[body] = sections.volume_with_error(body, self.config)
-        return self._volumes[body]
+        return self._memo(("volume", body),
+                          lambda: sections.volume_with_error(body, self.config))
 
     def grid(self, n, with_phases):
-        key = (n, with_phases)
-        if key not in self._grids:
-            cfg = self.config
-            self._grids[key] = grids.direction_grid(
-                n, cfg.moduli_res[n], cfg.phase_res[n], with_phases=with_phases
-            )
-        return self._grids[key]
+        cfg = self.config
+        return self._memo(("grid", n, with_phases), lambda: grids.direction_grid(
+            n, cfg.moduli_res[n], cfg.phase_res[n], with_phases=with_phases))
 
     def section_grid_values(self, body, with_phases):
         """Scan-level section values on the shared direction grid."""
-        key = (body, with_phases)
-        if key not in self._sections:
-            grid = self.grid(body.dim.n, with_phases)
-            self._sections[key] = sections.section_values(
-                body, grid.directions, config=self.config, scan=True
-            )
-        return self._sections[key]
+        return self._memo(("sections", body, with_phases), lambda: sections.section_values(
+            body, self.grid(body.dim.n, with_phases).directions, config=self.config,
+            scan=True))
 
     def ensure_valid(self, body):
-        if body not in self._validated:
-            self._validated[body] = validate(body, 1000, self.config.seed)
-        report = self._validated[body]
+        report = self._memo(("valid", body), lambda: validate(body, 1000, self.config.seed))
         if not report.passed:
             raise InvalidInputError(
                 f"{body.label} failed validation: {', '.join(report.failed_checks())}"
@@ -81,26 +77,21 @@ class VerificationContext:
         the configured degree), built once per body, exponent and degree."""
         if jmax is None:
             jmax = self.config.jmax_for(body.dim.N)
-        key = (body, float(p), jmax)
-        if key not in self._ft:
-            self._ft[key] = ft_norm_power(body, p, jmax=jmax, tail_warn=self.config.tail_warn)
-        return self._ft[key]
+        return self._memo(("ft", body, float(p), jmax), lambda: ft_norm_power(
+            body, p, jmax=jmax, tail_warn=self.config.tail_warn))
 
     def inradius(self, body):
-        if body not in self._inradius:
-            rmin, _ = sections.min_radial(body, self.config)
-            self._inradius[body] = rmin / self.volume(body)[0] ** (1.0 / (2 * body.dim.n))
-        return self._inradius[body]
+        return self._memo(("inradius", body), lambda: sections.min_radial(body, self.config)[0]
+                          / self.volume(body)[0] ** (1.0 / (2 * body.dim.n)))
 
     def gap(self, K, L):
         """Section gap of the ordered pair (K, L), computed once per pair."""
-        if (K, L) not in self._gaps:
-            self._gaps[K, L] = _max_section_difference(K, L, self)
-        return self._gaps[K, L]
+        return self._memo(("gap", K, L), lambda: _max_section_difference(K, L, self))
 
 
 def _check_pair(K, L, ctx, epsilon):
-    """Preconditions shared by the stability and separation checks."""
+    """Preconditions shared by the stability and separation checks; returns a
+    supplied ``epsilon`` as a float (None when the gap is to be computed)."""
     for b in (K, L):
         if b.dim.n not in (2, 3):
             raise InvalidInputError(
@@ -110,8 +101,12 @@ def _check_pair(K, L, ctx, epsilon):
         raise InvalidInputError("bodies must share a dimension")
     ctx.ensure_valid(K)
     ctx.ensure_valid(L)
-    if epsilon is not None and not (math.isfinite(epsilon) and epsilon >= 0):
+    if epsilon is None:
+        return None
+    eps = _real(epsilon, "epsilon")
+    if not (math.isfinite(eps) and eps >= 0):
         raise InvalidInputError(f"epsilon must be finite and nonnegative, got {epsilon}")
+    return eps
 
 
 # --- section gap -----------------------------------------------------------
@@ -189,6 +184,29 @@ def _volume_power_terms(body, ctx):
     return value, err
 
 
+def _tolerance(cfg, error, *values):
+    """The tolerance rule of every inequality check: ``tol_multiplier`` times
+    the propagated error, plus a floor of ``_TOL_FLOOR`` times the largest
+    |value| (at least 1) for the rounding of exact cases."""
+    return cfg.tol_multiplier * error + _TOL_FLOOR * max(*map(abs, values), 1.0)
+
+
+def _comparison(K, L, ctx, shift, *shift_errors):
+    """Vol(K)^a against Vol(L)^a + shift, a = (n-1)/n.
+
+    Returns (lhs, rhs, lhs_error, rhs_error, margin, tol); the check passes
+    when margin = rhs - lhs >= -tol.  The rhs error is the error of
+    Vol(L)^a plus ``shift_errors``, summed left to right.
+    """
+    lhs, lhs_err = _volume_power_terms(K, ctx)
+    rterm, rhs_err = _volume_power_terms(L, ctx)
+    for err in shift_errors:
+        rhs_err = rhs_err + err
+    rhs = rterm + shift
+    tol = _tolerance(ctx.config, lhs_err + rhs_err, lhs, rhs)
+    return lhs, rhs, lhs_err, rhs_err, rhs - lhs, tol
+
+
 @dataclass(frozen=True)
 class StabilityReport:
     body_k: str
@@ -241,26 +259,19 @@ def stability_verify(K, L, context: VerificationContext | None = None,
     the conclusion is only guaranteed when that hypothesis actually holds.
     """
     ctx = context or VerificationContext()
-    _check_pair(K, L, ctx, epsilon)
-    n = K.dim.n
-    if epsilon is None:
+    supplied = _check_pair(K, L, ctx, epsilon)
+    if supplied is None:
         gap = ctx.gap(K, L)
         eps, eps_err = gap.epsilon, gap.error
         grid_points, evaluations = gap.grid_points, gap.evaluations
         extra = {}
     else:
-        eps, eps_err = float(epsilon), 0.0
+        eps, eps_err = supplied, 0.0
         grid_points = evaluations = 0
         extra = {"epsilon_source": "supplied"}
-    lhs, lhs_err = _volume_power_terms(K, ctx)
-    rterm, rterm_err = _volume_power_terms(L, ctx)
-    rhs = rterm + eps
-    rhs_err = rterm_err + eps_err
-    margin = rhs - lhs
-    tol = ctx.config.tol_multiplier * (lhs_err + rhs_err) \
-        + _TOL_FLOOR * max(abs(lhs), abs(rhs), 1.0)
+    lhs, rhs, lhs_err, rhs_err, margin, tol = _comparison(K, L, ctx, eps, eps_err)
     return StabilityReport(
-        K.label, L.label, n, eps, lhs, rhs, margin, tol,
+        K.label, L.label, K.dim.n, eps, lhs, rhs, margin, tol,
         margin >= -tol, eps_err, lhs_err, rhs_err,
         grid_points, evaluations, extra=extra,
     )
@@ -296,20 +307,18 @@ class Corollary1Report:
 def corollary1_verify(K, L, context: VerificationContext | None = None) -> Corollary1Report:
     """Two-sided form: |Vol(K)^a - Vol(L)^a| <= max_xi |section difference| + tol.
 
-    Implemented as the stability check run in both orders; the reported
-    margin uses the direct two-sided quantities.
+    Implemented as the stability check run in both orders, whose reports
+    give the volume terms and their errors; the reported margin uses the
+    direct two-sided quantities.
     """
     ctx = context or VerificationContext()
     fwd = stability_verify(K, L, context=ctx)
     rev = stability_verify(L, K, context=ctx)
-    lhs_k, err_k = _volume_power_terms(K, ctx)
-    lhs_l, err_l = _volume_power_terms(L, ctx)
-    vol_diff = abs(lhs_k - lhs_l)
+    vol_diff = abs(fwd.lhs - rev.lhs)
     max_gap = max(fwd.epsilon, rev.epsilon)
     gap_err = max(fwd.epsilon_error, rev.epsilon_error)
     margin = max_gap - vol_diff
-    tol = ctx.config.tol_multiplier * (err_k + err_l + gap_err) \
-        + _TOL_FLOOR * max(vol_diff, max_gap, 1.0)
+    tol = _tolerance(ctx.config, fwd.lhs_error + rev.lhs_error + gap_err, vol_diff, max_gap)
     return Corollary1Report(
         K.label, L.label, K.dim.n, vol_diff, max_gap, margin, tol,
         margin >= -tol and fwd.passed and rev.passed, fwd, rev,
@@ -361,29 +370,24 @@ def separation_verify(K, L, context: VerificationContext | None = None,
     runs the hypothesis-driven form.
     """
     ctx = context or VerificationContext()
-    _check_pair(K, L, ctx, epsilon)
-    n = K.dim.n
-    if epsilon is None:
+    supplied = _check_pair(K, L, ctx, epsilon)
+    if supplied is None:
         gap = ctx.gap(K, L)
         value, gap_err = -gap.refined_max, gap.error
     else:
-        value, gap_err = float(epsilon), 0.0
+        value, gap_err = supplied, 0.0
     degenerate = value <= 0.0
     eps = max(0.0, value)
     note = "hypothesis not satisfied, degenerate check" if degenerate else ""
-    if epsilon is not None:
+    if supplied is not None:
         note = "supplied-epsilon run" + ("; " + note if note else "")
     r2 = ctx.inradius(K) ** 2
-    lhs, lhs_err = _volume_power_terms(K, ctx)
-    rterm, rterm_err = _volume_power_terms(L, ctx)
-    factor = math.pi * r2 / n
-    rhs = rterm - factor * eps
-    rhs_err = rterm_err + factor * gap_err + 1e-9 * factor * eps  # inradius allowance
-    margin = rhs - lhs
-    tol = ctx.config.tol_multiplier * (lhs_err + rhs_err) \
-        + _TOL_FLOOR * max(abs(lhs), abs(rhs), 1.0)
+    factor = math.pi * r2 / K.dim.n
+    # the last error term is the inradius allowance
+    lhs, rhs, _, _, margin, tol = _comparison(K, L, ctx, -factor * eps,
+                                              factor * gap_err, 1e-9 * factor * eps)
     return SeparationReport(
-        K.label, L.label, n, eps, r2, lhs, rhs, margin, tol,
+        K.label, L.label, K.dim.n, eps, r2, lhs, rhs, margin, tol,
         margin >= -tol, degenerate, note,
     )
 
@@ -435,6 +439,7 @@ def parseval_check(K, L, p, context: VerificationContext | None = None,
         raise InvalidInputError("bodies must share a dimension")
     n = K.dim.n
     N = 2 * n
+    p = _real(p, "parseval exponent")
     if not 0 < p < N:
         raise InvalidInputError(f"parseval exponent must lie in (0, {N})")
     ft_k = ctx.ft(K, p, jmax)
@@ -445,7 +450,7 @@ def parseval_check(K, L, p, context: VerificationContext | None = None,
     rhs = (2.0 * math.pi) ** N * integrate_sphere(rho, reduced)
     rel = abs(lhs - rhs) / abs(rhs)
     return ParsevalResult(
-        K.label, L.label, n, float(p), lhs, rhs, rel, ft_k.jmax,
+        K.label, L.label, n, p, lhs, rhs, rel, ft_k.jmax,
         tuple(ft_k.warnings) + tuple(ft_l.warnings),
     )
 
@@ -520,6 +525,7 @@ def gamma_lemma_check(n_max=170):
 
     Equality at n = 1, strict inequality required for n >= 2.
     """
+    n_max = _integer(n_max, "n_max")
     if not 1 <= n_max <= 170:
         raise InvalidInputError("n_max must be between 1 and 170")
     rows = []

@@ -265,6 +265,12 @@ class TestBadInput:
                                              "-L", BODY, "--epsilon", "inf"]),
         "separation-epsilon-nan": (BALL, {}, ["theorem", "--which", "separation", "-K", BODY,
                                               "-L", BODY, "--epsilon", "nan"]),
+        # integers beyond the double range raised OverflowError, exit 1
+        "radius-huge-int": ({**BALL, "params": {"radius": 10 ** 400}}, {}, ["volume", BODY]),
+        "coefficient-huge-int": ({"n": 2, "kind": "perturbed",
+                                  "params": {"radius": 1.0, "terms": [[2, 0, 10 ** 400]]}},
+                                 {}, ["volume", BODY]),
+        "tol-huge-int": (BALL, {"tol_multiplier": 10 ** 400}, ["volume", BODY]),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))

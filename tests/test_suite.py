@@ -1,6 +1,7 @@
 """The acceptance suite's body matrix is built once per process, and its
 criteria share transforms through the context."""
 from cxsect import PerturbedBall, VerificationContext, suite, theorems, validate
+from cxsect.suite import run_suite
 
 
 def test_matrix_certifies_each_perturbed_body_once(monkeypatch):
@@ -53,3 +54,11 @@ def test_structural_invariants_are_the_validator_worst_values():
     assert details["homogeneity"] == max(r.checks["homogeneity"].worst for r in reports)
     assert details["rotation_invariance"] == max(
         r.checks["rotation_invariance"].worst for r in reports)
+
+
+def test_run_suite_times_every_criterion_it_runs():
+    names = ["gamma_inequality", "separation"]
+    result = run_suite(names=names, echo=None)
+    assert [r.name for r in result.results] == names
+    assert all(r.seconds > 0.0 for r in result.results)
+    assert set(result.timings()["criterion_seconds"]) == set(names)
