@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import harmonics
-from .config import _integer, _real, philox
+from .config import _integer, _real, _seed, philox
 from .errors import ConvexityError, InvalidInputError
 
 _CERTIFY_SEED = 0x5EED_C0DE
@@ -485,8 +485,10 @@ def validate(body, sample_count=1000, seed=0) -> ValidationReport:
 
     Checks 1-homogeneity, invariance under simultaneous pair rotation,
     midpoint convexity, and radial/norm consistency.  Failures are reported,
-    never raised; deterministic for a given seed.
+    never raised; deterministic for a given seed.  ``sample_count`` is an
+    integer >= 1 and ``seed`` a non-negative integer (``config._seed``).
     """
+    sample_count, seed = _integer(sample_count, "sample_count"), _seed(seed)
     if sample_count < 1:
         raise InvalidInputError("sample_count must be >= 1")
     rng = philox(seed)
@@ -519,7 +521,7 @@ def validate(body, sample_count=1000, seed=0) -> ValidationReport:
         "convexity": CheckResult(worst_mid <= _MIDPOINT_TOL, worst_mid, _MIDPOINT_TOL),
         "radial_norm_consistency": CheckResult(worst_rad <= 1e-13, worst_rad, 1e-13),
     }
-    return ValidationReport(body.label, sample_count, int(seed), checks)
+    return ValidationReport(body.label, sample_count, seed, checks)
 
 
 # --- JSON schema ----------------------------------------------------------

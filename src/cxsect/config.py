@@ -51,6 +51,15 @@ def _integer(value, what):
     raise InvalidInputError(f"{what} must be an integer, got {value!r}")
 
 
+def _seed(value):
+    """A seed: a non-negative integer (``_integer``).  A derived seed such as
+    ``RunConfig.seed`` + salt may pass 2**64; ``philox`` keys it mod 2**64."""
+    seed = _integer(value, "seed")
+    if seed < 0:
+        raise InvalidInputError(f"seed must be a non-negative integer, got {value!r}")
+    return seed
+
+
 def _real(value, what):
     """A real parameter as a float: a real number, but not a bool (``true``
     is not a radius), not a string (``"1.5"`` is not a scale) and not an

@@ -90,9 +90,12 @@ def refine_extremum(fn, grid: DirectionGrid, values, mode="max", halvings=3):
     to [0, pi/2], phases taken mod 2 pi), in up to two sweeps per step size;
     the step vector is halved ``halvings`` times.  Ties keep the earlier
     point: the grid's first best point starts, only a strict improvement
-    moves it, and the first best candidate of a sweep wins.  Returns
+    moves it, and the first best candidate of a sweep wins.  ``mode`` is
+    "max" or "min"; any other raises ``InvalidInputError``.  Returns
     (params, direction, value, evaluations of ``fn`` made here).
     """
+    if mode not in ("max", "min"):
+        raise InvalidInputError(f"mode must be 'max' or 'min', got {mode!r}")
     sign = 1.0 if mode == "max" else -1.0
     vals = sign * np.asarray(values, dtype=float)
     best_idx = int(np.argmax(vals))

@@ -98,7 +98,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .config import default_config
+from .config import _integer, _real, default_config
 from .errors import InvalidInputError, NumericalEvaluationError
 from .spherequad import CHUNK_ROWS, QuadratureRule, sphere_rule
 
@@ -679,7 +679,7 @@ def harmonic_expand(f, jmax, rule: QuadratureRule, tail_warn=1e-3,
     ``InvalidInputError`` when f is a callable or of another shape, and
     ``NumericalEvaluationError`` when f or its L2 norm is not finite.
     """
-    N = rule.m
+    N, jmax = rule.m, _integer(jmax, "jmax")
     _check_degree(N, jmax)
     warnings = []
     if rule.exactness_degree < 2 * jmax:
@@ -729,10 +729,9 @@ def ft_norm_power(body, p, jmax=None, tail_warn=1e-3) -> HarmonicExpansion:
     rule's node array is never formed.
     """
     N = body.dim.N
-    if not 0 < p < N:
+    if not 0 < _real(p, "exponent p") < N:  # p as given, so the label echoes it
         raise InvalidInputError(f"ft_norm_power requires 0 < p < {N}, got {p}")
-    if jmax is None:
-        jmax = default_config().jmax_for(N)
+    jmax = default_config().jmax_for(N) if jmax is None else _integer(jmax, "jmax")
     _check_degree(N, jmax)  # before the rule is built
     rule = expansion_rule(N, jmax)
     with np.errstate(over="ignore"):  # harmonic_expand rejects an overflowed power

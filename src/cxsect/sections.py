@@ -182,7 +182,7 @@ def _section_sums(body, bases, rule):
     both taken as checked."""
     P, _, N = bases.shape
     out = np.empty(P)
-    nodes = rule.nodes
+    nodes, F = rule.nodes, rule.phases.shape[0]
     M = nodes.shape[0]
     power = N - 2
     chunk = max(1, CHUNK_ROWS // M)
@@ -190,11 +190,12 @@ def _section_sums(body, bases, rule):
         hi = min(lo + chunk, P)
         pts = np.matmul(nodes, bases[lo:hi])  # (hi - lo, M, 2n)
         with np.errstate(over="ignore"):  # overflow is caught by the checks below
-            vals = body._radial_impl(pts.reshape(-1, N)).reshape(hi - lo, M) ** power
-            # summed along each row: unlike vals @ weights, a row rounds the
-            # same in any chunk; positive weights keep a non-finite value
-            vals *= rule.weights
-            sums = vals.sum(axis=1)
+            vals = body._radial_impl(pts.reshape(-1, N)).reshape(hi - lo, -1, F) ** power
+            # each base row's weight on its F nodes, then summed along each
+            # direction's row: unlike vals @ weights, a row rounds the same in
+            # any chunk; positive weights keep a non-finite value
+            vals *= rule.row_weights[:, None]
+            sums = vals.reshape(hi - lo, M).sum(axis=1)
         if not np.all(np.isfinite(sums)):
             raise NumericalEvaluationError(
                 f"non-finite section integrand or integral for {body.label}")

@@ -7,10 +7,13 @@ the total mass 2^{a+b+1} B(a+1, b+1) taken through ``math.lgamma``.
 Every rule is one table of base rows (H, m/2) times phase rows (F, m/2)
 (``QuadratureRule``): node h*F + f is base row h with its coordinate pairs
 turned by the phases of row f (``factor_points``).  The phase rows are the
-uniform product grid of per-pair counts n_c (``phase_grid``), equally
-weighted within each base row.  The rule checks once, when built, that its
-base rows are finite and of unit length, so every node is on the sphere and
-the factored kernels of ``bodies`` and ``harmonics`` take a rule as trusted.
+uniform product grid of per-pair counts n_c (``phase_grid``).  The bodies
+are invariant under the simultaneous rotation of the pairs, so every node of
+a base row carries the same weight, and the rule keeps one weight per base
+row (``row_weights``), never one per node.  The rule checks once, when
+built, that its base rows are finite and of unit length, so every node is on
+the sphere and the factored kernels of ``bodies`` and ``harmonics`` take a
+rule as trusted.
 
 * ``sphere_rule(m, level)`` -- the generic product rule, m in {2, 4, 6, 8}
   (Gauss nodes in the polar cosines, uniform azimuths), exact for all
@@ -54,7 +57,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .config import philox
+from .config import _integer, _seed, philox
 from .errors import InvalidInputError, NumericalEvaluationError
 
 # rows per chunk of a point kernel: per-chunk overhead stays small, and a
@@ -133,23 +136,25 @@ class QuadratureRule:
     e^{i phases[f, k]} (``factor_points``).  The phase rows are the uniform
     product grid of ``phase_counts``: n_k phases 2 pi j / n_k in pair k, the
     last pair fastest (``phase_grid``).  Every phase row of a base row
-    carries the same weight, and ``base_weights`` (H,) holds their sum per
-    base row.  The torus rule's base is real, its moduli rows; the product
-    rule's is complex, one row per polar node; a rule given by its nodes is
-    base = nodes viewed as complex with counts of 1.
+    carries the same weight, so the rule keeps one weight per base row:
+    ``row_weights`` (H,), row_weights[h] the weight of each of the F nodes of
+    base row h; ``base_weights`` (H,) holds their sum.  The torus rule's base
+    is real, its moduli rows; the product rule's is complex, one row per
+    polar node; a rule given by its nodes is base = nodes viewed as complex
+    with counts of 1, so one node per row.
 
     The base rows must be finite and of unit length within 1e-8, checked
     here once: the factored kernels (``factor_radial``, ``factor_values``,
     the moments of ``harmonic_expand``) hold only on the unit sphere and
-    take the rule as given.  ``weights`` may be any sequence.  The node array
-    is built on first access to ``nodes`` (``nodes_built`` tells); ``table``
-    and ``node`` work on the factors.  Every array of the rule is read-only.
+    take the rule as given.  ``row_weights`` may be any sequence of H
+    numbers.  The node array is built on first access to ``nodes``
+    (``nodes_built`` tells); ``table`` and ``node`` work on the factors.
+    Every array of the rule is read-only.
     """
 
-    def __init__(self, m, base, phase_counts, weights, exactness_degree, level):
+    def __init__(self, m, base, phase_counts, row_weights, exactness_degree, level):
         base, counts = np.ascontiguousarray(base), tuple(phase_counts)
-        weights = np.asarray(weights, dtype=float)
-        count = weights.shape[0]
+        row_weights = np.asarray(row_weights, dtype=float)
         if m % 2 or base.ndim != 2 or base.shape[1] != m // 2 or len(counts) != base.shape[1]:
             raise InvalidInputError(f"a rule on S^{m - 1} takes base rows and phase counts of "
                                     f"m/2 = {m / 2:g} coordinate pairs")
@@ -159,25 +164,24 @@ class QuadratureRule:
             raise InvalidInputError("a rule's base rows must be finite and of unit length")
         if not all(isinstance(c, numbers.Integral) and c >= 1 for c in counts):
             raise InvalidInputError(f"phase counts must be integers >= 1, got {counts}")
-        phases = phase_grid(counts)
-        if base.shape[0] * phases.shape[0] != count:
-            raise InvalidInputError(f"the rule's factors do not give its {count} nodes")
-        per_row = weights.reshape(base.shape[0], phases.shape[0])
-        if not np.array_equal(per_row.max(axis=1), per_row.min(axis=1)):
-            raise InvalidInputError("the phase rows of a base row must carry equal weights")
-        self.m, self.base, self.phases, self.weights = m, base, phases, weights
+        if row_weights.shape != base.shape[:1]:
+            raise InvalidInputError(f"a rule of {base.shape[0]} base rows takes one weight per "
+                                    f"row, got shape {row_weights.shape}")
+        self.m, self.base, self.phases, self.row_weights = m, base, phase_grid(counts), row_weights
         self.phase_counts = tuple(int(c) for c in counts)
         self.exactness_degree, self.level = exactness_degree, level
         self._nodes = None
-        for arr in (base, phases, weights):
+        for arr in (base, self.phases, row_weights):
             arr.setflags(write=False)
 
     @cached_property
     def base_weights(self):
-        """Each base row's weights summed over its phase rows, (H,), read-only;
-        formed on first use, by the first table of width 1 on a rule of
-        several phase rows."""
-        out = np.sum(self.weights.reshape(self.base.shape[0], -1), axis=1)
+        """Each base row's node weights summed over its F phase rows, (H,),
+        read-only: the pairwise sum of F equal terms, which rounds apart from
+        F * row_weights.  Formed on first use, by the first table of width 1
+        on a rule of several phase rows."""
+        F = self.phases.shape[0]
+        out = np.sum(np.broadcast_to(self.row_weights[:, None], (len(self.row_weights), F)), axis=1)
         out.setflags(write=False)
         return out
 
@@ -186,10 +190,11 @@ class QuadratureRule:
 
         ``values`` is (H, F), value [h, f] at node h*F + f; or its flattening,
         one value per node in node order; or (H, 1) for an integrand that
-        ignores the phases.  Returns (values, weights) as float arrays of one
-        shape: (H, F) with the weights in the same layout, or (H, 1) with
-        ``base_weights``, so the weighted sum is the quadrature sum either
-        way.  A callable, or any other shape, raises ``InvalidInputError``.
+        ignores the phases.  Returns (values, weights) as float arrays: the
+        values (H, F) with the weights a column (H, 1) of ``row_weights``, or
+        the values (H, 1) with ``base_weights``, so the weighted sum is the
+        quadrature sum either way.  A callable, or any other shape, raises
+        ``InvalidInputError``.
         """
         if callable(values):
             raise InvalidInputError("an integrand is given by its values on the rule, not a callable")
@@ -200,7 +205,7 @@ class QuadratureRule:
         if vals.shape not in ((H * F,), (H, F)):
             raise InvalidInputError(f"integrand has shape {vals.shape}, expected ({H * F},), "
                                     f"({H}, {F}) or ({H}, 1)")
-        return vals.reshape(H, F), self.weights.reshape(H, F)
+        return vals.reshape(H, F), self.row_weights[:, None]
 
     @property
     def nodes(self):
@@ -224,7 +229,7 @@ class QuadratureRule:
 
     @property
     def node_count(self):
-        return self.weights.shape[0]
+        return self.base.shape[0] * self.phases.shape[0]
 
     def __repr__(self):
         return f"QuadratureRule(m={self.m}, level={self.level}, nodes={self.node_count})"
@@ -253,7 +258,7 @@ def factor_points(base, phases):
     return out.reshape(-1, 2 * W.shape[1])
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=32, typed=True)
 def sphere_rule(m: int, level: int) -> QuadratureRule:
     """Product quadrature rule on S^{m-1}, m in {2, 4, 6, 8}.
 
@@ -266,14 +271,15 @@ def sphere_rule(m: int, level: int) -> QuadratureRule:
     product, then 0), and its phase counts are (1, ..., 1, 2*level): the
     phase rows are (0, ..., 0, psi) for the 2*level azimuths psi; its node
     array, bit for bit the per-node meshgrid build, is formed only when
-    ``nodes`` is first read.
+    ``nodes`` is first read.  m and level are integers (``config._integer``);
+    the cache is typed, so 1 and True are different keys and a cache hit
+    never skips these checks.
     """
+    m, L = _integer(m, "m"), _integer(level, "level")
     if m not in (2, 4, 6, 8):
         raise InvalidInputError(f"sphere_rule supports m in {{2, 4, 6, 8}}, got {m}")
-    if level < 1:
+    if L < 1:
         raise InvalidInputError("level must be >= 1")
-    L = int(level)
-    wpsi = np.full(2 * L, math.pi / L)
     if m == 2:
         heads, hweights = np.array([[1.0, 0.0]]), np.ones(1)
     else:
@@ -294,11 +300,10 @@ def sphere_rule(m: int, level: int) -> QuadratureRule:
             sinprod = sinprod * np.sqrt(1.0 - cols[i] ** 2)
         heads[:, m - 2] = sinprod
     counts = (1,) * (m // 2 - 1) + (2 * L,)
-    weights = (hweights[:, None] * wpsi).ravel()
-    return QuadratureRule(m, heads.view(complex), counts, weights, 2 * L - 1, L)
+    return QuadratureRule(m, heads.view(complex), counts, hweights * (math.pi / L), 2 * L - 1, L)
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=32, typed=True)
 def invariant_sphere_rule(n: int, level: int, nphase: int = 1) -> QuadratureRule:
     """Torus-reduced rule on S^{2n-1} for rotation-invariant integrands.
 
@@ -313,13 +318,14 @@ def invariant_sphere_rule(n: int, level: int, nphase: int = 1) -> QuadratureRule
     nphase exceeds the polynomial's phase bandwidth.  The phase of z_n is the
     fastest axis.  Its base is the real moduli rows (L^{n-1}, n), with phase
     counts (1, nphase, ..., nphase), so (nphase^{n-1}, n) phase rows; its
-    node array is built on first access.
+    node array is built on first access.  n, level and nphase are integers,
+    checked on every call as in ``sphere_rule``.
     """
+    n, L, nphase = _integer(n, "n"), _integer(level, "level"), _integer(nphase, "nphase")
     if n < 1:
         raise InvalidInputError("n must be >= 1")
-    if level < 1 or nphase < 1:
+    if L < 1 or nphase < 1:
         raise InvalidInputError("level and nphase must be >= 1")
-    L = int(level)
     # moduli part: u_1 = sqrt(1-s_1), u_i = sqrt(s_1..s_{i-1}(1-s_i)), u_n = sqrt(s_1..s_{n-1})
     svals, swts = [], []
     for i in range(1, n):
@@ -344,8 +350,8 @@ def invariant_sphere_rule(n: int, level: int, nphase: int = 1) -> QuadratureRule
         U[:, n - 1] = np.sqrt(running)
     # phase part: first coordinate pinned at phase 0
     F = nphase ** (n - 1)
-    weights = np.repeat(uw, F) * ((2.0 * math.pi) ** n / F)
-    return QuadratureRule(2 * n, U, (1,) + (nphase,) * (n - 1), weights, 2 * L - 1, L)
+    return QuadratureRule(2 * n, U, (1,) + (nphase,) * (n - 1), uw * ((2.0 * math.pi) ** n / F),
+                          2 * L - 1, L)
 
 
 def integrate_sphere(f, rule: QuadratureRule) -> float:
@@ -434,7 +440,7 @@ def mc_volume(body, samples: int, seed: int) -> MCVolume:
     the generator at each chunk's first draw, so the chunk gets the rows a
     sequential pass would give it, and the hit count is the same for any
     number of CPUs and any chunk size.  ``samples`` must be an integer
-    >= 1e4.  Raises ``NumericalEvaluationError``, before drawing, when the
+    >= 1e4 and ``seed`` a non-negative integer (``config._seed``).  Raises ``NumericalEvaluationError``, before drawing, when the
     box volume is not finite (the estimate and its standard error are then
     finite too).
     """
@@ -443,6 +449,7 @@ def mc_volume(body, samples: int, seed: int) -> MCVolume:
     samples = int(samples)
     if samples < 10_000:
         raise InvalidInputError("mc_volume requires at least 1e4 samples")
+    seed = _seed(seed)
     n = body.dim.n
     N = 2 * n
     scan = invariant_sphere_rule(n, 48, nphase=1 if body.phase_bandwidth == 0 else 8)
@@ -467,4 +474,4 @@ def mc_volume(body, samples: int, seed: int) -> MCVolume:
     frac = hits / samples
     est = boxvol * frac
     se = boxvol * math.sqrt(max(frac * (1.0 - frac), 1e-300) / samples)
-    return MCVolume(est, se, samples, hits, R, int(seed))
+    return MCVolume(est, se, samples, hits, R, seed)

@@ -66,16 +66,22 @@ def ring_rule(heads, count):
     weight 1 at every node."""
     heads = np.ascontiguousarray(heads, dtype=float)
     H, m = heads.shape
-    return QuadratureRule(m, heads.view(complex), (1,) * (m // 2 - 1) + (count,),
-                          np.ones(H * count), 0, 1)
+    return QuadratureRule(m, heads.view(complex), (1,) * (m // 2 - 1) + (count,), np.ones(H), 0, 1)
 
 
 def node_rule(nodes, weights, exactness_degree, level):
     """A rule given by its nodes: base = nodes viewed as complex, phase counts
-    of 1 (one zero phase row)."""
+    of 1 (one zero phase row), so one weight per node."""
     nodes = np.ascontiguousarray(nodes)
     return QuadratureRule(nodes.shape[1], nodes.view(complex), (1,) * (nodes.shape[1] // 2),
                           weights, exactness_degree, level)
+
+
+def node_weights(rule):
+    """The rule's weights in node order, (node_count,): each base row's weight
+    repeated over its phase rows.  A reference for tests; the package never
+    forms it."""
+    return np.repeat(rule.row_weights, rule.phases.shape[0])
 
 
 def table_shape(body, rule):

@@ -317,7 +317,7 @@ class TestTorusRadial:
         rule = invariant_sphere_rule(2, 6, 3)
         for scale in (1.0 + 2e-8, 0.5, np.nan):
             with pytest.raises(InvalidInputError, match="unit length"):
-                QuadratureRule(4, rule.base * scale, rule.phase_counts, rule.weights, 1, 1)
+                QuadratureRule(4, rule.base * scale, rule.phase_counts, rule.row_weights, 1, 1)
         assert np.all(body.factor_radial(rule) > 0)
 
 
@@ -420,6 +420,15 @@ class TestValidate:
         a = validate(ell12, 500, 42)
         b = validate(ell12, 500, 42)
         assert a.to_dict() == b.to_dict()
+
+    @pytest.mark.parametrize("count", [2.5, True])
+    def test_rejects_a_sample_count_that_is_no_integer(self, ball2, count):
+        with pytest.raises(InvalidInputError, match="sample_count must be an integer"):
+            validate(ball2, count, 0)
+
+    def test_rejects_a_fractional_seed(self, ball2):
+        with pytest.raises(InvalidInputError, match="seed must be an integer"):
+            validate(ball2, 100, seed=1.5)
 
     def test_broken_perturbation_reported(self):
         body = PerturbedBall(ComplexDim(2), 1.0, ((2, 0, 10.0),), certify=False)

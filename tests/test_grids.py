@@ -54,6 +54,13 @@ class TestRefineExtremum:
                                          mode="max", halvings=3)
         assert value == pytest.approx(2.0, rel=1e-9)
 
+    def test_rejects_an_unknown_mode(self):
+        # "maximum" is neither mode: it must not fall through to minimising
+        body = ComplexEllipsoid((1.0, 2.0))
+        grid = direction_grid(2, 24)
+        with pytest.raises(InvalidInputError, match="mode must be"):
+            refine_extremum(body.radial, grid, body.radial(grid.directions), mode="maximum")
+
     def test_refinement_improves_on_coarse_grid(self):
         body = ComplexEllipsoid((1.0, 1.618))
         grid = direction_grid(2, 5)

@@ -40,8 +40,8 @@ from cxsect.harmonics import (
 from cxsect.spherequad import CHUNK_ROWS, factor_points
 from cxsect.suite import bodies_n2, bodies_n3
 
-from conftest import (CountingRadial, node_rule, ring_angles, ring_points, ring_rule, trapezoid,
-                      unit_vectors)
+from conftest import (CountingRadial, node_rule, node_weights, ring_angles, ring_points, ring_rule,
+                      trapezoid, unit_vectors)
 
 
 def degree_dim(N, j):
@@ -390,7 +390,7 @@ class TestBatchedOrthonormalisation:
         Z = rule.nodes[:, 0::2] + 1j * rule.nodes[:, 1::2]
         mono = [np.prod(Z ** np.array(a), axis=1) for a in monomials(n, p)]
         pairs = np.array([za * zb.conj() for za in mono for zb in mono]).T
-        quad = pairs.T @ (rule.weights[:, None] * pairs.conj())
+        quad = pairs.T @ (node_weights(rule)[:, None] * pairs.conj())
         entries = np.arange(len(mono) ** 2)
         expect = gram_of(n, p, entries, entries)
         assert np.abs(quad - expect).max() <= 1e-14 * np.abs(expect).max()
@@ -403,7 +403,7 @@ class TestOrthonormality:
         basis = invariant_harmonic_basis(N, j)
         rule = sphere_rule(N, j + 2)
         vals = basis.evaluate(rule.nodes)
-        gram = vals.T @ (rule.weights[:, None] * vals)
+        gram = vals.T @ (node_weights(rule)[:, None] * vals)
         assert np.abs(gram - np.eye(len(basis))).max() < 1e-10
 
     def test_exact_gram_identity_at_n4_degree_limit(self):
@@ -436,11 +436,11 @@ class TestOrthonormality:
     def test_gram_identity_invariant_n6_high_degree(self):
         basis = invariant_harmonic_basis(6, 10)
         rule = sphere_rule(6, 12)
-        gram = np.zeros((len(basis), len(basis)))
+        gram, weights = np.zeros((len(basis), len(basis))), node_weights(rule)
         for lo in range(0, rule.node_count, 40_000):
             hi = min(lo + 40_000, rule.node_count)
             vals = basis.evaluate(rule.nodes[lo:hi])
-            gram += vals.T @ (rule.weights[lo:hi, None] * vals)
+            gram += vals.T @ (weights[lo:hi, None] * vals)
         assert np.abs(gram - np.eye(len(basis))).max() < 1e-10
 
     def test_cross_degree_orthogonality(self):
@@ -449,7 +449,7 @@ class TestOrthonormality:
         rule = sphere_rule(4, 8)
         v2 = b2.evaluate(rule.nodes)
         v4 = b4.evaluate(rule.nodes)
-        cross = v2.T @ (rule.weights[:, None] * v4)
+        cross = v2.T @ (node_weights(rule)[:, None] * v4)
         assert np.abs(cross).max() < 1e-12
 
     def test_harmonicity_via_laplacian_stencil(self):
@@ -482,7 +482,7 @@ class TestMoments:
     def test_against_quadrature(self):
         rule = sphere_rule(6, 8)
         mods2 = rule.nodes[:, 0::2] ** 2 + rule.nodes[:, 1::2] ** 2
-        quad = float(rule.weights @ (mods2[:, 0] ** 2 * mods2[:, 2]))
+        quad = float(node_weights(rule) @ (mods2[:, 0] ** 2 * mods2[:, 2]))
         assert quad == pytest.approx(complex_sphere_moment(3, (2, 0, 1)), rel=1e-13)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
@@ -569,7 +569,7 @@ def zonal_projection(f, N, j, rule, xi):
     when the rule integrates f times a degree-j polynomial exactly.
     """
     kernel = gegenbauer_ratio(j, N / 2.0 - 1.0, rule.nodes @ xi.T)
-    return degree_dim(N, j) / sphere_area(N) * ((rule.weights * f(rule.nodes)) @ kernel)
+    return degree_dim(N, j) / sphere_area(N) * ((node_weights(rule) * f(rule.nodes)) @ kernel)
 
 
 def exact_rule(N, degree, jmax):
@@ -724,6 +724,14 @@ class TestExpansion:
         for j in per_node.coeffs:
             assert np.abs(per_row.coeffs[j] - per_node.coeffs[j]).max() <= 1e-13 * per_node.l2_norm
 
+    def test_integral_float_degree(self):
+        rule = sphere_rule(4, 8)
+        f = np.ones(rule.node_count)
+        exp = harmonic_expand(f, 4.0, rule)
+        assert exp.jmax == 4 and exp.to_dict() == harmonic_expand(f, 4, rule).to_dict()
+        with pytest.raises(InvalidInputError, match="jmax must be an integer"):
+            harmonic_expand(f, 4.5, rule)
+
     def test_degree_above_limit_rejected_before_evaluation(self):
         rule = sphere_rule(4, 8)
         with pytest.raises(InvalidInputError, match="j <= 24"):
@@ -742,7 +750,7 @@ def per_degree_expand(f, jmax, rule):
     zeroed, and that L2 norm.
     """
     fvals = f(rule.nodes)
-    wf = rule.weights * fvals
+    wf = node_weights(rule) * fvals
     l2 = math.sqrt(float(np.sum(wf * fvals)))
     coeffs = {}
     for j in range(0, jmax + 1, 2):
@@ -810,7 +818,7 @@ class TestLiftedEvaluate:
         for U, match in ((rule.base * (1.0 + 2e-8), "unit length"), (nan, "finite"),
                          (rule.base[:, :2], "coordinate pairs")):
             with pytest.raises(InvalidInputError, match=match):
-                QuadratureRule(6, U, rule.phase_counts, rule.weights, 1, 1)
+                QuadratureRule(6, U, rule.phase_counts, rule.row_weights, 1, 1)
 
     # (N, jmax, heads) -> tolerance, on a rule of rings (complex heads turned
     # in the last pair by five uniform angles).  At N = 4, jmax 24 the lifted
@@ -845,7 +853,7 @@ class TestLiftedEvaluate:
             with pytest.raises(InvalidInputError, match=match):
                 ring_rule(heads, 2)
         with pytest.raises(InvalidInputError, match="coordinate pairs"):
-            QuadratureRule(6, np.ascontiguousarray(X[:, :4]).view(complex), (1, 2), np.ones(10), 0, 1)
+            QuadratureRule(6, np.ascontiguousarray(X[:, :4]).view(complex), (1, 2), np.ones(5), 0, 1)
 
     def test_all_zero_tail_is_zero(self, ball2):
         ft = ft_norm_power(ball2, 2.0, jmax=8)
@@ -949,7 +957,7 @@ def general_layout(n, rows, counts, seed):
     leave the others fixed."""
     base = unit_vectors(np.random.default_rng(seed), rows, 2 * n).view(complex)
     counts = (counts[0],) + (1,) * (n - 2) + (counts[1],)
-    return QuadratureRule(2 * n, base, counts, np.ones(rows * math.prod(counts)), 0, 1)
+    return QuadratureRule(2 * n, base, counts, np.ones(rows), 0, 1)
 
 
 class TestRingMoments:
@@ -962,7 +970,7 @@ class TestRingMoments:
              "product N=4 L=26": (lambda: sphere_rule(4, 26), 12),
              "invariant n=3 L=14 nphase=8": (lambda: invariant_sphere_rule(3, 14, 8), 6),
              "nodes N=6 L=6": (lambda: node_rule(sphere_rule(6, 6).nodes.copy(),
-                                                 sphere_rule(6, 6).weights.copy(), 11, 6), 5),
+                                                 node_weights(sphere_rule(6, 6)), 11, 6), 5),
              # the base spans two chunks; two of its three pairs turn
              "general n=3 rows=chunk+9": (lambda: general_layout(3, CHUNK_ROWS + 9, (3, 4), 8), 4)}
 
@@ -1058,7 +1066,7 @@ class TestMomentPlan:
             rule = make()
             rng = np.random.default_rng(n)
             H, F = rule.base.shape[0], rule.phases.shape[0]
-            per_node = (rng.normal(size=rule.node_count) * rule.weights).reshape(H, F)
+            per_node = (rng.normal(size=rule.node_count) * node_weights(rule)).reshape(H, F)
             per_row = (rng.normal(size=H) * rule.base_weights)[:, None]
             for wf in (per_node, per_row):
                 ref = planned_in_the_call(blk, rule, wf)
@@ -1124,7 +1132,7 @@ class TestBaseRowMoments:
         f = np.random.default_rng(k).normal(size=rule.base.shape[0])
         per_row = blk.moments(rule, (rule.base_weights * f)[:, None])
         F = rule.phases.shape[0]
-        per_node = blk.moments(rule, (rule.weights * np.repeat(f, F)).reshape(-1, F))
+        per_node = blk.moments(rule, (node_weights(rule) * np.repeat(f, F)).reshape(-1, F))
         return rule, blk, per_row, per_node
 
     @pytest.mark.parametrize("name", sorted(RULES))
@@ -1400,6 +1408,18 @@ class TestFtNormPower:
         monkeypatch.setattr(harmonics, "expansion_rule", never)
         with pytest.raises(InvalidInputError, match="j <= 22"):
             ft_norm_power(ball3, 4.0, jmax=24)
+
+    def test_integral_float_degree(self, ball2):
+        ft = ft_norm_power(ball2, 2, jmax=4.0)
+        assert type(ft.jmax) is int and ft.to_dict() == ft_norm_power(ball2, 2, jmax=4).to_dict()
+        assert ft.label == "ft[ball(n=2,r=1)]^(-2)"  # the exponent as given
+        with pytest.raises(InvalidInputError, match="jmax must be an integer"):
+            ft_norm_power(ball2, 2, jmax=True)
+
+    @pytest.mark.parametrize("p", [True, "2"])
+    def test_rejects_an_exponent_that_is_no_real_number(self, ball2, p):
+        with pytest.raises(InvalidInputError, match="exponent p"):
+            ft_norm_power(ball2, p, jmax=4)
 
     def test_p_out_of_range(self, ball2):
         with pytest.raises(InvalidInputError):

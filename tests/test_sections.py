@@ -40,7 +40,7 @@ from cxsect.sections import (
 from cxsect.spherequad import CHUNK_ROWS
 from cxsect.suite import bodies_n2, bodies_n3
 
-from conftest import CountingRadial, trapezoid, unit_vectors
+from conftest import CountingRadial, node_weights, trapezoid, unit_vectors
 
 
 @functools.cache
@@ -259,7 +259,7 @@ def _section_values_loop(body, dirs, rule):
     out = []
     for B in hyperplane_basis(dirs):
         pts = sum(rule.nodes[:, j, None] * B[j] for j in range(rule.m))
-        out.append(body.radial(pts) ** power @ rule.weights / power)
+        out.append(body.radial(pts) ** power @ node_weights(rule) / power)
     return np.array(out)
 
 

@@ -1,6 +1,7 @@
 import math
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from cxsect.spherequad import factor_points
 from cxsect.config import default_config, philox
 from cxsect.harmonics import complex_sphere_moment, multi_indices
 from cxsect.suite import bodies_n2, bodies_n3
-from conftest import CountingRadial, node_order, node_rule, ring_points, table_shape
+from conftest import CountingRadial, node_order, node_rule, node_weights, ring_points, table_shape
 
 
 def sphere_monomial_moment(m, alpha):
@@ -41,13 +42,13 @@ class TestSphereRule:
     def test_circle_rule(self):
         rule = sphere_rule(2, 10)
         assert rule.node_count == 20
-        assert np.allclose(rule.weights, math.pi / 10)
-        assert rule.weights.sum() == pytest.approx(2 * math.pi, rel=1e-15)
+        assert np.allclose(rule.row_weights, math.pi / 10)
+        assert node_weights(rule).sum() == pytest.approx(2 * math.pi, rel=1e-15)
 
     @pytest.mark.parametrize("m,area", [(4, 2 * math.pi ** 2), (6, math.pi ** 3)])
     def test_weight_sums(self, m, area):
         rule = sphere_rule(m, 5)
-        assert rule.weights.sum() == pytest.approx(area, rel=1e-12)
+        assert node_weights(rule).sum() == pytest.approx(area, rel=1e-12)
         assert sphere_area(m) == pytest.approx(area, rel=1e-14)
 
     @pytest.mark.parametrize("m,area", [
@@ -58,7 +59,7 @@ class TestSphereRule:
 
     @pytest.mark.parametrize("m", [2, 4, 6, 8])
     def test_weights_positive(self, m):
-        assert np.all(sphere_rule(m, 4).weights > 0)
+        assert np.all(sphere_rule(m, 4).row_weights > 0)
 
     @pytest.mark.parametrize("m", [4, 6])
     def test_polynomial_exactness(self, m):
@@ -68,7 +69,7 @@ class TestSphereRule:
             alpha = rng.integers(0, 4, size=m)
             if alpha.sum() > rule.exactness_degree:
                 continue
-            quad = float(rule.weights @ np.prod(rule.nodes ** alpha, axis=1))
+            quad = float(node_weights(rule) @ np.prod(rule.nodes ** alpha, axis=1))
             assert quad == pytest.approx(sphere_monomial_moment(m, tuple(alpha)),
                                          abs=1e-13 * sphere_area(m))
 
@@ -76,8 +77,8 @@ class TestSphereRule:
     def test_antipodal_symmetry(self, m):
         rule = sphere_rule(m, 4)
         table = {tuple(np.round(node, 12)): w
-                 for node, w in zip(rule.nodes, rule.weights)}
-        for node, w in zip(rule.nodes, rule.weights):
+                 for node, w in zip(rule.nodes, node_weights(rule))}
+        for node, w in zip(rule.nodes, node_weights(rule)):
             key = tuple(np.round(-node, 12))
             assert key in table
             assert table[key] == pytest.approx(w, rel=1e-13)
@@ -95,6 +96,34 @@ class TestSphereRule:
         for m in (0, 1, 3, 5, 7, 9, 10):
             with pytest.raises(InvalidInputError, match="m in"):
                 sphere_rule(m, 4)
+
+
+class TestBuilderArguments:
+    """The builders read their scalars as integers on every call, cache hits
+    included: 2.5 and True are rejected, an integral float is its integer."""
+
+    def test_product_rule_rejects_a_fractional_level(self):
+        with pytest.raises(InvalidInputError, match="level must be an integer"):
+            sphere_rule(4, 2.5)
+
+    def test_torus_rule_rejects_a_fractional_level(self):
+        with pytest.raises(InvalidInputError, match="level must be an integer"):
+            invariant_sphere_rule(2, 2.5)
+
+    def test_torus_rule_rejects_a_bool_nphase_after_its_integer_is_cached(self):
+        invariant_sphere_rule(2, 4, 1)  # True == 1 and hash(True) == hash(1)
+        with pytest.raises(InvalidInputError, match="nphase must be an integer"):
+            invariant_sphere_rule(2, 4, True)
+
+    def test_product_rule_takes_an_integral_float_dimension(self):
+        rule, ref = sphere_rule(4.0, 8), sphere_rule(4, 8)
+        assert type(rule.m) is int and rule.m == 4 and rule.node_count == ref.node_count
+        assert np.array_equal(rule.base, ref.base) and np.array_equal(rule.row_weights, ref.row_weights)
+
+    def test_torus_rule_takes_an_integral_float_dimension(self):
+        rule, ref = invariant_sphere_rule(2.0, 4), invariant_sphere_rule(2, 4)
+        assert type(rule.m) is int and rule.m == 4 and rule.phase_counts == ref.phase_counts
+        assert np.array_equal(rule.base, ref.base) and np.array_equal(rule.row_weights, ref.row_weights)
 
 
 def reference_sphere_rule(m, level):
@@ -128,7 +157,65 @@ class TestHeadFirstBuild:
         rule = sphere_rule(m, level)
         nodes, weights = reference_sphere_rule(m, level)
         assert np.array_equal(rule.nodes, nodes)
-        assert np.array_equal(rule.weights, weights)
+        # the row weights repeated are the node-form weights, and the base
+        # weights their pairwise sums over each base row's phase rows
+        assert np.array_equal(node_weights(rule), weights)
+        assert np.array_equal(rule.base_weights, weights.reshape(rule.base.shape[0], -1).sum(axis=1))
+
+
+def reference_torus_weights(n, level, nphase):
+    """The torus rule's weights built node by node: the moduli weights'
+    product over a full meshgrid with the phase rows, times (2 pi)^n / F."""
+    F = nphase ** (n - 1)
+    swts = [spherequad.gauss_power01(level, n - i - 1)[1] / 2.0 for i in range(1, n)]
+    weights = np.ones(level ** (n - 1) * F)
+    for g in np.meshgrid(*swts, np.arange(F), indexing="ij")[:-1]:
+        weights = weights * g.ravel()
+    return weights * ((2.0 * math.pi) ** n / F)
+
+
+class TestRowWeights:
+    """A rule keeps one weight per base row; the node-form weights exist only
+    as the tests' references."""
+
+    @pytest.mark.parametrize("n,level,nphase", [(1, 5, 3), (2, 64, 9), (2, 7, 2), (3, 24, 7),
+                                                (3, 9, 4), (4, 6, 5)])
+    def test_torus_weights_bit_identical_to_a_node_form_build(self, n, level, nphase):
+        rule = invariant_sphere_rule.__wrapped__(n, level, nphase)
+        weights = reference_torus_weights(n, level, nphase)
+        assert rule.row_weights.shape == rule.base.shape[:1]
+        assert np.array_equal(node_weights(rule), weights)
+        # the pairwise sum over the F equal node weights, not F * row weight
+        assert np.array_equal(rule.base_weights, weights.reshape(rule.base.shape[0], -1).sum(axis=1))
+
+    def test_cold_build_retains_no_node_weights(self):
+        # 32,400 moduli rows of 49 phase rows: the node weights alone would
+        # be 12.1 MB, the base and row weights are 0.99 MB.  The Gauss
+        # solves, cached and shared by every rule of this level, are warmed
+        # first.
+        invariant_sphere_rule.__wrapped__(3, 180, 1)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            rule = invariant_sphere_rule.__wrapped__(3, 180, 7)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert rule.node_count == 32_400 * 49
+        assert retained < 2 ** 20
+
+    @pytest.mark.parametrize("make", [lambda: sphere_rule(4, 6), lambda: invariant_sphere_rule(3, 5, 4),
+                                      lambda: invariant_sphere_rule(2, 9)],
+                             ids=["product", "torus", "torus one phase"])
+    def test_tables_carry_row_weights(self, make):
+        rule = make()
+        H, F = rule.base.shape[0], rule.phases.shape[0]
+        assert rule.node_count == H * F
+        for shape in ((H * F,), (H, F)):
+            vals, weights = rule.table(np.ones(shape))
+            assert vals.shape == (H, F) and np.array_equal(weights, rule.row_weights[:, None])
+        _, weights = rule.table(np.ones((H, 1)))
+        assert np.array_equal(weights, (rule.base_weights if F > 1 else rule.row_weights)[:, None])
 
 
 def _built_invariant_rules():
@@ -215,11 +302,11 @@ class TestFactoredRule:
         assert not rule.nodes_built
         assert rule.node_count == rule.base.shape[0] * rule.phases.shape[0]
         assert rule.phases.shape == (nphase ** (n - 1), n)
-        assert not rule.nodes_built  # node_count reads the weights
+        assert not rule.nodes_built  # node_count reads the factors
         nodes = rule.nodes
         assert rule.nodes_built and rule.nodes is nodes
         assert np.array_equal(nodes, reference_torus_nodes(rule.base, rule.phases))
-        for arr in (rule.nodes, rule.weights, rule.base, rule.phases):
+        for arr in (rule.nodes, rule.row_weights, rule.base, rule.phases):
             assert not arr.flags.writeable
 
     @pytest.mark.parametrize("n", [2, 3])
@@ -230,27 +317,23 @@ class TestFactoredRule:
         assert np.all(rule.phases[:, 0] == 0.0)
 
     def test_factor_shapes_checked(self):
-        # one form: a base and phase counts of m/2 pairs whose grid gives
-        # the weights', equal over the phase rows of a base row; m is even
+        # one form: a base and phase counts of m/2 pairs, and one weight per
+        # base row; m is even
         torus, product = invariant_sphere_rule(2, 4, 3), sphere_rule(4, 3)
         for base, counts in ((torus.base, (3,)), (torus.base[:, :1], (1,)), (product.base, (6,)),
                              (torus.base[0], (1, 3)), (torus.base, (1, 3, 1))):
             with pytest.raises(InvalidInputError, match="coordinate pairs"):
-                QuadratureRule(4, base, counts, torus.weights, 1, 1)
+                QuadratureRule(4, base, counts, torus.row_weights, 1, 1)
         for m in (3, 5):
             with pytest.raises(InvalidInputError, match="coordinate pairs"):
-                QuadratureRule(m, torus.base, (1, 3), torus.weights, 1, 1)
+                QuadratureRule(m, torus.base, (1, 3), torus.row_weights, 1, 1)
         for counts in ((1, 0), (1, 2.0), (1, -3)):
             with pytest.raises(InvalidInputError, match="integers >= 1"):
-                QuadratureRule(4, torus.base, counts, torus.weights, 1, 1)
-        with pytest.raises(InvalidInputError, match="do not give"):
-            QuadratureRule(4, product.base, (1, 2), product.weights, 1, 1)
-        with pytest.raises(InvalidInputError, match="do not give"):
-            QuadratureRule(4, torus.base, (1, 3), torus.weights[1:], 1, 1)
-        uneven = torus.weights.copy()
-        uneven[1] *= 1.5
-        with pytest.raises(InvalidInputError, match="equal weights"):
-            QuadratureRule(4, torus.base, (1, 3), uneven, 1, 1)
+                QuadratureRule(4, torus.base, counts, torus.row_weights, 1, 1)
+        # node-form weights, one row short, or a column: not one per base row
+        for weights in (node_weights(torus), torus.row_weights[1:], torus.row_weights[:, None]):
+            with pytest.raises(InvalidInputError, match="one weight per row"):
+                QuadratureRule(4, torus.base, (1, 3), weights, 1, 1)
 
     def test_base_rows_of_unit_length(self):
         # checked once here: the moment recursion and the lift of the
@@ -259,27 +342,29 @@ class TestFactoredRule:
         for rule in (torus, product):
             for scale in (1.0 + 2e-8, 1.0 - 2e-8, 1.1):
                 with pytest.raises(InvalidInputError, match="unit length"):
-                    QuadratureRule(4, rule.base * scale, rule.phase_counts, rule.weights, 1, 1)
+                    QuadratureRule(4, rule.base * scale, rule.phase_counts, rule.row_weights, 1, 1)
             for bad in (np.nan, np.inf):
                 base = rule.base.copy()
                 base[1, 0] = bad
                 with pytest.raises(InvalidInputError, match="finite"):
-                    QuadratureRule(4, base, rule.phase_counts, rule.weights, 1, 1)
+                    QuadratureRule(4, base, rule.phase_counts, rule.row_weights, 1, 1)
             # within 1e-8 of unit length the rows are accepted
-            near = QuadratureRule(4, rule.base * (1.0 + 5e-9), rule.phase_counts, rule.weights, 1, 1)
+            near = QuadratureRule(4, rule.base * (1.0 + 5e-9), rule.phase_counts, rule.row_weights,
+                                  1, 1)
             assert near.base.shape == rule.base.shape
 
     def test_weights_taken_as_a_list(self):
         torus = invariant_sphere_rule(2, 4, 3)
-        rule = QuadratureRule(4, torus.base, torus.phase_counts, torus.weights.tolist(), 7, 4)
-        assert np.array_equal(rule.weights, torus.weights) and not rule.weights.flags.writeable
+        rule = QuadratureRule(4, torus.base, torus.phase_counts, torus.row_weights.tolist(), 7, 4)
+        assert np.array_equal(rule.row_weights, torus.row_weights)
+        assert not rule.row_weights.flags.writeable
         assert integrate_sphere(np.ones(rule.node_count), rule) == integrate_sphere(
             np.ones(torus.node_count), torus)
 
     @pytest.mark.parametrize("m,level", [(2, 5), (4, 6), (6, 3)])
     def test_phase_rows_from_the_counts(self, m, level):
         # the builders' phase rows are the grid of their counts, and the base
-        # weights are the weights summed over each base row's phase rows
+        # weights are the node weights summed over each base row's phase rows
         c = m // 2
         for rule, counts in ((sphere_rule(m, level), (1,) * (c - 1) + (2 * level,)),
                              (invariant_sphere_rule(c, level, 5), (1,) + (5,) * (c - 1))):
@@ -287,7 +372,7 @@ class TestFactoredRule:
             assert np.array_equal(rule.phases, spherequad.phase_grid(counts))
             F = rule.phases.shape[0]
             assert F == math.prod(counts)
-            per_row = rule.weights.reshape(-1, F)
+            per_row = node_weights(rule).reshape(-1, F)
             assert np.array_equal(rule.base_weights, per_row.sum(axis=1))
             assert not rule.base_weights.flags.writeable
 
@@ -298,7 +383,7 @@ class TestFactoredRule:
         product, eps4 = sphere_rule(4, 6), 4 * np.finfo(float).eps
         forms = {"torus": (lambda: invariant_sphere_rule.__wrapped__(2, 16, 9), 1e-14),
                  "product": (lambda: sphere_rule.__wrapped__(4, 6), eps4),
-                 "nodes": (lambda: node_rule(product.nodes.copy(), product.weights.copy(), 11, 6),
+                 "nodes": (lambda: node_rule(product.nodes.copy(), node_weights(product), 11, 6),
                            eps4)}
         for body in (ell12, pert2):
             for form, (make, tol) in forms.items():
@@ -323,7 +408,7 @@ class TestFactoredRule:
         assert not rule.phases[:, :-1].any()
         assert not rule.nodes_built
         assert np.array_equal(rule.nodes, ring_points(heads, psi))
-        for arr in (rule.nodes, rule.weights, rule.base, rule.phases):
+        for arr in (rule.nodes, rule.row_weights, rule.base, rule.phases):
             assert not arr.flags.writeable
 
     @pytest.mark.parametrize("n,level,nphase", [(1, 5, 1), (2, 12, 9), (3, 6, 7)])
@@ -387,7 +472,7 @@ class TestRingHeadRadial:
 
     def test_ring_one_takes_every_node(self, monkeypatch):
         product = sphere_rule(4, 6)
-        rule = node_rule(product.nodes.copy(), product.weights.copy(), 11, 6)
+        rule = node_rule(product.nodes.copy(), node_weights(product), 11, 6)
         assert rule.base.shape == (rule.node_count, 2) and not rule.phases.any()
         body = ComplexLqBall(ComplexDim(2), 3.0)
         counter = CountingRadial(monkeypatch)
@@ -499,7 +584,7 @@ class TestInvariantRule:
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_weight_sum(self, n):
         rule = invariant_sphere_rule(n, 20)
-        assert rule.weights.sum() == pytest.approx(sphere_area(2 * n), rel=1e-12)
+        assert node_weights(rule).sum() == pytest.approx(sphere_area(2 * n), rel=1e-12)
 
     def test_exact_on_invariant_monomials(self):
         rule = invariant_sphere_rule(3, 8)
@@ -508,7 +593,7 @@ class TestInvariantRule:
         for _ in range(20):
             alpha = rng.integers(0, 4, size=n)
             mods2 = rule.nodes[:, 0::2] ** 2 + rule.nodes[:, 1::2] ** 2
-            quad = float(rule.weights @ np.prod(mods2 ** alpha, axis=1))
+            quad = float(node_weights(rule) @ np.prod(mods2 ** alpha, axis=1))
             exact = 2 * math.pi ** n
             for a in alpha:
                 exact *= math.factorial(int(a))
@@ -518,7 +603,7 @@ class TestInvariantRule:
     def test_phase_modes_cancel(self):
         rule = invariant_sphere_rule(3, 6, nphase=6)
         z = rule.nodes[:, 0::2] + 1j * rule.nodes[:, 1::2]
-        val = np.sum(rule.weights * z[:, 0] * np.conj(z[:, 1]))
+        val = np.sum(node_weights(rule) * z[:, 0] * np.conj(z[:, 1]))
         assert abs(val) < 1e-13
 
     def test_matches_product_rule_on_invariant_integrand(self):
@@ -767,6 +852,15 @@ class TestMonteCarlo:
     def test_rejects_non_integral_samples(self, ball2, samples):
         with pytest.raises(InvalidInputError, match="integer sample count"):
             mc_volume(ball2, samples, seed=0)
+
+    @pytest.mark.parametrize("seed", [1.5, -1, "3", True])
+    def test_rejects_a_seed_that_is_no_non_negative_integer(self, ball2, seed):
+        with pytest.raises(InvalidInputError, match="seed must be"):
+            mc_volume(ball2, 10_000, seed=seed)
+
+    def test_takes_an_integral_float_seed(self, ball2):
+        mc = mc_volume(ball2, 10_000, seed=3.0)
+        assert mc == mc_volume(ball2, 10_000, seed=3) and type(mc.seed) is int
 
     def test_takes_numpy_integer_samples(self, ball2):
         assert mc_volume(ball2, np.int64(20_000), seed=0) == mc_volume(ball2, 20_000, seed=0)

@@ -22,6 +22,15 @@ def test_matrix_certifies_each_perturbed_body_once(monkeypatch):
         if isinstance(b, PerturbedBall)}
 
 
+def test_sweep_pairs_are_54_distinct_pairs_of_two_bodies():
+    # the property the sweep's former filter guarded: no pair twice, no body
+    # paired with itself
+    pairs = suite.sweep_pairs()
+    assert len(pairs) == 54
+    assert len({(K.label, L.label) for K, L in pairs}) == 54
+    assert all(K != L and K.label != L.label for K, L in pairs)
+
+
 def test_each_call_returns_a_fresh_dict():
     first = suite.bodies_n2()
     first["ball"] = None

@@ -346,6 +346,12 @@ class TestParseval:
         assert scaled.lhs == pytest.approx(r ** 4 * base.lhs, rel=1e-10)
         assert scaled.rhs == pytest.approx(r ** 4 * base.rhs, rel=1e-10)
 
+    def test_integral_float_degree(self, ball2):
+        res = parseval_check(ball2, ball2, 2.0, jmax=4.0)
+        assert res == parseval_check(ball2, ball2, 2.0, jmax=4) and type(res.jmax) is int
+        with pytest.raises(InvalidInputError, match="jmax must be an integer"):
+            parseval_check(ball2, ball2, 2.0, jmax=4.5)
+
     def test_mixed_pair_within_tolerance(self, ball2):
         res = parseval_check(ComplexLqBall(d2, 3.0), ball2, 2.0, jmax=16)
         assert res.relative_error <= 1e-2
