@@ -37,25 +37,27 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import harmonics
-from .config import _integer, _real, _seed, philox
+from .config import COMPLEX_DIMS, _integer, _real, _seed, philox
 from .errors import ConvexityError, InvalidInputError
+from .spherequad import _TINY
 
 _CERTIFY_SEED = 0x5EED_C0DE
 _CERTIFY_PAIRS = 100_000
 _MIDPOINT_TOL = 1e-10
-_TINY = np.finfo(float).tiny  # the smallest normal double
 
 
 @dataclass(frozen=True)
 class ComplexDim:
-    """Complex dimension n with its real dimension N = 2n."""
+    """Complex dimension n with its real dimension N = 2n; n is one of
+    ``config.COMPLEX_DIMS``, the dimensions the configuration covers."""
 
     n: int
 
     def __post_init__(self):
         object.__setattr__(self, "n", _integer(self.n, "complex dimension"))
-        if self.n < 2:
-            raise InvalidInputError("complex dimension must be at least 2")
+        if self.n not in COMPLEX_DIMS:
+            raise InvalidInputError(
+                f"complex dimension must be one of {COMPLEX_DIMS}, got {self.n}")
 
     @property
     def N(self):

@@ -2,12 +2,20 @@
 
 Subcommands: ``validate``, ``section``, ``volume``, ``ft``, ``theorem``,
 ``suite``.  Body specs are JSON files ``{"n": int, "kind": str, "params":
-{...}}``.  Every command writes a JSON report (full provenance), a CSV
-summary, and a ``.meta.json`` sidecar holding timestamps, into the output
-directory.
+{...}}`` with n one of ``config.COMPLEX_DIMS`` (2, 3, 4).  Every command
+writes a JSON report (full provenance), a CSV summary, and a ``.meta.json``
+sidecar holding timestamps, into the output directory.
+
+Each ``cmd_*`` takes the parsed arguments and the run configuration and
+returns a ``Run``: its report and the (passed, warnings) outcomes of its
+checks.  ``main`` alone loads the configuration, writes the report and
+turns the outcomes into the exit code (``errors.exit_code``).
 
 Exit codes: 0 pass, 1 violation beyond tolerance, 2 numerical-precision
-failure (truncation or refinement warnings escalated), 3 invalid input.
+failure (truncation or refinement warnings escalated), 3 invalid input.  A
+usage error (no command, an unknown flag, a flag value argparse cannot read,
+a ``theorem`` flag the chosen check does not read) is invalid input: stderr
+holds argparse's usage line and one ``error:`` line.
 """
 from __future__ import annotations
 
@@ -16,21 +24,14 @@ import json
 import os
 import re
 import sys
+from typing import NamedTuple
 
 import numpy as np
 
 from . import sections as sect
 from .bodies import body_from_dict, validate
 from .config import RunConfig, default_config, philox
-from .errors import (
-    EXIT_INVALID,
-    EXIT_PASS,
-    EXIT_PRECISION,
-    EXIT_VIOLATION,
-    InvalidInputError,
-    NumericalEvaluationError,
-    exit_code,
-)
+from .errors import EXIT_INVALID, EXIT_PRECISION, InvalidInputError, NumericalEvaluationError, exit_code
 from .harmonics import _check_degree
 from .reporting import build_report, write_report
 from .spherequad import mc_volume
@@ -45,34 +46,44 @@ from .theorems import (
     stability_verify,
 )
 
+
+class Run(NamedTuple):
+    """What a command hands ``main``: the report's file name (without
+    extension) and kind, its payload, its CSV rows and header, the
+    (passed, warnings) outcomes that decide the exit code, and the timings
+    for the sidecar."""
+
+    name: str
+    kind: str
+    payload: dict
+    rows: list
+    header: list
+    outcomes: list
+    timings: dict | None = None
+
+
 def _slug(text):
     return re.sub(r"[^A-Za-z0-9._-]+", "-", text).strip("-")[:80]
 
 
 def _load_config(args) -> RunConfig:
     cfg = RunConfig.from_json(args.config) if args.config else default_config()
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         cfg = cfg.replace(seed=args.seed)
     if getattr(args, "jmax", None) is not None:
-        jm = dict(cfg.jmax)
-        for key in jm:
-            jm[key] = args.jmax
-        cfg = cfg.replace(jmax=jm)
+        cfg = cfg.replace(jmax=dict.fromkeys(cfg.jmax, args.jmax))
     for N, j in cfg.jmax.items():  # before any basis is built
         _check_degree(N, j)
     return cfg
 
 
-def _load_body_spec(path):
+def _load_body(path, certify=True):
     try:
         with open(path) as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+            spec = json.load(fh)
+    except (OSError, ValueError, RecursionError) as exc:  # unreadable, not UTF-8, not JSON
         raise InvalidInputError(f"unreadable body spec {path}: {exc}") from exc
-
-
-def _load_body(path, certify=True):
-    return body_from_dict(_load_body_spec(path), certify=certify)
+    return body_from_dict(spec, certify=certify)
 
 
 def _check_grid(args):
@@ -93,28 +104,21 @@ def _parse_xi(text, n):
 # --- subcommands -------------------------------------------------------------
 
 
-def cmd_validate(args):
-    cfg = _load_config(args)
+def cmd_validate(args, cfg):
     body = _load_body(args.body, certify=False)
     report = validate(body, args.samples, cfg.seed)
     for name, chk in report.checks.items():
         print(f"  {name}: {'pass' if chk.passed else 'FAIL'} "
               f"(worst {chk.worst:.3e}, tol {chk.tolerance:.0e})")
-    payload = report.to_dict()
+    print(f"{body.label}: all invariants hold" if report.passed
+          else f"{body.label}: FAILED {', '.join(report.failed_checks())}")
     rows = [[name, c.passed, c.worst, c.tolerance] for name, c in report.checks.items()]
-    stem = os.path.join(cfg.output_dir, f"validate_{_slug(body.label)}")
-    write_report(stem, build_report("validate", cfg, payload), rows,
-                 ["check", "passed", "worst", "tolerance"])
-    if report.passed:
-        print(f"{body.label}: all invariants hold")
-        return EXIT_PASS
-    print(f"{body.label}: FAILED {', '.join(report.failed_checks())}")
-    return EXIT_VIOLATION
+    return Run(f"validate_{_slug(body.label)}", "validate", report.to_dict(), rows,
+               ["check", "passed", "worst", "tolerance"], [(report.passed, ())])
 
 
-def cmd_section(args):
+def cmd_section(args, cfg):
     _check_grid(args)
-    cfg = _load_config(args)
     body = _load_body(args.body)
     n = body.dim.n
     if args.xi:
@@ -142,27 +146,20 @@ def cmd_section(args):
             if msg not in warnings:
                 warnings.append(msg)
     if want_direct and want_fourier:
-        columns["relative_discrepancy"] = np.abs(columns["fourier"] - columns["direct"]) \
-            / columns["direct"]
-    rows = []
-    results = []
-    for i, xi in enumerate(dirs):
-        entry = {"xi": [float(v) for v in xi]}
-        entry.update((key, float(col[i])) for key, col in columns.items())
-        results.append(entry)
-        rows.append([entry["xi"], entry.get("direct"), entry.get("fourier"),
-                     entry.get("relative_discrepancy")])
+        columns["relative_discrepancy"] = np.abs(columns["fourier"] - columns["direct"]) / columns["direct"]
+    results = [{"xi": [float(v) for v in xi], **{key: float(col[i]) for key, col in columns.items()}}
+               for i, xi in enumerate(dirs)]
+    for entry in results:
         print("  " + ", ".join(f"{k}={v}" for k, v in entry.items() if k != "xi"))
+    rows = [[e["xi"], e.get("direct"), e.get("fourier"), e.get("relative_discrepancy")]
+            for e in results]
     payload = {"body": body.label, "method": args.method, "directions": results,
                "warnings": warnings}
-    stem = os.path.join(cfg.output_dir, f"section_{_slug(body.label)}_{args.method}")
-    write_report(stem, build_report("section", cfg, payload), rows,
-                 ["xi", "direct", "fourier", "relative_discrepancy"])
-    return EXIT_PRECISION if warnings else EXIT_PASS
+    return Run(f"section_{_slug(body.label)}_{args.method}", "section", payload, rows,
+               ["xi", "direct", "fourier", "relative_discrepancy"], [(True, warnings)])
 
 
-def cmd_volume(args):
-    cfg = _load_config(args)
+def cmd_volume(args, cfg):
     body = _load_body(args.body)
     value, err = sect.volume_with_error(body, cfg)
     payload = {"body": body.label, "volume": value, "error_estimate": err}
@@ -173,15 +170,12 @@ def cmd_volume(args):
         payload["mc"] = {"estimate": mc.estimate, "std_error": mc.std_error,
                          "samples": mc.samples, "z": z}
         print(f"  monte carlo: {mc.estimate:.9g} +- {mc.std_error:.2e} (z={z:.2f})")
-    stem = os.path.join(cfg.output_dir, f"volume_{_slug(body.label)}")
-    write_report(stem, build_report("volume", cfg, payload),
-                 [[body.label, value, err]], ["body", "volume", "error"])
-    return EXIT_PASS
+    return Run(f"volume_{_slug(body.label)}", "volume", payload, [[body.label, value, err]],
+               ["body", "volume", "error"], [])
 
 
-def cmd_ft(args):
+def cmd_ft(args, cfg):
     _check_grid(args)
-    cfg = _load_config(args)
     body = _load_body(args.body)
     N = body.dim.N
     p = args.p if args.p is not None else float(N - 2)
@@ -196,27 +190,37 @@ def cmd_ft(args):
           f"tail {ft.tail_ratio:.2e}, sample range [{vals.min():.6g}, {vals.max():.6g}]")
     for w in ft.warnings:
         print(f"  warning: {w}")
-    stem = os.path.join(cfg.output_dir, f"ft_{_slug(body.label)}_p{p:g}")
-    write_report(stem, build_report("ft", cfg, payload),
-                 [[j, ell, c] for j, ell, c in payload["coefficients"]],
-                 ["degree", "index", "coefficient"])
-    return EXIT_PRECISION if ft.warnings else EXIT_PASS
+    return Run(f"ft_{_slug(body.label)}_p{p:g}", "ft", payload,
+               [[j, ell, c] for j, ell, c in payload["coefficients"]],
+               ["degree", "index", "coefficient"], [(True, ft.warnings)])
 
 
-def cmd_theorem(args):
-    cfg = _load_config(args)
+# the optional flags each check of ``theorem`` reads; any other is a usage error
+_THEOREM_FLAGS = {
+    "gamma": ("nmax",), "positivity": ("K",), "parseval": ("K", "L", "p"),
+    "stability": ("K", "L", "epsilon"), "separation": ("K", "L", "epsilon"),
+    "corollary1": ("K", "L"),
+}
+
+
+def cmd_theorem(args, cfg):
     which = args.which
-    if which != "gamma" and not args.K:
+    reads = _THEOREM_FLAGS[which]
+    for dest in ("K", "L", "p", "nmax", "epsilon"):
+        if getattr(args, dest) is not None and dest not in reads:
+            flag = f"-{dest}" if len(dest) == 1 else f"--{dest}"
+            raise InvalidInputError(f"--which {which} does not read {flag}")
+    if "K" in reads and not args.K:
         raise InvalidInputError(f"--which {which} requires -K")
     ctx = VerificationContext(cfg)
     if which == "gamma":
-        rows = gamma_lemma_check(args.nmax)
+        rows = gamma_lemma_check(170 if args.nmax is None else args.nmax)
         passed = all(r.passed for r in rows)
         payload = {"rows": [[r.n, r.lhs, r.rhs, r.passed] for r in rows]}
         csv_rows = [[r.n, r.lhs, r.rhs, r.log_margin, r.passed] for r in rows]
         header = ["n", "lhs", "rhs", "log_margin", "passed"]
         warnings = []
-        print(f"gamma inequality: {'pass' if passed else 'FAIL'} for n=1..{args.nmax}")
+        print(f"gamma inequality: {'pass' if passed else 'FAIL'} for n=1..{len(rows)}")
     elif which == "positivity":
         body = _load_body(args.K)
         res = positivity_check(body, context=ctx)
@@ -245,9 +249,7 @@ def cmd_theorem(args):
         L = _load_body(args.L)
         fn = {"stability": stability_verify, "separation": separation_verify,
               "corollary1": corollary1_verify}[which]
-        kwargs = {}
-        if which in ("stability", "separation") and args.epsilon is not None:
-            kwargs["epsilon"] = args.epsilon
+        kwargs = {} if args.epsilon is None else {"epsilon": args.epsilon}
         res = fn(K, L, context=ctx, **kwargs)
         passed = res.passed
         payload = res.to_dict()
@@ -256,27 +258,33 @@ def cmd_theorem(args):
         warnings = list(getattr(res, "warnings", ()))
         print(f"{which}: margin {res.margin:.6e} (tol {res.tol:.1e}) "
               f"{'pass' if passed else 'FAIL'}")
-    stem = os.path.join(cfg.output_dir, f"theorem_{which}")
-    write_report(stem, build_report(f"theorem:{which}", cfg, payload), csv_rows, header)
-    return exit_code([(passed, warnings)])
+    return Run(f"theorem_{which}", f"theorem:{which}", payload, csv_rows, header,
+               [(passed, warnings)])
 
 
-def cmd_suite(args):
-    cfg = _load_config(args)
+def cmd_suite(args, cfg):
     result = run_suite(cfg, names=args.criteria or None)
-    stem = os.path.join(cfg.output_dir, "suite_summary")
-    write_report(stem, build_report("suite", cfg, result.to_dict()),
-                 result.summary_rows(), ["criterion", "measured", "bound", "status"],
-                 timings=result.timings())
     print(f"suite finished in {result.wall_seconds:.1f}s, exit code {result.exit_code}")
-    return result.exit_code
+    return Run("suite_summary", "suite", result.to_dict(), result.summary_rows(),
+               ["criterion", "measured", "bound", "status"], result.outcomes(),
+               result.timings())
 
 
 # --- parser ------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse exits 2, the precision code, on a usage error.  Here argparse's
+    usage line goes to stderr and the message takes the ``InvalidInputError``
+    path of ``main`` (exit 3).  The subcommand parsers are of this class too."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise InvalidInputError(message)
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cxsect",
         description="Complex hyperplane sections of rotation-invariant convex "
                     "bodies: section volumes by two routes and verification of "
@@ -316,7 +324,7 @@ def build_parser():
     p.add_argument("-K", help="body-spec JSON file")
     p.add_argument("-L", help="second body-spec JSON file")
     p.add_argument("-p", type=float, default=None, help="parseval exponent")
-    p.add_argument("--nmax", type=int, default=170)
+    p.add_argument("--nmax", type=int, help="gamma: largest n (default 170)")
     p.add_argument("--epsilon", type=float, default=None,
                    help="hypothesis-driven section gap (stability/separation)")
     p.set_defaults(fn=cmd_theorem)
@@ -330,16 +338,17 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        return args.fn(args)
-    except InvalidInputError as exc:
+        args = build_parser().parse_args(argv)
+        cfg = _load_config(args)
+        run = args.fn(args, cfg)
+        write_report(os.path.join(cfg.output_dir, run.name),
+                     build_report(run.kind, cfg, run.payload), run.rows, run.header,
+                     timings=run.timings)
+        return exit_code(run.outcomes)
+    except (InvalidInputError, NumericalEvaluationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except NumericalEvaluationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECISION
+        return EXIT_INVALID if isinstance(exc, InvalidInputError) else EXIT_PRECISION
 
 
 if __name__ == "__main__":

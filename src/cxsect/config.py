@@ -1,8 +1,14 @@
 """Run configuration: quadrature levels, truncation degrees, grids, seeds.
 
-A ``RunConfig`` is a plain value object; every report echoes it verbatim so
-results are reproducible from the report alone.  Missing fields take the
-documented defaults.
+A ``RunConfig`` is a plain value object; every report echoes it so results
+are reproducible from the report alone.  Missing fields take the documented
+defaults.
+
+This module also holds the package's input rules for scalars: ``_integer``
+is the one reader of integer parameters (an int, or a float of integral
+value, never a bool), ``_real`` of real ones and ``_seed`` of seeds.
+``COMPLEX_DIMS`` lists the admitted complex dimensions, and every default
+table covers exactly those.
 """
 from __future__ import annotations
 
@@ -15,10 +21,16 @@ import numpy as np
 
 from .errors import InvalidInputError
 
+# the admitted complex dimensions: the paper's n = 2, 3 and the exploratory
+# n = 4 of the positivity scan (``bodies.ComplexDim`` checks it)
+COMPLEX_DIMS = (2, 3, 4)
+# Monte Carlo volumes take at least this many samples (``spherequad.mc_volume``)
+MC_MIN_SAMPLES = 10_000
+
 # direct-section rule levels per subspace dimension m = 2n-2 (exactness 2L-1);
 # the m = 2 rule is one node of weight 2 pi at every level, so its entry is
 # only echoed
-_PRODUCT_LEVELS = {2: 24, 4: 32, 6: 16, 8: 6}
+_PRODUCT_LEVELS = {2: 24, 4: 32, 6: 16}
 # torus-reduced levels per complex dimension n (polar volumes, radial scans)
 _REDUCED_LEVELS = {2: 320, 3: 160, 4: 48}
 # expansion truncation per real dimension N
@@ -35,10 +47,6 @@ def philox(seed):
     """Philox generator keyed by ``seed`` mod 2**64, so that derived keys such
     as seed + salt stay valid; a seed below 2**64 is its own key."""
     return np.random.Generator(np.random.Philox(key=np.uint64(int(seed) % 2 ** 64)))
-
-
-def _is_int(v):
-    return isinstance(v, int) and not isinstance(v, bool)
 
 
 def _integer(value, what):
@@ -75,11 +83,13 @@ def _real(value, what):
 
 
 def _intkeys(name, d):
+    """A table with its JSON keys, strings, parsed as decimal integers; the
+    keys and values are then read through ``_integer``."""
     if not isinstance(d, dict):
         raise InvalidInputError(f"{name} must be an object of positive ints")
     try:
-        return {int(k): v for k, v in d.items()}
-    except (TypeError, ValueError):
+        return {int(k) if isinstance(k, str) else k: v for k, v in d.items()}
+    except ValueError:
         raise InvalidInputError(f"{name} keys must be integers, got {sorted(d)}") from None
 
 
@@ -98,19 +108,25 @@ class RunConfig:
     output_dir: str = "reports"
 
     def __post_init__(self):
+        # integers are read through ``_integer`` and stored as ints, so 7.0 is 7
         for name in _TABLES:
             vals = getattr(self, name)
-            if not (isinstance(vals, dict)
-                    and all(_is_int(k) and _is_int(v) and v >= 1 for k, v in vals.items())):
+            if not isinstance(vals, dict):
                 raise InvalidInputError(f"{name} must be an object of positive ints")
+            table = {_integer(k, f"{name} key"): _integer(v, f"{name} entry")
+                     for k, v in vals.items()}
+            if not all(v >= 1 for v in table.values()):
+                raise InvalidInputError(f"{name} must be an object of positive ints")
+            object.__setattr__(self, name, table)
         for name in ("refine_halvings", "mc_samples", "seed"):
-            v = getattr(self, name)
-            if not (_is_int(v) and v >= 0):
+            v = _integer(getattr(self, name), name)
+            if v < 0:
                 raise InvalidInputError(f"{name} must be a non-negative int")
+            object.__setattr__(self, name, v)
         if self.seed >= 2 ** 64:
             raise InvalidInputError("seed must be below 2**64")
-        if self.mc_samples < 10_000:  # mc_volume's own floor, checked before any criterion
-            raise InvalidInputError("mc_samples must be at least 10000")
+        if self.mc_samples < MC_MIN_SAMPLES:  # checked before any criterion runs
+            raise InvalidInputError(f"mc_samples must be at least {MC_MIN_SAMPLES}")
         for name in ("tol_multiplier", "tail_warn"):
             v = getattr(self, name)
             # an int or a float only, since reports echo the value as given
@@ -158,23 +174,19 @@ class RunConfig:
         unknown = set(data) - known
         if unknown:
             raise InvalidInputError(f"unknown config fields: {sorted(unknown)}")
-        merged = {}
-        for key, value in data.items():
-            if key in _TABLES:
-                base = dict(getattr(cls(), key))
-                base.update(_intkeys(key, value))
-                merged[key] = base
-            else:
-                merged[key] = value
-        return cls(**merged)
+        # a table given in part keeps the defaults of the keys it leaves out
+        defaults = cls()
+        return cls(**{key: {**getattr(defaults, key), **_intkeys(key, value)} if key in _TABLES
+                      else value for key, value in data.items()})
 
     @classmethod
     def from_json(cls, path):
         try:
             with open(path) as fh:
-                return cls.from_dict(json.load(fh))
-        except (OSError, json.JSONDecodeError) as exc:
+                data = json.load(fh)
+        except (OSError, ValueError, RecursionError) as exc:  # unreadable, not UTF-8, not JSON
             raise InvalidInputError(f"unreadable config {path}: {exc}") from exc
+        return cls.from_dict(data)
 
 
 def default_config() -> RunConfig:

@@ -2,7 +2,9 @@
 
 Exit codes: 0 pass, 1 violation beyond tolerance, 2 numerical-precision
 failure (warnings escalated, or a ``NumericalEvaluationError``), 3 invalid
-input (``InvalidInputError``).
+input (``InvalidInputError``, command-line usage errors included).
+``exit_code`` decides the code of a run's outcomes; ``cli.main`` maps the
+two exception types, and nothing else picks a code.
 """
 
 EXIT_PASS = 0

@@ -100,7 +100,7 @@ import numpy as np
 
 from .config import _integer, _real, default_config
 from .errors import InvalidInputError, NumericalEvaluationError
-from .spherequad import CHUNK_ROWS, QuadratureRule, sphere_rule
+from .spherequad import _TINY, CHUNK_ROWS, QuadratureRule, sphere_rule
 
 _MAX_DEGREE = {4: 24, 6: 22, 8: 12}  # per N; see invariant_harmonic_basis
 _NOISE_FLOOR = 1e-12
@@ -677,7 +677,8 @@ def harmonic_expand(f, jmax, rule: QuadratureRule, tail_warn=1e-3,
     quadrature noise.  A warning is recorded when the top two degrees hold
     more than ``tail_warn`` of the expansion energy.  Raises
     ``InvalidInputError`` when f is a callable or of another shape, and
-    ``NumericalEvaluationError`` when f or its L2 norm is not finite.
+    ``NumericalEvaluationError`` when f or its L2 norm is not finite, or the
+    largest |f| is below the smallest normal double.
     """
     N, jmax = rule.m, _integer(jmax, "jmax")
     _check_degree(N, jmax)
@@ -690,8 +691,11 @@ def harmonic_expand(f, jmax, rule: QuadratureRule, tail_warn=1e-3,
         fvals, weights = rule.table(f)
         wf = weights * fvals
         l2 = math.sqrt(max(float(np.sum(wf * fvals)), 0.0))
-    if not (np.all(np.isfinite(fvals)) and math.isfinite(l2)):
-        raise NumericalEvaluationError(f"non-finite expansion integrand or L2 norm {label}".rstrip())
+    # a nan or an infinity makes the largest magnitude fail the test too
+    if not (_TINY <= np.max(np.abs(fvals)) < math.inf and math.isfinite(l2)):
+        raise NumericalEvaluationError(
+            f"non-finite expansion integrand or L2 norm, or an integrand that underflows {label}"
+            .rstrip())
     n, K = N // 2, jmax // 2
     tables = [_block(n, K).moments(rule, wf)]  # the only pass over the nodes
     for k in range(K - 1, -1, -1):

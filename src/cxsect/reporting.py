@@ -16,6 +16,8 @@ import platform
 
 import numpy as np
 
+from .errors import InvalidInputError
+
 SCHEMA_VERSION = "1"
 _THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -40,38 +42,43 @@ def build_report(kind, config, payload):
 def write_report(stem, report, rows=None, header=None, timings=None):
     """Write <stem>.json, <stem>.csv (when rows given) and <stem>.meta.json.
 
-    ``timings`` (a dict) goes into the sidecar only.  Returns the paths written.
+    ``timings`` (a dict) goes into the sidecar only.  Returns the paths
+    written.  An output directory that cannot be made or written raises
+    ``InvalidInputError``: it comes from the configuration.
     """
-    os.makedirs(os.path.dirname(stem) or ".", exist_ok=True)
-    paths = []
-    jpath = stem + ".json"
-    with open(jpath, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    paths.append(jpath)
-    if rows is not None:
-        cpath = stem + ".csv"
-        with open(cpath, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            if header:
-                writer.writerow(header)
-            for row in rows:
-                writer.writerow(row)
-        paths.append(cpath)
-    mpath = stem + ".meta.json"
-    meta = {
-        "written_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        "platform": platform.platform(),
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "cpu_count": os.cpu_count(),
-        # BLAS threading changes the low bits of reported values
-        "threads": {var: os.environ.get(var) for var in _THREAD_VARS},
-    }
-    if timings:
-        meta.update(timings)
-    with open(mpath, "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    paths.append(mpath)
-    return paths
+    try:
+        os.makedirs(os.path.dirname(stem) or ".", exist_ok=True)
+        paths = []
+        jpath = stem + ".json"
+        with open(jpath, "w") as fh:
+            json.dump(report, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        paths.append(jpath)
+        if rows is not None:
+            cpath = stem + ".csv"
+            with open(cpath, "w", newline="") as fh:
+                writer = csv.writer(fh)
+                if header:
+                    writer.writerow(header)
+                for row in rows:
+                    writer.writerow(row)
+            paths.append(cpath)
+        mpath = stem + ".meta.json"
+        meta = {
+            "written_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+            "platform": platform.platform(),
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "cpu_count": os.cpu_count(),
+            # BLAS threading changes the low bits of reported values
+            "threads": {var: os.environ.get(var) for var in _THREAD_VARS},
+        }
+        if timings:
+            meta.update(timings)
+        with open(mpath, "w") as fh:
+            json.dump(meta, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        paths.append(mpath)
+        return paths
+    except OSError as exc:
+        raise InvalidInputError(f"cannot write the report {stem}: {exc}") from exc

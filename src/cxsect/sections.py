@@ -24,7 +24,7 @@ from . import grids
 from .config import RunConfig, default_config
 from .errors import InvalidInputError, NumericalEvaluationError
 from .harmonics import HarmonicExpansion
-from .spherequad import CHUNK_ROWS, QuadratureRule, integrate_sphere, invariant_sphere_rule
+from .spherequad import _TINY, CHUNK_ROWS, QuadratureRule, integrate_sphere, invariant_sphere_rule
 
 # the configuration of every call that passes none; built once, never written
 _DEFAULT_CONFIG = default_config()
@@ -196,9 +196,9 @@ def _section_sums(body, bases, rule):
             # any chunk; positive weights keep a non-finite value
             vals *= rule.row_weights[:, None]
             sums = vals.reshape(hi - lo, M).sum(axis=1)
-        if not np.all(np.isfinite(sums)):
+        if not np.all((sums >= _TINY) & (sums < np.inf)):  # positive integrals
             raise NumericalEvaluationError(
-                f"non-finite section integrand or integral for {body.label}")
+                f"non-finite or underflowing section integrand or integral for {body.label}")
         out[lo:hi] = sums / power
     return out
 
@@ -235,7 +235,10 @@ def volume(body, rule: QuadratureRule | None = None,
         raise InvalidInputError(f"volume rule must live on S^{2 * n - 1}")
     with np.errstate(over="ignore"):  # integrate_sphere rejects the overflow
         vals = body.factor_radial(rule) ** (2 * n)
-    return integrate_sphere(vals, rule) / (2 * n)
+    vol = integrate_sphere(vals, rule) / (2 * n)
+    if not vol >= _TINY:
+        raise NumericalEvaluationError(f"the volume of {body.label} underflows")
+    return vol
 
 
 def volume_with_error(body, config: RunConfig | None = None):

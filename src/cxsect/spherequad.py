@@ -48,7 +48,6 @@ chunk size or which thread tested which chunk.
 from __future__ import annotations
 
 import math
-import numbers
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -57,8 +56,11 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .config import _integer, _seed, philox
+from .config import MC_MIN_SAMPLES, _integer, _seed, philox
 from .errors import InvalidInputError, NumericalEvaluationError
+
+# the smallest normal double: a positive integral below it has lost its precision
+_TINY = np.finfo(float).tiny
 
 # rows per chunk of a point kernel: per-chunk overhead stays small, and a
 # chunk's temporaries a few MB (an n = 3 degree-12 monomial table: 3.7 MB)
@@ -153,7 +155,8 @@ class QuadratureRule:
     """
 
     def __init__(self, m, base, phase_counts, row_weights, exactness_degree, level):
-        base, counts = np.ascontiguousarray(base), tuple(phase_counts)
+        base = np.ascontiguousarray(base)
+        counts = tuple(_integer(c, "phase count") for c in phase_counts)
         row_weights = np.asarray(row_weights, dtype=float)
         if m % 2 or base.ndim != 2 or base.shape[1] != m // 2 or len(counts) != base.shape[1]:
             raise InvalidInputError(f"a rule on S^{m - 1} takes base rows and phase counts of "
@@ -162,13 +165,13 @@ class QuadratureRule:
         if not (np.all(np.isfinite(base))
                 and np.all(np.abs(np.linalg.norm(base, axis=1) - 1.0) <= 1e-8)):
             raise InvalidInputError("a rule's base rows must be finite and of unit length")
-        if not all(isinstance(c, numbers.Integral) and c >= 1 for c in counts):
+        if not all(c >= 1 for c in counts):
             raise InvalidInputError(f"phase counts must be integers >= 1, got {counts}")
         if row_weights.shape != base.shape[:1]:
             raise InvalidInputError(f"a rule of {base.shape[0]} base rows takes one weight per "
                                     f"row, got shape {row_weights.shape}")
         self.m, self.base, self.phases, self.row_weights = m, base, phase_grid(counts), row_weights
-        self.phase_counts = tuple(int(c) for c in counts)
+        self.phase_counts = counts
         self.exactness_degree, self.level = exactness_degree, level
         self._nodes = None
         for arr in (base, self.phases, row_weights):
@@ -439,16 +442,16 @@ def mc_volume(body, samples: int, seed: int) -> MCVolume:
     hand.  Each thread has one generator and one draw buffer; it positions
     the generator at each chunk's first draw, so the chunk gets the rows a
     sequential pass would give it, and the hit count is the same for any
-    number of CPUs and any chunk size.  ``samples`` must be an integer
-    >= 1e4 and ``seed`` a non-negative integer (``config._seed``).  Raises ``NumericalEvaluationError``, before drawing, when the
-    box volume is not finite (the estimate and its standard error are then
-    finite too).
+    number of CPUs and any chunk size.  ``samples`` is an integer of at
+    least ``config.MC_MIN_SAMPLES`` (``config._integer``, so 2e4 is 20000)
+    and ``seed`` a non-negative integer (``config._seed``).  Raises
+    ``NumericalEvaluationError``, before drawing, when the box volume is not
+    finite or is below the smallest normal double (otherwise the estimate
+    and its standard error are finite, the error nonzero).
     """
-    if not isinstance(samples, numbers.Integral) or isinstance(samples, bool):
-        raise InvalidInputError(f"mc_volume takes an integer sample count, got {samples!r}")
-    samples = int(samples)
-    if samples < 10_000:
-        raise InvalidInputError("mc_volume requires at least 1e4 samples")
+    samples = _integer(samples, "sample count")
+    if samples < MC_MIN_SAMPLES:
+        raise InvalidInputError(f"mc_volume requires at least {MC_MIN_SAMPLES} samples")
     seed = _seed(seed)
     n = body.dim.n
     N = 2 * n
@@ -461,9 +464,9 @@ def mc_volume(body, samples: int, seed: int) -> MCVolume:
         boxvol = (2.0 * R) ** N
     except OverflowError:  # a float power raises instead of returning inf
         boxvol = math.inf
-    if not math.isfinite(boxvol):
-        raise NumericalEvaluationError(
-            f"Monte Carlo volume is not finite: box volume (2R)^{N} with R={R:.6g}")
+    if not _TINY <= boxvol < math.inf:
+        raise NumericalEvaluationError(f"Monte Carlo volume is not finite or underflows: "
+                                       f"box volume (2R)^{N} with R={R:.6g}")
     chunks = [(lo, min(lo + CHUNK_ROWS, samples)) for lo in range(0, samples, CHUNK_ROWS)]
     W = min(_MC_WORKERS, len(chunks))
     todo, lock = iter(chunks), threading.Lock()

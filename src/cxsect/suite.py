@@ -498,7 +498,14 @@ class SuiteResult:
 
     results: list
     wall_seconds: float
-    exit_code: int
+
+    def outcomes(self):
+        """(passed, warnings) of each hard criterion: they decide the exit code."""
+        return [(r.passed, r.warnings) for r in self.results if not r.soft]
+
+    @property
+    def exit_code(self):
+        return exit_code(self.outcomes())
 
     def summary_rows(self):
         return [r.row() for r in self.results if not r.soft]
@@ -549,5 +556,4 @@ def run_suite(config: RunConfig | None = None, names=None, echo=print) -> SuiteR
         results.append(budget)
         if echo:
             echo(f"[info] runtime_budget_soft: {wall:.1f}s of {BUDGET_SECONDS}s")
-    return SuiteResult(results, wall,
-                       exit_code((r.passed, r.warnings) for r in results if not r.soft))
+    return SuiteResult(results, wall)

@@ -29,9 +29,9 @@ import numpy as np
 from . import grids, sections
 from .bodies import validate
 from .config import RunConfig, _integer, _real, default_config
-from .errors import InvalidInputError
+from .errors import InvalidInputError, NumericalEvaluationError
 from .harmonics import ft_norm_power
-from .spherequad import integrate_sphere
+from .spherequad import _TINY, integrate_sphere
 
 _TOL_FLOOR = 1e-12
 
@@ -126,9 +126,6 @@ class GapResult:
     error: float
     grid_points: int
     evaluations: int
-
-    def __float__(self):
-        return self.epsilon
 
 
 def _max_section_difference(K, L, ctx) -> GapResult:
@@ -448,6 +445,8 @@ def parseval_check(K, L, p, context: VerificationContext | None = None,
     reduced = sections.radial_power_rule(cfg.reduced_level(n), K, L)
     rho = K.factor_radial(reduced) ** p * L.factor_radial(reduced) ** (N - p)
     rhs = (2.0 * math.pi) ** N * integrate_sphere(rho, reduced)
+    if not rhs >= _TINY:
+        raise NumericalEvaluationError(f"the pairing of {K.label} and {L.label} underflows")
     rel = abs(lhs - rhs) / abs(rhs)
     return ParsevalResult(
         K.label, L.label, n, p, lhs, rhs, rel, ft_k.jmax,
@@ -491,8 +490,6 @@ def positivity_check(K, context: VerificationContext | None = None) -> Positivit
     """
     ctx = context or VerificationContext()
     n = K.dim.n
-    if n not in (2, 3, 4):
-        raise InvalidInputError("positivity scan supports complex dimension 2, 3, 4")
     exploratory = n == 4
     ft = ctx.ft(K, 2.0)
     grid = ctx.grid(n, K.phase_bandwidth != 0)

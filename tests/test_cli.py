@@ -383,7 +383,7 @@ class TestDeterminism:
 
         hard = CriterionResult("gamma_inequality", True, 0.69, 0.0, ">=", seconds=1.25)
         soft = CriterionResult("runtime_budget_soft", True, 12.5, 900.0, "<=", soft=True)
-        result = SuiteResult([hard, soft], 12.5, 0)
+        result = SuiteResult([hard, soft], 12.5)
         blob = json.dumps(result.to_dict())
         assert "seconds" not in blob and "runtime_budget_soft" not in blob
         assert result.summary_rows() == [hard.row()]

@@ -327,9 +327,15 @@ class TestFactoredRule:
         for m in (3, 5):
             with pytest.raises(InvalidInputError, match="coordinate pairs"):
                 QuadratureRule(m, torus.base, (1, 3), torus.row_weights, 1, 1)
-        for counts in ((1, 0), (1, 2.0), (1, -3)):
+        for counts in ((1, 0), (1, -3)):
             with pytest.raises(InvalidInputError, match="integers >= 1"):
                 QuadratureRule(4, torus.base, counts, torus.row_weights, 1, 1)
+        # counts are read through config._integer: 3.0 is 3, a bool is no count
+        for counts in ((1, 2.5), (1, True), (True, 3)):
+            with pytest.raises(InvalidInputError, match="phase count must be an integer"):
+                QuadratureRule(4, torus.base, counts, torus.row_weights, 1, 1)
+        rule = QuadratureRule(4, torus.base, (1, 3.0), torus.row_weights, 1, 1)
+        assert rule.phase_counts == (1, 3) and type(rule.phase_counts[1]) is int
         # node-form weights, one row short, or a column: not one per base row
         for weights in (node_weights(torus), torus.row_weights[1:], torus.row_weights[:, None]):
             with pytest.raises(InvalidInputError, match="one weight per row"):
@@ -848,10 +854,15 @@ class TestMonteCarlo:
         monkeypatch.setattr(spherequad, "philox", philox)
         assert mc_volume(ball3, 40_000, seed=3) == mc
 
-    @pytest.mark.parametrize("samples", [20_000.7, 20_000.0, True, "20000"])
+    @pytest.mark.parametrize("samples", [20_000.7, True, "20000"])
     def test_rejects_non_integral_samples(self, ball2, samples):
-        with pytest.raises(InvalidInputError, match="integer sample count"):
+        with pytest.raises(InvalidInputError, match="sample count must be an integer"):
             mc_volume(ball2, samples, seed=0)
+
+    def test_takes_an_integral_float_sample_count(self, ball2):
+        # read through config._integer, as every integer parameter is
+        mc = mc_volume(ball2, 20_000.0, seed=0)
+        assert mc == mc_volume(ball2, 20_000, seed=0) and type(mc.samples) is int
 
     @pytest.mark.parametrize("seed", [1.5, -1, "3", True])
     def test_rejects_a_seed_that_is_no_non_negative_integer(self, ball2, seed):
