@@ -19,8 +19,7 @@ import pytest
 from hypothesis import HealthCheck, event, given, settings, strategies as st
 
 import cxsect
-from cxsect import (ComplexDim, EuclideanBall, InvalidInputError, NumericalEvaluationError,
-                    QuadratureRule, RunConfig, invariant_sphere_rule)
+from cxsect import ComplexDim, EuclideanBall, InvalidInputError, NumericalEvaluationError, RunConfig
 from cxsect.cli import main
 from cxsect.config import COMPLEX_DIMS, MC_MIN_SAMPLES, _TABLES
 from cxsect.spherequad import mc_volume
@@ -192,12 +191,6 @@ class TestIntegers:
             with pytest.raises(InvalidInputError, match=f"at least {MC_MIN_SAMPLES}"):
                 make(MC_MIN_SAMPLES - 1)
             make(MC_MIN_SAMPLES)
-
-    def test_phase_count_bool_rejected(self):
-        # (1, True) was a rule of phase counts (1, 1)
-        rule = invariant_sphere_rule(2, 4, 3)
-        with pytest.raises(InvalidInputError, match="phase count must be an integer"):
-            QuadratureRule(4, rule.base, (1, True), rule.row_weights, 1, 1)
 
 
 class TestUnderflow:

@@ -331,6 +331,7 @@ class TestFactoredRule:
             with pytest.raises(InvalidInputError, match="integers >= 1"):
                 QuadratureRule(4, torus.base, counts, torus.row_weights, 1, 1)
         # counts are read through config._integer: 3.0 is 3, a bool is no count
+        # ((1, True) built a rule of counts (1, 1) before)
         for counts in ((1, 2.5), (1, True), (True, 3)):
             with pytest.raises(InvalidInputError, match="phase count must be an integer"):
                 QuadratureRule(4, torus.base, counts, torus.row_weights, 1, 1)
