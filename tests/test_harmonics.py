@@ -760,6 +760,28 @@ def per_degree_expand(f, jmax, rule):
     return coeffs, l2
 
 
+class TestSmallIntegrands:
+    """The L2 norm and the degree energies are sums of squares, which underflow
+    for an integrand below about 1e-154; they are formed on values scaled by a
+    power of two, so a scaled body keeps its tail ratio and its warnings."""
+
+    @pytest.mark.parametrize("n,jmax", [(2, 4), (2, 16), (3, 4), (3, 12)])
+    def test_tail_ratio_and_warnings_survive_a_tiny_scale(self, n, jmax):
+        # rho^2 of lq4 at scale 2^-300 is 2^-600 times that at scale 1, bit for
+        # bit, and about 1e-181: normal, but its squares underflow
+        one = ft_norm_power(ComplexLqBall(ComplexDim(n), 4.0), 2.0, jmax=jmax)
+        tiny = ft_norm_power(ComplexLqBall(ComplexDim(n), 4.0, 2.0 ** -300), 2.0, jmax=jmax)
+        assert tiny.tail_ratio == one.tail_ratio > 0
+        assert tiny.warnings == one.warnings
+        assert tiny.l2_norm == math.ldexp(one.l2_norm, -600) > 0
+        for j in one.coeffs:  # the same coefficients dropped by the noise floor
+            assert np.array_equal(tiny.coeffs[j], np.ldexp(one.coeffs[j], -600))
+
+    def test_truncation_warning_fires_on_a_tiny_body(self):
+        tiny = ft_norm_power(ComplexLqBall(ComplexDim(2), 4.0, 2.0 ** -300), 2.0, jmax=4)
+        assert tiny.tail_ratio > 1e-3 and any("tail energy ratio" in w for w in tiny.warnings)
+
+
 class TestLiftedEvaluate:
     """``HarmonicExpansion.evaluate`` lifts every degree to one matrix at the
     top degree; these compare it with the sum of the degrees' basis values."""
@@ -1271,13 +1293,22 @@ class TestMultiplier:
 
 def fresh_expansion_rules(monkeypatch):
     """The rules ``ft_norm_power`` takes from ``expansion_rule``, collected in
-    the returned list; each is built afresh, so no earlier test's read of a
-    cached rule's ``nodes`` shows in its ``nodes_built``."""
+    the returned list; each is built afresh, product rule and torus rule
+    alike, so no earlier test's read of a cached rule's ``nodes`` shows in
+    its ``nodes_built``."""
     rules, real = [], harmonics.expansion_rule
     monkeypatch.setattr(harmonics, "sphere_rule", sphere_rule.__wrapped__)
+    monkeypatch.setattr(harmonics, "invariant_sphere_rule", invariant_sphere_rule.__wrapped__)
     monkeypatch.setattr(harmonics, "expansion_rule",
-                        lambda N, jmax: rules.append(real(N, jmax)) or rules[-1])
+                        lambda *args: rules.append(real(*args)) or rules[-1])
     return rules
+
+
+def is_torus_rule(rule, n):
+    """Whether ``rule`` is ``invariant_sphere_rule(n, L, nphase=L)`` at its level L."""
+    L = rule.level
+    return (rule.base.shape == (L ** (n - 1), n) and not np.iscomplexobj(rule.base)
+            and rule.phase_counts == (1,) + (L,) * (n - 1))
 
 
 class TestFtNormPower:
@@ -1331,17 +1362,39 @@ class TestFtNormPower:
         assert counter.rows == [rule.node_count // rule.phases.shape[0]]
 
     def test_perturbed_body_evaluated_ring_by_ring(self, pert2, monkeypatch):
-        # the profile comes from the rings, with no node array and no call of
-        # radial, and expands as the per-node profile does
+        # the profile comes from the torus rule's moduli rows and phase rows,
+        # with no node array and no call of radial, and expands as the
+        # per-node profile does
         rules = fresh_expansion_rules(monkeypatch)
         counter = CountingRadial(monkeypatch)
         ft = ft_norm_power(pert2, 2.0, jmax=8)
         monkeypatch.undo()
         (rule,) = rules
+        assert is_torus_rule(rule, 2) and rule.level == 10
         assert counter.rows == [] and not rule.nodes_built
         ref = harmonic_expand(pert2.radial(rule.nodes) ** 2, 8, rule).multiplied(2.0)
         for j in ref.coeffs:  # measured <= 2.4e-16 of the largest
             assert np.abs(ft.coeffs[j] - ref.coeffs[j]).max() <= 1e-14 * ft.coeffs[0][0]
+
+    @pytest.mark.parametrize("name", ["pert_a", "pert_b", "pert n=3"])
+    def test_torus_rule_transform_matches_the_product_rule(self, name):
+        # the perturbed bodies expand on the torus rule of nphase = L; at the
+        # default degree the product rule of the same level gives the same
+        # transform (measured: within 7.9e-14 of the largest coefficient, at
+        # pert_a and p = 1.5, whose rho^p is no polynomial), with the same
+        # coefficients below the noise floor and the same warnings
+        body = {"pert_a": bodies_n2()["pert_a"], "pert_b": bodies_n2()["pert_b"],
+                "pert n=3": bodies_n3()["pert"]}[name]
+        N, n = body.dim.N, body.dim.n
+        for p in sorted({2.0, 2.0 * n - 2.0, 1.5}):
+            ft = ft_norm_power(body, p)
+            rule = sphere_rule(N, max(ft.jmax + 2, 8))
+            ref = harmonic_expand(body.factor_radial(rule) ** p, ft.jmax, rule).multiplied(p)
+            largest = max(np.abs(c).max() for c in ref.coeffs.values())
+            assert ft.degrees() == ref.degrees() and ft.warnings == ref.warnings, p
+            for j in ref.coeffs:
+                assert np.array_equal(ft.coeffs[j] == 0.0, ref.coeffs[j] == 0.0), (p, j)
+                assert np.abs(ft.coeffs[j] - ref.coeffs[j]).max() <= 1e-13 * largest, (p, j)
 
     @staticmethod
     def forbid_point_arrays(monkeypatch):
@@ -1360,7 +1413,8 @@ class TestFtNormPower:
         for body in bodies:
             ft_norm_power(body, 2.0)
         assert len(rules) == 2 and not any(rule.nodes_built for rule in rules)
-        assert rules[0].base.shape == (rules[0].level ** (N - 2), n)
+        assert rules[0].base.shape == (rules[0].level ** (N - 2), n)  # the product rule's
+        assert is_torus_rule(rules[1], n)
 
     @pytest.mark.parametrize("body", [ComplexLqBall(ComplexDim(2), 3.0), ComplexEllipsoid((1.0, 2.0))],
                              ids=["lq3", "ellipsoid"])
@@ -1372,7 +1426,7 @@ class TestFtNormPower:
         import tracemalloc
 
         rule, shapes, real = sphere_rule.__wrapped__(4, 100), [], harmonics.harmonic_expand
-        monkeypatch.setattr(harmonics, "expansion_rule", lambda N, jmax: rule)
+        monkeypatch.setattr(harmonics, "expansion_rule", lambda *args: rule)
         monkeypatch.setattr(harmonics, "harmonic_expand",
                             lambda f, *args, **kw: shapes.append(np.shape(f)) or real(f, *args, **kw))
         ft_norm_power(body, 2.0, jmax=8)  # blocks and plans built
@@ -1402,7 +1456,7 @@ class TestFtNormPower:
         assert ft.degrees() == list(range(0, ft.jmax + 1, 2))
 
     def test_degree_above_cap_rejected_before_rule_build(self, ball3, monkeypatch):
-        def never(N, jmax):
+        def never(*args):
             raise AssertionError("expansion rule built")
 
         monkeypatch.setattr(harmonics, "expansion_rule", never)

@@ -613,6 +613,35 @@ class TestInvariantRule:
         val = np.sum(node_weights(rule) * z[:, 0] * np.conj(z[:, 1]))
         assert abs(val) < 1e-13
 
+    @staticmethod
+    def monomial_moments(rule, n, k):
+        """sum_i w_i z^a conj(z)^b over the rule's nodes, for every a, b in
+        ``multi_indices(n, k)``, from the node array."""
+        Z = rule.nodes[:, 0::2] + 1j * rule.nodes[:, 1::2]
+        A = np.array(multi_indices(n, k))
+        Za = np.prod(Z[:, None, :] ** A[None, :, :], axis=2)
+        return (Za * node_weights(rule)[:, None]).T @ Za.conj(), A
+
+    @pytest.mark.parametrize("n,L", [(2, 12), (3, 8), (4, 5)])
+    def test_as_many_phases_as_levels_exact_to_degree_2L_minus_1(self, n, L):
+        # every z^a conj(z)^b with |a| = |b| <= L - 1 has relative-phase
+        # frequencies |a_k - b_k| < L: the torus rule of nphase = L integrates
+        # it exactly, as the product rule of level L does (measured: diagonal
+        # within 7.8e-15 relative, off-diagonal below 4.8e-16)
+        rule = invariant_sphere_rule.__wrapped__(n, L, L)
+        for k in range(L):
+            M, A = self.monomial_moments(rule, n, k)
+            exact = np.array([complex_sphere_moment(n, tuple(a)) for a in A])
+            assert np.abs(M.diagonal() / exact - 1.0).max() <= 1e-13, k
+            assert np.abs(M - np.diag(M.diagonal())).max() <= 1e-14, k
+
+    @pytest.mark.parametrize("n,L", [(2, 12), (3, 8)])
+    def test_one_phase_fewer_aliases_the_top_degree(self, n, L):
+        # a = (L-1) e_1, b = (L-1) e_2 turns the second pair at frequency
+        # 1 - L, a multiple of L - 1 phases
+        M, _ = self.monomial_moments(invariant_sphere_rule.__wrapped__(n, L, L - 1), n, L - 1)
+        assert np.abs(M - np.diag(M.diagonal())).max() > 1e-3
+
     def test_matches_product_rule_on_invariant_integrand(self):
         # agreement is limited by the product rule: the q=3 radial power has
         # square-root kinks where a coordinate pair vanishes
@@ -757,9 +786,11 @@ class TestMonteCarlo:
     def test_failure_leaves_no_chunks_to_the_other_thread(self, ball3, monkeypatch):
         # the calling thread fails on its first chunk of 40; the helper may
         # finish the chunk in hand and one taken before the list is emptied,
-        # but tests none of the rest
+        # but tests none of the rest.  The helper's first chunk waits until
+        # the calling thread has entered its own, so the helper cannot test
+        # every chunk before the calling thread takes one
         caller = threading.get_ident()
-        failed = threading.Event()
+        entered, failed = threading.Event(), threading.Event()
         late_calls = []
         real = EuclideanBall._norm_impl
 
@@ -768,7 +799,9 @@ class TestMonteCarlo:
                 return real(body, x)
             if threading.get_ident() == caller:
                 failed.set()
+                entered.set()
                 raise NumericalEvaluationError("norm failed on the calling thread")
+            entered.wait(timeout=30)
             if failed.is_set():
                 late_calls.append(len(x))
             return real(body, x)
