@@ -768,18 +768,16 @@ class TestSmallIntegrands:
     @pytest.mark.parametrize("n,jmax", [(2, 4), (2, 16), (3, 4), (3, 12)])
     def test_tail_ratio_and_warnings_survive_a_tiny_scale(self, n, jmax):
         # rho^2 of lq4 at scale 2^-300 is 2^-600 times that at scale 1, bit for
-        # bit, and about 1e-181: normal, but its squares underflow
+        # bit, and about 1e-181: normal, but its squares underflow.  At jmax 4
+        # the tail ratio (1.05e-2 at n = 2, 1.25e-2 at n = 3) is past
+        # tail_warn, so the truncation warning fires on both
         one = ft_norm_power(ComplexLqBall(ComplexDim(n), 4.0), 2.0, jmax=jmax)
         tiny = ft_norm_power(ComplexLqBall(ComplexDim(n), 4.0, 2.0 ** -300), 2.0, jmax=jmax)
         assert tiny.tail_ratio == one.tail_ratio > 0
-        assert tiny.warnings == one.warnings
+        assert tiny.warnings == one.warnings and bool(one.warnings) == (jmax == 4)
         assert tiny.l2_norm == math.ldexp(one.l2_norm, -600) > 0
         for j in one.coeffs:  # the same coefficients dropped by the noise floor
             assert np.array_equal(tiny.coeffs[j], np.ldexp(one.coeffs[j], -600))
-
-    def test_truncation_warning_fires_on_a_tiny_body(self):
-        tiny = ft_norm_power(ComplexLqBall(ComplexDim(2), 4.0, 2.0 ** -300), 2.0, jmax=4)
-        assert tiny.tail_ratio > 1e-3 and any("tail energy ratio" in w for w in tiny.warnings)
 
 
 class TestLiftedEvaluate:

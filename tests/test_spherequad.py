@@ -787,10 +787,10 @@ class TestMonteCarlo:
         # the calling thread fails on its first chunk of 40; the helper may
         # finish the chunk in hand and one taken before the list is emptied,
         # but tests none of the rest.  The helper's first chunk waits until
-        # the calling thread has entered its own, so the helper cannot test
-        # every chunk before the calling thread takes one
+        # the calling thread has entered (and failed) its own, so the helper
+        # cannot test every chunk before the calling thread takes one
         caller = threading.get_ident()
-        entered, failed = threading.Event(), threading.Event()
+        failed = threading.Event()
         late_calls = []
         real = EuclideanBall._norm_impl
 
@@ -799,9 +799,8 @@ class TestMonteCarlo:
                 return real(body, x)
             if threading.get_ident() == caller:
                 failed.set()
-                entered.set()
                 raise NumericalEvaluationError("norm failed on the calling thread")
-            entered.wait(timeout=30)
+            failed.wait(timeout=30)
             if failed.is_set():
                 late_calls.append(len(x))
             return real(body, x)
