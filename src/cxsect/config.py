@@ -2,7 +2,11 @@
 
 A ``RunConfig`` is a plain value object; every report echoes it so results
 are reproducible from the report alone.  Missing fields take the documented
-defaults.
+defaults, and a table given in part keeps the defaults of the keys it leaves
+out, whether it comes from JSON or from Python.  ``RunConfig.__post_init__``
+completes and checks every configuration: a table key outside the admitted
+dimensions, a grid resolution below 2 and an odd or over-cap ``jmax`` are
+rejected when the configuration is built.
 
 This module also holds the package's input rules for scalars: ``_integer``
 is the one reader of integer parameters (an int, or a float of integral
@@ -27,20 +31,27 @@ COMPLEX_DIMS = (2, 3, 4)
 # Monte Carlo volumes take at least this many samples (``spherequad.mc_volume``)
 MC_MIN_SAMPLES = 10_000
 
-# direct-section rule levels per subspace dimension m = 2n-2 (exactness 2L-1);
-# the m = 2 rule is one node of weight 2 pi at every level, so its entry is
-# only echoed
-_PRODUCT_LEVELS = {2: 24, 4: 32, 6: 16}
-# torus-reduced levels per complex dimension n (polar volumes, radial scans)
-_REDUCED_LEVELS = {2: 320, 3: 160, 4: 48}
-# expansion truncation per real dimension N
-_JMAX = {4: 16, 6: 12, 8: 6}
-# direction-grid resolution per complex dimension n
-_MODULI_RES = {2: 48, 3: 14, 4: 6}
-_PHASE_RES = {2: 16, 3: 4, 4: 4}
-
-
-_TABLES = ("product_levels", "reduced_levels", "jmax", "moduli_res", "phase_res")
+# The default tables.  Their keys are the admitted ones: each a function of
+# an admitted complex dimension n.
+_TABLES = {
+    # direct-section rule levels per subspace dimension m = 2n-2 (exactness
+    # 2L-1); the m = 2 rule is one node of weight 2 pi at every level, so its
+    # entry is only echoed
+    "product_levels": {2: 24, 4: 32, 6: 16},
+    # torus-reduced levels per complex dimension n (polar volumes, radial scans)
+    "reduced_levels": {2: 320, 3: 160, 4: 48},
+    # expansion truncation per real dimension N
+    "jmax": {4: 16, 6: 12, 8: 6},
+    # direction-grid resolution per complex dimension n
+    "moduli_res": {2: 48, 3: 14, 4: 6},
+    "phase_res": {2: 16, 3: 4, 4: 4},
+}
+# a direction grid takes at least two steps along each axis; the levels and
+# degrees at least one
+_GRID_TABLES = ("moduli_res", "phase_res")
+# the highest harmonic degree per real dimension N (``_check_degree``); see
+# ``harmonics.invariant_harmonic_basis``
+_MAX_DEGREE = {4: 24, 6: 22, 8: 12}
 
 
 def philox(seed):
@@ -82,24 +93,36 @@ def _real(value, what):
     raise InvalidInputError(f"{what} must be finite and numeric, got {value!r}")
 
 
-def _intkeys(name, d):
-    """A table with its JSON keys, strings, parsed as decimal integers; the
-    keys and values are then read through ``_integer``."""
+def _table(name, d):
+    """A table as given, its keys and values read through ``_integer``; JSON
+    keys, which are strings, are parsed as decimal integers first."""
     if not isinstance(d, dict):
         raise InvalidInputError(f"{name} must be an object of positive ints")
     try:
-        return {int(k) if isinstance(k, str) else k: v for k, v in d.items()}
+        keys = [int(k) if isinstance(k, str) else k for k in d]
     except ValueError:
-        raise InvalidInputError(f"{name} keys must be integers, got {sorted(d)}") from None
+        raise InvalidInputError(f"{name} keys must be integers, got {list(d)}") from None
+    return {_integer(k, f"{name} key"): _integer(v, f"{name} entry")
+            for k, v in zip(keys, d.values())}
+
+
+def _check_degree(N, j):
+    """A harmonic degree j at real dimension N: even, and at most N's cap."""
+    if N not in _MAX_DEGREE:
+        raise InvalidInputError(f"no harmonic basis for N={N}: supported are N in {tuple(_MAX_DEGREE)}")
+    if j % 2 or not 0 <= j <= _MAX_DEGREE[N]:
+        raise InvalidInputError(f"no harmonic basis for N={N}, j={j}: "
+                                f"supported are even j <= {_MAX_DEGREE[N]}")
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    product_levels: dict = field(default_factory=lambda: dict(_PRODUCT_LEVELS))
-    reduced_levels: dict = field(default_factory=lambda: dict(_REDUCED_LEVELS))
-    jmax: dict = field(default_factory=lambda: dict(_JMAX))
-    moduli_res: dict = field(default_factory=lambda: dict(_MODULI_RES))
-    phase_res: dict = field(default_factory=lambda: dict(_PHASE_RES))
+    # each table as given; ``__post_init__`` completes it from ``_TABLES``
+    product_levels: dict = field(default_factory=dict)
+    reduced_levels: dict = field(default_factory=dict)
+    jmax: dict = field(default_factory=dict)
+    moduli_res: dict = field(default_factory=dict)
+    phase_res: dict = field(default_factory=dict)
     refine_halvings: int = 3
     seed: int = 20240 + 817
     mc_samples: int = 10_000_000
@@ -109,15 +132,19 @@ class RunConfig:
 
     def __post_init__(self):
         # integers are read through ``_integer`` and stored as ints, so 7.0 is 7
-        for name in _TABLES:
-            vals = getattr(self, name)
-            if not isinstance(vals, dict):
-                raise InvalidInputError(f"{name} must be an object of positive ints")
-            table = {_integer(k, f"{name} key"): _integer(v, f"{name} entry")
-                     for k, v in vals.items()}
-            if not all(v >= 1 for v in table.values()):
-                raise InvalidInputError(f"{name} must be an object of positive ints")
-            object.__setattr__(self, name, table)
+        for name, default in _TABLES.items():
+            table = _table(name, getattr(self, name))
+            unknown = sorted(set(table) - set(default))
+            if unknown:
+                raise InvalidInputError(f"{name} keys must be among {sorted(default)}, "
+                                        f"got {unknown}")
+            least = 2 if name in _GRID_TABLES else 1
+            low = {k: v for k, v in table.items() if v < least}
+            if low:
+                raise InvalidInputError(f"{name} entries must be >= {least}, got {low}")
+            object.__setattr__(self, name, {**default, **table})
+        for N, j in self.jmax.items():  # before any basis is built
+            _check_degree(N, j)
         for name in ("refine_halvings", "mc_samples", "seed"):
             v = _integer(getattr(self, name), name)
             if v < 0:
@@ -137,23 +164,8 @@ class RunConfig:
 
     # --- accessors ------------------------------------------------------
 
-    def product_level(self, m):
-        try:
-            return self.product_levels[m]
-        except KeyError:
-            raise InvalidInputError(f"no product level configured for m={m}") from None
-
-    def reduced_level(self, n):
-        try:
-            return self.reduced_levels[n]
-        except KeyError:
-            raise InvalidInputError(f"no reduced level configured for n={n}") from None
-
     def jmax_for(self, N):
-        try:
-            return self.jmax[N]
-        except KeyError:
-            raise InvalidInputError(f"no jmax configured for N={N}") from None
+        return self.jmax[N]
 
     def replace(self, **kw):
         data = self.to_dict()
@@ -174,10 +186,7 @@ class RunConfig:
         unknown = set(data) - known
         if unknown:
             raise InvalidInputError(f"unknown config fields: {sorted(unknown)}")
-        # a table given in part keeps the defaults of the keys it leaves out
-        defaults = cls()
-        return cls(**{key: {**getattr(defaults, key), **_intkeys(key, value)} if key in _TABLES
-                      else value for key, value in data.items()})
+        return cls(**data)
 
     @classmethod
     def from_json(cls, path):

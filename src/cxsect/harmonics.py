@@ -103,11 +103,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .config import _integer, _real, default_config
+from .config import _check_degree, _integer, _real, default_config
 from .errors import InvalidInputError, NumericalEvaluationError
 from .spherequad import _TINY, CHUNK_ROWS, QuadratureRule, invariant_sphere_rule, sphere_rule
 
-_MAX_DEGREE = {4: 24, 6: 22, 8: 12}  # per N; see invariant_harmonic_basis
 _NOISE_FLOOR = 1e-12
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -464,19 +463,12 @@ class HarmonicBasis:
         return self.block.eval_basis(_unit_rows(X, self.N))
 
 
-def _check_degree(N, j):
-    if N not in _MAX_DEGREE:
-        raise InvalidInputError(f"no harmonic basis for N={N}: supported are N in {tuple(_MAX_DEGREE)}")
-    if j % 2 or not 0 <= j <= _MAX_DEGREE[N]:
-        raise InvalidInputError(f"no harmonic basis for N={N}, j={j}: "
-                                f"supported are even j <= {_MAX_DEGREE[N]}")
-
-
 def invariant_harmonic_basis(N, j):
     """Orthonormal real basis of the rotation-invariant degree-j harmonics on S^{N-1}.
 
-    N in {4, 6, 8}, j even, j <= 24, 22 and 12 there.  The caps at N = 4 and
-    6 are the highest degrees whose blocks were measured to satisfy
+    N in {4, 6, 8}, j even, j <= 24, 22 and 12 there (``config._MAX_DEGREE``;
+    a ``RunConfig``'s jmax is checked against it when built).  The caps at N =
+    4 and 6 are the highest degrees whose blocks were measured to satisfy
     C S C^H = I to 1e-10 under the exact monomial Gram S (the blocks at
     j = 26 and 24 miss it).  At N = 8 the j = 14 block passes too, but its
     dense coefficients alone take 1.7 GB, so the cap is 12.

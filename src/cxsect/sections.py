@@ -89,7 +89,7 @@ def hyperplane_basis(dirs) -> np.ndarray:
 
 
 def _section_rule(n, config, bump=0, scan=False):
-    level = config.product_level(2 * n - 2)
+    level = config.product_levels[2 * n - 2]
     if scan:
         level = max(8, level // 2)
     return invariant_sphere_rule(n - 1, level + bump, nphase=level + bump)
@@ -230,7 +230,7 @@ def volume(body, rule: QuadratureRule | None = None,
     cfg = config or _DEFAULT_CONFIG
     n = body.dim.n
     if rule is None:
-        rule = radial_power_rule(cfg.reduced_level(n), body)
+        rule = radial_power_rule(cfg.reduced_levels[n], body)
     if rule.m != 2 * n:
         raise InvalidInputError(f"volume rule must live on S^{2 * n - 1}")
     with np.errstate(over="ignore"):  # integrate_sphere rejects the overflow
@@ -244,7 +244,7 @@ def volume(body, rule: QuadratureRule | None = None,
 def volume_with_error(body, config: RunConfig | None = None):
     """Volume plus a refinement-difference error estimate (reduced rule)."""
     cfg = config or _DEFAULT_CONFIG
-    level = cfg.reduced_level(body.dim.n)
+    level = cfg.reduced_levels[body.dim.n]
     coarse = volume(body, rule=radial_power_rule(level, body))
     fine = volume(body, rule=radial_power_rule(level + max(8, level // 8), body))
     return fine, abs(fine - coarse)

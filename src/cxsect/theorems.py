@@ -34,6 +34,11 @@ from .harmonics import ft_norm_power
 from .spherequad import _TINY, integrate_sphere
 
 _TOL_FLOOR = 1e-12
+# the pairing identity's largest relative error (``cxsect theorem --which
+# parseval`` and the suite's C3 read it)
+PARSEVAL_BOUND = 1e-2
+# positivity passes when the grid minimum is at least this times the maximum
+POSITIVITY_BOUND = -1e-6
 
 
 class VerificationContext:
@@ -220,7 +225,6 @@ class StabilityReport:
     rhs_error: float
     grid_points: int
     evaluations: int
-    warnings: tuple = ()
     extra: dict = field(default_factory=dict)
 
     def to_dict(self):
@@ -239,7 +243,6 @@ class StabilityReport:
                 "rhs": self.rhs_error,
             },
             "grid": {"points": self.grid_points, "evaluations": self.evaluations},
-            "warnings": list(self.warnings),
         }
         out.update(self.extra)
         return out
@@ -336,7 +339,6 @@ class SeparationReport:
     passed: bool
     degenerate: bool
     note: str
-    warnings: tuple = ()
 
     def to_dict(self):
         return {
@@ -351,7 +353,6 @@ class SeparationReport:
             "passed": self.passed,
             "degenerate": self.degenerate,
             "note": self.note,
-            "warnings": list(self.warnings),
         }
 
 
@@ -442,7 +443,7 @@ def parseval_check(K, L, p, context: VerificationContext | None = None,
     ft_k = ctx.ft(K, p, jmax)
     ft_l = ctx.ft(L, N - p, jmax)
     lhs = float(sum(ft_k.coeffs[j] @ ft_l.coeffs[j] for j in ft_k.degrees()))
-    reduced = sections.radial_power_rule(cfg.reduced_level(n), K, L)
+    reduced = sections.radial_power_rule(cfg.reduced_levels[n], K, L)
     rho = K.factor_radial(reduced) ** p * L.factor_radial(reduced) ** (N - p)
     rhs = (2.0 * math.pi) ** N * integrate_sphere(rho, reduced)
     if not rhs >= _TINY:
@@ -484,8 +485,8 @@ class PositivityResult:
 def positivity_check(K, context: VerificationContext | None = None) -> PositivityResult:
     """Sign scan of the transformed norm power at exponent 2 over a refined grid.
 
-    Pass criterion (complex dimension 2 or 3): grid minimum >= -1e-6 * grid
-    maximum.  Dimension 4 runs in exploratory mode: values are reported, no
+    Pass criterion (complex dimension 2 or 3): grid minimum >=
+    ``POSITIVITY_BOUND`` (-1e-6) times the grid maximum.  Dimension 4 runs in exploratory mode: values are reported, no
     pass/fail is attached.
     """
     ctx = context or VerificationContext()
@@ -498,7 +499,7 @@ def positivity_check(K, context: VerificationContext | None = None) -> Positivit
     _, xi_star, vmin, _ = grids.refine_extremum(
         ft.evaluate, grid, vals, mode="min", halvings=ctx.config.refine_halvings,
     )
-    passed = None if exploratory else bool(vmin >= -1e-6 * vmax)
+    passed = None if exploratory else bool(vmin >= POSITIVITY_BOUND * vmax)
     return PositivityResult(
         K.label, n, float(vmin), vmax, tuple(xi_star), passed, exploratory,
         tuple(ft.warnings),

@@ -106,9 +106,8 @@ def test_criterion_10_structural_invariants(by_name):
 
 
 def test_no_numerical_warnings_at_defaults(by_name):
-    asserted = [r for r in by_name.values() if not r.soft]
-    assert all(not r.warnings for r in asserted), \
-        {r.name: r.warnings for r in asserted if r.warnings}
+    assert all(not r.warnings for r in by_name.values()), \
+        {r.name: r.warnings for r in by_name.values() if r.warnings}
 
 
 def test_suite_exit_code_clean(suite_result):
@@ -116,6 +115,5 @@ def test_suite_exit_code_clean(suite_result):
 
 
 def test_runtime_reported(suite_result):
-    res = next(r for r in suite_result.results if r.name == "runtime_budget_soft")
-    print(f"\n[info] suite wall time {res.measured:.1f}s (soft target {res.bound:.0f}s)")
-    assert res.soft
+    print(f"\n[info] suite wall time {suite_result.wall_seconds:.1f}s")
+    assert suite_result.wall_seconds > 0

@@ -20,9 +20,11 @@ from hypothesis import HealthCheck, event, given, settings, strategies as st
 
 import cxsect
 from cxsect import ComplexDim, EuclideanBall, InvalidInputError, NumericalEvaluationError, RunConfig
+from cxsect import theorems
 from cxsect.cli import main
 from cxsect.config import COMPLEX_DIMS, MC_MIN_SAMPLES, _TABLES
 from cxsect.spherequad import mc_volume
+from cxsect.suite import run_suite
 
 BALL = {"n": 2, "kind": "euclidean", "params": {"radius": 1.0}}
 # a coarse configuration, so that a generated run takes milliseconds
@@ -31,6 +33,12 @@ COARSE = {
     "jmax": {"4": 4, "6": 4, "8": 2}, "moduli_res": {"2": 4, "3": 3, "4": 2},
     "phase_res": {"2": 2, "3": 2, "4": 2}, "refine_halvings": 1, "mc_samples": MC_MIN_SAMPLES,
 }
+# the key of each table as a function of the complex dimension n
+TABLE_KEYS = {"product_levels": lambda n: 2 * n - 2, "reduced_levels": lambda n: n,
+              "jmax": lambda n: 2 * n, "moduli_res": lambda n: n, "phase_res": lambda n: n}
+# the harmonic degree cap per real dimension N (``test_harmonics`` checks the
+# blocks up to them)
+DEGREE_CAPS = {4: 24, 6: 22, 8: 12}
 
 
 def call(argv):
@@ -137,12 +145,9 @@ class TestAdmittedDimensions:
         assert ComplexDim(n).n == int(n)
 
     def test_default_tables_cover_exactly_the_admitted_dimensions(self):
-        # the key of each table as a function of n
-        keys = {"product_levels": lambda n: 2 * n - 2, "reduced_levels": lambda n: n,
-                "jmax": lambda n: 2 * n, "moduli_res": lambda n: n, "phase_res": lambda n: n}
-        assert set(keys) == set(_TABLES)
+        assert set(TABLE_KEYS) == set(_TABLES)
         cfg = RunConfig()
-        for name, key in keys.items():
+        for name, key in TABLE_KEYS.items():
             assert set(getattr(cfg, name)) == {key(n) for n in COMPLEX_DIMS}, name
 
     @pytest.mark.parametrize("n", [5, 1e17])
@@ -191,6 +196,64 @@ class TestIntegers:
             with pytest.raises(InvalidInputError, match=f"at least {MC_MIN_SAMPLES}"):
                 make(MC_MIN_SAMPLES - 1)
             make(MC_MIN_SAMPLES)
+
+
+class TestConfigTables:
+    """``RunConfig.__post_init__`` completes and checks every table, from a
+    file or from Python, before any command runs."""
+
+    def test_python_partial_table_equals_the_json_one(self):
+        # the Python one kept only its key, and the suite raised "no jmax
+        # configured for N=6"
+        cfg = RunConfig(jmax={4: 8}, moduli_res={3: 6})
+        assert cfg == RunConfig.from_dict({"jmax": {"4": 8}, "moduli_res": {"3": 6}})
+        assert cfg.jmax == {4: 8, 6: 12, 8: 6} and cfg.moduli_res == {2: 48, 3: 6, 4: 6}
+
+    @pytest.mark.parametrize("tables, message", [
+        ({"jmax": {6: 13}}, "no harmonic basis for N=6, j=13: supported are even j <= 22"),
+        ({"jmax": {4: 26}}, "no harmonic basis for N=4, j=26: supported are even j <= 24"),
+        ({"phase_res": {2: 1}}, "phase_res entries must be >= 2, got {2: 1}"),
+        ({"moduli_res": {"3": 1}}, "moduli_res entries must be >= 2, got {3: 1}"),
+        ({"reduced_levels": {"7": 5}}, "reduced_levels keys must be among [2, 3, 4], got [7]"),
+        ({"product_levels": {8: 6}}, "product_levels keys must be among [2, 4, 6], got [8]"),
+    ], ids=["jmax-odd", "jmax-over-cap", "phase-res-1", "moduli-res-1", "reduced-key-7",
+            "product-key-8"])
+    def test_rejected_when_built(self, tables, message):
+        # each was accepted: the entry was never read, or failed mid-run
+        with pytest.raises(InvalidInputError) as exc:
+            RunConfig(**tables)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("config, args, line", [
+        ({"phase_res": {"2": 1}}, ["volume", "BODY"], "error: phase_res entries must be >= 2, got {2: 1}"),
+        ({"moduli_res": {"2": 1}}, ["suite"], "error: moduli_res entries must be >= 2, got {2: 1}"),
+    ], ids=["volume", "suite"])
+    def test_subprocess_one_error_line_before_any_criterion(self, tmp_path, config, args, line):
+        # the volume exited 0 and echoed the entry, which it never read; the
+        # suite passed three criteria before it exited 3
+        body = write_json(tmp_path, "body.json", BALL)
+        cfg = write_json(tmp_path, "config.json", config)
+        proc = subprocess_cli(["--config", cfg] + [body if a == "BODY" else a for a in args],
+                              tmp_path)
+        assert proc.returncode == 3 and proc.stdout == ""
+        assert proc.stderr.splitlines() == [line]
+        assert not (tmp_path / "reports").exists()
+
+
+class TestBoundsStatedOnce:
+    def test_parseval_bound_read_by_cli_and_suite(self, tmp_path, monkeypatch):
+        ell = write_json(tmp_path, "ell.json", {"n": 2, "kind": "ellipsoid",
+                                                "params": {"semiaxes": [1, 2]}})
+        lq3 = write_json(tmp_path, "lq3.json", {"n": 2, "kind": "lq", "params": {"q": 3}})
+        config = write_json(tmp_path, "config.json", {"output_dir": str(tmp_path / "reports")})
+        argv = ["--config", config, "theorem", "--which", "parseval", "-K", ell, "-L", lq3]
+        verdicts = []
+        for bound in (1e-2, 1e-12):
+            monkeypatch.setattr(theorems, "PARSEVAL_BOUND", bound)
+            crit = run_suite(names=["parseval"], echo=None).results[0]
+            assert crit.bound == bound
+            verdicts.append((call(argv)[0], crit.passed))
+        assert verdicts == [(0, True), (1, False)]
 
 
 class TestUnderflow:
@@ -366,6 +429,43 @@ def failed(obj):
     if isinstance(obj, list):
         return any(failed(v) for v in obj)
     return False
+
+
+# tables mostly of the keys and even entries their table admits, so that
+# about one configuration in nine builds (the others must raise
+# InvalidInputError, nothing else)
+EVEN = st.integers(1, 11).map(lambda k: 2 * k)
+ENTRY = st.one_of(EVEN, EVEN, st.integers(-1, 26), st.sampled_from([2.0, 4.5, True, None, "4"]))
+ANY_KEY = st.sampled_from(["0", "1", "2", "3", "4", "5", "6", "7", "8", "10", "x", "2.0"])
+
+
+def json_table(name):
+    own = st.dictionaries(st.sampled_from([str(TABLE_KEYS[name](n)) for n in COMPLEX_DIMS]),
+                          ENTRY, max_size=3)
+    return st.one_of(own, own, st.dictionaries(ANY_KEY, ENTRY, max_size=2), ODD)
+
+
+TABLES = st.fixed_dictionaries({}, optional={name: json_table(name) for name in TABLE_KEYS})
+
+
+@settings(max_examples=400, derandomize=True, deadline=None, database=None)
+@given(tables=TABLES)
+def test_a_built_config_is_complete_and_checked(tables):
+    try:
+        cfg = RunConfig.from_dict(json.loads(json.dumps(tables)))
+    except InvalidInputError:
+        event("rejected")  # --hypothesis-show-statistics
+        return
+    event("built")
+    for name, key in TABLE_KEYS.items():
+        got = getattr(cfg, name)
+        assert set(got) == {key(n) for n in COMPLEX_DIMS}, name
+        assert all(type(v) is int and v >= 1 for v in got.values()), name
+        # the entries given are kept, the others are the defaults
+        given = {int(k): v for k, v in tables.get(name, {}).items()}
+        assert got == {**_TABLES[name], **given}, name
+    assert all(cfg.moduli_res[n] >= 2 and cfg.phase_res[n] >= 2 for n in COMPLEX_DIMS)
+    assert all(j % 2 == 0 and j <= DEGREE_CAPS[N] for N, j in cfg.jmax.items())
 
 
 @settings(max_examples=300, derandomize=True, deadline=None, database=None,

@@ -25,9 +25,8 @@ from cxsect import (
     sphere_rule,
 )
 from cxsect import harmonics, spherequad
-from cxsect.config import default_config
+from cxsect.config import _MAX_DEGREE, default_config
 from cxsect.harmonics import (
-    _MAX_DEGREE,
     HarmonicExpansion,
     _Block,
     _block,

@@ -444,7 +444,7 @@ class TestSectionRuleAtN2:
         X = unit_vectors(np.random.default_rng(47), 25, 4)
         got = []
         for level in (1, 24):
-            cfg = RunConfig(product_levels={2: level, 4: 32, 6: 16, 8: 6})
+            cfg = RunConfig(product_levels={2: level})
             assert sections._section_rule(2, cfg).node_count == 1
             got.append((section_values(body, X, config=cfg),
                         *section_volume_direct(body, X, config=cfg)))
@@ -593,7 +593,7 @@ class TestRadialPowerRule:
     ])
     def test_matches_doubled_phase_count(self, name, n, level):
         body = (bodies_n2() if n == 2 else bodies_n3())[name]
-        level = level or default_config().reduced_level(n)
+        level = level or default_config().reduced_levels[n]
         doubled = invariant_sphere_rule(n, level, nphase=2 * n * 2 * body.phase_bandwidth + 1)
         assert volume(body, rule=radial_power_rule(level, body)) == pytest.approx(
             volume(body, rule=doubled), rel=1e-13)
@@ -611,7 +611,7 @@ class TestRadialPowerRule:
 
     def test_one_phase_fewer_aliases(self):
         body = bodies_n2()["pert_b"]
-        level = default_config().reduced_level(2)
+        level = default_config().reduced_levels[2]
         exact = volume(body, rule=radial_power_rule(level, body))
         short = volume(body, rule=invariant_sphere_rule(2, level, nphase=4 * body.phase_bandwidth))
         assert abs(short / exact - 1.0) > 1e-10  # measured 9.6e-9
@@ -629,7 +629,7 @@ class TestRadialPowerRule:
 
     def test_n3_node_counts(self):
         body = bodies_n3()["pert"]
-        level = default_config().reduced_level(3)
+        level = default_config().reduced_levels[3]
         assert radial_power_rule(level, body).node_count == 1_254_400
         assert radial_power_rule(level + max(8, level // 8), body).node_count == 1_587_600
 

@@ -228,9 +228,9 @@ def _built_invariant_rules():
                   for n, bodies in ((2, bodies_n2), (3, bodies_n3))}
     out = set()
     for n in (2, 3, 4):
-        L = cfg.product_level(2 * n - 2)
+        L = cfg.product_levels[2 * n - 2]
         out |= {(n - 1, lev, lev) for lev in (L, L + 2, max(8, L // 2))}
-        R = cfg.reduced_level(n)
+        R = cfg.reduced_levels[n]
         for bw in bandwidths.get(n, {0}):
             out |= {(n, lev, 2 * n * bw + 1) for lev in (R, R + max(8, R // 8), light.get(n, R))}
             out.add((n, 48, 8 if bw else 1))

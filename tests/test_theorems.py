@@ -403,7 +403,7 @@ class TestParseval:
         # the pairing integrand through the torus factors against the same
         # integrand at the rule's nodes
         res = parseval_check(pert2, ComplexLqBall(d2, 3.0), 2.0, jmax=8)
-        rule = sections.radial_power_rule(default_config().reduced_level(2), pert2)
+        rule = sections.radial_power_rule(default_config().reduced_levels[2], pert2)
         X = rule.nodes
         ref = integrate_sphere(pert2.radial(X) ** 2 * ComplexLqBall(d2, 3.0).radial(X) ** 2, rule)
         assert res.rhs == pytest.approx((2 * math.pi) ** 4 * ref, rel=1e-14)

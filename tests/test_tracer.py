@@ -76,7 +76,7 @@ def test_traced_perturbed_volume_counts_nodes_without_building_them():
         summary = tracer.summary(1.0)
     finally:
         tracer.uninstall()
-    level = cxsect.config.default_config().reduced_level(3)
+    level = cxsect.config.default_config().reduced_levels[3]
     rules = [cxsect.invariant_sphere_rule(3, lev, 7) for lev in (level, level + max(8, level // 8))]
     assert summary["spherequad.rule_nodes"] == sum(r.node_count for r in rules) == 2_842_000
     assert not any(r.nodes_built for r in rules)
