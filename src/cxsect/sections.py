@@ -12,7 +12,9 @@ suite.
 
 Both routes take a batch of directions, shape (P, 2n) or one vector, and
 return (values, errors) arrays of shape (P,).  Directions are checked and
-normalized in one place, ``unit_directions``.
+normalized in one place, ``unit_directions``.  The polar volume and the
+pairing of ``theorems.parseval_check`` share ``_radial_power_integral``, which
+sums the quadrature of a product of radial powers over blocks of base rows.
 """
 from __future__ import annotations
 
@@ -28,6 +30,10 @@ from .spherequad import _TINY, CHUNK_ROWS, QuadratureRule, integrate_sphere, inv
 
 # the configuration of every call that passes none; built once, never written
 _DEFAULT_CONFIG = default_config()
+# table entries per block of a polar integral (``_radial_power_integral``):
+# the moduli-only tables at n <= 3 and the n = 2 tables at the default levels
+# (at most 180^2 = 32,400 entries) stay one block
+_BLOCK_ENTRIES = 4 * CHUNK_ROWS
 
 
 def unit_directions(dirs) -> np.ndarray:
@@ -218,14 +224,51 @@ def radial_power_rule(level, *bodies) -> QuadratureRule:
     return invariant_sphere_rule(n, level, nphase=2 * n * bw + 1)
 
 
+def _radial_power_integral(rule: QuadratureRule, powers) -> float:
+    """The quadrature sum of prod_b rho_b^{e_b} on ``rule``, for ``powers``
+    a sequence of (body, exponent) pairs of the rule's sphere, factors
+    multiplied in that order: the polar volume and the Parseval pairing.
+
+    The tables come through ``body.factor_radial`` on blocks of consecutive
+    base rows (``QuadratureRule.row_block``) that share the rule's phase
+    rows, each of at most ``_BLOCK_ENTRIES`` entries: F per row when a body
+    depends on the phases, else 1.  So no array grows with the node count.
+    Each block is summed by ``integrate_sphere``, which names a non-finite
+    value by its node in ``rule``, and the block sums by pairwise summation;
+    a table of one block is summed exactly as one table.  It is the kernel
+    of ``volume`` and ``theorems.parseval_check``, private so that the
+    spans of ``perfbench/tracer.py`` count its time to them.
+    """
+    H, F = rule.base.shape[0], rule.phases.shape[0]
+    width = F if any(body.phase_bandwidth for body, _ in powers) else 1
+    step = max(1, _BLOCK_ENTRIES // width)
+    sums = []
+    for lo in range(0, H, step):
+        block = rule.row_block(lo, min(lo + step, H))
+        with np.errstate(over="ignore"):  # integrate_sphere rejects the overflow
+            tables = [body.factor_radial(block) ** e for body, e in powers]
+            vals = tables[0]
+            for table in tables[1:]:
+                vals = vals * table
+        sums.append(integrate_sphere(vals, block))
+    with np.errstate(over="ignore"):  # rejected below
+        total = float(np.sum(sums))
+    if not math.isfinite(total):
+        raise NumericalEvaluationError("non-finite weighted sum of finite integrand values")
+    return total
+
+
 def volume(body, rule: QuadratureRule | None = None,
            config: RunConfig | None = None) -> float:
     """Total volume by the polar formula Vol = (1/2n) int rho^{2n}.
 
     With no explicit rule the torus-reduced rule is used (the integrand is
-    rotation-invariant for every admitted body), evaluated through its
-    factors (``body.factor_radial``); pass the generic product rule on S^{2n-1}
-    for the reference path.
+    rotation-invariant for every admitted body); pass the generic product
+    rule on S^{2n-1} for the reference path.  The integral is
+    ``_radial_power_integral``, so it runs in blocks of base rows, evaluated
+    through the rule's factors (``body.factor_radial``), and a table of one
+    block (every moduli-only body at n <= 3 and every n = 2 body at the
+    default levels) keeps the bits of a one-table sum.
     """
     cfg = config or _DEFAULT_CONFIG
     n = body.dim.n
@@ -233,9 +276,7 @@ def volume(body, rule: QuadratureRule | None = None,
         rule = radial_power_rule(cfg.reduced_levels[n], body)
     if rule.m != 2 * n:
         raise InvalidInputError(f"volume rule must live on S^{2 * n - 1}")
-    with np.errstate(over="ignore"):  # integrate_sphere rejects the overflow
-        vals = body.factor_radial(rule) ** (2 * n)
-    vol = integrate_sphere(vals, rule) / (2 * n)
+    vol = _radial_power_integral(rule, ((body, 2 * n),)) / (2 * n)
     if not vol >= _TINY:
         raise NumericalEvaluationError(f"the volume of {body.label} underflows")
     return vol

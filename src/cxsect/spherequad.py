@@ -33,8 +33,13 @@ array; it is built only when ``nodes`` is read.  Final reductions go through
 identical bits.
 
 ``CHUNK_ROWS`` is the one chunk size of the point kernels: the monomial
-tables of ``harmonics``, the radial kernel calls of the section kernel and
-the samples of ``mc_volume``.
+tables of ``harmonics``, the radial kernel calls of the section kernel, the
+samples of ``mc_volume`` and the midpoint pairs of a perturbed ball's
+certification.  It also bounds the polar integrals: the volume and the
+Parseval pairing sum their tables over blocks of consecutive base rows
+(``QuadratureRule.row_block``) of at most 4 * ``CHUNK_ROWS`` entries
+(``sections._radial_power_integral``), so no array of theirs grows with the
+node count.
 
 ``mc_volume`` draws its samples from one Philox stream keyed by the seed and
 tests them in chunks of ``CHUNK_ROWS`` rows, split over up to two of the CPUs
@@ -148,8 +153,10 @@ class QuadratureRule:
     The base rows must be finite and of unit length within 1e-8, checked
     here once: the factored kernels (``factor_radial``, ``factor_values``,
     the moments of ``harmonic_expand``) hold only on the unit sphere and
-    take the rule as given.  ``row_weights`` may be any sequence of H
-    numbers.  The node array is built on first access to ``nodes``
+    take the rule as given.  ``row_block`` cuts a block of consecutive base
+    rows without checking them again; ``row_offset`` is the block's first
+    row in the built rule, 0 for a built rule.  ``row_weights`` may be any
+    sequence of H numbers.  The node array is built on first access to ``nodes``
     (``nodes_built`` tells); ``table`` and ``node`` work on the factors.
     Every array of the rule is read-only.
     """
@@ -173,9 +180,21 @@ class QuadratureRule:
         self.m, self.base, self.phases, self.row_weights = m, base, phase_grid(counts), row_weights
         self.phase_counts = counts
         self.exactness_degree, self.level = exactness_degree, level
-        self._nodes = None
+        self.row_offset, self._nodes = 0, None
         for arr in (base, self.phases, row_weights):
             arr.setflags(write=False)
+
+    def row_block(self, lo, hi):
+        """The rule of base rows lo:hi with all the phase rows: views of this
+        rule's arrays, taken as checked, since its rows are this rule's.  Its
+        node i is node lo*F + i here; its ``row_offset`` counts from the
+        built rule."""
+        block = object.__new__(QuadratureRule)
+        block.m, block.phases, block.phase_counts = self.m, self.phases, self.phase_counts
+        block.base, block.row_weights = self.base[lo:hi], self.row_weights[lo:hi]
+        block.exactness_degree, block.level = self.exactness_degree, self.level
+        block.row_offset, block._nodes = self.row_offset + lo, None
+        return block
 
     @cached_property
     def base_weights(self):
@@ -362,14 +381,16 @@ def integrate_sphere(f, rule: QuadratureRule) -> float:
     rule's factors (``QuadratureRule.table``), by pairwise summation.
 
     Non-finite values, and finite values whose weighted sum overflows, raise
-    ``NumericalEvaluationError``.
+    ``NumericalEvaluationError``; a non-finite value is named by its node in
+    the rule a ``row_block`` was cut from.
     """
     vals, weights = rule.table(f)
     if not np.all(np.isfinite(vals)):
         h, c = np.argwhere(~np.isfinite(vals))[0]
-        bad = int(h) * rule.phases.shape[0] + int(c)
+        F = rule.phases.shape[0]
         raise NumericalEvaluationError(
-            f"non-finite integrand value at node {bad}: {rule.node(bad)}"
+            f"non-finite integrand value at node {(rule.row_offset + int(h)) * F + int(c)}: "
+            f"{rule.node(int(h) * F + int(c))}"
         )
     with np.errstate(over="ignore"):  # an overflowing sum is rejected below
         total = float(np.sum(weights * vals))

@@ -31,7 +31,7 @@ from .bodies import validate
 from .config import RunConfig, _integer, _real, default_config
 from .errors import InvalidInputError, NumericalEvaluationError
 from .harmonics import ft_norm_power
-from .spherequad import _TINY, integrate_sphere
+from .spherequad import _TINY
 
 _TOL_FLOOR = 1e-12
 # the pairing identity's largest relative error (``cxsect theorem --which
@@ -403,6 +403,8 @@ class ParsevalResult:
     rhs: float
     relative_error: float
     jmax: int
+    bound: float
+    passed: bool
     warnings: tuple = ()
 
     def to_dict(self):
@@ -414,6 +416,8 @@ class ParsevalResult:
             "rhs": self.rhs,
             "relative_error": self.relative_error,
             "jmax": self.jmax,
+            "bound": self.bound,
+            "passed": self.passed,
             "warnings": list(self.warnings),
         }
 
@@ -426,10 +430,13 @@ def parseval_check(K, L, p, context: VerificationContext | None = None,
     rhs:  (2 pi)^{2n} int over S^{2n-1} of rho_K^p rho_L^{2n-p}
     lhs is the coefficient pairing sum_j c^K_j . c^L_j of the two truncated
     expansions, which is their sphere integral exactly (the basis is
-    orthonormal); rhs uses ``sections.radial_power_rule`` at the configured
-    level (the integrand is rotation-invariant), evaluated through the rule's
-    torus factors.  Both transforms come from the context, truncated at
-    ``jmax`` (default the configured degree).
+    orthonormal); rhs is ``sections._radial_power_integral`` of rho_K^p and
+    rho_L^{2n-p} on ``sections.radial_power_rule`` at the configured level
+    (the integrand is rotation-invariant), so it runs in blocks of base rows
+    through the rule's torus factors, as the polar volume does.  Both
+    transforms come from the context, truncated at ``jmax`` (default the
+    configured degree).  The result passes when the relative error is at
+    most ``PARSEVAL_BOUND``, read at the call, and carries that bound.
     """
     ctx = context or VerificationContext()
     cfg = ctx.config
@@ -444,13 +451,12 @@ def parseval_check(K, L, p, context: VerificationContext | None = None,
     ft_l = ctx.ft(L, N - p, jmax)
     lhs = float(sum(ft_k.coeffs[j] @ ft_l.coeffs[j] for j in ft_k.degrees()))
     reduced = sections.radial_power_rule(cfg.reduced_levels[n], K, L)
-    rho = K.factor_radial(reduced) ** p * L.factor_radial(reduced) ** (N - p)
-    rhs = (2.0 * math.pi) ** N * integrate_sphere(rho, reduced)
+    rhs = (2.0 * math.pi) ** N * sections._radial_power_integral(reduced, ((K, p), (L, N - p)))
     if not rhs >= _TINY:
         raise NumericalEvaluationError(f"the pairing of {K.label} and {L.label} underflows")
     rel = abs(lhs - rhs) / abs(rhs)
     return ParsevalResult(
-        K.label, L.label, n, p, lhs, rhs, rel, ft_k.jmax,
+        K.label, L.label, n, p, lhs, rhs, rel, ft_k.jmax, PARSEVAL_BOUND, rel <= PARSEVAL_BOUND,
         tuple(ft_k.warnings) + tuple(ft_l.warnings),
     )
 

@@ -255,6 +255,22 @@ class TestBoundsStatedOnce:
             verdicts.append((call(argv)[0], crit.passed))
         assert verdicts == [(0, True), (1, False)]
 
+    def test_parseval_exit1_comes_with_a_failed_result(self, tmp_path):
+        # the report held no verdict and no bound, so exit 1 came with no
+        # failed result in it
+        ell = write_json(tmp_path, "ell.json", {"n": 2, "kind": "ellipsoid",
+                                                "params": {"semiaxes": [1, 3]}})
+        poly = write_json(tmp_path, "poly.json", {"n": 2, "kind": "lq", "params": {"q": "inf"}})
+        config = write_json(tmp_path, "config.json", {"output_dir": str(tmp_path / "reports"),
+                                                      "jmax": {"4": 2}, "tail_warn": 1.5})
+        code, _, _ = call(["--config", config, "theorem", "--which", "parseval",
+                           "-K", ell, "-L", poly])
+        assert code == 1
+        with open(tmp_path / "reports" / "theorem_parseval.json") as fh:
+            results = json.load(fh)["results"]
+        assert failed(results)
+        assert results["bound"] == theorems.PARSEVAL_BOUND < results["relative_error"]
+
 
 class TestUnderflow:
     """A body so small that a positive integral of its radial powers falls
