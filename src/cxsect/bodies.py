@@ -168,16 +168,15 @@ class ConvexBody:
 
         A body with ``phase_bandwidth`` 0 depends on the moduli only, so this
         is ``_radial_impl`` once per base row, at the base viewed as real
-        points, shape (H, 1): the rule has checked that its base rows are of
-        unit length, so only its sphere is compared here.  Kinds whose radial
-        function depends on the phases override it and return (H, F).
+        points, shape (H, 1): a view of a complex base, and a real (moduli)
+        base made complex first.  The rule has checked that its base rows are
+        of unit length, so only its sphere is compared here.  Kinds whose
+        radial function depends on the phases override it and return (H, F).
         """
         if self.phase_bandwidth:
             raise NotImplementedError(f"{type(self).__name__} has no factored evaluation")
         _check_rule_sphere(rule, self.dim.N)
-        W = rule.base
-        return self._radial_impl(
-            np.stack([W.real, W.imag], axis=-1).reshape(W.shape[0], -1))[:, None]
+        return self._radial_impl(np.ascontiguousarray(rule.base, dtype=complex).view(float))[:, None]
 
     def _points(self, x, what):
         """x as a float array of finite vectors in R^{2n}; InvalidInputError otherwise."""

@@ -64,7 +64,9 @@ a level-L product rule), and no node array is formed.  Moments, basis values
 and expansion values all take their monomial tables from one chunk loop over
 rows, real or complex (``_Block._monomial_chunks``): one power table per
 chunk, (n, k + 1, rows), from which each monomial is gathered as a
-contiguous row of a (P, rows) table and multiplied in place.
+contiguous row of a (P, rows) table and multiplied in place.  A chunk holds
+at most ``CHUNK_ENTRIES`` monomials, so its table and the products formed
+from it stay near a core's L2 cache at every degree.
 
 Evaluation uses the same identity the other way round.  A degree-k
 combination sum_ab H[a, b] z^a zbar^b equals
@@ -105,7 +107,7 @@ import numpy as np
 
 from .config import _check_degree, _integer, _real, default_config
 from .errors import InvalidInputError, NumericalEvaluationError
-from .spherequad import _TINY, CHUNK_ROWS, QuadratureRule, invariant_sphere_rule, sphere_rule
+from .spherequad import _TINY, CHUNK_ENTRIES, CHUNK_ROWS, QuadratureRule, invariant_sphere_rule, sphere_rule
 
 _NOISE_FLOOR = 1e-12
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -278,12 +280,16 @@ class _Block:
         """Yield (lo, hi, Wa): the monomials w^a at the rows W[lo:hi] of W
         (rows, n), real or complex, shape (P, hi - lo), one row per exponent
         row a of ``ea`` (default the block's order), in chunks of
-        ``CHUNK_ROWS`` rows.  Each chunk takes one power table w_m^e, shape
+        min(``CHUNK_ROWS``, ``CHUNK_ENTRIES`` // P) rows: a chunk's table holds
+        at most ``CHUNK_ENTRIES`` monomials, so it and the products its callers
+        form from it stay near a core's L2 cache (P = 28 at n = 3, k = 6:
+        1,170 rows).  Each chunk takes one power table w_m^e, shape
         (n, k + 1, rows), gathers each factor of a monomial as a contiguous
         row and takes the products in place, m = 0 first."""
         ea = self._ea if ea is None else ea
-        for lo in range(0, W.shape[0], CHUNK_ROWS):
-            hi = min(lo + CHUNK_ROWS, W.shape[0])
+        rows = min(CHUNK_ROWS, CHUNK_ENTRIES // self.P)
+        for lo in range(0, W.shape[0], rows):
+            hi = min(lo + rows, W.shape[0])
             table = np.empty((self.n, self.k + 1, hi - lo), dtype=W.dtype)
             table[:, 0] = 1.0
             for e in range(1, self.k + 1):

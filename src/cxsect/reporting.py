@@ -1,6 +1,7 @@
 """Report persistence: JSON with full provenance, CSV summary rows, and a
 separate metadata sidecar for timestamps and machine details (numpy version,
-CPU count, BLAS thread variables) so the main files stay diffable.
+CPU count, BLAS thread variables, the process's peak resident memory) so the
+main files stay diffable.
 
 Given identical configuration and seeds the .json and .csv bytes are
 identical across runs; wall-clock information lives only in the
@@ -13,10 +14,16 @@ import datetime
 import json
 import os
 import platform
+import sys
 
 import numpy as np
 
 from .errors import InvalidInputError
+
+try:
+    import resource
+except ImportError:  # not on Windows: the sidecar then has no peak memory
+    resource = None
 
 SCHEMA_VERSION = "1"
 _THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -73,6 +80,11 @@ def write_report(stem, report, rows=None, header=None, timings=None):
             # BLAS threading changes the low bits of reported values
             "threads": {var: os.environ.get(var) for var in _THREAD_VARS},
         }
+        if resource is not None:
+            # the process's peak resident memory so far; ru_maxrss is in KB on
+            # Linux and in bytes on macOS
+            peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+            meta["peak_rss_mb"] = round(peak / (2 ** 20 if sys.platform == "darwin" else 2 ** 10), 1)
         if timings:
             meta.update(timings)
         with open(mpath, "w") as fh:

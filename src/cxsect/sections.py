@@ -26,14 +26,11 @@ from . import grids
 from .config import RunConfig, default_config
 from .errors import InvalidInputError, NumericalEvaluationError
 from .harmonics import HarmonicExpansion
-from .spherequad import _TINY, CHUNK_ROWS, QuadratureRule, integrate_sphere, invariant_sphere_rule
+from .spherequad import (_TINY, CHUNK_ENTRIES, CHUNK_ROWS, QuadratureRule, integrate_sphere,
+                         invariant_sphere_rule)
 
 # the configuration of every call that passes none; built once, never written
 _DEFAULT_CONFIG = default_config()
-# table entries per block of a polar integral (``_radial_power_integral``):
-# the moduli-only tables at n <= 3 and the n = 2 tables at the default levels
-# (at most 180^2 = 32,400 entries) stay one block
-_BLOCK_ENTRIES = 4 * CHUNK_ROWS
 
 
 def unit_directions(dirs) -> np.ndarray:
@@ -231,8 +228,10 @@ def _radial_power_integral(rule: QuadratureRule, powers) -> float:
 
     The tables come through ``body.factor_radial`` on blocks of consecutive
     base rows (``QuadratureRule.row_block``) that share the rule's phase
-    rows, each of at most ``_BLOCK_ENTRIES`` entries: F per row when a body
-    depends on the phases, else 1.  So no array grows with the node count.
+    rows, each of at most ``CHUNK_ENTRIES`` entries: F per row when a body
+    depends on the phases, else 1.  So no array grows with the node count,
+    and the moduli-only tables at n <= 3 and the n = 2 tables at the default
+    levels (at most 180^2 = 32,400 entries) stay one block.
     Each block is summed by ``integrate_sphere``, which names a non-finite
     value by its node in ``rule``, and the block sums by pairwise summation;
     a table of one block is summed exactly as one table.  It is the kernel
@@ -241,7 +240,7 @@ def _radial_power_integral(rule: QuadratureRule, powers) -> float:
     """
     H, F = rule.base.shape[0], rule.phases.shape[0]
     width = F if any(body.phase_bandwidth for body, _ in powers) else 1
-    step = max(1, _BLOCK_ENTRIES // width)
+    step = max(1, CHUNK_ENTRIES // width)
     sums = []
     for lo in range(0, H, step):
         block = rule.row_block(lo, min(lo + step, H))

@@ -32,14 +32,17 @@ array; it is built only when ``nodes`` is read.  Final reductions go through
 ``np.sum`` (pairwise, thread-count independent), so repeated runs produce
 identical bits.
 
-``CHUNK_ROWS`` is the one chunk size of the point kernels: the monomial
-tables of ``harmonics``, the radial kernel calls of the section kernel, the
-samples of ``mc_volume`` and the midpoint pairs of a perturbed ball's
-certification.  It also bounds the polar integrals: the volume and the
-Parseval pairing sum their tables over blocks of consecutive base rows
-(``QuadratureRule.row_block``) of at most 4 * ``CHUNK_ROWS`` entries
-(``sections._radial_power_integral``), so no array of theirs grows with the
-node count.
+Every chunk in the package holds at most ``CHUNK_ROWS`` rows and
+``CHUNK_ENTRIES`` = 4 * ``CHUNK_ROWS`` entries.  The point kernels of narrow
+rows take ``CHUNK_ROWS`` rows: the radial kernel calls of the section kernel,
+the samples of ``mc_volume`` and the midpoint pairs of a perturbed ball's
+certification.  The monomial tables of ``harmonics`` take
+min(``CHUNK_ROWS``, ``CHUNK_ENTRIES`` // P) rows of P monomials, so a chunk of
+the moment pass stays near a core's L2 cache at any degree.  The polar
+integrals, the volume and the Parseval pairing, sum their tables over blocks
+of consecutive base rows (``QuadratureRule.row_block``) of at most
+``CHUNK_ENTRIES`` entries (``sections._radial_power_integral``), so no array of
+theirs grows with the node count.
 
 ``mc_volume`` draws its samples from one Philox stream keyed by the seed and
 tests them in chunks of ``CHUNK_ROWS`` rows, split over up to two of the CPUs
@@ -68,8 +71,12 @@ from .errors import InvalidInputError, NumericalEvaluationError
 _TINY = np.finfo(float).tiny
 
 # rows per chunk of a point kernel: per-chunk overhead stays small, and a
-# chunk's temporaries a few MB (an n = 3 degree-12 monomial table: 3.7 MB)
+# chunk's temporaries a few MB
 CHUNK_ROWS = 8192
+# entries per chunk of a kernel whose rows are wide (a row of P monomials, a
+# base row of F phases): 512 KB as complex, so a chunk and its temporaries stay
+# near a core's L2 cache (an n = 3 degree-12 monomial chunk: 1,170 rows of 28)
+CHUNK_ENTRIES = 4 * CHUNK_ROWS
 # Threads that test Monte Carlo chunks, caller included: the CPUs this process
 # may run on (its affinity; a CPU quota is not read), at most two.  Run time
 # and peak memory were measured with one and two; each further thread would
@@ -168,9 +175,11 @@ class QuadratureRule:
         if m % 2 or base.ndim != 2 or base.shape[1] != m // 2 or len(counts) != base.shape[1]:
             raise InvalidInputError(f"a rule on S^{m - 1} takes base rows and phase counts of "
                                     f"m/2 = {m / 2:g} coordinate pairs")
-        # the moment recursion and the lift of ``harmonics`` hold where |z| = 1
+        # the moment recursion and the lift of ``harmonics`` hold where |z| = 1;
+        # the row lengths from the real view, so no copy of the base is made
+        coords = base.view(float) if np.iscomplexobj(base) else base
         if not (np.all(np.isfinite(base))
-                and np.all(np.abs(np.linalg.norm(base, axis=1) - 1.0) <= 1e-8)):
+                and np.all(np.abs(np.sqrt(np.einsum("ij,ij->i", coords, coords)) - 1.0) <= 1e-8)):
             raise InvalidInputError("a rule's base rows must be finite and of unit length")
         if not all(c >= 1 for c in counts):
             raise InvalidInputError(f"phase counts must be integers >= 1, got {counts}")
@@ -305,22 +314,19 @@ def sphere_rule(m: int, level: int) -> QuadratureRule:
     if m == 2:
         heads, hweights = np.array([[1.0, 0.0]]), np.ones(1)
     else:
-        tcos, tw = [], []
-        for i in range(1, m - 1):
-            lam = (m - 2 - i) / 2.0
-            t, w = gauss_gegenbauer(L, lam)
-            tcos.append(t)
-            tw.append(w)
-        cols = [g.ravel() for g in np.meshgrid(*tcos, indexing="ij")]  # one row per polar node
-        hweights = np.ones_like(cols[0])
-        for g in np.meshgrid(*tw, indexing="ij"):
-            hweights = hweights * g.ravel()
-        heads = np.zeros((cols[0].size, m))
-        sinprod = np.ones(cols[0].size)
-        for i in range(m - 2):
-            heads[:, i] = sinprod * cols[i]
-            sinprod = sinprod * np.sqrt(1.0 - cols[i] ** 2)
-        heads[:, m - 2] = sinprod
+        # one polar node per cell of an (L,)*(m-2) grid, one axis per polar
+        # cosine: each 1-D factor broadcast along its axis, no per-node grid
+        d = m - 2
+        heads = np.zeros((L,) * d + (m,))
+        hweights, sinprod = np.ones(()), np.ones(())
+        for i in range(d):
+            t, w = gauss_gegenbauer(L, (m - 3 - i) / 2.0)
+            axis = (L,) + (1,) * (d - 1 - i)
+            heads[..., i] = sinprod * t.reshape(axis)
+            hweights = hweights * w.reshape(axis)
+            sinprod = sinprod * np.sqrt(1.0 - t ** 2).reshape(axis)
+        heads[..., m - 2] = sinprod
+        heads, hweights = heads.reshape(-1, m), hweights.ravel()
     counts = (1,) * (m // 2 - 1) + (2 * L,)
     return QuadratureRule(m, heads.view(complex), counts, hweights * (math.pi / L), 2 * L - 1, L)
 

@@ -25,11 +25,10 @@ from cxsect import (
     parseval_check,
     volume,
 )
-from cxsect import sections
 from cxsect.bodies import _CERTIFY_PAIRS, _CERTIFY_SEED, _MIDPOINT_TOL
 from cxsect.config import default_config, philox
 from cxsect.sections import _radial_power_integral, radial_power_rule
-from cxsect.spherequad import CHUNK_ROWS
+from cxsect.spherequad import CHUNK_ENTRIES, CHUNK_ROWS
 from cxsect.suite import bodies_n2, bodies_n3
 from cxsect.theorems import VerificationContext
 
@@ -127,7 +126,7 @@ class TestBlockedIntegral:
                 rule = radial_power_rule(lev, body)
                 powers = ((body, 2 * n),)
                 width = rule.phases.shape[0] if body.phase_bandwidth else 1
-                assert rule.base.shape[0] * width <= sections._BLOCK_ENTRIES
+                assert rule.base.shape[0] * width <= CHUNK_ENTRIES
                 assert _radial_power_integral(rule, powers) == one_table(rule, powers), body.label
 
     def test_n2_pairings_keep_their_bits(self):
@@ -143,7 +142,7 @@ class TestBlockedIntegral:
         other = PerturbedBall(D3, 1.1, ((2, 0, 0.03),))
         for lev in (LEVEL3, LEVEL3 + max(8, LEVEL3 // 8)):
             rule = radial_power_rule(lev, pert)
-            assert rule.base.shape[0] * rule.phases.shape[0] > 4 * sections._BLOCK_ENTRIES
+            assert rule.base.shape[0] * rule.phases.shape[0] > 4 * CHUNK_ENTRIES
             for powers in (((pert, 6),), ((pert, 2.0), (other, 4.0)),
                            ((bodies_n3()["lq3"], 2.0), (pert, 4.0))):
                 got, ref = _radial_power_integral(rule, powers), one_table(rule, powers)
@@ -166,7 +165,7 @@ class TestBlockedIntegral:
         rule = radial_power_rule(LEVEL3, body)
         H, F = rule.base.shape[0], rule.phases.shape[0]
         row, col = H - 3, 5  # in the last block
-        assert row >= sections._BLOCK_ENTRIES // F
+        assert row >= CHUNK_ENTRIES // F
         factor_radial = PerturbedBall.factor_radial
 
         def planted(self, block):

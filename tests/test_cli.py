@@ -415,6 +415,26 @@ class TestDeterminism:
         assert meta["numpy"] == np.__version__
         assert meta["cpu_count"] == os.cpu_count()
 
+    def test_peak_memory_only_in_meta(self, tmp_path):
+        import resource
+
+        run(["suite", "--criteria", "gamma_inequality"], tmp_path)
+        reports = tmp_path / "reports"
+        meta = json.loads((reports / "suite_summary.meta.json").read_text())
+        # ru_maxrss is in KB on Linux, in bytes on macOS
+        peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        peak /= 2 ** 20 if sys.platform == "darwin" else 2 ** 10
+        assert 0 < meta["peak_rss_mb"] <= peak + 0.1 and "wall_seconds" in meta
+        assert "peak_rss" not in (reports / "suite_summary.json").read_text()
+
+    def test_no_peak_memory_without_resource(self, tmp_path, ball_spec, monkeypatch):
+        from cxsect import reporting
+
+        monkeypatch.setattr(reporting, "resource", None)
+        run(["validate", ball_spec], tmp_path)
+        meta = json.loads((tmp_path / "reports" / "validate_ball-n-2-r-1.meta.json").read_text())
+        assert "peak_rss_mb" not in meta and "written_at" in meta
+
     def test_empty_config_equals_explicit_defaults(self, tmp_path, ball_spec):
         from cxsect.config import default_config
 

@@ -36,7 +36,7 @@ from cxsect.harmonics import (
     invariant_harmonic_dim,
     multi_indices,
 )
-from cxsect.spherequad import CHUNK_ROWS, factor_points
+from cxsect.spherequad import CHUNK_ENTRIES, CHUNK_ROWS, factor_points
 from cxsect.suite import bodies_n2, bodies_n3
 
 from conftest import (CountingRadial, node_rule, node_weights, ring_angles, ring_points, ring_rule,
@@ -545,6 +545,59 @@ class TestMonomialKernel:
         allrows = basis.evaluate(X)
         rows = np.array([basis.evaluate(x)[0] for x in X])
         assert np.max(np.abs(allrows - rows)) <= 1e-13 * np.max(np.abs(rows))
+
+
+def one_chunk(monkeypatch):
+    """Let ``_monomial_chunks`` take every row in one chunk."""
+    monkeypatch.setattr(harmonics, "CHUNK_ROWS", 10 ** 9)
+    monkeypatch.setattr(harmonics, "CHUNK_ENTRIES", 10 ** 12)
+
+
+class TestChunkEntries:
+    """Monomial chunks hold at most ``CHUNK_ENTRIES`` monomials, and the
+    chunking regroups only the moment pass's sums over rows."""
+
+    @pytest.mark.parametrize("n,k", [(2, 0), (2, 3), (2, 12), (3, 3), (3, 6), (4, 3), (4, 4)])
+    def test_chunks_bounded_by_rows_and_entries(self, n, k, monkeypatch):
+        blk = _block(n, k)
+        rows = min(CHUNK_ROWS, CHUNK_ENTRIES // blk.P)
+        W = unit_vectors(np.random.default_rng(31), 2 * rows + 7, 2 * n).view(complex)
+        chunks = list(blk._monomial_chunks(W))
+        assert [lo for lo, _, _ in chunks] == list(range(0, W.shape[0], rows))
+        assert chunks[-1][1] == W.shape[0]
+        for lo, hi, Wa in chunks:
+            assert Wa.shape == (blk.P, hi - lo)
+            assert hi - lo <= CHUNK_ROWS and (hi - lo) * blk.P <= CHUNK_ENTRIES
+        # each monomial is a product along its own row: any chunking keeps its bits
+        one_chunk(monkeypatch)
+        (_, _, whole), = blk._monomial_chunks(W)
+        assert np.array_equal(np.concatenate([Wa for _, _, Wa in chunks], axis=1), whole)
+
+    def test_n3_degree_12_takes_1170_rows(self):
+        assert _block(3, 6).P == 28 and CHUNK_ENTRIES // 28 == 1170
+        assert _block(4, 3).P == 20 and CHUNK_ENTRIES // 20 == 1638
+        assert min(CHUNK_ROWS, CHUNK_ENTRIES // 4) == CHUNK_ROWS  # P <= 4 keeps CHUNK_ROWS
+
+    @pytest.mark.parametrize("N,jmax,body", [
+        (6, 12, lambda: bodies_n3()["lq4"]),
+        (6, 12, lambda: bodies_n3()["pert"]),
+        (8, 6, lambda: ComplexLqBall(ComplexDim(4), 4.0)),
+    ], ids=["lq4 n=3", "pert n=3", "lq4 n=4"])
+    def test_many_chunks_match_one_chunk(self, N, jmax, body, monkeypatch):
+        # the product rule, a table of width 1, or (H, 2L) for the perturbed
+        # body; at N = 8 its first 65,536 rows, so the one chunk stays ~100 MB
+        body = body()
+        rule = sphere_rule(N, max(jmax + 2, 8))
+        rule = rule.row_block(0, min(rule.base.shape[0], 2 ** 16))
+        vals, weights = rule.table(body.factor_radial(rule) ** 2)
+        wf = weights * vals
+        blk = _block(N // 2, jmax // 2)
+        assert rule.base.shape[0] > 8 * CHUNK_ENTRIES // blk.P  # many chunks
+        got = blk.moments(rule, wf)
+        one_chunk(monkeypatch)
+        ref = blk.moments(rule, wf)
+        # measured <= 1.1e-15: the sums over rows are only regrouped
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def gegenbauer_ratio(j, lam, t):

@@ -163,6 +163,47 @@ class TestHeadFirstBuild:
         assert np.array_equal(rule.base_weights, weights.reshape(rule.base.shape[0], -1).sum(axis=1))
 
 
+def reference_sphere_heads(m, level):
+    """The base rows and row weights of ``sphere_rule`` built through full
+    per-node meshgrids of the polar cosines and their weights: the bitwise
+    oracle of its broadcast build."""
+    L = level
+    tcos, tw = zip(*(spherequad.gauss_gegenbauer(L, (m - 2 - i) / 2.0) for i in range(1, m - 1)))
+    cols = [g.ravel() for g in np.meshgrid(*tcos, indexing="ij")]
+    weights = np.ones_like(cols[0])
+    for g in np.meshgrid(*tw, indexing="ij"):
+        weights = weights * g.ravel()
+    heads = np.zeros((cols[0].size, m))
+    sinprod = np.ones(cols[0].size)
+    for i in range(m - 2):
+        heads[:, i] = sinprod * cols[i]
+        sinprod = sinprod * np.sqrt(1.0 - cols[i] ** 2)
+    heads[:, m - 2] = sinprod
+    return heads.view(complex), weights * (math.pi / L)
+
+
+class TestBroadcastHeads:
+    @pytest.mark.parametrize("m,level", [(m, L) for m in (4, 6, 8) for L in (1, 2, 5, 8)]
+                             + [(4, 40), (6, 14)])
+    def test_bit_identical_to_meshgrid_heads(self, m, level):
+        rule = sphere_rule.__wrapped__(m, level)
+        heads, weights = reference_sphere_heads(m, level)
+        assert rule.base.dtype == heads.dtype and rule.base.shape == heads.shape
+        assert rule.base.tobytes() == heads.tobytes()
+        assert rule.row_weights.tobytes() == weights.tobytes()
+
+    def test_n4_build_peaks_near_what_it_keeps(self):
+        tracemalloc.start()
+        try:
+            rule = sphere_rule.__wrapped__(8, 8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        kept = rule.base.nbytes + rule.row_weights.nbytes  # 16 + 2 MB
+        # measured 1.44x; the per-node meshgrids peaked at 3.1x (56.0 MB)
+        assert peak <= 1.5 * kept
+
+
 def reference_torus_weights(n, level, nphase):
     """The torus rule's weights built node by node: the moduli weights'
     product over a full meshgrid with the phase rows, times (2 pi)^n / F."""
