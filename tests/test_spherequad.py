@@ -518,6 +518,18 @@ class TestRingHeadRadial:
         # measured <= 1 eps against the per-node profile
         assert np.max(np.abs(got.ravel() / body.radial(rule.nodes) - 1.0)) <= 4 * np.finfo(float).eps
 
+    @pytest.mark.parametrize("make", [lambda n: sphere_rule(2 * n, 8),
+                                      lambda n: invariant_sphere_rule(n, 12, 3)],
+                             ids=["complex base", "moduli base"])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_base_view_keeps_the_bits_of_the_stacked_copy(self, make, n):
+        rule = make(n)
+        W = rule.base
+        stacked = np.stack([W.real, W.imag], axis=-1).reshape(W.shape[0], -1)
+        for body in moduli_only_bodies(n):
+            got = body.factor_radial(rule)
+            assert got.tobytes() == body._radial_impl(stacked)[:, None].tobytes(), body.label
+
     def test_ring_one_takes_every_node(self, monkeypatch):
         product = sphere_rule(4, 6)
         rule = node_rule(product.nodes.copy(), node_weights(product), 11, 6)
