@@ -15,19 +15,19 @@ callers.  ``radial`` checks its input once (finite, trailing axis 2n, unit
 length) and hands it to the kind's ``_radial_impl``; ``norm`` checks it
 (finite, trailing axis 2n) and hands it to ``_norm_impl``.  For the ball, lq
 and ellipsoid kinds the radial function is 1/norm.  A PerturbedBall is
-defined by its radial function, so its ``radial`` evaluates that profile
-directly and only its norm inverts it; both kernels evaluate the
-perturbation on rows they made unit themselves, through the unchecked path
-of ``HarmonicExpansion``.  Callers inside the package whose points are
+defined by its radial function, so its ``radial`` (``radial_profile``)
+evaluates that profile directly and only its norm inverts it, at each row
+made unit (a zero row at e_0, its norm then set to 0), through the unchecked
+path of ``HarmonicExpansion``.  Callers inside the package whose points are
 finite and unit by construction (section chunks, direction grids, Monte
 Carlo draws, certification samples) call the kernels directly.
 
 ``factor_radial(rule)`` gives the radial function at a ``QuadratureRule``'s
 nodes as a table on its factors, without forming the nodes: (H, 1) through
-``_radial_impl`` once per base row for the kinds of the moduli only, (H, F)
-through ``HarmonicExpansion.factor_values`` for a PerturbedBall.  Both take
-the rule's unit base rows as checked and compare only its sphere with the
-body's.
+``_radial_impl`` once per base row, in blocks of ``CHUNK_ROWS`` rows, for the
+kinds of the moduli only, (H, F) through ``HarmonicExpansion.factor_values``
+for a PerturbedBall.  Both take the rule's unit base rows as checked and
+compare only its sphere with the body's.
 """
 from __future__ import annotations
 
@@ -167,16 +167,20 @@ class ConvexBody:
         (``QuadratureRule.table``), no node array formed.
 
         A body with ``phase_bandwidth`` 0 depends on the moduli only, so this
-        is ``_radial_impl`` once per base row, at the base viewed as real
-        points, shape (H, 1): a view of a complex base, and a real (moduli)
-        base made complex first.  The rule has checked that its base rows are
-        of unit length, so only its sphere is compared here.  Kinds whose
-        radial function depends on the phases override it and return (H, F).
+        is ``_radial_impl`` once per base row, shape (H, 1), on blocks of
+        ``CHUNK_ROWS`` base rows viewed as real points (a real base made
+        complex first): the kernels are row by row, so the blocks keep the
+        bits of one call.  The rule has checked its rows; only its sphere is
+        compared here.  Kinds whose radial function reads the phases override it.
         """
         if self.phase_bandwidth:
             raise NotImplementedError(f"{type(self).__name__} has no factored evaluation")
         _check_rule_sphere(rule, self.dim.N)
-        return self._radial_impl(np.ascontiguousarray(rule.base, dtype=complex).view(float))[:, None]
+        out = np.empty((rule.base.shape[0], 1))
+        for lo in range(0, rule.base.shape[0], CHUNK_ROWS):
+            rows = np.ascontiguousarray(rule.base[lo:lo + CHUNK_ROWS], dtype=complex).view(float)
+            out[lo:lo + CHUNK_ROWS, 0] = self._radial_impl(rows)
+        return out
 
     def _points(self, x, what):
         """x as a float array of finite vectors in R^{2n}; InvalidInputError otherwise."""
@@ -378,21 +382,13 @@ class PerturbedBall(ConvexBody):
         # monomials z^a conj(z)^b has frequency a_k - b_k, |a_k - b_k| <= j/2
         return max((j // 2 for j, _, _ in self.terms), default=0)
 
-    def radial_profile(self, theta):
-        """The defining radial function on unit vectors (no norm inversion);
-        a scalar for one vector.  Rows of another width than 2n, or more than
-        1e-8 off unit length, raise ``InvalidInputError``."""
-        theta = np.asarray(theta, dtype=float)
-        rho = self.radius * (1.0 + self.perturbation.evaluate(np.atleast_2d(theta)))
-        return rho.reshape(theta.shape[:-1])[()]  # [()]: a scalar for one vector
-
-    def _profile(self, rows):
-        """The radial profile at the rows of a 2-D array of unit vectors in
-        R^{2n}, taken as checked."""
-        return self.radius * (1.0 + self.perturbation._unit_row_values(rows))
+    # the defining profile is the radial function; the name stays for its
+    # callers (the benchmark's tracer wraps it)
+    radial_profile = ConvexBody.radial
 
     def _radial_impl(self, theta):
-        rho = self._profile(theta.reshape(-1, self.dim.N))
+        """The profile r (1 + perturbation) at unit vectors, taken as checked."""
+        rho = self.radius * (1.0 + self.perturbation._unit_row_values(theta.reshape(-1, self.dim.N)))
         return rho.reshape(theta.shape[:-1])[()]  # [()]: a scalar for one vector
 
     def factor_radial(self, rule):
@@ -404,13 +400,11 @@ class PerturbedBall(ConvexBody):
     def _norm_impl(self, x):
         flat = x.reshape(-1, self.dim.N)
         lengths = np.sqrt(_row_sum(flat * flat))
-        nz = lengths > 0
-        if np.all(nz):  # no zero row: no copies through the mask
-            out = lengths / self._profile(flat / lengths[:, None])
-        else:
-            out = np.zeros(flat.shape[0])
-            if np.any(nz):
-                out[nz] = lengths[nz] / self._profile(flat[nz] / lengths[nz, None])
+        zero = lengths == 0
+        # a zero row is read at e_0 and its norm set to exactly 0
+        unit = flat / np.where(zero, 1.0, lengths)[:, None]
+        unit[zero, 0] = 1.0
+        out = np.where(zero, 0.0, lengths / self._radial_impl(unit))
         return out.reshape(x.shape[:-1])[()]  # [()]: a scalar for one vector
 
     def _certify(self):
@@ -422,7 +416,7 @@ class PerturbedBall(ConvexBody):
         N = self.dim.N
         probe = rng.normal(size=(4096, N))
         probe /= np.linalg.norm(probe, axis=-1, keepdims=True)
-        rho = self._profile(probe)
+        rho = self._radial_impl(probe)
         if np.min(rho) <= 0:
             raise ConvexityError(
                 f"{self.label}: radial function nonpositive (min {np.min(rho):.3g}); "

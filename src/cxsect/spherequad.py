@@ -23,6 +23,9 @@ rule as trusted.
   S^{2n-1} for integrands invariant under the simultaneous rotation of all
   coordinate pairs: real moduli rows, phase counts (1, nphase, ..., nphase).
 
+Both builders broadcast each 1-D Gauss factor along its own axis of their
+grid of base rows, so neither forms a per-node or per-row grid.
+
 An integrand reaches a rule as a table on its factors
 (``QuadratureRule.table``): (H, F), value [h, f] at node h*F + f, its
 flattening in node order, or (H, 1) for an integrand that ignores the
@@ -36,13 +39,14 @@ Every chunk in the package holds at most ``CHUNK_ROWS`` rows and
 ``CHUNK_ENTRIES`` = 4 * ``CHUNK_ROWS`` entries.  The point kernels of narrow
 rows take ``CHUNK_ROWS`` rows: the radial kernel calls of the section kernel,
 the samples of ``mc_volume`` and the midpoint pairs of a perturbed ball's
-certification.  The monomial tables of ``harmonics`` take
-min(``CHUNK_ROWS``, ``CHUNK_ENTRIES`` // P) rows of P monomials, so a chunk of
-the moment pass stays near a core's L2 cache at any degree.  The polar
-integrals, the volume and the Parseval pairing, sum their tables over blocks
-of consecutive base rows (``QuadratureRule.row_block``) of at most
-``CHUNK_ENTRIES`` entries (``sections._radial_power_integral``), so no array of
-theirs grows with the node count.
+certification, and the base rows of ``factor_radial`` for a body of the
+moduli only.  The monomial tables of ``harmonics`` take min(``CHUNK_ROWS``,
+``CHUNK_ENTRIES`` // P) rows of P monomials, so a chunk of the moment pass
+stays near a core's L2 cache at any degree.  The polar integrals, the volume
+and the Parseval pairing, sum their tables over blocks of consecutive base
+rows (``QuadratureRule.row_block``) of at most ``CHUNK_ENTRIES`` entries
+(``sections._radial_power_integral``), so no array of theirs grows with the
+node count.
 
 ``mc_volume`` draws its samples from one Philox stream keyed by the seed and
 tests them in chunks of ``CHUNK_ROWS`` rows, split over up to two of the CPUs
@@ -251,10 +255,7 @@ class QuadratureRule:
         return self._nodes is not None
 
     def node(self, i):
-        """Node i, bit for bit ``nodes[i]``, formed from the factors alone
-        when the node array is not built."""
-        if self._nodes is not None:
-            return self._nodes[i]
+        """Node i from its base row and phase row alone: the bits of ``nodes[i]``."""
         F = self.phases.shape[0]
         return factor_points(self.base[i // F, None], self.phases[i % F, None])[0]
 
@@ -275,17 +276,13 @@ def phase_grid(counts):
 
 def factor_points(base, phases):
     """The points z_k = W[h, k] e^{i Phi[f, k]} in R^{2c}, row h*F + f, for
-    base rows W (H, c), real (moduli) or complex, and phase rows Phi (F, c)."""
+    base rows W (H, c), complex or real (imaginary part 0), phase rows Phi (F, c)."""
     W, Phi = np.asarray(base), np.asarray(phases, dtype=float)
     c, s = np.cos(Phi), np.sin(Phi)
     out = np.empty((W.shape[0], Phi.shape[0], 2 * W.shape[1]))
-    if np.iscomplexobj(W):
-        x, y = W.real[:, None, :], W.imag[:, None, :]
-        out[:, :, 0::2] = x * c - y * s
-        out[:, :, 1::2] = x * s + y * c
-    else:
-        out[:, :, 0::2] = W[:, None, :] * c
-        out[:, :, 1::2] = W[:, None, :] * s
+    x, y = W.real[:, None, :], W.imag[:, None, :]
+    out[:, :, 0::2] = x * c - y * s
+    out[:, :, 1::2] = x * s + y * c
     return out.reshape(-1, 2 * W.shape[1])
 
 
@@ -311,22 +308,20 @@ def sphere_rule(m: int, level: int) -> QuadratureRule:
         raise InvalidInputError(f"sphere_rule supports m in {{2, 4, 6, 8}}, got {m}")
     if L < 1:
         raise InvalidInputError("level must be >= 1")
-    if m == 2:
-        heads, hweights = np.array([[1.0, 0.0]]), np.ones(1)
-    else:
-        # one polar node per cell of an (L,)*(m-2) grid, one axis per polar
-        # cosine: each 1-D factor broadcast along its axis, no per-node grid
-        d = m - 2
-        heads = np.zeros((L,) * d + (m,))
-        hweights, sinprod = np.ones(()), np.ones(())
-        for i in range(d):
-            t, w = gauss_gegenbauer(L, (m - 3 - i) / 2.0)
-            axis = (L,) + (1,) * (d - 1 - i)
-            heads[..., i] = sinprod * t.reshape(axis)
-            hweights = hweights * w.reshape(axis)
-            sinprod = sinprod * np.sqrt(1.0 - t ** 2).reshape(axis)
-        heads[..., m - 2] = sinprod
-        heads, hweights = heads.reshape(-1, m), hweights.ravel()
+    # one polar node per cell of an (L,)*(m-2) grid, one axis per polar
+    # cosine: each 1-D factor broadcast along its axis, no per-node grid (at
+    # m = 2 no axis: the one head [1, 0] of weight 1)
+    d = m - 2
+    heads = np.zeros((L,) * d + (m,))
+    hweights, sinprod = np.ones(()), np.ones(())
+    for i in range(d):
+        t, w = gauss_gegenbauer(L, (m - 3 - i) / 2.0)
+        axis = (L,) + (1,) * (d - 1 - i)
+        heads[..., i] = sinprod * t.reshape(axis)
+        hweights = hweights * w.reshape(axis)
+        sinprod = sinprod * np.sqrt(1.0 - t ** 2).reshape(axis)
+    heads[..., m - 2] = sinprod
+    heads, hweights = heads.reshape(-1, m), hweights.ravel()
     counts = (1,) * (m // 2 - 1) + (2 * L,)
     return QuadratureRule(m, heads.view(complex), counts, hweights * (math.pi / L), 2 * L - 1, L)
 
@@ -344,38 +339,31 @@ def invariant_sphere_rule(n: int, level: int, nphase: int = 1) -> QuadratureRule
 
     Exact for rotation-invariant polynomials of degree <= 2*level - 1 when
     nphase exceeds the polynomial's phase bandwidth.  The phase of z_n is the
-    fastest axis.  Its base is the real moduli rows (L^{n-1}, n), with phase
-    counts (1, nphase, ..., nphase), so (nphase^{n-1}, n) phase rows; its
-    node array is built on first access.  n, level and nphase are integers,
-    checked on every call as in ``sphere_rule``.
+    fastest axis.  Its base is the real moduli rows (L^{n-1}, n), built by
+    broadcasting as in ``sphere_rule``, with phase counts (1, nphase, ...,
+    nphase); its node array is built on first access.  n, level and nphase
+    are integers, checked on every call as in ``sphere_rule``.
     """
     n, L, nphase = _integer(n, "n"), _integer(level, "level"), _integer(nphase, "nphase")
     if n < 1:
         raise InvalidInputError("n must be >= 1")
     if L < 1 or nphase < 1:
         raise InvalidInputError("level and nphase must be >= 1")
-    # moduli part: u_1 = sqrt(1-s_1), u_i = sqrt(s_1..s_{i-1}(1-s_i)), u_n = sqrt(s_1..s_{n-1})
-    svals, swts = [], []
-    for i in range(1, n):
-        s, w = gauss_power01(L, n - i - 1)
-        svals.append(s)
-        swts.append(w / 2.0)
-    if n == 1:
-        U = np.ones((1, 1))
-        uw = np.ones(1)
-    else:
-        grids = np.meshgrid(*svals, indexing="ij")
-        wgrids = np.meshgrid(*swts, indexing="ij")
-        S = np.stack([g.ravel() for g in grids], axis=1)
-        uw = np.ones(S.shape[0])
-        for g in wgrids:
-            uw = uw * g.ravel()
-        U = np.empty((S.shape[0], n))
-        running = np.ones(S.shape[0])
-        for i in range(n - 1):
-            U[:, i] = np.sqrt(running * (1.0 - S[:, i]))
-            running = running * S[:, i]
-        U[:, n - 1] = np.sqrt(running)
+    # moduli part: u_1 = sqrt(1-s_1), u_i = sqrt(s_1..s_{i-1}(1-s_i)), u_n = sqrt(s_1..s_{n-1}),
+    # one moduli row per cell of an (L,)*(n-1) grid, one axis per s_i: each
+    # 1-D factor broadcast along its axis, as in ``sphere_rule`` (at n = 1 no
+    # axis: the one row [1] of weight 1)
+    d = n - 1
+    U = np.empty((L,) * d + (n,))
+    uw, running = np.ones(()), np.ones(())
+    for i in range(d):
+        s, w = gauss_power01(L, n - i - 2)
+        axis = (L,) + (1,) * (d - 1 - i)
+        U[..., i] = np.sqrt(running * (1.0 - s.reshape(axis)))
+        uw = uw * (w / 2.0).reshape(axis)
+        running = running * s.reshape(axis)
+    U[..., n - 1] = np.sqrt(running)
+    U, uw = U.reshape(-1, n), uw.ravel()
     # phase part: first coordinate pinned at phase 0
     F = nphase ** (n - 1)
     return QuadratureRule(2 * n, U, (1,) + (nphase,) * (n - 1), uw * ((2.0 * math.pi) ** n / F),

@@ -24,7 +24,7 @@ from cxsect import (
     validate,
     volume,
 )
-from cxsect.bodies import moduli
+from cxsect.bodies import ConvexBody, _row_sum, moduli
 from cxsect.suite import bodies_n2, bodies_n3
 from conftest import node_order, ring_angles, ring_points, ring_rule, table_shape, unit_vectors
 
@@ -88,6 +88,21 @@ def reduction_norm(body, x):
     return out.reshape(x.shape[:-1])[()]  # a numpy.float64 for one vector, as the reductions give
 
 
+def masked_norm(body, x):
+    """A perturbed ball's norm kernel in its former two paths: a batch with no
+    zero row divided whole, any other through copies of its nonzero rows."""
+    flat = x.reshape(-1, body.dim.N)
+    lengths = np.sqrt(_row_sum(flat * flat))
+    nz = lengths > 0
+    if np.all(nz):
+        out = lengths / body._radial_impl(flat / lengths[:, None])
+    else:
+        out = np.zeros(flat.shape[0])
+        if np.any(nz):
+            out[nz] = lengths[nz] / body._radial_impl(flat[nz] / lengths[nz, None])
+    return out.reshape(x.shape[:-1])[()]
+
+
 def kernel_bodies():
     """label -> body: the ball, the lq balls for q in {1, 1.5, 2, 3, 4, 6, inf}
     and a perturbed ball (the suite's at n = 2 and 3), at n = 2, 3 and 4.  At
@@ -143,6 +158,44 @@ class TestNormKernels:
                 got = body.radial_profile(theta)
                 assert type(got) is np.float64 and got == body.radial_profile(theta[None])[0]
                 assert type(body.radial(theta)) is np.float64, body.label
+
+
+class TestPerturbedOnePath:
+    """A perturbed ball has one checked radial entry and one norm path: a
+    zero row is read at e_0 and its norm set to exactly 0."""
+
+    BODIES = {name: body for name, body in kernel_bodies().items() if isinstance(body, PerturbedBall)}
+
+    def test_radial_profile_is_radial(self):
+        assert PerturbedBall.radial_profile is ConvexBody.radial
+
+    @pytest.mark.parametrize("name", sorted(BODIES))
+    @pytest.mark.parametrize("shape", [(), (1,), (3, 5), (2000,), (9000,)])
+    def test_bits_of_the_masked_path_without_zero_rows(self, name, shape):
+        body = self.BODIES[name]
+        x = np.random.default_rng(len(shape) + body.dim.n).uniform(-1.4, 1.4, size=shape + (body.dim.N,))
+        got, ref = body._norm_impl(x), masked_norm(body, x)
+        assert type(got) is type(ref) and np.shape(got) == shape
+        assert np.asarray(got).tobytes() == np.asarray(ref).tobytes()
+
+    # Y_{2,0} is 0.390 at e_0, so this profile is 1 - 3 * 0.390 < 0 there
+    NEGATIVE_AT_E0 = PerturbedBall(ComplexDim(2), 1.0, ((2, 0, -3.0),), certify=False)
+
+    @pytest.mark.parametrize("name", sorted(BODIES) + ["negative at e0"])
+    def test_zero_rows_are_exactly_zero(self, name):
+        body = self.BODIES.get(name, self.NEGATIVE_AT_E0)
+        N = body.dim.N
+        x = np.zeros((6, N))
+        x[1], x[4] = 0.5 * np.eye(N)[2], 2.0 * np.eye(N)[-1]
+        x[3] = -0.0
+        with np.errstate(all="raise"):
+            got = body.norm(x)
+            zero = body.norm(np.zeros(N))
+        assert np.all(got[[1, 4]] > 0) and np.array_equal(got[[1, 4]], body.norm(x[[1, 4]]))
+        assert np.all(got[[0, 2, 3, 5]] == 0.0) and not np.any(np.signbit(got))
+        assert type(zero) is np.float64 and zero == 0.0 and not np.signbit(zero)
+        if name == "negative at e0":
+            assert body.radial(np.eye(N)[0]) < 0
 
 
 class TestLqRange:

@@ -168,7 +168,7 @@ class TestKernelPaths:
         x[0, 0] = 0.0
         assert np.array_equal(body._norm_impl(x), body.norm(x))
         if isinstance(body, PerturbedBall):
-            assert np.array_equal(body._profile(theta), body.radial_profile(theta))
+            assert np.array_equal(body._radial_impl(theta), body.radial_profile(theta))
             expansion = body.perturbation
             assert np.array_equal(expansion._unit_row_values(theta), expansion.evaluate(theta))
             top = expansion.degrees()[-2:]

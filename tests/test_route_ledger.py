@@ -29,7 +29,7 @@ SHARED = {
     "bodies.moduli": "the pair moduli the norms of the moduli-only bodies read",
     # the perturbed body defines its radial function through the canonical
     # invariant basis, so the direct route evaluates it with the Fourier
-    # route's kernel (``PerturbedBall._profile``)
+    # route's kernel (``PerturbedBall._radial_impl``)
     "harmonics.HarmonicExpansion._lift": "the perturbation's combination matrix",
     "harmonics.HarmonicExpansion._unit_row_values": "the perturbation's values at unit rows",
     "harmonics.HarmonicExpansion.degrees": "the perturbation's degrees",

@@ -168,6 +168,8 @@ def reference_sphere_heads(m, level):
     per-node meshgrids of the polar cosines and their weights: the bitwise
     oracle of its broadcast build."""
     L = level
+    if m == 2:  # no polar cosine: the one head at azimuth 0
+        return np.array([[1.0, 0.0]]).view(complex), np.full(1, math.pi / L)
     tcos, tw = zip(*(spherequad.gauss_gegenbauer(L, (m - 2 - i) / 2.0) for i in range(1, m - 1)))
     cols = [g.ravel() for g in np.meshgrid(*tcos, indexing="ij")]
     weights = np.ones_like(cols[0])
@@ -183,8 +185,8 @@ def reference_sphere_heads(m, level):
 
 
 class TestBroadcastHeads:
-    @pytest.mark.parametrize("m,level", [(m, L) for m in (4, 6, 8) for L in (1, 2, 5, 8)]
-                             + [(4, 40), (6, 14)])
+    @pytest.mark.parametrize("m,level", [(m, L) for m in (2, 4, 6, 8) for L in (1, 2, 5, 8)]
+                             + [(2, 40), (4, 40), (6, 14)])
     def test_bit_identical_to_meshgrid_heads(self, m, level):
         rule = sphere_rule.__wrapped__(m, level)
         heads, weights = reference_sphere_heads(m, level)
@@ -202,6 +204,55 @@ class TestBroadcastHeads:
         kept = rule.base.nbytes + rule.row_weights.nbytes  # 16 + 2 MB
         # measured 1.44x; the per-node meshgrids peaked at 3.1x (56.0 MB)
         assert peak <= 1.5 * kept
+
+
+def reference_torus_factors(n, level, nphase):
+    """The moduli rows and row weights of ``invariant_sphere_rule`` built
+    through full meshgrids of the s_i and their weights, stacked per row (a
+    one-row table at n = 1): the bitwise oracle of its broadcast build."""
+    L = level
+    if n == 1:
+        U, uw = np.ones((1, 1)), np.ones(1)
+    else:
+        svals, swts = zip(*(spherequad.gauss_power01(L, n - i - 1) for i in range(1, n)))
+        S = np.stack([g.ravel() for g in np.meshgrid(*svals, indexing="ij")], axis=1)
+        uw = np.ones(S.shape[0])
+        for g in np.meshgrid(*(w / 2.0 for w in swts), indexing="ij"):
+            uw = uw * g.ravel()
+        U = np.empty((S.shape[0], n))
+        running = np.ones(S.shape[0])
+        for i in range(n - 1):
+            U[:, i] = np.sqrt(running * (1.0 - S[:, i]))
+            running = running * S[:, i]
+        U[:, n - 1] = np.sqrt(running)
+    F = nphase ** (n - 1)
+    return U, uw * ((2.0 * math.pi) ** n / F)
+
+
+class TestBroadcastModuli:
+    @pytest.mark.parametrize("n,level,nphase", [(n, L, M) for n in (1, 2, 3, 4) for L in (1, 2, 7)
+                                                for M in (1, 4)]
+                             + [(1, 48, 8), (2, 180, 5), (3, 48, 8), (4, 12, 3)])
+    def test_bit_identical_to_meshgrid_moduli(self, n, level, nphase):
+        rule = invariant_sphere_rule.__wrapped__(n, level, nphase)
+        U, weights = reference_torus_factors(n, level, nphase)
+        assert rule.base.dtype == U.dtype and rule.base.shape == U.shape
+        assert rule.base.tobytes() == U.tobytes()
+        assert rule.row_weights.tobytes() == weights.tobytes()
+
+    def test_n4_build_peaks_near_what_it_keeps(self):
+        # the Gauss solves, cached and shared by every rule of this level, are
+        # warmed first
+        invariant_sphere_rule.__wrapped__(4, 48, 1)
+        tracemalloc.start()
+        try:
+            rule = invariant_sphere_rule.__wrapped__(4, 48, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        kept = rule.base.nbytes + rule.row_weights.nbytes  # 3.5 + 0.9 MB
+        # measured 1.8x; the per-row meshgrids and their stack peaked at 3.6x
+        assert peak <= 2.0 * kept
 
 
 def reference_torus_weights(n, level, nphase):
@@ -480,7 +531,17 @@ class TestFactoredRule:
         assert not any(rule.nodes_built for rule in rules)
         for rule, pick, nodes in zip(rules, picks, got):
             assert np.array_equal(nodes, rule.nodes[pick])
-            assert np.array_equal(rule.node(5), rule.nodes[5])  # once built, read from the array
+            # once the array is built, still formed from the factors: its bits
+            for i in pick + [5, -1]:
+                assert rule.node(i).tobytes() == rule.nodes[i].tobytes()
+
+    @pytest.mark.parametrize("n,level,nphase", [(1, 5, 1), (2, 12, 9), (3, 6, 7)])
+    def test_real_base_takes_the_complex_formula(self, n, level, nphase):
+        # a moduli base gives the bytes of the same base made complex
+        rule = invariant_sphere_rule(n, level, nphase)
+        got = factor_points(rule.base, rule.phases)
+        assert got.tobytes() == factor_points(rule.base.astype(complex), rule.phases).tobytes()
+        assert got.tobytes() == rule.nodes.tobytes()
 
 
 def moduli_only_bodies(n):
@@ -500,7 +561,9 @@ class TestRingHeadRadial:
             counter = CountingRadial(monkeypatch)
             got = body.factor_radial(rule)
             monkeypatch.undo()
-            assert counter.rows == [rule.node_count // rule.phases.shape[0]]
+            # one kernel call per block of at most CHUNK_ROWS base rows
+            assert sum(counter.rows) == rule.base.shape[0]
+            assert max(counter.rows) <= spherequad.CHUNK_ROWS
             assert got.shape == (rule.base.shape[0], 1)
             # measured <= 4.1e-16 (the ring's nodes differ from its head by rounding)
             assert np.max(np.abs(got / per_node.reshape(got.shape[0], -1) - 1.0)) \
@@ -529,6 +592,33 @@ class TestRingHeadRadial:
         for body in moduli_only_bodies(n):
             got = body.factor_radial(rule)
             assert got.tobytes() == body._radial_impl(stacked)[:, None].tobytes(), body.label
+
+    @pytest.mark.parametrize("n,make", [(2, lambda: sphere_rule(4, 100)), (3, lambda: sphere_rule(6, 14)),
+                                        (3, lambda: invariant_sphere_rule(3, 100, 3))],
+                             ids=["complex base n=2", "complex base n=3", "moduli base n=3"])
+    def test_blocks_keep_the_bits_of_one_call(self, n, make):
+        # 10,000 to 38,416 base rows: the kernels of the moduli only are row
+        # by row, so the blocks of CHUNK_ROWS rows give the bits of one call
+        rule = make()
+        assert rule.base.shape[0] > spherequad.CHUNK_ROWS
+        whole = np.ascontiguousarray(rule.base, dtype=complex).view(float)
+        for body in moduli_only_bodies(n):
+            got = body.factor_radial(rule)
+            assert got.tobytes() == body._radial_impl(whole)[:, None].tobytes(), body.label
+
+    def test_n4_peaks_near_its_table(self):
+        # 262,144 complex base rows (16.8 MB) in blocks of CHUNK_ROWS rows
+        rule = sphere_rule(8, 8)
+        body = ComplexLqBall(ComplexDim(4), 3.0)
+        body.factor_radial(sphere_rule(8, 2))
+        tracemalloc.start()
+        try:
+            got = body.factor_radial(rule)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # measured 1.28x the 2.1 MB table; one whole-base call peaked at 9.0x
+        assert peak <= 1.5 * got.nbytes
 
     def test_ring_one_takes_every_node(self, monkeypatch):
         product = sphere_rule(4, 6)
