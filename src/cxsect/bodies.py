@@ -39,7 +39,7 @@ import numpy as np
 from . import harmonics
 from .config import COMPLEX_DIMS, _integer, _real, _seed, philox
 from .errors import ConvexityError, InvalidInputError
-from .spherequad import _TINY, CHUNK_ROWS
+from .spherequad import _TINY, CHUNK_ROWS, _all_unit
 
 _CERTIFY_SEED = 0x5EED_C0DE
 _CERTIFY_PAIRS = 100_000
@@ -152,10 +152,9 @@ class ConvexBody:
         defines its radial function directly.
         """
         theta = self._points(theta, "radial")
-        lengths = np.sqrt(np.einsum("...i,...i->...", theta, theta))
-        if np.any(lengths == 0):
-            raise InvalidInputError("radial function is undefined at the zero vector")
-        if np.any(np.abs(lengths - 1.0) > 1e-8):
+        if not _all_unit(theta):
+            if np.any(np.all(theta == 0, axis=-1)):
+                raise InvalidInputError("radial function is undefined at the zero vector")
             raise InvalidInputError("radial expects unit vectors; normalize first")
         return self._radial_impl(theta)
 
@@ -173,8 +172,6 @@ class ConvexBody:
         bits of one call.  The rule has checked its rows; only its sphere is
         compared here.  Kinds whose radial function reads the phases override it.
         """
-        if self.phase_bandwidth:
-            raise NotImplementedError(f"{type(self).__name__} has no factored evaluation")
         _check_rule_sphere(rule, self.dim.N)
         out = np.empty((rule.base.shape[0], 1))
         for lo in range(0, rule.base.shape[0], CHUNK_ROWS):
@@ -306,14 +303,12 @@ class ComplexEllipsoid(ConvexBody):
         object.__setattr__(self, "dim", ComplexDim(len(axes)))
 
     def _norm_impl(self, x):
-        mods2 = x[..., 0::2] ** 2 + x[..., 1::2] ** 2
-        # summed one coordinate at a time, so each row rounds the same alone
-        # or in a batch (a matrix product does not)
-        inv = [1.0 / a ** 2 for a in self.semiaxes]
-        total = mods2[..., 0] * inv[0]
-        for k in range(1, self.dim.n):
-            total += mods2[..., k] * inv[k]
-        return np.sqrt(total)
+        # the |z_k|^2 / a_k^2 summed one pair at a time in index order
+        # (``_row_sum``), so each row rounds the same alone or in a batch (a
+        # matrix product does not); the terms in column order, so the product
+        # and the sums run along whole columns, not along rows of n terms
+        inv = np.array([1.0 / a ** 2 for a in self.semiaxes])
+        return np.sqrt(_row_sum(np.multiply(x[..., 0::2] ** 2 + x[..., 1::2] ** 2, inv, order="F")))
 
     def scaled(self, factor):
         return ComplexEllipsoid(tuple(a * factor for a in self.semiaxes))

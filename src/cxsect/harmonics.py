@@ -35,10 +35,10 @@ at the top degree therefore gives every degree.  This holds because the
 rule's nodes are unit vectors: ``QuadratureRule`` rejects base rows more than
 1e-8 off unit length when it is built.
 
-That pass takes the rule itself (``_Block.moments``) and runs on its factors,
-base rows w and phase rows phi, whose points are z_k = w_k e^{i phi_k}, with
-f a table on them (``QuadratureRule.table``).  There z^a zbar^b = w^a conj(w)^b
-e^{i (a - b) . phi}, so
+That pass takes the rule itself (``HarmonicBasis.moments``) and runs on its
+factors, base rows w and phase rows phi, whose points are
+z_k = w_k e^{i phi_k}, with f a table on them (``QuadratureRule.table``).
+There z^a zbar^b = w^a conj(w)^b e^{i (a - b) . phi}, so
 
     mu[a, b] = sum_h w_h^a conj(w_h)^b G_h(a - b),  G_h(d) = sum_f w_hf f_hf e^{i d . phi_f},
 
@@ -62,11 +62,13 @@ d_c = +-n_c stay.
 The monomial tables and block products run on the base rows only (1/2L of
 a level-L product rule), and no node array is formed.  Moments, basis values
 and expansion values all take their monomial tables from one chunk loop over
-rows, real or complex (``_Block._monomial_chunks``): one power table per
-chunk, (n, k + 1, rows), from which each monomial is gathered as a
+rows, real or complex (``HarmonicBasis._monomial_chunks``): one power table
+per chunk, (n, k + 1, rows), from which each monomial is gathered as a
 contiguous row of a (P, rows) table and multiplied in place.  A chunk holds
 at most ``CHUNK_ENTRIES`` monomials, so its table and the products formed
-from it stay near a core's L2 cache at every degree.
+from it stay near a core's L2 cache at every degree.  Basis values and
+``factor_values`` share one loop on top of it, Re sum_ab w^a conj(w)^b
+R[ab, :] over the chunk's pair table (``HarmonicBasis._pair_values``).
 
 Evaluation uses the same identity the other way round.  A degree-k
 combination sum_ab H[a, b] z^a zbar^b equals
@@ -81,8 +83,9 @@ unchecked path behind that check.
 At the nodes z_k = w_k e^{i phi_k} of a rule (base rows w, real moduli or
 complex, and phase rows phi) the same matrix gives
 sum_ab H[a, b] w^a conj(w)^b e^{i (a - b) . phi}, so
-``factor_values(rule)`` works on the base rows and phase rows separately,
-never forms the points and checks nothing: the rule did.
+``factor_values(rule)`` works on the base rows and phase rows separately
+(the pair-table loop, with R = H[a, b] e^{i (a - b) . phi}), never forms the
+points and checks nothing: the rule did.
 
 The Fourier transform of the degree -p homogeneous extension of a spherical
 harmonic Y_j multiplies it by
@@ -107,7 +110,8 @@ import numpy as np
 
 from .config import _check_degree, _integer, _real, default_config
 from .errors import InvalidInputError, NumericalEvaluationError
-from .spherequad import _TINY, CHUNK_ENTRIES, CHUNK_ROWS, QuadratureRule, invariant_sphere_rule, sphere_rule
+from .spherequad import (_TINY, CHUNK_ENTRIES, CHUNK_ROWS, QuadratureRule, _all_unit,
+                         invariant_sphere_rule, sphere_rule)
 
 _NOISE_FLOOR = 1e-12
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -167,12 +171,16 @@ def _projector(cols, terms, S):
     return V @ np.linalg.solve(V.T @ S @ V, V.T @ S), V.shape[1]
 
 
-class _Block:
-    """Invariant harmonic polynomials of bidegree (k, k) on C^n, orthonormal on S^{2n-1}.
+class HarmonicBasis:
+    """Real orthonormal basis of the invariant harmonics of bidegree (k, k)
+    on C^n, the degree-2k harmonics on S^{2n-1} invariant under the
+    simultaneous rotation of all coordinate pairs; functions are indexed
+    0..len-1 in the canonical order of ``_canonical_basis``.
 
     The coefficients are Hermitian, so every basis function is real-valued.
     They live in ``C`` with shape (dim, P*P) over the monomial pairs (a, b),
-    |a| = |b| = k, flattened a-major.
+    |a| = |b| = k, flattened a-major.  One instance per (n, k) is built and
+    shared through a cache, so ``C`` and the exponent table are read-only.
     """
 
     def __init__(self, n, k):
@@ -182,7 +190,12 @@ class _Block:
         self._ea = np.array(self.A)
         self.dim = invariant_harmonic_dim(n, 2 * k)
         self.C = self._canonical_basis()
+        for arr in (self._ea, self.C):
+            arr.setflags(write=False)
         self._plans = {}  # live-column mask -> ``_plan``
+
+    def __len__(self):
+        return self.dim
 
     def _canonical_basis(self):
         """Projections of the canonical generators onto the harmonic subspace,
@@ -301,13 +314,26 @@ class _Block:
                 Wa *= table[m][ea[:, m]]
             yield lo, hi, Wa
 
-    def eval_basis(self, X):
-        """Values of the block's basis functions at X, shape (M, dim)."""
-        out = np.empty((X.shape[0], self.dim))
-        for lo, hi, Za in self._monomial_chunks(np.ascontiguousarray(X).view(complex)):
-            Za = Za.T
-            pairs = (Za[:, :, None] * Za.conj()[:, None, :]).reshape(hi - lo, -1)
-            out[lo:hi] = (pairs @ self.C.T).real
+    def evaluate(self, X):
+        """All basis function values at unit vectors X, shape (M, len(self)).
+        Rows of another width than 2n, or more than 1e-8 off unit length,
+        raise ``InvalidInputError``."""
+        Z = np.ascontiguousarray(_unit_rows(X, 2 * self.n)).view(complex)
+        return self._pair_values(Z, self.C.T)
+
+    def _pair_values(self, W, R):
+        """Re sum_ab w^a conj(w)^b R[ab, :] at the rows w of W (rows, n), real
+        or complex, shape (rows, R.shape[1]), for R over the monomial pairs
+        (P*P, cols): one pair table Q = w^a conj(w)^b per chunk of rows, taken
+        as Q.real @ R.real, less Q.imag @ R.imag where W is complex."""
+        P = self.P
+        out = np.empty((W.shape[0], R.shape[1]))
+        for lo, hi, Wa in self._monomial_chunks(W):
+            Wa = Wa.T
+            Q = (Wa[:, :, None] * Wa.conj()[:, None, :]).reshape(hi - lo, P * P)
+            out[lo:hi] = Q.real @ R.real
+            if np.iscomplexobj(Q):
+                out[lo:hi] -= Q.imag @ R.imag
         return out
 
     def moments(self, rule, wf):
@@ -397,7 +423,8 @@ class _Block:
 
 @dataclass(frozen=True)
 class _MomentPlan:
-    """The frequency plan of ``_Block.moments`` (see ``_Block._plan``)."""
+    """The frequency plan of ``HarmonicBasis.moments`` (see
+    ``HarmonicBasis._plan``)."""
 
     ea: np.ndarray
     undo: np.ndarray
@@ -408,7 +435,7 @@ class _MomentPlan:
 
 @lru_cache(maxsize=None)
 def _block(n, k):
-    return _Block(n, k)
+    return HarmonicBasis(n, k)
 
 
 @lru_cache(maxsize=None)
@@ -447,28 +474,6 @@ def _raise_combo(H, n, k):
     return out
 
 
-class HarmonicBasis:
-    """Real orthonormal basis of the invariant degree-j harmonics on S^{N-1}.
-
-    These are the bidegree (j/2, j/2) harmonics, the ones invariant under the
-    simultaneous rotation of all coordinate pairs; functions are indexed
-    0..len-1 in the canonical order of their block.
-    """
-
-    def __init__(self, N, j):
-        self.N, self.j = N, j
-        self.block = _block(N // 2, j // 2)
-
-    def __len__(self):
-        return self.block.dim
-
-    def evaluate(self, X):
-        """All basis function values at unit vectors X, shape (M, len(self)).
-        Rows of another width than N, or more than 1e-8 off unit length,
-        raise ``InvalidInputError``."""
-        return self.block.eval_basis(_unit_rows(X, self.N))
-
-
 def invariant_harmonic_basis(N, j):
     """Orthonormal real basis of the rotation-invariant degree-j harmonics on S^{N-1}.
 
@@ -480,7 +485,7 @@ def invariant_harmonic_basis(N, j):
     dense coefficients alone take 1.7 GB, so the cap is 12.
     """
     _check_degree(N, j)
-    return HarmonicBasis(N, j)
+    return _block(N // 2, j // 2)
 
 
 def bochner_multiplier(N, p, j):
@@ -509,7 +514,7 @@ def _unit_rows(X, N):
     pts = np.atleast_2d(np.asarray(X, dtype=float))
     if pts.ndim != 2 or pts.shape[1] != N:
         raise InvalidInputError(f"expected vectors in R^{N}")
-    if not np.all(np.abs(np.sqrt(np.einsum("ij,ij->i", pts, pts)) - 1.0) <= 1e-8):
+    if not _all_unit(pts):
         raise InvalidInputError("expansions are evaluated at unit vectors only")
     return pts
 
@@ -588,23 +593,17 @@ class HarmonicExpansion:
 
         With H the lifted matrix of ``evaluate``, z^a zbar^b =
         w^a conj(w)^b e^{i (a - b) . phi}, so the value is Re sum_ab Q_ab E_ab
-        with Q = w^a conj(w)^b, one (rows, P^2) block per chunk of base rows,
-        and E = H[a, b] e^{i (a - b) . phi}, one (P^2, F) matrix: Q.real @ E.real,
-        less Q.imag @ E.imag where the base is complex.  No node is formed;
-        the rule has checked that its base rows are of unit length.
+        with Q = w^a conj(w)^b and E = H[a, b] e^{i (a - b) . phi}, one
+        (P^2, F) matrix: the pair-table loop of ``HarmonicBasis.evaluate``
+        (``HarmonicBasis._pair_values``) with E in place of the basis
+        coefficients.  No node is formed; the rule has checked that its base
+        rows are of unit length.
         """
         H, blk = self._lift(tuple(self.degrees()))
         P = blk.P
         freq = (blk._ea[:, None, :] - blk._ea[None, :, :]).reshape(P * P, self.N // 2)  # a - b
         E = H.reshape(-1, 1) * np.exp(1j * (freq @ rule.phases.T))
-        out = np.empty((rule.base.shape[0], rule.phases.shape[0]))
-        for lo, hi, Wa in blk._monomial_chunks(rule.base):
-            Wa = Wa.T
-            Q = (Wa[:, :, None] * Wa.conj()[:, None, :]).reshape(hi - lo, P * P)
-            out[lo:hi] = Q.real @ E.real
-            if np.iscomplexobj(Q):
-                out[lo:hi] -= Q.imag @ E.imag
-        return out
+        return blk._pair_values(rule.base, E)
 
     def _lift(self, degrees):
         """(H, block): the Hermitian P x P matrix with
@@ -670,7 +669,7 @@ def harmonic_expand(f, jmax, rule: QuadratureRule, tail_warn=1e-3,
     functions Y_{j,l}.  A function invariant under the simultaneous rotation
     of all coordinate pairs has no other harmonic components, so for it the
     expansion is complete.  Only the top block, degree jmax, takes its
-    moments from the rule (``_Block.moments(rule, wf)``); each lower
+    moments from the rule (``HarmonicBasis.moments(rule, wf)``); each lower
     block's table is gathered from the one above by
     mu_k[a, b] = sum_m mu_{k+1}[a + e_m, b + e_m], the same quadrature sum
     because |z|^2 = 1 at every node, which ``QuadratureRule`` checked when

@@ -167,8 +167,9 @@ def section_values(body, dirs, rule: QuadratureRule | None = None,
     integral is summed within its own row, so for a body of the moduli only
     its value depends on the body, the direction and the rule only, not on
     the batch or the chunk it came in.  A perturbed ball's radial values on
-    one point round apart from a batch's (``HarmonicExpansion.evaluate``),
-    which shows at n = 2, where the rule has one node.
+    one point round apart from a batch's
+    (``HarmonicExpansion._unit_row_values``), which shows at n = 2, where the
+    rule has one node.
     """
     cfg = config or _DEFAULT_CONFIG
     n = body.dim.n
@@ -282,12 +283,20 @@ def volume(body, rule: QuadratureRule | None = None,
 
 
 def volume_with_error(body, config: RunConfig | None = None):
-    """Volume plus a refinement-difference error estimate (reduced rule)."""
+    """Volume plus a refinement-difference error estimate (reduced rule):
+    the reported volume (``_reported_volume``) and its difference against
+    the configured level."""
     cfg = config or _DEFAULT_CONFIG
-    level = cfg.reduced_levels[body.dim.n]
-    coarse = volume(body, rule=radial_power_rule(level, body))
-    fine = volume(body, rule=radial_power_rule(level + max(8, level // 8), body))
+    coarse = volume(body, rule=radial_power_rule(cfg.reduced_levels[body.dim.n], body))
+    fine = _reported_volume(body, cfg)
     return fine, abs(fine - coarse)
+
+
+def _reported_volume(body, cfg):
+    """The volume ``volume_with_error`` reports: the reduced rule at level
+    L + max(8, L/8), L the configured level."""
+    level = cfg.reduced_levels[body.dim.n]
+    return volume(body, rule=radial_power_rule(level + max(8, level // 8), body))
 
 
 def min_radial(body, config: RunConfig | None = None):
@@ -305,7 +314,14 @@ def min_radial(body, config: RunConfig | None = None):
 
 
 def inradius_normalized(body, config: RunConfig | None = None) -> float:
-    """min rho / Vol^{1/2n}; scale-invariant by construction."""
+    """min rho / Vol^{1/2n}, Vol the volume ``volume_with_error`` reports;
+    scale-invariant by construction."""
     cfg = config or _DEFAULT_CONFIG
-    rmin, _ = min_radial(body, cfg)
-    return rmin / volume(body, config=cfg) ** (1.0 / (2 * body.dim.n))
+    return _inradius(body, cfg, _reported_volume(body, cfg))
+
+
+def _inradius(body, cfg, vol):
+    """min rho / vol^{1/2n} for the body's volume ``vol``: the one formula of
+    ``inradius_normalized`` and of ``theorems.VerificationContext.inradius``,
+    which passes its cached volume."""
+    return min_radial(body, cfg)[0] / vol ** (1.0 / (2 * body.dim.n))

@@ -91,6 +91,15 @@ except AttributeError:  # no affinity query on this platform
     _MC_WORKERS = min(os.cpu_count() or 1, 2)
 
 
+def _all_unit(x):
+    """Whether every vector along the last axis of the float array ``x`` is
+    within 1e-8 of unit length; a vector holding a nan or an infinity is not.
+    The one unit-length test of the package: rules, expansions and radial
+    functions hold on the unit sphere only, and each caller names its own
+    error."""
+    return bool(np.all(np.abs(np.sqrt(np.einsum("...i,...i->...", x, x)) - 1.0) <= 1e-8))
+
+
 def sphere_area(m):
     """Surface area |S^{m-1}| = 2 pi^{m/2} / Gamma(m/2)."""
     return 2.0 * math.pi ** (m / 2.0) / math.gamma(m / 2.0)
@@ -181,9 +190,7 @@ class QuadratureRule:
                                     f"m/2 = {m / 2:g} coordinate pairs")
         # the moment recursion and the lift of ``harmonics`` hold where |z| = 1;
         # the row lengths from the real view, so no copy of the base is made
-        coords = base.view(float) if np.iscomplexobj(base) else base
-        if not (np.all(np.isfinite(base))
-                and np.all(np.abs(np.sqrt(np.einsum("ij,ij->i", coords, coords)) - 1.0) <= 1e-8)):
+        if not _all_unit(base.view(float) if np.iscomplexobj(base) else base):
             raise InvalidInputError("a rule's base rows must be finite and of unit length")
         if not all(c >= 1 for c in counts):
             raise InvalidInputError(f"phase counts must be integers >= 1, got {counts}")

@@ -441,15 +441,18 @@ def criterion_structural(ctx):
     worst = max(worst, jline)
 
     # scaling covariance: volume r^{2n}, sections r^{2n-2}, transform r^p
-    # (light rules: levels below the configured ones, phases from the body)
+    # (light rules: levels below the configured ones, phases from the body;
+    # each body's own volume computed once)
     volsc = sectsc = 0.0
     light_level = {2: 64, 3: 24}
+    light = []
+    for body in matrix:
+        rule = sect.radial_power_rule(light_level[body.dim.n], body)
+        light.append((body, rule, sect.volume(body, rule=rule)))
     for k in range(1000):
-        body = matrix[k % len(matrix)]
+        body, rule, v1 = light[k % len(light)]
         n = body.dim.n
         r = float(rng.uniform(0.5, 2.0))
-        rule = sect.radial_power_rule(light_level[n], body)
-        v1 = sect.volume(body, rule=rule)
         v2 = sect.volume(body.scaled(r), rule=rule)
         volsc = max(volsc, abs(v2 / (r ** (2 * n) * v1) - 1.0))
         if k % 10 == 0:

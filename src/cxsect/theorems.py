@@ -86,8 +86,9 @@ class VerificationContext:
             body, p, jmax=jmax, tail_warn=self.config.tail_warn))
 
     def inradius(self, body):
-        return self._memo(("inradius", body), lambda: sections.min_radial(body, self.config)[0]
-                          / self.volume(body)[0] ** (1.0 / (2 * body.dim.n)))
+        """``sections.inradius_normalized``, on the cached volume."""
+        return self._memo(("inradius", body),
+                          lambda: sections._inradius(body, self.config, self.volume(body)[0]))
 
     def gap(self, K, L):
         """Section gap of the ordered pair (K, L), computed once per pair."""

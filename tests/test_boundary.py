@@ -13,8 +13,10 @@ from cxsect import (
     EuclideanBall,
     InvalidInputError,
     PerturbedBall,
+    QuadratureRule,
     VerificationContext,
     hyperplane_basis,
+    invariant_harmonic_basis,
     invariant_sphere_rule,
     mc_volume,
     section_gap,
@@ -151,6 +153,37 @@ class TestPublicEntriesReject:
     def test_mc_volume_samples(self, ball2, samples):
         with pytest.raises(InvalidInputError):
             mc_volume(ball2, samples, seed=0)
+
+
+def unit_row_entries():
+    """The entries that take unit rows, each called on points (M, 4)."""
+    return {
+        "QuadratureRule": lambda X: QuadratureRule(4, X.view(complex), (1, 1), np.ones(len(X)), 1, 1),
+        "HarmonicExpansion.evaluate": kinds(2)["perturbed"].perturbation.evaluate,
+        "HarmonicBasis.evaluate": invariant_harmonic_basis(4, 2).evaluate,
+        "ConvexBody.radial": kinds(2)["ellipsoid"].radial,
+    }
+
+
+class TestUnitLength:
+    """Every entry that takes unit rows runs the one unit-length test
+    (``spherequad._all_unit``): within 1e-8 of unit length, and a nan row is
+    not."""
+
+    @pytest.mark.parametrize("scale", [1.0 + 2e-8, 1.0 - 2e-8, np.nan])
+    @pytest.mark.parametrize("entry", sorted(unit_row_entries()))
+    def test_rejects(self, entry, scale):
+        X = unit_vectors(np.random.default_rng(54), 3, 4)
+        X[1] *= scale
+        with pytest.raises(InvalidInputError):
+            unit_row_entries()[entry](X)
+
+    @pytest.mark.parametrize("scale", [1.0 + 5e-9, 1.0 - 5e-9])
+    @pytest.mark.parametrize("entry", sorted(unit_row_entries()))
+    def test_accepts(self, entry, scale):
+        X = unit_vectors(np.random.default_rng(54), 3, 4)
+        X[1] *= scale
+        unit_row_entries()[entry](X)
 
 
 class TestKernelPaths:

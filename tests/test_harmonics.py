@@ -27,8 +27,8 @@ from cxsect import (
 from cxsect import harmonics, spherequad
 from cxsect.config import _MAX_DEGREE, default_config
 from cxsect.harmonics import (
+    HarmonicBasis,
     HarmonicExpansion,
-    _Block,
     _block,
     _lower_moments,
     complex_sphere_moment,
@@ -71,7 +71,7 @@ def point_moments(blk, X, w):
 def node_sum_moments(blk, X, w):
     """sum_i w_i z^a zbar^b at the points X (M, N), the monomials taken as
     products of powers, a few thousand points at a time: a per-node reference
-    that shares no code with ``_Block``."""
+    that shares no code with ``HarmonicBasis``."""
     mu = np.zeros((blk.P, blk.P), dtype=complex)
     for lo in range(0, X.shape[0], 4096):
         Z = X[lo:lo + 4096, 0::2] + 1j * X[lo:lo + 4096, 1::2]
@@ -88,6 +88,15 @@ def per_degree_values(exp, X, degrees=None):
 
 
 class TestBasisStructure:
+    def test_cached_block_is_read_only(self):
+        # every caller receives the cached block itself
+        basis = invariant_harmonic_basis(6, 4)
+        assert basis is invariant_harmonic_basis(6, 4) is _block(3, 2)
+        assert isinstance(basis, HarmonicBasis)
+        for arr in (basis.C, basis._ea):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0, 0] = 0
+
     def test_constant_function(self):
         basis = invariant_harmonic_basis(4, 0)
         assert len(basis) == 1
@@ -284,8 +293,8 @@ def reference_basis(blk):
     Walks the generators in order.  Each is projected by its own pair's
     projector (one matrix-vector product), hermitised, and orthogonalised
     against one kept vector of its pair at a time, twice; it is kept above the
-    same threshold as in ``_Block`` while its pair holds fewer vectors than
-    the dimension of the pair's harmonic subspace.  Each pair's Laplacian,
+    same threshold as in ``HarmonicBasis`` while its pair holds fewer vectors
+    than the dimension of the pair's harmonic subspace.  Each pair's Laplacian,
     Gram and projector come from the entry formulas, with entries and rows in
     ascending order.
     """
@@ -344,7 +353,7 @@ class TestBatchedOrthonormalisation:
 
     @pytest.mark.parametrize("N,j", sorted(C_TOL))
     def test_matches_vector_at_a_time_reference(self, N, j):
-        blk = invariant_harmonic_basis(N, j).block
+        blk = invariant_harmonic_basis(N, j)
         ref = reference_basis(blk)
         assert blk.C.shape == ref.shape
         assert np.abs(blk.C - ref).max() <= self.C_TOL[N, j] * np.abs(ref).max()
@@ -375,7 +384,7 @@ class TestBatchedOrthonormalisation:
         # depend on the basis, so it agrees to about the two exact-Gram
         # errors: at most 1.03 times their sum relative to max |C^T conj(C)|,
         # measured on these blocks (BLAS 1 and 2 threads), padded to 10
-        blk = invariant_harmonic_basis(N, j).block
+        blk = invariant_harmonic_basis(N, j)
         old = global_basis(N // 2, j // 2)
         new_proj, old_proj = blk.C.T @ blk.C.conj(), old.T @ old.conj()
         errors = exact_gram_error(blk) + exact_gram_error(blk, old) + 1e-15
@@ -408,20 +417,20 @@ class TestOrthonormality:
     def test_exact_gram_identity_at_n4_degree_limit(self):
         # the N=4 limit is the highest degree whose blocks satisfy C S C^H = I
         # to 1e-10 under the exact monomial Gram S
-        assert exact_gram_error(invariant_harmonic_basis(4, 24).block) < 1e-10
+        assert exact_gram_error(invariant_harmonic_basis(4, 24)) < 1e-10
 
     @pytest.mark.parametrize("N,j", [(4, j) for j in range(0, 21, 2)]
                              + [(6, j) for j in range(0, 13, 2)]
                              + [(8, j) for j in range(0, 7, 2)])
     def test_exact_gram_identity_invariant_in_use(self, N, j):
         # every invariant block the default and suite configurations expand on
-        assert exact_gram_error(invariant_harmonic_basis(N, j).block) < 1e-10
+        assert exact_gram_error(invariant_harmonic_basis(N, j)) < 1e-10
 
     def test_exact_gram_identity_at_n6_degree_limit(self):
         # measured as at N=4: the N=6 blocks miss 1e-10 from j=24 on (3.6e-10
         # there, 5.7e-11 at j=22; BLAS 1 and 2 threads)
         assert _MAX_DEGREE[6] == 22
-        assert exact_gram_error(invariant_harmonic_basis(6, 22).block) < 1e-10
+        assert exact_gram_error(invariant_harmonic_basis(6, 22)) < 1e-10
 
     @pytest.mark.parametrize("N,j", [(4, j) for j in range(0, 25, 2)]
                              + [(6, j) for j in range(0, 13, 2)]
@@ -429,7 +438,7 @@ class TestOrthonormality:
     def test_harmonic_under_entry_laplacian(self, N, j):
         # L C^T = 0 for the Laplacian of the entry formula, to at most 1.0e-15
         # of the largest |L| |C|^T term on these blocks (BLAS 1 thread)
-        assert harmonicity_residual(invariant_harmonic_basis(N, j).block) <= 1e-14
+        assert harmonicity_residual(invariant_harmonic_basis(N, j)) <= 1e-14
 
     @pytest.mark.slow
     def test_gram_identity_invariant_n6_high_degree(self):
@@ -927,6 +936,37 @@ class TestLiftedEvaluate:
         with pytest.raises(InvalidInputError, match="coordinate pairs"):
             QuadratureRule(6, np.ascontiguousarray(X[:, :4]).view(complex), (1, 2), np.ones(5), 0, 1)
 
+    @staticmethod
+    def own_loop_values(exp, rule):
+        """``factor_values`` with a chunk loop of its own over the pair
+        tables, as it ran before it shared ``HarmonicBasis._pair_values``."""
+        H, blk = exp._lift(tuple(exp.degrees()))
+        P = blk.P
+        freq = (blk._ea[:, None, :] - blk._ea[None, :, :]).reshape(P * P, exp.N // 2)
+        E = H.reshape(-1, 1) * np.exp(1j * (freq @ rule.phases.T))
+        out = np.empty((rule.base.shape[0], rule.phases.shape[0]))
+        for lo, hi, Wa in blk._monomial_chunks(rule.base):
+            Wa = Wa.T
+            Q = (Wa[:, :, None] * Wa.conj()[:, None, :]).reshape(hi - lo, P * P)
+            out[lo:hi] = Q.real @ E.real
+            if np.iscomplexobj(Q):
+                out[lo:hi] -= Q.imag @ E.imag
+        return out
+
+    @pytest.mark.parametrize("level", [8, 24])
+    @pytest.mark.parametrize("layout", ["torus", "product"])
+    @pytest.mark.parametrize("name", ["pert_a", "pert_b", "pert n=3"])
+    def test_perturbed_values_keep_the_bits_of_their_own_loop(self, name, layout, level):
+        body = bodies_n3()["pert"] if name == "pert n=3" else bodies_n2()[name]
+        n = body.dim.n
+        if layout == "torus":
+            rule = invariant_sphere_rule(n, level, nphase=level)
+        else:  # the n = 3, level 24 product rule cut to its first 2^14 of 24^4 base rows
+            rule = sphere_rule(2 * n, level)
+            rule = rule.row_block(0, min(rule.base.shape[0], 2 ** 14))
+        got = body.perturbation.factor_values(rule)
+        assert got.tobytes() == self.own_loop_values(body.perturbation, rule).tobytes()
+
     def test_all_zero_tail_is_zero(self, ball2):
         ft = ft_norm_power(ball2, 2.0, jmax=8)
         assert not any(np.any(ft.coeffs[j]) for j in (6, 8))
@@ -1011,13 +1051,13 @@ class TestMomentRecursion:
 
     def test_one_moment_pass_per_transform(self, monkeypatch, ball3):
         degrees = []
-        moments = _Block.moments
+        moments = HarmonicBasis.moments
 
         def counted(self, rule, wf):
             degrees.append((2 * self.k, rule, wf.shape))
             return moments(self, rule, wf)
 
-        monkeypatch.setattr(_Block, "moments", counted)
+        monkeypatch.setattr(HarmonicBasis, "moments", counted)
         ft_norm_power(ball3, 4, jmax=12)
         rule = expansion_rule(6, 12)  # a table of width 1: the exact phase sums
         assert degrees == [(12, rule, (rule.base.shape[0], 1))]
@@ -1033,9 +1073,9 @@ def general_layout(n, rows, counts, seed):
 
 
 class TestRingMoments:
-    """``_Block.moments`` on a rule's factors against the per-node sum at the
-    points of the factors (``factor_points``), with random real weights so no
-    symmetry of the integrand helps."""
+    """``HarmonicBasis.moments`` on a rule's factors against the per-node sum
+    at the points of the factors (``factor_points``), with random real
+    weights so no symmetry of the integrand helps."""
 
     # layout -> (rule, k); measured <= 5.3e-15 of the largest entry (1 BLAS thread)
     RULES = {"product N=6 L=14": (lambda: sphere_rule(6, 14), 6),

@@ -33,7 +33,7 @@ SHARED = {
     "harmonics.HarmonicExpansion._lift": "the perturbation's combination matrix",
     "harmonics.HarmonicExpansion._unit_row_values": "the perturbation's values at unit rows",
     "harmonics.HarmonicExpansion.degrees": "the perturbation's degrees",
-    "harmonics._Block._monomial_chunks": "the monomial tables of the perturbation's values",
+    "harmonics.HarmonicBasis._monomial_chunks": "the monomial tables of the perturbation's values",
     # the rule builders: the direct route's section rule lives on S^{2n-3},
     # the Fourier route's expansion rules on S^{2n-1}; the closed-form
     # volumes and the golden transform check them
@@ -44,6 +44,7 @@ SHARED = {
     "spherequad.gauss_power01": "the moduli nodes of the torus-reduced rule",
     # the input checks
     "config._integer": "integer parameters read at the public entries",
+    "spherequad._all_unit": "the one unit-length test: a rule's base rows, the transform's points",
     "sections.unit_directions": "the directions, checked once per call",
 }
 

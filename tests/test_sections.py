@@ -14,6 +14,7 @@ from cxsect import (
     EuclideanBall,
     InvalidInputError,
     PerturbedBall,
+    VerificationContext,
     complex_structure,
     ft_norm_power,
     hyperplane_basis,
@@ -51,6 +52,10 @@ def _bodies_by_kind():
                 "polydisc": b2["polydisc"], "ell": b2["ell_1_2"], "pert": b2["pert_a"]},
             3: {"ball": b3["ball"], "lq1": b3["lq1"], "lq3": b3["lq3"], "lq4": b3["lq4"],
                 "polydisc": b3["polydisc"], "ell": b3["ell_1_1.5_2"], "pert": b3["pert"]}}
+
+
+# every body of the suite's matrix, as (n, name)
+SUITE = [(n, name) for n, make in ((2, bodies_n2), (3, bodies_n3)) for name in make()]
 
 
 class TestDirection:
@@ -648,6 +653,19 @@ class TestInradius:
         # min radius 1, volume 2 pi^2
         assert inradius_normalized(ell12) == pytest.approx(
             (2 * math.pi ** 2) ** -0.25, rel=1e-8)
+
+    @pytest.mark.parametrize("n,name", SUITE, ids=[f"{name}-n{n}" for n, name in SUITE])
+    def test_one_definition_on_the_reported_volume(self, n, name, monkeypatch):
+        # the public function and the context's divide by the volume that
+        # volume_with_error reports, and the public one computes only it
+        body = (bodies_n2() if n == 2 else bodies_n3())[name]
+        ctx = VerificationContext()
+        assert ctx.inradius(body) == min_radial(body)[0] / ctx.volume(body)[0] ** (1 / (2 * n))
+        calls = []
+        real = sections.volume
+        monkeypatch.setattr(sections, "volume", lambda *a, **k: calls.append(a) or real(*a, **k))
+        assert inradius_normalized(body) == ctx.inradius(body)
+        assert len(calls) == 1
 
     def test_lq1_minimum_on_diagonal(self):
         body = ComplexLqBall(ComplexDim(2), 1.0)
