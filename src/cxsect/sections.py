@@ -284,8 +284,7 @@ def volume(body, rule: QuadratureRule | None = None,
 
 def volume_with_error(body, config: RunConfig | None = None):
     """Volume plus a refinement-difference error estimate (reduced rule):
-    the reported volume (``_reported_volume``) and its difference against
-    the configured level."""
+    ``_reported_volume`` and its difference from the configured level's."""
     cfg = config or _DEFAULT_CONFIG
     coarse = volume(body, rule=radial_power_rule(cfg.reduced_levels[body.dim.n], body))
     fine = _reported_volume(body, cfg)
@@ -321,7 +320,6 @@ def inradius_normalized(body, config: RunConfig | None = None) -> float:
 
 
 def _inradius(body, cfg, vol):
-    """min rho / vol^{1/2n} for the body's volume ``vol``: the one formula of
-    ``inradius_normalized`` and of ``theorems.VerificationContext.inradius``,
-    which passes its cached volume."""
+    """min rho / vol^{1/2n}, for ``inradius_normalized`` and for
+    ``theorems.VerificationContext.inradius`` with its cached volume."""
     return min_radial(body, cfg)[0] / vol ** (1.0 / (2 * body.dim.n))

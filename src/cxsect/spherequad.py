@@ -92,11 +92,9 @@ except AttributeError:  # no affinity query on this platform
 
 
 def _all_unit(x):
-    """Whether every vector along the last axis of the float array ``x`` is
-    within 1e-8 of unit length; a vector holding a nan or an infinity is not.
-    The one unit-length test of the package: rules, expansions and radial
-    functions hold on the unit sphere only, and each caller names its own
-    error."""
+    """Whether every vector along the last axis of ``x`` is within 1e-8 of
+    unit length (a nan or infinite one is not): the package's one unit-length
+    test, each caller raising its own error."""
     return bool(np.all(np.abs(np.sqrt(np.einsum("...i,...i->...", x, x)) - 1.0) <= 1e-8))
 
 

@@ -938,8 +938,8 @@ class TestLiftedEvaluate:
 
     @staticmethod
     def own_loop_values(exp, rule):
-        """``factor_values`` with a chunk loop of its own over the pair
-        tables, as it ran before it shared ``HarmonicBasis._pair_values``."""
+        """``factor_values`` with a pair-table chunk loop of its own, not
+        ``HarmonicBasis._pair_values``: the reference its bits are pinned to."""
         H, blk = exp._lift(tuple(exp.degrees()))
         P = blk.P
         freq = (blk._ea[:, None, :] - blk._ea[None, :, :]).reshape(P * P, exp.N // 2)

@@ -661,11 +661,13 @@ class TestInradius:
         body = (bodies_n2() if n == 2 else bodies_n3())[name]
         ctx = VerificationContext()
         assert ctx.inradius(body) == min_radial(body)[0] / ctx.volume(body)[0] ** (1 / (2 * n))
-        calls = []
+        levels = []
         real = sections.volume
-        monkeypatch.setattr(sections, "volume", lambda *a, **k: calls.append(a) or real(*a, **k))
+        monkeypatch.setattr(sections, "volume",
+                            lambda *a, **k: levels.append(k["rule"].level) or real(*a, **k))
         assert inradius_normalized(body) == ctx.inradius(body)
-        assert len(calls) == 1
+        level = default_config().reduced_levels[n]
+        assert levels == [level + max(8, level // 8)]
 
     def test_lq1_minimum_on_diagonal(self):
         body = ComplexLqBall(ComplexDim(2), 1.0)
