@@ -170,7 +170,9 @@ class ConvexBody:
         ``CHUNK_ROWS`` base rows viewed as real points (a real base made
         complex first): the kernels are row by row, so the blocks keep the
         bits of one call.  The rule has checked its rows; only its sphere is
-        compared here.  Kinds whose radial function reads the phases override it.
+        compared here.  A kind whose radial function reads the phases (nonzero
+        ``phase_bandwidth``) must override it: this table holds one value per
+        base row, which such a kind does not have.
         """
         _check_rule_sphere(rule, self.dim.N)
         out = np.empty((rule.base.shape[0], 1))
@@ -303,12 +305,14 @@ class ComplexEllipsoid(ConvexBody):
         object.__setattr__(self, "dim", ComplexDim(len(axes)))
 
     def _norm_impl(self, x):
-        # the |z_k|^2 / a_k^2 summed one pair at a time in index order
-        # (``_row_sum``), so each row rounds the same alone or in a batch (a
-        # matrix product does not); the terms in column order, so the product
-        # and the sums run along whole columns, not along rows of n terms
-        inv = np.array([1.0 / a ** 2 for a in self.semiaxes])
-        return np.sqrt(_row_sum(np.multiply(x[..., 0::2] ** 2 + x[..., 1::2] ** 2, inv, order="F")))
+        mods2 = x[..., 0::2] ** 2 + x[..., 1::2] ** 2
+        # summed one coordinate at a time, so each row rounds the same alone
+        # or in a batch (a matrix product does not)
+        inv = [1.0 / a ** 2 for a in self.semiaxes]
+        total = mods2[..., 0] * inv[0]
+        for k in range(1, self.dim.n):
+            total += mods2[..., k] * inv[k]
+        return np.sqrt(total)
 
     def scaled(self, factor):
         return ComplexEllipsoid(tuple(a * factor for a in self.semiaxes))

@@ -181,6 +181,10 @@ class HarmonicBasis:
     They live in ``C`` with shape (dim, P*P) over the monomial pairs (a, b),
     |a| = |b| = k, flattened a-major.  One instance per (n, k) is built and
     shared through a cache, so ``C`` and the exponent table are read-only.
+
+    The constructor takes (n, k), not the (N, j) of the public functions;
+    ``invariant_harmonic_basis(N, j)`` is the one supported way to get an
+    instance: it checks the degree and returns the cached one.
     """
 
     def __init__(self, n, k):
