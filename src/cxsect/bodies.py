@@ -198,6 +198,13 @@ class ConvexBody:
         0 when the norm depends on the moduli |z_k| only."""
         return 0
 
+    @property
+    def radial_degree(self):
+        """The degree J of the radial function as a polynomial on the sphere,
+        or None when it is not one.  Its 2n-th power, the polar volume's
+        integrand, then has degree 2nJ (``sections._polar_level``)."""
+        return None
+
     def scaled(self, factor):
         raise NotImplementedError
 
@@ -225,6 +232,10 @@ class EuclideanBall(ConvexBody):
         # the x_k^2 summed one coordinate at a time in coordinate order
         # (``_row_sum``): the bits of np.linalg.norm(x, axis=-1)
         return np.sqrt(_row_sum(x * x)) / self.radius
+
+    @property
+    def radial_degree(self):
+        return 0  # the constant radius
 
     def scaled(self, factor):
         return EuclideanBall(self.dim, self.radius * factor)
@@ -380,6 +391,11 @@ class PerturbedBall(ConvexBody):
         # an invariant degree-j harmonic has bidegree (j/2, j/2): each of its
         # monomials z^a conj(z)^b has frequency a_k - b_k, |a_k - b_k| <= j/2
         return max((j // 2 for j, _, _ in self.terms), default=0)
+
+    @property
+    def radial_degree(self):
+        # r (1 + sum c_t Y_t): the top term degree, 0 for no terms
+        return max((j for j, _, _ in self.terms), default=0)
 
     # the defining profile is the radial function; the name stays for its
     # callers (the benchmark's tracer wraps it)

@@ -38,7 +38,11 @@ _TABLES = {
     # 2L-1); the m = 2 rule is one node of weight 2 pi at every level, so its
     # entry is only echoed
     "product_levels": {2: 24, 4: 32, 6: 16},
-    # torus-reduced levels per complex dimension n (polar volumes, radial scans)
+    # torus-reduced levels per complex dimension n (polar volumes, Parseval
+    # pairings); a ball or perturbed ball, whose radial function is a
+    # polynomial of degree J, takes its polar volume at min(L, nJ + 1), which
+    # is exact (``sections._polar_level``), so an entry above nJ + 1 changes
+    # nothing for it
     "reduced_levels": {2: 320, 3: 160, 4: 48},
     # expansion truncation per real dimension N
     "jmax": {4: 16, 6: 12, 8: 6},

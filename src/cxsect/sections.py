@@ -215,11 +215,26 @@ def radial_power_rule(level, *bodies) -> QuadratureRule:
     Each radial function has frequency at most bw = max phase_bandwidth in
     every relative phase, so the product has frequency at most 2n*bw there,
     and 2n*bw + 1 uniform phases integrate it exactly in the phases: one
-    phase when every body depends on the moduli only.
+    phase when every body depends on the moduli only.  The rule is exact in
+    the moduli too where the product is a polynomial of degree at most
+    2*level - 1: at level nJ + 1 for rho^{2n} of a body whose radial function
+    is a polynomial of degree J (``_polar_level``).
     """
     n = bodies[0].dim.n
     bw = max(b.phase_bandwidth for b in bodies)
     return invariant_sphere_rule(n, level, nphase=2 * n * bw + 1)
+
+
+def _polar_level(body, cfg):
+    """The configured polar-volume level of ``body``: reduced_levels[n], at
+    most n*J + 1 where the radial function is a polynomial of degree J on the
+    sphere (``body.radial_degree``; a ball J = 0, a perturbed ball its top
+    term degree).  Then rho^{2n} has degree 2nJ <= 2(nJ + 1) - 1, so
+    ``radial_power_rule`` at this level is already exact, and any level above
+    it only adds nodes."""
+    level = cfg.reduced_levels[body.dim.n]
+    J = body.radial_degree
+    return level if J is None else min(level, body.dim.n * J + 1)
 
 
 def _radial_power_integral(rule: QuadratureRule, powers) -> float:
@@ -263,17 +278,20 @@ def volume(body, rule: QuadratureRule | None = None,
     """Total volume by the polar formula Vol = (1/2n) int rho^{2n}.
 
     With no explicit rule the torus-reduced rule is used (the integrand is
-    rotation-invariant for every admitted body); pass the generic product
-    rule on S^{2n-1} for the reference path.  The integral is
-    ``_radial_power_integral``, so it runs in blocks of base rows, evaluated
-    through the rule's factors (``body.factor_radial``), and a table of one
-    block (every moduli-only body at n <= 3 and every n = 2 body at the
-    default levels) keeps the bits of a one-table sum.
+    rotation-invariant for every admitted body) at the configured level,
+    ``_polar_level``: reduced_levels[n], or the exact level nJ + 1 when that
+    is lower for a body whose radial function is a polynomial of degree J (a
+    ball, a perturbed ball).  Pass the generic product rule on S^{2n-1} for
+    the reference path.  The integral is ``_radial_power_integral``, so it
+    runs in blocks of base rows, evaluated through the rule's factors
+    (``body.factor_radial``), and a table of one block (every moduli-only
+    body at n <= 3 and every n = 2 body at the default levels) keeps the
+    bits of a one-table sum.
     """
     cfg = config or _DEFAULT_CONFIG
     n = body.dim.n
     if rule is None:
-        rule = radial_power_rule(cfg.reduced_levels[n], body)
+        rule = radial_power_rule(_polar_level(body, cfg), body)
     if rule.m != 2 * n:
         raise InvalidInputError(f"volume rule must live on S^{2 * n - 1}")
     vol = _radial_power_integral(rule, ((body, 2 * n),)) / (2 * n)
@@ -284,17 +302,20 @@ def volume(body, rule: QuadratureRule | None = None,
 
 def volume_with_error(body, config: RunConfig | None = None):
     """Volume plus a refinement-difference error estimate (reduced rule):
-    ``_reported_volume`` and its difference from the configured level's."""
+    ``_reported_volume`` and its difference from ``volume``, at the
+    configured level ``_polar_level``.  For a ball or a perturbed ball both
+    rules are exact, so the estimate is round-off."""
     cfg = config or _DEFAULT_CONFIG
-    coarse = volume(body, rule=radial_power_rule(cfg.reduced_levels[body.dim.n], body))
+    coarse = volume(body, config=cfg)
     fine = _reported_volume(body, cfg)
     return fine, abs(fine - coarse)
 
 
 def _reported_volume(body, cfg):
     """The volume ``volume_with_error`` reports: the reduced rule at level
-    L + max(8, L/8), L the configured level."""
-    level = cfg.reduced_levels[body.dim.n]
+    L + max(8, L/8), L the configured level ``_polar_level``, so the bump
+    comes after the cap and the two levels differ."""
+    level = _polar_level(body, cfg)
     return volume(body, rule=radial_power_rule(level + max(8, level // 8), body))
 
 

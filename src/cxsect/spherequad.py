@@ -1,8 +1,13 @@
 """Quadrature on unit spheres S^{m-1}, m even, and Monte Carlo volume oracles.
 
-The 1-D building blocks are Gauss-Jacobi rules, nodes and weights from
-Golub-Welsch on the classical three-term recurrence (``gauss_jacobi``), with
-the total mass 2^{a+b+1} B(a+1, b+1) taken through ``math.lgamma``.
+The 1-D building blocks are Gauss-Jacobi rules, nodes and weights from the
+Jacobi matrix of the classical three-term recurrence (``gauss_jacobi``), with
+the total mass 2^{a+b+1} B(a+1, b+1) taken through ``math.lgamma``: a dense
+``eigh`` of the whole matrix (Golub-Welsch) for unequal exponents, and for
+the symmetric weights (1-t^2)^lam of the product rule's polar cosines and
+the torus rule's last moduli factor an SVD of the half-size block that
+couples the even and odd indices, which gives nodes +-sigma closed under
+t -> -t bit for bit.
 
 Every rule is one table of base rows (H, m/2) times phase rows (F, m/2)
 (``QuadratureRule``): node h*F + f is base row h with its coordinate pairs
@@ -105,10 +110,23 @@ def sphere_area(m):
 
 @lru_cache(maxsize=128)
 def gauss_jacobi(npts, alpha, beta):
-    """Gauss nodes/weights for weight (1-x)^alpha (1+x)^beta on (-1, 1).
+    """Gauss nodes/weights for weight (1-x)^alpha (1+x)^beta on (-1, 1),
+    nodes ascending; exact for polynomial degree <= 2*npts - 1 against the
+    weight.
 
-    Golub-Welsch on the monic Jacobi recurrence; exact for polynomial degree
-    <= 2*npts - 1 against the weight.  Memoised, since every phase count of
+    The nodes are the eigenvalues of the npts x npts Jacobi matrix T of the
+    monic Jacobi recurrence and the weights mu0 v_0^2, v_0 the first entry of
+    each unit eigenvector, mu0 the total mass (Golub-Welsch).  For alpha !=
+    beta that is a dense ``eigh`` of T.  For alpha = beta the diagonal of T is
+    zero, so T couples only even to odd indices: with B the
+    ceil(npts/2) x floor(npts/2) lower bidiagonal block of those couplings
+    (off-diagonals 1, 3, 5, ... on its diagonal, 2, 4, ... below it), the
+    eigenpairs of T are +-sigma_i with vectors (u_i, +-v_i)/sqrt(2) from the
+    SVD B = U S V^T, and for odd npts the node 0 with vector (u, 0), u the
+    last column of the full U.  So the nodes are +-sigma_i with weights
+    mu0 U[0, i]^2 / 2, and 0 with weight mu0 U[0, -1]^2, from an SVD of half
+    the size (Gautschi, Orthogonal Polynomials, 2004); the rule is closed
+    under x -> -x bit for bit.  Memoised, since every phase count of
     ``invariant_sphere_rule`` repeats the same solves; the arrays are
     read-only.
     """
@@ -117,33 +135,42 @@ def gauss_jacobi(npts, alpha, beta):
     if alpha <= -1 or beta <= -1:
         raise InvalidInputError("Jacobi exponents must exceed -1")
     a, b = float(alpha), float(beta)
-    diag = np.empty(npts)
-    diag[0] = (b - a) / (a + b + 2.0)
-    k = np.arange(1, npts, dtype=float)
-    diag[1:] = (b * b - a * a) / ((2 * k + a + b) * (2 * k + a + b + 2.0))
-    off = np.sqrt(
-        4 * k * (k + a) * (k + b) * (k + a + b)
-        / ((2 * k + a + b) ** 2 * (2 * k + a + b + 1.0) * (2 * k + a + b - 1.0))
-    )
-    T = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
-    vals, vecs = np.linalg.eigh(T)
     mu0 = math.exp(
         (a + b + 1.0) * math.log(2.0) + math.lgamma(a + 1.0) + math.lgamma(b + 1.0)
         - math.lgamma(a + b + 2.0)
     )
-    weights = mu0 * vecs[0, :] ** 2
+    k = np.arange(1, npts, dtype=float)
+    off = np.sqrt(
+        4 * k * (k + a) * (k + b) * (k + a + b)
+        / ((2 * k + a + b) ** 2 * (2 * k + a + b + 1.0) * (2 * k + a + b - 1.0))
+    )
+    if a == b:
+        half = npts // 2
+        B = np.zeros((npts - half, half))
+        np.fill_diagonal(B, off[0::2])
+        np.fill_diagonal(B[1:], off[1::2])
+        # at npts = 1 no coupling: the one node 0 carries the whole mass
+        U, sigma, _ = np.linalg.svd(B) if half else (np.ones((1, 1)), np.empty(0), None)
+        w = (0.5 * mu0) * U[0, :half] ** 2  # sigma descends, so -sigma ascends
+        vals = np.concatenate([-sigma, [0.0] * (npts % 2), sigma[::-1]])
+        # U is square: its column ``half`` exists for odd npts only, the node 0
+        weights = np.concatenate([w, mu0 * U[0, half:] ** 2, w[::-1]])
+    else:
+        diag = np.empty(npts)
+        diag[0] = (b - a) / (a + b + 2.0)
+        diag[1:] = (b * b - a * a) / ((2 * k + a + b) * (2 * k + a + b + 2.0))
+        vals, vecs = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+        weights = mu0 * vecs[0, :] ** 2
     for arr in (vals, weights):
         arr.setflags(write=False)
     return vals, weights
 
 
 def gauss_gegenbauer(npts, lam):
-    """Symmetric Gauss rule for weight (1-t^2)^lam on (-1, 1), antipodally exact.
-
-    Nodes and weights are symmetrized so the t -> -t closure holds bitwise.
-    """
-    t, w = gauss_jacobi(npts, lam, lam)
-    return 0.5 * (t - t[::-1]), 0.5 * (w + w[::-1])
+    """Symmetric Gauss rule for weight (1-t^2)^lam on (-1, 1): ``gauss_jacobi``
+    at alpha = beta = lam, whose nodes and weights are closed under t -> -t
+    bit for bit, so the rule is antipodally exact."""
+    return gauss_jacobi(npts, lam, lam)
 
 
 def gauss_power01(npts, expo):

@@ -639,6 +639,53 @@ class TestRadialPowerRule:
         assert radial_power_rule(level + max(8, level // 8), body).node_count == 1_587_600
 
 
+POLYNOMIAL_SUITE = [(n, name) for n, name in SUITE
+                    if (bodies_n2() if n == 2 else bodies_n3())[name].radial_degree is not None]
+
+
+class TestPolarLevel:
+    """A radial function that is a polynomial of degree J on the sphere
+    (a ball, a perturbed ball) is integrated at the exact level nJ + 1."""
+
+    def test_the_polynomial_bodies_are_the_balls_and_perturbed_balls(self):
+        assert [name for _, name in POLYNOMIAL_SUITE] == [
+            "ball", "ball_1.3", "pert_a", "pert_b", "ball", "ball_1.2", "pert"]
+
+    @pytest.mark.parametrize("n,name", POLYNOMIAL_SUITE,
+                             ids=[f"{name}-n{n}" for n, name in POLYNOMIAL_SUITE])
+    def test_capped_level_is_exact(self, n, name):
+        body = (bodies_n2() if n == 2 else bodies_n3())[name]
+        cfg = default_config()
+        L = cfg.reduced_levels[n]
+        assert sections._polar_level(body, cfg) < L
+        # measured <= 8.9e-16 and <= 1.4e-15
+        assert volume(body) == pytest.approx(
+            volume(body, rule=radial_power_rule(L, body)), rel=1e-14, abs=0)
+        assert volume_with_error(body)[0] == pytest.approx(
+            volume(body, rule=radial_power_rule(L + max(8, L // 8), body)), rel=1e-14, abs=0)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_a_degree_j_term_at_n_takes_level_nj_plus_1(self, n):
+        cfg = default_config()
+        assert sections._polar_level(EuclideanBall(ComplexDim(n)), cfg) == 1
+        for j in (2, 4, 6):
+            body = PerturbedBall(ComplexDim(n), 1.0, ((2, 0, 0.01), (j, 0, 0.01)), certify=False)
+            assert sections._polar_level(body, cfg) == min(n * j + 1, cfg.reduced_levels[n])
+        for body in (ComplexLqBall(ComplexDim(n), 3.0), ComplexEllipsoid((1.0,) * (n - 1) + (2.0,))):
+            assert sections._polar_level(body, cfg) == cfg.reduced_levels[n]
+
+    def test_a_configured_level_below_the_cap_is_used_as_given(self, monkeypatch):
+        cfg = RunConfig(reduced_levels={2: 6, 3: 5})
+        pert2, pert3 = bodies_n2()["pert_a"], bodies_n3()["pert"]  # caps 9 and 7
+        assert [sections._polar_level(b, cfg) for b in (pert2, pert3)] == [6, 5]
+        levels = []
+        real = sections.radial_power_rule
+        monkeypatch.setattr(sections, "radial_power_rule",
+                            lambda level, *b: levels.append(level) or real(level, *b))
+        volume_with_error(pert3, cfg)
+        assert levels == [5, 13]
+
+
 class TestInradius:
     def test_ball(self, ball2):
         assert inradius_normalized(ball2) == pytest.approx(
@@ -666,7 +713,7 @@ class TestInradius:
         monkeypatch.setattr(sections, "volume",
                             lambda *a, **k: levels.append(k["rule"].level) or real(*a, **k))
         assert inradius_normalized(body) == ctx.inradius(body)
-        level = default_config().reduced_levels[n]
+        level = sections._polar_level(body, default_config())  # pinned in TestPolarLevel
         assert levels == [level + max(8, level // 8)]
 
     def test_lq1_minimum_on_diagonal(self):

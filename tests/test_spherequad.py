@@ -38,6 +38,80 @@ def sphere_monomial_moment(m, alpha):
     return val / math.gamma((m + sum(alpha)) / 2.0)
 
 
+def golub_welsch(npts, alpha, beta):
+    """Oracle: the Gauss-Jacobi rule from a dense ``eigh`` of the whole
+    npts x npts Jacobi matrix (Golub-Welsch), for any alpha and beta."""
+    a, b = float(alpha), float(beta)
+    diag = np.empty(npts)
+    diag[0] = (b - a) / (a + b + 2.0)
+    k = np.arange(1, npts, dtype=float)
+    diag[1:] = (b * b - a * a) / ((2 * k + a + b) * (2 * k + a + b + 2.0))
+    off = np.sqrt(
+        4 * k * (k + a) * (k + b) * (k + a + b)
+        / ((2 * k + a + b) ** 2 * (2 * k + a + b + 1.0) * (2 * k + a + b - 1.0))
+    )
+    vals, vecs = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    mu0 = math.exp((a + b + 1.0) * math.log(2.0) + math.lgamma(a + 1.0) + math.lgamma(b + 1.0)
+                   - math.lgamma(a + b + 2.0))
+    return vals, mu0 * vecs[0, :] ** 2
+
+
+GAUSS_NPTS = [1, 2, 3, 4, 47, 48, 161, 320, 361]
+GEGENBAUER_LAMBDAS = [0.0, 0.5, 1.0, 1.5]
+
+
+class TestGaussRules:
+    """The symmetric rules from the SVD of the half-size coupling block,
+    against the dense Golub-Welsch oracle, moments and ``leggauss``."""
+
+    @pytest.mark.parametrize("npts", GAUSS_NPTS)
+    @pytest.mark.parametrize("lam", GEGENBAUER_LAMBDAS)
+    def test_matches_the_dense_oracle(self, npts, lam):
+        t, w = spherequad.gauss_jacobi(npts, lam, lam)
+        t0, w0 = golub_welsch(npts, lam, lam)
+        # measured over these npts and lambdas: nodes <= 1.1e-15 absolute,
+        # weights <= 1.4e-11 relative (the small weights at the ends)
+        assert np.abs(t - t0).max() <= 2e-15
+        assert np.abs(w / w0 - 1.0).max() <= 3e-11
+        assert np.all(np.diff(t) > 0)
+        assert not (t.flags.writeable or w.flags.writeable)
+        assert spherequad.gauss_jacobi(npts, lam, lam)[0] is t  # memoised
+
+    @pytest.mark.parametrize("npts", GAUSS_NPTS)
+    @pytest.mark.parametrize("lam", GEGENBAUER_LAMBDAS)
+    def test_exact_on_even_powers(self, npts, lam):
+        # int x^{2k} (1-x^2)^lam = B(k + 1/2, lam + 1), degree 2k <= 2 npts - 1
+        t, w = spherequad.gauss_jacobi(npts, lam, lam)
+        for k in range(npts):
+            exact = math.exp(math.lgamma(k + 0.5) + math.lgamma(lam + 1.0)
+                             - math.lgamma(k + lam + 1.5))
+            # measured <= 1.8e-12 (the oracle's <= 5.4e-13), at k near npts
+            assert float(np.sum(w * t ** (2 * k))) == pytest.approx(exact, rel=4e-12, abs=0)
+
+    @pytest.mark.parametrize("npts", GAUSS_NPTS)
+    def test_legendre_matches_leggauss(self, npts):
+        t, w = spherequad.gauss_jacobi(npts, 0.0, 0.0)
+        tl, wl = np.polynomial.legendre.leggauss(npts)
+        # measured: nodes <= 8.9e-16, weights <= 1.7e-12 of the largest
+        assert np.abs(t - tl).max() <= 2e-15
+        assert np.abs(w - wl).max() <= 4e-12 * wl.max()
+
+    @pytest.mark.parametrize("npts", [1, 2, 7, 48, 160])
+    @pytest.mark.parametrize("alpha, beta", [(0.0, 1.0), (0.0, 2.0), (1.0, 0.5)])
+    def test_unequal_exponents_keep_the_dense_solve(self, npts, alpha, beta):
+        t, w = spherequad.gauss_jacobi(npts, alpha, beta)
+        t0, w0 = golub_welsch(npts, alpha, beta)
+        assert np.array_equal(t, t0) and np.array_equal(w, w0)
+
+    @pytest.mark.parametrize("npts", [1, 2, 3, 8, 9, 160, 161])
+    @pytest.mark.parametrize("lam", GEGENBAUER_LAMBDAS)
+    def test_gegenbauer_closed_under_reflection_bitwise(self, npts, lam):
+        # built as -sigma, (0,) sigma reversed: no symmetrisation needed
+        t, w = spherequad.gauss_gegenbauer(npts, lam)
+        assert np.array_equal(t, -t[::-1]) and np.array_equal(w, w[::-1])
+        assert (t[npts // 2] == 0.0) == bool(npts % 2)
+
+
 class TestSphereRule:
     def test_circle_rule(self):
         rule = sphere_rule(2, 10)
@@ -842,7 +916,7 @@ class TestMonteCarlo:
     @pytest.mark.parametrize("body,hits,R", [
         (EuclideanBall(ComplexDim(2), 1.0), 14861, 1.0100000000000002),
         (EuclideanBall(ComplexDim(3), 1.2), 3824, 1.2120000000000002),
-        (ComplexEllipsoid((1.0, 2.0)), 3746, 2.0181406463665033),
+        (ComplexEllipsoid((1.0, 2.0)), 3746, 2.018140646366503),
         (ComplexEllipsoid((1.0, 1.5, 3.0)), 89, 3.019961629330473)])
     def test_box_unchanged_where_the_scan_bounds_the_axes(self, body, hits, R):
         # hits and half-widths of the scan-only box, before the axes entered R

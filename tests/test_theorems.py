@@ -435,7 +435,7 @@ class TestTorusRulesStayFactored:
         mc_volume(pert, 10_000, seed=0)
         parseval_check(pert, EuclideanBall(d3), 2.0, jmax=4)
         assert [(r.m, r.level, r.phases.shape[0]) for r in built] == [
-            (6, 160, 49), (6, 180, 49), (6, 48, 64), (6, 160, 49)]
+            (6, 7, 49), (6, 15, 49), (6, 48, 64), (6, 160, 49)]
         assert not any(r.nodes_built for r in built)
 
 

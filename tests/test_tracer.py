@@ -76,8 +76,8 @@ def test_traced_perturbed_volume_counts_nodes_without_building_them():
         summary = tracer.summary(1.0)
     finally:
         tracer.uninstall()
-    level = cxsect.config.default_config().reduced_levels[3]
-    rules = [cxsect.invariant_sphere_rule(3, lev, 7) for lev in (level, level + max(8, level // 8))]
-    assert summary["spherequad.rule_nodes"] == sum(r.node_count for r in rules) == 2_842_000
+    # the exact level n*J + 1 = 7 for the degree-2 term, and 7 + 8
+    rules = [cxsect.invariant_sphere_rule(3, lev, 7) for lev in (7, 15)]
+    assert summary["spherequad.rule_nodes"] == sum(r.node_count for r in rules) == 13_426
     assert not any(r.nodes_built for r in rules)
     assert "spherequad.factor_points" not in {rec[tm.NAME] for rec in tracer.spans}
