@@ -120,10 +120,11 @@ def gauss_jacobi(npts, alpha, beta):
     beta that is a dense ``eigh`` of T.  For alpha = beta the diagonal of T is
     zero, so T couples only even to odd indices: with B the
     ceil(npts/2) x floor(npts/2) lower bidiagonal block of those couplings
-    (off-diagonals 1, 3, 5, ... on its diagonal, 2, 4, ... below it), the
-    eigenpairs of T are +-sigma_i with vectors (u_i, +-v_i)/sqrt(2) from the
-    SVD B = U S V^T, and for odd npts the node 0 with vector (u, 0), u the
-    last column of the full U.  So the nodes are +-sigma_i with weights
+    (the 1st, 3rd, 5th, ... off-diagonal entries on its diagonal, the 2nd,
+    4th, ... below it), the eigenpairs of T, its even indices taken first,
+    are +-sigma_i with vectors (u_i, +-v_i)/sqrt(2) from the SVD
+    B = U S V^T, and for odd npts the node 0 with vector (u, 0), u the last
+    column of the full U.  So the nodes are +-sigma_i with weights
     mu0 U[0, i]^2 / 2, and 0 with weight mu0 U[0, -1]^2, from an SVD of half
     the size (Gautschi, Orthogonal Polynomials, 2004); the rule is closed
     under x -> -x bit for bit.  Memoised, since every phase count of
