@@ -201,8 +201,9 @@ class ConvexBody:
     @property
     def radial_degree(self):
         """The degree J of the radial function as a polynomial on the sphere,
-        or None when it is not one.  Its 2n-th power, the polar volume's
-        integrand, then has degree 2nJ (``sections._polar_level``)."""
+        or None when it is not one.  A product of integer powers of such
+        functions is a polynomial whose degree fixes an exact rule
+        (``sections.radial_power_rule``)."""
         return None
 
     def scaled(self, factor):
@@ -283,6 +284,10 @@ class ComplexLqBall(ConvexBody):
             out = out[()]
         return out / self.scale
 
+    @property
+    def radial_degree(self):
+        return 0 if self.q == 2.0 else None  # q = 2: a ball
+
     def scaled(self, factor):
         return ComplexLqBall(self.dim, self.q, self.scale * factor)
 
@@ -324,6 +329,10 @@ class ComplexEllipsoid(ConvexBody):
         for k in range(1, self.dim.n):
             total += mods2[..., k] * inv[k]
         return np.sqrt(total)
+
+    @property
+    def radial_degree(self):
+        return 0 if len(set(self.semiaxes)) == 1 else None  # equal semiaxes: a ball
 
     def scaled(self, factor):
         return ComplexEllipsoid(tuple(a * factor for a in self.semiaxes))

@@ -13,8 +13,10 @@ suite.
 Both routes take a batch of directions, shape (P, 2n) or one vector, and
 return (values, errors) arrays of shape (P,).  Directions are checked and
 normalized in one place, ``unit_directions``.  The polar volume and the
-pairing of ``theorems.parseval_check`` share ``_radial_power_integral``, which
-sums the quadrature of a product of radial powers over blocks of base rows.
+pairing of ``theorems.parseval_check`` take their rule from
+``radial_power_rule``, which alone picks its level and phase count, and share
+``_radial_power_integral``, which sums the quadrature of a product of radial
+powers over blocks of base rows.
 """
 from __future__ import annotations
 
@@ -207,34 +209,29 @@ def _section_sums(body, bases, rule):
     return out
 
 
-def radial_power_rule(level, *bodies) -> QuadratureRule:
-    """Torus-reduced rule on S^{2n-1} for a product of integer powers of the
-    bodies' radial functions with total degree 2n (the polar volume, the
-    Parseval pairing).
+def radial_power_rule(level, powers) -> QuadratureRule:
+    """Torus-reduced rule on S^{2n-1} for the product of radial powers
+    prod_b rho_b^{e_b} of total degree 2n, ``powers`` its (body, exponent)
+    pairs as ``_radial_power_integral`` takes them (the polar volume, the
+    Parseval pairing): the one place that picks a polar-integral rule.
 
     Each radial function has frequency at most bw = max phase_bandwidth in
     every relative phase, so the product has frequency at most 2n*bw there,
     and 2n*bw + 1 uniform phases integrate it exactly in the phases: one
     phase when every body depends on the moduli only.  The rule is exact in
     the moduli too where the product is a polynomial of degree at most
-    2*level - 1: at level nJ + 1 for rho^{2n} of a body whose radial function
-    is a polynomial of degree J (``_polar_level``).
+    2*level - 1.  When every exponent is an integer and every radial function
+    is a polynomial of degree J_b on the sphere (``body.radial_degree``: a
+    ball, a perturbed ball), the product has degree D = sum_b e_b J_b, and
+    the rule is built at min(level, D // 2 + 1), which is exact; a larger
+    level only adds nodes.  Otherwise it is built at ``level``.
     """
-    n = bodies[0].dim.n
-    bw = max(b.phase_bandwidth for b in bodies)
+    n = powers[0][0].dim.n
+    bw = max(body.phase_bandwidth for body, _ in powers)
+    degrees = [(e, body.radial_degree) for body, e in powers]
+    if all(float(e).is_integer() and J is not None for e, J in degrees):
+        level = min(level, int(sum(e * J for e, J in degrees)) // 2 + 1)
     return invariant_sphere_rule(n, level, nphase=2 * n * bw + 1)
-
-
-def _polar_level(body, cfg):
-    """The configured polar-volume level of ``body``: reduced_levels[n], at
-    most n*J + 1 where the radial function is a polynomial of degree J on the
-    sphere (``body.radial_degree``; a ball J = 0, a perturbed ball its top
-    term degree).  Then rho^{2n} has degree 2nJ <= 2(nJ + 1) - 1, so
-    ``radial_power_rule`` at this level is already exact, and any level above
-    it only adds nodes."""
-    level = cfg.reduced_levels[body.dim.n]
-    J = body.radial_degree
-    return level if J is None else min(level, body.dim.n * J + 1)
 
 
 def _radial_power_integral(rule: QuadratureRule, powers) -> float:
@@ -278,12 +275,12 @@ def volume(body, rule: QuadratureRule | None = None,
     """Total volume by the polar formula Vol = (1/2n) int rho^{2n}.
 
     With no explicit rule the torus-reduced rule is used (the integrand is
-    rotation-invariant for every admitted body) at the configured level,
-    ``_polar_level``: reduced_levels[n], or the exact level nJ + 1 when that
-    is lower for a body whose radial function is a polynomial of degree J (a
-    ball, a perturbed ball).  Pass the generic product rule on S^{2n-1} for
-    the reference path.  The integral is ``_radial_power_integral``, so it
-    runs in blocks of base rows, evaluated through the rule's factors
+    rotation-invariant for every admitted body): ``radial_power_rule`` at the
+    configured level reduced_levels[n], which it lowers to the exact level
+    nJ + 1 for a radial function that is a polynomial of degree J (a ball, a
+    perturbed ball).  Pass the generic product rule on S^{2n-1} for the
+    reference path.  The integral is ``_radial_power_integral``, so it runs
+    in blocks of base rows, evaluated through the rule's factors
     (``body.factor_radial``), and a table of one block (every moduli-only
     body at n <= 3 and every n = 2 body at the default levels) keeps the
     bits of a one-table sum.
@@ -291,7 +288,7 @@ def volume(body, rule: QuadratureRule | None = None,
     cfg = config or _DEFAULT_CONFIG
     n = body.dim.n
     if rule is None:
-        rule = radial_power_rule(_polar_level(body, cfg), body)
+        rule = radial_power_rule(cfg.reduced_levels[n], ((body, 2 * n),))
     if rule.m != 2 * n:
         raise InvalidInputError(f"volume rule must live on S^{2 * n - 1}")
     vol = _radial_power_integral(rule, ((body, 2 * n),)) / (2 * n)
@@ -302,9 +299,9 @@ def volume(body, rule: QuadratureRule | None = None,
 
 def volume_with_error(body, config: RunConfig | None = None):
     """Volume plus a refinement-difference error estimate (reduced rule):
-    ``_reported_volume`` and its difference from ``volume``, at the
-    configured level ``_polar_level``.  For a ball or a perturbed ball both
-    rules are exact, so the estimate is round-off."""
+    ``_reported_volume`` and its difference from ``volume``.  Where
+    ``radial_power_rule`` finds the integrand exact (a ball, a perturbed
+    ball) both calls get the same rule, and the estimate is 0."""
     cfg = config or _DEFAULT_CONFIG
     coarse = volume(body, config=cfg)
     fine = _reported_volume(body, cfg)
@@ -312,11 +309,10 @@ def volume_with_error(body, config: RunConfig | None = None):
 
 
 def _reported_volume(body, cfg):
-    """The volume ``volume_with_error`` reports: the reduced rule at level
-    L + max(8, L/8), L the configured level ``_polar_level``, so the bump
-    comes after the cap and the two levels differ."""
-    level = _polar_level(body, cfg)
-    return volume(body, rule=radial_power_rule(level + max(8, level // 8), body))
+    """The volume ``volume_with_error`` reports: ``radial_power_rule`` at
+    level L + max(8, L/8), L = reduced_levels[n]."""
+    level = cfg.reduced_levels[body.dim.n]
+    return volume(body, rule=radial_power_rule(level + max(8, level // 8), ((body, 2 * body.dim.n),)))
 
 
 def min_radial(body, config: RunConfig | None = None):

@@ -441,13 +441,13 @@ def criterion_structural(ctx):
     worst = max(worst, jline)
 
     # scaling covariance: volume r^{2n}, sections r^{2n-2}, transform r^p
-    # (light rules: levels below the configured ones, phases from the body;
-    # each body's own volume computed once)
+    # (light rules: each body's volume rule from ``radial_power_rule`` at a
+    # level below the configured one; each body's own volume computed once)
     volsc = sectsc = 0.0
     light_level = {2: 64, 3: 24}
     light = []
     for body in matrix:
-        rule = sect.radial_power_rule(light_level[body.dim.n], body)
+        rule = sect.radial_power_rule(light_level[body.dim.n], ((body, 2 * body.dim.n),))
         light.append((body, rule, sect.volume(body, rule=rule)))
     for k in range(1000):
         body, rule, v1 = light[k % len(light)]

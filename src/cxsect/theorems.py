@@ -432,12 +432,13 @@ def parseval_check(K, L, p, context: VerificationContext | None = None,
     lhs is the coefficient pairing sum_j c^K_j . c^L_j of the two truncated
     expansions, which is their sphere integral exactly (the basis is
     orthonormal); rhs is ``sections._radial_power_integral`` of rho_K^p and
-    rho_L^{2n-p} on ``sections.radial_power_rule`` at the configured level
-    (the integrand is rotation-invariant), so it runs in blocks of base rows
-    through the rule's torus factors, as the polar volume does.  Both
-    transforms come from the context, truncated at ``jmax`` (default the
-    configured degree).  The result passes when the relative error is at
-    most ``PARSEVAL_BOUND``, read at the call, and carries that bound.
+    rho_L^{2n-p} on ``sections.radial_power_rule`` of those powers at the
+    configured level (the integrand is rotation-invariant), so it runs in
+    blocks of base rows through the rule's torus factors, as the polar volume
+    does.  Both transforms come from the context, truncated at ``jmax``
+    (default the configured degree).  The result passes when the relative
+    error is at most ``PARSEVAL_BOUND``, read at the call, and carries that
+    bound.
     """
     ctx = context or VerificationContext()
     cfg = ctx.config
@@ -451,8 +452,9 @@ def parseval_check(K, L, p, context: VerificationContext | None = None,
     ft_k = ctx.ft(K, p, jmax)
     ft_l = ctx.ft(L, N - p, jmax)
     lhs = float(sum(ft_k.coeffs[j] @ ft_l.coeffs[j] for j in ft_k.degrees()))
-    reduced = sections.radial_power_rule(cfg.reduced_levels[n], K, L)
-    rhs = (2.0 * math.pi) ** N * sections._radial_power_integral(reduced, ((K, p), (L, N - p)))
+    powers = ((K, p), (L, N - p))
+    rule = sections.radial_power_rule(cfg.reduced_levels[n], powers)
+    rhs = (2.0 * math.pi) ** N * sections._radial_power_integral(rule, powers)
     if not rhs >= _TINY:
         raise NumericalEvaluationError(f"the pairing of {K.label} and {L.label} underflows")
     rel = abs(lhs - rhs) / abs(rhs)

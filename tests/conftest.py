@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cxsect import ComplexDim, ComplexEllipsoid, ComplexLqBall, EuclideanBall, PerturbedBall
-from cxsect import QuadratureRule
+from cxsect import QuadratureRule, invariant_sphere_rule
 from cxsect.bodies import ConvexBody
 
 
@@ -82,6 +82,17 @@ def node_weights(rule):
     repeated over its phase rows.  A reference for tests; the package never
     forms it."""
     return np.repeat(rule.row_weights, rule.phases.shape[0])
+
+
+def level_rule(level, *bodies):
+    """The torus-reduced rule on S^{2n-1} at ``level`` with the phase count
+    2n*bw + 1 of ``sections.radial_power_rule``, bw the bodies' largest
+    bandwidth, whatever the integrand: the rule that a kinked body's polar
+    integral takes at ``level``, built here for a ball or perturbed ball too,
+    whose own integrand ``radial_power_rule`` puts at a lower, exact level."""
+    n = bodies[0].dim.n
+    bw = max(body.phase_bandwidth for body in bodies)
+    return invariant_sphere_rule(n, level, nphase=2 * n * bw + 1)
 
 
 def table_shape(body, rule):

@@ -32,6 +32,8 @@ from cxsect.spherequad import CHUNK_ENTRIES, CHUNK_ROWS
 from cxsect.suite import bodies_n2, bodies_n3
 from cxsect.theorems import VerificationContext
 
+from conftest import level_rule
+
 MB = 2 ** 20
 D3 = ComplexDim(3)
 PERT3 = ((2, 0, 0.05),)
@@ -122,26 +124,29 @@ class TestBlockedIntegral:
         for body in (bodies_n2() if n == 2 else bodies_n3()).values():
             if n == 3 and body.phase_bandwidth:
                 continue
+            powers = ((body, 2 * n),)
             for lev in (level, level + max(8, level // 8)):  # both of volume_with_error
-                rule = radial_power_rule(lev, body)
-                powers = ((body, 2 * n),)
-                width = rule.phases.shape[0] if body.phase_bandwidth else 1
-                assert rule.base.shape[0] * width <= CHUNK_ENTRIES
-                assert _radial_power_integral(rule, powers) == one_table(rule, powers), body.label
+                # the rule volume_with_error takes, and the one at the level itself
+                for rule in (radial_power_rule(lev, powers), level_rule(lev, body)):
+                    width = rule.phases.shape[0] if body.phase_bandwidth else 1
+                    assert rule.base.shape[0] * width <= CHUNK_ENTRIES
+                    assert _radial_power_integral(rule, powers) == one_table(rule, powers), \
+                        body.label
 
     def test_n2_pairings_keep_their_bits(self):
         bodies = list(bodies_n2().values())
         for K in bodies:
             for L in (bodies_n2()["pert_a"], bodies_n2()["pert_b"]):
-                rule = radial_power_rule(default_config().reduced_levels[2], K, L)
                 powers = ((K, 2.0), (L, 2.0))
-                assert _radial_power_integral(rule, powers) == one_table(rule, powers)
+                level = default_config().reduced_levels[2]
+                for rule in (radial_power_rule(level, powers), level_rule(level, K, L)):
+                    assert _radial_power_integral(rule, powers) == one_table(rule, powers)
 
     def test_n3_perturbed_within_1e15(self):
         pert = bodies_n3()["pert"]
         other = PerturbedBall(D3, 1.1, ((2, 0, 0.03),))
         for lev in (LEVEL3, LEVEL3 + max(8, LEVEL3 // 8)):
-            rule = radial_power_rule(lev, pert)
+            rule = level_rule(lev, pert)  # a polynomial integrand on many blocks
             assert rule.base.shape[0] * rule.phases.shape[0] > 4 * CHUNK_ENTRIES
             for powers in (((pert, 6),), ((pert, 2.0), (other, 4.0)),
                            ((bodies_n3()["lq3"], 2.0), (pert, 4.0))):
@@ -162,7 +167,7 @@ class TestBlockedIntegral:
 
     def test_a_late_nan_is_named_by_its_node_in_the_rule(self, monkeypatch):
         body = bodies_n3()["pert"]
-        rule = radial_power_rule(LEVEL3, body)
+        rule = level_rule(LEVEL3, body)
         H, F = rule.base.shape[0], rule.phases.shape[0]
         row, col = H - 3, 5  # in the last block
         assert row >= CHUNK_ENTRIES // F

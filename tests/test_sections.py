@@ -1,4 +1,5 @@
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -33,6 +34,7 @@ from cxsect.config import RunConfig, default_config
 from cxsect.grids import direction_grid, refine_extremum
 from cxsect.harmonics import invariant_harmonic_dim
 from cxsect.sections import (
+    _radial_power_integral,
     min_radial,
     radial_power_rule,
     section_values,
@@ -41,7 +43,7 @@ from cxsect.sections import (
 from cxsect.spherequad import CHUNK_ROWS
 from cxsect.suite import bodies_n2, bodies_n3
 
-from conftest import CountingRadial, node_weights, trapezoid, unit_vectors
+from conftest import CountingRadial, level_rule, node_weights, trapezoid, unit_vectors
 
 
 @functools.cache
@@ -600,13 +602,13 @@ class TestRadialPowerRule:
         body = (bodies_n2() if n == 2 else bodies_n3())[name]
         level = level or default_config().reduced_levels[n]
         doubled = invariant_sphere_rule(n, level, nphase=2 * n * 2 * body.phase_bandwidth + 1)
-        assert volume(body, rule=radial_power_rule(level, body)) == pytest.approx(
+        assert volume(body, rule=level_rule(level, body)) == pytest.approx(
             volume(body, rule=doubled), rel=1e-13)
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_volume_through_factors_matches_node_path(self, n):
         for body in (bodies_n2() if n == 2 else bodies_n3()).values():
-            rule = radial_power_rule(24, body)
+            rule = level_rule(24, body)
             ref = integrate_sphere(body.radial(rule.nodes) ** (2 * n), rule) / (2 * n)
             got = volume(body, rule=rule)
             if body.phase_bandwidth:
@@ -617,7 +619,7 @@ class TestRadialPowerRule:
     def test_one_phase_fewer_aliases(self):
         body = bodies_n2()["pert_b"]
         level = default_config().reduced_levels[2]
-        exact = volume(body, rule=radial_power_rule(level, body))
+        exact = volume(body, rule=level_rule(level, body))
         short = volume(body, rule=invariant_sphere_rule(2, level, nphase=4 * body.phase_bandwidth))
         assert abs(short / exact - 1.0) > 1e-10  # measured 9.6e-9
 
@@ -626,17 +628,26 @@ class TestRadialPowerRule:
         assert (b2["pert_a"].phase_bandwidth, b2["pert_b"].phase_bandwidth,
                 b3["pert"].phase_bandwidth) == (2, 1, 1)
         for body in list(b2.values()) + list(b3.values()):
+            powers = ((body, 2 * body.dim.n),)
             if not isinstance(body, PerturbedBall):
                 assert body.phase_bandwidth == 0
-                assert radial_power_rule(8, body).phases.shape[0] == 1
-        # a pair takes the larger bandwidth
-        assert radial_power_rule(8, b2["ball"], b2["pert_a"]).phases.shape[0] == 9
+                assert radial_power_rule(8, powers).phases.shape[0] == 1
+            # a lowered level keeps the phase count
+            assert radial_power_rule(8, powers).phases.shape == level_rule(8, body).phases.shape
+        # a pair takes the larger bandwidth, at a lowered level as at a kept one
+        for p in (2, 1.5):
+            pair = ((b2["ball"], p), (b2["pert_a"], 4 - p))
+            assert radial_power_rule(8, pair).phases.shape[0] == 9
 
     def test_n3_node_counts(self):
         body = bodies_n3()["pert"]
         level = default_config().reduced_levels[3]
-        assert radial_power_rule(level, body).node_count == 1_254_400
-        assert radial_power_rule(level + max(8, level // 8), body).node_count == 1_587_600
+        # both levels of volume_with_error give the one exact rule at 3*2 + 1
+        for lev in (level, level + max(8, level // 8)):
+            assert radial_power_rule(lev, ((body, 6),)) is invariant_sphere_rule(3, 7, nphase=7)
+        assert invariant_sphere_rule(3, 7, nphase=7).node_count == 2_401
+        assert level_rule(level, body).node_count == 1_254_400
+        assert level_rule(level + max(8, level // 8), body).node_count == 1_587_600
 
 
 POLYNOMIAL_SUITE = [(n, name) for n, name in SUITE
@@ -644,47 +655,102 @@ POLYNOMIAL_SUITE = [(n, name) for n, name in SUITE
 
 
 class TestPolarLevel:
-    """A radial function that is a polynomial of degree J on the sphere
-    (a ball, a perturbed ball) is integrated at the exact level nJ + 1."""
+    """A product of integer powers of radial functions that are polynomials
+    on the sphere (a ball, a perturbed ball) is integrated at the exact level
+    D // 2 + 1, D its degree; at n*J + 1 for the volume integrand rho^{2n}."""
 
     def test_the_polynomial_bodies_are_the_balls_and_perturbed_balls(self):
         assert [name for _, name in POLYNOMIAL_SUITE] == [
-            "ball", "ball_1.3", "pert_a", "pert_b", "ball", "ball_1.2", "pert"]
+            "ball", "ball_1.3", "lq2_s0.9", "pert_a", "pert_b", "ball", "ball_1.2", "lq2", "pert"]
 
     @pytest.mark.parametrize("n,name", POLYNOMIAL_SUITE,
                              ids=[f"{name}-n{n}" for n, name in POLYNOMIAL_SUITE])
     def test_capped_level_is_exact(self, n, name):
         body = (bodies_n2() if n == 2 else bodies_n3())[name]
-        cfg = default_config()
-        L = cfg.reduced_levels[n]
-        assert sections._polar_level(body, cfg) < L
+        L = default_config().reduced_levels[n]
+        assert radial_power_rule(L, ((body, 2 * n),)).level == n * body.radial_degree + 1 < L
         # measured <= 8.9e-16 and <= 1.4e-15
         assert volume(body) == pytest.approx(
-            volume(body, rule=radial_power_rule(L, body)), rel=1e-14, abs=0)
+            volume(body, rule=level_rule(L, body)), rel=1e-14, abs=0)
         assert volume_with_error(body)[0] == pytest.approx(
-            volume(body, rule=radial_power_rule(L + max(8, L // 8), body)), rel=1e-14, abs=0)
+            volume(body, rule=level_rule(L + max(8, L // 8), body)), rel=1e-14, abs=0)
+        # both of its calls take the one exact rule
+        assert volume_with_error(body)[1] == 0.0
+
+    def test_integer_powers_of_polynomial_bodies_are_exact(self):
+        # the pairing integrand rho_K^p rho_M^{2n-p} of every ordered pair of
+        # the suite's polynomial bodies at every integer p in (0, 2n): 155
+        # cases, on rules of levels 1 to 9, against the rule at the level
+        worst, levels = 0.0, []
+        for n in (2, 3):
+            L = default_config().reduced_levels[n]
+            poly = [(bodies_n2() if n == 2 else bodies_n3())[name]
+                    for m, name in POLYNOMIAL_SUITE if m == n]
+            for K, M in itertools.product(poly, repeat=2):
+                for p in range(1, 2 * n):
+                    powers = ((K, float(p)), (M, float(2 * n - p)))
+                    rule = radial_power_rule(L, powers)
+                    levels.append(rule.level)
+                    ref = _radial_power_integral(level_rule(L, K, M), powers)
+                    worst = max(worst, abs(_radial_power_integral(rule, powers) / ref - 1.0))
+        assert len(levels) == 155 and set(levels) == set(range(1, 10))
+        assert worst <= 3e-15  # measured 1.6e-15
+
+    def test_kinked_or_non_integer_integrands_keep_the_level(self):
+        for n, make in ((2, bodies_n2), (3, bodies_n3)):
+            L = default_config().reduced_levels[n]
+            bodies = make()
+            for K in bodies.values():
+                if K.radial_degree is None:
+                    assert radial_power_rule(L, ((K, 2 * n),)).level == L, K.label
+                    assert radial_power_rule(L, ((K, 2.0), (bodies["ball"], 2 * n - 2.0))).level \
+                        == L, K.label
+                else:  # p = 1.5: rho^1.5 of a perturbed ball is not a polynomial
+                    for M in bodies.values():
+                        if M.radial_degree is not None:
+                            assert radial_power_rule(L, ((K, 1.5), (M, 2 * n - 1.5))).level == L
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_ball_shaped_lq_balls_and_ellipsoids_have_degree_0(self, n):
+        d = ComplexDim(n)
+        L = default_config().reduced_levels[n]
+        for body, s in ((ComplexLqBall(d, 2.0), 1.0), (ComplexLqBall(d, 2.0, 0.9), 0.9),
+                        (ComplexEllipsoid((1.0,) * n), 1.0), (ComplexEllipsoid((1.3,) * n), 1.3)):
+            assert body.radial_degree == 0
+            assert radial_power_rule(L, ((body, 2 * n),)).level == 1
+            # measured <= 1.9e-15 and <= 2.0e-15
+            assert volume(body) == pytest.approx(
+                math.pi ** n * s ** (2 * n) / math.factorial(n), rel=4e-15, abs=0)
+            assert volume(body) == pytest.approx(
+                volume(body, rule=level_rule(L, body)), rel=4e-15, abs=0)
+        assert ComplexLqBall(d, 2.0000001).radial_degree is None
+        assert ComplexEllipsoid((1.0,) * (n - 1) + (1.0000001,)).radial_degree is None
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_a_degree_j_term_at_n_takes_level_nj_plus_1(self, n):
-        cfg = default_config()
-        assert sections._polar_level(EuclideanBall(ComplexDim(n)), cfg) == 1
+        L = default_config().reduced_levels[n]
+
+        def level(body):
+            return radial_power_rule(L, ((body, 2 * n),)).level
+        assert level(EuclideanBall(ComplexDim(n))) == 1
         for j in (2, 4, 6):
             body = PerturbedBall(ComplexDim(n), 1.0, ((2, 0, 0.01), (j, 0, 0.01)), certify=False)
-            assert sections._polar_level(body, cfg) == min(n * j + 1, cfg.reduced_levels[n])
+            assert level(body) == min(n * j + 1, L)
         for body in (ComplexLqBall(ComplexDim(n), 3.0), ComplexEllipsoid((1.0,) * (n - 1) + (2.0,))):
-            assert sections._polar_level(body, cfg) == cfg.reduced_levels[n]
+            assert level(body) == L
 
     def test_a_configured_level_below_the_cap_is_used_as_given(self, monkeypatch):
         cfg = RunConfig(reduced_levels={2: 6, 3: 5})
         pert2, pert3 = bodies_n2()["pert_a"], bodies_n3()["pert"]  # caps 9 and 7
-        assert [sections._polar_level(b, cfg) for b in (pert2, pert3)] == [6, 5]
+        assert [radial_power_rule(cfg.reduced_levels[b.dim.n], ((b, 2 * b.dim.n),)).level
+                for b in (pert2, pert3)] == [6, 5]
         levels = []
         real = sections.radial_power_rule
         monkeypatch.setattr(sections, "radial_power_rule",
-                            lambda level, *b: levels.append(level) or real(level, *b))
+                            lambda level, powers: levels.append(real(level, powers).level)
+                            or real(level, powers))
         volume_with_error(pert3, cfg)
-        assert levels == [5, 13]
-
+        assert levels == [5, 7]  # 5 + 8 = 13 is lowered to the exact level
 
 class TestInradius:
     def test_ball(self, ball2):
@@ -713,8 +779,11 @@ class TestInradius:
         monkeypatch.setattr(sections, "volume",
                             lambda *a, **k: levels.append(k["rule"].level) or real(*a, **k))
         assert inradius_normalized(body) == ctx.inradius(body)
-        level = sections._polar_level(body, default_config())  # pinned in TestPolarLevel
-        assert levels == [level + max(8, level // 8)]
+        L = default_config().reduced_levels[n]
+        level = L + max(8, L // 8)
+        if body.radial_degree is not None:  # pinned in TestPolarLevel
+            level = min(level, n * body.radial_degree + 1)
+        assert levels == [level]
 
     def test_lq1_minimum_on_diagonal(self):
         body = ComplexLqBall(ComplexDim(2), 1.0)

@@ -402,10 +402,13 @@ class TestParseval:
     def test_rhs_matches_the_node_path(self, pert2):
         # the pairing integrand through the torus factors against the same
         # integrand at the rule's nodes
-        res = parseval_check(pert2, ComplexLqBall(d2, 3.0), 2.0, jmax=8)
-        rule = sections.radial_power_rule(default_config().reduced_levels[2], pert2)
+        lq3 = ComplexLqBall(d2, 3.0)
+        res = parseval_check(pert2, lq3, 2.0, jmax=8)
+        rule = sections.radial_power_rule(default_config().reduced_levels[2],
+                                          ((pert2, 2.0), (lq3, 2.0)))
+        assert rule.level == default_config().reduced_levels[2]  # lq3 is kinked
         X = rule.nodes
-        ref = integrate_sphere(pert2.radial(X) ** 2 * ComplexLqBall(d2, 3.0).radial(X) ** 2, rule)
+        ref = integrate_sphere(pert2.radial(X) ** 2 * lq3.radial(X) ** 2, rule)
         assert res.rhs == pytest.approx((2 * math.pi) ** 4 * ref, rel=1e-14)
 
     def test_exponent_pairing_nontrivial(self, ball3):
@@ -434,8 +437,10 @@ class TestTorusRulesStayFactored:
         sections.volume_with_error(pert)
         mc_volume(pert, 10_000, seed=0)
         parseval_check(pert, EuclideanBall(d3), 2.0, jmax=4)
+        # the volume's two calls at the exact level 3*2 + 1, Monte Carlo's
+        # scan, and the pairing of rho^2 with 1^4 at the exact level 4 // 2 + 1
         assert [(r.m, r.level, r.phases.shape[0]) for r in built] == [
-            (6, 7, 49), (6, 15, 49), (6, 48, 64), (6, 160, 49)]
+            (6, 7, 49), (6, 7, 49), (6, 48, 64), (6, 3, 49)]
         assert not any(r.nodes_built for r in built)
 
 

@@ -65,7 +65,7 @@ def test_tracer_installs_records_and_uninstalls():
 
 
 def test_traced_perturbed_volume_counts_nodes_without_building_them():
-    # a cold rule cache, so both polar-volume rules are built inside the trace
+    # a cold rule cache, so the polar-volume rule is built inside the trace
     tm = _load_tracer()
     cxsect.invariant_sphere_rule.cache_clear()
     pert = PerturbedBall(ComplexDim(3), 1.0, ((2, 0, 0.05),))
@@ -76,8 +76,9 @@ def test_traced_perturbed_volume_counts_nodes_without_building_them():
         summary = tracer.summary(1.0)
     finally:
         tracer.uninstall()
-    # the exact level n*J + 1 = 7 for the degree-2 term, and 7 + 8
-    rules = [cxsect.invariant_sphere_rule(3, lev, 7) for lev in (7, 15)]
-    assert summary["spherequad.rule_nodes"] == sum(r.node_count for r in rules) == 13_426
-    assert not any(r.nodes_built for r in rules)
+    # both calls take the one rule at the exact level n*J + 1 = 7 for the
+    # degree-2 term
+    rule = cxsect.invariant_sphere_rule(3, 7, nphase=7)
+    assert summary["spherequad.rule_nodes"] == rule.node_count == 2_401
+    assert not rule.nodes_built
     assert "spherequad.factor_points" not in {rec[tm.NAME] for rec in tracer.spans}
