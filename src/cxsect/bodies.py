@@ -203,7 +203,7 @@ class ConvexBody:
         """The degree J of the radial function as a polynomial on the sphere,
         or None when it is not one.  A product of integer powers of such
         functions is a polynomial whose degree fixes an exact rule
-        (``sections.radial_power_rule``)."""
+        (``sections._exact_level``)."""
         return None
 
     def scaled(self, factor):

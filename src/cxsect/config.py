@@ -34,9 +34,11 @@ MC_MIN_SAMPLES = 10_000
 # The default tables.  Their keys are the admitted ones: each a function of
 # an admitted complex dimension n.
 _TABLES = {
-    # direct-section rule levels per subspace dimension m = 2n-2 (exactness
-    # 2L-1); the m = 2 rule is one node of weight 2 pi at every level, so its
-    # entry is only echoed
+    # the level L of the direct-section rule per subspace dimension m = 2n-2
+    # (exactness 2L-1); the m = 2 rule is one node of weight 2 pi at every
+    # level, so its entry is only echoed.  ``sections._section_rule`` lowers
+    # L to the exact level (n-1)J + 1 of a body whose radial function is a
+    # polynomial of degree J (a ball, a perturbed ball)
     "product_levels": {2: 24, 4: 32, 6: 16},
     # torus-reduced levels per complex dimension n (polar volumes, Parseval
     # pairings); ``sections.radial_power_rule`` lowers one to the exact

@@ -6,7 +6,10 @@ nonnegative moduli vector) and, when needed, relative phases of the
 coordinate pairs beyond the first.  Functions of a complex line (section
 volumes, transformed norm powers of the admitted bodies) are constant along
 the simultaneous-phase orbit, so the first phase is pinned to zero; bodies
-that depend only on the moduli drop the remaining phases too.
+that depend only on the moduli drop the remaining phases too.  The grid lists
+moduli angles outer and phases inner, so on a phased grid such a body's
+values are its moduli-grid values, each repeated once per phase point
+(``theorems.VerificationContext.section_grid_values``).
 """
 from __future__ import annotations
 

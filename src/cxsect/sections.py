@@ -14,9 +14,11 @@ Both routes take a batch of directions, shape (P, 2n) or one vector, and
 return (values, errors) arrays of shape (P,).  Directions are checked and
 normalized in one place, ``unit_directions``.  The polar volume and the
 pairing of ``theorems.parseval_check`` take their rule from
-``radial_power_rule``, which alone picks its level and phase count, and share
-``_radial_power_integral``, which sums the quadrature of a product of radial
-powers over blocks of base rows.
+``radial_power_rule``, the direct sections theirs from ``_section_rule``;
+both build it at ``_exact_level``, which alone decides when a polynomial
+integrand needs fewer nodes than the configured level.  The polar volume and
+the pairing share ``_radial_power_integral``, which sums the quadrature of a
+product of radial powers over blocks of base rows.
 """
 from __future__ import annotations
 
@@ -39,15 +41,26 @@ def unit_directions(dirs) -> np.ndarray:
     """Directions as unit rows: (P, 2n) or one vector in, (P, 2n) out.
 
     The one place directions are checked: a row of odd length, zero or not
-    finite raises ``InvalidInputError``.
+    finite raises ``InvalidInputError``.  A row whose squared length leaves
+    the normal double range (it overflows, or is subnormal and has lost
+    digits) is first scaled by the power of two that brings its largest
+    entry into [1/2, 1), which is exact; every other row keeps the bits of
+    X / |X|.
     """
     X = np.atleast_2d(np.asarray(dirs, dtype=float))
     if X.ndim != 2 or X.shape[1] % 2:
         raise InvalidInputError("directions must be vectors of even length")
-    length = np.sqrt(np.einsum("pk,pk->p", X, X))
-    if not ((length > 0.0) & (length < np.inf)).all():
-        raise InvalidInputError("cannot normalize a zero or non-finite vector")
-    return X * (1.0 / length)[:, None]
+    with np.errstate(over="ignore", under="ignore"):  # such rows are redone below
+        squares = np.einsum("pk,pk->p", X, X)
+    bad = ~((squares >= _TINY) & (squares < np.inf))
+    if bad.any():
+        top = np.max(np.abs(X[bad]), axis=1)
+        if not ((top > 0.0) & (top < np.inf)).all():
+            raise InvalidInputError("cannot normalize a zero or non-finite vector")
+        X = X.copy()
+        X[bad] = np.ldexp(X[bad], -np.frexp(top)[1][:, None])
+        squares[bad] = np.einsum("pk,pk->p", X[bad], X[bad])
+    return X * (1.0 / np.sqrt(squares))[:, None]
 
 
 def hyperplane_basis(dirs) -> np.ndarray:
@@ -93,11 +106,19 @@ def hyperplane_basis(dirs) -> np.ndarray:
     return np.concatenate([rows, 1j * rows], axis=2).view(float).reshape(P, N - 2, N)
 
 
-def _section_rule(n, config, bump=0, scan=False):
+def _section_rule(body, config, bump=0, scan=False):
+    """The direct-section rule of ``body`` on S^{2n-3}: the torus-reduced
+    ``invariant_sphere_rule(n-1, E, nphase=E)``, E = ``_exact_level`` of the
+    integrand rho^{2n-2} at the level L = product_levels[2n-2] (L/2, at least
+    8, for ``scan``) plus ``bump``.  E is L + bump unless rho is a polynomial
+    of degree J (a ball, a perturbed ball), where E = (n-1)J + 1 integrates
+    the section exactly: one node for a ball."""
+    n = body.dim.n
     level = config.product_levels[2 * n - 2]
     if scan:
         level = max(8, level // 2)
-    return invariant_sphere_rule(n - 1, level + bump, nphase=level + bump)
+    level = _exact_level(level + bump, ((body, 2 * n - 2),))
+    return invariant_sphere_rule(n - 1, level, nphase=level)
 
 
 def section_volume_direct(body, dirs, config: RunConfig | None = None):
@@ -105,7 +126,9 @@ def section_volume_direct(body, dirs, config: RunConfig | None = None):
     at a batch of directions by the kernel of ``section_values``.
 
     The error estimate is the difference against the rule two levels up,
-    whose values are the ones reported.
+    whose values are the ones reported.  Where ``_section_rule`` finds the
+    integrand exact (a ball, a perturbed ball) both levels get the same
+    rule, and the estimate is 0.
     """
     return _direct_on_bases(body, _body_bases(body, dirs), config or _DEFAULT_CONFIG)
 
@@ -113,9 +136,8 @@ def section_volume_direct(body, dirs, config: RunConfig | None = None):
 def _direct_on_bases(body, bases, cfg):
     """``section_volume_direct`` on stacked hyperplane bases of the body's
     dimension, taken as checked."""
-    n = body.dim.n
-    coarse = _section_sums(body, bases, _section_rule(n, cfg))
-    values = _section_sums(body, bases, _section_rule(n, cfg, bump=2))
+    coarse = _section_sums(body, bases, _section_rule(body, cfg))
+    values = _section_sums(body, bases, _section_rule(body, cfg, bump=2))
     return values, np.abs(values - coarse)
 
 
@@ -151,11 +173,13 @@ def section_values(body, dirs, rule: QuadratureRule | None = None,
     Vol_{2n-2} = (1/(2n-2)) * int_{S^{2n-3}} rho(theta B)^{2n-2}, B the
     J-paired hyperplane basis.  In its coordinates J is the complex structure
     of C^{n-1}, so the integrand keeps the body's invariance under
-    simultaneous pair rotation, and the default rule is the torus-reduced
-    ``invariant_sphere_rule(n-1, L, nphase=L)`` with L = product_levels[2n-2]
-    (exact to degree 2L-1).  At n = 2 that rule is one node of weight 2 pi:
-    the section is the disc pi rho(w)^2.  ``scan=True`` uses L/2 (at least
-    8), cheap enough for extremum scans over large grids (final values at the
+    simultaneous pair rotation, and the default rule, ``_section_rule``, is
+    the torus-reduced ``invariant_sphere_rule(n-1, L, nphase=L)`` with
+    L = product_levels[2n-2] (exact to degree 2L-1), or with the exact level
+    (n-1)J + 1 when that is smaller and rho is a polynomial of degree J (a
+    ball: one node).  At n = 2 that rule is one node of weight 2 pi: the
+    section is the disc pi rho(w)^2.  ``scan=True`` uses L/2 (at least 8),
+    cheap enough for extremum scans over large grids (final values at the
     extremizer should be re-evaluated at the full level).  Any rule on
     S^{2n-3} may be passed instead, e.g. the generic product rule as a
     reference.
@@ -176,7 +200,7 @@ def section_values(body, dirs, rule: QuadratureRule | None = None,
     cfg = config or _DEFAULT_CONFIG
     n = body.dim.n
     if rule is None:
-        rule = _section_rule(n, cfg, scan=scan)
+        rule = _section_rule(body, cfg, scan=scan)
     if rule.m != 2 * n - 2:
         raise InvalidInputError(f"section rule must live on S^{2 * n - 3}")
     return _section_sums(body, _body_bases(body, dirs), rule)
@@ -220,18 +244,30 @@ def radial_power_rule(level, powers) -> QuadratureRule:
     and 2n*bw + 1 uniform phases integrate it exactly in the phases: one
     phase when every body depends on the moduli only.  The rule is exact in
     the moduli too where the product is a polynomial of degree at most
-    2*level - 1.  When every exponent is an integer and every radial function
-    is a polynomial of degree J_b on the sphere (``body.radial_degree``: a
-    ball, a perturbed ball), the product has degree D = sum_b e_b J_b, and
-    the rule is built at min(level, D // 2 + 1), which is exact; a larger
-    level only adds nodes.  Otherwise it is built at ``level``.
+    2*level - 1; it is built at ``_exact_level(level, powers)``, which lowers
+    the level to the exact one for a polynomial product (balls, perturbed
+    balls).
     """
     n = powers[0][0].dim.n
     bw = max(body.phase_bandwidth for body, _ in powers)
+    return invariant_sphere_rule(n, _exact_level(level, powers), nphase=2 * n * bw + 1)
+
+
+def _exact_level(level, powers):
+    """The level at which a torus-reduced rule integrates the product of
+    radial powers prod_b rho_b^{e_b}, ``powers`` its (body, exponent) pairs:
+    the one place that reads ``body.radial_degree``.
+
+    When every exponent is an integer and every radial function is a
+    polynomial of degree J_b on the sphere (a ball, a perturbed ball), the
+    product is a polynomial of degree D = sum_b e_b J_b, which a rule of
+    level D // 2 + 1 integrates exactly; a larger level only adds nodes, so
+    the level is min(level, D // 2 + 1).  Otherwise it is ``level``.
+    """
     degrees = [(e, body.radial_degree) for body, e in powers]
     if all(float(e).is_integer() and J is not None for e, J in degrees):
-        level = min(level, int(sum(e * J for e, J in degrees)) // 2 + 1)
-    return invariant_sphere_rule(n, level, nphase=2 * n * bw + 1)
+        return min(level, int(sum(e * J for e, J in degrees)) // 2 + 1)
+    return level
 
 
 def _radial_power_integral(rule: QuadratureRule, powers) -> float:

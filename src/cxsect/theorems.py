@@ -65,10 +65,20 @@ class VerificationContext:
             n, cfg.moduli_res[n], cfg.phase_res[n], with_phases=with_phases))
 
     def section_grid_values(self, body, with_phases):
-        """Scan-level section values on the shared direction grid."""
+        """Scan-level section values on the shared direction grid.
+
+        A body of the moduli only is invariant under each pair's own
+        rotation, so its section depends on the moduli of the direction
+        alone: its phased values are its moduli-grid values, each repeated
+        once per phase point (the grid lists moduli angles outer, phases
+        inner), and bit for bit the direct values at phase 0.
+        """
+        n = body.dim.n
+        if with_phases and body.phase_bandwidth == 0:
+            return self._memo(("sections", body, True), lambda: np.repeat(
+                self.section_grid_values(body, False), self.config.phase_res[n] ** (n - 1)))
         return self._memo(("sections", body, with_phases), lambda: sections.section_values(
-            body, self.grid(body.dim.n, with_phases).directions, config=self.config,
-            scan=True))
+            body, self.grid(n, with_phases).directions, config=self.config, scan=True))
 
     def ensure_valid(self, body):
         report = self._memo(("valid", body), lambda: validate(body, 1000, self.config.seed))
@@ -138,9 +148,13 @@ def _max_section_difference(K, L, ctx) -> GapResult:
     """Maximize section(K) - section(L): scan-level grid + pattern search,
     final value re-evaluated at the full quadrature level.
 
-    Both bodies share one set of hyperplane bases per batch of directions:
-    one per refinement batch, and one at the maximizer for both bodies and
-    both quadrature levels.  The directions come from the grid, so they are
+    Each body is integrated on its own scan and full rules
+    (``sections._section_rule``: the exact level for a polynomial radial
+    function), and a body of the moduli only scans the phased grid through
+    its moduli grid (``VerificationContext.section_grid_values``).  Both
+    bodies share one set of hyperplane bases per batch of directions: one
+    per refinement batch, and one at the maximizer for both bodies and both
+    quadrature levels.  The directions come from the grid, so they are
     unit and of the bodies' dimension, and the section kernels take the
     bases unchecked.
     """
@@ -151,12 +165,13 @@ def _max_section_difference(K, L, ctx) -> GapResult:
     grid = ctx.grid(K.dim.n, with_phases)
     diff_grid = (ctx.section_grid_values(K, with_phases)
                  - ctx.section_grid_values(L, with_phases))
-    scan_rule = sections._section_rule(K.dim.n, cfg, scan=True)
+    rule_K = sections._section_rule(K, cfg, scan=True)
+    rule_L = sections._section_rule(L, cfg, scan=True)
 
     def diff_fn(X):
         bases = sections.hyperplane_basis(X)
-        return (sections._section_sums(K, bases, scan_rule)
-                - sections._section_sums(L, bases, scan_rule))
+        return (sections._section_sums(K, bases, rule_K)
+                - sections._section_sums(L, bases, rule_L))
 
     _, xi_star, _, evals = grids.refine_extremum(
         diff_fn, grid, diff_grid, mode="max", halvings=cfg.refine_halvings

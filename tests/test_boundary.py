@@ -215,7 +215,7 @@ class TestKernelPaths:
         X = unit_vectors(np.random.default_rng(53), 7, 2 * n)
         bases = hyperplane_basis(X)
         for scan in (False, True):
-            rule = sections._section_rule(n, cfg, scan=scan)
+            rule = sections._section_rule(body, cfg, scan=scan)
             assert np.array_equal(sections._section_sums(body, bases, rule),
                                   section_values(body, X, scan=scan)), scan
         got = sections._direct_on_bases(body, bases, cfg)

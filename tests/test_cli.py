@@ -84,6 +84,17 @@ class TestSectionCommand:
         assert report["results"]["directions"][0]["direct"] == pytest.approx(
             4 * math.pi, rel=1e-11)
 
+    def test_huge_direction_gives_the_unit_direction(self, tmp_path):
+        # its squared length overflows; it was rejected with exit 3
+        spec = write_spec(tmp_path, "lq3.json", {"n": 2, "kind": "lq", "params": {"q": 3.0}})
+        rows = []
+        for xi in ("1e200,0,0,0", "1,0,0,0"):
+            assert run(["section", spec, "--xi", xi, "--method", "both"], tmp_path) == 0
+            report = json.loads((tmp_path / "reports").joinpath(
+                "section_lq-n-2-q-3-s-1_both.json").read_text())
+            rows.append(report["results"]["directions"])
+        assert rows[0] == rows[1]
+
     def test_wrong_direction_length_exit3(self, tmp_path, ball_spec):
         assert run(["section", ball_spec, "--xi", "1,0,0"], tmp_path) == 3
 

@@ -69,10 +69,33 @@ class TestDirection:
         assert np.allclose(np.linalg.norm(batch, axis=1), 1.0, atol=1e-15)
 
     @pytest.mark.parametrize("bad", [[0.0, 0.0, 0.0, 0.0], [math.nan, 0, 1, 0],
-                                     [math.inf, 0, 1, 0], [1.0, 0.0, 0.0]])
+                                     [math.inf, 0, 1, 0], [1.0, 0.0, 0.0],
+                                     [1e200, math.nan, 0, 0], [1e-320, math.inf, 0, 0],
+                                     [-math.inf, 1e300, 0, 0]])
     def test_bad_direction_raises(self, bad):
         with pytest.raises(InvalidInputError):
             unit_directions(bad)
+
+    @pytest.mark.parametrize("vec, shape", [([1e200, 0, 0, 0], [1, 0, 0, 0]),
+                                            ([1e155, 1e155, 0, 0], [1, 1, 0, 0]),
+                                            ([3e-160, 1e-160, 0, 0], [3, 1, 0, 0]),
+                                            ([5e-324, 0, 0, 0], [1, 0, 0, 0])])
+    def test_squared_length_out_of_range(self, vec, shape):
+        # the squared length overflows or is subnormal; the row is the unit
+        # vector of its shape within 1 ulp
+        got, want = unit_directions(vec)[0], unit_directions(shape)[0]
+        assert np.all(np.abs(got - want) <= np.spacing(want))
+
+    def test_rows_in_range_keep_their_bits(self):
+        # every row whose squared length is a normal double keeps the bits of
+        # X / |X|, also next to a row that is rescaled
+        rng = np.random.default_rng(5)
+        X = rng.normal(size=(400, 6)) * 10.0 ** rng.uniform(-150, 150, size=(400, 1))
+        old = X * (1.0 / np.sqrt(np.einsum("pk,pk->p", X, X)))[:, None]
+        assert np.array_equal(unit_directions(X), old)
+        mixed = unit_directions(np.vstack([X, [1e200, 0, 0, 0, 0, 0]]))
+        assert np.array_equal(mixed[:-1], old)
+        assert np.array_equal(mixed[-1], [1.0, 0, 0, 0, 0, 0])
 
 
 def _reference_basis(vec):
@@ -253,6 +276,7 @@ class _CountingBody:
 
     def __init__(self, body):
         self.body, self.dim, self.label, self.points = body, body.dim, body.label, 0
+        self.radial_degree = body.radial_degree
 
     def _radial_impl(self, theta):
         self.points += theta.shape[0]
@@ -276,7 +300,7 @@ class TestSectionKernel:
     @pytest.mark.parametrize("scan", [False, True])
     def test_matches_per_direction_reference(self, n, name, scan):
         body = _bodies_by_kind()[n][name]
-        rule = sections._section_rule(n, default_config(), scan=scan)
+        rule = sections._section_rule(body, default_config(), scan=scan)
         dirs = unit_vectors(np.random.default_rng(10 + n), 9, 2 * n)
         for X in (dirs, dirs[4]):  # a batch, and one direction as a vector
             got = section_values(body, X, scan=scan)
@@ -291,10 +315,18 @@ class TestSectionKernel:
         assert body.points == 7
 
     @pytest.mark.parametrize("scan, nodes", [(False, 1024), (True, 256)])
-    def test_default_rule_sizes_at_n3(self, ball3, scan, nodes):
-        body = _CountingBody(ball3)
+    def test_default_rule_sizes_at_n3(self, scan, nodes):
+        # a kinked body at L = 32 and L / 2 = 16
+        body = _CountingBody(bodies_n3()["lq3"])
         section_values(body, unit_vectors(np.random.default_rng(7), 3, 6), scan=scan)
         assert body.points == 3 * nodes
+
+    @pytest.mark.parametrize("scan", [False, True])
+    def test_one_point_per_direction_for_a_ball_at_n3(self, ball3, scan):
+        # a ball's section integrand is constant: its exact rule is one node
+        body = _CountingBody(ball3)
+        section_values(body, unit_vectors(np.random.default_rng(7), 3, 6), scan=scan)
+        assert body.points == 3
 
     def test_direction_dimension_mismatch(self, ball3):
         with pytest.raises(InvalidInputError):
@@ -383,7 +415,7 @@ class TestBatchIndependence:
     @pytest.mark.parametrize("scan", [False, True])
     def test_batch_single_and_chunked_values_are_equal(self, n, name, scan, monkeypatch):
         body = _bodies_by_kind()[n][name]
-        M = sections._section_rule(n, default_config(), scan=scan).node_count
+        M = sections._section_rule(body, default_config(), scan=scan).node_count
         X = unit_vectors(np.random.default_rng(40 + n), 40, 2 * n)
         batch = section_values(body, X, scan=scan)
         assert np.array_equal(np.array([section_values(body, x, scan=scan)[0] for x in X]), batch)
@@ -409,19 +441,25 @@ class TestBatchIndependence:
 
     def test_radial_calls_hold_at_most_one_chunk(self, ball3, monkeypatch):
         # the n = 3 phase grid of the comparison checks: 3,600 directions of
-        # 256 scan nodes, 921,600 points
+        # 256 scan nodes for a kinked body, 921,600 points; one node for a ball
         cfg = default_config()
+        lq3 = bodies_n3()["lq3"]
         grid = direction_grid(3, cfg.moduli_res[3], cfg.phase_res[3], with_phases=True)
-        M = sections._section_rule(3, cfg, scan=True).node_count
+        M = sections._section_rule(lq3, cfg, scan=True).node_count
         assert (grid.size, M) == (3600, 256)
+        assert sections._section_rule(ball3, cfg, scan=True).node_count == 1
         counter = CountingRadial(monkeypatch)
-        section_values(ball3, grid.directions, scan=True)
+        section_values(lq3, grid.directions, scan=True)
         assert sum(counter.rows) == grid.size * M
         assert max(counter.rows) <= max(M, CHUNK_ROWS)
+        counter.rows.clear()
+        section_values(ball3, grid.directions, scan=True)
+        assert sum(counter.rows) == grid.size
+        assert max(counter.rows) <= CHUNK_ROWS
         # a rule larger than a chunk: one direction per call
         monkeypatch.setattr(sections, "CHUNK_ROWS", M - 1)
         counter.rows.clear()
-        section_values(ball3, grid.directions[:5], scan=True)
+        section_values(lq3, grid.directions[:5], scan=True)
         assert counter.rows == [M] * 5
 
     def test_refined_gap_values_are_one_row_values(self):
@@ -452,11 +490,77 @@ class TestSectionRuleAtN2:
         got = []
         for level in (1, 24):
             cfg = RunConfig(product_levels={2: level})
-            assert sections._section_rule(2, cfg).node_count == 1
+            assert sections._section_rule(body, cfg).node_count == 1
             got.append((section_values(body, X, config=cfg),
                         *section_volume_direct(body, X, config=cfg)))
         for a, b in zip(*got):
             assert np.array_equal(a, b)
+
+
+def _polynomial_bodies():
+    """Every suite body whose radial function is a polynomial (the balls,
+    lq2, the perturbed bodies), plus a j = 4 term at n = 3 and a j = 2 term
+    at n = 4, as (id, body, exact section level (n-1)J + 1)."""
+    out = [(f"{name}-n{n}", body) for n, make in ((2, bodies_n2), (3, bodies_n3))
+           for name, body in make().items() if body.radial_degree is not None]
+    out += [("j2+j4-n3", PerturbedBall(ComplexDim(3), 1.0, ((2, 0, 0.04), (4, 3, 0.01)))),
+            ("j2-n4", PerturbedBall(ComplexDim(4), 1.0, ((2, 0, 0.05),)))]
+    return [(key, body, (body.dim.n - 1) * body.radial_degree + 1) for key, body in out]
+
+
+POLYNOMIAL = _polynomial_bodies()
+
+
+class TestExactSectionRule:
+    """A section integrand rho^{2n-2} that is a polynomial of degree (2n-2)J
+    takes the rule of level (n-1)J + 1 whenever that is below the
+    configured one; any other body keeps the configured level."""
+
+    @pytest.mark.parametrize("key, body, exact", POLYNOMIAL, ids=[p[0] for p in POLYNOMIAL])
+    def test_capped_rule_matches_the_configured_levels(self, key, body, exact):
+        # over 40 directions, against the explicit rules of levels L and L + 2
+        # at full and scan level: at most 2.1e-15 relative (measured)
+        n, cfg = body.dim.n, default_config()
+        X = unit_vectors(np.random.default_rng(61), 40, 2 * n)
+        for scan in (False, True):
+            L = cfg.product_levels[2 * n - 2]
+            L = max(8, L // 2) if scan else L
+            rule = sections._section_rule(body, cfg, scan=scan)
+            assert rule.level == min(exact, L)
+            assert rule.phase_counts == (1,) + (rule.level,) * (n - 2)
+            got = section_values(body, X, scan=scan)
+            for level in (L, L + 2):
+                ref = section_values(body, X, rule=invariant_sphere_rule(n - 1, level, nphase=level))
+                assert np.max(np.abs(got / ref - 1.0)) <= 4e-15, (scan, level)
+
+    @pytest.mark.parametrize("key, body, exact", POLYNOMIAL, ids=[p[0] for p in POLYNOMIAL])
+    def test_direct_error_is_zero(self, key, body, exact):
+        X = unit_vectors(np.random.default_rng(62), 12, 2 * body.dim.n)
+        values, errors = section_volume_direct(body, X)
+        assert np.all(errors == 0.0)
+        assert np.array_equal(values, section_values(body, X))
+
+    def test_exact_levels(self):
+        levels = {key: exact for key, _, exact in POLYNOMIAL}
+        assert levels["ball-n3"] == levels["lq2-n3"] == 1
+        assert (levels["pert-n3"], levels["j2+j4-n3"], levels["j2-n4"]) == (5, 9, 7)
+        # the n = 3 degree-2 body: 25 nodes at scan level and at level 34
+        pert = bodies_n3()["pert"]
+        cfg = default_config()
+        assert sections._section_rule(pert, cfg, scan=True).node_count == 25
+        assert sections._section_rule(pert, cfg, bump=2).node_count == 25
+
+    @pytest.mark.parametrize("n, name", [(n, name) for n, name in SUITE
+                                         if (bodies_n2() if n == 2 else bodies_n3())[name]
+                                         .radial_degree is None])
+    def test_kinked_bodies_keep_the_configured_level(self, n, name):
+        body = (bodies_n2() if n == 2 else bodies_n3())[name]
+        cfg = default_config()
+        L = cfg.product_levels[2 * n - 2]
+        for scan, bump, level in ((False, 0, L), (False, 2, L + 2), (True, 0, max(8, L // 2))):
+            rule = sections._section_rule(body, cfg, bump=bump, scan=scan)
+            assert rule.level == level
+            assert rule.phase_counts == (1,) + (level,) * (n - 2)
 
 
 def _perturbation(n, degrees, bound):

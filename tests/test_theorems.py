@@ -27,6 +27,7 @@ from cxsect import grids, sections, spherequad, theorems
 from cxsect.grids import refine_extremum
 from cxsect.config import default_config
 from cxsect.harmonics import expansion_rule
+from cxsect.suite import bodies_n2, bodies_n3
 
 
 @pytest.fixture(scope="module")
@@ -56,6 +57,71 @@ class TestSectionGap:
         # polydisc sections are at least pi, with equality at the coordinate axes
         gap = section_gap(ball2, polydisc2, context=ctx)
         assert gap.epsilon <= 1e-8
+
+
+def _suite_bodies(moduli_only):
+    return [(f"{name}-n{body.dim.n}", body) for make in (bodies_n2, bodies_n3)
+            for name, body in make().items() if (body.phase_bandwidth == 0) == moduli_only]
+
+
+MODULI_ONLY = _suite_bodies(True)
+PHASED = _suite_bodies(False)
+
+
+class TestModuliGrid:
+    """A body of the moduli only scans the phased grid through its moduli
+    grid; a body that depends on the phases scans the phased grid itself."""
+
+    @pytest.mark.parametrize("key, body", MODULI_ONLY, ids=[k for k, _ in MODULI_ONLY])
+    def test_phased_values_repeat_the_moduli_grid(self, key, body, monkeypatch):
+        ctx = VerificationContext()
+        n, cfg = body.dim.n, ctx.config
+        grid = ctx.grid(n, True)
+        scanned = []
+        real = sections.section_values
+
+        def counted(b, dirs, **kw):
+            scanned.append(len(dirs))
+            return real(b, dirs, **kw)
+
+        monkeypatch.setattr(sections, "section_values", counted)
+        got = ctx.section_grid_values(body, True)
+        assert scanned == [ctx.grid(n, False).size]
+        assert ctx.section_grid_values(body, True) is got
+        monkeypatch.undo()
+        # against a direct scan of the phased grid: at most 1.8e-15 relative
+        # (measured), and the bits of the moduli grid at phase 0
+        ref = sections.section_values(body, grid.directions, config=cfg, scan=True)
+        assert got.shape == ref.shape == (grid.size,)
+        assert np.max(np.abs(got / ref - 1.0)) <= 4e-15
+        zero = (grid.params[:, n - 1:] == 0.0).all(axis=1)
+        assert np.array_equal(got[zero], ref[zero])
+        assert np.array_equal(got[zero], ctx.section_grid_values(body, False))
+
+    @pytest.mark.parametrize("key, body", PHASED, ids=[k for k, _ in PHASED])
+    def test_phased_values_of_a_perturbed_body_are_scanned(self, key, body):
+        ctx = VerificationContext()
+        grid = ctx.grid(body.dim.n, True)
+        ref = sections.section_values(body, grid.directions, config=ctx.config, scan=True)
+        assert np.array_equal(ctx.section_grid_values(body, True), ref)
+
+    def test_perturbed_gap_takes_the_exact_rules(self, monkeypatch):
+        # pert(n=3)|lq3: the perturbed body's section is a polynomial of
+        # degree 8, integrated on 5 x 5 nodes at scan and full level; lq3
+        # keeps 256 scan nodes and 1,024 and 1,156 at the maximizer
+        K, L = bodies_n3()["pert"], bodies_n3()["lq3"]
+        nodes = {K.label: set(), L.label: set()}
+        real = sections._section_sums
+
+        def counted(body, bases, rule):
+            nodes[body.label].add(rule.node_count)
+            return real(body, bases, rule)
+
+        monkeypatch.setattr(sections, "_section_sums", counted)
+        gap = VerificationContext().gap(K, L)
+        assert nodes == {K.label: {25}, L.label: {256, 1024, 1156}}
+        # the perturbed body's quadrature error is 0, so the gap's is lq3's
+        assert gap.error == sections.section_volume_direct(L, gap.argmax_xi)[1][0]
 
 
 class TestStability:
